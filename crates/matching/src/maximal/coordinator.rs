@@ -274,9 +274,14 @@ pub struct Coordinator {
     /// Per-round send budget `S` in words; the batch drain yields to the
     /// next round rather than exceed it.
     send_budget: usize,
+    /// The update-history, contiguous in `seq`: entries are pushed with
+    /// consecutive numbers and only ever popped from the front.
     hist: VecDeque<(u64, HistEntry)>,
     next_seq: u64,
-    last_seen: HashMap<MachineId, u64>,
+    /// Sync table, dense by machine id: the history seq each machine was
+    /// last sent up to. `None` (never synced) trims like seq 0 but, unlike
+    /// `Some(0)`, has no `seen` line in the snapshot.
+    last_seen: Vec<Option<u64>>,
     rr_cursor: usize,
     overflow_of: HashMap<V, MachineId>,
     free_overflow: Vec<MachineId>,
@@ -304,6 +309,9 @@ pub struct Coordinator {
     /// [`MatchMsg::HandoffBegin`].
     staged: Option<Vec<u64>>,
     out: Vec<(MachineId, MatchMsg)>,
+    /// Words queued in `out` (what the batch drain checks against the send
+    /// budget after every update).
+    out_words: usize,
 }
 
 impl Coordinator {
@@ -317,7 +325,7 @@ impl Coordinator {
             send_budget,
             hist: VecDeque::new(),
             next_seq: 1,
-            last_seen: HashMap::new(),
+            last_seen: vec![None; layout.total_machines()],
             rr_cursor: 0,
             overflow_of: HashMap::new(),
             free_overflow: (0..layout.n_overflow)
@@ -333,6 +341,7 @@ impl Coordinator {
             courier: None,
             staged: None,
             out: Vec::new(),
+            out_words: 0,
         }
     }
 
@@ -380,11 +389,10 @@ impl Coordinator {
             }
             .unwrap();
         }
-        let mut seen: Vec<(MachineId, u64)> =
-            self.last_seen.iter().map(|(&m, &q)| (m, q)).collect();
-        seen.sort_unstable();
-        for (m, q) in seen {
-            writeln!(s, "seen {m} {q}").unwrap();
+        for (m, q) in self.last_seen.iter().enumerate() {
+            if let Some(q) = q {
+                writeln!(s, "seen {m} {q}").unwrap();
+            }
         }
         let mut ovf: Vec<(V, MachineId)> = self.overflow_of.iter().map(|(&v, &m)| (v, m)).collect();
         ovf.sort_unstable();
@@ -409,7 +417,7 @@ impl Coordinator {
     /// the snapshot was taken in.
     pub fn restore_text(&mut self, text: &str) {
         self.hist.clear();
-        self.last_seen.clear();
+        self.last_seen.fill(None);
         self.overflow_of.clear();
         self.free_overflow.clear();
         self.suspended.clear();
@@ -420,6 +428,7 @@ impl Coordinator {
         self.courier = None;
         self.staged = None;
         self.out.clear();
+        self.out_words = 0;
         let mut lines = text.lines();
         assert_eq!(lines.next(), Some("coord v2"), "snapshot header");
         for line in lines {
@@ -451,9 +460,8 @@ impl Coordinator {
                     self.hist.push_back((seq, entry));
                 }
                 "seen" => {
-                    let m: MachineId = it.next().unwrap().parse().unwrap();
-                    self.last_seen
-                        .insert(m, it.next().unwrap().parse().unwrap());
+                    let m: usize = it.next().unwrap().parse().unwrap();
+                    self.last_seen[m] = Some(it.next().unwrap().parse().unwrap());
                 }
                 "ovf" => {
                     let v: V = it.next().unwrap().parse().unwrap();
@@ -536,36 +544,41 @@ impl Coordinator {
     // ---- history helpers -------------------------------------------------
 
     fn push_hist(&mut self, e: HistEntry) {
+        debug_assert!(self
+            .hist
+            .back()
+            .is_none_or(|&(seq, _)| seq + 1 == self.next_seq));
         self.hist.push_back((self.next_seq, e));
         self.next_seq += 1;
     }
 
     fn hist_for(&mut self, machine: MachineId) -> HistSlice {
-        let seen = self.last_seen.get(&machine).copied().unwrap_or(0);
-        let slice: HistSlice = self
-            .hist
-            .iter()
-            .filter(|&&(seq, _)| seq > seen)
-            .copied()
-            .collect();
-        self.last_seen.insert(machine, self.next_seq - 1);
-        slice
+        let seen = self.last_seen[machine as usize].unwrap_or(0);
+        self.last_seen[machine as usize] = Some(self.next_seq - 1);
+        self.hist_suffix(seen)
     }
 
+    /// Drops the history prefix every storage/overflow machine has been
+    /// sent: one scan of the dense sync table.
     fn trim_hist(&mut self) {
+        if self.hist.is_empty() {
+            return;
+        }
         let first_store = 1 + self.layout.n_stats;
-        let total = self.layout.total_machines();
-        let min_seen = (first_store..total)
-            .map(|m| self.last_seen.get(&(m as MachineId)).copied().unwrap_or(0))
+        let min_seen = self.last_seen[first_store..]
+            .iter()
+            .map(|s| s.unwrap_or(0))
             .min()
             .unwrap_or(0);
-        while let Some(&(seq, _)) = self.hist.front() {
-            if seq <= min_seen {
-                self.hist.pop_front();
-            } else {
-                break;
-            }
-        }
+        self.hist.drain(..self.first_after(min_seen));
+    }
+
+    /// Index of the first buffered entry with seq above `seen`: the deque
+    /// is contiguous in seq, so it sits at a fixed offset from the front.
+    fn first_after(&self, seen: u64) -> usize {
+        self.hist.front().map_or(0, |&(front, _)| {
+            ((seen + 1).saturating_sub(front) as usize).min(self.hist.len())
+        })
     }
 
     /// Current history length (tests assert it stays bounded by the
@@ -577,29 +590,33 @@ impl Coordinator {
     /// The history entries with sequence number greater than `seen`
     /// (read-only; used by audits to replicate a machine's repair).
     pub fn hist_suffix(&self, seen: u64) -> HistSlice {
-        self.hist
-            .iter()
-            .filter(|&&(seq, _)| seq > seen)
-            .copied()
-            .collect()
+        self.hist.range(self.first_after(seen)..).copied().collect()
     }
 
     // ---- small senders ---------------------------------------------------
 
     fn send(&mut self, to: MachineId, msg: MatchMsg) {
+        use dmpc_mpc::Payload;
+        self.out_words += msg.size_words();
         self.out.push((to, msg));
+    }
+
+    /// Hands the queued messages to the caller.
+    fn take_out(&mut self) -> Vec<(MachineId, MatchMsg)> {
+        self.out_words = 0;
+        std::mem::take(&mut self.out)
     }
 
     fn send_storage(&mut self, v: V, build: impl FnOnce(HistSlice) -> MatchMsg) {
         let m = self.layout.storage_of(v);
         let h = self.hist_for(m);
-        self.out.push((m, build(h)));
+        self.send(m, build(h));
     }
 
     fn send_overflow(&mut self, v: V, build: impl FnOnce(HistSlice) -> MatchMsg) {
         let m = self.overflow_of[&v];
         let h = self.hist_for(m);
-        self.out.push((m, build(h)));
+        self.send(m, build(h));
     }
 
     fn push_stat(&mut self, v: V) {
@@ -727,7 +744,7 @@ impl Coordinator {
             Update::Insert(_) => self.fetch_stats(vec![e.u, e.v], StatsThen::InsPrimary),
             Update::Delete(_) => self.fetch_stats(vec![e.u, e.v], StatsThen::DelPrimary),
         }
-        std::mem::take(&mut self.out)
+        self.take_out()
     }
 
     /// Starts an injected batch: prefetches every endpoint's record in one
@@ -766,7 +783,7 @@ impl Coordinator {
         endpoints.sort_unstable();
         endpoints.dedup();
         self.fetch_stats(endpoints, StatsThen::BatchEndpoints);
-        std::mem::take(&mut self.out)
+        self.take_out()
     }
 
     /// Pops the next queued batch update, carrying the stat cache over.
@@ -1035,7 +1052,7 @@ impl Coordinator {
             (Phase::BatchYield, MatchMsg::BatchResume) => self.next_queued(),
             (phase, msg) => panic!("coordinator in {phase:?} got unexpected {msg:?}"),
         }
-        std::mem::take(&mut self.out)
+        self.take_out()
     }
 
     // ---- insert flow -------------------------------------------------------
@@ -1645,7 +1662,7 @@ impl Coordinator {
         self.trim_hist();
         if self.queue.is_empty() {
             self.phase = Phase::Idle;
-        } else if 4 * self.out_words() < self.send_budget {
+        } else if 4 * self.out_words < self.send_budget {
             // Batch drain: chain straight into the next queued update. With
             // a warm cache this happens within the same round.
             self.next_queued();
@@ -1655,11 +1672,5 @@ impl Coordinator {
             self.send(dmpc_mpc::COORDINATOR, MatchMsg::BatchResume);
             self.phase = Phase::BatchYield;
         }
-    }
-
-    /// Words queued for sending in the current step.
-    fn out_words(&self) -> usize {
-        use dmpc_mpc::Payload;
-        self.out.iter().map(|(_, m)| m.size_words()).sum()
     }
 }

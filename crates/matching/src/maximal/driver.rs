@@ -90,10 +90,12 @@ impl Machine for Role {
 
     fn memory_words(&self) -> usize {
         match self {
-            // The coordinator's footprint is dominated by the history
-            // buffer and the per-machine sync table, both O(sqrt N), plus —
-            // during a batch — the queued updates and the carried stat
-            // cache (both bounded by the chunking in `apply_batch`).
+            // Metered: the history buffer (O(sqrt N)) plus — during a
+            // batch — the queued updates and the carried stat cache (both
+            // bounded by the chunking in `apply_batch`), stashed answers and
+            // the recovery courier. The per-machine sync table (one word
+            // per storage/overflow machine, also O(sqrt N)) is not in the
+            // formula.
             Role::Coord(c) => {
                 8 + 4 * c.hist_len()
                     + 4 * c.cache_len()

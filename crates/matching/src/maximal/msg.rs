@@ -374,6 +374,110 @@ pub fn repair_entry(entry: &HistEntry, nbr: V, ann: &mut Ann) {
     }
 }
 
+/// One message's history repair, applied to a machine's entries in a
+/// single pass: the not-yet-seen part of the shipped slice, plus the set of
+/// vertices it names.
+///
+/// [`repair_entry`] can only change an entry whose neighbor or current
+/// annotation mate the slice names (`MatchAdd`/`MatchDel` match on the
+/// neighbor, `Heavy`/`Light` on the mate, and the mate itself only changes
+/// through a `MatchAdd`/`MatchDel` on the neighbor), so every other entry is
+/// skipped without replaying anything.
+///
+/// Membership is exact, because a false "yes" costs a replay of the whole
+/// slice: an open-addressing table at most a quarter full, built in time
+/// linear in the slice. A fixed bitmap over the low vertex-id bits in front
+/// of it rejects most entries in one load, which keeps the pass near memory
+/// speed while slices are short.
+pub(super) struct Repair<'a> {
+    fresh: &'a [(u64, HistEntry)],
+    bits: [u64; BITMAP_WORDS],
+    /// [`NO_MATE`] marks an empty slot (it is never a vertex).
+    slots: Vec<V>,
+    shift: u32,
+}
+
+const BITMAP_WORDS: usize = 64;
+
+impl<'a> Repair<'a> {
+    /// The repair `hist` asks of a machine synced up to `last_seen`, or
+    /// `None` if the machine has seen all of it. Slices are seq-ascending
+    /// (the coordinator ships a contiguous suffix of its buffer), so the
+    /// seen part is a prefix.
+    pub(super) fn new(hist: &'a [(u64, HistEntry)], last_seen: u64) -> Option<Self> {
+        let fresh = &hist[hist.partition_point(|&(seq, _)| seq <= last_seen)..];
+        if fresh.is_empty() {
+            return None;
+        }
+        let len = (8 * fresh.len()).next_power_of_two().max(64);
+        let mut r = Repair {
+            fresh,
+            bits: [0; BITMAP_WORDS],
+            slots: vec![NO_MATE; len],
+            shift: 32 - len.trailing_zeros(),
+        };
+        for &(_, entry) in fresh {
+            match entry {
+                HistEntry::MatchAdd(e, _, _) | HistEntry::MatchDel(e) => {
+                    r.name(e.u);
+                    r.name(e.v);
+                }
+                HistEntry::Heavy(c) | HistEntry::Light(c) => r.name(c),
+            }
+        }
+        Some(r)
+    }
+
+    /// The unseen entries, in seq order (never empty).
+    pub(super) fn fresh(&self) -> &'a [(u64, HistEntry)] {
+        self.fresh
+    }
+
+    /// The sync point this repair brings the machine to.
+    pub(super) fn last_seq(&self) -> u64 {
+        self.fresh[self.fresh.len() - 1].0
+    }
+
+    /// The slot holding `v`, or the empty slot where its probe ends.
+    #[inline]
+    fn probe(&self, v: V) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (v.wrapping_mul(0x9E37_79B1) >> self.shift) as usize;
+        while self.slots[i] != NO_MATE && self.slots[i] != v {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    fn name(&mut self, v: V) {
+        self.bits[(v as usize >> 6) % BITMAP_WORDS] |= 1 << (v & 63);
+        let i = self.probe(v);
+        self.slots[i] = v;
+    }
+
+    /// Whether the slice names `v`; [`NO_MATE`] is never named.
+    #[inline]
+    fn names(&self, v: V) -> bool {
+        self.bits[(v as usize >> 6) % BITMAP_WORDS] >> (v & 63) & 1 != 0
+            && self.slots[self.probe(v)] != NO_MATE
+    }
+
+    /// Whether the slice can change an entry pointing at `nbr` whose
+    /// annotation names `mate`.
+    #[inline]
+    pub(super) fn may_change(&self, nbr: V, mate: V) -> bool {
+        self.names(nbr) || self.names(mate)
+    }
+
+    /// Replays the slice over one adjacency entry.
+    #[inline]
+    pub(super) fn replay(&self, nbr: V, ann: &mut Ann) {
+        for (_, entry) in self.fresh {
+            repair_entry(entry, nbr, ann);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,7 @@
 //! take the first hit), so all SoA mutations preserve segment order —
 //! removals shift the tail down instead of swapping.
 
-use super::msg::{repair_entry, Ann, HistSlice, MatchMsg};
+use super::msg::{Ann, HistEntry, HistSlice, MatchMsg, Repair};
 use dmpc_graph::V;
 use dmpc_mpc::Layout;
 use std::collections::BTreeMap;
@@ -454,26 +454,24 @@ impl Store {
         }
     }
 
-    /// Applies `f` to every entry's annotation (history repair; entry order
-    /// is immaterial — repairs are per-entry independent).
-    fn for_each_ann_mut(&mut self, mut f: impl FnMut(V, &mut Ann)) {
+    /// History repair of the annotations: one pass over the entries,
+    /// replaying the slice through the kernel for those it can change
+    /// (entry order is immaterial — repairs are per-entry independent).
+    fn repair_anns(&mut self, repair: &Repair) {
         match self {
             Store::Map(m) => {
                 for sv in m.values_mut() {
-                    for (n, ann) in sv.entries.iter_mut() {
-                        f(*n, ann);
-                    }
+                    repair_entries(&mut sv.entries, repair);
                 }
             }
             Store::Soa(s) => {
-                for slot in 0..s.pos.len() {
-                    let sg = s.pos[slot];
+                for sg in &s.pos {
                     for i in sg.start as usize..(sg.start + sg.len) as usize {
-                        let mut ann = unpack_ann(s.mate[i], s.flags[i]);
-                        f(s.nbr[i], &mut ann);
-                        let (m, fl) = pack_ann(ann);
-                        s.mate[i] = m;
-                        s.flags[i] = fl;
+                        if repair.may_change(s.nbr[i], s.mate[i]) {
+                            let mut ann = unpack_ann(s.mate[i], s.flags[i]);
+                            repair.replay(s.nbr[i], &mut ann);
+                            (s.mate[i], s.flags[i]) = pack_ann(ann);
+                        }
                     }
                 }
             }
@@ -627,19 +625,18 @@ impl StorageMachine {
     }
 
     fn repair(&mut self, hist: &HistSlice) {
-        for &(seq, entry) in hist {
-            if seq <= self.last_seen {
-                continue;
-            }
-            self.verts
-                .for_each_ann_mut(|nbr, ann| repair_entry(&entry, nbr, ann));
+        let Some(repair) = Repair::new(hist, self.last_seen) else {
+            return;
+        };
+        self.verts.repair_anns(&repair);
+        for &(_, entry) in repair.fresh() {
             match entry {
-                super::msg::HistEntry::Heavy(c) => self.verts.set_heavy_if_present(c, true),
-                super::msg::HistEntry::Light(c) => self.verts.set_heavy_if_present(c, false),
+                HistEntry::Heavy(c) => self.verts.set_heavy_if_present(c, true),
+                HistEntry::Light(c) => self.verts.set_heavy_if_present(c, false),
                 _ => {}
             }
-            self.last_seen = seq;
         }
+        self.last_seen = repair.last_seq();
     }
 
     /// Handles one request; may produce a reply for the coordinator.
@@ -712,6 +709,16 @@ impl StorageMachine {
     /// Memory footprint in words.
     pub fn memory_words(&self) -> usize {
         2 + self.verts.memory_words() + self.snap_buf.len()
+    }
+}
+
+/// One repair pass over a plain entry list (map-layout vertices, suspended
+/// stacks).
+fn repair_entries(entries: &mut [(V, Ann)], repair: &Repair) {
+    for (nbr, ann) in entries {
+        if repair.may_change(*nbr, ann.mate) {
+            repair.replay(*nbr, ann);
+        }
     }
 }
 
@@ -811,15 +818,11 @@ impl OverflowMachine {
     }
 
     fn repair(&mut self, hist: &HistSlice) {
-        for &(seq, entry) in hist {
-            if seq <= self.last_seen {
-                continue;
-            }
-            for (nbr, ann) in self.edges.iter_mut() {
-                repair_entry(&entry, *nbr, ann);
-            }
-            self.last_seen = seq;
-        }
+        let Some(repair) = Repair::new(hist, self.last_seen) else {
+            return;
+        };
+        repair_entries(&mut self.edges, &repair);
+        self.last_seen = repair.last_seq();
     }
 
     /// Handles one request; may produce a reply.
@@ -900,7 +903,6 @@ impl OverflowMachine {
 
 #[cfg(test)]
 mod tests {
-    use super::super::msg::HistEntry;
     use super::*;
     use dmpc_graph::Edge;
 

@@ -5,33 +5,52 @@
 //! This is the tentpole property of the PR-3 executor overhaul — routing,
 //! inbox delivery, outbox collection and metrics aggregation all run on
 //! cluster-owned buffers reused across rounds. The test installs a counting
-//! global allocator, so it lives alone in this integration-test binary
-//! (other tests running concurrently would pollute the counter).
+//! global allocator, so it lives alone in this integration-test binary.
+//! The counter and its switch are per thread: the serial executor runs on
+//! the test's own thread, while the harness's other threads (the second
+//! test, result reporting) allocate whenever they like.
 
 use dmpc_mpc::{
     ChaosKind, ChaosPlan, Cluster, ClusterConfig, Envelope, ExecOptions, Machine, MachineId,
     Outbox, RoundCtx, Violation,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// This thread's allocation count while it is measuring, else `None`.
+    static COUNT: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Counts one allocation if this thread is measuring. A const-initialised
+/// `Cell` has no lazy init and no destructor, so touching it from the
+/// allocator never allocates; `try_with` covers thread teardown.
+fn count_alloc() {
+    let _ = COUNT.try_with(|c| c.set(c.get().map(|n| n + 1)));
+}
+
+/// Starts a measured phase on this thread, from zero.
+fn start_counting() {
+    COUNT.with(|c| c.set(Some(0)));
+}
+
+/// Ends the measured phase; returns the allocations this thread made in it.
+fn stop_counting() -> usize {
+    COUNT
+        .with(Cell::take)
+        .expect("stop_counting without start_counting")
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_alloc();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -94,22 +113,17 @@ fn steady_state_rounds_allocate_nothing() {
     let _ = cluster.run_batch((0..8u64).map(|i| ((i % 16) as MachineId, 24u64)), 8);
 
     // Measured phase: identical load, zero allocations allowed.
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    start_counting();
     for i in 0..100u64 {
         cluster.inject((i % 16) as MachineId, 24);
         let m = cluster.run_update();
         assert!(m.clean());
     }
     let b = cluster.run_batch((0..8u64).map(|i| ((i % 16) as MachineId, 24u64)), 8);
-    COUNTING.store(false, Ordering::SeqCst);
+    let allocs = stop_counting();
 
     assert!(b.clean());
-    assert_eq!(
-        ALLOCS.load(Ordering::SeqCst),
-        0,
-        "steady-state executor rounds must not allocate"
-    );
+    assert_eq!(allocs, 0, "steady-state executor rounds must not allocate");
     // Sanity: the measured phase actually did work.
     let seen: u64 = cluster.machines().map(|m| m.seen).sum();
     assert!(seen > 1000);
@@ -141,16 +155,14 @@ fn chaos_plane_idle_is_zero_alloc_and_recovery_is_bounded() {
     }
 
     // Phase 1: chaos plane present but idle — still zero allocations.
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    start_counting();
     for i in 0..100u64 {
         cluster.inject((i % 16) as MachineId, 24);
         let m = cluster.run_update();
         assert!(m.clean());
     }
-    COUNTING.store(false, Ordering::SeqCst);
     assert_eq!(
-        ALLOCS.load(Ordering::SeqCst),
+        stop_counting(),
         0,
         "an idle chaos plane must not tax steady-state rounds"
     );
@@ -159,8 +171,7 @@ fn chaos_plane_idle_is_zero_alloc_and_recovery_is_bounded() {
     // to it into a DeadMachine violation record; that bookkeeping may
     // allocate, but boundedly — no per-round runaway.
     cluster.kill(3);
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    start_counting();
     let mut dead_drops = 0usize;
     for i in 0..50u64 {
         cluster.inject((i % 16) as MachineId, 24);
@@ -171,8 +182,7 @@ fn chaos_plane_idle_is_zero_alloc_and_recovery_is_bounded() {
             .filter(|v| matches!(v, Violation::DeadMachine { machine: 3, .. }))
             .count();
     }
-    COUNTING.store(false, Ordering::SeqCst);
-    let recovery_allocs = ALLOCS.load(Ordering::SeqCst);
+    let recovery_allocs = stop_counting();
     assert!(dead_drops > 0, "the outage must actually drop traffic");
     assert!(
         recovery_allocs <= 2048,
@@ -186,16 +196,14 @@ fn chaos_plane_idle_is_zero_alloc_and_recovery_is_bounded() {
         cluster.inject((i % 16) as MachineId, 24);
         cluster.run_update();
     }
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    start_counting();
     for i in 0..100u64 {
         cluster.inject((i % 16) as MachineId, 24);
         let m = cluster.run_update();
         assert!(m.clean());
     }
-    COUNTING.store(false, Ordering::SeqCst);
     assert_eq!(
-        ALLOCS.load(Ordering::SeqCst),
+        stop_counting(),
         0,
         "post-recovery rounds must return to zero allocation"
     );
