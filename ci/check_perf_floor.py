@@ -9,13 +9,13 @@ Two bench schemas are accepted, keyed on the document's "bench" field:
 
 * "throughput" (PR3-era): a flat "configs" list of alg/backend/k cells.
   Floors live under the top-level "hosts" table, keyed "alg/backend/k".
-* "large_scale" (PR7): a "cells" list of multi-n trajectory rows plus a
-  "canonical_comparison" list of layout speedups. Floors live under the
-  "pr7" section: "hosts" keyed "alg/n", per-cell "resident_ceiling"
-  (peak_resident_words upper bounds, fingerprint-independent), and
-  "min_canonical_speedup" (per-alg SoA-vs-pre-PR floors, gated only when
-  the run is canonical). Every cell must additionally report zero model
-  violations regardless of floors.
+* "large_scale" (PR7): a "cells" list of multi-n trajectory rows. Floors
+  live under the "pr7" section: "hosts" keyed "alg/n" and per-cell
+  "resident_ceiling" (peak_resident_words upper bounds,
+  fingerprint-independent). Every cell must additionally report zero
+  model violations regardless of floors. A document that still carries
+  the retired "canonical_comparison" section (the map-vs-SoA layout
+  speedups, gone with the map layout) is rejected, not skipped.
 
 Floors are core-count fingerprinted (see the comment field in the floors
 file): an exact host_cores match gates tightly, anything else uses the
@@ -91,8 +91,8 @@ def check_throughput(smoke: dict, spec: dict, smoke_path: str, floors_path: str)
 
 
 def check_large_scale(smoke: dict, spec: dict, smoke_path: str, floors_path: str):
-    """PR7 schema: multi-n trajectory cells + the canonical layout
-    comparison, gated against the floors file's 'pr7' section."""
+    """PR7 schema: multi-n trajectory cells, gated against the floors
+    file's 'pr7' section."""
     pr7 = require(spec, "pr7", floors_path, dict)
     ctx7 = f"{floors_path}: pr7"
     tolerance = require(pr7, "tolerance", ctx7, (int, float))
@@ -102,14 +102,15 @@ def check_large_scale(smoke: dict, spec: dict, smoke_path: str, floors_path: str
     ceilings = pr7.get("resident_ceiling", {})
     if not isinstance(ceilings, dict):
         die(f"{ctx7}: resident_ceiling must be an object")
-    min_speedup = pr7.get("min_canonical_speedup", {})
-    if not isinstance(min_speedup, dict):
-        die(f"{ctx7}: min_canonical_speedup must be an object")
     cores = str(smoke.get("host_cores", 0))
     floors, profile = pick_host_floors(hosts, cores, ctx7)
     print(f"perf gate: host_cores={cores}, floor profile '{profile}', tolerance {tolerance}x")
 
     failures = []
+    if "canonical_comparison" in smoke:
+        failures.append(
+            "canonical_comparison: retired section present (no bin emits it; regenerate the JSON)"
+        )
     cells = require(smoke, "cells", smoke_path, list)
     measured = {}
     for i, c in enumerate(cells):
@@ -131,33 +132,6 @@ def check_large_scale(smoke: dict, spec: dict, smoke_path: str, floors_path: str
             if resident > ceiling:
                 failures.append(f"{key}: resident {resident} > ceiling {ceiling}")
     failures += gate_floors(measured, floors, tolerance, ctx7)
-
-    # The canonical SoA-vs-pre-PR speedups gate only on the capture host
-    # (the fingerprint guard): elsewhere the ratio reflects hardware.
-    if smoke.get("canonical") is True:
-        comparison = require(smoke, "canonical_comparison", smoke_path, list)
-        best = {}
-        for i, c in enumerate(comparison):
-            ctx = f"{smoke_path}: canonical_comparison[{i}]"
-            if not isinstance(c, dict):
-                die(f"{ctx}: expected an object")
-            alg = require(c, "alg", ctx)
-            if require(c, "digests_match", ctx) is not True:
-                failures.append(f"canonical {alg}/k={c.get('k')}: layout digests diverged")
-            s = c.get("speedup_vs_pre_pr")
-            if isinstance(s, (int, float)):
-                best[alg] = max(best.get(alg, 0.0), s)
-        for alg, floor in min_speedup.items():
-            got = best.get(alg)
-            if got is None:
-                failures.append(f"canonical {alg}: no pre-PR speedup recorded")
-                continue
-            verdict = "ok" if got >= floor else "REGRESSION"
-            print(f"  canonical {alg}: {got:.2f}x vs pre-PR layout (floor {floor}x) {verdict}")
-            if got < floor:
-                failures.append(f"canonical {alg}: {got:.2f}x < floor {floor}x")
-    else:
-        print("  canonical comparison skipped (host fingerprint differs)")
     return failures
 
 
@@ -171,7 +145,6 @@ def self_test() -> int:
             "tolerance": 2.0,
             "hosts": {"default": {"connectivity/16384": 1000}},
             "resident_ceiling": {"connectivity/16384": 500000},
-            "min_canonical_speedup": {"connectivity": 1.5},
         },
     }
     pr3 = {
@@ -189,15 +162,6 @@ def self_test() -> int:
     pr7 = {
         "bench": "large_scale",
         "host_cores": 64,
-        "canonical": True,
-        "canonical_comparison": [
-            {
-                "alg": "connectivity",
-                "k": 1,
-                "digests_match": True,
-                "speedup_vs_pre_pr": 1.7,
-            }
-        ],
         "cells": [
             {
                 "alg": "connectivity",
@@ -226,9 +190,9 @@ def self_test() -> int:
     pr7_fat = copy.deepcopy(pr7)
     pr7_fat["cells"][0]["current"]["peak_resident_words"] = 600000
     cases.append(("pr7 ceiling trip", check_large_scale, pr7_fat, 1))
-    pr7_slowdown = copy.deepcopy(pr7)
-    pr7_slowdown["canonical_comparison"][0]["speedup_vs_pre_pr"] = 1.1
-    cases.append(("pr7 speedup trip", check_large_scale, pr7_slowdown, 1))
+    pr7_stale = copy.deepcopy(pr7)
+    pr7_stale["canonical_comparison"] = []
+    cases.append(("pr7 retired section trip", check_large_scale, pr7_stale, 1))
 
     for name, fn, doc, want_failures in cases:
         failures = fn(doc, floors, "<self-test>", "<self-test-floors>")

@@ -1,24 +1,12 @@
-//! Million-vertex scaling trajectory + the SoA-vs-map layout comparison
-//! (PR 7): writes `BENCH_PR7.json`.
+//! Million-vertex scaling trajectory (PR 7): writes `BENCH_PR7.json`.
 //!
-//! **What it measures.** Two things the compact machine-state refactor is
-//! accountable for:
-//!
-//! 1. **Canonical layout comparison** (n = 256, 1024 churn updates, seed
-//!    42 — the exact BENCH_PR3.json configuration): the arena-backed SoA
-//!    layout against the legacy map layout, same serial executor, same
-//!    stream, reported as an updates/sec speedup with the state digests
-//!    cross-checked bit-for-bit. Like BENCH_PR3.json, the comparison is
-//!    core-count fingerprinted: `canonical` is true only on a host
-//!    matching the capture fingerprint, so recorded speedups always refer
-//!    to the capture host.
-//! 2. **Large-n trajectory**: n = 2^10 … 2^20 with `P = Θ(N/S)` machines
-//!    (2048 at n = 2^20), over the clustered churn workload (256-vertex
-//!    component grain — see `trajectory_workload` for why owner-set
-//!    locality is what makes a one-host simulation of the model feasible
-//!    at millions of vertices). Each cell reports wall-clock updates/sec,
-//!    the peak resident-words proxy (which must grow ~linearly in the
-//!    input), and the model-violation count (which must be zero).
+//! **What it measures.** n = 2^10 … 2^20 with `P = Θ(N/S)` machines (2048
+//! at n = 2^20), over the clustered churn workload (256-vertex component
+//! grain — see `trajectory_workload` for why owner-set locality is what
+//! makes a one-host simulation of the model feasible at millions of
+//! vertices). Each cell reports wall-clock updates/sec, the peak
+//! resident-words proxy (which must grow ~linearly in the input), and the
+//! model-violation count (which must be zero).
 //!
 //! Usage: `large_scale [json-path] [exp...]` — defaults: `BENCH_PR7.json`,
 //! exps `10 12 14 16 18 20` (`n = 2^exp`). Connectivity runs at every n;
@@ -26,21 +14,13 @@
 //! CI smokes the single n = 2^14 cell and gates on the JSON via
 //! `ci/check_perf_floor.py`.
 
-use dmpc_bench::{canonical_workload, time_stream_batched, trajectory_workload, TimedRun};
+use dmpc_bench::{time_stream_batched, trajectory_workload, TimedRun};
 use dmpc_connectivity::DmpcConnectivity;
-use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
-use dmpc_graph::Update;
+use dmpc_core::DynamicGraphAlgorithm;
 use dmpc_matching::DmpcMaximalMatching;
-use dmpc_mpc::{ExecOptions, Layout};
+use dmpc_mpc::ExecOptions;
 
-/// The canonical configuration (matches BENCH_PR3.json).
-const CANON_N: usize = 256;
-const CANON_UPDATES: usize = 1024;
-/// Host fingerprint of the floor capture (a 1-core CI container).
-const BASELINE_HOST_CORES: usize = 1;
 const SEED: u64 = 42;
-/// Repetitions for the small canonical cells; the fastest run is kept.
-const CANON_REPS: usize = 3;
 /// Batched-replay chunk for the trajectory cells (the PR 5 batch plane).
 const K: usize = 64;
 /// Matching joins the trajectory here.
@@ -51,93 +31,6 @@ const MATCHING_MIN_EXP: u32 = 14;
 /// stays minutes, not hours.
 fn churn_steps(n: usize) -> usize {
     (n / 4).clamp(1024, 1 << 18)
-}
-
-/// Pre-PR map-layout capture at the canonical configuration, serial
-/// executor, on the fingerprinted 1-core host: `(alg, k,
-/// updates_per_sec, peak_resident_words)`. Captured by running the
-/// `throughput` bin on the pre-refactor working tree (the commit this PR
-/// stacks on), whose machines stored per-vertex `BTreeMap` state — the
-/// layout preserved in-tree as `Layout::Map`, which the shared-sweep
-/// restructuring has since sped up too; the trajectory claim is against
-/// the *shipped* pre-PR numbers below.
-const PRE_PR_BASELINE: &[(&str, usize, f64, usize)] = &[
-    ("connectivity", 1, 39450.8, 6706),
-    ("connectivity", 64, 41513.7, 6670),
-    ("matching", 1, 175506.4, 6284),
-    ("matching", 64, 200749.2, 6320),
-];
-
-/// The tentpole's canonical-cell floor: SoA connectivity must beat the
-/// pre-PR layout by this factor on the capture host.
-const MIN_CONN_SPEEDUP: f64 = 1.5;
-
-fn pre_pr_baseline(alg: &str, k: usize) -> Option<(f64, usize)> {
-    PRE_PR_BASELINE
-        .iter()
-        .find(|b| b.0 == alg && b.1 == k)
-        .map(|b| (b.2, b.3))
-}
-
-fn make_canon(alg: &str, params: DmpcParams, layout: Layout) -> Box<dyn CanonAlg> {
-    match alg {
-        "connectivity" => Box::new(DmpcConnectivity::with_layout(
-            params,
-            ExecOptions::default(),
-            layout,
-        )),
-        "matching" => Box::new(DmpcMaximalMatching::with_state_layout(
-            params,
-            ExecOptions::default(),
-            layout,
-        )),
-        other => panic!("unknown algorithm {other}"),
-    }
-}
-
-/// The canonical comparison needs both the update plane and the digest.
-trait CanonAlg: DynamicGraphAlgorithm {
-    fn digest(&self) -> u64;
-}
-impl CanonAlg for DmpcConnectivity {
-    fn digest(&self) -> u64 {
-        ElasticAlgorithm::state_digest(self)
-    }
-}
-impl CanonAlg for DmpcMaximalMatching {
-    fn digest(&self) -> u64 {
-        ElasticAlgorithm::state_digest(self)
-    }
-}
-
-/// Fastest of [`CANON_REPS`] timed replays plus the final-state digest
-/// (identical across reps: the stream is fixed).
-fn canon_run(
-    alg: &str,
-    params: DmpcParams,
-    layout: Layout,
-    ups: &[Update],
-    k: usize,
-) -> (TimedRun, u64) {
-    let mut best: Option<TimedRun> = None;
-    let mut digest = 0;
-    for _ in 0..CANON_REPS {
-        let mut a = make_canon(alg, params, layout);
-        let run = time_stream_batched(a.as_mut(), ups, k);
-        digest = a.digest();
-        if best.as_ref().is_none_or(|b| run.secs < b.secs) {
-            best = Some(run);
-        }
-    }
-    (best.expect("at least one rep"), digest)
-}
-
-struct CanonConfig {
-    alg: &'static str,
-    k: usize,
-    map: TimedRun,
-    soa: TimedRun,
-    digests_match: bool,
 }
 
 struct Cell {
@@ -189,75 +82,8 @@ fn main() {
     let host_cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(0);
-    let canonical = host_cores == BASELINE_HOST_CORES;
 
-    // ----- canonical layout comparison ----------------------------------
-    let (params, ups) = canonical_workload(CANON_N, CANON_UPDATES, SEED);
-    println!(
-        "Canonical layout comparison: n = {CANON_N}, {} churn updates, serial executor\n",
-        ups.len()
-    );
-    println!(
-        "{:<13} | {:>4} | {:>13} | {:>13} | {:>9} | {:>9} | {:>7}",
-        "algorithm", "k", "map updates/s", "soa updates/s", "vs map", "vs prePR", "digests"
-    );
-    let mut canon: Vec<CanonConfig> = Vec::new();
-    for alg in ["connectivity", "matching"] {
-        for k in [1usize, 64] {
-            let (map, dm) = canon_run(alg, params, Layout::Map, &ups, k);
-            let (soa, ds) = canon_run(alg, params, Layout::Soa, &ups, k);
-            let digests_match = dm == ds;
-            assert!(
-                digests_match,
-                "{alg}: layout digests diverged on the canonical stream"
-            );
-            assert_eq!(
-                map.batch.violations, 0,
-                "{alg}: map layout violated the model"
-            );
-            assert_eq!(
-                soa.batch.violations, 0,
-                "{alg}: SoA layout violated the model"
-            );
-            let vs_pre_pr = pre_pr_baseline(alg, k)
-                .map(|(base, _)| soa.updates_per_sec() / base)
-                .filter(|_| canonical);
-            if alg == "connectivity" && canonical {
-                let s = vs_pre_pr.expect("baseline covers connectivity");
-                assert!(
-                    s >= MIN_CONN_SPEEDUP,
-                    "connectivity k={k}: {s:.2}x vs the pre-PR layout, floor {MIN_CONN_SPEEDUP}x"
-                );
-            }
-            println!(
-                "{alg:<13} | {k:>4} | {:>13.1} | {:>13.1} | {:>8.2}x | {:>9} | {:>7}",
-                map.updates_per_sec(),
-                soa.updates_per_sec(),
-                soa.updates_per_sec() / map.updates_per_sec(),
-                vs_pre_pr
-                    .map(|s| format!("{s:.2}x"))
-                    .unwrap_or_else(|| "--".into()),
-                if digests_match { "match" } else { "DIFFER" },
-            );
-            canon.push(CanonConfig {
-                alg,
-                k,
-                map,
-                soa,
-                digests_match,
-            });
-        }
-    }
-    if !canonical {
-        println!(
-            "\nnote: host has {host_cores} cores, capture fingerprint is \
-             {BASELINE_HOST_CORES}; pre-PR speedups suppressed (they would \
-             reflect hardware, not the layout)."
-        );
-    }
-
-    // ----- large-n trajectory -------------------------------------------
-    println!("\nLarge-n trajectory: clustered churn, lean serial executor, k = {K}\n");
+    println!("Large-n trajectory: clustered churn, lean serial executor, k = {K}\n");
     println!(
         "{:<13} | {:>8} | {:>5} | {:>8} | {:>11} | {:>9} | {:>12} | {:>5}",
         "algorithm", "n", "P", "stream", "updates/s", "secs", "peak words", "viol"
@@ -301,42 +127,6 @@ fn main() {
         }
     }
 
-    // ----- JSON ----------------------------------------------------------
-    let canon_json: Vec<String> = canon
-        .iter()
-        .map(|c| {
-            let vs_map = c.soa.updates_per_sec() / c.map.updates_per_sec();
-            let (base, vs_pre_pr) = match pre_pr_baseline(c.alg, c.k) {
-                Some((ups, words)) if canonical => (
-                    format!(
-                        "{{\"updates_per_sec\": {}, \"peak_resident_words\": {}}}",
-                        json_f64(ups),
-                        words
-                    ),
-                    json_f64(c.soa.updates_per_sec() / ups),
-                ),
-                _ => ("null".into(), "null".into()),
-            };
-            format!(
-                concat!(
-                    "    {{\"alg\": \"{}\", \"k\": {},\n",
-                    "     \"map\": {},\n",
-                    "     \"soa\": {},\n",
-                    "     \"pre_pr\": {},\n",
-                    "     \"speedup_vs_map\": {}, \"speedup_vs_pre_pr\": {}, ",
-                    "\"digests_match\": {}}}"
-                ),
-                c.alg,
-                c.k,
-                timed_json(&c.map),
-                timed_json(&c.soa),
-                base,
-                json_f64(vs_map),
-                vs_pre_pr,
-                c.digests_match,
-            )
-        })
-        .collect();
     let cell_json: Vec<String> = cells
         .iter()
         .map(|c| {
@@ -363,23 +153,13 @@ fn main() {
             "  \"pr\": 7,\n",
             "  \"seed\": {},\n",
             "  \"k\": {},\n",
-            "  \"canonical_n\": {},\n",
-            "  \"canonical_updates\": {},\n",
             "  \"host_cores\": {},\n",
-            "  \"baseline_host_cores\": {},\n",
-            "  \"canonical\": {},\n",
-            "  \"canonical_comparison\": [\n{}\n  ],\n",
             "  \"cells\": [\n{}\n  ]\n",
             "}}\n"
         ),
         SEED,
         K,
-        CANON_N,
-        CANON_UPDATES,
         host_cores,
-        BASELINE_HOST_CORES,
-        canonical,
-        canon_json.join(",\n"),
         cell_json.join(",\n"),
     );
     std::fs::write(&json_path, &json).expect("write large-scale JSON");

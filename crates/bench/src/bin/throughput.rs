@@ -9,19 +9,8 @@
 //! real seconds: the same churn stream, serial and parallel, looped (k=1)
 //! and batched (k=64), with the peak resident-memory proxy sampled between
 //! batches. The result is the repo's wall-clock perf trajectory; PR 3 is
-//! its first point (`BENCH_PR3.json`).
-//!
-//! The baseline table below was captured on the same host *before the
-//! executor overhaul landed*: the working tree held commit 8284f88's
-//! executor (per-round `HashMap` routing, scoped thread spawn every round)
-//! plus only the additions this bin needs to compile — `ExecOptions` /
-//! `with_exec` plumbing, `resident_words`, and the bin itself — with
-//! `Backend::WorkerPool` still aliased to the scope-spawn path. Checking
-//! out 8284f88 alone therefore does **not** reproduce the baseline (the
-//! bin does not exist there); re-measuring it requires reverting the
-//! executor overhaul while keeping the plumbing. The JSON reports
-//! baseline, current, and the speedup side by side for the canonical
-//! configuration (n = 256, 1024 churn updates, 4 worker threads).
+//! its first point (`BENCH_PR3.json`, which also records the pre-overhaul
+//! executor's numbers it was compared against at the time).
 //!
 //! Usage: `throughput [n] [updates] [json-path]` (defaults: 256, 1024,
 //! `BENCH_PR3.json`; CI smokes it with tiny sizes and checks the JSON
@@ -32,39 +21,18 @@ use dmpc_connectivity::DmpcConnectivity;
 use dmpc_core::DynamicGraphAlgorithm;
 use dmpc_graph::Update;
 use dmpc_matching::DmpcMaximalMatching;
-use dmpc_mpc::{Backend, ExecOptions};
+use dmpc_mpc::ExecOptions;
 
 /// Fixed worker count: keeps parallel numbers comparable across hosts.
 const THREADS: usize = 4;
-/// The canonical configuration the baseline was captured at.
+/// The canonical configuration (`BENCH_PR3.json`).
 const CANON_N: usize = 256;
 const CANON_UPDATES: usize = 1024;
-/// Host fingerprint of the baseline capture (a 1-core CI container).
-/// Baseline comparison is suppressed on hosts with a different core count —
-/// a cross-hardware ratio would say nothing about the executor.
-const BASELINE_HOST_CORES: usize = 1;
 const SEED: u64 = 42;
 /// Repetitions per configuration; the fastest run is reported (standard
 /// practice for wall-clock microbenchmarks — the minimum is the least
 /// noise-contaminated estimate of the true cost).
 const REPS: usize = 3;
-
-/// Pre-overhaul executor numbers (commit 8284f88's hot path; see the
-/// module docs for the exact capture setup) at the canonical config:
-/// `(alg, backend, k, updates_per_sec, rounds_per_sec, peak_resident_words)`.
-/// `parallel` there means the old scope-spawn backend with 4 threads, and
-/// flow tracking was on in every baseline config (the only choice the
-/// pre-overhaul drivers offered).
-const BASELINE: &[(&str, &str, usize, f64, f64, usize)] = &[
-    ("connectivity", "serial", 1, 37522.6, 197970.8, 6672),
-    ("connectivity", "serial", 64, 38247.1, 67007.0, 6636),
-    ("connectivity", "parallel", 1, 10696.3, 56433.9, 6672),
-    ("connectivity", "parallel", 64, 11833.3, 20731.3, 6636),
-    ("matching", "serial", 1, 142476.5, 969229.7, 6284),
-    ("matching", "serial", 64, 154462.3, 295952.2, 6320),
-    ("matching", "parallel", 1, 7503.6, 51044.8, 6284),
-    ("matching", "parallel", 64, 15280.8, 29278.3, 6320),
-];
 
 struct Measured {
     alg: &'static str,
@@ -76,10 +44,9 @@ struct Measured {
 fn exec_for(backend: &str) -> ExecOptions {
     match backend {
         "serial" => ExecOptions::default(),
-        // Aggregates-only profile (`record_per_round` off) — did not exist
-        // pre-PR3; its baseline comparator is the recorded serial run.
+        // Aggregates-only profile (`record_per_round` and flows off).
         "serial-lean" => ExecOptions::lean(),
-        "parallel" => ExecOptions::parallel(Backend::WorkerPool, THREADS),
+        "parallel" => ExecOptions::pool(THREADS),
         other => panic!("unknown backend {other}"),
     }
 }
@@ -93,20 +60,6 @@ fn make_alg(alg: &str, n: usize, exec: ExecOptions) -> Box<dyn DynamicGraphAlgor
     }
 }
 
-fn baseline_for(alg: &str, backend: &str, k: usize) -> Option<(f64, f64, usize)> {
-    // Lean mode has no pre-PR3 equivalent; it is compared against the
-    // recorded serial baseline (the fastest pre-PR3 way to run the stream).
-    let backend = if backend == "serial-lean" {
-        "serial"
-    } else {
-        backend
-    };
-    BASELINE
-        .iter()
-        .find(|b| b.0 == alg && b.1 == backend && b.2 == k)
-        .map(|b| (b.3, b.4, b.5))
-}
-
 fn json_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x:.3}")
@@ -115,13 +68,17 @@ fn json_f64(x: f64) -> String {
     }
 }
 
-fn config_json(m: &Measured, canonical: bool) -> String {
-    let cur = format!(
+fn config_json(m: &Measured) -> String {
+    format!(
         concat!(
-            "{{\"updates_per_sec\": {}, \"rounds_per_sec\": {}, \"secs\": {}, ",
+            "    {{\"alg\": \"{}\", \"backend\": \"{}\", \"k\": {},\n",
+            "     \"current\": {{\"updates_per_sec\": {}, \"rounds_per_sec\": {}, \"secs\": {}, ",
             "\"rounds\": {}, \"total_words\": {}, \"peak_resident_words\": {}, ",
-            "\"violations\": {}}}"
+            "\"violations\": {}}}}}"
         ),
+        m.alg,
+        m.backend,
+        m.k,
         json_f64(m.run.updates_per_sec()),
         json_f64(m.run.rounds_per_sec()),
         json_f64(m.run.secs),
@@ -129,34 +86,6 @@ fn config_json(m: &Measured, canonical: bool) -> String {
         m.run.batch.total_words,
         m.run.peak_resident_words,
         m.run.batch.violations,
-    );
-    let (base, speedup) = match baseline_for(m.alg, m.backend, m.k) {
-        Some((ups, rps, words)) if canonical => (
-            format!(
-                concat!(
-                    "{{\"updates_per_sec\": {}, \"rounds_per_sec\": {}, ",
-                    "\"peak_resident_words\": {}}}"
-                ),
-                json_f64(ups),
-                json_f64(rps),
-                words
-            ),
-            if ups > 0.0 {
-                json_f64(m.run.updates_per_sec() / ups)
-            } else {
-                "null".into()
-            },
-        ),
-        _ => ("null".into(), "null".into()),
-    };
-    format!(
-        concat!(
-            "    {{\"alg\": \"{}\", \"backend\": \"{}\", \"k\": {},\n",
-            "     \"current\": {},\n",
-            "     \"baseline\": {},\n",
-            "     \"speedup_updates_per_sec\": {}}}"
-        ),
-        m.alg, m.backend, m.k, cur, base, speedup
     )
 }
 
@@ -175,14 +104,6 @@ fn main() {
     let host_cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(0);
-    let canonical = n == CANON_N && updates == CANON_UPDATES && host_cores == BASELINE_HOST_CORES;
-    if n == CANON_N && updates == CANON_UPDATES && host_cores != BASELINE_HOST_CORES {
-        println!(
-            "note: host has {host_cores} cores but the baseline was captured on \
-             {BASELINE_HOST_CORES}; suppressing baseline comparison (numbers would \
-             reflect hardware, not the executor).\n"
-        );
-    }
     let (_, ups): (_, Vec<Update>) = canonical_workload(n, updates, SEED);
 
     println!(
@@ -191,8 +112,8 @@ fn main() {
         THREADS
     );
     println!(
-        "{:<13} | {:>8} | {:>4} | {:>11} | {:>11} | {:>9} | {:>10} | {:>8}",
-        "algorithm", "backend", "k", "updates/s", "rounds/s", "secs", "peak words", "speedup"
+        "{:<13} | {:>8} | {:>4} | {:>11} | {:>11} | {:>9} | {:>10}",
+        "algorithm", "backend", "k", "updates/s", "rounds/s", "secs", "peak words"
     );
 
     let mut measured: Vec<Measured> = Vec::new();
@@ -206,12 +127,8 @@ fn main() {
                     })
                     .min_by(|a, b| a.secs.total_cmp(&b.secs))
                     .expect("at least one rep");
-                let speedup = baseline_for(alg, backend, k)
-                    .filter(|_| canonical)
-                    .map(|(ups_base, _, _)| format!("{:>7.2}x", run.updates_per_sec() / ups_base))
-                    .unwrap_or_else(|| "      --".into());
                 println!(
-                    "{alg:<13} | {backend:>8} | {k:>4} | {:>11.1} | {:>11.1} | {:>9.3} | {:>10} | {speedup}",
+                    "{alg:<13} | {backend:>8} | {k:>4} | {:>11.1} | {:>11.1} | {:>9.3} | {:>10}",
                     run.updates_per_sec(),
                     run.rounds_per_sec(),
                     run.secs,
@@ -227,23 +144,17 @@ fn main() {
         }
     }
 
-    let configs: Vec<String> = measured.iter().map(|m| config_json(m, canonical)).collect();
+    let configs: Vec<String> = measured.iter().map(config_json).collect();
     let json = format!(
         concat!(
             "{{\n",
             "  \"bench\": \"throughput\",\n",
             "  \"pr\": 3,\n",
-            "  \"baseline_rev\": \"8284f88\",\n",
-            "  \"baseline_note\": \"measured with this bin running against the pre-overhaul \
-             executor (8284f88 hot path + the ExecOptions/driver plumbing this bin needs; \
-             parallel = scope-spawn backend, flow tracking on) — see the bin's module docs\",\n",
             "  \"n\": {},\n",
             "  \"updates\": {},\n",
             "  \"seed\": {},\n",
             "  \"threads\": {},\n",
             "  \"host_cores\": {},\n",
-            "  \"baseline_host_cores\": {},\n",
-            "  \"canonical\": {},\n",
             "  \"configs\": [\n{}\n  ]\n",
             "}}\n"
         ),
@@ -252,8 +163,6 @@ fn main() {
         SEED,
         THREADS,
         host_cores,
-        BASELINE_HOST_CORES,
-        canonical,
         configs.join(",\n")
     );
     std::fs::write(&json_path, &json).expect("write throughput JSON");

@@ -4,6 +4,7 @@
 use crate::machine::{ConnMachine, EntryKind, Routing, VertexState, BATCH_CTRL};
 use crate::messages::{BatchItem, ConnMsg};
 use crate::preprocess;
+use crate::shard::MAX_VERTICES;
 use dmpc_core::{
     digest_snapshots, DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm, QueryableAlgorithm,
     WeightedDynamicGraphAlgorithm,
@@ -13,7 +14,7 @@ use dmpc_graph::streams::coalesce;
 use dmpc_graph::{Edge, Query, QueryAnswer, Update, Weight, V};
 use dmpc_mpc::chaos::ChaosKind;
 use dmpc_mpc::{
-    BatchMetrics, Cluster, ClusterConfig, ExecOptions, Layout, MachineId, QueryMetrics, Scheduler,
+    BatchMetrics, Cluster, ClusterConfig, ExecOptions, MachineId, QueryMetrics, Scheduler,
     UpdateMetrics,
 };
 use std::collections::{BTreeSet, HashMap};
@@ -33,18 +34,11 @@ impl ConnDriver {
     }
 
     fn with_exec(params: DmpcParams, mst_mode: bool, exec: ExecOptions) -> Self {
-        Self::with_opts(
-            params,
-            mst_mode,
-            exec,
-            Routing::default(),
-            Layout::default(),
-            None,
-        )
+        Self::with_opts(params, mst_mode, exec, Routing::default(), None)
     }
 
     /// Full-control constructor: executor tuning, multicast/broadcast
-    /// routing, state layout, and an optional machine-count override (the
+    /// routing, and an optional machine-count override (the
     /// `active_scaling` bench sweeps P at fixed n; `None` uses the model's
     /// O(sqrt N) count).
     fn with_opts(
@@ -52,18 +46,23 @@ impl ConnDriver {
         mst_mode: bool,
         exec: ExecOptions,
         routing: Routing,
-        layout: Layout,
         machines: Option<usize>,
     ) -> Self {
+        // Checked once here, before any machine exists, so the shard hot
+        // path never has to: a larger id would alias the tree tag bit.
+        assert!(
+            params.n <= MAX_VERTICES,
+            "n = {} exceeds the {MAX_VERTICES}-vertex limit of the shard's tagged 32-bit ids",
+            params.n
+        );
         let machines = machines.unwrap_or_else(|| params.storage_machines()).max(1);
         let block = params.n.div_ceil(machines).max(1);
         let machines = params.n.div_ceil(block); // machines actually used
         let scheduler = exec.scheduler;
         let progs = (0..machines as MachineId)
             .map(|id| {
-                let mut m = ConnMachine::with_opts(
-                    id, params.n, block, mst_mode, routing, layout, scheduler,
-                );
+                let mut m =
+                    ConnMachine::with_opts(id, params.n, block, mst_mode, routing, scheduler);
                 // Leave the shard headroom under S for the machine's
                 // non-shard state (scalars, directory, transient buffers),
                 // which is metered in the same budget.
@@ -735,20 +734,10 @@ impl DmpcConnectivity {
 
     /// New empty instance with explicit structural-op routing. States and
     /// query answers are bit-identical across routings; only the metered
-    /// active machines/communication differ (the differential-testing knob,
-    /// like the executor-backend trio).
+    /// active machines/communication differ (the differential-testing knob).
     pub fn with_routing(params: DmpcParams, exec: ExecOptions, routing: Routing) -> Self {
         DmpcConnectivity {
-            driver: ConnDriver::with_opts(params, false, exec, routing, Layout::default(), None),
-        }
-    }
-
-    /// New empty instance with an explicit state layout (the map/SoA
-    /// differential-testing knob; see [`Layout`]). States, digests and
-    /// metrics are bit-identical across layouts.
-    pub fn with_layout(params: DmpcParams, exec: ExecOptions, layout: Layout) -> Self {
-        DmpcConnectivity {
-            driver: ConnDriver::with_opts(params, false, exec, Routing::default(), layout, None),
+            driver: ConnDriver::with_opts(params, false, exec, routing, None),
         }
     }
 
@@ -773,14 +762,7 @@ impl DmpcConnectivity {
         machines: usize,
     ) -> Self {
         DmpcConnectivity {
-            driver: ConnDriver::with_opts(
-                params,
-                false,
-                exec,
-                routing,
-                Layout::default(),
-                Some(machines),
-            ),
+            driver: ConnDriver::with_opts(params, false, exec, routing, Some(machines)),
         }
     }
 
@@ -902,31 +884,7 @@ impl DmpcMst {
     pub fn with_routing(params: DmpcParams, epsilon: f64, routing: Routing) -> Self {
         assert!(epsilon > 0.0);
         DmpcMst {
-            driver: ConnDriver::with_opts(
-                params,
-                true,
-                ExecOptions::default(),
-                routing,
-                Layout::default(),
-                None,
-            ),
-            epsilon,
-        }
-    }
-
-    /// New empty instance with an explicit state layout (see
-    /// [`DmpcConnectivity::with_layout`]).
-    pub fn with_layout(params: DmpcParams, epsilon: f64, layout: Layout) -> Self {
-        assert!(epsilon > 0.0);
-        DmpcMst {
-            driver: ConnDriver::with_opts(
-                params,
-                true,
-                ExecOptions::default(),
-                Routing::default(),
-                layout,
-                None,
-            ),
+            driver: ConnDriver::with_opts(params, true, ExecOptions::default(), routing, None),
             epsilon,
         }
     }

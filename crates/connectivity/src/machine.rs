@@ -43,8 +43,8 @@
 //! Owner sets are O(sqrt N) words but only ever travel point-to-point; the
 //! multicast payloads stay O(1) words, keeping per-update communication at
 //! O(sqrt N) total. The legacy all-machine broadcast survives behind
-//! [`Routing::Broadcast`] for differential testing (like PR 3's backend
-//! trio): both routings run the identical protocol — broadcast merely
+//! [`Routing::Broadcast`] for differential testing: both routings run the
+//! identical protocol — broadcast merely
 //! over-addresses the multicasts, and the extra recipients no-op — so
 //! machine states are bit-identical while active-machine metrics differ.
 //!
@@ -136,9 +136,7 @@ use crate::shard::{ApplyOutcome, Shard};
 use dmpc_eulertour::indexed::{CompId, TourOp};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{partition_conflicts, Edge, QueryAnswer, Update, Weight, V};
-use dmpc_mpc::{
-    pack_text, unpack_text, Envelope, Layout, Machine, MachineId, Outbox, RoundCtx, Scheduler,
-};
+use dmpc_mpc::{pack_text, unpack_text, Envelope, Machine, MachineId, Outbox, RoundCtx, Scheduler};
 use std::collections::{BTreeMap, VecDeque};
 
 pub use crate::shard::{EntryKind, VertexState};
@@ -399,7 +397,6 @@ impl ConnMachine {
             block,
             mst_mode,
             Routing::default(),
-            Layout::default(),
             Scheduler::default(),
         )
     }
@@ -418,27 +415,24 @@ impl ConnMachine {
             block,
             mst_mode,
             routing,
-            Layout::default(),
             Scheduler::default(),
         )
     }
 
-    /// Creates the machine with explicit routing, state-layout and batch
-    /// scheduler choices.
-    #[allow(clippy::too_many_arguments)]
+    /// Creates the machine with explicit routing and batch scheduler
+    /// choices.
     pub fn with_opts(
         id: MachineId,
         n_vertices: usize,
         block: usize,
         mst_mode: bool,
         routing: Routing,
-        layout: Layout,
         scheduler: Scheduler,
     ) -> Self {
         let bounds = Self::uniform_bounds(n_vertices, block);
         let lo = bounds[id as usize];
         let hi = bounds[id as usize + 1];
-        let verts = Shard::new_range(layout, lo, hi);
+        let verts = Shard::new_range(lo, hi);
         ConnMachine {
             id,
             bounds,
@@ -540,13 +534,8 @@ impl ConnMachine {
         self.verts.vertices()
     }
 
-    /// The state layout this machine runs with.
-    pub fn layout(&self) -> Layout {
-        self.verts.layout()
-    }
-
     /// Sets the machine's resident budget (the model capacity `S`, in
-    /// words). The SoA shard compacts its arenas whenever a mutation would
+    /// words). The shard compacts its arenas whenever a mutation would
     /// leave it above this while slack remains, so arena holes never turn a
     /// compactly-fitting shard into a memory violation.
     pub fn set_memory_budget(&mut self, words: usize) {

@@ -1,30 +1,22 @@
-//! Per-machine vertex-shard storage: one protocol, two layouts.
+//! Per-machine vertex-shard storage.
 //!
 //! [`ConnMachine`](crate::machine::ConnMachine) keeps its owned vertex block
-//! behind the [`Shard`] enum, selected by [`dmpc_mpc::Layout`]:
+//! in a [`Shard`]: flat structure-of-arrays slices keyed by dense local slot
+//! ids (the `pvector` + property-array idiom), with per-vertex tour-index
+//! lists and adjacency entries stored as segments of two shared arenas.
+//! Deletes punch free holes (segment `len < cap`, or whole segments
+//! abandoned on relocation); arenas compact when holes outgrow live data, so
+//! the resident footprint stays linear in the shard.
 //!
-//! * [`MapShard`] — the clarity-first original: a `BTreeMap` of per-vertex
-//!   [`VertexState`]s, each with a `BTreeMap` adjacency. Kept for
-//!   layout-differential testing (like PR 3's backend trio and PR 4's
-//!   routing pair).
-//! * [`SoaShard`] — the default compact layout: flat structure-of-arrays
-//!   slices keyed by dense local slot ids (the `pvector` + property-array
-//!   idiom), with per-vertex tour-index lists and adjacency entries stored
-//!   as segments of two shared arenas. Deletes punch free holes (segment
-//!   `len < cap`, or whole segments abandoned on relocation); arenas
-//!   compact when holes outgrow live data, so the resident footprint stays
-//!   linear in the shard.
-//!
-//! Both layouts run the *identical* structural-op mathematics: the
+//! The structural-op mathematics is kept apart from the storage: the
 //! per-vertex core update ([`update_core`]) and the per-entry annotation
-//! rewrite ([`rewrite_entry`]) are single shared functions, so the layouts
-//! can only differ in iteration order — and every fold over entries
-//! (replacement candidates, path maxima) uses an explicit total-order
-//! tie-break, making the results order-independent. Snapshot emission sorts
-//! by vertex and far endpoint, so `snapshot_text` (and therefore every
-//! `state_digest`) is bit-identical across layouts; property tests pin this
-//! on mixed update streams, including across kill/revive and split/merge
-//! migrations.
+//! rewrite ([`rewrite_entry`]) are pure functions, and every fold over
+//! entries (replacement candidates, path maxima) uses an explicit
+//! total-order tie-break, so results never depend on arena order. Snapshot
+//! emission sorts by vertex and far endpoint, so `snapshot_text` (and
+//! therefore every `state_digest`) is a function of the logical state only
+//! — relocations, compactions and migrations never move it
+//! (`tests/golden_digests.rs` pins the digests).
 //!
 //! The global-id ↔ slot interner is direct-mapped: a shard owns a
 //! contiguous vertex range, so `slot = v - base` with an absence sentinel.
@@ -35,7 +27,6 @@ use crate::messages::{CutMode, StructBroadcast, VertexInfo};
 use dmpc_eulertour::indexed::{apply_op_to_vertex, map_reroot, CompId, TourOp};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, Weight, V};
-use dmpc_mpc::Layout;
 use std::collections::BTreeMap;
 
 /// An adjacency entry at one endpoint.
@@ -62,9 +53,9 @@ pub enum EntryKind {
     },
 }
 
-/// Per-owned-vertex state (the materialized, layout-independent view; the
-/// SoA layout only assembles it for audits, bulk loads and result
-/// extraction, never on the update path).
+/// Per-owned-vertex state: the materialized view the shard assembles for
+/// audits, bulk loads, the snapshot codec and result extraction, never on
+/// the update path.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VertexState {
     /// Component id (= current root vertex of its tree).
@@ -75,35 +66,6 @@ pub struct VertexState {
     pub idx: Vec<TourIx>,
     /// neighbor -> (kind, weight).
     pub adj: BTreeMap<V, (EntryKind, Weight)>,
-}
-
-impl VertexState {
-    pub(crate) fn singleton(v: V) -> Self {
-        VertexState {
-            comp: v,
-            size: 1,
-            idx: Vec::new(),
-            adj: BTreeMap::new(),
-        }
-    }
-
-    pub(crate) fn f(&self) -> TourIx {
-        self.idx.first().copied().unwrap_or(0)
-    }
-
-    pub(crate) fn l(&self) -> TourIx {
-        self.idx.last().copied().unwrap_or(0)
-    }
-
-    pub(crate) fn info(&self, v: V) -> VertexInfo {
-        VertexInfo {
-            v,
-            comp: self.comp,
-            size: self.size,
-            f: self.f(),
-            l: self.l(),
-        }
-    }
 }
 
 /// What a structural-op sweep learned while applying to the local shard.
@@ -119,9 +81,9 @@ pub(crate) struct ApplyOutcome {
 
 // ----- shared structural-op mathematics ---------------------------------
 //
-// The subtle index arithmetic lives exactly once, as pure functions over a
-// vertex's core fields and one adjacency entry; each layout supplies only
-// the iteration around them.
+// The subtle index arithmetic lives in pure functions over a vertex's core
+// fields and one adjacency entry; the shard supplies only the iteration
+// around them.
 
 /// Per-vertex membership flags computed by [`update_core`], consumed by
 /// [`rewrite_entry`] for every adjacency entry of that vertex.
@@ -140,7 +102,7 @@ pub(crate) struct VertFlags {
 }
 
 /// True iff `update_core` would touch a vertex with component id `c` at
-/// all — lets the SoA sweep skip the tour-index copy for bystanders.
+/// all — lets the sweep skip the tour-index copy for bystanders.
 #[inline]
 pub(crate) fn core_member(b: &StructBroadcast, c: CompId) -> bool {
     let rerooted = matches!(b.reroot, Some(TourOp::Reroot { comp, .. }) if comp == c);
@@ -356,61 +318,7 @@ pub(crate) fn rewrite_entry(
     }
 }
 
-// ----- the map layout ---------------------------------------------------
-
-/// The clarity-first layout: `BTreeMap` of [`VertexState`]s.
-#[derive(Debug, Default)]
-pub(crate) struct MapShard {
-    verts: BTreeMap<V, VertexState>,
-}
-
-impl MapShard {
-    fn new_range(lo: V, hi: V) -> Self {
-        MapShard {
-            verts: (lo..hi).map(|v| (v, VertexState::singleton(v))).collect(),
-        }
-    }
-
-    fn st(&self, v: V) -> &VertexState {
-        self.verts
-            .get(&v)
-            .expect("vertex not owned by this machine")
-    }
-
-    fn st_mut(&mut self, v: V) -> &mut VertexState {
-        self.verts
-            .get_mut(&v)
-            .expect("vertex not owned by this machine")
-    }
-
-    fn apply_sweep(&mut self, b: &StructBroadcast) -> ApplyOutcome {
-        let mut best: Option<(Weight, Edge)> = None;
-        let mut outcome = ApplyOutcome::default();
-        for (&v, st) in self.verts.iter_mut() {
-            let fl = if core_member(b, st.comp) {
-                update_core(b, v, &mut st.comp, &mut st.size, &mut st.idx)
-            } else {
-                VertFlags::default()
-            };
-            for (&far, (kind, w)) in st.adj.iter_mut() {
-                rewrite_entry(b, &fl, v, far, kind, *w, &mut best);
-            }
-            // Collect cut-side membership inline (`st.comp` is final here;
-            // the entry materialization never changes comp ids).
-            if let TourOp::Cut { comp, new_comp, .. } = b.main {
-                if st.comp == comp {
-                    outcome.owns_parent = true;
-                } else if st.comp == new_comp {
-                    outcome.owns_child = true;
-                }
-            }
-        }
-        outcome.best = best.map(|(w, e)| (e, w));
-        outcome
-    }
-}
-
-// ----- the SoA layout ---------------------------------------------------
+// ----- the arenas -------------------------------------------------------
 
 /// One segment of an arena: a vertex's entries live in
 /// `arena[start..start+len]`, with `cap - len` free words of headroom
@@ -427,17 +335,20 @@ struct Seg {
 const COMP_NONE: CompId = CompId::MAX;
 /// Tag bit packed into the adjacency `far` array: set = tree entry.
 const TREE_BIT: u32 = 1 << 31;
+/// Largest vertex count a shard can address: every vertex id (owned or far
+/// endpoint) must stay below [`TREE_BIT`].
+pub(crate) const MAX_VERTICES: usize = TREE_BIT as usize;
 /// Headroom granted when an adjacency segment relocates.
 const ADJ_HEADROOM: u32 = 2;
 /// Headroom granted when a tour segment relocates (links grow a vertex's
 /// index list by up to 2).
 const TOUR_HEADROOM: u32 = 4;
 
-/// The compact layout: property arrays indexed by `slot = v - base`, plus
-/// two arenas (tour indexes, adjacency entries) addressed by per-slot
-/// segments.
+/// A machine's owned vertex shard: property arrays indexed by
+/// `slot = v - base`, plus two arenas (tour indexes, adjacency entries)
+/// addressed by per-slot segments.
 #[derive(Debug, Default)]
-pub(crate) struct SoaShard {
+pub(crate) struct Shard {
     /// Direct-mapped interner base: global vertex `v` lives in slot
     /// `v - base`.
     base: V,
@@ -493,19 +404,7 @@ fn encode_kind(kind: &EntryKind) -> (bool, u64, u64) {
     }
 }
 
-impl SoaShard {
-    fn new_range(lo: V, hi: V) -> Self {
-        let n = (hi - lo) as usize;
-        SoaShard {
-            base: lo,
-            comp: (lo..hi).collect(),
-            size: vec![1; n],
-            tpos: vec![Seg::default(); n],
-            apos: vec![Seg::default(); n],
-            ..Default::default()
-        }
-    }
-
+impl Shard {
     #[inline]
     fn slot_of(&self, v: V) -> Option<usize> {
         let i = v.checked_sub(self.base)? as usize;
@@ -722,10 +621,13 @@ impl SoaShard {
         self.compact_adj();
     }
 
-    /// Exact resident footprint in words (8 bytes), counting the backing
-    /// stores as allocated — slot property arrays, both arenas including
-    /// holes and segment headroom, rounded up to whole words.
-    fn words(&self) -> usize {
+    /// Resident footprint in 64-bit words: the exact backing stores — every
+    /// property array, both arenas *including their free holes and segment
+    /// headroom* (that memory is resident), and the segment tables,
+    /// converted from bytes at 8 bytes/word. Transient scratch buffers are
+    /// excluded (they are executor-style reusable workspace, not shard
+    /// state).
+    pub fn memory_words(&self) -> usize {
         let slot_bytes = self.comp.len() * 4    // comp: u32
             + self.size.len() * 4               // size: u32
             + self.tpos.len() * 12              // Seg: 3 x u32
@@ -749,7 +651,7 @@ impl SoaShard {
         if self.tour.len() == self.tour_live && self.afar.len() == self.adj_live {
             return;
         }
-        if self.words() <= self.soft_cap {
+        if self.memory_words() <= self.soft_cap {
             return;
         }
         self.compact_tour();
@@ -922,191 +824,120 @@ impl SoaShard {
     }
 }
 
-// ----- the layout-dispatched shard --------------------------------------
-
-/// A machine's owned vertex shard, in one of the two storage layouts.
-// One Shard per machine, heap-allocated in the machine struct; the size
-// gap between the arena-backed variant and the map variant is the point
-// of the refactor, not accidental bloat worth boxing away.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub(crate) enum Shard {
-    /// Per-vertex map containers (legacy, differential testing).
-    Map(MapShard),
-    /// Arena-backed structure-of-arrays (default).
-    Soa(SoaShard),
-}
+// ----- the shard API ----------------------------------------------------
 
 impl Shard {
     /// A fresh shard of singleton vertices `lo..hi`.
-    pub fn new_range(layout: Layout, lo: V, hi: V) -> Self {
-        match layout {
-            Layout::Map => Shard::Map(MapShard::new_range(lo, hi)),
-            Layout::Soa => Shard::Soa(SoaShard::new_range(lo, hi)),
+    pub fn new_range(lo: V, hi: V) -> Self {
+        let n = (hi - lo) as usize;
+        Shard {
+            base: lo,
+            comp: (lo..hi).collect(),
+            size: vec![1; n],
+            tpos: vec![Seg::default(); n],
+            apos: vec![Seg::default(); n],
+            ..Default::default()
         }
     }
 
-    /// This shard's storage layout.
-    pub fn layout(&self) -> Layout {
-        match self {
-            Shard::Map(_) => Layout::Map,
-            Shard::Soa(_) => Layout::Soa,
-        }
-    }
-
-    /// Drops all vertex state (the layout is retained).
+    /// Drops all vertex state (the soft budget is retained).
     pub fn clear(&mut self) {
-        match self {
-            Shard::Map(m) => m.verts.clear(),
-            Shard::Soa(s) => {
-                *s = SoaShard {
-                    soft_cap: s.soft_cap,
-                    ..SoaShard::default()
-                }
-            }
+        *self = Shard {
+            soft_cap: self.soft_cap,
+            ..Shard::default()
         }
     }
 
-    /// Sets the soft resident budget in words. SoA mutations that leave
-    /// the shard above it force a full arena compaction; the map layout
-    /// carries no slack and ignores it.
+    /// Sets the soft resident budget in words: mutations that leave the
+    /// shard above it force a full arena compaction.
     pub fn set_soft_cap(&mut self, words: usize) {
-        if let Shard::Soa(s) = self {
-            s.soft_cap = words;
-        }
+        self.soft_cap = words;
     }
 
     pub fn contains(&self, v: V) -> bool {
-        match self {
-            Shard::Map(m) => m.verts.contains_key(&v),
-            Shard::Soa(s) => s.slot_of(v).is_some(),
-        }
+        self.slot_of(v).is_some()
     }
 
     pub fn comp_of(&self, v: V) -> CompId {
-        match self {
-            Shard::Map(m) => m.st(v).comp,
-            Shard::Soa(s) => s.comp[s.slot(v)],
-        }
+        self.comp[self.slot(v)]
     }
 
     pub fn size_of(&self, v: V) -> u64 {
-        match self {
-            Shard::Map(m) => m.st(v).size,
-            Shard::Soa(s) => s.size[s.slot(v)] as u64,
-        }
+        self.size[self.slot(v)] as u64
     }
 
     pub fn f_of(&self, v: V) -> TourIx {
-        match self {
-            Shard::Map(m) => m.st(v).f(),
-            Shard::Soa(s) => s.tour_slice(s.slot(v)).first().copied().unwrap_or(0),
-        }
-    }
-
-    #[cfg(test)]
-    pub fn l_of(&self, v: V) -> TourIx {
-        match self {
-            Shard::Map(m) => m.st(v).l(),
-            Shard::Soa(s) => s.tour_slice(s.slot(v)).last().copied().unwrap_or(0),
-        }
+        self.idx_of(v).first().copied().unwrap_or(0)
     }
 
     /// The vertex's tour-index list (the cut flow derives the surviving
     /// parent index from it).
     pub fn idx_of(&self, v: V) -> &[TourIx] {
-        match self {
-            Shard::Map(m) => &m.st(v).idx,
-            Shard::Soa(s) => s.tour_slice(s.slot(v)),
-        }
+        self.tour_slice(self.slot(v))
     }
 
     /// O(1)-word wire summary of one vertex.
     pub fn info(&self, v: V) -> VertexInfo {
-        match self {
-            Shard::Map(m) => m.st(v).info(v),
-            Shard::Soa(s) => {
-                let slot = s.slot(v);
-                let t = s.tour_slice(slot);
-                VertexInfo {
-                    v,
-                    comp: s.comp[slot],
-                    size: s.size[slot] as u64,
-                    f: t.first().copied().unwrap_or(0),
-                    l: t.last().copied().unwrap_or(0),
-                }
-            }
+        let slot = self.slot(v);
+        let t = self.tour_slice(slot);
+        VertexInfo {
+            v,
+            comp: self.comp[slot],
+            size: self.size[slot] as u64,
+            f: t.first().copied().unwrap_or(0),
+            l: t.last().copied().unwrap_or(0),
         }
     }
 
     /// One adjacency entry, if present (panics when `v` is not owned).
     pub fn adj_get(&self, v: V, far: V) -> Option<(EntryKind, Weight)> {
-        match self {
-            Shard::Map(m) => m.st(v).adj.get(&far).copied(),
-            Shard::Soa(s) => {
-                let slot = s.slot(v);
-                s.adj_find(slot, far)
-                    .map(|i| (decode_kind(s.afar[i], s.aa[i], s.ab[i]), s.aw[i]))
-            }
-        }
+        self.adj_find(self.slot(v), far).map(|i| {
+            (
+                decode_kind(self.afar[i], self.aa[i], self.ab[i]),
+                self.aw[i],
+            )
+        })
     }
 
     /// Inserts or overwrites one adjacency entry.
     pub fn adj_set(&mut self, v: V, far: V, kind: EntryKind, w: Weight) {
-        match self {
-            Shard::Map(m) => {
-                m.st_mut(v).adj.insert(far, (kind, w));
+        let slot = self.slot(v);
+        match self.adj_find(slot, far) {
+            Some(i) => {
+                let (tree, a, b) = encode_kind(&kind);
+                self.afar[i] = far | if tree { TREE_BIT } else { 0 };
+                self.aw[i] = w;
+                self.aa[i] = a;
+                self.ab[i] = b;
             }
-            Shard::Soa(s) => {
-                let slot = s.slot(v);
-                match s.adj_find(slot, far) {
-                    Some(i) => {
-                        let (tree, a, b) = encode_kind(&kind);
-                        s.afar[i] = far | if tree { TREE_BIT } else { 0 };
-                        s.aw[i] = w;
-                        s.aa[i] = a;
-                        s.ab[i] = b;
-                    }
-                    None => s.adj_push(slot, far, &kind, w, ADJ_HEADROOM),
-                }
-                s.enforce_soft_cap();
-            }
+            None => self.adj_push(slot, far, &kind, w, ADJ_HEADROOM),
         }
+        self.enforce_soft_cap();
     }
 
     /// Removes one adjacency entry (no-op when absent).
     pub fn adj_remove(&mut self, v: V, far: V) {
-        match self {
-            Shard::Map(m) => {
-                m.st_mut(v).adj.remove(&far);
-            }
-            Shard::Soa(s) => {
-                let slot = s.slot(v);
-                if let Some(i) = s.adj_find(slot, far) {
-                    let sg = s.apos[slot];
-                    let last = (sg.start + sg.len - 1) as usize;
-                    s.afar[i] = s.afar[last];
-                    s.aw[i] = s.aw[last];
-                    s.aa[i] = s.aa[last];
-                    s.ab[i] = s.ab[last];
-                    s.apos[slot].len -= 1;
-                    s.adj_live -= 1;
-                    s.maybe_compact_adj();
-                }
-                s.enforce_soft_cap();
-            }
+        let slot = self.slot(v);
+        if let Some(i) = self.adj_find(slot, far) {
+            let sg = self.apos[slot];
+            let last = (sg.start + sg.len - 1) as usize;
+            self.afar[i] = self.afar[last];
+            self.aw[i] = self.aw[last];
+            self.aa[i] = self.aa[last];
+            self.ab[i] = self.ab[last];
+            self.apos[slot].len -= 1;
+            self.adj_live -= 1;
+            self.maybe_compact_adj();
         }
+        self.enforce_soft_cap();
     }
 
     /// Applies a structural op to all owned state; returns the local
-    /// replacement candidate and split-side membership (cuts). The sweep is
-    /// layout-specific; the cut/link entry materialization below it is the
-    /// shared protocol step.
+    /// replacement candidate and split-side membership (cuts): the sweep
+    /// over every slot, then the cut/link entry materialization at owned
+    /// endpoints.
     pub fn apply_struct(&mut self, b: &StructBroadcast) -> ApplyOutcome {
-        let outcome = match self {
-            Shard::Map(m) => m.apply_sweep(b),
-            Shard::Soa(s) => s.apply_sweep(b),
-        };
+        let outcome = self.apply_sweep(b);
         // Materialize the new/updated edge entries at owned endpoints.
         match b.main {
             TourOp::Link {
@@ -1183,9 +1014,7 @@ impl Shard {
             },
             TourOp::Reroot { .. } => unreachable!("reroot is never a main op"),
         }
-        if let Shard::Soa(s) = self {
-            s.enforce_soft_cap();
-        }
+        self.enforce_soft_cap();
         outcome
     }
 
@@ -1201,49 +1030,33 @@ impl Shard {
         ly: TourIx,
     ) -> Option<(Edge, Weight)> {
         let mut best: Option<(Weight, Edge)> = None;
-        let mut fold = |v: V, far: V, lo: TourIx, hi: TourIx, w: Weight| {
-            // Process each tree edge once: at its child endpoint.
-            if !lo.is_multiple_of(2) {
-                return;
+        for slot in 0..self.comp.len() {
+            if self.comp[slot] != comp {
+                continue;
             }
-            // Child's subtree span is [lo, hi]; the edge is on the
-            // x..y path iff the span contains exactly one endpoint.
-            let contains_x = lo <= fx && lx <= hi;
-            let contains_y = lo <= fy && ly <= hi;
-            if contains_x ^ contains_y {
-                let better = match best {
-                    None => true,
-                    Some((bw, be)) => w > bw || (w == bw && Edge::new(v, far) < be),
-                };
-                if better {
-                    best = Some((w, Edge::new(v, far)));
+            let v = self.base + slot as V;
+            let sg = self.apos[slot];
+            for i in sg.start as usize..(sg.start + sg.len) as usize {
+                if self.afar[i] & TREE_BIT == 0 {
+                    continue;
                 }
-            }
-        };
-        match self {
-            Shard::Map(m) => {
-                for (&v, st) in &m.verts {
-                    if st.comp != comp {
-                        continue;
-                    }
-                    for (&far, &(kind, w)) in &st.adj {
-                        if let EntryKind::Tree { lo, hi } = kind {
-                            fold(v, far, lo, hi, w);
-                        }
-                    }
+                // Process each tree edge once: at its child endpoint.
+                let (lo, hi) = (self.aa[i], self.ab[i]);
+                if !lo.is_multiple_of(2) {
+                    continue;
                 }
-            }
-            Shard::Soa(s) => {
-                for slot in 0..s.comp.len() {
-                    if s.comp[slot] != comp {
-                        continue;
-                    }
-                    let v = s.base + slot as V;
-                    let sg = s.apos[slot];
-                    for i in sg.start as usize..(sg.start + sg.len) as usize {
-                        if s.afar[i] & TREE_BIT != 0 {
-                            fold(v, s.afar[i] & !TREE_BIT, s.aa[i], s.ab[i], s.aw[i]);
-                        }
+                // Child's subtree span is [lo, hi]; the edge is on the
+                // x..y path iff the span contains exactly one endpoint.
+                let contains_x = lo <= fx && lx <= hi;
+                let contains_y = lo <= fy && ly <= hi;
+                if contains_x ^ contains_y {
+                    let (w, e) = (self.aw[i], Edge::new(v, self.afar[i] & !TREE_BIT));
+                    let better = match best {
+                        None => true,
+                        Some((bw, be)) => w > bw || (w == bw && e < be),
+                    };
+                    if better {
+                        best = Some((w, e));
                     }
                 }
             }
@@ -1254,80 +1067,52 @@ impl Shard {
     /// True iff any owned vertex belongs to `comp` (migration directory
     /// repair).
     pub fn any_in_comp(&self, comp: CompId) -> bool {
-        match self {
-            Shard::Map(m) => m.verts.values().any(|st| st.comp == comp),
-            Shard::Soa(s) => s.comp.contains(&comp),
-        }
+        self.comp.contains(&comp)
     }
 
     /// Number of owned vertices.
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        match self {
-            Shard::Map(m) => m.verts.len(),
-            Shard::Soa(s) => s.comp.iter().filter(|&&c| c != COMP_NONE).count(),
-        }
+        self.comp.iter().filter(|&&c| c != COMP_NONE).count()
     }
 
     /// Materialized state of one vertex (audits/result extraction — not the
     /// update path).
     pub fn vertex(&self, v: V) -> Option<VertexState> {
-        match self {
-            Shard::Map(m) => m.verts.get(&v).cloned(),
-            Shard::Soa(s) => s.slot_of(v).map(|slot| s.materialize(slot)),
-        }
+        self.slot_of(v).map(|slot| self.materialize(slot))
     }
 
     /// All owned vertices, materialized in id order.
     pub fn vertices(&self) -> Vec<(V, VertexState)> {
-        match self {
-            Shard::Map(m) => m.verts.iter().map(|(&v, st)| (v, st.clone())).collect(),
-            Shard::Soa(s) => (0..s.comp.len())
-                .filter(|&slot| s.comp[slot] != COMP_NONE)
-                .map(|slot| (s.base + slot as V, s.materialize(slot)))
-                .collect(),
-        }
+        (0..self.comp.len())
+            .filter(|&slot| self.comp[slot] != COMP_NONE)
+            .map(|slot| (self.base + slot as V, self.materialize(slot)))
+            .collect()
     }
 
     /// Direct state injection (bulk loading / snapshot restore).
     pub fn load_vertex(&mut self, v: V, st: VertexState) {
-        match self {
-            Shard::Map(m) => {
-                m.verts.insert(v, st);
-            }
-            Shard::Soa(s) => {
-                let slot = s.ensure_slot(v);
-                if s.comp[slot] != COMP_NONE {
-                    // Replacing: free the old segments' live words first.
-                    s.tour_live -= s.tpos[slot].len as usize;
-                    s.adj_live -= s.apos[slot].len as usize;
-                    s.tpos[slot].len = 0;
-                    s.apos[slot].len = 0;
-                }
-                s.comp[slot] = st.comp;
-                s.size[slot] = st.size as u32;
-                s.tour_store(slot, &st.idx, 0);
-                s.adj_store(slot, &st.adj);
-                s.enforce_soft_cap();
-            }
+        let slot = self.ensure_slot(v);
+        if self.comp[slot] != COMP_NONE {
+            // Replacing: free the old segments' live words first.
+            self.tour_live -= self.tpos[slot].len as usize;
+            self.adj_live -= self.apos[slot].len as usize;
+            self.tpos[slot].len = 0;
+            self.apos[slot].len = 0;
         }
+        self.comp[slot] = st.comp;
+        self.size[slot] = st.size as u32;
+        self.tour_store(slot, &st.idx, 0);
+        self.adj_store(slot, &st.adj);
+        self.enforce_soft_cap();
     }
 
     /// Serializes every owned vertex as `vert`/`adj` snapshot lines, sorted
-    /// by vertex then far endpoint — bit-identical across layouts.
+    /// by vertex then far endpoint (arena order never reaches the text).
     pub fn write_all(&self, s: &mut String) {
-        match self {
-            Shard::Map(m) => {
-                for (&v, st) in &m.verts {
-                    write_vert(s, v, st);
-                }
-            }
-            Shard::Soa(sh) => {
-                for slot in 0..sh.comp.len() {
-                    if sh.comp[slot] != COMP_NONE {
-                        sh.write_slot(s, slot);
-                    }
-                }
+        for slot in 0..self.comp.len() {
+            if self.comp[slot] != COMP_NONE {
+                self.write_slot(s, slot);
             }
         }
     }
@@ -1336,29 +1121,18 @@ impl Shard {
     /// shard (shard migration).
     pub fn extract_range(&mut self, lo: V, hi: V) -> String {
         let mut text = String::new();
-        match self {
-            Shard::Map(m) => {
-                let keys: Vec<V> = m.verts.range(lo..hi).map(|(&v, _)| v).collect();
-                for v in keys {
-                    let st = m.verts.remove(&v).expect("listed vertex");
-                    write_vert(&mut text, v, &st);
-                }
-            }
-            Shard::Soa(s) => {
-                for v in lo..hi {
-                    if let Some(slot) = s.slot_of(v) {
-                        s.write_slot(&mut text, slot);
-                        s.remove_slot(slot);
-                    }
-                }
-                // Migrations are rare and already pay O(shard) for the
-                // extraction, so compact exactly: the remaining shard must
-                // not keep charging for the moved segments' holes.
-                s.trim_slots();
-                s.compact_tour();
-                s.compact_adj();
+        for v in lo..hi {
+            if let Some(slot) = self.slot_of(v) {
+                self.write_slot(&mut text, slot);
+                self.remove_slot(slot);
             }
         }
+        // Migrations are rare and already pay O(shard) for the extraction,
+        // so compact exactly: the remaining shard must not keep charging
+        // for the moved segments' holes.
+        self.trim_slots();
+        self.compact_tour();
+        self.compact_adj();
         text
     }
 
@@ -1404,52 +1178,6 @@ impl Shard {
         }
     }
 
-    /// Resident footprint in 64-bit words.
-    ///
-    /// * Map layout: the PR 1 container approximation (4 words of core per
-    ///   vertex + index list + 4 words per adjacency entry), unchanged so
-    ///   the legacy layout meters exactly as before.
-    /// * SoA layout: the exact backing stores — every property array, both
-    ///   arenas *including their free holes and segment headroom* (that
-    ///   memory is resident), and the segment tables, converted from bytes
-    ///   at 8 bytes/word. Transient scratch buffers are excluded (they are
-    ///   executor-style reusable workspace, not shard state).
-    pub fn memory_words(&self) -> usize {
-        match self {
-            Shard::Map(m) => m
-                .verts
-                .values()
-                .map(|st| 4 + st.idx.len() + 4 * st.adj.len())
-                .sum(),
-            Shard::Soa(s) => s.words(),
-        }
-    }
-}
-
-/// Serializes one vertex's full state as `vert`/`adj` snapshot lines.
-pub(crate) fn write_vert(s: &mut String, v: V, st: &VertexState) {
-    use std::fmt::Write as _;
-    write!(s, "vert {v} {} {}", st.comp, st.size).unwrap();
-    for i in &st.idx {
-        write!(s, " {i}").unwrap();
-    }
-    s.push('\n');
-    for (&u, (kind, w)) in &st.adj {
-        write_adj_line(s, v, u, kind, *w);
-    }
-}
-
-fn write_adj_line(s: &mut String, v: V, u: V, kind: &EntryKind, w: Weight) {
-    use std::fmt::Write as _;
-    match kind {
-        EntryKind::Tree { lo, hi } => writeln!(s, "adj {v} {u} t {lo} {hi} {w}").unwrap(),
-        EntryKind::NonTree { cached, far_comp } => {
-            writeln!(s, "adj {v} {u} n {cached} {far_comp} {w}").unwrap()
-        }
-    }
-}
-
-impl SoaShard {
     /// Emits one slot's `vert`/`adj` lines (sorted by far endpoint).
     fn write_slot(&self, s: &mut String, slot: usize) {
         use std::fmt::Write as _;
@@ -1461,6 +1189,16 @@ impl SoaShard {
         s.push('\n');
         for (far, kind, w) in self.sorted_entries(slot) {
             write_adj_line(s, v, far, &kind, w);
+        }
+    }
+}
+
+fn write_adj_line(s: &mut String, v: V, u: V, kind: &EntryKind, w: Weight) {
+    use std::fmt::Write as _;
+    match kind {
+        EntryKind::Tree { lo, hi } => writeln!(s, "adj {v} {u} t {lo} {hi} {w}").unwrap(),
+        EntryKind::NonTree { cached, far_comp } => {
+            writeln!(s, "adj {v} {u} n {cached} {far_comp} {w}").unwrap()
         }
     }
 }
@@ -1491,10 +1229,10 @@ mod tests {
         EntryKind::NonTree { cached, far_comp }
     }
 
-    /// Loads the same 3-vertex path (0-1-2, plus a non-tree 0-2) into both
-    /// layouts and checks every accessor and the snapshot text agree.
-    fn loaded_pair() -> (Shard, Shard) {
-        let states = [
+    /// A 3-vertex path (0-1-2, plus a non-tree 0-2), as hand-built
+    /// materialized states.
+    fn demo_states() -> [(V, VertexState); 3] {
+        [
             (
                 0,
                 demo_state(0, 3, &[1, 8], &[(1, tree(1, 8), 5), (2, non_tree(3, 0), 9)]),
@@ -1512,85 +1250,118 @@ mod tests {
                 2,
                 demo_state(0, 3, &[4, 5], &[(1, tree(4, 5), 4), (0, non_tree(1, 0), 9)]),
             ),
-        ];
-        let mut map = Shard::new_range(Layout::Map, 0, 3);
-        let mut soa = Shard::new_range(Layout::Soa, 0, 3);
-        for (v, st) in &states {
-            map.load_vertex(*v, st.clone());
-            soa.load_vertex(*v, st.clone());
-        }
-        (map, soa)
+        ]
     }
+
+    /// [`demo_states`] bulk-loaded into a shard.
+    fn loaded() -> Shard {
+        let mut sh = Shard::new_range(0, 3);
+        for (v, st) in demo_states() {
+            sh.load_vertex(v, st);
+        }
+        sh
+    }
+
+    /// The snapshot text of [`demo_states`]: vertices ascending, each
+    /// vertex's entries by far endpoint ascending.
+    const DEMO_TEXT: &str = "\
+        vert 0 0 3 1 8\n\
+        adj 0 1 t 1 8 5\n\
+        adj 0 2 n 3 0 9\n\
+        vert 1 0 3 2 3 6 7\n\
+        adj 1 0 t 2 7 5\n\
+        adj 1 2 t 3 6 4\n\
+        vert 2 0 3 4 5\n\
+        adj 2 0 n 1 0 9\n\
+        adj 2 1 t 4 5 4\n";
 
     #[test]
     fn layouts_agree_on_accessors_and_snapshots() {
-        let (map, soa) = loaded_pair();
-        for v in 0..3 {
-            assert_eq!(map.comp_of(v), soa.comp_of(v));
-            assert_eq!(map.size_of(v), soa.size_of(v));
-            assert_eq!(map.f_of(v), soa.f_of(v));
-            assert_eq!(map.l_of(v), soa.l_of(v));
-            assert_eq!(map.idx_of(v), soa.idx_of(v));
-            assert_eq!(map.info(v), soa.info(v));
-            assert_eq!(map.vertex(v), soa.vertex(v));
+        let sh = loaded();
+        for (v, st) in demo_states() {
+            assert_eq!(sh.comp_of(v), st.comp);
+            assert_eq!(sh.size_of(v), st.size);
+            assert_eq!(sh.f_of(v), st.idx[0]);
+            assert_eq!(sh.idx_of(v), st.idx);
+            assert_eq!(
+                sh.info(v),
+                VertexInfo {
+                    v,
+                    comp: st.comp,
+                    size: st.size,
+                    f: st.idx[0],
+                    l: *st.idx.last().unwrap(),
+                }
+            );
             for far in 0..3 {
-                assert_eq!(map.adj_get(v, far), soa.adj_get(v, far), "adj {v} {far}");
+                assert_eq!(
+                    sh.adj_get(v, far),
+                    st.adj.get(&far).copied(),
+                    "adj {v} {far}"
+                );
             }
+            assert_eq!(sh.vertex(v), Some(st));
         }
-        let (mut ms, mut ss) = (String::new(), String::new());
-        map.write_all(&mut ms);
-        soa.write_all(&mut ss);
-        assert_eq!(ms, ss, "snapshot text must be layout-independent");
-        assert_eq!(
-            map.path_max(0, 1, 8, 4, 5),
-            soa.path_max(0, 1, 8, 4, 5),
-            "path-max fold must be layout-independent"
-        );
+        assert_eq!(sh.vertices(), demo_states());
+        let mut text = String::new();
+        sh.write_all(&mut text);
+        assert_eq!(text, DEMO_TEXT);
+        // Both tree edges lie on the 0..2 path; the heavier one wins.
+        assert_eq!(sh.path_max(0, 1, 8, 4, 5), Some((Edge::new(0, 1), 5)));
     }
 
     #[test]
     fn soa_mutation_round_trips_through_snapshot() {
-        let (mut map, mut soa) = loaded_pair();
-        for sh in [&mut map, &mut soa] {
-            sh.adj_set(0, 1, tree(1, 10), 7); // overwrite
-            sh.adj_remove(2, 0);
-            sh.adj_set(1, 2, non_tree(4, 0), 6); // kind change
-        }
-        let (mut ms, mut ss) = (String::new(), String::new());
-        map.write_all(&mut ms);
-        soa.write_all(&mut ss);
-        assert_eq!(ms, ss);
-        // Restore both texts into fresh shards of the opposite layout.
-        let mut back = Shard::new_range(Layout::Soa, 0, 0);
-        for line in ms.lines() {
+        let mut sh = loaded();
+        sh.adj_set(0, 1, tree(1, 10), 7); // overwrite
+        sh.adj_remove(2, 0);
+        sh.adj_set(1, 2, non_tree(4, 0), 6); // kind change
+        let mut text = String::new();
+        sh.write_all(&mut text);
+        assert_eq!(
+            text,
+            "vert 0 0 3 1 8\n\
+             adj 0 1 t 1 10 7\n\
+             adj 0 2 n 3 0 9\n\
+             vert 1 0 3 2 3 6 7\n\
+             adj 1 0 t 2 7 5\n\
+             adj 1 2 n 4 0 6\n\
+             vert 2 0 3 4 5\n\
+             adj 2 1 t 4 5 4\n"
+        );
+        // Restore the text into a fresh shard.
+        let mut back = Shard::new_range(0, 0);
+        for line in text.lines() {
             back.parse_line(line);
         }
         let mut round = String::new();
         back.write_all(&mut round);
-        assert_eq!(round, ms);
+        assert_eq!(round, text);
     }
 
     #[test]
     fn soa_extract_range_matches_map_and_trims() {
-        let (mut map, mut soa) = loaded_pair();
-        let tm = map.extract_range(0, 2);
-        let ts = soa.extract_range(0, 2);
-        assert_eq!(tm, ts, "extracted migration payload must match");
-        assert_eq!(map.len(), 1);
-        assert_eq!(soa.len(), 1);
-        assert!(!soa.contains(0) && !soa.contains(1) && soa.contains(2));
-        // The trimmed SoA shard must not keep charging for the moved slots.
-        let words_after = soa.memory_words();
+        let mut sh = loaded();
+        let moved = sh.extract_range(0, 2);
+        let kept = DEMO_TEXT.find("vert 2").unwrap();
+        assert_eq!(moved, DEMO_TEXT[..kept], "extracted migration payload");
+        assert_eq!(sh.len(), 1);
+        assert!(!sh.contains(0) && !sh.contains(1) && sh.contains(2));
+        let mut rest = String::new();
+        sh.write_all(&mut rest);
+        assert_eq!(rest, DEMO_TEXT[kept..]);
+        // The trimmed shard must not keep charging for the moved slots.
+        let words_after = sh.memory_words();
         assert!(
             words_after < 20,
             "trimmed shard footprint too large: {words_after}"
         );
     }
 
-    /// Satellite: the SoA resident accounting matches a hand-computed
-    /// figure for a known shard within 10%.
+    /// The resident accounting matches a hand-computed figure for a known
+    /// shard within 10%.
     ///
-    /// Hand computation for `loaded_pair`'s SoA shard (bulk loads use zero
+    /// Hand computation for the [`loaded`] shard (bulk loads use zero
     /// headroom, so caps == lens and the arenas are hole-free):
     ///
     /// * slot arrays, 3 slots: comp 3x4 + size 3x4 + tpos 3x12 + apos 3x12
@@ -1601,9 +1372,8 @@ mod tests {
     /// total = 328 bytes = ceil(328 / 8) = 41 words.
     #[test]
     fn soa_resident_words_within_10pct_of_hand_count() {
-        let (_, soa) = loaded_pair();
         let hand = 41.0_f64;
-        let got = soa.memory_words() as f64;
+        let got = loaded().memory_words() as f64;
         assert!(
             (got - hand).abs() <= hand * 0.10,
             "resident {got} vs hand-computed {hand}"
@@ -1614,22 +1384,21 @@ mod tests {
 
     #[test]
     fn soa_arena_compaction_bounds_holes() {
-        let mut soa = Shard::new_range(Layout::Soa, 0, 64);
+        let mut s = Shard::new_range(0, 64);
         // Repeatedly grow and clear adjacency on every vertex; the arena
         // must stay within 2x live + slack despite all the relocations.
         for round in 0..6u64 {
             for v in 0..64u32 {
                 for far in 0..8u32 {
-                    soa.adj_set(v, 100 + far, non_tree(round, 7), round);
+                    s.adj_set(v, 100 + far, non_tree(round, 7), round);
                 }
             }
             for v in 0..64u32 {
                 for far in 0..4u32 {
-                    soa.adj_remove(v, 100 + far);
+                    s.adj_remove(v, 100 + far);
                 }
             }
         }
-        let Shard::Soa(s) = &soa else { unreachable!() };
         assert_eq!(s.adj_live, 64 * 4);
         assert!(
             s.afar.len() <= 2 * s.adj_live + 64,

@@ -264,3 +264,40 @@ fn table1_shape_rounds_constant_communication_sqrt() {
     // Communication grows with N (the broadcasts touch O(sqrt N) machines).
     assert!(words_at_size.last().unwrap() > words_at_size.first().unwrap());
 }
+
+/// Vertex ids share a 32-bit word with the shard's tree-entry tag bit, so
+/// the driver refuses `n > 2^31` up front instead of letting an id alias
+/// the tag in release builds. The panic fires before any machine (or any
+/// O(n) allocation) exists.
+#[test]
+#[should_panic(expected = "exceeds the 2147483648-vertex limit")]
+fn vertex_count_beyond_tag_bit_is_refused() {
+    let n = (1usize << 31) + 1;
+    DmpcConnectivity::new(DmpcParams::new(n, 3 * n));
+}
+
+/// Resident memory of a loaded instance stays within 25% of a plain
+/// container model of the shards alone (4 core words per vertex, 1 per tour
+/// index, 4 per adjacency entry): the arenas spend 3.5 words per entry,
+/// and the slack between compactions is bounded by the `live/8 + 16`
+/// threshold plus relocation headroom — with room left for every
+/// machine's non-shard state.
+#[test]
+fn resident_within_slack_of_container_model() {
+    let n = 256;
+    let mut alg = DmpcConnectivity::new(DmpcParams::new(n, 3 * n));
+    for &u in &streams::churn_stream(n, 2 * n, 512, 0.5, 42) {
+        assert!(alg.apply(u).clean());
+    }
+    let model: usize = alg
+        .driver()
+        .machines()
+        .flat_map(|m| m.vertices())
+        .map(|(_, st)| 4 + st.idx.len() + 4 * st.adj.len())
+        .sum();
+    let resident = alg.resident_words();
+    assert!(
+        resident <= model + model / 4,
+        "resident {resident} words exceeds the container model's {model} by more than 25%"
+    );
+}

@@ -10,7 +10,6 @@ use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, QueryableAlgorithm};
 use dmpc_graph::matching::Matching;
 use dmpc_graph::{DynamicGraph, Edge, Query, QueryAnswer, Update, V};
 use dmpc_mpc::chaos::ChaosKind;
-use dmpc_mpc::Layout as StateLayout;
 use dmpc_mpc::{
     BatchMetrics, Cluster, ClusterConfig, Envelope, ExecOptions, Machine, MachineId, Outbox,
     QueryMetrics, RoundCtx, UpdateMetrics, COORDINATOR,
@@ -133,12 +132,6 @@ impl DmpcMaximalMatching {
         Self::with_mode_exec(params, false, exec)
     }
 
-    /// Creates an empty instance with an explicit storage state layout
-    /// (map/SoA; layout-differential testing and benches).
-    pub fn with_state_layout(params: DmpcParams, exec: ExecOptions, state: StateLayout) -> Self {
-        Self::with_opts(params, false, exec, state)
-    }
-
     pub(crate) fn with_mode(params: DmpcParams, three_halves: bool) -> Self {
         Self::with_mode_exec(params, three_halves, ExecOptions::default())
     }
@@ -147,15 +140,6 @@ impl DmpcMaximalMatching {
         params: DmpcParams,
         three_halves: bool,
         exec: ExecOptions,
-    ) -> Self {
-        Self::with_opts(params, three_halves, exec, StateLayout::default())
-    }
-
-    fn with_opts(
-        params: DmpcParams,
-        three_halves: bool,
-        exec: ExecOptions,
-        state: StateLayout,
     ) -> Self {
         let layout = Layout::new(&params);
         let mut machines = Vec::with_capacity(layout.total_machines());
@@ -172,9 +156,7 @@ impl DmpcMaximalMatching {
         for i in 0..layout.n_storage {
             let lo = (i * layout.storage_block) as V;
             let hi = (((i + 1) * layout.storage_block).min(layout.n)) as V;
-            machines.push(Role::Storage(StorageMachine::with_layout(
-                lo, hi, layout.tau, state,
-            )));
+            machines.push(Role::Storage(StorageMachine::new(lo, hi, layout.tau)));
         }
         for _ in 0..layout.n_overflow {
             machines.push(Role::Overflow(OverflowMachine::default()));
@@ -654,5 +636,43 @@ impl dmpc_core::ElasticAlgorithm for DmpcMaximalMatching {
             .map(|m| self.cluster.machine(m).snapshot_text())
             .collect();
         dmpc_core::digest_snapshots(snaps.iter().map(|s| s.as_str()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dmpc_graph::streams;
+
+    /// Resident memory of a loaded instance stays within 25% of a plain
+    /// container model of the storage machines (2 header words per machine,
+    /// 2 per owned vertex, 4 per entry): the arenas spend ~1.125 words per
+    /// entry, and the slack between compactions is bounded by the
+    /// `live/8 + 16` threshold plus relocation headroom.
+    #[test]
+    fn storage_resident_within_slack_of_container_model() {
+        let n = 128;
+        let mut alg = DmpcMaximalMatching::new(DmpcParams::new(n, 3 * n));
+        for &u in &streams::churn_stream(n, 2 * n, 384, 0.55, 42) {
+            assert!(alg.apply(u).clean());
+        }
+        let (mut arenas, mut model) = (0, 2 * alg.layout.n_storage);
+        for m in alg.cluster.machines() {
+            if let Role::Storage(s) = m {
+                arenas += s.memory_words();
+            }
+        }
+        for v in 0..n as V {
+            let Role::Storage(s) = alg.cluster.machine(alg.layout.storage_of(v)) else {
+                unreachable!()
+            };
+            model += 2 + 4 * s.vertex(v).expect("owned").entries.len();
+        }
+        let resident = alg.resident_words();
+        let modelled = resident - arenas + model;
+        assert!(
+            resident <= modelled + modelled / 4,
+            "resident {resident} words exceeds the container model's {modelled} by more than 25%"
+        );
     }
 }

@@ -1,20 +1,15 @@
 //! Storage machines (adjacency lists with repairable annotations) and the
 //! overflow pool (suspended-edge stacks of heavy vertices).
 //!
-//! Like the connectivity crate's vertex shards, a storage machine keeps its
-//! owned block behind a layout knob ([`dmpc_mpc::Layout`]): the map layout
-//! is the clarity-first original (`BTreeMap` of per-vertex entry `Vec`s,
-//! kept for differential testing), the SoA layout stores every vertex's
-//! entries as a segment of one shared arena split into parallel property
-//! arrays. Entry order is *semantic* here (the alive set is positional:
-//! the mate edge is moved to the front, `MakeHeavy` splits at `tau`, scans
-//! take the first hit), so all SoA mutations preserve segment order —
-//! removals shift the tail down instead of swapping.
+//! Like the connectivity crate's vertex shards, a storage machine stores
+//! every owned vertex's entries as a segment of one shared arena split into
+//! parallel property arrays. Entry order is *semantic* here (the alive set
+//! is positional: the mate edge is moved to the front, `MakeHeavy` splits
+//! at `tau`, scans take the first hit), so all mutations preserve segment
+//! order — removals shift the tail down instead of swapping.
 
 use super::msg::{Ann, HistEntry, HistSlice, MatchMsg, Repair};
 use dmpc_graph::V;
-use dmpc_mpc::Layout;
-use std::collections::BTreeMap;
 
 /// Per-owned-vertex storage: the full adjacency of a light vertex, or the
 /// alive set of a heavy one.
@@ -70,10 +65,10 @@ fn unpack_ann(mate: V, f: u8) -> Ann {
     }
 }
 
-/// The compact layout: per-slot state byte + arena segment, entries as
-/// three parallel arrays (neighbor, mate, flag byte).
+/// A machine's owned vertex block: per-slot state byte + arena segment,
+/// entries as three parallel arrays (neighbor, mate, flag byte).
 #[derive(Debug, Default)]
-struct SoaStore {
+struct Store {
     /// Direct-mapped interner base: vertex `v` lives in slot `v - base`.
     base: V,
     /// [`SLOT_ABSENT`] / [`SLOT_LIGHT`] / [`SLOT_HEAVY`] per slot.
@@ -90,9 +85,9 @@ struct SoaStore {
     live: usize,
 }
 
-impl SoaStore {
+impl Store {
     fn new_range(lo: V, hi: V) -> Self {
-        SoaStore {
+        Store {
             base: lo,
             state: vec![SLOT_LIGHT; (hi - lo) as usize],
             pos: vec![Seg::default(); (hi - lo) as usize],
@@ -137,9 +132,10 @@ impl SoaStore {
         s.start as usize..(s.start + s.len) as usize
     }
 
-    /// Appends one entry to a slot's segment, relocating (with headroom) on
+    /// Appends one entry to `at`'s segment, relocating (with headroom) on
     /// overflow; order-preserving.
-    fn push(&mut self, slot: usize, n: V, ann: Ann) {
+    fn push_entry(&mut self, at: V, n: V, ann: Ann) {
+        let slot = self.slot(at);
         let (m, f) = pack_ann(ann);
         let s = self.pos[slot];
         if s.len < s.cap {
@@ -181,9 +177,10 @@ impl SoaStore {
         self.maybe_compact();
     }
 
-    /// Removes the entry with neighbor `n`, shifting the tail down (order
-    /// is semantic). Returns whether it was found.
-    fn remove(&mut self, slot: usize, n: V) -> bool {
+    /// Removes the entry `at -> n`, shifting the tail down (order is
+    /// semantic). Returns whether it was present.
+    fn remove_entry(&mut self, at: V, n: V) -> bool {
+        let slot = self.slot(at);
         let r = self.range(slot);
         let Some(i) = r.clone().find(|&i| self.nbr[i] == n) else {
             return false;
@@ -227,252 +224,98 @@ impl SoaStore {
     fn materialize(&self, slot: usize) -> StoreVertex {
         StoreVertex {
             heavy: self.state[slot] == SLOT_HEAVY,
-            entries: self
-                .range(slot)
-                .map(|i| (self.nbr[i], unpack_ann(self.mate[i], self.flags[i])))
-                .collect(),
-        }
-    }
-}
-
-/// A machine's owned vertex block, in one of the two storage layouts.
-#[derive(Debug)]
-enum Store {
-    /// Per-vertex map containers (legacy, differential testing).
-    Map(BTreeMap<V, StoreVertex>),
-    /// Arena-backed structure-of-arrays (default).
-    Soa(SoaStore),
-}
-
-impl Store {
-    fn new_range(layout: Layout, lo: V, hi: V) -> Self {
-        match layout {
-            Layout::Map => Store::Map((lo..hi).map(|v| (v, StoreVertex::default())).collect()),
-            Layout::Soa => Store::Soa(SoaStore::new_range(lo, hi)),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Store::Map(m) => m.clear(),
-            Store::Soa(s) => *s = SoaStore::default(),
+            entries: self.entries(slot),
         }
     }
 
     /// Installs vertex `v` with no entries (snapshot restore).
     fn insert_vertex(&mut self, v: V, heavy: bool) {
-        match self {
-            Store::Map(m) => {
-                m.insert(
-                    v,
-                    StoreVertex {
-                        heavy,
-                        entries: Vec::new(),
-                    },
-                );
-            }
-            Store::Soa(s) => {
-                let slot = s.ensure_slot(v);
-                s.live -= s.pos[slot].len as usize;
-                s.pos[slot].len = 0;
-                s.state[slot] = if heavy { SLOT_HEAVY } else { SLOT_LIGHT };
-            }
-        }
-    }
-
-    /// Appends one entry at `at` (order-preserving).
-    fn push_entry(&mut self, at: V, n: V, ann: Ann) {
-        match self {
-            Store::Map(m) => m
-                .get_mut(&at)
-                .expect("vertex not owned")
-                .entries
-                .push((n, ann)),
-            Store::Soa(s) => {
-                let slot = s.slot(at);
-                s.push(slot, n, ann);
-            }
-        }
-    }
-
-    /// Removes the entry `at -> n`; returns whether it was present.
-    fn remove_entry(&mut self, at: V, n: V) -> bool {
-        match self {
-            Store::Map(m) => {
-                let sv = m.get_mut(&at).expect("vertex not owned");
-                let before = sv.entries.len();
-                sv.entries.retain(|&(x, _)| x != n);
-                sv.entries.len() < before
-            }
-            Store::Soa(s) => {
-                let slot = s.slot(at);
-                s.remove(slot, n)
-            }
-        }
+        let slot = self.ensure_slot(v);
+        self.live -= self.pos[slot].len as usize;
+        self.pos[slot].len = 0;
+        self.state[slot] = if heavy { SLOT_HEAVY } else { SLOT_LIGHT };
     }
 
     fn has_entry(&self, at: V, n: V) -> bool {
-        match self {
-            Store::Map(m) => m
-                .get(&at)
-                .is_some_and(|sv| sv.entries.iter().any(|&(x, _)| x == n)),
-            Store::Soa(s) => {
-                let slot = s.slot(at);
-                s.range(slot).any(|i| s.nbr[i] == n)
-            }
-        }
+        self.range(self.slot(at)).any(|i| self.nbr[i] == n)
     }
 
     fn heavy(&self, v: V) -> bool {
-        match self {
-            Store::Map(m) => m.get(&v).expect("vertex not owned").heavy,
-            Store::Soa(s) => s.state[s.slot(v)] == SLOT_HEAVY,
-        }
+        self.state[self.slot(v)] == SLOT_HEAVY
     }
 
     /// Sets the heavy flag, ignoring non-owned vertices (history repair
     /// addresses every owner of the changed vertex's *neighbors* too).
     fn set_heavy_if_present(&mut self, v: V, heavy: bool) {
-        match self {
-            Store::Map(m) => {
-                if let Some(sv) = m.get_mut(&v) {
-                    sv.heavy = heavy;
-                }
-            }
-            Store::Soa(s) => {
-                if let Some(slot) = s.slot_of(v) {
-                    s.state[slot] = if heavy { SLOT_HEAVY } else { SLOT_LIGHT };
-                }
-            }
+        if let Some(slot) = self.slot_of(v) {
+            self.state[slot] = if heavy { SLOT_HEAVY } else { SLOT_LIGHT };
         }
     }
 
     /// First entry at `z` that is free and not excluded.
     fn scan_free(&self, z: V, exclude: &[V]) -> Option<V> {
-        match self {
-            Store::Map(m) => m[&z]
-                .entries
-                .iter()
-                .find(|&&(n, ann)| !ann.matched && !exclude.contains(&n))
-                .map(|&(n, _)| n),
-            Store::Soa(s) => {
-                let slot = s.slot(z);
-                s.range(slot)
-                    .find(|&i| s.flags[i] & F_MATCHED == 0 && !exclude.contains(&s.nbr[i]))
-                    .map(|i| s.nbr[i])
-            }
-        }
+        self.range(self.slot(z))
+            .find(|&i| self.flags[i] & F_MATCHED == 0 && !exclude.contains(&self.nbr[i]))
+            .map(|i| self.nbr[i])
     }
 
     /// Heavy-scan at `z`: first free entry, and first steal candidate
     /// (matched to a light mate).
     fn scan_heavy(&self, z: V) -> (Option<V>, Option<(V, V)>) {
-        match self {
-            Store::Map(m) => {
-                let sv = &m[&z];
-                let free = sv
-                    .entries
-                    .iter()
-                    .find(|&&(_, ann)| !ann.matched)
-                    .map(|&(n, _)| n);
-                let steal = sv
-                    .entries
-                    .iter()
-                    .find(|&&(_, ann)| ann.matched && ann.mate_light)
-                    .map(|&(n, ann)| (n, ann.mate));
-                (free, steal)
-            }
-            Store::Soa(s) => {
-                let slot = s.slot(z);
-                let free = s
-                    .range(slot)
-                    .find(|&i| s.flags[i] & F_MATCHED == 0)
-                    .map(|i| s.nbr[i]);
-                let steal = s
-                    .range(slot)
-                    .find(|&i| s.flags[i] & (F_MATCHED | F_MATE_LIGHT) == F_MATCHED | F_MATE_LIGHT)
-                    .map(|i| (s.nbr[i], s.mate[i]));
-                (free, steal)
-            }
-        }
+        let r = self.range(self.slot(z));
+        let free = r
+            .clone()
+            .find(|&i| self.flags[i] & F_MATCHED == 0)
+            .map(|i| self.nbr[i]);
+        let steal = r
+            .clone()
+            .find(|&i| self.flags[i] & (F_MATCHED | F_MATE_LIGHT) == F_MATCHED | F_MATE_LIGHT)
+            .map(|i| (self.nbr[i], self.mate[i]));
+        (free, steal)
     }
 
-    /// All entries at `z`, in stored order.
-    fn entries_of(&self, z: V) -> Vec<(V, Ann)> {
-        match self {
-            Store::Map(m) => m[&z].entries.clone(),
-            Store::Soa(s) => {
-                let slot = s.slot(z);
-                s.range(slot)
-                    .map(|i| (s.nbr[i], unpack_ann(s.mate[i], s.flags[i])))
-                    .collect()
-            }
-        }
+    /// All entries of one slot, in stored order.
+    fn entries(&self, slot: usize) -> Vec<(V, Ann)> {
+        self.range(slot)
+            .map(|i| (self.nbr[i], unpack_ann(self.mate[i], self.flags[i])))
+            .collect()
     }
 
     /// Marks `v` heavy, moves the mate edge to the front of the alive set,
     /// and splits off everything past `keep` (the suspended entries).
     fn make_heavy(&mut self, v: V, mate: Option<V>, keep: usize) -> Vec<(V, Ann)> {
-        match self {
-            Store::Map(m) => {
-                let sv = m.get_mut(&v).expect("vertex not owned");
-                sv.heavy = true;
-                if let Some(mv) = mate {
-                    if let Some(pos) = sv.entries.iter().position(|&(x, _)| x == mv) {
-                        sv.entries.swap(0, pos);
-                    }
-                }
-                if sv.entries.len() > keep {
-                    sv.entries.split_off(keep)
-                } else {
-                    Vec::new()
-                }
-            }
-            Store::Soa(s) => {
-                let slot = s.slot(v);
-                s.state[slot] = SLOT_HEAVY;
-                let r = s.range(slot);
-                if let Some(mv) = mate {
-                    if let Some(pos) = r.clone().find(|&i| s.nbr[i] == mv) {
-                        s.nbr.swap(r.start, pos);
-                        s.mate.swap(r.start, pos);
-                        s.flags.swap(r.start, pos);
-                    }
-                }
-                if r.len() > keep {
-                    let moved: Vec<(V, Ann)> = (r.start + keep..r.end)
-                        .map(|i| (s.nbr[i], unpack_ann(s.mate[i], s.flags[i])))
-                        .collect();
-                    s.pos[slot].len = keep as u32;
-                    s.live -= moved.len();
-                    s.maybe_compact();
-                    moved
-                } else {
-                    Vec::new()
-                }
+        let slot = self.slot(v);
+        self.state[slot] = SLOT_HEAVY;
+        let r = self.range(slot);
+        if let Some(mv) = mate {
+            if let Some(pos) = r.clone().find(|&i| self.nbr[i] == mv) {
+                self.nbr.swap(r.start, pos);
+                self.mate.swap(r.start, pos);
+                self.flags.swap(r.start, pos);
             }
         }
+        if r.len() <= keep {
+            return Vec::new();
+        }
+        let moved: Vec<(V, Ann)> = (r.start + keep..r.end)
+            .map(|i| (self.nbr[i], unpack_ann(self.mate[i], self.flags[i])))
+            .collect();
+        self.pos[slot].len = keep as u32;
+        self.live -= moved.len();
+        self.maybe_compact();
+        moved
     }
 
     /// History repair of the annotations: one pass over the entries,
     /// replaying the slice through the kernel for those it can change
     /// (entry order is immaterial — repairs are per-entry independent).
     fn repair_anns(&mut self, repair: &Repair) {
-        match self {
-            Store::Map(m) => {
-                for sv in m.values_mut() {
-                    repair_entries(&mut sv.entries, repair);
-                }
-            }
-            Store::Soa(s) => {
-                for sg in &s.pos {
-                    for i in sg.start as usize..(sg.start + sg.len) as usize {
-                        if repair.may_change(s.nbr[i], s.mate[i]) {
-                            let mut ann = unpack_ann(s.mate[i], s.flags[i]);
-                            repair.replay(s.nbr[i], &mut ann);
-                            (s.mate[i], s.flags[i]) = pack_ann(ann);
-                        }
-                    }
+        for sg in &self.pos {
+            for i in sg.start as usize..(sg.start + sg.len) as usize {
+                if repair.may_change(self.nbr[i], self.mate[i]) {
+                    let mut ann = unpack_ann(self.mate[i], self.flags[i]);
+                    repair.replay(self.nbr[i], &mut ann);
+                    (self.mate[i], self.flags[i]) = pack_ann(ann);
                 }
             }
         }
@@ -480,47 +323,31 @@ impl Store {
 
     /// Materialized state of one vertex (audits; not the update path).
     fn vertex(&self, v: V) -> Option<StoreVertex> {
-        match self {
-            Store::Map(m) => m.get(&v).cloned(),
-            Store::Soa(s) => s.slot_of(v).map(|slot| s.materialize(slot)),
-        }
+        self.slot_of(v).map(|slot| self.materialize(slot))
     }
 
     /// All owned vertices in id order (snapshots).
     fn vertices(&self) -> Vec<(V, StoreVertex)> {
-        match self {
-            Store::Map(m) => m.iter().map(|(&v, sv)| (v, sv.clone())).collect(),
-            Store::Soa(s) => (0..s.state.len())
-                .filter(|&slot| s.state[slot] != SLOT_ABSENT)
-                .map(|slot| (s.base + slot as V, s.materialize(slot)))
-                .collect(),
-        }
+        (0..self.state.len())
+            .filter(|&slot| self.state[slot] != SLOT_ABSENT)
+            .map(|slot| (self.base + slot as V, self.materialize(slot)))
+            .collect()
     }
 
     /// Direct state injection (bulk loading).
     fn load(&mut self, v: V, sv: StoreVertex) {
-        match self {
-            Store::Map(m) => {
-                m.insert(v, sv);
-            }
-            Store::Soa(_) => {
-                self.insert_vertex(v, sv.heavy);
-                for (n, ann) in sv.entries {
-                    self.push_entry(v, n, ann);
-                }
-            }
+        self.insert_vertex(v, sv.heavy);
+        for (n, ann) in sv.entries {
+            self.push_entry(v, n, ann);
         }
     }
 
     /// Exact resident footprint in words, counting the backing stores as
-    /// allocated. Map: 2 header + 4 per entry per vertex. SoA: 13 bytes per
-    /// slot (state byte + segment) plus 9 bytes per arena entry capacity
-    /// (neighbor + mate + flag byte), rounded up to whole words.
+    /// allocated: 13 bytes per slot (state byte + segment) plus 9 bytes per
+    /// arena entry capacity (neighbor + mate + flag byte), rounded up to
+    /// whole words.
     fn memory_words(&self) -> usize {
-        match self {
-            Store::Map(m) => m.values().map(|sv| 2 + 4 * sv.entries.len()).sum(),
-            Store::Soa(s) => (s.state.len() + s.pos.len() * 12 + s.nbr.len() * 9).div_ceil(8),
-        }
+        (self.state.len() + self.pos.len() * 12 + self.nbr.len() * 9).div_ceil(8)
     }
 }
 
@@ -536,15 +363,10 @@ pub struct StorageMachine {
 
 impl StorageMachine {
     /// Creates the machine owning vertices `lo..hi`, with heavy threshold
-    /// `tau` (the alive-set capacity), in the default layout.
+    /// `tau` (the alive-set capacity).
     pub fn new(lo: V, hi: V, tau: usize) -> Self {
-        Self::with_layout(lo, hi, tau, Layout::default())
-    }
-
-    /// Creates the machine with an explicit state layout.
-    pub fn with_layout(lo: V, hi: V, tau: usize, layout: Layout) -> Self {
         StorageMachine {
-            verts: Store::new_range(layout, lo, hi),
+            verts: Store::new_range(lo, hi),
             last_seen: 0,
             tau,
             snap_buf: Vec::new(),
@@ -552,16 +374,16 @@ impl StorageMachine {
     }
 
     /// Fail-stop wipe (chaos plane): drops program state; `tau` is
-    /// construction-time configuration and survives (as does the layout).
+    /// construction-time configuration and survives.
     pub fn wipe(&mut self) {
-        self.verts.clear();
+        self.verts = Store::default();
         self.last_seen = 0;
         self.snap_buf = Vec::new();
     }
 
     /// Plain-text snapshot: sync point, then per-vertex heavy flag and
-    /// entries in stored (scan) order. Deterministic and bit-identical
-    /// across layouts: vertices emit in id order and entries positionally.
+    /// entries in stored (scan) order. Deterministic: vertices emit in id
+    /// order and entries positionally, so arena placement never shows.
     pub fn snapshot_text(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::from("storage v1\n");
@@ -670,7 +492,7 @@ impl StorageMachine {
                 self.repair(&hist);
                 Some(MatchMsg::ScanAdjReply {
                     z,
-                    entries: self.verts.entries_of(z),
+                    entries: self.verts.entries(self.verts.slot(z)),
                 })
             }
             MatchMsg::ScanHeavy { z, hist } => {
@@ -709,16 +531,6 @@ impl StorageMachine {
     /// Memory footprint in words.
     pub fn memory_words(&self) -> usize {
         2 + self.verts.memory_words() + self.snap_buf.len()
-    }
-}
-
-/// One repair pass over a plain entry list (map-layout vertices, suspended
-/// stacks).
-fn repair_entries(entries: &mut [(V, Ann)], repair: &Repair) {
-    for (nbr, ann) in entries {
-        if repair.may_change(*nbr, ann.mate) {
-            repair.replay(*nbr, ann);
-        }
     }
 }
 
@@ -821,7 +633,11 @@ impl OverflowMachine {
         let Some(repair) = Repair::new(hist, self.last_seen) else {
             return;
         };
-        repair_entries(&mut self.edges, &repair);
+        for (nbr, ann) in &mut self.edges {
+            if repair.may_change(*nbr, ann.mate) {
+                repair.replay(*nbr, ann);
+            }
+        }
         self.last_seen = repair.last_seq();
     }
 
@@ -903,6 +719,7 @@ impl OverflowMachine {
 
 #[cfg(test)]
 mod tests {
+    use super::super::msg::NO_MATE;
     use super::*;
     use dmpc_graph::Edge;
 
@@ -1021,62 +838,69 @@ mod tests {
         assert_eq!(o.assigned(), None);
     }
 
-    /// The two layouts agree on every storage operation and snapshot.
+    /// Snapshot text after each step of the storage protocol.
     #[test]
     fn layouts_agree_on_storage_protocol() {
-        let mk = |l: Layout| {
-            let mut m = StorageMachine::with_layout(0, 4, 2, l);
-            for (at, nbr) in [(0, 5), (0, 6), (1, 5), (2, 7), (0, 7)] {
-                m.handle(MatchMsg::AddEdge {
-                    at,
-                    nbr,
-                    ann: Ann::free(),
-                    hist: vec![],
-                });
-            }
-            m
-        };
-        let mut a = mk(Layout::Map);
-        let mut b = mk(Layout::Soa);
-        assert_eq!(a.snapshot_text(), b.snapshot_text());
-
-        // MakeHeavy splits positionally; moved-out entries must match.
-        for m in [&mut a, &mut b] {
-            let hist = vec![(1, HistEntry::MatchAdd(Edge::new(6, 0), true, true))];
-            m.handle(MatchMsg::Refresh(hist));
-        }
-        let ra = a.handle(MatchMsg::MakeHeavy {
-            v: 0,
-            mate: Some(6),
-            hist: vec![],
-        });
-        let rb = b.handle(MatchMsg::MakeHeavy {
-            v: 0,
-            mate: Some(6),
-            hist: vec![],
-        });
-        match (ra.unwrap(), rb.unwrap()) {
-            (MatchMsg::MovedOut { entries: ea, .. }, MatchMsg::MovedOut { entries: eb, .. }) => {
-                assert_eq!(ea, eb);
-                assert_eq!(ea.len(), 1);
-            }
-            _ => panic!(),
-        }
-        assert_eq!(a.snapshot_text(), b.snapshot_text());
-
-        // Order-preserving delete in the middle of a segment.
-        for m in [&mut a, &mut b] {
-            m.handle(MatchMsg::DelEdge {
-                at: 0,
-                nbr: 6,
+        let mut m = StorageMachine::new(0, 4, 2);
+        for (at, nbr) in [(0, 5), (0, 6), (1, 5), (2, 7), (0, 7)] {
+            m.handle(MatchMsg::AddEdge {
+                at,
+                nbr,
+                ann: Ann::free(),
                 hist: vec![],
             });
         }
-        assert_eq!(a.snapshot_text(), b.snapshot_text());
+        let free = NO_MATE;
+        assert_eq!(
+            m.snapshot_text(),
+            format!(
+                "storage v1\nseen 0\n\
+                 svert 0 0\nsedge 0 5 0 {free} 0\nsedge 0 6 0 {free} 0\nsedge 0 7 0 {free} 0\n\
+                 svert 1 0\nsedge 1 5 0 {free} 0\n\
+                 svert 2 0\nsedge 2 7 0 {free} 0\n\
+                 svert 3 0\n"
+            )
+        );
+
+        // MakeHeavy moves the mate edge to the front and splits
+        // positionally at tau = 2.
+        let hist = vec![(1, HistEntry::MatchAdd(Edge::new(6, 0), true, true))];
+        m.handle(MatchMsg::Refresh(hist));
+        match m.handle(MatchMsg::MakeHeavy {
+            v: 0,
+            mate: Some(6),
+            hist: vec![],
+        }) {
+            Some(MatchMsg::MovedOut { entries, .. }) => assert_eq!(entries, [(7, Ann::free())]),
+            _ => panic!(),
+        }
+        let rest = format!(
+            "svert 1 0\nsedge 1 5 0 {free} 0\n\
+             svert 2 0\nsedge 2 7 0 {free} 0\n\
+             svert 3 0\n"
+        );
+        assert_eq!(
+            m.snapshot_text(),
+            format!(
+                "storage v1\nseen 1\n\
+                 svert 0 1\nsedge 0 6 1 0 1\nsedge 0 5 0 {free} 0\n{rest}"
+            )
+        );
+
+        // Order-preserving delete at the front of a segment.
+        m.handle(MatchMsg::DelEdge {
+            at: 0,
+            nbr: 6,
+            hist: vec![],
+        });
+        let text = m.snapshot_text();
+        assert_eq!(
+            text,
+            format!("storage v1\nseen 1\nsvert 0 1\nsedge 0 5 0 {free} 0\n{rest}")
+        );
 
         // Round-trip through the snapshot codec.
-        let text = b.snapshot_text();
-        let mut c = StorageMachine::with_layout(0, 4, 2, Layout::Soa);
+        let mut c = StorageMachine::new(0, 4, 2);
         c.restore_text(&text);
         assert_eq!(c.snapshot_text(), text);
     }

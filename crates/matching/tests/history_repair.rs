@@ -18,7 +18,7 @@ use dmpc_matching::maximal::msg::{repair_entry, Ann, HistEntry, HistSlice, Match
 use dmpc_matching::maximal::storage::{OverflowMachine, StorageMachine, StoreVertex};
 use dmpc_matching::maximal::Layout;
 use dmpc_matching::DmpcMaximalMatching;
-use dmpc_mpc::{BatchMetrics, Layout as StateLayout};
+use dmpc_mpc::BatchMetrics;
 use proptest::prelude::*;
 
 /// Vertex universe of the differential test: small, so slices keep hitting
@@ -99,9 +99,9 @@ fn seen_after(hist: &HistSlice, last_seen: u64) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Both `Store` arms: `Refresh(slice)` leaves exactly the state the
-    /// kernel fold defines, including owned heavy flags and the sync point,
-    /// for stale prefixes and empty fresh suffixes alike.
+    /// `Refresh(slice)` leaves exactly the state the kernel fold defines,
+    /// including owned heavy flags and the sync point, for stale prefixes
+    /// and empty fresh suffixes alike.
     #[test]
     fn storage_repair_equals_kernel_fold(
         (verts, raw_hist, first_seq, stale) in (
@@ -117,16 +117,11 @@ proptest! {
         let hist = slice_from(&raw_hist, first_seq);
         // `stale` entries of the slice are already seen (possibly all).
         let last_seen = first_seq - 1 + stale.min(hist.len() as u64);
-        let mut want = StorageMachine::with_layout(LO, HI, 4, StateLayout::Map);
-        let mut got = [
-            StorageMachine::with_layout(LO, HI, 4, StateLayout::Map),
-            StorageMachine::with_layout(LO, HI, 4, StateLayout::Soa),
-        ];
+        let mut want = StorageMachine::new(LO, HI, 4);
+        let mut got = StorageMachine::new(LO, HI, 4);
         for (v, (heavy, raw)) in (LO..HI).zip(&verts) {
             let entries = entries_from(raw);
-            for m in &mut got {
-                m.load(v, StoreVertex { heavy: *heavy, entries: entries.clone() });
-            }
+            got.load(v, StoreVertex { heavy: *heavy, entries: entries.clone() });
             let mut heavy = *heavy;
             for &(seq, h) in &hist {
                 match h {
@@ -140,12 +135,10 @@ proptest! {
             want.load(v, StoreVertex { heavy, entries });
         }
         want.set_last_seen(seen_after(&hist, last_seen));
-        for m in &mut got {
-            m.set_last_seen(last_seen);
-            prop_assert!(m.handle(MatchMsg::Refresh(hist.clone())).is_none());
-            prop_assert_eq!(m.last_seen(), want.last_seen());
-            prop_assert_eq!(m.snapshot_text(), want.snapshot_text());
-        }
+        got.set_last_seen(last_seen);
+        prop_assert!(got.handle(MatchMsg::Refresh(hist)).is_none());
+        prop_assert_eq!(got.last_seen(), want.last_seen());
+        prop_assert_eq!(got.snapshot_text(), want.snapshot_text());
     }
 
     /// The overflow machine's suspended stack under the same oracle.
@@ -177,40 +170,37 @@ proptest! {
 #[test]
 fn repair_handles_far_vertices_and_no_mate() {
     let far: V = 1 << 20;
-    for layout in [StateLayout::Map, StateLayout::Soa] {
-        let mut m = StorageMachine::with_layout(0, 2, 4, layout);
-        let matched_far = Ann {
+    let mut m = StorageMachine::new(0, 2, 4);
+    let matched_far = Ann {
+        matched: true,
+        mate: far + 1,
+        mate_light: true,
+    };
+    m.load(
+        0,
+        StoreVertex {
+            heavy: false,
+            entries: vec![(far, matched_far), (5, Ann::free())],
+        },
+    );
+    m.handle(MatchMsg::Refresh(vec![
+        (1, HistEntry::Heavy(far + 1)),
+        (
+            2,
+            HistEntry::MatchAdd(Edge::new(5, NO_MATE - 1), true, false),
+        ),
+    ]));
+    let sv = m.vertex(0).unwrap();
+    assert!(!sv.entries[0].1.mate_light);
+    assert_eq!(
+        sv.entries[1].1,
+        Ann {
             matched: true,
-            mate: far + 1,
-            mate_light: true,
-        };
-        m.load(
-            0,
-            StoreVertex {
-                heavy: false,
-                entries: vec![(far, matched_far), (5, Ann::free())],
-            },
-        );
-        m.handle(MatchMsg::Refresh(vec![
-            (1, HistEntry::Heavy(far + 1)),
-            (
-                2,
-                HistEntry::MatchAdd(Edge::new(5, NO_MATE - 1), true, false),
-            ),
-        ]));
-        let sv = m.vertex(0).unwrap();
-        assert!(!sv.entries[0].1.mate_light, "{layout:?}");
-        assert_eq!(
-            sv.entries[1].1,
-            Ann {
-                matched: true,
-                mate: NO_MATE - 1,
-                mate_light: false
-            },
-            "{layout:?}"
-        );
-        assert_eq!(m.last_seen(), 2);
-    }
+            mate: NO_MATE - 1,
+            mate_light: false
+        }
+    );
+    assert_eq!(m.last_seen(), 2);
 }
 
 /// The sync table's text form: a machine synced at seq 0 has a `seen` line,

@@ -21,21 +21,18 @@
 use crate::chaos::{ChaosKind, ChaosPlan};
 use crate::machine::{Envelope, Machine, Payload as _, Scheduler};
 use crate::metrics::{BatchMetrics, RoundMetrics, UpdateMetrics, Violation};
-use crate::parallel::{step_scope, worker_task, Group, StepEnv, WorkerScratch};
+use crate::parallel::{worker_task, Group, StepEnv, WorkerScratch};
 use crate::pool::WorkerPool;
 use crate::MachineId;
 
-/// Which machine-stepping backend drives a round. All three are
-/// bit-identical in observable behaviour (machine states and metrics);
-/// they differ only in wall-clock cost.
+/// Which machine-stepping backend drives a round. Both are bit-identical in
+/// observable behaviour (machine states and metrics); they differ only in
+/// wall-clock cost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
     /// Step every active machine on the calling thread.
     #[default]
     Serial,
-    /// Legacy parallel backend: spawn scoped threads every round
-    /// (`std::thread::scope`). Kept for differential testing.
-    ScopeThreads,
     /// Persistent worker pool: threads are created once per cluster and
     /// reused across all rounds, updates and batches.
     WorkerPool,
@@ -49,7 +46,7 @@ pub enum Backend {
 pub struct ExecOptions {
     /// The stepping backend.
     pub backend: Backend,
-    /// Thread count for parallel backends (0 = available parallelism).
+    /// Worker count for the pool backend (0 = available parallelism).
     pub threads: usize,
     /// Record per-round detail in [`UpdateMetrics::per_round`].
     pub record_per_round: bool,
@@ -89,10 +86,10 @@ impl ExecOptions {
         }
     }
 
-    /// The given parallel backend with `threads` workers (0 = all cores).
-    pub fn parallel(backend: Backend, threads: usize) -> Self {
+    /// The worker-pool backend with `threads` workers (0 = all cores).
+    pub fn pool(threads: usize) -> Self {
         ExecOptions {
-            backend,
+            backend: Backend::WorkerPool,
             threads,
             ..Default::default()
         }
@@ -110,9 +107,9 @@ pub struct ClusterConfig {
     pub max_rounds_per_update: usize,
     /// Record per-(src,dst) flows for the entropy metric (small overhead).
     pub track_flows: bool,
-    /// Machine-stepping backend (bit-identical across all choices).
+    /// Machine-stepping backend (bit-identical across both choices).
     pub backend: Backend,
-    /// Thread count for parallel stepping (0 = available parallelism).
+    /// Worker count for the pool backend (0 = available parallelism).
     pub threads: usize,
     /// Record per-round detail in [`UpdateMetrics::per_round`]. Long churn
     /// streams that only need aggregates can switch this off; `rounds` and
@@ -218,7 +215,7 @@ pub struct Cluster<M: Machine> {
     workers: Vec<WorkerScratch<M::Msg>>,
     /// Persistent threads (only for [`Backend::WorkerPool`]).
     pool: Option<WorkerPool>,
-    /// Resolved worker-thread count for parallel backends.
+    /// Resolved worker count (1 for the serial backend).
     threads: usize,
 }
 
@@ -229,7 +226,7 @@ impl<M: Machine> Cluster<M> {
     pub fn new(machines: Vec<M>, cfg: ClusterConfig) -> Self {
         let threads = match cfg.backend {
             Backend::Serial => 1,
-            Backend::ScopeThreads | Backend::WorkerPool => {
+            Backend::WorkerPool => {
                 if cfg.threads == 0 {
                     std::thread::available_parallelism()
                         .map(|p| p.get())
@@ -239,8 +236,7 @@ impl<M: Machine> Cluster<M> {
                 }
             }
         };
-        let pool =
-            (cfg.backend == Backend::WorkerPool && threads > 1).then(|| WorkerPool::new(threads));
+        let pool = (threads > 1).then(|| WorkerPool::new(threads));
         let mut workers = Vec::new();
         workers.resize_with(threads.max(1), WorkerScratch::default);
         let touch_stamp = vec![0; machines.len()];
@@ -570,12 +566,7 @@ impl<M: Machine> Cluster<M> {
         rm.active_machines = self.groups.len();
 
         // Step the active machines over contiguous group chunks.
-        let used = match self.cfg.backend {
-            Backend::Serial => 1,
-            Backend::ScopeThreads | Backend::WorkerPool => {
-                self.threads.min(self.groups.len()).max(1)
-            }
-        };
+        let used = self.threads.min(self.groups.len()).max(1);
         let env = StepEnv {
             machines: self.machines.as_mut_ptr(),
             n_machines: self.machines.len(),
@@ -594,14 +585,8 @@ impl<M: Machine> Cluster<M> {
             // Fast lane for serial stepping (also covers 1-thread pools).
             unsafe { worker_task(&env, 0) };
         } else {
-            match self.cfg.backend {
-                Backend::Serial => unreachable!("serial uses one worker"),
-                Backend::ScopeThreads => step_scope(&env, used),
-                Backend::WorkerPool => {
-                    let pool = self.pool.as_mut().expect("pool exists when threads > 1");
-                    pool.execute(used, &|t| unsafe { worker_task(&env, t) });
-                }
-            }
+            let pool = self.pool.as_mut().expect("pool exists when threads > 1");
+            pool.execute(used, &|t| unsafe { worker_task(&env, t) });
         }
 
         // Merge per-worker outputs in worker order (= ascending machine

@@ -16,12 +16,12 @@
 //!   [`Cluster::run_batch`] seeds a whole batch of external envelopes in
 //!   round 0 and meters the combined quiescence run as one
 //!   [`metrics::BatchMetrics`] with per-update amortized costs.
-//! * Parallel stepping backends — the legacy scoped-thread backend
-//!   ([`cluster::Backend::ScopeThreads`]) and a persistent worker pool
-//!   ([`pool::WorkerPool`], selected via [`cluster::Backend::WorkerPool`])
-//!   whose threads live as long as the cluster. Both are bit-identical to
-//!   the serial backend (verified by property tests), so large simulations
-//!   use all host cores without changing observable behaviour.
+//! * Two stepping backends — serial ([`cluster::Backend::Serial`], the
+//!   reference) and a persistent worker pool ([`pool::WorkerPool`],
+//!   selected via [`cluster::Backend::WorkerPool`]) whose threads live as
+//!   long as the cluster. The pool is bit-identical to the serial backend
+//!   (verified by property tests), so large simulations use all host cores
+//!   without changing observable behaviour.
 //!
 //! The round executor's hot path is allocation-free in steady state: one
 //! stable counting sort groups each round's messages into contiguous
@@ -79,7 +79,7 @@ pub mod pool;
 pub use chaos::{pack_text, unpack_text, ChaosCaps, ChaosEvent, ChaosKind, ChaosPlan, SnapCourier};
 pub use clock::{LatencyStats, SimClock};
 pub use cluster::{Backend, Cluster, ClusterConfig, ExecOptions};
-pub use machine::{Envelope, Layout, Machine, Outbox, Payload, RoundCtx, Scheduler};
+pub use machine::{Envelope, Machine, Outbox, Payload, RoundCtx, Scheduler};
 pub use metrics::{
     entropy_bits, loglog_slope, AggregateMetrics, BatchMetrics, QueryMetrics, RecoveryMetrics,
     RoundMetrics, UpdateMetrics, Violation,

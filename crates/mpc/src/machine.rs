@@ -2,31 +2,13 @@
 
 use crate::MachineId;
 
-/// How a machine program stores its per-vertex shard state.
-///
-/// Both layouts run the identical protocol and produce bit-identical
-/// snapshots, digests and metrics (pinned by layout-differential property
-/// tests, like the PR 3 backend trio and the PR 4 routing pair); they differ
-/// only in memory representation and wall-clock speed. The map layout is the
-/// clarity-first original (per-vertex `BTreeMap`s); the SoA layout packs the
-/// shard into arena-backed structure-of-arrays slices keyed by dense local
-/// slot ids (see `docs/ARCHITECTURE.md`, "Compact machine state").
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Layout {
-    /// Per-vertex map containers (legacy, kept for differential testing).
-    Map,
-    /// Arena-backed structure-of-arrays slices (default).
-    #[default]
-    Soa,
-}
-
 /// How a batch pipeline schedules the structural items left over after
 /// classification.
 ///
 /// Both schedulers run the identical per-item protocol and produce
 /// bit-identical final states, digests, query answers and audits (pinned by
-/// scheduler-differential property tests, like the backend trio, the routing
-/// pair and the layout pair); they differ only in how many structural
+/// scheduler-differential property tests, like the backend pair and the
+/// routing pair); they differ only in how many structural
 /// protocol lanes are in flight at once, and therefore in rounds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Scheduler {

@@ -5,13 +5,13 @@
 //! active machine's inbox is one contiguous slice of the delivered buffer;
 //! this module turns those slices into `on_messages` calls.
 //!
-//! All three backends — serial, legacy scoped threads, persistent worker
-//! pool — run the *same* `worker_task` over contiguous chunks of the
-//! group list, writing into per-worker scratch (`WorkerScratch`) whose
-//! buffers the cluster owns and reuses across rounds. Because chunks cover
-//! disjoint machine-index ranges and disjoint delivered ranges, and outputs
-//! are merged in worker order, every backend produces bit-identical
-//! metrics and machine states — a property the test suite checks directly.
+//! Both backends — serial and the persistent worker pool — run the *same*
+//! `worker_task` over contiguous chunks of the group list, writing into
+//! per-worker scratch (`WorkerScratch`) whose buffers the cluster owns and
+//! reuses across rounds. Because chunks cover disjoint machine-index ranges
+//! and disjoint delivered ranges, and outputs are merged in worker order,
+//! both backends produce bit-identical metrics and machine states — a
+//! property the test suite checks directly.
 
 use crate::machine::{Envelope, Machine, Outbox, RoundCtx};
 use crate::MachineId;
@@ -121,21 +121,11 @@ pub(crate) unsafe fn worker_task<M: Machine>(env: &StepEnv<'_, M>, t: usize) {
     }
 }
 
-/// Legacy parallel backend: spawn `used` scoped threads for this round and
-/// join them. Same task, same output discipline as the pool — kept for
-/// differential testing and as the zero-persistent-state option.
-pub(crate) fn step_scope<M: Machine>(env: &StepEnv<'_, M>, used: usize) {
-    std::thread::scope(|scope| {
-        for t in 0..used {
-            scope.spawn(move || unsafe { worker_task(env, t) });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::Payload;
+    use crate::pool::WorkerPool;
 
     #[derive(Clone, Debug)]
     struct Echo(u64);
@@ -203,7 +193,7 @@ mod tests {
         if used == 1 {
             unsafe { worker_task(&env, 0) };
         } else {
-            step_scope(&env, used);
+            WorkerPool::new(used).execute(used, &|t| unsafe { worker_task(&env, t) });
         }
         let outs: Vec<(MachineId, u64)> = workers
             .iter()
@@ -212,6 +202,8 @@ mod tests {
         (machines.iter().map(|m| m.total).collect(), outs)
     }
 
+    /// The same round chunked over 2/3/8/64 pool workers leaves the machine
+    /// states and the worker-ordered outputs of a single worker.
     #[test]
     fn scope_matches_serial() {
         let serial = run(1);

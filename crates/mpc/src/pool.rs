@@ -1,11 +1,10 @@
 //! A persistent worker pool for round execution.
 //!
-//! The legacy parallel backend ([`crate::Backend::ScopeThreads`]) paid a
-//! full `std::thread::scope` spawn/join cycle — tens of microseconds per
-//! thread — *every round*, which dwarfs the round itself on small
-//! simulations. The pool spawns its threads once (per [`crate::Cluster`])
-//! and reuses them for every round of every update and batch; dispatching a
-//! round is one mutex/condvar handshake instead of N thread spawns.
+//! Spawning threads per round costs a full spawn/join cycle — tens of
+//! microseconds per thread — *every round*, which dwarfs the round itself
+//! on small simulations. The pool spawns its threads once (per
+//! [`crate::Cluster`]) and reuses them for every round of every update and
+//! batch; dispatching a round is one mutex/condvar handshake.
 //!
 //! # Protocol
 //!
@@ -16,9 +15,8 @@
 //! the last one signals the driver, which blocks until the count reaches
 //! zero **before returning** — that blocking is what makes lending
 //! non-`'static` stack data to the workers sound. Worker panics are caught,
-//! recorded, and re-raised on the driver thread (mirroring the
-//! scope-backend behaviour), so a poisoned round can never leave the driver
-//! waiting forever.
+//! recorded, and re-raised on the driver thread, so a poisoned round can
+//! never leave the driver waiting forever.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};

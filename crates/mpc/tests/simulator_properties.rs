@@ -70,20 +70,18 @@ fn run(backend: Backend, tokens: &[(u8, u8)], machines: usize) -> (Vec<u64>, Vec
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every parallel backend is bit-identical to the serial one: same final
+    /// The worker pool is bit-identical to the serial reference: same final
     /// machine states, same per-update communication totals.
     #[test]
     fn parallel_equals_serial(tokens in proptest::collection::vec((any::<u8>(), 0u8..20), 1..24)) {
         let serial = run(Backend::Serial, &tokens, 12);
-        for backend in [Backend::ScopeThreads, Backend::WorkerPool] {
-            let parallel = run(backend, &tokens, 12);
-            prop_assert_eq!(&serial, &parallel);
-        }
+        let parallel = run(Backend::WorkerPool, &tokens, 12);
+        prop_assert_eq!(&serial, &parallel);
     }
 
-    /// Batched injection is backend-independent: on randomized batches both
-    /// parallel backends produce bit-identical `BatchMetrics` (and machine
-    /// states) to the serial one.
+    /// Batched injection is backend-independent: on randomized batches the
+    /// worker pool produces bit-identical `BatchMetrics` (and machine
+    /// states) to the serial reference.
     #[test]
     fn batch_metrics_parallel_equals_serial(
         batches in proptest::collection::vec(
@@ -120,11 +118,9 @@ proptest! {
             (states, per_batch)
         };
         let serial = run_batches(Backend::Serial);
-        for backend in [Backend::ScopeThreads, Backend::WorkerPool] {
-            let parallel = run_batches(backend);
-            prop_assert_eq!(&serial.0, &parallel.0);
-            prop_assert_eq!(&serial.1, &parallel.1);
-        }
+        let parallel = run_batches(Backend::WorkerPool);
+        prop_assert_eq!(&serial.0, &parallel.0);
+        prop_assert_eq!(&serial.1, &parallel.1);
         // Sanity: the amortization denominator is the injected batch size.
         for (bm, batch) in serial.1.iter().zip(&batches) {
             prop_assert_eq!(bm.updates, batch.len());
