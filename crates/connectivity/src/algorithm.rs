@@ -6,13 +6,13 @@ use crate::messages::{BatchItem, ConnMsg};
 use crate::preprocess;
 use crate::shard::MAX_VERTICES;
 use dmpc_core::{
-    digest_snapshots, DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm, QueryableAlgorithm,
+    DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm, QueryableAlgorithm,
     WeightedDynamicGraphAlgorithm,
 };
 use dmpc_eulertour::indexed::CompId;
 use dmpc_graph::streams::coalesce;
 use dmpc_graph::{Edge, Query, QueryAnswer, Update, Weight, V};
-use dmpc_mpc::chaos::ChaosKind;
+use dmpc_mpc::chaos::{ChaosKind, Fnv1a};
 use dmpc_mpc::{
     BatchMetrics, Cluster, ClusterConfig, ExecOptions, MachineId, QueryMetrics, Scheduler,
     UpdateMetrics,
@@ -101,12 +101,17 @@ impl ConnDriver {
     /// round-limit guard (its `Violation::RoundLimit` is the authoritative
     /// error signal) can leave batch bookkeeping behind — controller state
     /// on machine 0, and a pending-search flag on whichever machine was the
-    /// cut rendezvous. Drop it everywhere so later runs neither meter
-    /// phantom memory nor emit spurious batch completion signals.
+    /// cut rendezvous. Drop it so later runs neither meter phantom memory
+    /// nor emit spurious batch completion signals.
+    ///
+    /// Only the machines the previous run stepped are swept: transient
+    /// state is written nowhere but inside `on_messages` (and reset by
+    /// `wipe`/`restore_text`), and every `run_update` of this driver is
+    /// preceded by this call, so a machine outside [`Cluster::touched`] is
+    /// still as clean as the previous sweep left it.
     fn clear_stale_batch_state(&mut self) {
-        for m in 0..self.cluster.n_machines() {
-            self.cluster.machine_mut(m as MachineId).clear_stale_batch();
-        }
+        self.cluster
+            .for_each_touched_mut(ConnMachine::clear_stale_batch);
     }
 
     /// Runs one pre-coalesced batch chunk through the two-phase batch
@@ -149,27 +154,27 @@ impl ConnDriver {
         // locally ("writes pause, reads degrade"); the rest rendezvous on
         // live machines and stay exact, because component labels at live
         // owners are current (writes are paused while any machine is down).
-        let alive: Vec<MachineId> = (0..n_machines)
-            .filter(|&m| self.cluster.is_alive(m))
-            .collect();
-        let outage = alive.len() < n_machines as usize;
-        let owner_dead = |d: &Self, v: V| !d.cluster.is_alive(d.owner(v));
+        // `outage` holds the live machines, and exists only during one: the
+        // failure-free wave allocates nothing but `wave` and `got`.
+        let outage: Option<Vec<MachineId>> = (!self.cluster.all_alive()).then(|| {
+            (0..n_machines)
+                .filter(|&m| self.cluster.is_alive(m))
+                .collect()
+        });
+        let owner_dead = |v: V| outage.is_some() && !self.cluster.is_alive(self.owner(v));
         let mut wave: Vec<(MachineId, ConnMsg)> = Vec::with_capacity(2 * chunk.len());
         // Answers resolvable without any machine involvement (degenerate or
         // unsupported queries) are zero-round, zero-cost by definition.
         let mut got: Vec<(u32, QueryAnswer)> = Vec::new();
         for (i, &q) in chunk.iter().enumerate() {
             let qid = i as u32;
-            let rendezvous = if outage {
-                alive[qid as usize % alive.len()]
-            } else {
-                qid % n_machines
+            let rendezvous = match &outage {
+                Some(alive) => alive[qid as usize % alive.len()],
+                None => qid % n_machines,
             };
             match q {
                 Query::Connected(a, b) if a == b => got.push((qid, QueryAnswer::Bool(true))),
-                Query::Connected(a, b)
-                    if outage && (owner_dead(self, a) || owner_dead(self, b)) =>
-                {
+                Query::Connected(a, b) if owner_dead(a) || owner_dead(b) => {
                     got.push((qid, QueryAnswer::Degraded));
                 }
                 Query::Connected(a, b) => {
@@ -185,7 +190,7 @@ impl ConnDriver {
                         ));
                     }
                 }
-                Query::ComponentOf(v) if outage && owner_dead(self, v) => {
+                Query::ComponentOf(v) if owner_dead(v) => {
                     got.push((qid, QueryAnswer::Degraded));
                 }
                 Query::ComponentOf(v) => wave.push((
@@ -203,7 +208,9 @@ impl ConnDriver {
                 // Path-max traversals fan out across a component's whole
                 // owner set; any dead machine may hold on-path state, so the
                 // answer is conservatively degraded during an outage.
-                Query::PathMax(_, _) if outage => got.push((qid, QueryAnswer::Degraded)),
+                Query::PathMax(_, _) if outage.is_some() => {
+                    got.push((qid, QueryAnswer::Degraded));
+                }
                 Query::PathMax(u, v) => wave.push((
                     self.owner(u),
                     ConnMsg::QPathStart {
@@ -220,9 +227,11 @@ impl ConnDriver {
         }
         self.cluster.inject_batch(wave);
         let m = self.cluster.run_update();
-        for mid in 0..self.cluster.n_machines() {
-            got.extend(self.cluster.machine_mut(mid as MachineId).take_answers());
-        }
+        // Answers are stashed inside `on_messages`, so only stepped
+        // machines can hold any; the count assertion below still catches a
+        // missing or duplicated one.
+        self.cluster
+            .for_each_touched_mut(|m| got.extend(m.take_answers()));
         got.sort_unstable_by_key(|&(qid, _)| qid);
         assert_eq!(got.len(), chunk.len(), "query answers missing/duplicated");
         debug_assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
@@ -375,6 +384,20 @@ impl ConnDriver {
         self.cluster.round_limit()
     }
 
+    /// Test hook: overrides the executor's quiescence cap, so a test can
+    /// abort a run on the round-limit guard at a chosen round.
+    #[doc(hidden)]
+    pub fn set_round_limit(&mut self, limit: usize) {
+        self.cluster.set_round_limit(limit);
+    }
+
+    /// Test hook: the machines the most recent run stepped (see
+    /// `Cluster::touched`).
+    #[doc(hidden)]
+    pub fn touched(&self) -> &[MachineId] {
+        self.cluster.touched()
+    }
+
     /// Arms a mid-flight chaos event on the underlying cluster.
     pub fn arm_in_round(&mut self, at_round: u32, kind: ChaosKind) {
         self.cluster.arm_in_round(at_round, kind);
@@ -407,8 +430,17 @@ impl ConnDriver {
             );
         }
         lines.sort_unstable();
-        let text = lines.join("\n");
-        digest_snapshots([text.as_str()])
+        // FNV-1a of the lines joined by '\n' — what `digest_snapshots`
+        // makes of a single text — folded in line by line: the joined text
+        // would be a second copy of the state (12.5 MB at n = 2^16).
+        let mut h = Fnv1a::new();
+        for (i, line) in lines.iter().enumerate() {
+            if i > 0 {
+                h.write(b"\n");
+            }
+            h.write(line.as_bytes());
+        }
+        h.finish()
     }
 
     /// The model parameters.

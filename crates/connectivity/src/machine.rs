@@ -508,6 +508,19 @@ impl ConnMachine {
         self.last_conflict = None;
     }
 
+    /// True when nothing [`ConnMachine::clear_stale_batch`] would drop is
+    /// present (test hook for the driver's touched-set sweep).
+    #[doc(hidden)]
+    pub fn transient_is_empty(&self) -> bool {
+        self.batch.is_none()
+            && self.pending_cuts.is_empty()
+            && self.pending_fetches.is_empty()
+            && self.pending_mst.is_none()
+            && self.pending_queries.is_empty()
+            && self.answers.is_empty()
+            && self.last_conflict.is_none()
+    }
+
     /// Drains the query answers stashed at this rendezvous (driver-side
     /// result extraction after a wave quiesces — not part of the model).
     pub fn take_answers(&mut self) -> Vec<(u32, QueryAnswer)> {

@@ -1,0 +1,286 @@
+//! The driver sweeps transient protocol state (`clear_stale_batch`) and
+//! drains query answers only on the machines the previous run stepped, not
+//! on all `P`. That rests on a superset argument: transient state is written
+//! nowhere but inside `on_messages`, so a machine outside the touched set
+//! cannot hold any. These tests check the argument instead of assuming it:
+//!
+//! * an aborted run (round-limit guard, mid-flight kill) leaves stale state
+//!   behind, and the calls that follow it are indistinguishable — digest,
+//!   answers, every metric — from the same calls on an instance that never
+//!   aborted;
+//! * what an aborted run strands sits on machines it stepped, and after
+//!   every *clean* run of a churn/chaos stream (batches, per-op updates,
+//!   query waves, migrations, kill/revive) every machine, inside the
+//!   touched set or out of it, reports empty transient state.
+
+use dmpc_connectivity::{DmpcConnectivity, DmpcMst, Routing};
+use dmpc_core::{
+    DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm, QueryableAlgorithm,
+    WeightedDynamicGraphAlgorithm,
+};
+use dmpc_graph::{streams, Query, Update, WeightedUpdate, V};
+use dmpc_mpc::{ChaosKind, ExecOptions, MachineId};
+
+fn conn_with(n: usize, p: usize) -> DmpcConnectivity {
+    let params = DmpcParams::new(n, 4 * n);
+    DmpcConnectivity::with_cluster(params, ExecOptions::default(), Routing::Multicast, p)
+}
+
+/// Machines holding transient state right now.
+fn dirty(alg: &DmpcConnectivity) -> Vec<MachineId> {
+    alg.driver()
+        .machines()
+        .enumerate()
+        .filter(|(_, m)| !m.transient_is_empty())
+        .map(|(i, _)| i as MachineId)
+        .collect()
+}
+
+/// The superset argument: whatever is dirty was stepped by the last run.
+fn assert_dirty_within_touched(alg: &DmpcConnectivity, what: &str) {
+    let touched = alg.driver().touched();
+    for m in dirty(alg) {
+        assert!(
+            touched.contains(&m),
+            "{what}: machine {m} holds transient state but the run never stepped it \
+             (touched = {touched:?})"
+        );
+    }
+}
+
+fn assert_all_clean(alg: &DmpcConnectivity, what: &str) {
+    assert_eq!(dirty(alg), Vec::<MachineId>::new(), "{what}");
+}
+
+/// A fixed read mix over `n` vertices: connected pairs, component probes,
+/// one degenerate pair.
+fn reads(n: usize, salt: usize) -> Vec<Query> {
+    let v = |i: usize| ((i * 7 + salt) % n) as V;
+    (0..12)
+        .map(|i| match i % 3 {
+            0 => Query::Connected(v(i), v(i + 5)),
+            1 => Query::ComponentOf(v(i)),
+            _ => Query::Connected(v(i), v(i)),
+        })
+        .collect()
+}
+
+/// Runs the continuation both instances must agree on — a query wave
+/// *first* (nothing in a wave resets batch state machine-side, so only the
+/// driver's sweep can have cleaned up), then a batch, then another wave —
+/// asserting equality of everything observable after each call.
+fn assert_same_continuation(
+    alg: &mut DmpcConnectivity,
+    twin: &mut DmpcConnectivity,
+    n: usize,
+    batch: &[Update],
+) {
+    for step in 0..3 {
+        if step == 1 {
+            let (a, b) = (alg.apply_batch(batch), twin.apply_batch(batch));
+            assert!(b.clean(), "twin batch: {:?}", b.violations);
+            assert_eq!(a, b, "batch metrics diverged after the abort");
+        } else {
+            let qs = reads(n, step);
+            let (a, b) = (alg.answer_queries(&qs), twin.answer_queries(&qs));
+            assert_eq!(b.1.violations, 0);
+            assert_eq!(
+                a, b,
+                "wave {step}: answers/metrics diverged after the abort"
+            );
+        }
+        assert_all_clean(
+            alg,
+            "a clean call after the abort must leave nothing behind",
+        );
+        assert_eq!(alg.state_digest(), twin.state_digest(), "step {step}");
+    }
+    alg.driver().audit().unwrap();
+    alg.driver().audit_directory().unwrap();
+}
+
+/// (a) A batch cut short by the round-limit guard after its first round:
+/// the controller has opened the batch and fanned out classification, no
+/// owner has acted yet. Machine 0 is left holding the batch; the next call
+/// is a query wave, and after it nothing may remain.
+#[test]
+fn round_limit_abort_then_clean_calls_match_a_never_aborted_instance() {
+    let n = 96;
+    let p = 8;
+    let batches = streams::chaos_churn_batches(n, 6, 5, 160, 12, 7);
+    let (prefix, rest) = batches.split_at(batches.len() / 2);
+    let mut alg = conn_with(n, p);
+    let mut twin = conn_with(n, p);
+    for b in prefix {
+        assert!(alg.apply_batch(b).clean());
+        assert!(twin.apply_batch(b).clean());
+    }
+    let before = alg.state_digest();
+
+    let limit = alg.driver().round_limit();
+    alg.driver_mut().set_round_limit(1);
+    let aborted = alg.apply_batch(&rest[0]);
+    alg.driver_mut().set_round_limit(limit);
+    // One chunk, so one run: its only violation is the guard's.
+    assert_eq!(aborted.violations, 1, "the round-limit guard must fire");
+    assert_eq!(aborted.rounds, 1);
+    // Non-vacuous: the abort really left state behind, and only where the
+    // run stepped; the logical state is untouched.
+    assert_eq!(dirty(&alg), vec![0], "the controller holds the open batch");
+    assert_dirty_within_touched(&alg, "round-limit abort");
+    assert_eq!(alg.state_digest(), before);
+
+    assert_same_continuation(&mut alg, &mut twin, n, &rest[0]);
+    for b in &rest[1..] {
+        assert_eq!(alg.apply_batch(b), twin.apply_batch(b));
+    }
+    assert_eq!(alg.state_digest(), twin.state_digest());
+}
+
+/// (b) A write window aborted by a mid-flight kill, recovered the way the
+/// chaos harnesses do it (survivors roll back to the pre-window frontier,
+/// the victim is rebuilt through the metered handoff), then continued.
+#[test]
+fn midflight_kill_abort_then_clean_calls_match_a_never_aborted_instance() {
+    let n = 96;
+    let p = 8;
+    let batches = streams::chaos_churn_batches(n, 6, 5, 160, 12, 19);
+    let (prefix, rest) = batches.split_at(batches.len() / 2);
+    let (mut fired, mut lossy, mut left_dirty) = (0, 0, 0);
+    let cases = (0..p as MachineId).flat_map(|victim| (2..=4u32).map(move |r| (victim, r)));
+    for (victim, kill_round) in cases {
+        let mut alg = conn_with(n, p);
+        let mut twin = conn_with(n, p);
+        for b in prefix {
+            assert!(alg.apply_batch(b).clean());
+            assert!(twin.apply_batch(b).clean());
+        }
+        let frontier: Vec<String> = (0..p as MachineId)
+            .map(|m| alg.snapshot_machine(m))
+            .collect();
+
+        alg.arm_in_round(kill_round, ChaosKind::Kill(victim));
+        let aborted = alg.apply_batch(&rest[0]);
+        if alg.is_alive(victim) {
+            // The window quiesced before the kill's round: fenced, clean.
+            assert!(aborted.clean());
+            assert_eq!(aborted, twin.apply_batch(&rest[0]));
+            continue;
+        }
+        fired += 1;
+        // A kill can fire without costing the window a message (nothing
+        // was addressed to the victim afterwards); the rollback is the same.
+        lossy += usize::from(!aborted.clean());
+        left_dirty += usize::from(!dirty(&alg).is_empty());
+        assert_dirty_within_touched(&alg, "mid-flight abort");
+
+        alg.kill(victim);
+        for m in (0..p as MachineId).filter(|&m| m != victim) {
+            alg.restore_machine(m, &frontier[m as usize]);
+        }
+        let rebuilt = alg.revive(victim, &frontier[victim as usize]);
+        assert!(rebuilt.clean(), "handoff: {:?}", rebuilt.violations);
+        assert_all_clean(&alg, "after rollback + revive");
+        assert_eq!(alg.state_digest(), twin.state_digest());
+
+        assert_same_continuation(&mut alg, &mut twin, n, &rest[0]);
+    }
+    // Non-vacuous: kills fired, some cost the window messages, and some
+    // stranded transient state on the survivors.
+    assert!(
+        fired >= 8 && lossy >= 4 && left_dirty >= 4,
+        "fired={fired}, lossy={lossy}, left_dirty={left_dirty}"
+    );
+}
+
+/// After every run of a churn stream with the whole chaos repertoire —
+/// batches, per-op updates, query waves, split/merge migrations, boundary
+/// kill with degraded reads, revive — no machine, stepped or not, holds
+/// transient state: clean runs leave none at all.
+#[test]
+fn transient_state_never_outlives_a_run_nor_leaves_the_touched_set() {
+    let n = 80;
+    let p = 8;
+    for seed in [3u64, 11, 29] {
+        let batches = streams::chaos_churn_batches(n, 6, 5, 200, 10, seed);
+        let mut alg = conn_with(n, p);
+        // Every run here is clean, so "nothing dirty outside the touched
+        // set" is checked in its strongest form: nothing dirty anywhere.
+        let check = assert_all_clean;
+        for (i, b) in batches.iter().enumerate() {
+            if i % 4 == 3 {
+                // Per-op path.
+                for &u in b {
+                    let m = match u {
+                        Update::Insert(e) => alg.insert(e),
+                        Update::Delete(e) => alg.delete(e),
+                    };
+                    assert!(m.clean());
+                    check(&alg, "per-op update");
+                }
+            } else {
+                assert!(alg.apply_batch(b).clean());
+                check(&alg, "batch");
+            }
+            let (_, qm) = alg.answer_queries(&reads(n, i));
+            assert_eq!(qm.violations, 0);
+            check(&alg, "query wave");
+
+            let m = (i % p) as MachineId;
+            match i % 5 {
+                1 => {
+                    if let Some(um) = alg.split(m) {
+                        assert!(um.clean());
+                        check(&alg, "split");
+                    }
+                }
+                2 => {
+                    if let Some(um) = alg.merge(m) {
+                        assert!(um.clean());
+                        check(&alg, "merge");
+                    }
+                }
+                4 => {
+                    let snap = alg.snapshot_machine(m);
+                    alg.kill(m);
+                    let (_, qm) = alg.answer_queries(&reads(n, i + 1));
+                    assert_eq!(qm.violations, 0, "degraded waves route around the outage");
+                    check(&alg, "degraded wave");
+                    assert!(alg.revive(m, &snap).clean());
+                    check(&alg, "revive");
+                }
+                _ => {}
+            }
+        }
+        alg.driver().audit().unwrap();
+        alg.driver().audit_directory().unwrap();
+    }
+}
+
+/// The same invariant on the MST driver (per-update runs, `PathMax` waves,
+/// the `pending_mst` slot).
+#[test]
+fn mst_transient_state_stays_within_the_touched_set() {
+    let n = 48;
+    let mut alg = DmpcMst::new(DmpcParams::new(n, 4 * n), 0.1);
+    let ups = streams::clustered_churn_stream(n, 4, 5, 120, 0.6, 13);
+    for (i, wu) in streams::with_weights(&ups, 64, 5).into_iter().enumerate() {
+        let m = match wu {
+            WeightedUpdate::Insert(e, w) => alg.insert(e, w),
+            WeightedUpdate::Delete(e) => alg.delete(e),
+        };
+        assert!(m.clean());
+        if i % 8 == 0 {
+            let v = |j: usize| ((i + 5 * j) % n) as V;
+            let qs = [Query::PathMax(v(0), v(1)), Query::Connected(v(2), v(3))];
+            assert_eq!(alg.answer_queries(&qs).1.violations, 0);
+        }
+        let touched = alg.driver().touched();
+        for (mid, machine) in alg.driver().machines().enumerate() {
+            assert!(
+                machine.transient_is_empty(),
+                "update {i}: machine {mid} dirty (touched = {touched:?})"
+            );
+        }
+    }
+}

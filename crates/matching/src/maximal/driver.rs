@@ -327,25 +327,25 @@ impl DmpcMaximalMatching {
         }
         self.cluster.inject_batch(wave);
         let m = self.cluster.run_update();
-        for mid in 0..self.cluster.n_machines() {
-            match self.cluster.machine_mut(mid as MachineId) {
-                Role::Coord(c) => {
-                    got.extend(
-                        c.take_answers()
-                            .into_iter()
-                            .map(|(qid, n)| (qid, QueryAnswer::Count(n))),
-                    );
-                }
-                Role::Stats(s) => {
-                    got.extend(
-                        s.take_answers()
-                            .into_iter()
-                            .map(|(qid, b)| (qid, QueryAnswer::Bool(b))),
-                    );
-                }
-                Role::Storage(_) | Role::Overflow(_) => {}
+        // Answers are stashed inside `on_messages`, so only the machines
+        // this wave stepped can hold any.
+        self.cluster.for_each_touched_mut(|role| match role {
+            Role::Coord(c) => {
+                got.extend(
+                    c.take_answers()
+                        .into_iter()
+                        .map(|(qid, n)| (qid, QueryAnswer::Count(n))),
+                );
             }
-        }
+            Role::Stats(s) => {
+                got.extend(
+                    s.take_answers()
+                        .into_iter()
+                        .map(|(qid, b)| (qid, QueryAnswer::Bool(b))),
+                );
+            }
+            Role::Storage(_) | Role::Overflow(_) => {}
+        });
         got.sort_unstable_by_key(|&(qid, _)| qid);
         assert_eq!(got.len(), chunk.len(), "query answers missing/duplicated");
         (got.into_iter().map(|(_, a)| a).collect(), m)

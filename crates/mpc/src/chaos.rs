@@ -361,12 +361,43 @@ pub fn unpack_text(words: &[u64]) -> String {
 /// FNV-1a over bytes: the digest used for bit-identical state comparisons
 /// (chaos runs vs failure-free replays).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Streaming form of [`fnv1a`]: feeding a byte string in any number of
+/// pieces gives exactly `fnv1a` of their concatenation, so a digest over a
+/// large text never needs the text in one buffer.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The empty-input state.
+    pub fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Folds `bytes` in.
+    pub fn write(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.0 = h;
+    }
+
+    /// The digest of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Sender-side state of one budgeted stop-and-wait state transfer: at most
@@ -435,6 +466,18 @@ mod tests {
         ] {
             assert_eq!(unpack_text(&pack_text(text)), text);
         }
+    }
+
+    #[test]
+    fn streamed_fnv1a_equals_one_shot_at_every_split() {
+        let text = b"vert 0 0 1\nadj 0 1 t 2 3 4\nvert 1 0 1";
+        for cut in 0..=text.len() {
+            let mut h = Fnv1a::new();
+            h.write(&text[..cut]);
+            h.write(&text[cut..]);
+            assert_eq!(h.finish(), fnv1a(text));
+        }
+        assert_eq!(Fnv1a::new().finish(), fnv1a(b""));
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //!
 //! # Hot-path design
 //!
-//! Routing a round is a single stable linear-time sort of the pending
-//! envelope buffer into `(to, from, injection order)` order, after which
+//! Routing a round is a single stable sort of the pending envelope buffer
+//! into `(to, from, injection order)` order — linear-time counting sorts,
+//! or an in-place insertion sort when the round carries a handful of
+//! messages, so a sparse round costs nothing per machine — after which
 //! every active machine's inbox is one contiguous slice — no per-round
 //! hash maps, no per-receiver vectors, no per-group comparison sort. All
 //! scratch (the pending/delivered double buffer, the counting-sort
@@ -194,6 +196,10 @@ pub struct Cluster<M: Machine> {
     touch_stamp: Vec<u64>,
     /// Current update's epoch (bumped by every `run_update`).
     update_epoch: u64,
+    /// Ids of the machines stamped in the current epoch, in first-step
+    /// order: `touched.len()` is the run's `machines_touched`. Allocated
+    /// once at machine-count capacity, cleared (never shrunk) per run.
+    touched: Vec<MachineId>,
     /// Liveness flags for the chaos plane (`true` = accepting messages).
     alive: Vec<bool>,
     /// Count of dead machines — the steady-state fast path is one integer
@@ -240,6 +246,7 @@ impl<M: Machine> Cluster<M> {
         let mut workers = Vec::new();
         workers.resize_with(threads.max(1), WorkerScratch::default);
         let touch_stamp = vec![0; machines.len()];
+        let touched = Vec::with_capacity(machines.len());
         let lost_stamp = vec![0; machines.len()];
         let alive = vec![true; machines.len()];
         Cluster {
@@ -253,6 +260,7 @@ impl<M: Machine> Cluster<M> {
             groups: Vec::new(),
             touch_stamp,
             update_epoch: 0,
+            touched,
             alive,
             dead_count: 0,
             armed: Vec::new(),
@@ -288,6 +296,22 @@ impl<M: Machine> Cluster<M> {
     /// Iterate over all machines.
     pub fn machines(&self) -> impl Iterator<Item = &M> {
         self.machines.iter()
+    }
+
+    /// The distinct machines stepped by the most recent quiescence run, in
+    /// first-step order (`touched().len()` equals that run's
+    /// `machines_touched`). A machine program only runs inside a round, so
+    /// between runs these are the only machines whose state can differ from
+    /// what it was before the run — drivers sweep this set, not `0..P`.
+    pub fn touched(&self) -> &[MachineId] {
+        &self.touched
+    }
+
+    /// Calls `f` on every machine of [`Cluster::touched`], mutably.
+    pub fn for_each_touched_mut(&mut self, mut f: impl FnMut(&mut M)) {
+        for &m in &self.touched {
+            f(&mut self.machines[m as usize]);
+        }
     }
 
     /// Fail-stop machine `m` (chaos plane): until [`Cluster::revive`], every
@@ -338,6 +362,14 @@ impl<M: Machine> Cluster<M> {
         self.cfg.max_rounds_per_update
     }
 
+    /// Test hook: overrides the quiescence cap the cluster was configured
+    /// with ([`ClusterConfig::max_rounds_per_update`]), for drivers that
+    /// build their own config.
+    #[doc(hidden)]
+    pub fn set_round_limit(&mut self, limit: usize) {
+        self.cfg.max_rounds_per_update = limit;
+    }
+
     /// Arms a mid-flight chaos event: `kind` fires at the *start* of round
     /// `at_round` (1-based) of the next quiescence run. A killed machine is
     /// fail-stopped before it processes that round's inbox — its previous
@@ -380,6 +412,7 @@ impl<M: Machine> Cluster<M> {
         let mut metrics = UpdateMetrics::default();
         let mut round: u32 = 0;
         self.update_epoch += 1;
+        self.touched.clear();
         while !self.pending.is_empty() {
             if metrics.rounds >= self.cfg.max_rounds_per_update {
                 metrics.violations.push(Violation::RoundLimit {
@@ -555,6 +588,7 @@ impl<M: Machine> Cluster<M> {
             }
             if self.touch_stamp[to as usize] != self.update_epoch {
                 self.touch_stamp[to as usize] = self.update_epoch;
+                self.touched.push(to);
                 update.machines_touched += 1;
             }
             self.groups.push(Group {
@@ -628,17 +662,28 @@ impl<M: Machine> Cluster<M> {
     }
 
     /// Sorts `delivered` into `(to, from, injection order)` order — the
-    /// documented inbox order — using stable counting sorts on reused
-    /// scratch, O(messages + machines) per round, allocation-free in steady
-    /// state.
+    /// documented inbox order — allocation-free in steady state, by one of
+    /// two stable paths chosen from the round's message count alone:
     ///
-    /// By construction `delivered` is almost always already `from`-sorted
-    /// (outputs are merged in ascending machine order, injections are all
-    /// external), so the `from` pass is skipped after an O(n) check and a
-    /// round costs a single scatter pass by `to`. Stability is what makes
-    /// a radix sort correct here: ties on `(to, from)` must keep injection
-    /// order, which an unstable comparison sort on `(to, from)` would not.
+    /// * **Sparse round** (at most [`SPARSE_ROUND_MAX`] messages): an
+    ///   in-place insertion sort on `(to, from)`, O(messages²) with no term
+    ///   in the machine count. [`Envelope::EXTERNAL`] is `MachineId::MAX`,
+    ///   so external injections already sort after every machine sender.
+    /// * **Dense round**: stable counting sorts on reused scratch,
+    ///   O(messages + machines). By construction `delivered` is almost
+    ///   always already `from`-sorted (outputs are merged in ascending
+    ///   machine order, injections are all external), so the `from` pass is
+    ///   skipped after an O(n) check and a round costs a single scatter
+    ///   pass by `to`.
+    ///
+    /// Stability is what makes either correct: ties on `(to, from)` must
+    /// keep injection order, which an unstable comparison sort on
+    /// `(to, from)` would not.
     fn sort_delivered(&mut self) {
+        if self.delivered.len() <= SPARSE_ROUND_MAX {
+            insertion_sort_by_route(&mut self.delivered);
+            return;
+        }
         let n = self.machines.len();
         let from_bucket = |e: &Envelope<M::Msg>| {
             if e.from == Envelope::<M::Msg>::EXTERNAL {
@@ -669,6 +714,32 @@ impl<M: Machine> Cluster<M> {
             |e| e.to as usize,
         );
         std::mem::swap(&mut self.delivered, &mut self.sort_aux);
+    }
+}
+
+/// Largest round, in messages, that [`Cluster::sort_delivered`] orders in
+/// place. The counting sort pays for its histogram whatever the round
+/// carries — the benchmark's `mpc.round_floor_ns` probe, one token in a
+/// 512-machine ring, spent ~190 ns of every round there — while the
+/// insertion sort pays per message and per inversion. Timed on 144-byte
+/// envelopes (connectivity's) with random receivers, the insertion sort is
+/// ahead up to 16 messages at every machine count tried (130 vs 360 ns at
+/// 12 messages and 230 vs 410 ns at 16 on 512 machines; 210 vs 220 ns at 16
+/// on 8 machines) and behind from 20 on small clusters, so 16 never loses.
+const SPARSE_ROUND_MAX: usize = 16;
+
+/// Stable in-place insertion sort by `(to, from)`: finds each element's
+/// slot by comparing keys only, then moves it there with one rotation.
+fn insertion_sort_by_route<Msg>(v: &mut [Envelope<Msg>]) {
+    for i in 1..v.len() {
+        let key = (v[i].to, v[i].from);
+        let mut j = i;
+        while j > 0 && (v[j - 1].to, v[j - 1].from) > key {
+            j -= 1;
+        }
+        if j < i {
+            v[j..=i].rotate_right(1);
+        }
     }
 }
 
@@ -1122,6 +1193,44 @@ mod tests {
         let a: Vec<u64> = serial.machines().map(|m| m.seen).collect();
         let b: Vec<u64> = pooled.machines().map(|m| m.seen).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn both_sort_paths_agree_with_a_stable_reference_sort() {
+        // Straight at the sorter, because `inject` cannot build a round
+        // that mixes external and machine senders or arrives out of `from`
+        // order: sizes around the sparse/dense bound, few receivers (many
+        // `(to, from)` ties), payload = arrival index so stability shows.
+        let ext = Envelope::<u64>::EXTERNAL;
+        let mut state = 7u64;
+        let mut next = |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        let b = SPARSE_ROUND_MAX;
+        for len in [0, 1, 2, b - 1, b, b + 1, 3 * b] {
+            for senders in ["machines", "mixed", "external"] {
+                let round: Vec<Envelope<u64>> = (0..len as u64)
+                    .map(|i| Envelope {
+                        from: match senders {
+                            "external" => ext,
+                            "mixed" if next(2) == 0 => ext,
+                            _ => next(5) as MachineId,
+                        },
+                        to: next(3) as MachineId,
+                        msg: i,
+                    })
+                    .collect();
+                let mut expect = round.clone();
+                expect.sort_by_key(|e| (e.to, e.from)); // std's stable sort
+                let mut c = relay_cluster(5, ClusterConfig::default());
+                c.delivered = round;
+                c.sort_delivered();
+                assert_eq!(c.delivered, expect, "len={len} senders={senders}");
+            }
+        }
     }
 
     #[test]

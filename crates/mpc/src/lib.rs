@@ -24,8 +24,10 @@
 //!   without changing observable behaviour.
 //!
 //! The round executor's hot path is allocation-free in steady state: one
-//! stable counting sort groups each round's messages into contiguous
-//! per-receiver inbox slices, and every scratch buffer is owned by the
+//! stable sort (counting, or in-place insertion for sparse rounds) groups
+//! each round's messages into contiguous per-receiver inbox slices, every
+//! run records the machines it stepped ([`Cluster::touched`]) so drivers
+//! sweep those and not all `P`, and every scratch buffer is owned by the
 //! [`Cluster`] and reused across rounds (see `docs/ARCHITECTURE.md`,
 //! "Executor internals").
 //!

@@ -43,6 +43,16 @@ impl Machine for Router {
     }
 }
 
+/// `Cluster::touched` lists exactly the machines the last run counted in
+/// `machines_touched`: that many ids, all distinct, all in range.
+fn assert_touched_is_the_counted_set<M: Machine>(c: &Cluster<M>, machines_touched: usize) {
+    let touched = c.touched();
+    assert_eq!(touched.len(), machines_touched);
+    let distinct: std::collections::BTreeSet<_> = touched.iter().copied().collect();
+    assert_eq!(distinct.len(), touched.len(), "duplicate id in {touched:?}");
+    assert!(distinct.iter().all(|&m| (m as usize) < c.n_machines()));
+}
+
 fn run(backend: Backend, tokens: &[(u8, u8)], machines: usize) -> (Vec<u64>, Vec<usize>) {
     let cfg = ClusterConfig {
         backend,
@@ -60,6 +70,7 @@ fn run(backend: Backend, tokens: &[(u8, u8)], machines: usize) -> (Vec<u64>, Vec
         let m = c.run_update();
         per_update.push(m.total_words);
         assert!(m.clean());
+        assert_touched_is_the_counted_set(&c, m.machines_touched);
     }
     let states = (0..machines)
         .map(|i| c.machine(i as MachineId).acc)
@@ -110,7 +121,9 @@ proptest! {
                     })
                     .collect();
                 let k = injections.len();
-                per_batch.push(c.run_batch(injections, k));
+                let bm = c.run_batch(injections, k);
+                assert_touched_is_the_counted_set(&c, bm.machines_touched);
+                per_batch.push(bm);
             }
             let states: Vec<u64> = (0..machines)
                 .map(|i| c.machine(i as MachineId).acc)
@@ -189,6 +202,114 @@ proptest! {
     }
 }
 
+/// Plays a fixed script on its first external message and logs every
+/// delivery, so a test controls exactly how many messages a round carries.
+struct Scripted {
+    script: Vec<(MachineId, u64)>,
+    log: Vec<(u32, MachineId, u64)>,
+}
+
+impl Machine for Scripted {
+    type Msg = Packet;
+
+    fn on_messages(
+        &mut self,
+        ctx: &RoundCtx,
+        inbox: &mut Vec<Envelope<Packet>>,
+        out: &mut Outbox<Packet>,
+    ) {
+        for env in inbox.drain(..) {
+            self.log.push((ctx.round, env.from, env.msg.0));
+            if env.from == Envelope::<Packet>::EXTERNAL {
+                for (to, v) in self.script.drain(..) {
+                    out.send(to, Packet(v));
+                }
+            }
+        }
+    }
+}
+
+/// The router picks its sort from the round's message count (an in-place
+/// insertion sort for sparse rounds, counting sorts for dense ones). For
+/// every round size from empty to well past any plausible bound — so the
+/// sizes bound-1, bound, bound+1 are among them whatever the private
+/// constant is — each machine's inbox order and the run's metrics equal
+/// the naive reference executor's: for all-external rounds (ties on
+/// `(to, EXTERNAL)` keep injection order) and for machine-sent rounds from
+/// one or several senders onto a couple of receivers (many ties on
+/// `(to, from)`, senders out of `to` order). Rounds mixing external and
+/// machine senders cannot be built through `inject`; the unit test
+/// `both_sort_paths_agree_with_a_stable_reference_sort` in `cluster.rs`
+/// covers them on the sorter directly.
+#[test]
+fn inbox_order_matches_reference_at_every_round_size() {
+    let machines = 7usize;
+    // A small multiplicative generator: seeded, no dependence on `rand`.
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move |m: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) as usize) % m
+    };
+    for k in 0..=40usize {
+        for senders in [0usize, 1, 3] {
+            // senders == 0: the k messages are the injections themselves.
+            let mut scripts: Vec<Vec<(MachineId, u64)>> = vec![Vec::new(); machines];
+            let inj: Vec<(MachineId, Packet)> = if senders == 0 {
+                (0..k)
+                    .map(|i| (next(machines) as MachineId, Packet(i as u64)))
+                    .collect()
+            } else {
+                // Senders sit at the top ids and aim at receivers 1 and 0,
+                // so `from` order and `to` order disagree.
+                for i in 0..k {
+                    let from = machines - 1 - next(senders);
+                    scripts[from].push((next(2) as MachineId, i as u64));
+                }
+                (0..senders)
+                    .map(|s| ((machines - 1 - s) as MachineId, Packet(1000 + s as u64)))
+                    .collect()
+            };
+            let mk = || {
+                scripts
+                    .iter()
+                    .map(|script| Scripted {
+                        script: script.clone(),
+                        log: Vec::new(),
+                    })
+                    .collect::<Vec<_>>()
+            };
+            for backend in [Backend::Serial, Backend::WorkerPool] {
+                let cfg = ClusterConfig {
+                    backend,
+                    threads: 3,
+                    track_flows: true,
+                    ..Default::default()
+                };
+                let mut c = Cluster::new(mk(), cfg);
+                c.inject_batch(inj.clone());
+                let real = c.run_update();
+                let mut ref_machines = mk();
+                let reference = reference_update(&mut ref_machines, inj.clone());
+                assert_eq!(real, reference, "k={k} senders={senders} {backend:?}");
+                assert_touched_is_the_counted_set(&c, real.machines_touched);
+                if senders > 0 {
+                    let widest = real.per_round.iter().map(|r| r.messages).max();
+                    assert_eq!(widest, Some(k), "round 2 carries exactly k messages");
+                }
+                for (i, rm) in ref_machines.iter().enumerate() {
+                    assert_eq!(
+                        c.machine(i as MachineId).log,
+                        rm.log,
+                        "k={k} senders={senders} {backend:?}: inbox order diverged at machine {i}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// A machine that logs its full delivery order and fans out with
 /// history-dependent targets, including same-`(to, from)` ties in one round.
 struct Recorder {
@@ -229,8 +350,8 @@ impl Machine for Recorder {
 /// `from` — driving the same `Machine` programs. Kept deliberately naive;
 /// the proptest above asserts the production sort-based path is
 /// indistinguishable from it.
-fn reference_update(
-    machines: &mut [Recorder],
+fn reference_update<M: Machine<Msg = Packet>>(
+    machines: &mut [M],
     injections: Vec<(MachineId, Packet)>,
 ) -> dmpc_mpc::UpdateMetrics {
     use std::collections::HashMap;

@@ -111,6 +111,12 @@ fn steady_state_rounds_allocate_nothing() {
         cluster.run_update();
     }
     let _ = cluster.run_batch((0..8u64).map(|i| ((i % 16) as MachineId, 24u64)), 8);
+    // Both router paths: the single-token rounds above are sparse (one or
+    // two messages, sorted in place); 64 two-hop tokens make three rounds
+    // of 64 messages, dense for any small sparse-round bound (counting
+    // sort on cluster scratch).
+    let wide = || (0..64u64).map(|i| ((i % 16) as MachineId, 2u64));
+    let _ = cluster.run_batch(wide(), 64);
 
     // Measured phase: identical load, zero allocations allowed.
     start_counting();
@@ -120,10 +126,16 @@ fn steady_state_rounds_allocate_nothing() {
         assert!(m.clean());
     }
     let b = cluster.run_batch((0..8u64).map(|i| ((i % 16) as MachineId, 24u64)), 8);
+    let w = cluster.run_batch(wide(), 64);
     let allocs = stop_counting();
 
-    assert!(b.clean());
+    assert!(b.clean() && w.clean());
     assert_eq!(allocs, 0, "steady-state executor rounds must not allocate");
+    // The wide batch's rounds were wide, and every machine was stepped and
+    // recorded in the reused touched-set buffer.
+    assert_eq!(w.max_words_per_round, 64);
+    assert_eq!(w.machines_touched, 16);
+    assert_eq!(cluster.touched().len(), 16);
     // Sanity: the measured phase actually did work.
     let seen: u64 = cluster.machines().map(|m| m.seen).sum();
     assert!(seen > 1000);
