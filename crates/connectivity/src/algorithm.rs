@@ -13,6 +13,7 @@ use dmpc_eulertour::indexed::CompId;
 use dmpc_graph::streams::coalesce;
 use dmpc_graph::{Edge, Query, QueryAnswer, Update, Weight, V};
 use dmpc_mpc::chaos::{ChaosKind, Fnv1a};
+use dmpc_mpc::text::dec_order_key;
 use dmpc_mpc::{
     BatchMetrics, Cluster, ClusterConfig, ExecOptions, MachineId, QueryMetrics, Scheduler,
     UpdateMetrics,
@@ -412,33 +413,49 @@ impl ConnDriver {
         self.bounds = self.cluster.machine(m).bounds().to_vec();
     }
 
-    /// Digest of the **logical** state: all `vert`/`adj` snapshot lines
-    /// across the cluster, globally sorted. Placement (partition table,
-    /// directory shards) is deliberately excluded so the digest is invariant
-    /// under shard migration — a chaos run with splits/merges still compares
-    /// bit-for-bit against a never-migrated baseline. Placement correctness
-    /// is covered separately by `audit` / `audit_directory`.
+    /// Digest of the **logical** state: FNV-1a of all `vert`/`adj` snapshot
+    /// lines across the cluster, text-sorted and joined by newlines.
+    /// Placement (partition table, directory shards) is deliberately
+    /// excluded so the digest is invariant under shard migration — a chaos
+    /// run with splits/merges still compares bit-for-bit against a
+    /// never-migrated baseline. Placement correctness is covered separately
+    /// by `audit` / `audit_directory`.
+    ///
+    /// No text is held or sorted: `'a' < 'v'` puts every `adj` line before
+    /// every `vert` line, the `(v)` / `(v, far)` id fields are unique, and
+    /// ids order as text by [`dec_order_key`] — so one sort of the owned
+    /// vertices by that key, and of each vertex's entries by the key of
+    /// their far endpoint, is the text order; each line is rendered from
+    /// the shard columns into one reused buffer and folded into the hash.
     pub fn state_digest(&self) -> u64 {
-        let mut lines: Vec<&str> = Vec::new();
-        let snaps: Vec<String> = (0..self.cluster.n_machines() as MachineId)
-            .map(|m| self.snapshot_machine(m))
-            .collect();
-        for snap in &snaps {
-            lines.extend(
-                snap.lines()
-                    .filter(|l| l.starts_with("vert ") || l.starts_with("adj ")),
-            );
+        let mut vertices: Vec<(u64, MachineId, u32)> = Vec::with_capacity(self.params.n);
+        for (m, machine) in self.cluster.machines().enumerate() {
+            let slots = machine.shard().slots();
+            vertices.extend(slots.map(|(slot, v)| (dec_order_key(v), m as MachineId, slot as u32)));
         }
-        lines.sort_unstable();
-        // FNV-1a of the lines joined by '\n' — what `digest_snapshots`
-        // makes of a single text — folded in line by line: the joined text
-        // would be a second copy of the state (12.5 MB at n = 2^16).
+        vertices.sort_unstable();
         let mut h = Fnv1a::new();
-        for (i, line) in lines.iter().enumerate() {
-            if i > 0 {
-                h.write(b"\n");
+        let mut line: Vec<u8> = Vec::new();
+        let mut entries: Vec<(u64, u32)> = Vec::new();
+        // Every rendered line ends in '\n'; the joined text has one between
+        // lines and none at the end, so the last byte of the last line is
+        // the one byte left out.
+        let mut fold = |line: &mut Vec<u8>, last: bool| {
+            h.write(&line[..line.len() - last as usize]);
+            line.clear();
+        };
+        for &(_, m, slot) in &vertices {
+            let shard = self.cluster.machine(m).shard();
+            shard.entry_order(slot as usize, dec_order_key, &mut entries);
+            for &(_, i) in &entries {
+                shard.write_adj_line(&mut line, slot as usize, i as usize);
+                fold(&mut line, false);
             }
-            h.write(line.as_bytes());
+        }
+        for (k, &(_, m, slot)) in vertices.iter().enumerate() {
+            let shard = self.cluster.machine(m).shard();
+            shard.write_vert_line(&mut line, slot as usize);
+            fold(&mut line, k + 1 == vertices.len());
         }
         h.finish()
     }

@@ -136,6 +136,7 @@ use crate::shard::{ApplyOutcome, Shard};
 use dmpc_eulertour::indexed::{CompId, TourOp};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{partition_conflicts, Edge, QueryAnswer, Update, Weight, V};
+use dmpc_mpc::text::{self, put_field, Fields, Sink};
 use dmpc_mpc::{pack_text, unpack_text, Envelope, Machine, MachineId, Outbox, RoundCtx, Scheduler};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -628,30 +629,35 @@ impl ConnMachine {
     /// (transient protocol state is empty by definition). Deterministic:
     /// all maps iterate in key order.
     pub fn snapshot_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        writeln!(s, "connmachine v1").unwrap();
-        writeln!(s, "id {}", self.id).unwrap();
-        writeln!(s, "mst {}", self.mst_mode as u8).unwrap();
-        let routing = match self.routing {
-            Routing::Multicast => "m",
-            Routing::Broadcast => "b",
-        };
-        writeln!(s, "routing {routing}").unwrap();
-        s.push_str("bounds");
-        for b in &self.bounds {
-            write!(s, " {b}").unwrap();
-        }
-        s.push('\n');
-        self.verts.write_all(&mut s);
-        for (comp, owners) in &self.dir {
-            write!(s, "dir {comp}").unwrap();
-            for m in owners {
-                write!(s, " {m}").unwrap();
+        text::render(|s| {
+            s.put(b"connmachine v1\nid");
+            put_field(s, self.id as u64);
+            s.put(b"\nmst");
+            put_field(s, self.mst_mode as u64);
+            s.put(match self.routing {
+                Routing::Multicast => b"\nrouting m\nbounds",
+                Routing::Broadcast => b"\nrouting b\nbounds",
+            });
+            for &b in &self.bounds {
+                put_field(s, b as u64);
             }
-            s.push('\n');
-        }
-        s
+            s.put(b"\n");
+            self.verts.write_all(s);
+            for (&comp, owners) in &self.dir {
+                s.put(b"dir");
+                put_field(s, comp as u64);
+                for &m in owners {
+                    put_field(s, m as u64);
+                }
+                s.put(b"\n");
+            }
+        })
+    }
+
+    /// The owned vertex shard (the driver streams the state digest from
+    /// its columns).
+    pub(crate) fn shard(&self) -> &Shard {
+        &self.verts
     }
 
     /// Full state restore from [`ConnMachine::snapshot_text`] output
@@ -662,21 +668,21 @@ impl ConnMachine {
         let mut lines = text.lines();
         assert_eq!(lines.next(), Some("connmachine v1"), "snapshot header");
         for line in lines {
-            let mut it = line.split_ascii_whitespace();
-            match it.next().expect("non-empty snapshot line") {
-                "id" => {
-                    let id: MachineId = it.next().unwrap().parse().unwrap();
+            let mut f = Fields::new(line);
+            match f.word().expect("non-empty snapshot line") {
+                b"id" => {
+                    let id: MachineId = f.dec();
                     debug_assert_eq!(id, self.id, "snapshot restored on wrong machine");
                 }
-                "mst" => {
-                    let mst = it.next().unwrap() == "1";
+                b"mst" => {
+                    let mst = f.flag();
                     debug_assert_eq!(mst, self.mst_mode);
                 }
-                "routing" => {}
-                "bounds" => self.bounds = it.map(|t| t.parse().unwrap()).collect(),
-                "dir" => {
-                    let comp: CompId = it.next().unwrap().parse().unwrap();
-                    let owners: Vec<MachineId> = it.map(|t| t.parse().unwrap()).collect();
+                b"routing" => {}
+                b"bounds" => self.bounds = std::iter::from_fn(|| f.next_dec()).collect(),
+                b"dir" => {
+                    let comp: CompId = f.dec();
+                    let owners: Vec<MachineId> = std::iter::from_fn(|| f.next_dec()).collect();
                     self.dir.insert(comp, owners);
                 }
                 _ => self.verts.parse_line(line),
@@ -730,7 +736,13 @@ impl ConnMachine {
         let moved_comps: std::collections::BTreeSet<CompId> = text
             .lines()
             .filter(|l| l.starts_with("vert "))
-            .map(|l| l.split_ascii_whitespace().nth(2).unwrap().parse().unwrap())
+            .map(|l| {
+                // "vert", the vertex, then its component.
+                let mut f = Fields::new(l);
+                f.word();
+                f.dec::<V>();
+                f.dec()
+            })
             .collect();
         let mut patches: VecDeque<(MachineId, ConnMsg)> = VecDeque::new();
         for comp in moved_comps {

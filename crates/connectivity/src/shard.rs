@@ -27,6 +27,7 @@ use crate::messages::{CutMode, StructBroadcast, VertexInfo};
 use dmpc_eulertour::indexed::{apply_op_to_vertex, map_reroot, CompId, TourOp};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, Weight, V};
+use dmpc_mpc::text::{put_field, Fields, Sink};
 use std::collections::BTreeMap;
 
 /// An adjacency entry at one endpoint.
@@ -693,31 +694,22 @@ impl Shard {
         self.apos[slot] = Seg::default();
     }
 
-    /// Sorted `(far, kind, weight)` entries of one slot (snapshots).
-    fn sorted_entries(&self, slot: usize) -> Vec<(V, EntryKind, Weight)> {
-        let s = self.apos[slot];
-        let mut es: Vec<(V, EntryKind, Weight)> = (s.start as usize..(s.start + s.len) as usize)
-            .map(|i| {
-                (
-                    self.afar[i] & !TREE_BIT,
-                    decode_kind(self.afar[i], self.aa[i], self.ab[i]),
-                    self.aw[i],
-                )
-            })
-            .collect();
-        es.sort_unstable_by_key(|e| e.0);
-        es
-    }
-
     fn materialize(&self, slot: usize) -> VertexState {
+        let s = self.apos[slot];
         VertexState {
             comp: self.comp[slot],
             size: self.size[slot] as u64,
             idx: self.tour_slice(slot).to_vec(),
-            adj: self
-                .sorted_entries(slot)
-                .into_iter()
-                .map(|(far, kind, w)| (far, (kind, w)))
+            adj: (s.start as usize..(s.start + s.len) as usize)
+                .map(|i| {
+                    (
+                        self.afar[i] & !TREE_BIT,
+                        (
+                            decode_kind(self.afar[i], self.aa[i], self.ab[i]),
+                            self.aw[i],
+                        ),
+                    )
+                })
                 .collect(),
         }
     }
@@ -1084,14 +1076,14 @@ impl Shard {
 
     /// All owned vertices, materialized in id order.
     pub fn vertices(&self) -> Vec<(V, VertexState)> {
-        (0..self.comp.len())
-            .filter(|&slot| self.comp[slot] != COMP_NONE)
-            .map(|slot| (self.base + slot as V, self.materialize(slot)))
+        self.slots()
+            .map(|(slot, v)| (v, self.materialize(slot)))
             .collect()
     }
 
-    /// Direct state injection (bulk loading / snapshot restore).
-    pub fn load_vertex(&mut self, v: V, st: VertexState) {
+    /// Installs (or replaces) `v`'s component id, size and tour indexes,
+    /// leaving it with no adjacency entries; returns its slot.
+    fn load_core(&mut self, v: V, comp: CompId, size: u64, idx: &[TourIx]) -> usize {
         let slot = self.ensure_slot(v);
         if self.comp[slot] != COMP_NONE {
             // Replacing: free the old segments' live words first.
@@ -1100,33 +1092,40 @@ impl Shard {
             self.tpos[slot].len = 0;
             self.apos[slot].len = 0;
         }
-        self.comp[slot] = st.comp;
-        self.size[slot] = st.size as u32;
-        self.tour_store(slot, &st.idx, 0);
+        self.comp[slot] = comp;
+        self.size[slot] = size as u32;
+        self.tour_store(slot, idx, 0);
+        slot
+    }
+
+    /// Direct state injection (bulk loading).
+    pub fn load_vertex(&mut self, v: V, st: VertexState) {
+        let slot = self.load_core(v, st.comp, st.size, &st.idx);
         self.adj_store(slot, &st.adj);
         self.enforce_soft_cap();
     }
 
     /// Serializes every owned vertex as `vert`/`adj` snapshot lines, sorted
     /// by vertex then far endpoint (arena order never reaches the text).
-    pub fn write_all(&self, s: &mut String) {
-        for slot in 0..self.comp.len() {
-            if self.comp[slot] != COMP_NONE {
-                self.write_slot(s, slot);
-            }
+    pub fn write_all<S: Sink>(&self, s: &mut S) {
+        let mut order = Vec::new();
+        for (slot, _) in self.slots() {
+            self.write_slot(s, slot, &mut order);
         }
     }
 
     /// Extracts vertices `lo..hi` as snapshot text, removing them from the
     /// shard (shard migration).
     pub fn extract_range(&mut self, lo: V, hi: V) -> String {
-        let mut text = String::new();
-        for v in lo..hi {
-            if let Some(slot) = self.slot_of(v) {
-                self.write_slot(&mut text, slot);
-                self.remove_slot(slot);
+        let text = dmpc_mpc::text::render(|text| {
+            let mut order = Vec::new();
+            for v in lo..hi {
+                if let Some(slot) = self.slot_of(v) {
+                    self.write_slot(text, slot, &mut order);
+                    self.remove_slot(slot);
+                }
             }
-        }
+        });
         // Migrations are rare and already pay O(shard) for the extraction,
         // so compact exactly: the remaining shard must not keep charging
         // for the moved segments' holes.
@@ -1139,66 +1138,93 @@ impl Shard {
     /// Parses one `vert`/`adj` snapshot line (an `adj` line requires its
     /// `vert` line to have been parsed first).
     pub fn parse_line(&mut self, line: &str) {
-        let mut it = line.split_ascii_whitespace();
-        match it.next().expect("non-empty snapshot line") {
-            "vert" => {
-                let v: V = it.next().unwrap().parse().unwrap();
-                let comp: CompId = it.next().unwrap().parse().unwrap();
-                let size: u64 = it.next().unwrap().parse().unwrap();
-                let idx: Vec<TourIx> = it.map(|t| t.parse().unwrap()).collect();
-                self.load_vertex(
-                    v,
-                    VertexState {
-                        comp,
-                        size,
-                        idx,
-                        adj: BTreeMap::new(),
-                    },
-                );
+        let mut f = Fields::new(line);
+        match f.word().expect("non-empty snapshot line") {
+            b"vert" => {
+                let (v, comp, size): (V, CompId, u64) = (f.dec(), f.dec(), f.dec());
+                let mut idx = std::mem::take(&mut self.scratch);
+                idx.clear();
+                while let Some(i) = f.next_dec() {
+                    idx.push(i);
+                }
+                self.load_core(v, comp, size, &idx);
+                self.scratch = idx;
+                // The arena upkeep `load_vertex` does after storing no
+                // entries, so the metered footprint matches it exactly.
+                self.maybe_compact_adj();
+                self.enforce_soft_cap();
             }
-            "adj" => {
-                let v: V = it.next().unwrap().parse().unwrap();
-                let u: V = it.next().unwrap().parse().unwrap();
-                let kind = match it.next().unwrap() {
-                    "t" => EntryKind::Tree {
-                        lo: it.next().unwrap().parse().unwrap(),
-                        hi: it.next().unwrap().parse().unwrap(),
+            b"adj" => {
+                let (v, u): (V, V) = (f.dec(), f.dec());
+                let kind = match f.word().expect("adj line ends before its kind") {
+                    b"t" => EntryKind::Tree {
+                        lo: f.dec(),
+                        hi: f.dec(),
                     },
-                    "n" => EntryKind::NonTree {
-                        cached: it.next().unwrap().parse().unwrap(),
-                        far_comp: it.next().unwrap().parse().unwrap(),
+                    b"n" => EntryKind::NonTree {
+                        cached: f.dec(),
+                        far_comp: f.dec(),
                     },
-                    k => panic!("unknown adj kind {k:?}"),
+                    k => panic!("unknown adj kind {:?}", String::from_utf8_lossy(k)),
                 };
-                let w: Weight = it.next().unwrap().parse().unwrap();
+                let w: Weight = f.dec();
                 assert!(self.contains(v), "adj line before its vert line");
                 self.adj_set(v, u, kind, w);
             }
-            k => panic!("unknown snapshot line {k:?}"),
+            k => panic!("unknown snapshot line {:?}", String::from_utf8_lossy(k)),
         }
     }
 
-    /// Emits one slot's `vert`/`adj` lines (sorted by far endpoint).
-    fn write_slot(&self, s: &mut String, slot: usize) {
-        use std::fmt::Write as _;
-        let v = self.base + slot as V;
-        write!(s, "vert {v} {} {}", self.comp[slot], self.size[slot]).unwrap();
-        for i in self.tour_slice(slot) {
-            write!(s, " {i}").unwrap();
-        }
-        s.push('\n');
-        for (far, kind, w) in self.sorted_entries(slot) {
-            write_adj_line(s, v, far, &kind, w);
-        }
+    /// The occupied slots with their vertex ids, in id order.
+    pub fn slots(&self) -> impl Iterator<Item = (usize, V)> + '_ {
+        (0..self.comp.len())
+            .filter(|&slot| self.comp[slot] != COMP_NONE)
+            .map(|slot| (slot, self.base + slot as V))
     }
-}
 
-fn write_adj_line(s: &mut String, v: V, u: V, kind: &EntryKind, w: Weight) {
-    use std::fmt::Write as _;
-    match kind {
-        EntryKind::Tree { lo, hi } => writeln!(s, "adj {v} {u} t {lo} {hi} {w}").unwrap(),
-        EntryKind::NonTree { cached, far_comp } => {
-            writeln!(s, "adj {v} {u} n {cached} {far_comp} {w}").unwrap()
+    /// Fills `order` with `(key(far), arena index)` of one slot's entries,
+    /// ascending: far endpoints are unique within a slot, so any injective
+    /// key gives a total order that arena placement cannot move.
+    pub fn entry_order(&self, slot: usize, key: impl Fn(V) -> u64, order: &mut Vec<(u64, u32)>) {
+        let s = self.apos[slot];
+        order.clear();
+        order.extend(
+            (s.start..s.start + s.len).map(|i| (key(self.afar[i as usize] & !TREE_BIT), i)),
+        );
+        order.sort_unstable();
+    }
+
+    /// Emits one slot's `vert` line.
+    pub fn write_vert_line<S: Sink>(&self, s: &mut S, slot: usize) {
+        s.put(b"vert");
+        put_field(s, (self.base + slot as V) as u64);
+        put_field(s, self.comp[slot] as u64);
+        put_field(s, self.size[slot] as u64);
+        for &i in self.tour_slice(slot) {
+            put_field(s, i);
+        }
+        s.put(b"\n");
+    }
+
+    /// Emits the `adj` line of the entry at arena index `i` of `slot`.
+    pub fn write_adj_line<S: Sink>(&self, s: &mut S, slot: usize, i: usize) {
+        let tagged = self.afar[i];
+        s.put(b"adj");
+        put_field(s, (self.base + slot as V) as u64);
+        put_field(s, (tagged & !TREE_BIT) as u64);
+        s.put(if tagged & TREE_BIT != 0 { b" t" } else { b" n" });
+        put_field(s, self.aa[i]);
+        put_field(s, self.ab[i]);
+        put_field(s, self.aw[i]);
+        s.put(b"\n");
+    }
+
+    /// Emits one slot's `vert` line, then its `adj` lines by far endpoint.
+    fn write_slot<S: Sink>(&self, s: &mut S, slot: usize, order: &mut Vec<(u64, u32)>) {
+        self.write_vert_line(s, slot);
+        self.entry_order(slot, |far| far as u64, order);
+        for &(_, i) in order.iter() {
+            self.write_adj_line(s, slot, i as usize);
         }
     }
 }
@@ -1262,6 +1288,10 @@ mod tests {
         sh
     }
 
+    fn text_of(sh: &Shard) -> String {
+        dmpc_mpc::text::render(|s| sh.write_all(s))
+    }
+
     /// The snapshot text of [`demo_states`]: vertices ascending, each
     /// vertex's entries by far endpoint ascending.
     const DEMO_TEXT: &str = "\
@@ -1276,7 +1306,7 @@ mod tests {
         adj 2 1 t 4 5 4\n";
 
     #[test]
-    fn layouts_agree_on_accessors_and_snapshots() {
+    fn accessors_and_snapshot_match_the_loaded_states() {
         let sh = loaded();
         for (v, st) in demo_states() {
             assert_eq!(sh.comp_of(v), st.comp);
@@ -1303,9 +1333,7 @@ mod tests {
             assert_eq!(sh.vertex(v), Some(st));
         }
         assert_eq!(sh.vertices(), demo_states());
-        let mut text = String::new();
-        sh.write_all(&mut text);
-        assert_eq!(text, DEMO_TEXT);
+        assert_eq!(text_of(&sh), DEMO_TEXT);
         // Both tree edges lie on the 0..2 path; the heavier one wins.
         assert_eq!(sh.path_max(0, 1, 8, 4, 5), Some((Edge::new(0, 1), 5)));
     }
@@ -1316,8 +1344,7 @@ mod tests {
         sh.adj_set(0, 1, tree(1, 10), 7); // overwrite
         sh.adj_remove(2, 0);
         sh.adj_set(1, 2, non_tree(4, 0), 6); // kind change
-        let mut text = String::new();
-        sh.write_all(&mut text);
+        let text = text_of(&sh);
         assert_eq!(
             text,
             "vert 0 0 3 1 8\n\
@@ -1334,22 +1361,18 @@ mod tests {
         for line in text.lines() {
             back.parse_line(line);
         }
-        let mut round = String::new();
-        back.write_all(&mut round);
-        assert_eq!(round, text);
+        assert_eq!(text_of(&back), text);
     }
 
     #[test]
-    fn soa_extract_range_matches_map_and_trims() {
+    fn extract_range_emits_the_moved_text_and_trims() {
         let mut sh = loaded();
         let moved = sh.extract_range(0, 2);
         let kept = DEMO_TEXT.find("vert 2").unwrap();
         assert_eq!(moved, DEMO_TEXT[..kept], "extracted migration payload");
         assert_eq!(sh.len(), 1);
         assert!(!sh.contains(0) && !sh.contains(1) && sh.contains(2));
-        let mut rest = String::new();
-        sh.write_all(&mut rest);
-        assert_eq!(rest, DEMO_TEXT[kept..]);
+        assert_eq!(text_of(&sh), DEMO_TEXT[kept..]);
         // The trimmed shard must not keep charging for the moved slots.
         let words_after = sh.memory_words();
         assert!(

@@ -30,7 +30,7 @@
 
 use crate::algorithm::DynamicGraphAlgorithm;
 use dmpc_graph::{Query, QueryAnswer, Update};
-use dmpc_mpc::chaos::{fnv1a, ChaosKind, ChaosPlan};
+use dmpc_mpc::chaos::{ChaosKind, ChaosPlan};
 use dmpc_mpc::{BatchMetrics, MachineId, QueryMetrics, RecoveryMetrics, UpdateMetrics};
 
 /// The chaos-plane surface of a distributed dynamic algorithm: per-machine
@@ -110,7 +110,12 @@ pub trait ElasticAlgorithm {
         None
     }
 
-    /// Digest of the full logical state (machine states in machine order).
+    /// Digest of the full logical state, a function of the snapshot lines
+    /// only. What is hashed is the algorithm's choice: connectivity and MST
+    /// hash the cluster's `vert`/`adj` lines text-sorted and joined (so the
+    /// digest is independent of which machine holds a vertex, and skips
+    /// the per-machine header and directory lines); matching hashes each
+    /// machine's whole snapshot text and folds the hashes in machine order.
     fn state_digest(&self) -> u64;
 }
 
@@ -674,16 +679,6 @@ where
     report.updates = report.workload.updates;
     report.final_digest = a.state_digest();
     report
-}
-
-/// Digest helper for drivers: folds machine snapshots (in machine order)
-/// into one FNV-1a digest.
-pub fn digest_snapshots<'a, I: IntoIterator<Item = &'a str>>(snaps: I) -> u64 {
-    let mut h: u64 = 0;
-    for s in snaps {
-        h = h.rotate_left(1) ^ fnv1a(s.as_bytes());
-    }
-    h
 }
 
 /// Convenience apply-closure for unweighted [`DynamicGraphAlgorithm`]s.

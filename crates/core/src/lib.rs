@@ -46,8 +46,8 @@ pub use algorithm::{
     QueryableAlgorithm, WeightedDynamicGraphAlgorithm,
 };
 pub use elastic::{
-    apply_unweighted, digest_snapshots, run_chaos_stream, run_chaos_stream_with, run_plain_stream,
-    AppliedEvent, ChaosOptions, ChurnReport, DrainRecord, ElasticAlgorithm, MidFlightRecovery,
+    apply_unweighted, run_chaos_stream, run_chaos_stream_with, run_plain_stream, AppliedEvent,
+    ChaosOptions, ChurnReport, DrainRecord, ElasticAlgorithm, MidFlightRecovery,
 };
 pub use experiment::{
     run_stream, run_stream_batched, run_stream_batched_verified, run_stream_verified, ScalingPoint,

@@ -11,6 +11,7 @@
 use super::msg::{Ann, HistEntry, HistSlice, MatchMsg, StatRec, NO_MATE};
 use super::Layout;
 use dmpc_graph::{Edge, Update, V};
+use dmpc_mpc::text::{self, put_field, Fields, Sink};
 use dmpc_mpc::MachineId;
 use std::collections::{HashMap, VecDeque};
 
@@ -314,6 +315,14 @@ pub struct Coordinator {
     out_words: usize,
 }
 
+/// Emits a `key a b` snapshot line.
+fn put_pair<S: Sink>(s: &mut S, key: &[u8], a: u64, b: u64) {
+    s.put(key);
+    put_field(s, a);
+    put_field(s, b);
+    s.put(b"\n");
+}
+
 impl Coordinator {
     /// Creates the coordinator for the given layout; `send_budget` is the
     /// machine send cap `S` (in words) the batch drain must respect.
@@ -365,51 +374,68 @@ impl Coordinator {
     /// [`Coordinator::restore_text`]. Transient working state (phase, ctx,
     /// queue, stashed answers, courier) is empty at every quiescent boundary
     /// and is not serialized.
-    pub fn snapshot_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::from("coord v2\n");
-        writeln!(
-            s,
-            "pairs {}\nseq {}\nrr {}",
-            self.matched_pairs, self.next_seq, self.rr_cursor
-        )
-        .unwrap();
+    pub fn write_text<S: Sink>(&self, s: &mut S) {
+        s.put(b"coord v2\npairs");
+        put_field(s, self.matched_pairs as u64);
+        s.put(b"\nseq");
+        put_field(s, self.next_seq);
+        s.put(b"\nrr");
+        put_field(s, self.rr_cursor as u64);
+        s.put(b"\n");
         for &(seq, ref h) in &self.hist {
+            s.put(b"hist");
+            put_field(s, seq);
             match *h {
                 HistEntry::MatchAdd(e, la, lb) => {
-                    writeln!(
-                        s,
-                        "hist {seq} add {} {} {} {}",
-                        e.u, e.v, la as u8, lb as u8
-                    )
+                    s.put(b" add");
+                    put_field(s, e.u as u64);
+                    put_field(s, e.v as u64);
+                    put_field(s, la as u64);
+                    put_field(s, lb as u64);
                 }
-                HistEntry::MatchDel(e) => writeln!(s, "hist {seq} del {} {}", e.u, e.v),
-                HistEntry::Heavy(v) => writeln!(s, "hist {seq} heavy {v}"),
-                HistEntry::Light(v) => writeln!(s, "hist {seq} light {v}"),
+                HistEntry::MatchDel(e) => {
+                    s.put(b" del");
+                    put_field(s, e.u as u64);
+                    put_field(s, e.v as u64);
+                }
+                HistEntry::Heavy(v) => {
+                    s.put(b" heavy");
+                    put_field(s, v as u64);
+                }
+                HistEntry::Light(v) => {
+                    s.put(b" light");
+                    put_field(s, v as u64);
+                }
             }
-            .unwrap();
+            s.put(b"\n");
         }
         for (m, q) in self.last_seen.iter().enumerate() {
-            if let Some(q) = q {
-                writeln!(s, "seen {m} {q}").unwrap();
+            if let Some(q) = *q {
+                put_pair(s, b"seen", m as u64, q);
             }
         }
         let mut ovf: Vec<(V, MachineId)> = self.overflow_of.iter().map(|(&v, &m)| (v, m)).collect();
         ovf.sort_unstable();
         for (v, m) in ovf {
-            writeln!(s, "ovf {v} {m}").unwrap();
+            put_pair(s, b"ovf", v as u64, m as u64);
         }
         // Stack order is load-bearing: future overflow assignments pop from
         // the back, so the restored vector must be bit-identical.
         for &m in &self.free_overflow {
-            writeln!(s, "free {m}").unwrap();
+            s.put(b"free");
+            put_field(s, m as u64);
+            s.put(b"\n");
         }
         let mut susp: Vec<(V, usize)> = self.suspended.iter().map(|(&v, &c)| (v, c)).collect();
         susp.sort_unstable();
         for (v, c) in susp {
-            writeln!(s, "susp {v} {c}").unwrap();
+            put_pair(s, b"susp", v as u64, c as u64);
         }
-        s
+    }
+
+    /// Plain-text snapshot ([`Coordinator::write_text`] as a `String`).
+    pub fn snapshot_text(&self) -> String {
+        text::render(|s| self.write_text(s))
     }
 
     /// Full state restore from [`Coordinator::snapshot_text`] output: the
@@ -432,49 +458,40 @@ impl Coordinator {
         let mut lines = text.lines();
         assert_eq!(lines.next(), Some("coord v2"), "snapshot header");
         for line in lines {
-            let mut it = line.split_ascii_whitespace();
-            let key = it.next().unwrap();
-            match key {
-                "pairs" => self.matched_pairs = it.next().unwrap().parse().unwrap(),
-                "seq" => self.next_seq = it.next().unwrap().parse().unwrap(),
-                "rr" => self.rr_cursor = it.next().unwrap().parse().unwrap(),
-                "hist" => {
-                    let seq: u64 = it.next().unwrap().parse().unwrap();
-                    let entry = match it.next().unwrap() {
-                        "add" => HistEntry::MatchAdd(
-                            Edge::new(
-                                it.next().unwrap().parse().unwrap(),
-                                it.next().unwrap().parse().unwrap(),
-                            ),
-                            it.next().unwrap() == "1",
-                            it.next().unwrap() == "1",
-                        ),
-                        "del" => HistEntry::MatchDel(Edge::new(
-                            it.next().unwrap().parse().unwrap(),
-                            it.next().unwrap().parse().unwrap(),
-                        )),
-                        "heavy" => HistEntry::Heavy(it.next().unwrap().parse().unwrap()),
-                        "light" => HistEntry::Light(it.next().unwrap().parse().unwrap()),
-                        other => panic!("unknown hist entry kind {other}"),
+            let mut f = Fields::new(line);
+            match f.word().expect("non-empty snapshot line") {
+                b"pairs" => self.matched_pairs = f.dec(),
+                b"seq" => self.next_seq = f.dec(),
+                b"rr" => self.rr_cursor = f.dec(),
+                b"hist" => {
+                    let seq: u64 = f.dec();
+                    let entry = match f.word().expect("hist line ends before its kind") {
+                        b"add" => {
+                            HistEntry::MatchAdd(Edge::new(f.dec(), f.dec()), f.flag(), f.flag())
+                        }
+                        b"del" => HistEntry::MatchDel(Edge::new(f.dec(), f.dec())),
+                        b"heavy" => HistEntry::Heavy(f.dec()),
+                        b"light" => HistEntry::Light(f.dec()),
+                        other => {
+                            panic!("unknown hist entry kind {}", String::from_utf8_lossy(other))
+                        }
                     };
                     self.hist.push_back((seq, entry));
                 }
-                "seen" => {
-                    let m: usize = it.next().unwrap().parse().unwrap();
-                    self.last_seen[m] = Some(it.next().unwrap().parse().unwrap());
+                b"seen" => {
+                    let m: usize = f.dec();
+                    self.last_seen[m] = Some(f.dec());
                 }
-                "ovf" => {
-                    let v: V = it.next().unwrap().parse().unwrap();
-                    self.overflow_of
-                        .insert(v, it.next().unwrap().parse().unwrap());
+                b"ovf" => {
+                    let v: V = f.dec();
+                    self.overflow_of.insert(v, f.dec());
                 }
-                "free" => self.free_overflow.push(it.next().unwrap().parse().unwrap()),
-                "susp" => {
-                    let v: V = it.next().unwrap().parse().unwrap();
-                    self.suspended
-                        .insert(v, it.next().unwrap().parse().unwrap());
+                b"free" => self.free_overflow.push(f.dec()),
+                b"susp" => {
+                    let v: V = f.dec();
+                    self.suspended.insert(v, f.dec());
                 }
-                other => panic!("unknown snapshot key {other}"),
+                other => panic!("unknown snapshot key {}", String::from_utf8_lossy(other)),
             }
         }
     }

@@ -9,7 +9,8 @@ use super::Layout;
 use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, QueryableAlgorithm};
 use dmpc_graph::matching::Matching;
 use dmpc_graph::{DynamicGraph, Edge, Query, QueryAnswer, Update, V};
-use dmpc_mpc::chaos::ChaosKind;
+use dmpc_mpc::chaos::{ChaosKind, Fnv1a};
+use dmpc_mpc::text::{self, Sink};
 use dmpc_mpc::{
     BatchMetrics, Cluster, ClusterConfig, Envelope, ExecOptions, Machine, MachineId, Outbox,
     QueryMetrics, RoundCtx, UpdateMetrics, COORDINATOR,
@@ -537,14 +538,19 @@ impl DynamicGraphAlgorithm for DmpcMaximalMatching {
 }
 
 impl Role {
+    /// Renders this machine's program state as its snapshot text.
+    fn write_text<S: Sink>(&self, s: &mut S) {
+        match self {
+            Role::Coord(c) => c.write_text(s),
+            Role::Stats(m) => m.write_text(s),
+            Role::Storage(m) => m.write_text(s),
+            Role::Overflow(m) => m.write_text(s),
+        }
+    }
+
     /// Plain-text snapshot of this machine's program state (chaos plane).
     fn snapshot_text(&self) -> String {
-        match self {
-            Role::Coord(c) => c.snapshot_text(),
-            Role::Stats(s) => s.snapshot_text(),
-            Role::Storage(s) => s.snapshot_text(),
-            Role::Overflow(o) => o.snapshot_text(),
-        }
+        text::render(|s| self.write_text(s))
     }
 
     /// Fail-stop wipe (chaos plane).
@@ -631,11 +637,14 @@ impl dmpc_core::ElasticAlgorithm for DmpcMaximalMatching {
         self.cluster.run_update()
     }
 
+    /// FNV-1a of each machine's snapshot text, rendered straight into the
+    /// hasher, folded in machine order (rotate-left by one, then xor).
     fn state_digest(&self) -> u64 {
-        let snaps: Vec<String> = (0..self.cluster.n_machines() as MachineId)
-            .map(|m| self.cluster.machine(m).snapshot_text())
-            .collect();
-        dmpc_core::digest_snapshots(snaps.iter().map(|s| s.as_str()))
+        self.cluster.machines().fold(0, |digest: u64, role| {
+            let mut h = Fnv1a::new();
+            role.write_text(&mut h);
+            digest.rotate_left(1) ^ h.finish()
+        })
     }
 }
 

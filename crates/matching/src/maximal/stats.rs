@@ -2,6 +2,7 @@
 
 use super::msg::{MatchMsg, StatRec};
 use dmpc_graph::V;
+use dmpc_mpc::text::{self, put_field, Fields, Sink};
 use std::collections::BTreeMap;
 
 /// A stats machine owning a contiguous block of vertex records. Records are
@@ -34,19 +35,23 @@ impl StatsMachine {
         self.snap_buf = Vec::new();
     }
 
-    /// Plain-text snapshot of the record table (deterministic: key order).
-    pub fn snapshot_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::from("stats v1\n");
+    /// Renders the record table (deterministic: key order).
+    pub fn write_text<S: Sink>(&self, s: &mut S) {
+        s.put(b"stats v1\n");
         for (&v, r) in &self.recs {
-            writeln!(
-                s,
-                "rec {v} {} {} {} {}",
-                r.degree, r.mate, r.heavy as u8, r.free_nbrs
-            )
-            .unwrap();
+            s.put(b"rec");
+            put_field(s, v as u64);
+            put_field(s, r.degree as u64);
+            put_field(s, r.mate as u64);
+            put_field(s, r.heavy as u64);
+            put_field(s, r.free_nbrs as u64);
+            s.put(b"\n");
         }
-        s
+    }
+
+    /// Plain-text snapshot ([`StatsMachine::write_text`] as a `String`).
+    pub fn snapshot_text(&self) -> String {
+        text::render(|s| self.write_text(s))
     }
 
     /// Full state restore from [`StatsMachine::snapshot_text`] output.
@@ -55,16 +60,16 @@ impl StatsMachine {
         let mut lines = text.lines();
         assert_eq!(lines.next(), Some("stats v1"), "snapshot header");
         for line in lines {
-            let mut it = line.split_ascii_whitespace();
-            assert_eq!(it.next(), Some("rec"));
-            let v: V = it.next().unwrap().parse().unwrap();
+            let mut f = Fields::new(line);
+            assert_eq!(f.word(), Some(&b"rec"[..]));
+            let v: V = f.dec();
             self.recs.insert(
                 v,
                 StatRec {
-                    degree: it.next().unwrap().parse().unwrap(),
-                    mate: it.next().unwrap().parse().unwrap(),
-                    heavy: it.next().unwrap() == "1",
-                    free_nbrs: it.next().unwrap().parse().unwrap(),
+                    degree: f.dec(),
+                    mate: f.dec(),
+                    heavy: f.flag(),
+                    free_nbrs: f.dec(),
                 },
             );
         }

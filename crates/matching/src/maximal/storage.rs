@@ -10,6 +10,7 @@
 
 use super::msg::{Ann, HistEntry, HistSlice, MatchMsg, Repair};
 use dmpc_graph::V;
+use dmpc_mpc::text::{self, put_field, Fields, Sink};
 
 /// Per-owned-vertex storage: the full adjacency of a light vertex, or the
 /// alive set of a heavy one.
@@ -326,14 +327,6 @@ impl Store {
         self.slot_of(v).map(|slot| self.materialize(slot))
     }
 
-    /// All owned vertices in id order (snapshots).
-    fn vertices(&self) -> Vec<(V, StoreVertex)> {
-        (0..self.state.len())
-            .filter(|&slot| self.state[slot] != SLOT_ABSENT)
-            .map(|slot| (self.base + slot as V, self.materialize(slot)))
-            .collect()
-    }
-
     /// Direct state injection (bulk loading).
     fn load(&mut self, v: V, sv: StoreVertex) {
         self.insert_vertex(v, sv.heavy);
@@ -381,25 +374,35 @@ impl StorageMachine {
         self.snap_buf = Vec::new();
     }
 
-    /// Plain-text snapshot: sync point, then per-vertex heavy flag and
-    /// entries in stored (scan) order. Deterministic: vertices emit in id
-    /// order and entries positionally, so arena placement never shows.
-    pub fn snapshot_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::from("storage v1\n");
-        writeln!(s, "seen {}", self.last_seen).unwrap();
-        for (v, sv) in self.verts.vertices() {
-            writeln!(s, "svert {v} {}", sv.heavy as u8).unwrap();
-            for &(nbr, ann) in &sv.entries {
-                writeln!(
-                    s,
-                    "sedge {v} {nbr} {} {} {}",
-                    ann.matched as u8, ann.mate, ann.mate_light as u8
-                )
-                .unwrap();
+    /// Renders the snapshot: sync point, then per-vertex heavy flag and
+    /// entries in stored (scan) order, straight off the columns.
+    /// Deterministic: vertices emit in id order and entries positionally,
+    /// so arena placement never shows.
+    pub fn write_text<S: Sink>(&self, s: &mut S) {
+        let st = &self.verts;
+        s.put(b"storage v1\nseen");
+        put_field(s, self.last_seen);
+        s.put(b"\n");
+        for slot in 0..st.state.len() {
+            if st.state[slot] == SLOT_ABSENT {
+                continue;
+            }
+            let v = (st.base + slot as V) as u64;
+            s.put(b"svert");
+            put_field(s, v);
+            put_field(s, (st.state[slot] == SLOT_HEAVY) as u64);
+            s.put(b"\n");
+            for i in st.range(slot) {
+                s.put(b"sedge");
+                put_field(s, v);
+                write_entry(s, st.nbr[i], unpack_ann(st.mate[i], st.flags[i]));
             }
         }
-        s
+    }
+
+    /// Plain-text snapshot ([`StorageMachine::write_text`] as a `String`).
+    pub fn snapshot_text(&self) -> String {
+        text::render(|s| self.write_text(s))
     }
 
     /// Full state restore from [`StorageMachine::snapshot_text`] output.
@@ -408,20 +411,19 @@ impl StorageMachine {
         let mut lines = text.lines();
         assert_eq!(lines.next(), Some("storage v1"), "snapshot header");
         for line in lines {
-            let mut it = line.split_ascii_whitespace();
-            match it.next().expect("non-empty snapshot line") {
-                "seen" => self.last_seen = it.next().unwrap().parse().unwrap(),
-                "svert" => {
-                    let v: V = it.next().unwrap().parse().unwrap();
-                    let heavy = it.next().unwrap() == "1";
-                    self.verts.insert_vertex(v, heavy);
+            let mut f = Fields::new(line);
+            match f.word().expect("non-empty snapshot line") {
+                b"seen" => self.last_seen = f.dec(),
+                b"svert" => {
+                    let v: V = f.dec();
+                    self.verts.insert_vertex(v, f.flag());
                 }
-                "sedge" => {
-                    let v: V = it.next().unwrap().parse().unwrap();
-                    let (nbr, ann) = parse_entry(&mut it);
+                b"sedge" => {
+                    let v: V = f.dec();
+                    let (nbr, ann) = parse_entry(&mut f);
                     self.verts.push_entry(v, nbr, ann);
                 }
-                k => panic!("unknown snapshot line {k:?}"),
+                k => panic!("unknown snapshot line {:?}", String::from_utf8_lossy(k)),
             }
         }
     }
@@ -534,14 +536,23 @@ impl StorageMachine {
     }
 }
 
-/// Parses the tail of an `sedge`/`oedge` snapshot line:
-/// `nbr matched mate mate_light`.
-fn parse_entry<'a, I: Iterator<Item = &'a str>>(it: &mut I) -> (V, Ann) {
-    let nbr: V = it.next().unwrap().parse().unwrap();
+/// Emits the tail of an `sedge`/`oedge` snapshot line:
+/// ` nbr matched mate mate_light\n`.
+fn write_entry<S: Sink>(s: &mut S, nbr: V, ann: Ann) {
+    put_field(s, nbr as u64);
+    put_field(s, ann.matched as u64);
+    put_field(s, ann.mate as u64);
+    put_field(s, ann.mate_light as u64);
+    s.put(b"\n");
+}
+
+/// Parses what [`write_entry`] emits.
+fn parse_entry(f: &mut Fields) -> (V, Ann) {
+    let nbr: V = f.dec();
     let ann = Ann {
-        matched: it.next().unwrap() == "1",
-        mate: it.next().unwrap().parse().unwrap(),
-        mate_light: it.next().unwrap() == "1",
+        matched: f.flag(),
+        mate: f.dec(),
+        mate_light: f.flag(),
     };
     (nbr, ann)
 }
@@ -593,24 +604,26 @@ impl OverflowMachine {
         self.snap_buf = Vec::new();
     }
 
-    /// Plain-text snapshot: sync point, assignment, and the suspended
+    /// Renders the snapshot: sync point, assignment, and the suspended
     /// stack in positional order.
-    pub fn snapshot_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::from("overflow v1\n");
-        writeln!(s, "seen {}", self.last_seen).unwrap();
+    pub fn write_text<S: Sink>(&self, s: &mut S) {
+        s.put(b"overflow v1\nseen");
+        put_field(s, self.last_seen);
+        s.put(b"\n");
         if let Some(v) = self.assigned {
-            writeln!(s, "assigned {v}").unwrap();
+            s.put(b"assigned");
+            put_field(s, v as u64);
+            s.put(b"\n");
         }
         for &(nbr, ann) in &self.edges {
-            writeln!(
-                s,
-                "oedge {nbr} {} {} {}",
-                ann.matched as u8, ann.mate, ann.mate_light as u8
-            )
-            .unwrap();
+            s.put(b"oedge");
+            write_entry(s, nbr, ann);
         }
-        s
+    }
+
+    /// Plain-text snapshot ([`OverflowMachine::write_text`] as a `String`).
+    pub fn snapshot_text(&self) -> String {
+        text::render(|s| self.write_text(s))
     }
 
     /// Full state restore from [`OverflowMachine::snapshot_text`] output.
@@ -619,12 +632,12 @@ impl OverflowMachine {
         let mut lines = text.lines();
         assert_eq!(lines.next(), Some("overflow v1"), "snapshot header");
         for line in lines {
-            let mut it = line.split_ascii_whitespace();
-            match it.next().expect("non-empty snapshot line") {
-                "seen" => self.last_seen = it.next().unwrap().parse().unwrap(),
-                "assigned" => self.assigned = Some(it.next().unwrap().parse().unwrap()),
-                "oedge" => self.edges.push(parse_entry(&mut it)),
-                k => panic!("unknown snapshot line {k:?}"),
+            let mut f = Fields::new(line);
+            match f.word().expect("non-empty snapshot line") {
+                b"seen" => self.last_seen = f.dec(),
+                b"assigned" => self.assigned = Some(f.dec()),
+                b"oedge" => self.edges.push(parse_entry(&mut f)),
+                k => panic!("unknown snapshot line {:?}", String::from_utf8_lossy(k)),
             }
         }
     }
@@ -840,7 +853,7 @@ mod tests {
 
     /// Snapshot text after each step of the storage protocol.
     #[test]
-    fn layouts_agree_on_storage_protocol() {
+    fn snapshot_text_follows_the_storage_protocol() {
         let mut m = StorageMachine::new(0, 4, 2);
         for (at, nbr) in [(0, 5), (0, 6), (1, 5), (2, 7), (0, 7)] {
             m.handle(MatchMsg::AddEdge {

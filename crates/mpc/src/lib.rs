@@ -22,6 +22,9 @@
 //!   long as the cluster. The pool is bit-identical to the serial backend
 //!   (verified by property tests), so large simulations use all host cores
 //!   without changing observable behaviour.
+//! * [`text`] — the snapshot line codec the machine programs share: one
+//!   line renderer over a byte sink (a `Vec<u8>` for snapshot text, the
+//!   FNV-1a hasher for state digests) and its byte-level reader.
 //!
 //! The round executor's hot path is allocation-free in steady state: one
 //! stable sort (counting, or in-place insertion for sparse rounds) groups
@@ -77,6 +80,7 @@ pub mod machine;
 pub mod metrics;
 pub mod parallel;
 pub mod pool;
+pub mod text;
 
 pub use chaos::{pack_text, unpack_text, ChaosCaps, ChaosEvent, ChaosKind, ChaosPlan, SnapCourier};
 pub use clock::{LatencyStats, SimClock};

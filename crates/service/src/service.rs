@@ -362,17 +362,7 @@ where
         .max_ops
         .min(a.admission_budget().unwrap_or(usize::MAX))
         .max(1);
-    let mut lp = ServiceLoop {
-        a,
-        make: &make,
-        plan,
-        cfg,
-        rep: ServiceReport::default(),
-        cum_rounds: 0,
-        cum_secs: 0.0,
-        write_log: Vec::new(),
-        window_index: 0,
-    };
+    let mut lp = ServiceLoop::new(a, &make, plan, cfg);
     let mut buf: AdmissionBuffer<Pending> = AdmissionBuffer::new(cfg.buffer_cap, cfg.backpressure);
     let mut clock = SimClock::new();
     let mut next = 0usize;
@@ -465,15 +455,44 @@ struct ServiceLoop<'p, A, F> {
     rep: ServiceReport,
     cum_rounds: usize,
     cum_secs: f64,
+    /// Completed write runs, for a victim's replica to replay. Kept only
+    /// while the plan holds an event in a later window: past the last one
+    /// no kill can fire, the log would never be read, and on a failure-free
+    /// run it would be a second copy of the whole workload.
     write_log: Vec<Vec<Update>>,
     window_index: usize,
 }
 
-impl<A, F> ServiceLoop<'_, A, F>
+impl<'p, A, F> ServiceLoop<'p, A, F>
 where
     A: ServiceAlgorithm + ElasticAlgorithm,
     F: Fn() -> A,
 {
+    fn new(a: A, make: &'p F, plan: &'p ChaosPlan, cfg: &'p ServiceConfig) -> Self {
+        ServiceLoop {
+            a,
+            make,
+            plan,
+            cfg,
+            rep: ServiceReport::default(),
+            cum_rounds: 0,
+            cum_secs: 0.0,
+            write_log: Vec::new(),
+            window_index: 0,
+        }
+    }
+
+    /// Records a completed write run while a kill in a later window may
+    /// still need it replayed; drops the log once none can.
+    fn log_write_run(&mut self, updates: Vec<Update>) {
+        let plan = self.plan;
+        if plan.events.iter().any(|e| e.at_batch > self.window_index) {
+            self.write_log.push(updates);
+        } else {
+            self.write_log = Vec::new();
+        }
+    }
+
     /// Executes one closed window and meters its ops' end-to-end latency.
     fn execute_window(&mut self, pend: Vec<Pending>, reason: CloseReason, now: u64) {
         debug_assert!(!pend.is_empty(), "windows never close empty");
@@ -540,7 +559,7 @@ where
             let bm = self.a.apply_window(&updates);
             let rounds = bm.rounds;
             self.rep.writes.merge(&bm);
-            self.write_log.push(updates);
+            self.log_write_run(updates);
             return rounds;
         }
         // Epoch fence (the PR 8 pattern at window granularity): checkpoint
@@ -565,7 +584,7 @@ where
             if victims.is_empty() && bm.lost_words == 0 && bm.lost_messages == 0 {
                 let rounds = bm.rounds;
                 self.rep.writes.merge(&bm);
-                self.write_log.push(updates);
+                self.log_write_run(updates);
                 return extra + rounds;
             }
             assert!(
@@ -829,6 +848,42 @@ mod tests {
         assert_eq!(off.answers, rep.answers);
         assert_eq!(off.writes.rounds, rep.writes.rounds);
         assert_eq!(off.reads.rounds, rep.reads.rounds);
+    }
+
+    #[test]
+    fn write_log_lives_only_while_a_later_kill_can_replay_it() {
+        let make = StubAlg::maker(None);
+        let c = ServiceConfig::default();
+        let window = |i: u32| {
+            vec![Pending {
+                tick: 0,
+                op: write_at(0, i, i + 1).op,
+                rounds0: 0,
+                secs0: 0.0,
+            }]
+        };
+        // No plan (every `run_service` call): nothing is ever logged.
+        let none = ChaosPlan::new(0);
+        let mut plain = ServiceLoop::new(make(), &make, &none, &c);
+        for i in 0..4 {
+            plain.execute_window(window(i), CloseReason::Size, 0);
+            assert!(plain.write_log.is_empty());
+        }
+        // Last kill at window 2: its replica replays the runs of windows 0
+        // and 1; once window 2's run completes nothing can ask again.
+        let plan = ChaosPlan::new(0).with_event_in_round(2, 1, ChaosKind::Kill(0));
+        let mut armed = ServiceLoop::new(make(), &make, &plan, &c);
+        for i in 0..2 {
+            armed.execute_window(window(i), CloseReason::Size, 0);
+            assert_eq!(armed.write_log.len(), i as usize + 1);
+        }
+        for i in 2..4 {
+            armed.execute_window(window(i), CloseReason::Size, 0);
+            assert_eq!(armed.write_log.capacity(), 0, "log not dropped");
+        }
+        // The log is bookkeeping only: both loops served the same run.
+        assert_eq!(armed.a.state_digest(), plain.a.state_digest());
+        assert_eq!(armed.rep.writes.rounds, plain.rep.writes.rounds);
     }
 
     #[test]

@@ -311,3 +311,95 @@ fn canonical_n256_seed42() {
     ];
     assert_eq!(got, CANONICAL);
 }
+
+/// FNV-1a of the concatenated `checkpoint()` texts (machine order) of:
+/// connectivity in batches of 1 and of 64, matching likewise, on the
+/// canonical workload; MST churn seed 0; matching after a star that leaves vertex 0
+/// heavy (so the overflow role and the coordinator's `ovf`/`susp` tables
+/// hold lines). The state digests above skip connectivity's machine header
+/// and `dir` lines and never see matching's text byte for byte; these pin
+/// every byte a snapshot writer emits. Captured on the last commit whose
+/// writers went through `fmt`.
+const SNAPSHOT_BYTES: [u64; 6] = [
+    1906135689035367783,
+    15087467110995317282,
+    4404946788099165665,
+    6318501889151849008,
+    7461093199260908899,
+    1309688183613463811,
+];
+
+/// Digest of the full checkpoint text, after checking that restoring the
+/// checkpoint machine by machine reproduces it byte for byte.
+fn checkpoint_bytes<A: ElasticAlgorithm>(alg: &mut A) -> u64 {
+    let before = alg.checkpoint();
+    for (m, snap) in before.iter().enumerate() {
+        alg.restore_machine(m as u32, snap);
+    }
+    assert_eq!(alg.checkpoint(), before, "restore_machine moved the text");
+    dmpc::mpc::chaos::fnv1a(before.concat().as_bytes())
+}
+
+fn batched<A: DynamicGraphAlgorithm>(mut alg: A, ups: &[Update], k: usize) -> A {
+    for batch in ups.chunks(k) {
+        assert!(alg.apply_batch(batch).clean());
+    }
+    alg
+}
+
+/// Snapshot text, byte for byte, of the canonical runs, one MST stream and
+/// a matching instance with a heavy vertex; plus the checkpoint → restore →
+/// checkpoint round trip on each (and the full-cluster `restore` where the
+/// algorithm supports it).
+#[test]
+fn snapshot_bytes_and_restore_round_trip() {
+    let n = 256;
+    let ups = streams::churn_stream(n, 2 * n, 1024, 0.5, 42);
+    let mut got = Vec::new();
+    for k in [1, 64] {
+        let mut alg = batched(conn(n, 3 * n), &ups, k);
+        let snaps = alg.checkpoint();
+        alg.restore(&snaps);
+        assert_eq!(alg.checkpoint(), snaps, "restore moved the text");
+        got.push(checkpoint_bytes(&mut alg));
+    }
+    for k in [1, 64] {
+        got.push(checkpoint_bytes(&mut batched(matching(n, 3 * n), &ups, k)));
+    }
+
+    let mut mst = DmpcMst::new(DmpcParams::new(32, 160), 0.1);
+    for &u in &streams::with_weights(&streams::churn_stream(32, 50, 120, 0.5, 0), 100, 0) {
+        let m = match u {
+            WeightedUpdate::Insert(e, w) => mst.insert(e, w),
+            WeightedUpdate::Delete(e) => mst.delete(e),
+        };
+        assert!(m.clean());
+    }
+    let snaps = mst.checkpoint();
+    mst.restore(&snaps);
+    assert_eq!(mst.checkpoint(), snaps, "restore moved the text");
+    got.push(checkpoint_bytes(&mut mst));
+
+    let mut star = streams::churn_stream(n, 2 * n, 1024, 0.55, 12);
+    let g = streams::replay(n, &star);
+    star.extend(
+        (1..=80)
+            .map(|v| dmpc::graph::Edge::new(0, v))
+            .filter(|&e| !g.has_edge(e))
+            .map(Update::Insert),
+    );
+    let mut heavy = batched(matching(n, 3 * n), &star, 64);
+    let text = heavy.checkpoint().concat();
+    for key in [
+        "\noedge ",
+        "\nassigned 0\n",
+        "\novf 0 ",
+        "\nsusp 0 ",
+        "\nhist ",
+    ] {
+        assert!(text.contains(key), "heavy instance lacks a {key:?} line");
+    }
+    got.push(checkpoint_bytes(&mut heavy));
+
+    assert_eq!(got, SNAPSHOT_BYTES);
+}
