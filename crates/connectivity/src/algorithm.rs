@@ -648,7 +648,8 @@ impl ConnDriver {
 
     /// Structural audit (tests): component labelling is consistent, index
     /// lists partition each tour, adjacency entries are symmetric, tree
-    /// entries pair up parent/child spans, and cached far indexes are live.
+    /// entries pair up parent/child spans (one parent edge per non-root
+    /// vertex), and cached far indexes are live.
     pub fn audit(&self) -> Result<(), String> {
         let n = self.params.n;
         let mut comp: Vec<CompId> = Vec::with_capacity(n);
@@ -702,6 +703,19 @@ impl ConnDriver {
         }
         // Adjacency symmetry and annotations.
         for v in 0..n as V {
+            // `Shard::path_max` fetches a vertex's parent edge as *the*
+            // child-side (even `lo`) tree entry: a root has none, any other
+            // vertex at most one.
+            let child_sides = adj[v as usize]
+                .values()
+                .filter(|(k, _)| matches!(k, EntryKind::Tree { lo, .. } if lo % 2 == 0))
+                .count();
+            let is_root = idx[v as usize].first().is_none_or(|&f| f == 1);
+            if child_sides > usize::from(!is_root) {
+                return Err(format!(
+                    "vertex {v}: {child_sides} child-side tree entries (root: {is_root})"
+                ));
+            }
             for (&far, &(kind, w)) in &adj[v as usize] {
                 let Some(&(rk, rw)) = adj[far as usize].get(&v) else {
                     return Err(format!("asymmetric edge ({v},{far})"));

@@ -2314,33 +2314,35 @@ impl Machine for ConnMachine {
         let mut acc = RoundAcc::default();
         // Structural Applies first, so follow-up protocol steps delivered in
         // the same round see post-op state; then directory fetches (served
-        // from pre-dispatch state), then everything else.
-        let mut rest: Vec<Envelope<ConnMsg>> = Vec::with_capacity(inbox.len());
-        for env in inbox.drain(..) {
-            match env.msg {
-                ConnMsg::Apply(b) => {
-                    let outcome = self.verts.apply_struct(&b);
-                    if let Some(r) = b.rendezvous {
-                        debug_assert_ne!(r, self.id, "the rendezvous applies locally");
-                        out.send(
-                            r,
-                            ConnMsg::CutReport {
-                                best: outcome.best,
-                                owns_parent: outcome.owns_parent,
-                                owns_child: outcome.owns_child,
-                                lane: b.lane,
-                            },
-                        );
-                    }
+        // from pre-dispatch state), then everything else. The inbox is
+        // partitioned in place: the first pass consumes what it handles.
+        inbox.retain(|env| match env.msg {
+            ConnMsg::Apply(b) => {
+                let outcome = self.verts.apply_struct(&b);
+                if let Some(r) = b.rendezvous {
+                    debug_assert_ne!(r, self.id, "the rendezvous applies locally");
+                    out.send(
+                        r,
+                        ConnMsg::CutReport {
+                            best: outcome.best,
+                            owns_parent: outcome.owns_parent,
+                            owns_child: outcome.owns_child,
+                            lane: b.lane,
+                        },
+                    );
                 }
-                // Partition-table shifts apply before anything else this
-                // round (in particular before the migration chunk that may
-                // arrive alongside), so routing is consistent immediately.
-                ConnMsg::Boundary { idx, val } => self.bounds[idx as usize] = val,
-                _ => rest.push(env),
+                false
             }
-        }
-        for env in rest {
+            // Partition-table shifts apply before anything else this
+            // round (in particular before the migration chunk that may
+            // arrive alongside), so routing is consistent immediately.
+            ConnMsg::Boundary { idx, val } => {
+                self.bounds[idx as usize] = val;
+                false
+            }
+            _ => true,
+        });
+        for env in inbox.drain(..) {
             match env.msg {
                 ConnMsg::SnapChunk {
                     words,

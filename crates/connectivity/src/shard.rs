@@ -8,15 +8,16 @@
 //! abandoned on relocation); arenas compact when holes outgrow live data, so
 //! the resident footprint stays linear in the shard.
 //!
-//! The structural-op mathematics is kept apart from the storage: the
-//! per-vertex core update ([`update_core`]) and the per-entry annotation
-//! rewrite ([`rewrite_entry`]) are pure functions, and every fold over
-//! entries (replacement candidates, path maxima) uses an explicit
-//! total-order tie-break, so results never depend on arena order. Snapshot
-//! emission sorts by vertex and far endpoint, so `snapshot_text` (and
-//! therefore every `state_digest`) is a function of the logical state only
-//! — relocations, compactions and migrations never move it
-//! (`tests/golden_digests.rs` pins the digests).
+//! A structural op is applied by two in-place kernels (one per op kind,
+//! [`Shard::apply_struct`]); what an op does to one vertex is defined, as
+//! pure functions over its core fields and one adjacency entry, in the
+//! `oracle` test module, which the kernels are differentially tested
+//! against. Every fold over entries (replacement candidates, path maxima)
+//! uses an explicit total-order tie-break, so results never depend on arena
+//! order. Snapshot emission sorts by vertex and far endpoint, so
+//! `snapshot_text` (and therefore every `state_digest`) is a function of the
+//! logical state only — relocations, compactions and migrations never move
+//! it (`tests/golden_digests.rs` pins the digests).
 //!
 //! The global-id ↔ slot interner is direct-mapped: a shard owns a
 //! contiguous vertex range, so `slot = v - base` with an absence sentinel.
@@ -24,7 +25,7 @@
 //! rather than paying a hash per access on the hot path.
 
 use crate::messages::{CutMode, StructBroadcast, VertexInfo};
-use dmpc_eulertour::indexed::{apply_op_to_vertex, map_reroot, CompId, TourOp};
+use dmpc_eulertour::indexed::{map_reroot, CompId, TourOp};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, Weight, V};
 use dmpc_mpc::text::{put_field, Fields, Sink};
@@ -78,245 +79,6 @@ pub(crate) struct ApplyOutcome {
     pub owns_parent: bool,
     /// This machine owns >= 1 vertex of the cut's detached side.
     pub owns_child: bool,
-}
-
-// ----- shared structural-op mathematics ---------------------------------
-//
-// The subtle index arithmetic lives in pure functions over a vertex's core
-// fields and one adjacency entry; the shard supplies only the iteration
-// around them.
-
-/// Per-vertex membership flags computed by [`update_core`], consumed by
-/// [`rewrite_entry`] for every adjacency entry of that vertex.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct VertFlags {
-    /// The vertex belonged to the rerooted (absorbed) component.
-    reroot_member: bool,
-    /// The vertex belongs to one of the two linked components.
-    link_member: bool,
-    /// ... specifically to the absorbed side `b`.
-    link_from_b: bool,
-    /// The vertex belonged to the cut component.
-    was_member: bool,
-    /// ... and ended up on the detached (child) side.
-    my_detached: bool,
-}
-
-/// True iff `update_core` would touch a vertex with component id `c` at
-/// all — lets the sweep skip the tour-index copy for bystanders.
-#[inline]
-pub(crate) fn core_member(b: &StructBroadcast, c: CompId) -> bool {
-    let rerooted = matches!(b.reroot, Some(TourOp::Reroot { comp, .. }) if comp == c);
-    let main = match b.main {
-        TourOp::Link { a, b: bc, .. } => c == a || c == bc,
-        TourOp::Cut { comp, .. } => c == comp,
-        TourOp::Reroot { .. } => false,
-    };
-    rerooted || main
-}
-
-/// Applies the broadcast's reroot + main op to one vertex's component id,
-/// size and tour-index list (the per-vertex "core"). Returns the membership
-/// flags the per-entry rewrite needs.
-pub(crate) fn update_core(
-    b: &StructBroadcast,
-    v: V,
-    comp: &mut CompId,
-    size: &mut u64,
-    idx: &mut Vec<TourIx>,
-) -> VertFlags {
-    let mut fl = VertFlags::default();
-    // 1. Reroot (links only): a bijection on the absorbed component's
-    // index space. Never changes the component id.
-    if let Some(r @ TourOp::Reroot { comp: rc, .. }) = b.reroot {
-        if *comp == rc {
-            fl.reroot_member = true;
-            apply_op_to_vertex(&r, v, *comp, idx);
-        }
-    }
-    // 2. Main op.
-    match b.main {
-        TourOp::Link { a, b: bc, .. } => {
-            let old = *comp;
-            if old == a || old == bc {
-                fl.link_member = true;
-                fl.link_from_b = old == bc;
-                *comp = apply_op_to_vertex(&b.main, v, old, idx);
-                *size = b.merged_size;
-            }
-        }
-        TourOp::Cut {
-            comp: c,
-            fy,
-            ly,
-            new_comp,
-            ..
-        } => {
-            if *comp == c {
-                fl.was_member = true;
-                let k_sub = (ly - fy).div_ceil(4);
-                let old_size = *size;
-                *comp = apply_op_to_vertex(&b.main, v, *comp, idx);
-                fl.my_detached = *comp == new_comp;
-                *size = if fl.my_detached {
-                    k_sub
-                } else {
-                    old_size - k_sub
-                };
-            }
-        }
-        TourOp::Reroot { .. } => unreachable!("reroot is never a main op"),
-    }
-    fl
-}
-
-/// Rewrites one adjacency entry's annotations under the broadcast ops and
-/// folds crossing-edge replacement candidates (searching cuts).
-///
-/// Tree entries always live in the owner's component's index space;
-/// non-tree cached indexes live in `far_comp`'s index space (the two can
-/// differ transiently between a cut and its reconnecting link). Must be
-/// called after [`update_core`] updated the vertex's core.
-#[inline]
-pub(crate) fn rewrite_entry(
-    b: &StructBroadcast,
-    fl: &VertFlags,
-    v: V,
-    far: V,
-    kind: &mut EntryKind,
-    w: Weight,
-    best: &mut Option<(Weight, Edge)>,
-) {
-    // 1. Reroot phase.
-    if let Some(TourOp::Reroot {
-        comp: rc,
-        elen,
-        l_y,
-        ..
-    }) = b.reroot
-    {
-        match kind {
-            EntryKind::Tree { lo, hi } if fl.reroot_member => {
-                let (a, c) = (map_reroot(*lo, elen, l_y), map_reroot(*hi, elen, l_y));
-                *lo = a.min(c);
-                *hi = a.max(c);
-            }
-            EntryKind::NonTree { cached, far_comp } if *far_comp == rc => {
-                *cached = map_reroot(*cached, elen, l_y);
-            }
-            _ => {}
-        }
-    }
-    // 2. Main op.
-    match b.main {
-        TourOp::Link {
-            a,
-            b: bc,
-            fx,
-            elen_b,
-            ..
-        } => {
-            let shift_b = fx + 2;
-            let shift_a = elen_b + 4;
-            match kind {
-                EntryKind::Tree { lo, hi } if fl.link_member => {
-                    let map = |i: TourIx| {
-                        if fl.link_from_b {
-                            i + shift_b
-                        } else if i > fx {
-                            i + shift_a
-                        } else {
-                            i
-                        }
-                    };
-                    *lo = map(*lo);
-                    *hi = map(*hi);
-                }
-                EntryKind::NonTree { cached, far_comp } => {
-                    if *far_comp == bc {
-                        // cached == 0 means the far endpoint was a
-                        // singleton, i.e. it is the link's y, whose
-                        // first new index is fx+2 (== 0 + shift_b).
-                        *cached += shift_b;
-                        *far_comp = a;
-                    } else if *far_comp == a {
-                        if *cached == 0 {
-                            // Far endpoint was a singleton = the link's
-                            // x; its first new index is fx+1 (fx = 0).
-                            *cached = fx + 1;
-                        } else if *cached > fx {
-                            *cached += shift_a;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        TourOp::Cut {
-            comp,
-            x,
-            y,
-            fy,
-            ly,
-            new_comp,
-        } => {
-            // The cut edge's own entries are rewritten afterwards (by the
-            // materialization step).
-            if (v == x && far == y) || (v == y && far == x) {
-                return;
-            }
-            let span = (ly - fy + 1) + 2;
-            let child_singleton = ly == fy + 1;
-            match kind {
-                EntryKind::Tree { lo, hi } => {
-                    if !fl.was_member {
-                        return;
-                    }
-                    // A surviving tree edge lies on one side.
-                    let map = |i: TourIx| {
-                        if i > fy && i < ly {
-                            i - fy
-                        } else if i > ly {
-                            i - span
-                        } else {
-                            i
-                        }
-                    };
-                    *lo = map(*lo);
-                    *hi = map(*hi);
-                }
-                EntryKind::NonTree { cached, far_comp } => {
-                    if *far_comp != comp {
-                        return;
-                    }
-                    // Classify the far side, repairing the dying
-                    // indexes of the cut edge's endpoints.
-                    if far == y {
-                        *far_comp = new_comp;
-                        *cached = if child_singleton { 0 } else { 1 };
-                    } else if far == x {
-                        *cached = b.x_after;
-                    } else if *cached > fy && *cached < ly {
-                        *far_comp = new_comp;
-                        *cached -= fy;
-                    } else if *cached > ly {
-                        *cached -= span;
-                    }
-                    if b.rendezvous.is_some()
-                        && fl.was_member
-                        && (*far_comp == new_comp) != fl.my_detached
-                    {
-                        // Crossing edge: replacement candidate.
-                        let cand = (w, Edge::new(v, far));
-                        if best.is_none_or(|cur| cand < cur) {
-                            *best = Some(cand);
-                        }
-                    }
-                }
-            }
-        }
-        TourOp::Reroot { .. } => unreachable!(),
-    }
 }
 
 // ----- the arenas -------------------------------------------------------
@@ -478,8 +240,9 @@ impl Shard {
     }
 
     /// Overwrites a slot's tour segment, relocating to the arena tail (with
-    /// headroom) when it outgrows its capacity.
-    fn tour_store(&mut self, slot: usize, vals: &[TourIx], headroom: u32) {
+    /// headroom) when it outgrows its capacity. The caller owes a
+    /// [`Self::maybe_compact_tour`] once it is done storing.
+    fn tour_write(&mut self, slot: usize, vals: &[TourIx], headroom: u32) {
         let s = self.tpos[slot];
         self.tour_live = self.tour_live - s.len as usize + vals.len();
         if vals.len() as u32 <= s.cap {
@@ -496,7 +259,6 @@ impl Shard {
                 cap,
             };
         }
-        self.maybe_compact_tour();
     }
 
     fn maybe_compact_tour(&mut self) {
@@ -714,103 +476,260 @@ impl Shard {
         }
     }
 
+    /// Drops the (at most two) occurrences of `d0`/`d1` from a slot's tour
+    /// segment in place; the freed tail words stay segment headroom.
+    fn tour_drop(&mut self, slot: usize, d0: TourIx, d1: TourIx) {
+        let s = self.tpos[slot];
+        let t = &mut self.tour[s.start as usize..(s.start + s.len) as usize];
+        let mut kept = 0;
+        for j in 0..t.len() {
+            let i = t[j];
+            if i != d0 && i != d1 {
+                t[kept] = i;
+                kept += 1;
+            }
+        }
+        self.tour_live -= t.len() - kept;
+        self.tpos[slot].len = kept as u32;
+    }
+
+    /// The structural sweep: applies the broadcast's reroot + main op to
+    /// every owned vertex's core (component id, size, tour indexes) and to
+    /// every adjacency entry's annotations, in place in the arenas.
+    ///
+    /// In place is exact because every index map is monotone on one
+    /// vertex's sorted list — a cut leaves a vertex wholly inside or wholly
+    /// outside `(fy, ly)`, a link adds one constant or shifts the tail above
+    /// `fx`, and a reroot is a rotation (map, then sort the slice where it
+    /// lies). Only the op's two endpoints change length. The `oracle` test
+    /// module holds the per-vertex definition these kernels are checked
+    /// against.
     fn apply_sweep(&mut self, b: &StructBroadcast) -> ApplyOutcome {
+        let outcome = match b.main {
+            TourOp::Link { .. } => {
+                self.sweep_link(b);
+                ApplyOutcome::default()
+            }
+            TourOp::Cut { .. } => self.sweep_cut(b),
+            TourOp::Reroot { .. } => unreachable!("reroot is never a main op"),
+        };
+        self.maybe_compact_tour();
+        outcome
+    }
+
+    /// Link kernel: members of `a` shift their indexes above `fx` by
+    /// `elen_b + 4`; members of the absorbed `b` are rerooted (when the
+    /// broadcast says so) and shifted by `fx + 2`; `x` and `y` gain the new
+    /// edge's two appearances each. Non-tree entries follow the same maps,
+    /// keyed by their `far_comp`, whoever holds them.
+    fn sweep_link(&mut self, b: &StructBroadcast) {
+        let TourOp::Link {
+            a,
+            b: bc,
+            x,
+            y,
+            fx,
+            elen_b,
+        } = b.main
+        else {
+            unreachable!("dispatched on a link")
+        };
+        let (shift_a, shift_b) = (elen_b + 4, fx + 2);
+        let rot = match b.reroot {
+            Some(TourOp::Reroot {
+                comp, elen, l_y, ..
+            }) => {
+                assert_eq!(comp, bc, "a link reroots the component it absorbs");
+                Some((elen, l_y))
+            }
+            _ => None,
+        };
+        let map_a = |i: TourIx| if i > fx { i + shift_a } else { i };
+        let map_b = |i: TourIx| rot.map_or(i, |(elen, l_y)| map_reroot(i, elen, l_y)) + shift_b;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        for slot in 0..self.comp.len() {
+            let c = self.comp[slot];
+            if c == COMP_NONE {
+                continue;
+            }
+            let from_b = c == bc;
+            let member = from_b || c == a;
+            if member {
+                self.comp[slot] = a;
+                self.size[slot] = b.merged_size as u32;
+                let v = self.base + slot as V;
+                let ts = self.tpos[slot];
+                let t = &mut self.tour[ts.start as usize..(ts.start + ts.len) as usize];
+                let grown = if from_b {
+                    t.iter_mut().for_each(|i| *i = map_b(*i));
+                    (v == y).then_some([fx + 2, fx + elen_b + 3])
+                } else {
+                    t.iter_mut().for_each(|i| *i = map_a(*i));
+                    (v == x).then_some([fx + 1, fx + elen_b + 4])
+                };
+                if let Some(new) = grown {
+                    scratch.clear();
+                    scratch.extend_from_slice(t);
+                    scratch.extend_from_slice(&new);
+                    scratch.sort_unstable();
+                    self.tour_write(slot, &scratch, TOUR_HEADROOM);
+                } else if from_b && rot.is_some() {
+                    t.sort_unstable();
+                }
+            }
+            let s = self.apos[slot];
+            let seg = s.start as usize..(s.start + s.len) as usize;
+            let (far, aa, ab) = (
+                &self.afar[seg.clone()],
+                &mut self.aa[seg.clone()],
+                &mut self.ab[seg],
+            );
+            for ((&tagged, ea), eb) in far.iter().zip(aa).zip(ab) {
+                if tagged & TREE_BIT != 0 {
+                    // Tree entries live in their owner's index space.
+                    if from_b {
+                        let (p, q) = (map_b(*ea), map_b(*eb));
+                        (*ea, *eb) = (p.min(q), p.max(q));
+                    } else if member {
+                        (*ea, *eb) = (map_a(*ea), map_a(*eb));
+                    }
+                } else if *eb as CompId == bc {
+                    // cached == 0: the far endpoint was a singleton, i.e.
+                    // the link's y, whose first new index is 0 + shift_b.
+                    *ea = map_b(*ea);
+                    *eb = a as u64;
+                } else if *eb as CompId == a {
+                    // cached == 0: the far endpoint was the singleton x,
+                    // whose first new index is fx + 1 (fx = 0).
+                    *ea = if *ea == 0 { fx + 1 } else { map_a(*ea) };
+                }
+            }
+        }
+        self.scratch = scratch;
+    }
+
+    /// Cut kernel: members of `comp` strictly inside `(fy, ly)` detach into
+    /// `new_comp` (indexes `- fy`), the rest close the gap (indexes above
+    /// `ly` drop by the span); `x` and `y` lose the cut edge's appearances.
+    /// Non-tree entries into `comp` are re-classified by the far side, and a
+    /// searching cut folds the crossing ones into the replacement candidate.
+    fn sweep_cut(&mut self, b: &StructBroadcast) -> ApplyOutcome {
+        let TourOp::Cut {
+            comp,
+            x,
+            y,
+            fy,
+            ly,
+            new_comp,
+        } = b.main
+        else {
+            unreachable!("dispatched on a cut")
+        };
+        let span = (ly - fy + 1) + 2;
+        let k_sub = (ly - fy).div_ceil(4) as u32;
+        // Some live index of y after the cut (0: it became a singleton).
+        let y_cached = if ly == fy + 1 { 0 } else { 1 };
+        let x_after = b.x_after;
+        let searching = b.rendezvous.is_some();
+        let map = |i: TourIx| {
+            if i > fy && i < ly {
+                i - fy
+            } else if i > ly {
+                i - span
+            } else {
+                i
+            }
+        };
         let mut best: Option<(Weight, Edge)> = None;
         let mut outcome = ApplyOutcome::default();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let (cut_comp, cut_new) = match b.main {
-            TourOp::Cut { comp, new_comp, .. } => (comp, new_comp),
-            _ => (COMP_NONE, COMP_NONE),
-        };
-        // For a bystander vertex (default flags), `rewrite_entry` only ever
-        // touches non-tree entries whose `far_comp` is one of the broadcast's
-        // named components: the tree arms and the candidate fold are all
-        // gated on membership flags. Precompute that id set so the bystander
-        // loop can skip the decode/encode round-trip for everything else.
-        let mut affected = [COMP_NONE; 3];
-        if let Some(TourOp::Reroot { comp, .. }) = b.reroot {
-            affected[0] = comp;
-        }
-        match b.main {
-            TourOp::Link { a, b: bc, .. } => {
-                affected[1] = a;
-                affected[2] = bc;
-            }
-            TourOp::Cut { comp, .. } => affected[1] = comp,
-            TourOp::Reroot { .. } => {}
-        }
         for slot in 0..self.comp.len() {
             let c = self.comp[slot];
             if c == COMP_NONE {
                 continue;
             }
             let v = self.base + slot as V;
-            let s = self.apos[slot];
-            let seg = s.start as usize..(s.start + s.len) as usize;
-            if !core_member(b, c) {
-                if c == cut_comp {
-                    outcome.owns_parent = true;
-                } else if c == cut_new {
+            let member = c == comp;
+            let mut detached = false;
+            if member {
+                if v == x {
+                    self.tour_drop(slot, fy - 1, ly + 1);
+                } else if v == y {
+                    self.tour_drop(slot, fy, ly);
+                }
+                let ts = self.tpos[slot];
+                let t = &mut self.tour[ts.start as usize..(ts.start + ts.len) as usize];
+                // A vertex with no indexes left is a singleton; the child
+                // endpoint forms the new component by itself.
+                detached = t.first().map_or(v == y, |&i| i > fy && i < ly);
+                if detached {
+                    t.iter_mut().for_each(|i| *i -= fy);
+                    self.comp[slot] = new_comp;
+                    self.size[slot] = k_sub;
                     outcome.owns_child = true;
+                } else {
+                    t.iter_mut().filter(|i| **i > ly).for_each(|i| *i -= span);
+                    self.size[slot] -= k_sub;
+                    outcome.owns_parent = true;
                 }
-                let fl = VertFlags::default();
-                for i in seg {
-                    let tagged = self.afar[i];
-                    if tagged & TREE_BIT != 0 {
-                        continue;
-                    }
-                    let fc = self.ab[i] as CompId;
-                    if fc != affected[0] && fc != affected[1] && fc != affected[2] {
-                        continue;
-                    }
-                    let mut kind = decode_kind(tagged, self.aa[i], self.ab[i]);
-                    rewrite_entry(
-                        b,
-                        &fl,
-                        v,
-                        tagged & !TREE_BIT,
-                        &mut kind,
-                        self.aw[i],
-                        &mut best,
-                    );
-                    let (_, a, bb) = encode_kind(&kind);
-                    self.aa[i] = a;
-                    self.ab[i] = bb;
-                }
-                continue;
-            }
-            scratch.clear();
-            scratch.extend_from_slice(self.tour_slice(slot));
-            let mut comp = c;
-            let mut size = self.size[slot] as u64;
-            let fl = update_core(b, v, &mut comp, &mut size, &mut scratch);
-            self.comp[slot] = comp;
-            self.size[slot] = size as u32;
-            self.tour_store(slot, &scratch, TOUR_HEADROOM);
-            if comp == cut_comp {
-                outcome.owns_parent = true;
-            } else if comp == cut_new {
+            } else if c == new_comp {
                 outcome.owns_child = true;
             }
-            // tour_store may relocate segments, but never the adjacency
-            // arena; `seg` stays valid.
-            for i in seg {
-                let mut kind = decode_kind(self.afar[i], self.aa[i], self.ab[i]);
-                rewrite_entry(
-                    b,
-                    &fl,
-                    v,
-                    self.afar[i] & !TREE_BIT,
-                    &mut kind,
-                    self.aw[i],
-                    &mut best,
-                );
-                let (_, a, bb) = encode_kind(&kind);
-                self.aa[i] = a;
-                self.ab[i] = bb;
+            // The cut edge's own entries are rewritten by the
+            // materialization step, not here.
+            let skip = if v == x {
+                y
+            } else if v == y {
+                x
+            } else {
+                V::MAX
+            };
+            let s = self.apos[slot];
+            let seg = s.start as usize..(s.start + s.len) as usize;
+            let (far, aa, ab) = (
+                &self.afar[seg.clone()],
+                &mut self.aa[seg.clone()],
+                &mut self.ab[seg.clone()],
+            );
+            for (k, ((&tagged, ea), eb)) in far.iter().zip(aa).zip(ab).enumerate() {
+                let far = tagged & !TREE_BIT;
+                if far == skip {
+                    continue;
+                }
+                if tagged & TREE_BIT != 0 {
+                    // A surviving tree edge lies on one side.
+                    if member {
+                        (*ea, *eb) = (map(*ea), map(*eb));
+                    }
+                    continue;
+                }
+                if *eb as CompId != comp {
+                    continue;
+                }
+                // Classify the far side, repairing the dying indexes of the
+                // cut edge's endpoints.
+                let far_detached = if far == y {
+                    *ea = y_cached;
+                    true
+                } else if far == x {
+                    *ea = x_after;
+                    false
+                } else {
+                    let inside = *ea > fy && *ea < ly;
+                    *ea = map(*ea);
+                    inside
+                };
+                if far_detached {
+                    *eb = new_comp as u64;
+                }
+                if searching && member && far_detached != detached {
+                    // Crossing edge: replacement candidate.
+                    let cand = (self.aw[seg.start + k], Edge::new(v, far));
+                    if best.is_none_or(|cur| cand < cur) {
+                        best = Some(cand);
+                    }
+                }
             }
         }
-        self.scratch = scratch;
         outcome.best = best.map(|(w, e)| (e, w));
         outcome
     }
@@ -930,7 +849,12 @@ impl Shard {
     /// endpoints.
     pub fn apply_struct(&mut self, b: &StructBroadcast) -> ApplyOutcome {
         let outcome = self.apply_sweep(b);
-        // Materialize the new/updated edge entries at owned endpoints.
+        self.materialize_edge(b);
+        outcome
+    }
+
+    /// Materializes the new/updated edge entries at owned endpoints.
+    fn materialize_edge(&mut self, b: &StructBroadcast) {
         match b.main {
             TourOp::Link {
                 x, y, fx, elen_b, ..
@@ -979,7 +903,9 @@ impl Shard {
                     // follow-up link) non-tree edge.
                     let child_singleton = ly == fy + 1;
                     if self.contains(x) {
-                        let w = self.adj_get(x, y).map(|(_, w)| w).unwrap_or(0);
+                        let (_, w) = self
+                            .adj_get(x, y)
+                            .expect("demoted edge has a tree entry at its owner");
                         self.adj_set(
                             x,
                             y,
@@ -991,7 +917,9 @@ impl Shard {
                         );
                     }
                     if self.contains(y) {
-                        let w = self.adj_get(y, x).map(|(_, w)| w).unwrap_or(0);
+                        let (_, w) = self
+                            .adj_get(y, x)
+                            .expect("demoted edge has a tree entry at its owner");
                         self.adj_set(
                             y,
                             x,
@@ -1007,12 +935,18 @@ impl Shard {
             TourOp::Reroot { .. } => unreachable!("reroot is never a main op"),
         }
         self.enforce_soft_cap();
-        outcome
     }
 
     /// The max-weight locally-owned tree edge on the path between the two
     /// spans (ties broken toward the smaller edge for determinism; the fold
     /// is a strict total order, so iteration order cannot matter).
+    ///
+    /// Each tree edge is processed once, at its child endpoint, whose
+    /// subtree span `[f(v), l(v)]` is the first and last word of its tour
+    /// segment: the edge is on the x..y path iff that span contains exactly
+    /// one endpoint. Only then are the vertex's entries walked for its one
+    /// child-side tree entry (even `lo`, arrival parity), whose `(lo, hi)`
+    /// equals the span (`ConnDriver::audit` checks both).
     pub fn path_max(
         &self,
         comp: CompId,
@@ -1026,31 +960,30 @@ impl Shard {
             if self.comp[slot] != comp {
                 continue;
             }
-            let v = self.base + slot as V;
+            let t = self.tour_slice(slot);
+            let (Some(&f), Some(&l)) = (t.first(), t.last()) else {
+                continue;
+            };
+            let contains_x = f <= fx && lx <= l;
+            let contains_y = f <= fy && ly <= l;
+            if contains_x == contains_y {
+                continue;
+            }
             let sg = self.apos[slot];
-            for i in sg.start as usize..(sg.start + sg.len) as usize {
-                if self.afar[i] & TREE_BIT == 0 {
-                    continue;
-                }
-                // Process each tree edge once: at its child endpoint.
-                let (lo, hi) = (self.aa[i], self.ab[i]);
-                if !lo.is_multiple_of(2) {
-                    continue;
-                }
-                // Child's subtree span is [lo, hi]; the edge is on the
-                // x..y path iff the span contains exactly one endpoint.
-                let contains_x = lo <= fx && lx <= hi;
-                let contains_y = lo <= fy && ly <= hi;
-                if contains_x ^ contains_y {
-                    let (w, e) = (self.aw[i], Edge::new(v, self.afar[i] & !TREE_BIT));
-                    let better = match best {
-                        None => true,
-                        Some((bw, be)) => w > bw || (w == bw && e < be),
-                    };
-                    if better {
-                        best = Some((w, e));
-                    }
-                }
+            let child_side = (sg.start as usize..(sg.start + sg.len) as usize)
+                .find(|&i| self.afar[i] & TREE_BIT != 0 && self.aa[i].is_multiple_of(2));
+            // Only a root has no parent edge (and its span holds both
+            // endpoints, so it is never a hit).
+            let Some(i) = child_side else { continue };
+            debug_assert_eq!((self.aa[i], self.ab[i]), (f, l), "child span is not f/l");
+            let v = self.base + slot as V;
+            let (w, e) = (self.aw[i], Edge::new(v, self.afar[i] & !TREE_BIT));
+            let better = match best {
+                None => true,
+                Some((bw, be)) => w > bw || (w == bw && e < be),
+            };
+            if better {
+                best = Some((w, e));
             }
         }
         best.map(|(w, e)| (e, w))
@@ -1094,7 +1027,8 @@ impl Shard {
         }
         self.comp[slot] = comp;
         self.size[slot] = size as u32;
-        self.tour_store(slot, idx, 0);
+        self.tour_write(slot, idx, 0);
+        self.maybe_compact_tour();
         slot
     }
 
@@ -1228,6 +1162,9 @@ impl Shard {
         }
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -21,7 +21,7 @@ use dmpc::core::{
 };
 use dmpc::graph::streams::{self, Update, WeightedUpdate};
 use dmpc::matching::DmpcMaximalMatching;
-use dmpc::mpc::{BatchMetrics, ChaosCaps, ChaosPlan, UpdateMetrics};
+use dmpc::mpc::{BatchMetrics, ChaosCaps, ChaosPlan, Machine, UpdateMetrics};
 
 /// `(state_digest, total rounds, total words)` of one replayed stream.
 type Golden = (u64, usize, usize);
@@ -259,6 +259,36 @@ fn mst_churn_streams() {
         }
         t.golden(ElasticAlgorithm::state_digest(&alg))
     });
+}
+
+/// Resident words (summed over machines) and checkpoint-text digest of MST
+/// mode after the canonical stream, captured on the last commit whose
+/// structural sweep stored every member vertex's tour back (and checked the
+/// tour arena for compaction) one vertex at a time.
+const MST_CANONICAL_RESIDENT: (usize, u64) = (7430, 1577733762557580182);
+
+/// The arenas may reclaim holes at other moments than they used to — never
+/// hold more for it, and never a different vertex state.
+#[test]
+fn mst_canonical_resident_words_do_not_grow() {
+    let n = 256;
+    let ups = streams::with_weights(&streams::churn_stream(n, 2 * n, 1024, 0.5, 42), 100, 42);
+    let mut alg = DmpcMst::new(DmpcParams::new(n, 3 * n), 0.1);
+    for &u in &ups {
+        let m = match u {
+            WeightedUpdate::Insert(e, w) => alg.insert(e, w),
+            WeightedUpdate::Delete(e) => alg.delete(e),
+        };
+        assert!(m.clean());
+    }
+    let resident: usize = alg.driver().machines().map(|m| m.memory_words()).sum();
+    let text = dmpc::mpc::chaos::fnv1a(alg.checkpoint().concat().as_bytes());
+    let (ceiling, want_text) = MST_CANONICAL_RESIDENT;
+    assert_eq!(
+        text, want_text,
+        "checkpoint text moved (resident {resident})"
+    );
+    assert!(resident <= ceiling, "resident {resident} words > {ceiling}");
 }
 
 /// Mixed per-op churn on maximal matching.
