@@ -1,6 +1,5 @@
-//! Shared drivers for the benchmark binaries and Criterion benches: run
-//! each algorithm over the standard workloads and collect the Table-1
-//! quantities.
+//! Shared drivers for the paper-experiment binaries: run each algorithm
+//! over the standard workloads and collect the Table-1 quantities.
 //!
 //! # Example
 //!
@@ -17,11 +16,11 @@
 use dmpc_connectivity::{DmpcConnectivity, DmpcMst};
 use dmpc_core::experiment::ScalingSweep;
 use dmpc_core::{
-    apply_batch_looped, run_stream_batched, DmpcParams, DynamicGraphAlgorithm, QueryableAlgorithm,
+    run_stream_batched, DmpcParams, DynamicGraphAlgorithm, QueryableAlgorithm,
     WeightedDynamicGraphAlgorithm,
 };
 use dmpc_graph::streams::{self, Update, WeightedUpdate};
-use dmpc_graph::{Query, QueryAnswer, V};
+use dmpc_graph::{Query, V};
 use dmpc_matching::cs::{CsMatching, CsParams};
 use dmpc_matching::{DmpcMaximalMatching, DmpcThreeHalves};
 use dmpc_mpc::{AggregateMetrics, BatchMetrics, QueryMetrics};
@@ -37,13 +36,6 @@ pub fn standard_stream(n: usize, steps: usize, seed: u64) -> Vec<Update> {
 /// its instances through this one helper.
 pub fn canonical_params(n: usize) -> DmpcParams {
     DmpcParams::new(n, 3 * n)
-}
-
-/// Canonical bench setup shared by the scaling, throughput and large-n
-/// trajectory bins: the [`canonical_params`] deployment plus the standard
-/// churn stream (`2n` build-up inserts, then `steps` mixed updates).
-pub fn canonical_workload(n: usize, steps: usize, seed: u64) -> (DmpcParams, Vec<Update>) {
-    (canonical_params(n), standard_stream(n, steps, seed))
 }
 
 /// Cluster grain of the large-n trajectory workload: components stay inside
@@ -171,7 +163,7 @@ pub struct Table1Row {
 }
 
 /// A deterministic pool of uniform connectivity queries over `n` vertices.
-pub fn connectivity_query_pool(n: usize, count: usize, seed: u64) -> Vec<Query> {
+fn connectivity_query_pool(n: usize, count: usize, seed: u64) -> Vec<Query> {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0bee_f00d_5eed_cafe);
@@ -195,7 +187,7 @@ pub fn connectivity_query_pool(n: usize, count: usize, seed: u64) -> Vec<Query> 
 }
 
 /// A deterministic pool of uniform matching queries over `n` vertices.
-pub fn matching_query_pool(n: usize, count: usize, seed: u64) -> Vec<Query> {
+fn matching_query_pool(n: usize, count: usize, seed: u64) -> Vec<Query> {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0bee_f00d_5eed_cafe);
@@ -209,73 +201,23 @@ pub fn matching_query_pool(n: usize, count: usize, seed: u64) -> Vec<Query> {
 
 /// Runs the pool through `answer_queries` in waves of `q`, merging the
 /// per-wave costs (the query-plane analogue of [`run_stream_batched`]).
-/// Also returns the answers so callers can cross-check cells.
-pub fn run_queries_batched<A: QueryableAlgorithm + ?Sized>(
+fn run_queries_batched<A: QueryableAlgorithm + ?Sized>(
     alg: &mut A,
     pool: &[Query],
     q: usize,
-) -> (Vec<QueryAnswer>, QueryMetrics) {
-    let mut answers = Vec::with_capacity(pool.len());
+) -> QueryMetrics {
     let mut total = QueryMetrics::default();
     for wave in pool.chunks(q.max(1)) {
-        let (a, m) = alg.answer_queries(wave);
-        answers.extend(a);
-        total.merge(&m);
+        total.merge(&alg.answer_queries(wave).1);
     }
-    (answers, total)
-}
-
-/// One point of a batch-scaling sweep: the same stream executed through
-/// `apply_batch` in batches of `k`, against the looped single-update
-/// baseline.
-#[derive(Clone, Debug)]
-pub struct BatchScalingPoint {
-    /// Batch size.
-    pub k: usize,
-    /// Cost of batched execution.
-    pub batched: BatchMetrics,
-    /// Cost of the looped baseline.
-    pub looped: BatchMetrics,
-}
-
-impl BatchScalingPoint {
-    /// Looped-over-batched amortized-rounds ratio (> 1 means batching wins).
-    /// A zero-round batched run against a non-trivial looped run is an
-    /// infinite win, not a zero.
-    pub fn round_speedup(&self) -> f64 {
-        let b = self.batched.amortized_rounds();
-        let l = self.looped.amortized_rounds();
-        if b == 0.0 {
-            return if l > 0.0 { f64::INFINITY } else { 1.0 };
-        }
-        l / b
-    }
-}
-
-/// Sweeps batch sizes over one stream: for each `k`, a fresh instance runs
-/// the stream through `apply_batch` (chunked into batches of `k`) and a
-/// second fresh instance runs the looped baseline.
-pub fn batch_scaling_sweep<F>(mut make: F, ups: &[Update], ks: &[usize]) -> Vec<BatchScalingPoint>
-where
-    F: FnMut() -> Box<dyn DynamicGraphAlgorithm>,
-{
-    ks.iter()
-        .map(|&k| {
-            let batched = run_stream_batched(make().as_mut(), ups, k);
-            let mut base = make();
-            let mut looped = BatchMetrics::default();
-            for batch in ups.chunks(k.max(1)) {
-                looped.merge(&apply_batch_looped(base.as_mut(), batch));
-            }
-            BatchScalingPoint { k, batched, looped }
-        })
-        .collect()
+    total
 }
 
 /// Measures all eight Table-1 rows at vertex count `n` with `steps` churn
 /// updates.
 pub fn measure_table1(n: usize, steps: usize, seed: u64) -> Vec<Table1Row> {
-    let (params, ups) = canonical_workload(n, steps, seed);
+    let params = canonical_params(n);
+    let ups = standard_stream(n, steps, seed);
     let m_max = params.m_max;
     let tree_ups = tree_stream(n, steps, seed);
     let wups = streams::with_weights(&ups, 1000, seed);
@@ -299,7 +241,7 @@ pub fn measure_table1(n: usize, steps: usize, seed: u64) -> Vec<Table1Row> {
             &ups,
             16,
         )),
-        query: Some(run_queries_batched(&mut mm, &match_pool, 16).1),
+        query: Some(run_queries_batched(&mut mm, &match_pool, 16)),
     });
 
     let mut th = DmpcThreeHalves::new(params);
@@ -308,7 +250,7 @@ pub fn measure_table1(n: usize, steps: usize, seed: u64) -> Vec<Table1Row> {
         claimed: ("O(1)", "O(n/sqrt N)", "O(sqrt N)"),
         agg: run_unweighted(&mut th, &ups),
         batch: None,
-        query: Some(run_queries_batched(&mut th, &match_pool, 16).1),
+        query: Some(run_queries_batched(&mut th, &match_pool, 16)),
     });
 
     let mut cs = CsMatching::new(n, CsParams::defaults(n, 0.3));
@@ -331,7 +273,7 @@ pub fn measure_table1(n: usize, steps: usize, seed: u64) -> Vec<Table1Row> {
             &tree_ups,
             16,
         )),
-        query: Some(run_queries_batched(&mut cc, &conn_pool, 16).1),
+        query: Some(run_queries_batched(&mut cc, &conn_pool, 16)),
     });
 
     let mut mst = DmpcMst::new(params, 0.1);
@@ -341,7 +283,7 @@ pub fn measure_table1(n: usize, steps: usize, seed: u64) -> Vec<Table1Row> {
         claimed: ("O(1)", "O(sqrt N)", "O(sqrt N)"),
         agg: mst_agg,
         batch: None,
-        query: Some(run_queries_batched(&mut mst, &conn_pool, 16).1),
+        query: Some(run_queries_batched(&mut mst, &conn_pool, 16)),
     });
 
     let mut rmm = ReducedMatching::new(n, m_max);
@@ -397,28 +339,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batch_sweep_beats_looped_at_k16() {
-        let params = DmpcParams::new(48, 144);
-        let ups = standard_stream(48, 96, 5);
-        let pts = batch_scaling_sweep(
-            || Box::new(DmpcConnectivity::new(params)) as Box<dyn DynamicGraphAlgorithm>,
-            &ups,
-            &[1, 16],
-        );
-        assert_eq!(pts.len(), 2);
-        for p in &pts {
-            assert_eq!(p.batched.updates, ups.len());
-            assert_eq!(p.looped.updates, ups.len());
-            assert!(p.batched.clean(), "{} violations", p.batched.violations);
-        }
-        assert!(
-            pts[1].round_speedup() > 1.0,
-            "k=16 must amortize: {:?}",
-            pts[1]
-        );
-    }
 
     #[test]
     fn table1_runs_and_is_clean() {

@@ -39,9 +39,8 @@ impl ConnDriver {
     }
 
     /// Full-control constructor: executor tuning, multicast/broadcast
-    /// routing, and an optional machine-count override (the
-    /// `active_scaling` bench sweeps P at fixed n; `None` uses the model's
-    /// O(sqrt N) count).
+    /// routing, and an optional machine-count override (`None` uses the
+    /// model's O(sqrt N) count).
     fn with_opts(
         params: DmpcParams,
         mst_mode: bool,
@@ -815,9 +814,10 @@ impl DmpcConnectivity {
         }
     }
 
-    /// New empty instance with an explicit machine count (the
-    /// `active_scaling` bench sweeps P at fixed n; the model default is
-    /// `params.storage_machines()`).
+    /// New empty instance with an explicit machine count (the model
+    /// default is `params.storage_machines()`; the P sweep at fixed n in
+    /// `tests/multicast.rs` pins that the active footprint follows owner
+    /// sets, not P).
     pub fn with_cluster(
         params: DmpcParams,
         exec: ExecOptions,

@@ -390,38 +390,8 @@ pub struct ConnMachine {
 }
 
 impl ConnMachine {
-    /// Creates the machine with its owned vertex block.
-    pub fn new(id: MachineId, n_vertices: usize, block: usize, mst_mode: bool) -> Self {
-        Self::with_opts(
-            id,
-            n_vertices,
-            block,
-            mst_mode,
-            Routing::default(),
-            Scheduler::default(),
-        )
-    }
-
-    /// Creates the machine with an explicit multicast/broadcast routing.
-    pub fn with_routing(
-        id: MachineId,
-        n_vertices: usize,
-        block: usize,
-        mst_mode: bool,
-        routing: Routing,
-    ) -> Self {
-        Self::with_opts(
-            id,
-            n_vertices,
-            block,
-            mst_mode,
-            routing,
-            Scheduler::default(),
-        )
-    }
-
-    /// Creates the machine with explicit routing and batch scheduler
-    /// choices.
+    /// Creates the machine with its owned vertex block and explicit
+    /// routing and batch scheduler choices.
     pub fn with_opts(
         id: MachineId,
         n_vertices: usize,

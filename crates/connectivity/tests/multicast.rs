@@ -321,6 +321,77 @@ fn clustered_churn_active_bounded_by_owner_sets() {
     );
     mc.driver().audit().unwrap();
     mc.driver().audit_directory().unwrap();
+
+    // The P sweep at fixed n = 256: the structural footprint follows the
+    // owner sets under multicast and P under broadcast.
+    let n = 256;
+    let ups = streams::clustered_churn_stream(n, 8, n / 16, 512, 0.5, 42);
+    for p in [4, 16, 64] {
+        let mc = p_sweep_cell(n, p, Routing::Multicast, &ups);
+        let bc = p_sweep_cell(n, p, Routing::Broadcast, &ups);
+        assert!(mc.structural > 0 && mc.structural == bc.structural);
+        assert!(
+            mc.max_touched_structural <= mc.max_owner_union + 1,
+            "P={p}: worst structural update touched {} machines, worst owner union {}",
+            mc.max_touched_structural,
+            mc.max_owner_union
+        );
+        assert!(
+            mc.sum_touched_structural <= bc.sum_touched_structural,
+            "P={p}: multicast touched more machines than broadcast on structural updates"
+        );
+        assert!(mc.sum_touched <= bc.sum_touched, "P={p}");
+    }
+}
+
+/// One routing's footprint totals over a stream at a forced machine count.
+#[derive(Default)]
+struct PSweepCell {
+    structural: usize,
+    max_touched_structural: usize,
+    sum_touched_structural: usize,
+    sum_touched: usize,
+    /// Worst pre-update owner footprint seen on a structural update.
+    max_owner_union: usize,
+}
+
+/// Runs `ups` at `p` machines, asserting per update that nothing violates
+/// the model and that multicast stays inside the pre-update owner
+/// footprint of the edge's two components.
+fn p_sweep_cell(n: usize, p: usize, routing: Routing, ups: &[Update]) -> PSweepCell {
+    // Forcing P below the model's O(sqrt N) machine count means each machine
+    // holds Theta(N / P) words; forcing it above means broadcast sends
+    // 16-word Applies to P-1 machines in one round. Provision for both, so
+    // the sweep measures active machines instead of capacity violations.
+    let base = DmpcParams::new(n, 3 * n);
+    let mem_mult = 32 * base.storage_machines().div_ceil(p).max(1);
+    let fanout_mult = (16 * p).div_ceil(base.sqrt_n()) + 1;
+    let params = base.with_multiplier(mem_mult.max(fanout_mult));
+    let mut alg = DmpcConnectivity::with_cluster(params, ExecOptions::default(), routing, p);
+    let mut cell = PSweepCell::default();
+    for &u in ups {
+        let structural = alg.driver().is_structural(u);
+        let union = alg.driver().owner_footprint(u.edge()).len();
+        let m = apply(&mut alg, u);
+        assert!(m.clean(), "P={p} {routing:?} {u:?}: {:?}", m.violations);
+        if routing == Routing::Multicast {
+            assert!(
+                m.machines_touched <= union,
+                "P={p} {u:?}: touched {} machines, owner footprint {union}",
+                m.machines_touched
+            );
+        }
+        if structural {
+            cell.structural += 1;
+            cell.max_touched_structural = cell.max_touched_structural.max(m.machines_touched);
+            cell.sum_touched_structural += m.machines_touched;
+            cell.max_owner_union = cell.max_owner_union.max(union);
+        }
+        cell.sum_touched += m.machines_touched;
+    }
+    alg.driver().audit().expect("structural audit");
+    alg.driver().audit_directory().expect("directory audit");
+    cell
 }
 
 /// Single edge insert between two machines: the multicast path keeps the

@@ -6,7 +6,7 @@ use dmpc_connectivity::{DmpcConnectivity, DmpcMst};
 use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, QueryableAlgorithm};
 use dmpc_graph::streams;
 use dmpc_graph::{DynamicGraph, Edge, Query, QueryAnswer, Update, Weight, V};
-use dmpc_mpc::ExecOptions;
+use dmpc_mpc::{ExecOptions, QueryMetrics};
 
 fn build(n: usize, steps: usize, seed: u64) -> (DmpcConnectivity, DynamicGraph) {
     let params = DmpcParams::new(n, 3 * n);
@@ -24,9 +24,9 @@ fn build(n: usize, steps: usize, seed: u64) -> (DmpcConnectivity, DynamicGraph) 
     (alg, g)
 }
 
-fn conn_pool(n: usize) -> Vec<Query> {
+fn conn_pool(n: usize, count: u32) -> Vec<Query> {
     // A deterministic mix covering both kinds and both verdicts.
-    (0..64u32)
+    (0..count)
         .map(|i| {
             let a = (7 * i + 3) % n as V;
             let b = (11 * i + 5) % n as V;
@@ -43,7 +43,7 @@ fn conn_pool(n: usize) -> Vec<Query> {
 fn batched_answers_match_looped_and_ground_truth() {
     let n = 48;
     let (mut alg, g) = build(n, 160, 7);
-    let pool = conn_pool(n);
+    let pool = conn_pool(n, 64);
     let labels = g.components();
     let (batched, qm) = alg.answer_queries(&pool);
     assert!(qm.clean());
@@ -68,6 +68,34 @@ fn batched_answers_match_looped_and_ground_truth() {
     let (_, looped_qm) = dmpc_core::answer_queries_looped(&mut alg, &pool);
     assert!(qm.amortized_rounds() < looped_qm.amortized_rounds());
     assert!(looped_qm.amortized_rounds() >= 1.0);
+}
+
+/// Wave-size sweep at the canonical size: a 256-query pool against the
+/// n = 256 structure, answered in waves of q. Answers do not depend on q,
+/// a q = 256 wave costs at most 3 amortized rounds per query and strictly
+/// fewer than the q = 1 loop, and no wave violates the model.
+#[test]
+fn wave_size_sweep_amortizes_rounds_at_n256() {
+    let n = 256;
+    let (mut alg, _) = build(n, 512, 42);
+    let pool = conn_pool(n, 256);
+    let sweep = [1, 16, 256].map(|q| {
+        let mut answers = Vec::new();
+        let mut total = QueryMetrics::default();
+        for wave in pool.chunks(q) {
+            let (a, m) = alg.answer_queries(wave);
+            answers.extend(a);
+            total.merge(&m);
+        }
+        assert!(total.clean(), "q={q}: {} violations", total.violations);
+        assert_eq!(total.queries, pool.len());
+        (answers, total.amortized_rounds())
+    });
+    let [(looped_answers, looped), (mid_answers, _), (batched_answers, batched)] = sweep;
+    assert_eq!(looped_answers, mid_answers, "answers differ at q=16");
+    assert_eq!(looped_answers, batched_answers, "answers differ at q=256");
+    assert!(batched <= 3.0, "q=256 costs {batched} rounds/query");
+    assert!(batched < looped, "batched {batched} vs looped {looped}");
 }
 
 /// The satellite fix test: query-wave sends flow through the same
@@ -119,7 +147,7 @@ fn query_waves_never_mutate_state() {
     let before: Vec<_> = alg.component_labels();
     alg.driver().audit().unwrap();
     alg.driver().audit_directory().unwrap();
-    let pool = conn_pool(n);
+    let pool = conn_pool(n, 64);
     for _ in 0..3 {
         let (_, qm) = alg.answer_queries(&pool);
         assert!(qm.clean());

@@ -9,10 +9,10 @@
 //! conflict batches, and chaos runs with a kill landing mid-round inside a
 //! multi-lane batch (the PR 8 epoch fence aborts and retries either
 //! schedule bit-identically). Round counts are where they may — and on
-//! shallow conflict graphs must — differ; see `conflict_scaling` in the
-//! `batch_scaling` bench for the quantitative claim.
+//! shallow conflict graphs must — differ: the depth sweep and the canonical
+//! clustered service cell below pin by how much.
 
-use dmpc_connectivity::{ConflictStats, DmpcConnectivity};
+use dmpc_connectivity::{ConflictStats, DmpcConnectivity, Routing};
 use dmpc_core::{
     apply_unweighted, run_chaos_stream, run_plain_stream, DmpcParams, DynamicGraphAlgorithm,
     ElasticAlgorithm, QueryableAlgorithm,
@@ -241,6 +241,98 @@ fn conflict_batches_overlap_and_win() {
     }
     con.driver().audit().unwrap();
     ser.driver().audit().unwrap();
+}
+
+/// Depth sweep at a fixed 16 structural ops per batch: the partitioner
+/// reports the generator's depth, the two schedules end in one state, and
+/// the conflict schedule's rounds grow with the conflict depth — the
+/// serialization floor — not with the op count.
+#[test]
+fn conflict_rounds_track_depth_at_fixed_op_count() {
+    let n = 128;
+    let mut conflict_rounds = Vec::new();
+    for (groups, depth) in [(16, 1), (4, 4), (1, 16)] {
+        let (mut con, mut ser) = pair(n, 3 * n);
+        let (mut rounds_con, mut rounds_ser) = (0, 0);
+        for batch in streams::conflict_batches(n, groups, depth, 4, 42) {
+            let bc = con.apply_batch(&batch);
+            let bs = ser.apply_batch(&batch);
+            assert_eq!(batch.len(), 16);
+            assert_eq!(bc.violations + bs.violations, 0, "d={depth}");
+            assert_eq!(bc.conflict_depth, depth);
+            assert_eq!(bs.conflict_depth, depth);
+            rounds_con += bc.rounds;
+            rounds_ser += bs.rounds;
+        }
+        assert_eq!(con.state_digest(), ser.state_digest(), "d={depth}");
+        // Disjoint groups overlap; a single group is the serialized schedule.
+        if groups > 1 {
+            assert!(rounds_con < rounds_ser, "d={depth}");
+        } else {
+            assert_eq!(rounds_con, rounds_ser, "d={depth}");
+        }
+        conflict_rounds.push(rounds_con);
+    }
+    assert!(
+        conflict_rounds.windows(2).all(|w| w[0] < w[1]),
+        "conflict rounds must increase with depth: {conflict_rounds:?}"
+    );
+}
+
+/// The canonical mixed service cell (n = 256 on 16 machines, 512 ops at
+/// 50/50 with 16-cluster targets, reads answered between write windows of
+/// 64): identical digests and answers, and overlapping the community-local
+/// conflict groups cuts total batch rounds at least 2x.
+#[test]
+fn canonical_clustered_mixed_cell_halves_batch_rounds() {
+    let n = 256;
+    let ops = streams::mixed_stream(
+        n,
+        512,
+        50,
+        TargetDist::Clustered { clusters: 16 },
+        QueryMix::Connectivity,
+        42,
+    );
+    let [con, ser] = [Scheduler::Conflict, Scheduler::Serialized].map(|scheduler| {
+        let exec = ExecOptions {
+            scheduler,
+            ..ExecOptions::default()
+        };
+        let mut alg =
+            DmpcConnectivity::with_cluster(DmpcParams::new(n, 3 * n), exec, Routing::Multicast, 16);
+        let (mut rounds, mut violations) = (0, 0);
+        let mut answers = Vec::new();
+        let mut writes: Vec<Update> = Vec::new();
+        let mut reads: Vec<Query> = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            match op {
+                Op::Write(u) => writes.push(*u),
+                Op::Read(q) => reads.push(*q),
+            }
+            if writes.len() == 64 || i + 1 == ops.len() {
+                let bm = alg.apply_batch(&writes);
+                let (a, qm) = alg.answer_queries(&reads);
+                rounds += bm.rounds;
+                violations += bm.violations + qm.violations;
+                answers.extend(a);
+                writes.clear();
+                reads.clear();
+            }
+        }
+        assert_eq!(violations, 0, "{scheduler:?}");
+        (alg.state_digest(), answers, rounds)
+    });
+    let ((digest_con, answers_con, rounds_con), (digest_ser, answers_ser, rounds_ser)) = (con, ser);
+    assert_eq!(digest_con, digest_ser, "schedulers diverged");
+    assert_eq!(
+        answers_con, answers_ser,
+        "answers diverged between schedulers"
+    );
+    assert!(
+        2 * rounds_con <= rounds_ser,
+        "conflict must cut batch rounds >= 2x ({rounds_con} vs {rounds_ser})"
+    );
 }
 
 /// The controller publishes its partition stats through the driver exactly

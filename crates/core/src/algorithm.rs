@@ -12,8 +12,8 @@ use dmpc_mpc::{BatchMetrics, QueryMetrics, UpdateMetrics};
 
 /// The reference batch execution: apply the updates one by one, in order,
 /// summing their costs. This is both the default `apply_batch` and the
-/// baseline the genuinely batched overrides are compared against in the
-/// `batch_scaling` bench.
+/// baseline the genuinely batched overrides are compared against (the
+/// `batched_*_amortizes_rounds` tests of both algorithm crates).
 pub fn apply_batch_looped<A: DynamicGraphAlgorithm + ?Sized>(
     alg: &mut A,
     updates: &[Update],
@@ -28,7 +28,7 @@ pub fn apply_batch_looped<A: DynamicGraphAlgorithm + ?Sized>(
 /// The reference query-wave execution: answer the queries one by one, in
 /// order, summing their costs. This is both the default `answer_queries`
 /// and the looped baseline the genuinely batched overrides are compared
-/// against in the `query_scaling` bench.
+/// against (the query-plane tests of both algorithm crates).
 pub fn answer_queries_looped<A: QueryableAlgorithm + ?Sized>(
     alg: &mut A,
     queries: &[Query],

@@ -1,57 +1,10 @@
-//! Experiment drivers: replay update streams through an algorithm — singly
-//! or in `k`-update batches — verify the maintained solution, aggregate
-//! worst-case and amortized costs, and fit growth exponents across input
-//! sizes.
+//! Experiment drivers: replay update streams through an algorithm in
+//! `k`-update batches, aggregate amortized costs, and fit growth exponents
+//! across input sizes.
 
 use crate::algorithm::DynamicGraphAlgorithm;
-use dmpc_graph::{DynamicGraph, Update};
-use dmpc_mpc::{loglog_slope, AggregateMetrics, BatchMetrics, UpdateMetrics};
-
-/// Replays `updates` through `alg`, aggregating per-update worst cases.
-pub fn run_stream<A: DynamicGraphAlgorithm>(alg: &mut A, updates: &[Update]) -> AggregateMetrics {
-    let mut agg = AggregateMetrics::default();
-    for &u in updates {
-        let m = alg.apply(u);
-        agg.absorb(&m);
-    }
-    agg
-}
-
-/// Replays `updates`, maintaining the ground-truth graph alongside and
-/// calling `verify(graph, last_metrics)` after every update. The verifier
-/// panics (with context) on any divergence, making failures easy to bisect.
-pub fn run_stream_verified<A, F>(
-    n: usize,
-    alg: &mut A,
-    updates: &[Update],
-    mut verify: F,
-) -> AggregateMetrics
-where
-    A: DynamicGraphAlgorithm,
-    F: FnMut(&DynamicGraph, &UpdateMetrics),
-{
-    let mut g = DynamicGraph::new(n);
-    let mut agg = AggregateMetrics::default();
-    for (step, &u) in updates.iter().enumerate() {
-        match u {
-            Update::Insert(e) => g.insert(e).unwrap_or_else(|err| {
-                panic!("invalid stream at step {step}: {err}");
-            }),
-            Update::Delete(e) => g.delete(e).unwrap_or_else(|err| {
-                panic!("invalid stream at step {step}: {err}");
-            }),
-        }
-        let m = alg.apply(u);
-        assert!(
-            m.clean(),
-            "model violation at step {step} ({u:?}): {:?}",
-            m.violations
-        );
-        verify(&g, &m);
-        agg.absorb(&m);
-    }
-    agg
-}
+use dmpc_graph::Update;
+use dmpc_mpc::{loglog_slope, AggregateMetrics, BatchMetrics};
 
 /// Replays `updates` in batches of `k` through the algorithm's
 /// [`DynamicGraphAlgorithm::apply_batch`], merging the per-batch costs into
@@ -64,45 +17,6 @@ pub fn run_stream_batched<A: DynamicGraphAlgorithm + ?Sized>(
     let mut total = BatchMetrics::default();
     for batch in updates.chunks(k.max(1)) {
         total.merge(&alg.apply_batch(batch));
-    }
-    total
-}
-
-/// Batched replay with verification: maintains the ground-truth graph
-/// alongside and calls `verify(graph, batch_metrics)` after every batch.
-/// The stream must be valid; invalid batches panic with the batch index.
-pub fn run_stream_batched_verified<A, F>(
-    n: usize,
-    alg: &mut A,
-    updates: &[Update],
-    k: usize,
-    mut verify: F,
-) -> BatchMetrics
-where
-    A: DynamicGraphAlgorithm,
-    F: FnMut(&DynamicGraph, &BatchMetrics),
-{
-    let mut g = DynamicGraph::new(n);
-    let mut total = BatchMetrics::default();
-    for (i, batch) in updates.chunks(k.max(1)).enumerate() {
-        for &u in batch {
-            match u {
-                Update::Insert(e) => g.insert(e).unwrap_or_else(|err| {
-                    panic!("invalid stream in batch {i}: {err}");
-                }),
-                Update::Delete(e) => g.delete(e).unwrap_or_else(|err| {
-                    panic!("invalid stream in batch {i}: {err}");
-                }),
-            }
-        }
-        let b = alg.apply_batch(batch);
-        assert!(
-            b.clean(),
-            "model violations in batch {i}: {} recorded",
-            b.violations
-        );
-        verify(&g, &b);
-        total.merge(&b);
     }
     total
 }
@@ -161,6 +75,7 @@ impl ScalingSweep {
 mod tests {
     use super::*;
     use dmpc_graph::Edge;
+    use dmpc_mpc::UpdateMetrics;
 
     struct Counter;
     impl crate::QueryableAlgorithm for Counter {}
@@ -185,25 +100,6 @@ mod tests {
     }
 
     #[test]
-    fn run_stream_aggregates() {
-        let e = Edge::new(0, 1);
-        let ups = vec![Update::Insert(e), Update::Delete(e), Update::Insert(e)];
-        let agg = run_stream(&mut Counter, &ups);
-        assert_eq!(agg.updates, 3);
-        assert_eq!(agg.max_rounds, 4);
-        assert_eq!(agg.max_active_machines, 3);
-    }
-
-    #[test]
-    fn verified_run_tracks_graph() {
-        let e = Edge::new(0, 1);
-        let ups = vec![Update::Insert(e), Update::Delete(e)];
-        let mut sizes = Vec::new();
-        run_stream_verified(3, &mut Counter, &ups, |g, _| sizes.push(g.m()));
-        assert_eq!(sizes, vec![1, 0]);
-    }
-
-    #[test]
     fn batched_run_chunks_and_merges() {
         let e = Edge::new(0, 1);
         let f = Edge::new(1, 2);
@@ -219,19 +115,6 @@ mod tests {
         // 3 inserts x 2 rounds + 2 deletes x 4 rounds, looped default.
         assert_eq!(b.rounds, 14);
         assert!((b.amortized_rounds() - 2.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn batched_verified_tracks_graph_per_batch() {
-        let e = Edge::new(0, 1);
-        let f = Edge::new(1, 2);
-        let ups = vec![Update::Insert(e), Update::Insert(f), Update::Delete(e)];
-        let mut sizes = Vec::new();
-        let total = run_stream_batched_verified(3, &mut Counter, &ups, 2, |g, b| {
-            sizes.push((g.m(), b.updates));
-        });
-        assert_eq!(sizes, vec![(2, 2), (1, 1)]);
-        assert_eq!(total.updates, 3);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The DMPC model layer: model parameters, the dynamic-algorithm interface,
-//! verified experiment drivers, and Table-1-style reporting.
+//! experiment drivers, and Table-1-style reporting.
 //!
 //! The paper defines the **DMPC** model (Section 2): machines with
 //! `O(sqrt(N))`-word memories, where `N = n + m` is the input size; a
@@ -14,10 +14,8 @@
 //!   interface every distributed algorithm in this workspace implements.
 //!   The unit of work is a batch of `k` updates (`apply_batch`, defaulting
 //!   to a loop over `apply` so single updates are the `k = 1` case).
-//! * [`experiment`] — drivers that replay update streams, verify the
-//!   maintained solution against references after every update, and
-//!   aggregate worst-case metrics; plus scaling sweeps with log-log slope
-//!   fits used to check Table 1's growth shapes.
+//! * [`experiment`] — batched stream replay, plus scaling sweeps with
+//!   log-log slope fits used to check Table 1's growth shapes.
 //! * [`elastic`] — the chaos-plane surface ([`ElasticAlgorithm`]) and the
 //!   churn harness that interleaves kill/revive/split/merge events with a
 //!   workload stream, recovering failures via checkpoint + replay.
@@ -49,8 +47,5 @@ pub use elastic::{
     apply_unweighted, run_chaos_stream, run_chaos_stream_with, run_plain_stream, AppliedEvent,
     ChaosOptions, ChurnReport, DrainRecord, ElasticAlgorithm, MidFlightRecovery,
 };
-pub use experiment::{
-    run_stream, run_stream_batched, run_stream_batched_verified, run_stream_verified, ScalingPoint,
-    ScalingSweep,
-};
+pub use experiment::{run_stream_batched, ScalingPoint, ScalingSweep};
 pub use model::DmpcParams;

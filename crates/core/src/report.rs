@@ -87,7 +87,7 @@ pub fn render_table(title: &str, rows: &[TableRow]) -> String {
 /// Serializes a [`BatchMetrics`] as one stable `key=value` line, e.g.
 /// `updates=64 rounds=12 max_active=9 max_words=210 total_words=900
 /// total_msgs=188 violations=0`. Serde-free by design: reports embed it
-/// verbatim and [`batch_from_plain`] round-trips it.
+/// verbatim.
 pub fn batch_to_plain(b: &BatchMetrics) -> String {
     format!(
         "updates={} rounds={} max_active={} machines_touched={} max_words={} total_words={} total_msgs={} lost_words={} lost_msgs={} violations={} conflict_groups={} conflict_depth={} max_lanes={}",
@@ -107,42 +107,8 @@ pub fn batch_to_plain(b: &BatchMetrics) -> String {
     )
 }
 
-/// Parses the output of [`batch_to_plain`]. Missing keys default to zero
-/// (today's readers accept shorter lines from older writers); unknown keys
-/// are rejected, so growing the format is a breaking change for readers
-/// this old — bump deliberately.
-pub fn batch_from_plain(s: &str) -> Result<BatchMetrics, String> {
-    let mut b = BatchMetrics::default();
-    for tok in s.split_whitespace() {
-        let (key, val) = tok
-            .split_once('=')
-            .ok_or_else(|| format!("malformed token {tok:?}"))?;
-        let val: usize = val
-            .parse()
-            .map_err(|e| format!("bad value in {tok:?}: {e}"))?;
-        match key {
-            "updates" => b.updates = val,
-            "rounds" => b.rounds = val,
-            "max_active" => b.max_active_machines = val,
-            "machines_touched" => b.machines_touched = val,
-            "max_words" => b.max_words_per_round = val,
-            "total_words" => b.total_words = val,
-            "total_msgs" => b.total_messages = val,
-            "lost_words" => b.lost_words = val,
-            "lost_msgs" => b.lost_messages = val,
-            "violations" => b.violations = val,
-            "conflict_groups" => b.conflict_groups = val,
-            "conflict_depth" => b.conflict_depth = val,
-            "max_lanes" => b.max_lanes = val,
-            other => return Err(format!("unknown key {other:?}")),
-        }
-    }
-    Ok(b)
-}
-
 /// Serializes a [`QueryMetrics`] as one stable `key=value` line (the
-/// query-plane sibling of [`batch_to_plain`]); [`query_from_plain`]
-/// round-trips it.
+/// query-plane sibling of [`batch_to_plain`]).
 pub fn query_to_plain(q: &QueryMetrics) -> String {
     format!(
         "queries={} rounds={} max_active={} machines_touched={} max_words={} total_words={} total_msgs={} violations={}",
@@ -155,33 +121,6 @@ pub fn query_to_plain(q: &QueryMetrics) -> String {
         q.total_messages,
         q.violations
     )
-}
-
-/// Parses the output of [`query_to_plain`]. Missing keys default to zero;
-/// unknown keys are rejected (same forward-compatibility contract as
-/// [`batch_from_plain`]).
-pub fn query_from_plain(s: &str) -> Result<QueryMetrics, String> {
-    let mut q = QueryMetrics::default();
-    for tok in s.split_whitespace() {
-        let (key, val) = tok
-            .split_once('=')
-            .ok_or_else(|| format!("malformed token {tok:?}"))?;
-        let val: usize = val
-            .parse()
-            .map_err(|e| format!("bad value in {tok:?}: {e}"))?;
-        match key {
-            "queries" => q.queries = val,
-            "rounds" => q.rounds = val,
-            "max_active" => q.max_active_machines = val,
-            "machines_touched" => q.machines_touched = val,
-            "max_words" => q.max_words_per_round = val,
-            "total_words" => q.total_words = val,
-            "total_msgs" => q.total_messages = val,
-            "violations" => q.violations = val,
-            other => return Err(format!("unknown key {other:?}")),
-        }
-    }
-    Ok(q)
 }
 
 /// Renders a scaling sweep as `N, rounds, machines, words` rows plus fitted
@@ -276,64 +215,6 @@ mod tests {
         assert!(s
             .lines()
             .any(|l| l.starts_with("unbatched") && l.ends_with('-')));
-    }
-
-    #[test]
-    fn batch_plain_text_round_trips() {
-        let b = BatchMetrics {
-            updates: 64,
-            rounds: 120,
-            max_active_machines: 9,
-            machines_touched: 14,
-            max_words_per_round: 210,
-            total_words: 9000,
-            total_messages: 1888,
-            lost_words: 17,
-            lost_messages: 3,
-            violations: 2,
-            conflict_groups: 7,
-            conflict_depth: 3,
-            max_lanes: 5,
-        };
-        let line = batch_to_plain(&b);
-        assert_eq!(batch_from_plain(&line).unwrap(), b);
-        // Missing keys default to zero; junk is rejected.
-        assert_eq!(batch_from_plain("updates=3").unwrap().updates, 3);
-        assert!(batch_from_plain("nope=1").is_err());
-        assert!(batch_from_plain("updates").is_err());
-        assert!(batch_from_plain("updates=x").is_err());
-    }
-
-    #[test]
-    fn batch_plain_text_reads_pre_conflict_lines() {
-        // Lines written before the conflict-scheduler fields existed
-        // (BENCH_PR2..PR8 reports) parse with the new fields zeroed.
-        let old = "updates=64 rounds=120 max_active=9 machines_touched=14 max_words=210 total_words=9000 total_msgs=1888 lost_words=17 lost_msgs=3 violations=2";
-        let b = batch_from_plain(old).unwrap();
-        assert_eq!(b.updates, 64);
-        assert_eq!(b.violations, 2);
-        assert_eq!(b.conflict_groups, 0);
-        assert_eq!(b.conflict_depth, 0);
-        assert_eq!(b.max_lanes, 0);
-    }
-
-    #[test]
-    fn query_plain_text_round_trips() {
-        let q = QueryMetrics {
-            queries: 256,
-            rounds: 16,
-            max_active_machines: 11,
-            machines_touched: 14,
-            max_words_per_round: 120,
-            total_words: 900,
-            total_messages: 300,
-            violations: 0,
-        };
-        let line = query_to_plain(&q);
-        assert_eq!(query_from_plain(&line).unwrap(), q);
-        assert_eq!(query_from_plain("queries=3").unwrap().queries, 3);
-        assert!(query_from_plain("nope=1").is_err());
-        assert!(query_from_plain("queries=x").is_err());
     }
 
     #[test]

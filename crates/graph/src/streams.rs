@@ -596,8 +596,8 @@ pub enum QueryMix {
 /// read with probability `read_pct`/100 (targets drawn per `dist`, kinds per
 /// `mix`), otherwise a valid-by-construction edge update (under
 /// [`TargetDist::Clustered`] the writes stay inside clusters too, like
-/// [`clustered_churn_stream`]). The canonical ratios measured by the
-/// `query_scaling` bench are 95/5, 50/50 and 5/95.
+/// [`clustered_churn_stream`]). The canonical ratios are 95/5, 50/50 and
+/// 5/95.
 pub fn mixed_stream(
     n: usize,
     steps: usize,

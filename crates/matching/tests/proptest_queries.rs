@@ -138,6 +138,41 @@ proptest! {
     }
 }
 
+/// Wave-size sweep at the canonical size: a 256-query pool against the
+/// n = 256 matching after the seed-42 churn stream, answered in waves of q.
+/// Answers do not depend on q, a q = 256 wave costs at most 3 amortized
+/// rounds per query and strictly fewer than the q = 1 loop, and no wave
+/// violates the model.
+#[test]
+fn wave_size_sweep_amortizes_rounds_at_n256() {
+    let n = 256usize;
+    let mut alg = DmpcMaximalMatching::new(DmpcParams::new(n, 3 * n));
+    let ups = dmpc_graph::streams::churn_stream(n, 2 * n, 512, 0.5, 42);
+    for batch in ups.chunks(64) {
+        assert!(alg.apply_batch(batch).clean());
+    }
+    let seeds: Vec<(u32, u8)> = (0..256u32).map(|i| (7 * i + 3, i as u8)).collect();
+    let pool = pool_from(n as u32, &seeds);
+    let sweep = [1, 16, 256].map(|q| {
+        let mut answers = Vec::new();
+        let mut total = dmpc_mpc::QueryMetrics::default();
+        for wave in pool.chunks(q) {
+            let (a, m) = alg.answer_queries(wave);
+            answers.extend(a);
+            total.merge(&m);
+        }
+        assert!(total.clean(), "q={q}: {} violations", total.violations);
+        assert_eq!(total.queries, pool.len());
+        (answers, total.amortized_rounds())
+    });
+    let [(looped_answers, looped), (mid_answers, _), (batched_answers, batched)] = sweep;
+    assert_eq!(looped_answers, mid_answers, "answers differ at q=16");
+    assert_eq!(looped_answers, batched_answers, "answers differ at q=256");
+    check_against_matching(&alg.matching(), &pool, &batched_answers).unwrap();
+    assert!(batched <= 3.0, "q=256 costs {batched} rounds/query");
+    assert!(batched < looped, "batched {batched} vs looped {looped}");
+}
+
 /// Bulk preprocessing presets the coordinator's matched-pair counter, so
 /// `MatchingSize` is exact immediately after `bulk_load` (regression: the
 /// counter starts at the preprocessed matching's size, not zero).

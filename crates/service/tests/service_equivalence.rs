@@ -11,7 +11,7 @@ use dmpc_connectivity::{DmpcConnectivity, DmpcMst};
 use dmpc_core::DmpcParams;
 use dmpc_graph::arrivals::{arrival_trace, ArrivalProcess};
 use dmpc_graph::streams::{self, QueryMix, TargetDist};
-use dmpc_graph::{Op, Update};
+use dmpc_graph::{Op, QueryAnswer, Update};
 use dmpc_matching::DmpcMaximalMatching;
 use dmpc_mpc::{ChaosKind, ChaosPlan};
 use dmpc_service::{
@@ -189,7 +189,9 @@ proptest! {
 
 /// Deterministic end-to-end shape check: one seed, every policy knob — the
 /// windowed run beats per-op admission on amortized rounds/op while both
-/// replay to identical digests.
+/// replay to identical digests, its p99 latency in simulated rounds stays
+/// at its pinned value, and the amortization holds for both unweighted
+/// services across arrival rate x read share x target distribution.
 #[test]
 fn windowed_amortization_beats_per_op_at_equal_state() {
     let n = 64;
@@ -197,17 +199,12 @@ fn windowed_amortization_beats_per_op_at_equal_state() {
     let ops = streams::mixed_stream(n, 160, 50, TargetDist::Uniform, QueryMix::Connectivity, 42);
     let trace = arrival_trace(&ops, ArrivalProcess::Steady { ops_per_tick: 4.0 }, 42);
     let make = || UnweightedService::new(DmpcConnectivity::new(params));
+    let per_op_cfg = ServiceConfig {
+        window: WindowPolicy::per_op(),
+        ..cfg(16, 4)
+    };
     let windowed = run_service(make, &trace, &cfg(16, 4));
-    let per_op = run_service(
-        make,
-        &trace,
-        &ServiceConfig {
-            window: WindowPolicy::per_op(),
-            buffer_cap: 4096,
-            backpressure: BackpressurePolicy::Shed,
-            ..ServiceConfig::default()
-        },
-    );
+    let per_op = run_service(make, &trace, &per_op_cfg);
     assert_eq!(windowed.final_digest, per_op.final_digest);
     assert_eq!(windowed.answers, per_op.answers);
     assert!(
@@ -216,6 +213,48 @@ fn windowed_amortization_beats_per_op_at_equal_state() {
         windowed.amortized_rounds_per_op(),
         per_op.amortized_rounds_per_op()
     );
-    assert!(windowed.write_latency.rounds.p99() > 0.0);
-    assert!(windowed.read_latency.rounds.p99() > 0.0);
+    // Rounds are simulated under a seeded trace, so this ceiling is the
+    // same on every host: what coalescing costs the slowest op may not grow.
+    let (w99, r99) = (
+        windowed.write_latency.rounds.p99(),
+        windowed.read_latency.rounds.p99(),
+    );
+    assert!(w99 > 0.0 && r99 > 0.0);
+    assert!(
+        w99.max(r99) <= 111.0,
+        "p99 latency {w99} (writes) / {r99} (reads) rounds over the 111-round ceiling"
+    );
+
+    for mix in [QueryMix::Connectivity, QueryMix::Matching] {
+        for pct in [95, 50, 5] {
+            for dist in [TargetDist::Uniform, TargetDist::Clustered { clusters: 8 }] {
+                let ops = streams::mixed_stream(n, 192, pct, dist, mix, 42);
+                for rate in [0.5, 2.0, 8.0] {
+                    let trace =
+                        arrival_trace(&ops, ArrivalProcess::Steady { ops_per_tick: rate }, 42);
+                    let [windowed, per_op] = [&cfg(32, 8), &per_op_cfg].map(|c| match mix {
+                        QueryMix::Matching => run_service(
+                            || UnweightedService::new(DmpcMaximalMatching::new(params)),
+                            &trace,
+                            c,
+                        ),
+                        _ => run_service(make, &trace, c),
+                    });
+                    let cell = format!("{mix:?} reads={pct}% {dist:?} rate={rate}");
+                    assert_eq!(windowed.violations() + per_op.violations(), 0, "{cell}");
+                    assert_eq!(windowed.admitted, ops.len(), "{cell}");
+                    assert!(
+                        !windowed.answers.contains(&QueryAnswer::Unsupported),
+                        "{cell}"
+                    );
+                    assert!(
+                        windowed.amortized_rounds_per_op() < per_op.amortized_rounds_per_op(),
+                        "{cell}: windowed {} vs per-op {}",
+                        windowed.amortized_rounds_per_op(),
+                        per_op.amortized_rounds_per_op()
+                    );
+                }
+            }
+        }
+    }
 }

@@ -291,6 +291,22 @@ fn mst_canonical_resident_words_do_not_grow() {
     assert!(resident <= ceiling, "resident {resident} words > {ceiling}");
 }
 
+/// Resident words of maximal matching after the canonical stream in batches
+/// of 64 (the storage, history and overflow arenas, summed over machines).
+const MATCHING_CANONICAL_RESIDENT: usize = 3427;
+
+/// The matching twin of the ceiling above: arena slack may not creep in.
+#[test]
+fn matching_canonical_resident_words_do_not_grow() {
+    let n = 256;
+    let ups = streams::churn_stream(n, 2 * n, 1024, 0.5, 42);
+    let resident = batched(matching(n, 3 * n), &ups, 64).resident_words();
+    assert!(
+        resident <= MATCHING_CANONICAL_RESIDENT,
+        "resident {resident} words > {MATCHING_CANONICAL_RESIDENT}"
+    );
+}
+
 /// Mixed per-op churn on maximal matching.
 #[test]
 fn matching_churn_streams() {
