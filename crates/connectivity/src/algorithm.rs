@@ -370,15 +370,6 @@ impl ConnDriver {
         self.cluster.machine(m).snapshot_text()
     }
 
-    /// Restores every machine from a full-cluster checkpoint and re-syncs
-    /// the driver's partition-table mirror from the snapshots.
-    pub fn restore(&mut self, snaps: &[String]) {
-        for (m, s) in snaps.iter().enumerate() {
-            self.cluster.machine_mut(m as MachineId).restore_text(s);
-        }
-        self.bounds = self.cluster.machine(0).bounds().to_vec();
-    }
-
     /// The executor's quiescence cap (legal mid-flight round offsets).
     pub fn round_limit(&self) -> usize {
         self.cluster.round_limit()
@@ -1048,10 +1039,6 @@ macro_rules! elastic_via_driver {
 
             fn snapshot_machine(&self, m: MachineId) -> String {
                 self.driver.snapshot_machine(m)
-            }
-
-            fn restore(&mut self, snaps: &[String]) {
-                self.driver.restore(snaps)
             }
 
             fn kill(&mut self, m: MachineId) {

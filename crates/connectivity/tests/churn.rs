@@ -7,8 +7,7 @@
 
 use dmpc_connectivity::{DmpcConnectivity, DmpcMst, Routing};
 use dmpc_core::{
-    apply_unweighted, run_chaos_stream, run_plain_stream, DmpcParams, DynamicGraphAlgorithm,
-    ElasticAlgorithm,
+    apply_unweighted, run_chaos_stream, DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm,
 };
 use dmpc_graph::{streams, Edge, Update};
 use dmpc_mpc::{BatchMetrics, ChaosCaps, ChaosKind, ChaosPlan, ExecOptions, MachineId};
@@ -293,8 +292,8 @@ fn chaos_stream_recovers_bit_identical() {
     assert!(!plan.events.is_empty());
     let make = || conn_with(n, p);
 
-    let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 4);
-    let plain = run_plain_stream(make, apply_unweighted, &batches);
+    let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 4, &[]);
+    let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
 
     assert_eq!(
         chaos.final_digest, plain.final_digest,
@@ -335,8 +334,8 @@ fn mst_chaos_stream_recovers_bit_identical() {
     let p = make().driver().n_machines();
     let plan = ChaosPlan::generate(7, batches.len(), p, 8, ChaosCaps::default());
 
-    let chaos = run_chaos_stream(make, apply_mst, &batches, &plan, 3);
-    let plain = run_plain_stream(make, apply_mst, &batches);
+    let chaos = run_chaos_stream(make, apply_mst, &batches, &plan, 3, &[]);
+    let plain = run_chaos_stream(make, apply_mst, &batches, &ChaosPlan::new(0), 0, &[]);
     assert_eq!(chaos.final_digest, plain.final_digest);
     assert_eq!(chaos.recovery.violations, 0);
     assert_eq!(chaos.workload.violations, 0);
@@ -363,8 +362,8 @@ proptest! {
         let batches = streams::chaos_churn_batches(n, 5, 4, 90, 9, seed);
         let plan = ChaosPlan::generate(seed, batches.len(), p, events, ChaosCaps::default());
         let make = || conn_with(n, p);
-        let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 3);
-        let plain = run_plain_stream(make, apply_unweighted, &batches);
+        let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 3, &[]);
+        let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
         prop_assert_eq!(chaos.final_digest, plain.final_digest);
         prop_assert_eq!(chaos.recovery.violations, 0);
         prop_assert_eq!(chaos.workload.violations, 0);
@@ -387,8 +386,8 @@ proptest! {
         let make = || DmpcMst::new(params, 0.1);
         let p = make().driver().n_machines();
         let plan = ChaosPlan::generate(seed, batches.len(), p, events, ChaosCaps::default());
-        let chaos = run_chaos_stream(make, apply_mst, &batches, &plan, 4);
-        let plain = run_plain_stream(make, apply_mst, &batches);
+        let chaos = run_chaos_stream(make, apply_mst, &batches, &plan, 4, &[]);
+        let plain = run_chaos_stream(make, apply_mst, &batches, &ChaosPlan::new(0), 0, &[]);
         prop_assert_eq!(chaos.final_digest, plain.final_digest);
         prop_assert_eq!(chaos.recovery.violations, 0);
         prop_assert_eq!(chaos.workload.violations, 0);
@@ -409,8 +408,8 @@ proptest! {
             .with_event(mid + 1, ChaosKind::Kill(m))
             .with_event(mid + 2, ChaosKind::Revive(m));
         let make = || conn_with(n, p);
-        let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 2);
-        let plain = run_plain_stream(make, apply_unweighted, &batches);
+        let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 2, &[]);
+        let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
         prop_assert_eq!(chaos.final_digest, plain.final_digest);
         prop_assert_eq!(chaos.recovery.violations, 0);
         prop_assert_eq!(chaos.applied.len(), 4);

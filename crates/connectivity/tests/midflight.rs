@@ -11,8 +11,8 @@
 
 use dmpc_connectivity::{DmpcConnectivity, DmpcMst, Routing};
 use dmpc_core::{
-    apply_unweighted, run_chaos_stream, run_chaos_stream_with, run_plain_stream, ChaosOptions,
-    DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm, QueryableAlgorithm,
+    apply_unweighted, run_chaos_stream, DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm,
+    QueryableAlgorithm,
 };
 use dmpc_graph::{streams, Query, QueryAnswer, Update};
 use dmpc_mpc::{BatchMetrics, ChaosKind, ChaosPlan, ExecOptions};
@@ -66,13 +66,13 @@ fn kill_at_every_round_recovers_bit_identical() {
     let p = 6;
     let batches = streams::chaos_churn_batches(n, 6, 4, 120, 10, 21);
     let make = || conn_with(n, p);
-    let plain = run_plain_stream(make, apply_unweighted, &batches);
+    let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
     let target = batches.len() / 2;
     let mut fired = 0usize;
     for r in 1..=10u32 {
         let plan =
             ChaosPlan::new(100 + r as u64).with_event_in_round(target, r, ChaosKind::Kill(2));
-        let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 3);
+        let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 3, &[]);
         assert_eq!(
             chaos.final_digest, plain.final_digest,
             "kill at round {r} diverged from the failure-free run"
@@ -128,11 +128,11 @@ fn mst_mid_round_kill_recovers_bit_identical() {
     let batches = streams::chaos_churn_batches(n, 4, 4, 60, 8, 5);
     let params = DmpcParams::new(n, 3 * n);
     let make = || DmpcMst::new(params, 0.1);
-    let plain = run_plain_stream(make, apply_mst, &batches);
+    let plain = run_chaos_stream(make, apply_mst, &batches, &ChaosPlan::new(0), 0, &[]);
     let mut fired = 0usize;
     for r in [1u32, 2, 4] {
         let plan = ChaosPlan::new(9).with_event_in_round(1, r, ChaosKind::Kill(1));
-        let chaos = run_chaos_stream(make, apply_mst, &batches, &plan, 3);
+        let chaos = run_chaos_stream(make, apply_mst, &batches, &plan, 3, &[]);
         assert_eq!(
             chaos.final_digest, plain.final_digest,
             "MST kill at round {r} diverged"
@@ -163,19 +163,8 @@ fn reads_degrade_during_midflight_rebuild() {
         Query::Connected(1, 2),  // both owners alive: exact
         Query::PathMax(1, 2),    // conservative during any outage
     ];
-    let opts = ChaosOptions {
-        outage_reads: &reads,
-        ..Default::default()
-    };
-    let chaos = run_chaos_stream_with(
-        make,
-        apply_unweighted,
-        |a: &mut DmpcConnectivity, qs: &[Query]| a.answer_queries(qs),
-        &batches,
-        &plan,
-        opts,
-    );
-    let plain = run_plain_stream(make, apply_unweighted, &batches);
+    let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 8, &reads);
+    let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
     assert_eq!(chaos.final_digest, plain.final_digest);
     assert_eq!(chaos.retries, 1, "the round-1 kill must fire exactly once");
     assert_eq!(chaos.reads_answered, reads.len());
@@ -238,14 +227,14 @@ fn deferral_drain_records_latency() {
     let batches = streams::chaos_churn_batches(n, 5, 4, 80, 8, 17);
     assert!(batches.len() >= 5);
     let make = || conn_with(n, p);
-    let plain = run_plain_stream(make, apply_unweighted, &batches);
+    let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
 
     // Boundary kill before batch 1, revive before batch 3: batches 1 and 2
     // are deferred and drained at the revive boundary.
     let plan = ChaosPlan::new(1)
         .with_event(1, ChaosKind::Kill(3))
         .with_event(3, ChaosKind::Revive(3));
-    let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 2);
+    let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 2, &[]);
     let drained: Vec<_> = chaos
         .drained
         .iter()
@@ -260,7 +249,7 @@ fn deferral_drain_records_latency() {
     // extend the replay suffix.
     let last = batches.len();
     let plan_tail = ChaosPlan::new(2).with_event(last - 2, ChaosKind::Kill(3));
-    let chaos_tail = run_chaos_stream(make, apply_unweighted, &batches, &plan_tail, 2);
+    let chaos_tail = run_chaos_stream(make, apply_unweighted, &batches, &plan_tail, 2, &[]);
     let drained_tail: Vec<_> = chaos_tail
         .drained
         .iter()
@@ -292,8 +281,8 @@ proptest! {
         let target = (batches.len() * target_frac / 4).min(batches.len() - 1);
         let plan = ChaosPlan::new(seed).with_event_in_round(target, r, ChaosKind::Kill(victim));
         let make = || conn_with(n, p);
-        let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 3);
-        let plain = run_plain_stream(make, apply_unweighted, &batches);
+        let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 3, &[]);
+        let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
         prop_assert_eq!(chaos.final_digest, plain.final_digest);
         prop_assert_eq!(chaos.workload.violations, 0);
         prop_assert_eq!(chaos.workload.lost_words, 0);

@@ -14,8 +14,8 @@
 
 use dmpc_connectivity::{ConflictStats, DmpcConnectivity, Routing};
 use dmpc_core::{
-    apply_unweighted, run_chaos_stream, run_plain_stream, DmpcParams, DynamicGraphAlgorithm,
-    ElasticAlgorithm, QueryableAlgorithm,
+    apply_unweighted, run_chaos_stream, DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm,
+    QueryableAlgorithm,
 };
 use dmpc_graph::streams::{self, chunk_stream, QueryMix, TargetDist, Update};
 use dmpc_graph::{Op, Query};
@@ -185,14 +185,16 @@ proptest! {
             )
         };
         let plan = ChaosPlan::new(seed).with_event_in_round(target, r, ChaosKind::Kill(1));
-        let plain_c = run_plain_stream(mk(Scheduler::Conflict), apply_unweighted, &batches);
-        let plain_s = run_plain_stream(mk(Scheduler::Serialized), apply_unweighted, &batches);
+        let plain_c = run_chaos_stream(mk(Scheduler::Conflict), apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
+        let plain_s = run_chaos_stream(mk(Scheduler::Serialized), apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
         prop_assert_eq!(&plain_c.final_digest, &plain_s.final_digest);
         let chaos_c = run_chaos_stream(
             mk(Scheduler::Conflict), apply_unweighted, &batches, &plan, 3,
+            &[],
         );
         let chaos_s = run_chaos_stream(
             mk(Scheduler::Serialized), apply_unweighted, &batches, &plan, 3,
+            &[],
         );
         prop_assert_eq!(&chaos_c.final_digest, &plain_c.final_digest,
             "conflict-scheduled chaos diverged (kill round {})", r);

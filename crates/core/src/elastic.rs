@@ -9,27 +9,31 @@
 //! `DeadMachine` violation, so a correct harness shows zero). Recovery is
 //! checkpoint + replay:
 //!
-//! 1. The harness keeps a **checkpoint** — per-machine plain-text snapshots
-//!    taken every `checkpoint_every` batches (only at full-cluster health) —
-//!    plus the **op suffix**: the logical batches applied since.
-//! 2. To revive machine `m`, the harness rebuilds its state on an
+//! 1. A [`RebuildEngine`] keeps a **checkpoint** — per-machine plain-text
+//!    snapshots taken at full-cluster health, if any was taken yet — plus
+//!    the **op suffix**: the write runs completed since.
+//! 2. To revive machine `m`, the engine rebuilds its state on an
 //!    off-cluster *replica*: a fresh instance restored from the checkpoint
-//!    with the suffix replayed (algorithms without snapshot support replay
-//!    the full log instead). Determinism makes the replica's shard `m`
-//!    bit-identical to what the dead machine should hold, because the live
-//!    cluster processed exactly the same ops before the kill and none since
-//!    (batches arriving during an outage are deferred).
+//!    (or left at the factory state when there is none) with the suffix
+//!    replayed. Determinism makes the replica's shard `m` bit-identical to
+//!    what the dead machine should hold, because the live cluster processed
+//!    exactly the same ops before the kill and none since (batches arriving
+//!    during an outage are deferred).
 //! 3. The replica's shard-`m` snapshot is staged at a live peer and shipped
 //!    to the revived machine through the metered message plane in
 //!    capacity-budgeted chunks, so recovery cost appears in the same
 //!    rounds/words/machines-touched units as updates.
 //!
-//! Split/merge shard migrations go through [`ElasticAlgorithm::split`] /
-//! [`ElasticAlgorithm::merge`]; the harness checkpoints right after each
-//! migration so replay suffixes never straddle a repartition.
+//! A kill firing *inside* a run goes through the same rebuild, wrapped in
+//! the engine's fenced epoch ([`RebuildEngine::run_epoch`]) — the one
+//! abort-and-retry loop behind both [`run_chaos_stream`] and the service
+//! loop. Split/merge shard migrations go through
+//! [`ElasticAlgorithm::split`] / [`ElasticAlgorithm::merge`]; the harness
+//! checkpoints right after each migration so replay suffixes never straddle
+//! a repartition.
 
-use crate::algorithm::DynamicGraphAlgorithm;
-use dmpc_graph::{Query, QueryAnswer, Update};
+use crate::algorithm::{DynamicGraphAlgorithm, QueryableAlgorithm};
+use dmpc_graph::{Query, Update};
 use dmpc_mpc::chaos::{ChaosKind, ChaosPlan};
 use dmpc_mpc::{BatchMetrics, MachineId, QueryMetrics, RecoveryMetrics, UpdateMetrics};
 
@@ -67,10 +71,7 @@ pub trait ElasticAlgorithm {
     /// deployment: the frontier snapshot is resident on the machine).
     fn restore_machine(&mut self, m: MachineId, snap: &str);
 
-    /// True when full-cluster checkpoints and per-machine restores are
-    /// supported. When false the harness recovers by full-log replay and
-    /// never calls [`ElasticAlgorithm::checkpoint`] /
-    /// [`ElasticAlgorithm::restore`].
+    /// Always true: every algorithm restores from its own checkpoints.
     fn supports_restore(&self) -> bool {
         true
     }
@@ -86,7 +87,11 @@ pub trait ElasticAlgorithm {
     }
 
     /// Restores every machine from a full-cluster checkpoint.
-    fn restore(&mut self, snaps: &[String]);
+    fn restore(&mut self, snaps: &[String]) {
+        for (m, snap) in snaps.iter().enumerate() {
+            self.restore_machine(m as MachineId, snap);
+        }
+    }
 
     /// Fail-stops machine `m`: wipes its state and drops its messages.
     fn kill(&mut self, m: MachineId);
@@ -136,8 +141,9 @@ pub struct AppliedEvent {
     pub replay_updates: usize,
 }
 
-/// One epoch abort + recovery caused by a mid-flight kill: the full retry
-/// trajectory the tentpole asks [`ChurnReport`] to carry.
+/// One epoch abort + recovery caused by a mid-flight kill: an
+/// [`EpochAbort`] as [`ChurnReport`] carries it, with the harness's outage
+/// reads and its end-to-end latency.
 #[derive(Clone, Debug)]
 pub struct MidFlightRecovery {
     /// Batch whose epoch was aborted.
@@ -165,7 +171,7 @@ pub struct MidFlightRecovery {
     pub replay_updates: usize,
     /// Degraded-mode reads answered while the victim rebuilt.
     pub reads_answered: usize,
-    /// How many of those reads came back [`QueryAnswer::Degraded`].
+    /// How many of those reads came back [`dmpc_graph::QueryAnswer::Degraded`].
     pub degraded_answers: usize,
     /// End-to-end recovery latency in rounds: from the kill firing to the
     /// cluster standing at the restored frontier, ready to re-execute
@@ -186,35 +192,155 @@ pub struct DrainRecord {
     pub latency_batches: usize,
 }
 
-/// Tuning for [`run_chaos_stream_with`].
-#[derive(Clone, Copy, Debug)]
-pub struct ChaosOptions<'a> {
-    /// Take a full-cluster checkpoint every this many applied batches
-    /// (0 disables periodic checkpoints; recovery then replays from the
-    /// last migration checkpoint or the start).
-    pub checkpoint_every: usize,
-    /// How many times a mid-flight-aborted batch may be re-executed before
-    /// the harness gives up (panics). Each retry runs clean — the armed
-    /// events fired in the first attempt — so one retry normally suffices;
-    /// the budget guards against pathological plans.
-    pub retry_budget: usize,
-    /// Base of the simulated exponential backoff recorded per retry
-    /// (`base << attempt` rounds). Recorded as latency, not executed.
-    pub backoff_base_rounds: usize,
-    /// Reads issued against the cluster while any machine is down — during
-    /// mid-flight rebuilds and boundary deferral windows. Answers touching
-    /// a dead owner come back [`QueryAnswer::Degraded`]; the rest stay
-    /// exact ("writes pause, reads degrade").
-    pub outage_reads: &'a [Query],
+/// Re-executions a fenced epoch may spend before the engine gives up
+/// (panics). Each retry runs clean — the armed events fired in the first
+/// attempt — so one normally suffices; the budget guards against
+/// pathological plans.
+pub const RETRY_BUDGET: usize = 3;
+
+/// Base of the simulated exponential backoff charged per aborted attempt
+/// (`base << attempt` rounds). Recorded as latency, not executed.
+pub const BACKOFF_BASE_ROUNDS: usize = 1;
+
+/// One aborted attempt of a fenced epoch ([`RebuildEngine::run_epoch`]).
+#[derive(Clone, Debug)]
+pub struct EpochAbort {
+    /// Machines that died inside the attempt.
+    pub victims: Vec<MachineId>,
+    /// Which attempt this was (1-based; 1 = the first execution).
+    pub attempt: usize,
+    /// The aborted attempt's metrics — latency, never workload.
+    pub aborted: BatchMetrics,
+    /// Per victim, in `victims` order: the metered revive handoff and the
+    /// replica's off-cluster replay.
+    pub rebuilds: Vec<(UpdateMetrics, BatchMetrics)>,
+    /// Simulated backoff before the retry.
+    pub backoff_rounds: usize,
 }
 
-impl Default for ChaosOptions<'static> {
-    fn default() -> Self {
-        ChaosOptions {
-            checkpoint_every: 8,
-            retry_budget: 3,
-            backoff_base_rounds: 2,
-            outage_reads: &[],
+/// The one owner of what a rebuild needs: the factory, the last
+/// full-cluster checkpoint, and the write runs completed since. `B` is how
+/// the caller holds a logged run (owned or borrowed).
+pub struct RebuildEngine<F, B> {
+    make: F,
+    /// `None` until the first [`RebuildEngine::checkpoint`]: a replica then
+    /// starts from the factory state and replays everything logged.
+    checkpoint: Option<Vec<String>>,
+    /// Write runs completed since the checkpoint (or since the start), in
+    /// order — the replay suffix of the next rebuild. The caller pushes
+    /// every completed run, and may drop the log once no kill can read it.
+    pub log: Vec<B>,
+}
+
+impl<A, F, B> RebuildEngine<F, B>
+where
+    A: ElasticAlgorithm,
+    F: Fn() -> A,
+    B: AsRef<[Update]>,
+{
+    /// An engine with no checkpoint and an empty log; `make` builds a fresh
+    /// instance for each replica and must be deterministic.
+    pub fn new(make: F) -> Self {
+        RebuildEngine {
+            make,
+            checkpoint: None,
+            log: Vec::new(),
+        }
+    }
+
+    /// Checkpoints `a` (at full-cluster health) and restarts the log there.
+    pub fn checkpoint(&mut self, a: &A) {
+        self.checkpoint = Some(a.checkpoint());
+        self.log.clear();
+    }
+
+    /// Rebuilds dead machine `m`'s state on an off-cluster replica
+    /// (checkpoint if any, else factory state, + logged suffix; determinism
+    /// makes shard `m` exactly what the dead machine should hold) and ships
+    /// it back via the metered revive handoff. Returns the handoff's and
+    /// the replay's metrics.
+    fn rebuild(
+        &self,
+        a: &mut A,
+        mut apply: impl FnMut(&mut A, &[Update]) -> BatchMetrics,
+        m: MachineId,
+    ) -> (UpdateMetrics, BatchMetrics) {
+        let mut replica = (self.make)();
+        if let Some(checkpoint) = &self.checkpoint {
+            replica.restore(checkpoint);
+        }
+        let mut replay = BatchMetrics::default();
+        for run in &self.log {
+            replay.merge(&apply(&mut replica, run.as_ref()));
+        }
+        let snap = replica.snapshot_machine(m);
+        (a.revive(m, &snap), replay)
+    }
+
+    /// Applies `run` under an epoch fence. `armed` are the mid-flight events
+    /// (round offset, kind) to fire inside it; kills must target killable,
+    /// live machines. With none armed this is one `apply` and nothing else.
+    ///
+    /// Otherwise the pre-run frontier is snapshotted and the events armed
+    /// for the first attempt only (they fire, or are fenced to that epoch,
+    /// so every retry runs clean). An attempt that loses a machine or a
+    /// message is aborted: the victims' state is wiped, survivors roll back
+    /// to the frontier locally (unmetered: the frontier snapshot is
+    /// machine-resident), `during_outage` runs against the partial cluster,
+    /// and each victim is rebuilt — the log excludes this run, so replicas
+    /// stand exactly at the frontier. Determinism makes the retry
+    /// bit-identical to a never-failed run.
+    ///
+    /// Returns the clean attempt's metrics and one record per abort; the
+    /// caller logs the run. Panics once [`RETRY_BUDGET`] is exhausted.
+    pub fn run_epoch(
+        &self,
+        a: &mut A,
+        mut apply: impl FnMut(&mut A, &[Update]) -> BatchMetrics,
+        run: &[Update],
+        armed: &[(u32, ChaosKind)],
+        mut during_outage: impl FnMut(&mut A),
+    ) -> (BatchMetrics, Vec<EpochAbort>) {
+        if armed.is_empty() {
+            return (apply(a, run), Vec::new());
+        }
+        let frontier = a.checkpoint();
+        for &(at_round, kind) in armed {
+            a.arm_in_round(at_round, kind);
+        }
+        let mut aborts = Vec::new();
+        loop {
+            let bm = apply(a, run);
+            let victims: Vec<MachineId> = (0..a.n_shards() as MachineId)
+                .filter(|&m| !a.is_alive(m))
+                .collect();
+            if victims.is_empty() && bm.lost_words == 0 && bm.lost_messages == 0 {
+                return (bm, aborts);
+            }
+            assert!(
+                aborts.len() < RETRY_BUDGET,
+                "fenced epoch exhausted its retry budget ({RETRY_BUDGET})"
+            );
+            for &m in &victims {
+                a.kill(m);
+            }
+            for (m, snap) in frontier.iter().enumerate() {
+                if a.is_alive(m as MachineId) {
+                    a.restore_machine(m as MachineId, snap);
+                }
+            }
+            during_outage(a);
+            let rebuilds = victims
+                .iter()
+                .map(|&m| self.rebuild(a, &mut apply, m))
+                .collect();
+            aborts.push(EpochAbort {
+                victims,
+                attempt: aborts.len() + 1,
+                aborted: bm,
+                rebuilds,
+                backoff_rounds: BACKOFF_BASE_ROUNDS << aborts.len(),
+            });
         }
     }
 }
@@ -248,7 +374,7 @@ pub struct ChurnReport {
     pub drained: Vec<DrainRecord>,
     /// Reads answered while some machine was down.
     pub reads_answered: usize,
-    /// How many outage reads came back [`QueryAnswer::Degraded`].
+    /// How many outage reads came back [`dmpc_graph::QueryAnswer::Degraded`].
     pub degraded_answers: usize,
     /// Metered cost of the outage read waves.
     pub outage_reads: QueryMetrics,
@@ -256,73 +382,88 @@ pub struct ChurnReport {
     pub final_digest: u64,
 }
 
+impl ChurnReport {
+    /// One applied event with its metered cost (none for a kill).
+    fn event(&mut self, at_batch: usize, kind: String, um: &UpdateMetrics, replay_updates: usize) {
+        self.applied.push(AppliedEvent {
+            at_batch,
+            kind,
+            rounds: um.rounds,
+            words: um.total_words,
+            machines_touched: um.machines_touched,
+            replay_updates,
+        });
+        self.recovery.absorb_event(um);
+    }
+
+    /// One rebuilt machine: the revive row plus the replica's replay.
+    fn revived(&mut self, at_batch: usize, m: MachineId, rebuild: &(UpdateMetrics, BatchMetrics)) {
+        let (handoff, replay) = rebuild;
+        self.event(at_batch, format!("revive {m}"), handoff, replay.updates);
+        self.recovery.absorb_replay(replay);
+    }
+
+    /// One deferred batch applied at stream position `at`.
+    fn drained(&mut self, batch: usize, at: usize, bm: &BatchMetrics) {
+        self.workload.merge(bm);
+        self.batches += 1;
+        self.drained.push(DrainRecord {
+            batch,
+            drained_at: at,
+            latency_batches: at - batch,
+        });
+    }
+
+    /// One read wave against a partial cluster: writes pause, reads degrade.
+    /// Returns (answered, degraded).
+    fn outage_wave<A: QueryableAlgorithm>(&mut self, a: &mut A, reads: &[Query]) -> (usize, usize) {
+        if reads.is_empty() {
+            return (0, 0);
+        }
+        let (answers, qm) = a.answer_queries(reads);
+        let degraded = answers.iter().filter(|an| an.is_degraded()).count();
+        self.reads_answered += answers.len();
+        self.degraded_answers += degraded;
+        self.outage_reads.merge(&qm);
+        (answers.len(), degraded)
+    }
+}
+
 /// Drives `batches` through an algorithm while applying `plan`'s chaos
-/// events between batches, recovering every failure via checkpoint+replay
-/// (or full-log replay when snapshots are unsupported).
+/// events, recovering every failure through one [`RebuildEngine`]. An empty
+/// plan with `checkpoint_every = 0` is the failure-free baseline: every
+/// batch applied in order, no snapshot taken.
 ///
 /// `make` builds a fresh instance (used for the recovery replicas — it must
 /// be deterministic); `apply` applies one batch (the indirection lets
-/// weighted algorithms map `Update`s to weighted updates). Batches arriving
-/// while any machine is dead are deferred and drained right after the
-/// revive that restores full health; every machine still dead after the
-/// last batch is revived, so the final state covers the whole stream.
+/// weighted algorithms map `Update`s to weighted updates). A full-cluster
+/// checkpoint is taken every `checkpoint_every` applied batches (0 = only
+/// after migrations; recovery then replays from the last one or the start).
+///
+/// **Boundary events** fire between batches. Batches arriving while any
+/// machine is dead are deferred and drained right after the revive that
+/// restores full health; every machine still dead after the last batch is
+/// revived, so the final state covers the whole stream. **Events carrying
+/// a round offset** fire inside their batch, which runs as a fenced epoch
+/// ([`RebuildEngine::run_epoch`]). `outage_reads` are issued while any
+/// machine is down — during mid-flight rebuilds and boundary deferral
+/// windows; answers touching a dead owner come back
+/// [`dmpc_graph::QueryAnswer::Degraded`], the rest stay exact.
+///
+/// Panics if `plan` fails [`ChaosPlan::validate`] or a retry budget is
+/// exhausted.
 pub fn run_chaos_stream<A, F, App>(
     make: F,
-    apply: App,
+    mut apply: App,
     batches: &[Vec<Update>],
     plan: &ChaosPlan,
     checkpoint_every: usize,
+    outage_reads: &[Query],
 ) -> ChurnReport
 where
-    A: ElasticAlgorithm,
+    A: ElasticAlgorithm + QueryableAlgorithm,
     F: Fn() -> A,
     App: FnMut(&mut A, &[Update]) -> BatchMetrics,
-{
-    run_chaos_stream_with(
-        make,
-        apply,
-        |_: &mut A, _: &[Query]| (Vec::new(), QueryMetrics::default()),
-        batches,
-        plan,
-        ChaosOptions {
-            checkpoint_every,
-            ..Default::default()
-        },
-    )
-}
-
-/// The full mid-flight harness behind [`run_chaos_stream`]: boundary events
-/// as before, plus **epoch-fenced abort-and-retry** for events carrying a
-/// round offset and **degraded-mode reads** during outages.
-///
-/// For a batch with armed mid-flight events the harness takes a pre-batch
-/// *frontier snapshot* (the PR 6 checkpoint codec — taken only when this
-/// batch is actually targeted, so the plain path stays snapshot-free). If a
-/// kill fires inside the run, the epoch is aborted: the victim's state is
-/// wiped and rebuilt from checkpoint+replay exactly as at a boundary (the
-/// replay suffix excludes the aborted batch, so the replica stands at the
-/// frontier), the survivors roll back to the frontier locally, degraded
-/// reads are served while the victim rebuilds, and the batch re-executes
-/// clean. Determinism makes the retry bit-identical to a never-failed run:
-/// every machine re-enters the batch at the same frontier state with the
-/// same injections.
-///
-/// `answer` drives a read-only query wave (used for `opts.outage_reads`);
-/// it must not mutate logical state. Panics if `plan` fails
-/// [`ChaosPlan::validate`] or the retry budget is exhausted.
-pub fn run_chaos_stream_with<A, F, App, Ans>(
-    make: F,
-    mut apply: App,
-    mut answer: Ans,
-    batches: &[Vec<Update>],
-    plan: &ChaosPlan,
-    opts: ChaosOptions<'_>,
-) -> ChurnReport
-where
-    A: ElasticAlgorithm,
-    F: Fn() -> A,
-    App: FnMut(&mut A, &[Update]) -> BatchMetrics,
-    Ans: FnMut(&mut A, &[Query]) -> (Vec<QueryAnswer>, QueryMetrics),
 {
     let mut a = make();
     let n_shards = a.n_shards();
@@ -332,62 +473,10 @@ where
     if let Err(msg) = plan.validate(n_shards, n_killable, a.round_limit()) {
         panic!("invalid chaos plan: {msg}");
     }
-    let checkpoint_every = opts.checkpoint_every;
-    let restorable = a.supports_restore();
-    let mut ckpt: Vec<String> = if restorable {
-        a.checkpoint()
-    } else {
-        Vec::new()
-    };
-    // Batch indexes applied since the checkpoint (or since the start, for
-    // full-log replay) — the replay suffix of the next recovery.
-    let mut suffix: Vec<usize> = Vec::new();
+    let mut engine: RebuildEngine<F, &[Update]> = RebuildEngine::new(make);
     let mut deferred: Vec<usize> = Vec::new();
     let mut dead: Vec<MachineId> = Vec::new();
     let mut report = ChurnReport::default();
-
-    // Rebuilds the dead machine's state on an off-cluster replica
-    // (checkpoint + suffix replay; determinism => shard m is exactly what
-    // the dead machine should hold), then ships it back via the metered
-    // revive handoff.
-    #[allow(clippy::too_many_arguments)]
-    fn revive_one<A, F, App>(
-        make: &F,
-        apply: &mut App,
-        batches: &[Vec<Update>],
-        restorable: bool,
-        a: &mut A,
-        m: MachineId,
-        at_batch: usize,
-        ckpt: &[String],
-        suffix: &[usize],
-        report: &mut ChurnReport,
-    ) where
-        A: ElasticAlgorithm,
-        F: Fn() -> A,
-        App: FnMut(&mut A, &[Update]) -> BatchMetrics,
-    {
-        let mut replica = make();
-        if restorable {
-            replica.restore(ckpt);
-        }
-        let mut replay = BatchMetrics::default();
-        for &bi in suffix {
-            replay.merge(&apply(&mut replica, &batches[bi]));
-        }
-        let snap = replica.snapshot_machine(m);
-        let um = a.revive(m, &snap);
-        report.applied.push(AppliedEvent {
-            at_batch,
-            kind: format!("revive {m}"),
-            rounds: um.rounds,
-            words: um.total_words,
-            machines_touched: um.machines_touched,
-            replay_updates: replay.updates,
-        });
-        report.recovery.absorb_event(&um);
-        report.recovery.absorb_replay(&replay);
-    }
 
     for bi in 0..=batches.len() {
         // Mid-flight events fire *inside* this batch's run; boundary events
@@ -403,15 +492,7 @@ where
                     if a.killable(m) && a.is_alive(m) {
                         a.kill(m);
                         dead.push(m);
-                        report.applied.push(AppliedEvent {
-                            at_batch: bi,
-                            kind: format!("kill {m}"),
-                            rounds: 0,
-                            words: 0,
-                            machines_touched: 0,
-                            replay_updates: 0,
-                        });
-                        report.recovery.events += 1;
+                        report.event(bi, format!("kill {m}"), &UpdateMetrics::default(), 0);
                     } else {
                         report.skipped += 1;
                     }
@@ -419,32 +500,15 @@ where
                 ChaosKind::Revive(m) => {
                     if let Some(pos) = dead.iter().position(|&d| d == m) {
                         dead.remove(pos);
-                        revive_one(
-                            &make,
-                            &mut apply,
-                            batches,
-                            restorable,
-                            &mut a,
-                            m,
-                            bi,
-                            &ckpt,
-                            &suffix,
-                            &mut report,
-                        );
+                        report.revived(bi, m, &engine.rebuild(&mut a, &mut apply, m));
                         if dead.is_empty() {
                             // Full health restored: drain the deferred
                             // backlog (it extends the replay suffix), one
                             // drain record per batch so no deferral is
                             // invisible in the report.
                             for di in deferred.drain(..) {
-                                report.workload.merge(&apply(&mut a, &batches[di]));
-                                report.batches += 1;
-                                suffix.push(di);
-                                report.drained.push(DrainRecord {
-                                    batch: di,
-                                    drained_at: bi,
-                                    latency_batches: bi - di,
-                                });
+                                report.drained(di, bi, &apply(&mut a, &batches[di]));
+                                engine.log.push(&batches[di]);
                             }
                         }
                     } else {
@@ -466,21 +530,11 @@ where
                     };
                     match um {
                         Some(um) => {
-                            report.applied.push(AppliedEvent {
-                                at_batch: bi,
-                                kind: format!("{} {m}", if is_split { "split" } else { "merge" }),
-                                rounds: um.rounds,
-                                words: um.total_words,
-                                machines_touched: um.machines_touched,
-                                replay_updates: 0,
-                            });
-                            report.recovery.absorb_event(&um);
+                            let name = if is_split { "split" } else { "merge" };
+                            report.event(bi, format!("{name} {m}"), &um, 0);
                             // Checkpoint immediately: replay suffixes must
                             // never straddle a repartition.
-                            if restorable {
-                                ckpt = a.checkpoint();
-                                suffix.clear();
-                            }
+                            engine.checkpoint(&a);
                         }
                         None => report.skipped += 1,
                     }
@@ -495,186 +549,73 @@ where
             // degrade: the query plane stays up over the partial cluster.
             deferred.push(bi);
             report.skipped += mid.len();
-            if !opts.outage_reads.is_empty() {
-                let (answers, qm) = answer(&mut a, opts.outage_reads);
-                report.reads_answered += answers.len();
-                report.degraded_answers += answers.iter().filter(|an| an.is_degraded()).count();
-                report.outage_reads.merge(&qm);
-            }
+            report.outage_wave(&mut a, outage_reads);
             continue;
         }
-        if mid.is_empty() {
-            // Plain path: no frontier snapshot, no arming — zero chaos-plane
-            // overhead when the batch is not targeted.
-            report.workload.merge(&apply(&mut a, &batches[bi]));
-            report.batches += 1;
-            suffix.push(bi);
-            if restorable && checkpoint_every > 0 && suffix.len() >= checkpoint_every {
-                ckpt = a.checkpoint();
-                suffix.clear();
-            }
-            continue;
-        }
-        // Epoch-fenced path: snapshot the pre-batch frontier, arm the events,
-        // and re-execute on abort until the batch lands clean.
-        let frontier = a.checkpoint();
         let kill_round = mid
             .iter()
             .filter_map(|&(r, k)| matches!(k, ChaosKind::Kill(_)).then_some(r))
             .min()
             .unwrap_or(0);
-        let mut attempt = 0usize;
-        loop {
-            if attempt == 0 {
-                // Arm only the first execution: the events fired (and were
-                // fenced to that epoch), so every retry runs clean.
-                for &(r, kind) in &mid {
-                    match kind {
-                        ChaosKind::Kill(m) if !(a.killable(m) && a.is_alive(m)) => {
-                            report.skipped += 1;
-                        }
-                        _ => a.arm_in_round(r, kind),
-                    }
-                }
-            }
-            let bm = apply(&mut a, &batches[bi]);
-            let victims: Vec<MachineId> = (0..n_shards as MachineId)
-                .filter(|&m| !a.is_alive(m))
-                .collect();
-            if victims.is_empty() && bm.lost_words == 0 && bm.lost_messages == 0 {
-                report.workload.merge(&bm);
-                report.batches += 1;
-                suffix.push(bi);
-                if restorable && checkpoint_every > 0 && suffix.len() >= checkpoint_every {
-                    ckpt = a.checkpoint();
-                    suffix.clear();
-                }
-                break;
-            }
-            // Abort the epoch. The aborted attempt's metrics are *not*
-            // merged into the workload — its cost is recorded in the
-            // mid-flight trajectory instead.
-            assert!(
-                attempt < opts.retry_budget,
-                "mid-flight retry budget ({}) exhausted at batch {bi}",
-                opts.retry_budget
-            );
+        let planned = mid.len();
+        mid.retain(|&(_, kind)| match kind {
+            ChaosKind::Kill(m) => a.killable(m) && a.is_alive(m),
+            _ => true,
+        });
+        report.skipped += planned - mid.len();
+        // Reads degrade while the victims rebuild: one wave per abort.
+        let mut waves: Vec<(usize, usize)> = Vec::new();
+        let (bm, aborts) = engine.run_epoch(&mut a, &mut apply, &batches[bi], &mid, |a| {
+            waves.push(report.outage_wave(a, outage_reads))
+        });
+        for (abort, (reads_answered, degraded_answers)) in aborts.into_iter().zip(waves) {
+            // The aborted attempt's metrics are *not* merged into the
+            // workload — its cost is recorded in the mid-flight trajectory.
             report.retries += 1;
-            report.aborted_rounds += bm.rounds;
-            for &m in &victims {
-                a.kill(m);
+            report.aborted_rounds += abort.aborted.rounds;
+            let (mut recovery_rounds, mut recovery_words, mut replay_updates) = (0, 0, 0);
+            for (&m, rebuild) in abort.victims.iter().zip(&abort.rebuilds) {
+                report.revived(bi, m, rebuild);
+                recovery_rounds += rebuild.0.rounds;
+                recovery_words += rebuild.0.total_words;
+                replay_updates += rebuild.1.updates;
             }
-            // Survivors roll back to the frontier locally (unmetered: the
-            // frontier snapshot is machine-resident).
-            for m in 0..n_shards as MachineId {
-                if a.is_alive(m) {
-                    a.restore_machine(m, &frontier[m as usize]);
-                }
-            }
-            // Reads degrade while the victims rebuild.
-            let (reads_answered, degraded_answers) = if opts.outage_reads.is_empty() {
-                (0, 0)
-            } else {
-                let (answers, qm) = answer(&mut a, opts.outage_reads);
-                let d = answers.iter().filter(|an| an.is_degraded()).count();
-                report.reads_answered += answers.len();
-                report.degraded_answers += d;
-                report.outage_reads.merge(&qm);
-                (answers.len(), d)
-            };
-            // Rebuild each victim via checkpoint + suffix replay. The suffix
-            // excludes the aborted batch, so the replica stands exactly at
-            // the frontier the survivors rolled back to.
-            let rec0 = (
-                report.recovery.rounds,
-                report.recovery.total_words,
-                report.recovery.replay_updates,
-            );
-            for &m in &victims {
-                revive_one(
-                    &make,
-                    &mut apply,
-                    batches,
-                    restorable,
-                    &mut a,
-                    m,
-                    bi,
-                    &ckpt,
-                    &suffix,
-                    &mut report,
-                );
-            }
-            let recovery_rounds = report.recovery.rounds - rec0.0;
-            let recovery_words = report.recovery.total_words - rec0.1;
-            let replay_updates = report.recovery.replay_updates - rec0.2;
-            let backoff_rounds = opts.backoff_base_rounds << attempt.min(16);
             report.mid_flight.push(MidFlightRecovery {
                 at_batch: bi,
                 kill_round,
-                victims,
-                attempt: attempt + 1,
-                aborted_rounds: bm.rounds,
-                lost_words: bm.lost_words,
-                lost_messages: bm.lost_messages,
-                backoff_rounds,
+                victims: abort.victims,
+                attempt: abort.attempt,
+                aborted_rounds: abort.aborted.rounds,
+                lost_words: abort.aborted.lost_words,
+                lost_messages: abort.aborted.lost_messages,
+                backoff_rounds: abort.backoff_rounds,
                 recovery_rounds,
                 recovery_words,
                 replay_updates,
                 reads_answered,
                 degraded_answers,
-                latency_rounds: bm
+                latency_rounds: abort
+                    .aborted
                     .rounds
                     .saturating_sub(kill_round.saturating_sub(1) as usize)
-                    + backoff_rounds
+                    + abort.backoff_rounds
                     + recovery_rounds,
             });
-            attempt += 1;
+        }
+        report.workload.merge(&bm);
+        report.batches += 1;
+        engine.log.push(&batches[bi]);
+        if checkpoint_every > 0 && engine.log.len() >= checkpoint_every {
+            engine.checkpoint(&a);
         }
     }
     // A well-formed plan revives everything; recover stragglers anyway so
     // the final state always covers the whole stream.
     while let Some(m) = dead.pop() {
-        revive_one(
-            &make,
-            &mut apply,
-            batches,
-            restorable,
-            &mut a,
-            m,
-            batches.len(),
-            &ckpt,
-            &suffix,
-            &mut report,
-        );
+        report.revived(batches.len(), m, &engine.rebuild(&mut a, &mut apply, m));
     }
     for di in deferred.drain(..) {
-        report.workload.merge(&apply(&mut a, &batches[di]));
-        report.batches += 1;
-        suffix.push(di);
-        report.drained.push(DrainRecord {
-            batch: di,
-            drained_at: batches.len(),
-            latency_batches: batches.len() - di,
-        });
-    }
-    report.updates = report.workload.updates;
-    report.final_digest = a.state_digest();
-    report
-}
-
-/// The failure-free counterpart of [`run_chaos_stream`]: applies every
-/// batch in order and digests the final state (the bit-identical baseline).
-pub fn run_plain_stream<A, F, App>(make: F, mut apply: App, batches: &[Vec<Update>]) -> ChurnReport
-where
-    A: ElasticAlgorithm,
-    F: Fn() -> A,
-    App: FnMut(&mut A, &[Update]) -> BatchMetrics,
-{
-    let mut a = make();
-    let mut report = ChurnReport::default();
-    for b in batches {
-        report.workload.merge(&apply(&mut a, b));
-        report.batches += 1;
+        report.drained(di, batches.len(), &apply(&mut a, &batches[di]));
     }
     report.updates = report.workload.updates;
     report.final_digest = a.state_digest();

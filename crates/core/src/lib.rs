@@ -17,8 +17,9 @@
 //! * [`experiment`] — batched stream replay, plus scaling sweeps with
 //!   log-log slope fits used to check Table 1's growth shapes.
 //! * [`elastic`] — the chaos-plane surface ([`ElasticAlgorithm`]) and the
-//!   churn harness that interleaves kill/revive/split/merge events with a
-//!   workload stream, recovering failures via checkpoint + replay.
+//!   rebuild engine ([`RebuildEngine`]: checkpoint + replay, fenced epochs)
+//!   shared by the service loop and the churn harness that interleaves
+//!   kill/revive/split/merge events with a workload stream.
 //! * [`report`] — plain-text table rendering for the bench binaries.
 //!
 //! # Example
@@ -44,8 +45,8 @@ pub use algorithm::{
     QueryableAlgorithm, WeightedDynamicGraphAlgorithm,
 };
 pub use elastic::{
-    apply_unweighted, run_chaos_stream, run_chaos_stream_with, run_plain_stream, AppliedEvent,
-    ChaosOptions, ChurnReport, DrainRecord, ElasticAlgorithm, MidFlightRecovery,
+    apply_unweighted, run_chaos_stream, AppliedEvent, ChurnReport, DrainRecord, ElasticAlgorithm,
+    EpochAbort, MidFlightRecovery, RebuildEngine,
 };
 pub use experiment::{run_stream_batched, ScalingPoint, ScalingSweep};
 pub use model::DmpcParams;

@@ -577,11 +577,10 @@ impl Role {
 
 /// Chaos-plane surface (paper Section 3 keeps the coordinator `M_C` on the
 /// model's one reliable machine, so it is never killable; it doubles as the
-/// staging peer for revive handoffs). The algorithm keeps no full-cluster
-/// checkpoint support — the history-repair protocol makes per-machine
-/// snapshots cheap but restoring a *consistent cut* across the coordinator's
-/// un-snapshotted working state is not worth the surface — so the harness
-/// recovers machines by full-log replay on an off-cluster replica.
+/// staging peer for revive handoffs). Every role's snapshot text is
+/// lossless — the coordinator's "coord v2" included — so a full-cluster
+/// checkpoint is the per-machine snapshots and `restore` is the trait's
+/// per-machine default.
 impl dmpc_core::ElasticAlgorithm for DmpcMaximalMatching {
     fn n_shards(&self) -> usize {
         self.cluster.n_machines()
@@ -607,16 +606,8 @@ impl dmpc_core::ElasticAlgorithm for DmpcMaximalMatching {
         self.cluster.machine_mut(m).restore_text(snap);
     }
 
-    fn supports_restore(&self) -> bool {
-        false
-    }
-
     fn snapshot_machine(&self, m: MachineId) -> String {
         self.cluster.machine(m).snapshot_text()
-    }
-
-    fn restore(&mut self, _snaps: &[String]) {
-        unreachable!("full-log replay mode: the harness never restores checkpoints");
     }
 
     fn kill(&mut self, m: MachineId) {

@@ -1,10 +1,10 @@
 //! Machine churn for the Section 3 maximal matching: fail-stop kills with
-//! full-log-replay revives, the protected coordinator, and chaos runs that
-//! must land bit-identical to failure-free runs and match ground truth.
+//! checkpoint + suffix-replay revives, the protected coordinator, and chaos
+//! runs that must land bit-identical to failure-free runs and match ground
+//! truth.
 
 use dmpc_core::{
-    apply_unweighted, run_chaos_stream, run_plain_stream, DmpcParams, DynamicGraphAlgorithm,
-    ElasticAlgorithm,
+    apply_unweighted, run_chaos_stream, DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm,
 };
 use dmpc_graph::streams;
 use dmpc_graph::{DynamicGraph, Update};
@@ -57,7 +57,7 @@ fn kill_revive_each_role_bit_identical() {
         alg.kill(victim);
         assert!(!alg.is_alive(victim));
 
-        // Full-log replay on an off-cluster replica (no checkpoint support).
+        // Full-log replay on an off-cluster replica (no checkpoint taken).
         let mut replica = make();
         for &u in pre {
             match u {
@@ -123,8 +123,8 @@ fn chaos_stream_recovers_bit_identical() {
         .iter()
         .all(|e| !matches!(e.kind, ChaosKind::Kill(0))));
 
-    let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 0);
-    let plain = run_plain_stream(make, apply_unweighted, &batches);
+    let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 3, &[]);
+    let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
     assert_eq!(chaos.final_digest, plain.final_digest);
     assert_eq!(chaos.recovery.violations, 0);
     assert_eq!(chaos.workload.violations, 0);
@@ -167,8 +167,8 @@ proptest! {
         let p = make().n_shards();
         let caps = ChaosCaps { kill_revive: true, split_merge: false, protect: 1 };
         let plan = ChaosPlan::generate(seed, batches.len(), p, events, caps);
-        let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 0);
-        let plain = run_plain_stream(make, apply_unweighted, &batches);
+        let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 3, &[]);
+        let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
         prop_assert_eq!(chaos.final_digest, plain.final_digest);
         prop_assert_eq!(chaos.recovery.violations, 0);
         prop_assert_eq!(chaos.workload.violations, 0);

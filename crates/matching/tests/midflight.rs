@@ -2,12 +2,12 @@
 //! but any stats/storage/overflow machine may die inside a round. The
 //! epoch-fenced harness aborts the batch, rolls every survivor (including
 //! the coordinator, whose v2 snapshot is lossless) back to the pre-batch
-//! frontier, rebuilds the victim by full-log replay, and re-executes —
-//! bit-identical to the failure-free run.
+//! frontier, rebuilds the victim from the last checkpoint plus the replayed
+//! suffix, and re-executes — bit-identical to the failure-free run.
 
 use dmpc_core::{
-    apply_unweighted, run_chaos_stream, run_chaos_stream_with, run_plain_stream, ChaosOptions,
-    DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm, QueryableAlgorithm,
+    apply_unweighted, run_chaos_stream, DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm,
+    QueryableAlgorithm,
 };
 use dmpc_graph::{streams, DynamicGraph, Query, QueryAnswer, Update};
 use dmpc_matching::DmpcMaximalMatching;
@@ -21,13 +21,13 @@ fn mid_round_kill_recovers_bit_identical() {
     let params = DmpcParams::new(n, 160);
     let batches = streams::chaos_churn_batches(n, 4, 4, 80, 8, 13);
     let make = || DmpcMaximalMatching::new(params);
-    let plain = run_plain_stream(make, apply_unweighted, &batches);
+    let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
     let last = make().n_shards() as u32 - 1;
     let mut fired = 0usize;
     for r in 1..=6u32 {
         for victim in [1u32, last] {
             let plan = ChaosPlan::new(5).with_event_in_round(1, r, ChaosKind::Kill(victim));
-            let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 0);
+            let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 3, &[]);
             assert_eq!(
                 chaos.final_digest, plain.final_digest,
                 "kill {victim} at round {r} diverged"
@@ -127,20 +127,8 @@ fn matching_size_stays_exact_while_stats_owner_is_down() {
     // Machine 1 is the first stats machine: it owns vertex 0's record.
     let plan = ChaosPlan::new(7).with_event_in_round(1, 1, ChaosKind::Kill(1));
     let reads = [Query::IsMatched(0), Query::MatchingSize];
-    let opts = ChaosOptions {
-        checkpoint_every: 0,
-        outage_reads: &reads,
-        ..Default::default()
-    };
-    let chaos = run_chaos_stream_with(
-        make,
-        apply_unweighted,
-        |a: &mut DmpcMaximalMatching, qs: &[Query]| a.answer_queries(qs),
-        &batches,
-        &plan,
-        opts,
-    );
-    let plain = run_plain_stream(make, apply_unweighted, &batches);
+    let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 3, &reads);
+    let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
     assert_eq!(chaos.final_digest, plain.final_digest);
     assert_eq!(chaos.retries, 1, "the round-1 kill must fire exactly once");
     assert_eq!(chaos.reads_answered, reads.len());

@@ -20,7 +20,7 @@
 //! `docs/ARCHITECTURE.md` ("Executor internals") for the full lifecycle
 //! and the determinism argument.
 
-use crate::chaos::{ChaosKind, ChaosPlan};
+use crate::chaos::ChaosKind;
 use crate::machine::{Envelope, Machine, Payload as _, Scheduler};
 use crate::metrics::{BatchMetrics, RoundMetrics, UpdateMetrics, Violation};
 use crate::parallel::{worker_task, Group, StepEnv, WorkerScratch};
@@ -117,11 +117,6 @@ pub struct ClusterConfig {
     /// streams that only need aggregates can switch this off; `rounds` and
     /// `total_words` are identical either way.
     pub record_per_round: bool,
-    /// Optional chaos fault-injection plan. The cluster only *stores* it
-    /// (and drops messages to machines killed via [`Cluster::kill`]);
-    /// harnesses read the plan and apply its events between batches, so an
-    /// idle plan costs nothing on the executor hot path.
-    pub chaos: Option<ChaosPlan>,
     /// Batch structural scheduler (see [`Scheduler`]). The executor never
     /// reads this — machine programs running a batch pipeline do — but it
     /// rides in the config so every driver constructor threads it for free.
@@ -137,7 +132,6 @@ impl Default for ClusterConfig {
             backend: Backend::Serial,
             threads: 0,
             record_per_round: true,
-            chaos: None,
             scheduler: Scheduler::default(),
         }
     }
@@ -162,12 +156,6 @@ impl ClusterConfig {
         if let Some(flows) = exec.track_flows {
             self.track_flows = flows;
         }
-        self
-    }
-
-    /// Attaches a chaos fault-injection plan (see [`crate::chaos`]).
-    pub fn with_chaos(mut self, plan: ChaosPlan) -> Self {
-        self.chaos = Some(plan);
         self
     }
 }
@@ -340,12 +328,6 @@ impl<M: Machine> Cluster<M> {
     /// True when no machine is killed.
     pub fn all_alive(&self) -> bool {
         self.dead_count == 0
-    }
-
-    /// The attached chaos plan, if any (harnesses read it; the executor
-    /// never schedules events itself).
-    pub fn chaos_plan(&self) -> Option<&ChaosPlan> {
-        self.cfg.chaos.as_ref()
     }
 
     /// The current update epoch: bumped at the start of every quiescence
@@ -899,19 +881,6 @@ mod tests {
         assert!(m.clean());
         assert_eq!(m.rounds, 6);
         assert!(c.machine(2).seen > 0);
-    }
-
-    #[test]
-    fn idle_chaos_plan_is_stored_not_scheduled() {
-        use crate::chaos::{ChaosKind, ChaosPlan};
-        let plan = ChaosPlan::new(9).with_event(1_000_000, ChaosKind::Kill(1));
-        let cfg = ClusterConfig::default().with_chaos(plan.clone());
-        let mut c = relay_cluster(3, cfg);
-        assert_eq!(c.chaos_plan(), Some(&plan));
-        // The executor never applies plan events on its own.
-        let m = run_single_update(&mut c, 0, 4);
-        assert!(m.clean());
-        assert!(c.all_alive());
     }
 
     #[test]

@@ -396,8 +396,8 @@ pub struct RecoveryMetrics {
     pub total_words: usize,
     /// Total messages over all recovery/migration rounds.
     pub total_messages: usize,
-    /// Logical updates replayed onto recovery replicas (checkpoint-suffix
-    /// replay, or full-log replay for algorithms without snapshots).
+    /// Logical updates replayed onto recovery replicas (the suffix since the
+    /// last checkpoint, or the whole log when none was taken).
     pub replay_updates: usize,
     /// Rounds the replica replays consumed (off-cluster work).
     pub replay_rounds: usize,

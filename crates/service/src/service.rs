@@ -10,12 +10,15 @@
 //! sequence. So the online run's digests, answers, and audits are
 //! bit-identical to [`replay_windows`] over its [`WindowRecord`] log — and
 //! this holds with a chaos plan armed, because a failed window epoch aborts
-//! (survivors roll back to the pre-window frontier, victims rebuild from an
-//! off-cluster replica) and retries until it completes cleanly.
+//! and retries until it completes cleanly
+//! ([`dmpc_core::RebuildEngine::run_epoch`]: survivors roll back to the
+//! pre-window frontier, victims rebuild from an off-cluster replica).
 
 use crate::buffer::{AdmissionBuffer, BackpressurePolicy, Offer, ShedRecord};
 use crate::window::{CloseReason, WindowPolicy, WindowRecord};
-use dmpc_core::{DynamicGraphAlgorithm, ElasticAlgorithm, WeightedDynamicGraphAlgorithm};
+use dmpc_core::{
+    DynamicGraphAlgorithm, ElasticAlgorithm, RebuildEngine, WeightedDynamicGraphAlgorithm,
+};
 use dmpc_graph::arrivals::Arrival;
 use dmpc_graph::streams::with_weights;
 use dmpc_graph::{Op, Query, QueryAnswer, Update, Weight};
@@ -180,11 +183,6 @@ pub struct ServiceConfig {
     pub buffer_cap: usize,
     /// What happens when the buffer fills.
     pub backpressure: BackpressurePolicy,
-    /// Chaos: epoch retries allowed per window before giving up.
-    pub retry_budget: usize,
-    /// Chaos: exponential-backoff base charged per aborted epoch, in
-    /// rounds (latency cost of the retry pause).
-    pub backoff_base_rounds: usize,
 }
 
 impl Default for ServiceConfig {
@@ -193,8 +191,6 @@ impl Default for ServiceConfig {
             window: WindowPolicy::windowed(32, 8),
             buffer_cap: 256,
             backpressure: BackpressurePolicy::Shed,
-            retry_budget: 3,
-            backoff_base_rounds: 1,
         }
     }
 }
@@ -324,13 +320,13 @@ where
 /// Runs the service loop with a chaos plan armed. Plan events must be
 /// *mid-flight kills*, keyed by **window index** (`at_batch` = the index
 /// of the targeted window in execution order); they arm before the
-/// targeted window's first write run. A window whose epoch loses a machine
-/// is aborted — survivors roll back to the pre-window frontier locally,
-/// victims rebuild from an off-cluster replica replay of the completed
-/// write log — and retried under `cfg.retry_budget` with exponential
-/// backoff. Aborted rounds count toward the window's ops' *latency* but
-/// never toward workload metrics, so SLOs are measured through failures
-/// while digests stay bit-identical to the failure-free run.
+/// targeted window's first write run, which then executes as a fenced
+/// epoch of the shared [`RebuildEngine`]: an attempt that loses a machine
+/// is aborted, victims rebuild from an off-cluster replica replay of the
+/// completed write log, and the run retries. Aborted rounds count toward
+/// the window's ops' *latency* but never toward workload metrics, so SLOs
+/// are measured through failures while digests stay bit-identical to the
+/// failure-free run.
 pub fn run_service_chaos<A, F>(
     make: F,
     arrivals: &[Arrival],
@@ -362,7 +358,7 @@ where
         .max_ops
         .min(a.admission_budget().unwrap_or(usize::MAX))
         .max(1);
-    let mut lp = ServiceLoop::new(a, &make, plan, cfg);
+    let mut lp = ServiceLoop::new(a, &make, plan);
     let mut buf: AdmissionBuffer<Pending> = AdmissionBuffer::new(cfg.buffer_cap, cfg.backpressure);
     let mut clock = SimClock::new();
     let mut next = 0usize;
@@ -449,17 +445,15 @@ pub fn replay_windows<A: ServiceAlgorithm + ElasticAlgorithm>(
 /// Mutable state threaded through window executions.
 struct ServiceLoop<'p, A, F> {
     a: A,
-    make: &'p F,
+    /// Rebuilds victims from the factory and the completed write runs. The
+    /// log is kept only while the plan holds an event in a later window:
+    /// past the last one no kill can fire, the log would never be read, and
+    /// on a failure-free run it would be a second copy of the whole workload.
+    engine: RebuildEngine<&'p F, Vec<Update>>,
     plan: &'p ChaosPlan,
-    cfg: &'p ServiceConfig,
     rep: ServiceReport,
     cum_rounds: usize,
     cum_secs: f64,
-    /// Completed write runs, for a victim's replica to replay. Kept only
-    /// while the plan holds an event in a later window: past the last one
-    /// no kill can fire, the log would never be read, and on a failure-free
-    /// run it would be a second copy of the whole workload.
-    write_log: Vec<Vec<Update>>,
     window_index: usize,
 }
 
@@ -468,28 +462,15 @@ where
     A: ServiceAlgorithm + ElasticAlgorithm,
     F: Fn() -> A,
 {
-    fn new(a: A, make: &'p F, plan: &'p ChaosPlan, cfg: &'p ServiceConfig) -> Self {
+    fn new(a: A, make: &'p F, plan: &'p ChaosPlan) -> Self {
         ServiceLoop {
             a,
-            make,
+            engine: RebuildEngine::new(make),
             plan,
-            cfg,
             rep: ServiceReport::default(),
             cum_rounds: 0,
             cum_secs: 0.0,
-            write_log: Vec::new(),
             window_index: 0,
-        }
-    }
-
-    /// Records a completed write run while a kill in a later window may
-    /// still need it replayed; drops the log once none can.
-    fn log_write_run(&mut self, updates: Vec<Update>) {
-        let plan = self.plan;
-        if plan.events.iter().any(|e| e.at_batch > self.window_index) {
-            self.write_log.push(updates);
-        } else {
-            self.write_log = Vec::new();
         }
     }
 
@@ -544,84 +525,41 @@ where
     /// aborted attempt, backoff pause, and recovery handoff (those extra
     /// rounds are latency only; workload metrics merge the clean epoch).
     fn run_write_epoch(&mut self, updates: Vec<Update>, arm_allowed: bool) -> usize {
-        let armed: Vec<(u32, MachineId)> = if arm_allowed {
+        let armed: Vec<(u32, ChaosKind)> = if arm_allowed {
             self.plan
                 .events_at(self.window_index)
                 .filter_map(|e| match e.kind {
-                    ChaosKind::Kill(m) => Some((e.at_round.unwrap_or(1), m)),
+                    ChaosKind::Kill(m) if self.a.killable(m) && self.a.is_alive(m) => {
+                        Some((e.at_round?, e.kind))
+                    }
                     _ => None,
                 })
                 .collect()
         } else {
             Vec::new()
         };
-        if armed.is_empty() {
-            let bm = self.a.apply_window(&updates);
-            let rounds = bm.rounds;
-            self.rep.writes.merge(&bm);
-            self.log_write_run(updates);
-            return rounds;
-        }
-        // Epoch fence (the PR 8 pattern at window granularity): checkpoint
-        // the pre-window frontier, arm the kills, and on any victim abort
-        // the attempt — survivors roll back locally, victims rebuild from
-        // an off-cluster replica — then retry the identical run.
-        let frontier = self.a.checkpoint();
-        let mut extra = 0usize;
-        let mut attempt = 0usize;
-        loop {
-            if attempt == 0 {
-                for &(at_round, m) in &armed {
-                    if self.a.killable(m) && self.a.is_alive(m) {
-                        self.a.arm_in_round(at_round, ChaosKind::Kill(m));
-                    }
-                }
-            }
-            let bm = self.a.apply_window(&updates);
-            let victims: Vec<MachineId> = (0..self.a.n_shards() as MachineId)
-                .filter(|&m| !self.a.is_alive(m))
-                .collect();
-            if victims.is_empty() && bm.lost_words == 0 && bm.lost_messages == 0 {
-                let rounds = bm.rounds;
-                self.rep.writes.merge(&bm);
-                self.log_write_run(updates);
-                return extra + rounds;
-            }
-            assert!(
-                attempt < self.cfg.retry_budget,
-                "window {} exhausted its retry budget",
-                self.window_index
-            );
-            // Abort: the attempt's metrics are latency, never workload.
+        let (bm, aborts) =
+            self.engine
+                .run_epoch(&mut self.a, A::apply_window, &updates, &armed, |_| {});
+        let mut rounds = bm.rounds;
+        self.rep.writes.merge(&bm);
+        for abort in &aborts {
             self.rep.retries += 1;
-            self.rep.aborted_rounds += bm.rounds;
-            extra += bm.rounds;
-            for &m in &victims {
-                self.a.kill(m);
+            self.rep.aborted_rounds += abort.aborted.rounds;
+            rounds += abort.aborted.rounds + abort.backoff_rounds;
+            for (handoff, replay) in &abort.rebuilds {
+                rounds += handoff.rounds;
+                self.rep.recovery.absorb_event(handoff);
+                self.rep.recovery.absorb_replay(replay);
             }
-            for m in 0..self.a.n_shards() as MachineId {
-                if self.a.is_alive(m) {
-                    self.a.restore_machine(m, &frontier[m as usize]);
-                }
-            }
-            for &m in &victims {
-                // Determinism makes the replica's shard `m` bit-identical
-                // to the pre-window state: it replayed exactly the
-                // completed write runs and nothing else.
-                let mut replica = (self.make)();
-                let mut replay = BatchMetrics::default();
-                for past in &self.write_log {
-                    replay.merge(&replica.apply_window(past));
-                }
-                let snap = replica.snapshot_machine(m);
-                let um = self.a.revive(m, &snap);
-                extra += um.rounds;
-                self.rep.recovery.absorb_event(&um);
-                self.rep.recovery.absorb_replay(&replay);
-            }
-            extra += self.cfg.backoff_base_rounds << attempt.min(16);
-            attempt += 1;
         }
+        let plan = self.plan;
+        if plan.events.iter().any(|e| e.at_batch > self.window_index) {
+            self.engine.log.push(updates);
+        } else {
+            self.engine.log = Vec::new();
+        }
+        rounds
     }
 }
 
@@ -692,7 +630,6 @@ mod tests {
         fn snapshot_machine(&self, _m: MachineId) -> String {
             format!("{:?}", self.log)
         }
-        fn restore(&mut self, _snaps: &[String]) {}
         fn kill(&mut self, _m: MachineId) {
             unreachable!("stub machines are not killable")
         }
@@ -729,7 +666,6 @@ mod tests {
             window,
             buffer_cap,
             backpressure: bp,
-            ..ServiceConfig::default()
         }
     }
 
@@ -853,7 +789,6 @@ mod tests {
     #[test]
     fn write_log_lives_only_while_a_later_kill_can_replay_it() {
         let make = StubAlg::maker(None);
-        let c = ServiceConfig::default();
         let window = |i: u32| {
             vec![Pending {
                 tick: 0,
@@ -864,22 +799,22 @@ mod tests {
         };
         // No plan (every `run_service` call): nothing is ever logged.
         let none = ChaosPlan::new(0);
-        let mut plain = ServiceLoop::new(make(), &make, &none, &c);
+        let mut plain = ServiceLoop::new(make(), &make, &none);
         for i in 0..4 {
             plain.execute_window(window(i), CloseReason::Size, 0);
-            assert!(plain.write_log.is_empty());
+            assert!(plain.engine.log.is_empty());
         }
         // Last kill at window 2: its replica replays the runs of windows 0
         // and 1; once window 2's run completes nothing can ask again.
         let plan = ChaosPlan::new(0).with_event_in_round(2, 1, ChaosKind::Kill(0));
-        let mut armed = ServiceLoop::new(make(), &make, &plan, &c);
+        let mut armed = ServiceLoop::new(make(), &make, &plan);
         for i in 0..2 {
             armed.execute_window(window(i), CloseReason::Size, 0);
-            assert_eq!(armed.write_log.len(), i as usize + 1);
+            assert_eq!(armed.engine.log.len(), i as usize + 1);
         }
         for i in 2..4 {
             armed.execute_window(window(i), CloseReason::Size, 0);
-            assert_eq!(armed.write_log.capacity(), 0, "log not dropped");
+            assert_eq!(armed.engine.log.capacity(), 0, "log not dropped");
         }
         // The log is bookkeeping only: both loops served the same run.
         assert_eq!(armed.a.state_digest(), plain.a.state_digest());

@@ -8,7 +8,7 @@
 //! windows close, never what a closed window computes.
 
 use dmpc_connectivity::{DmpcConnectivity, DmpcMst};
-use dmpc_core::DmpcParams;
+use dmpc_core::{apply_unweighted, run_chaos_stream, DmpcParams};
 use dmpc_graph::arrivals::{arrival_trace, ArrivalProcess};
 use dmpc_graph::streams::{self, QueryMix, TargetDist};
 use dmpc_graph::{Op, QueryAnswer, Update};
@@ -45,7 +45,6 @@ fn cfg(max_ops: usize, deadline: u64) -> ServiceConfig {
         window: WindowPolicy::windowed(max_ops, deadline),
         buffer_cap: 4096,
         backpressure: BackpressurePolicy::Shed,
-        ..ServiceConfig::default()
     }
 }
 
@@ -157,6 +156,59 @@ proptest! {
         let mut fresh = make();
         let off = replay_windows(&mut fresh, &chaos.windows);
         prop_assert_eq!(off.final_digest, chaos.final_digest);
+    }
+
+    /// One engine, one set of numbers: the service recovers through the
+    /// same `RebuildEngine` as the batch harness, so feeding the harness
+    /// the service's write runs (each window's maximal write runs, in
+    /// order) with every window-indexed kill moved to its window's first
+    /// write run reproduces the digest and the whole recovery bill.
+    #[test]
+    fn service_and_harness_share_one_recovery(
+        seed in 0u64..200u64, r in 1u32..4, first in 0usize..3, gap in 1usize..4,
+    ) {
+        let n = 48;
+        let params = DmpcParams::new(n, 4 * n);
+        let ops = streams::mixed_stream(
+            n, 96, 30, TargetDist::Uniform, QueryMix::Connectivity, seed,
+        );
+        let trace = arrival_trace(&ops, ArrivalProcess::Steady { ops_per_tick: 3.0 }, seed);
+        let plan = ChaosPlan::new(seed)
+            .with_event_in_round(first, r, ChaosKind::Kill(1))
+            .with_event_in_round(first + gap, 1, ChaosKind::Kill(2));
+        let make = || DmpcConnectivity::new(params);
+        let online = run_service_chaos(
+            || UnweightedService::new(make()), &trace, &cfg(8, 3), &plan,
+        );
+
+        let mut runs: Vec<Vec<Update>> = Vec::new();
+        let mut first_run: Vec<Option<usize>> = Vec::new();
+        for w in &online.windows {
+            let at = runs.len();
+            runs.extend(
+                w.ops
+                    .chunk_by(|a, b| a.is_read() == b.is_read())
+                    .filter(|run| !run[0].is_read())
+                    .map(writes_of),
+            );
+            first_run.push((runs.len() > at).then_some(at));
+        }
+        // A kill aimed at a window without writes lapses in the service.
+        let mut batch_plan = ChaosPlan::new(seed);
+        for e in &plan.events {
+            if let Some(bi) = first_run[e.at_batch] {
+                batch_plan =
+                    batch_plan.with_event_in_round(bi, e.at_round.expect("mid-flight"), e.kind);
+            }
+        }
+        let offline = run_chaos_stream(make, apply_unweighted, &runs, &batch_plan, 0, &[]);
+        prop_assert_eq!(offline.final_digest, online.final_digest);
+        prop_assert_eq!(offline.retries, online.retries);
+        prop_assert_eq!(offline.aborted_rounds, online.aborted_rounds);
+        prop_assert_eq!(offline.recovery.rounds, online.recovery.rounds);
+        prop_assert_eq!(offline.recovery.total_words, online.recovery.total_words);
+        prop_assert_eq!(offline.recovery.replay_updates, online.recovery.replay_updates);
+        prop_assert_eq!(&offline.workload, &online.writes);
     }
 
     /// Same chaos claim for the coordinator-protected matching driver.

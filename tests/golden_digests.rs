@@ -239,6 +239,7 @@ fn connectivity_under_chaos() {
             &batches,
             &plan,
             3,
+            &[],
         ))
     });
 }
@@ -319,8 +320,8 @@ fn matching_churn_streams() {
     });
 }
 
-/// Kills with full-log-replay revives on matching (no shard migration, and
-/// the coordinator, machine 0, is protected).
+/// Kills with checkpoint + suffix-replay revives on matching (no shard
+/// migration, and the coordinator, machine 0, is protected).
 #[test]
 fn matching_under_chaos() {
     check("matching chaos", &SEEDS, &MATCHING_CHAOS, |seed| {
@@ -339,6 +340,7 @@ fn matching_under_chaos() {
             &batches,
             &plan,
             3,
+            &[],
         ))
     });
 }
