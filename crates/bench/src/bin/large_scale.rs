@@ -18,6 +18,7 @@
 use dmpc_bench::{time_stream_batched, trajectory_workload, TimedRun};
 use dmpc_connectivity::DmpcConnectivity;
 use dmpc_core::DynamicGraphAlgorithm;
+use dmpc_graph::Update;
 use dmpc_matching::DmpcMaximalMatching;
 use dmpc_mpc::ExecOptions;
 
@@ -93,7 +94,10 @@ fn main() {
     for &e in &exps {
         let n = 1usize << e;
         let (params, ups) = trajectory_workload(n, churn_steps(n), SEED);
-        let mut algs: Vec<(&'static str, Box<dyn DynamicGraphAlgorithm>)> = vec![(
+        let mut algs: Vec<(
+            &'static str,
+            Box<dyn DynamicGraphAlgorithm<Update = Update>>,
+        )> = vec![(
             "connectivity",
             Box::new(DmpcConnectivity::with_exec(params, ExecOptions::lean())),
         )];

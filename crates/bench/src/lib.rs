@@ -1,39 +1,34 @@
-//! Shared drivers for the paper-experiment binaries: run each algorithm
-//! over the standard workloads and collect the Table-1 quantities.
-//!
-//! # Example
+//! The paper's reproduction layer: one table of the eight Table-1 rows, one
+//! audited runner, one scaling sweep — printed by the `reproduce` bin and
+//! asserted by `tests/paper_table1.rs` through the same functions.
 //!
 //! ```
-//! use dmpc_bench::{run_unweighted, standard_stream};
-//! use dmpc_reduction::ReducedConnectivity;
-//!
-//! let ups = standard_stream(16, 20, 7);
-//! let agg = run_unweighted(&mut ReducedConnectivity::new(16), &ups);
-//! assert!(agg.updates > 0);
-//! assert_eq!(agg.violations, 0);
+//! // Row 7 (reduction over HDT) at n = 16, 20 churn updates, seed 7.
+//! let row = dmpc_bench::ROWS[6].measure((16, 20, 7));
+//! assert!(row.agg.updates > 0);
+//! assert_eq!(row.agg.violations, 0);
 //! ```
 
-use dmpc_connectivity::{DmpcConnectivity, DmpcMst};
-use dmpc_core::experiment::ScalingSweep;
-use dmpc_core::{
-    run_stream_batched, DmpcParams, DynamicGraphAlgorithm, QueryableAlgorithm,
-    WeightedDynamicGraphAlgorithm,
-};
-use dmpc_graph::streams::{self, Update, WeightedUpdate};
-use dmpc_graph::{Query, V};
+pub mod experiment;
+pub mod report;
+
+use dmpc_connectivity::algorithm::ConnDriver;
+use dmpc_connectivity::{DmpcConnectivity, DmpcMst, StaticCc};
+use dmpc_core::{DmpcParams, DynamicGraphAlgorithm};
+use dmpc_graph::matching::{is_maximal_matching, is_valid_matching};
+use dmpc_graph::mst::msf_weight;
+use dmpc_graph::streams::{self, QueryMix, TargetDist, Update, WeightedUpdate};
+use dmpc_graph::{DynamicGraph, Edge, Op, Query, Weight, V};
 use dmpc_matching::cs::{CsMatching, CsParams};
+use dmpc_matching::maximal::Layout;
+use dmpc_matching::static_mm::StaticMaximalMatching;
 use dmpc_matching::{DmpcMaximalMatching, DmpcThreeHalves};
-use dmpc_mpc::{AggregateMetrics, BatchMetrics, QueryMetrics};
+use dmpc_mpc::{AggregateMetrics, BatchMetrics, QueryMetrics, UpdateMetrics};
 use dmpc_reduction::{ReducedConnectivity, ReducedMatching, ReducedMst};
-
-/// Standard workload: build-up plus churn, sized to the vertex count.
-pub fn standard_stream(n: usize, steps: usize, seed: u64) -> Vec<Update> {
-    streams::churn_stream(n, 2 * n, steps, 0.5, seed)
-}
+use std::collections::HashMap;
 
 /// The canonical deployment at vertex count `n`: `m_max = 3n`, so the
-/// model provisions `P = Θ(N/S)` storage machines. Every bench bin sizes
-/// its instances through this one helper.
+/// model provisions `P = Θ(N/S)` storage machines.
 pub fn canonical_params(n: usize) -> DmpcParams {
     DmpcParams::new(n, 3 * n)
 }
@@ -56,37 +51,6 @@ pub fn trajectory_workload(n: usize, steps: usize, seed: u64) -> (DmpcParams, Ve
     (canonical_params(n), ups)
 }
 
-/// Worst-case connectivity workload: every deletion splits a tree.
-pub fn tree_stream(n: usize, steps: usize, seed: u64) -> Vec<Update> {
-    streams::tree_churn_stream(n, steps, seed)
-}
-
-/// Runs an unweighted dynamic algorithm over a stream.
-pub fn run_unweighted<A: DynamicGraphAlgorithm + ?Sized>(
-    alg: &mut A,
-    ups: &[Update],
-) -> AggregateMetrics {
-    let mut agg = AggregateMetrics::default();
-    for &u in ups {
-        let m = alg.apply(u);
-        agg.absorb(&m);
-    }
-    agg
-}
-
-/// Runs a weighted dynamic algorithm over a weighted stream.
-pub fn run_weighted<A: WeightedDynamicGraphAlgorithm>(
-    alg: &mut A,
-    ups: &[WeightedUpdate],
-) -> AggregateMetrics {
-    let mut agg = AggregateMetrics::default();
-    for &u in ups {
-        let m = alg.apply(u);
-        agg.absorb(&m);
-    }
-    agg
-}
-
 /// One wall-clock-timed batched replay: the model-level batch cost plus the
 /// real time the simulator needed and the peak resident-memory proxy.
 #[derive(Clone, Debug)]
@@ -103,29 +67,20 @@ pub struct TimedRun {
 impl TimedRun {
     /// Wall-clock updates per second.
     pub fn updates_per_sec(&self) -> f64 {
-        per_sec(self.batch.updates as f64, self.secs)
-    }
-
-    /// Wall-clock simulator rounds per second.
-    pub fn rounds_per_sec(&self) -> f64 {
-        per_sec(self.batch.rounds as f64, self.secs)
-    }
-}
-
-fn per_sec(count: f64, secs: f64) -> f64 {
-    if secs > 0.0 {
-        count / secs
-    } else {
-        0.0
+        if self.secs > 0.0 {
+            self.batch.updates as f64 / self.secs
+        } else {
+            0.0
+        }
     }
 }
 
-/// Replays `ups` through `apply_batch` in chunks of `k` (like
-/// [`run_stream_batched`]) under a wall-clock timer, sampling the
-/// resident-memory proxy after every chunk.
+/// Replays `ups` through `apply_batch` in chunks of `k`, merging the
+/// per-chunk costs into one amortizable total, under a wall-clock timer and
+/// sampling the resident-memory proxy after every chunk.
 pub fn time_stream_batched<A: DynamicGraphAlgorithm + ?Sized>(
     alg: &mut A,
-    ups: &[Update],
+    ups: &[A::Update],
     k: usize,
 ) -> TimedRun {
     let mut total = BatchMetrics::default();
@@ -146,210 +101,291 @@ pub fn time_stream_batched<A: DynamicGraphAlgorithm + ?Sized>(
     }
 }
 
-/// Table-1 style measurement of every algorithm at one size.
-pub struct Table1Row {
-    /// Row label.
+/// Where a row is measured: `(n, steps, seed)` — `n` vertices deployed at
+/// [`canonical_params`], `steps` churn updates after the stream's build-up,
+/// and the seed of the stream, its weights and its query pool.
+pub type Cell = (usize, usize, u64);
+
+const MAX_W: Weight = 1000;
+
+/// Standard workload: `2n`-edge build-up plus churn at 50% inserts.
+fn churn((n, steps, seed): Cell) -> Vec<Update> {
+    streams::churn_stream(n, 2 * n, steps, 0.5, seed)
+}
+
+/// Worst-case connectivity workload: every deletion splits a tree.
+fn tree((n, steps, seed): Cell) -> Vec<Update> {
+    streams::tree_churn_stream(n, steps, seed)
+}
+
+/// [`churn`] with per-edge weights in `1..=MAX_W`.
+fn weighted(c: Cell) -> Vec<WeightedUpdate> {
+    streams::with_weights(&churn(c), MAX_W, c.2)
+}
+
+/// A paper bound as printed, and its exponent in `N` where it is a power.
+pub type Bound = (&'static str, Option<f64>);
+const O1: Bound = ("O(1)", Some(0.0));
+const SQRT: Bound = ("O(sqrt N)", Some(0.5));
+
+/// One row of the paper's Table 1: its label, its claimed rounds per
+/// update, active machines and words per round, and how to measure it.
+pub struct Row {
     pub name: &'static str,
-    /// Claimed (rounds, machines, communication).
-    pub claimed: (&'static str, &'static str, &'static str),
-    /// Measured aggregate.
+    pub claimed: [Bound; 3],
+    run: fn(Cell) -> Measured,
+}
+
+/// What a row measures at one cell.
+#[derive(Clone, Debug)]
+pub struct Measured {
+    /// Worst cases and means over the stream, one update at a time.
     pub agg: AggregateMetrics,
-    /// Batched execution of the same stream (k = 16), for the algorithms
-    /// shipping a genuinely batched `apply_batch` override.
+    /// The same stream at k = 16, where `apply_batch` is a batched program.
     pub batch: Option<BatchMetrics>,
-    /// Batched query wave (q = 16) against the post-stream structure, for
-    /// the algorithms shipping a genuinely batched `answer_queries`.
+    /// 64 queries in waves of q = 16, where there is a query plane.
     pub query: Option<QueryMetrics>,
 }
 
-/// A deterministic pool of uniform connectivity queries over `n` vertices.
-fn connectivity_query_pool(n: usize, count: usize, seed: u64) -> Vec<Query> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x0bee_f00d_5eed_cafe);
-    (0..count)
-        .map(|_| {
-            let a = rng.gen_range(0..n as V);
-            let b = {
-                let b = rng.gen_range(0..n as V - 1);
-                if b >= a {
-                    b + 1
-                } else {
-                    b
-                }
-            };
-            match rng.gen_range(0..2) {
-                0 => Query::Connected(a, b),
-                _ => Query::ComponentOf(a),
-            }
-        })
-        .collect()
-}
-
-/// A deterministic pool of uniform matching queries over `n` vertices.
-fn matching_query_pool(n: usize, count: usize, seed: u64) -> Vec<Query> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x0bee_f00d_5eed_cafe);
-    (0..count)
-        .map(|_| match rng.gen_range(0..4) {
-            0 => Query::MatchingSize,
-            _ => Query::IsMatched(rng.gen_range(0..n as V)),
-        })
-        .collect()
-}
-
-/// Runs the pool through `answer_queries` in waves of `q`, merging the
-/// per-wave costs (the query-plane analogue of [`run_stream_batched`]).
-fn run_queries_batched<A: QueryableAlgorithm + ?Sized>(
-    alg: &mut A,
-    pool: &[Query],
-    q: usize,
-) -> QueryMetrics {
-    let mut total = QueryMetrics::default();
-    for wave in pool.chunks(q.max(1)) {
-        total.merge(&alg.answer_queries(wave).1);
+impl Row {
+    /// Measures the row at `cell` over its own stream (see [`ROWS`]).
+    pub fn measure(&self, cell: Cell) -> Measured {
+        (self.run)(cell)
     }
-    total
 }
 
-/// Measures all eight Table-1 rows at vertex count `n` with `steps` churn
-/// updates.
-pub fn measure_table1(n: usize, steps: usize, seed: u64) -> Vec<Table1Row> {
-    let params = canonical_params(n);
-    let ups = standard_stream(n, steps, seed);
-    let m_max = params.m_max;
-    let tree_ups = tree_stream(n, steps, seed);
-    let wups = streams::with_weights(&ups, 1000, seed);
-
-    // Query measurements run a q=16-wave pool against the post-stream
-    // structure (reads are free to reuse the instance: they never mutate).
-    let pool_len = 64.min(4 * n);
-    let conn_pool = connectivity_query_pool(n, pool_len, seed);
-    let match_pool = matching_query_pool(n, pool_len, seed);
-
-    let mut rows = Vec::new();
-
-    let mut mm = DmpcMaximalMatching::new(params);
-    let mm_agg = run_unweighted(&mut mm, &ups);
-    rows.push(Table1Row {
-        name: "Maximal matching",
-        claimed: ("O(1)", "O(1)", "O(sqrt N)"),
-        agg: mm_agg,
-        batch: Some(run_stream_batched(
-            &mut DmpcMaximalMatching::new(params),
-            &ups,
-            16,
-        )),
-        query: Some(run_queries_batched(&mut mm, &match_pool, 16)),
-    });
-
-    let mut th = DmpcThreeHalves::new(params);
-    rows.push(Table1Row {
-        name: "3/2-app. matching",
-        claimed: ("O(1)", "O(n/sqrt N)", "O(sqrt N)"),
-        agg: run_unweighted(&mut th, &ups),
-        batch: None,
-        query: Some(run_queries_batched(&mut th, &match_pool, 16)),
-    });
-
-    let mut cs = CsMatching::new(n, CsParams::defaults(n, 0.3));
-    rows.push(Table1Row {
-        name: "(2+eps)-app. matching",
-        claimed: ("O(1)", "~O(1)", "~O(1)"),
-        agg: run_unweighted(&mut cs, &ups),
-        batch: None,
-        query: None,
-    });
-
-    let mut cc = DmpcConnectivity::new(params);
-    let cc_agg = run_unweighted(&mut cc, &tree_ups);
-    rows.push(Table1Row {
-        name: "Connected comps",
-        claimed: ("O(1)", "O(sqrt N)", "O(sqrt N)"),
-        agg: cc_agg,
-        batch: Some(run_stream_batched(
-            &mut DmpcConnectivity::new(params),
-            &tree_ups,
-            16,
-        )),
-        query: Some(run_queries_batched(&mut cc, &conn_pool, 16)),
-    });
-
-    let mut mst = DmpcMst::new(params, 0.1);
-    let mst_agg = run_weighted(&mut mst, &wups);
-    rows.push(Table1Row {
-        name: "(1+eps)-MST",
-        claimed: ("O(1)", "O(sqrt N)", "O(sqrt N)"),
-        agg: mst_agg,
-        batch: None,
-        query: Some(run_queries_batched(&mut mst, &conn_pool, 16)),
-    });
-
-    let mut rmm = ReducedMatching::new(n, m_max);
-    rows.push(Table1Row {
-        name: "Reduction: maximal matching",
-        claimed: ("O(sqrt m)", "O(1)", "O(1)"),
-        agg: run_unweighted(&mut rmm, &ups),
-        batch: None,
-        query: None,
-    });
-
-    let mut rcc = ReducedConnectivity::new(n);
-    rows.push(Table1Row {
-        name: "Reduction: connected comps",
-        claimed: ("~O(1) am.", "O(1)", "O(1)"),
-        agg: run_unweighted(&mut rcc, &tree_ups),
-        batch: None,
-        query: None,
-    });
-
-    let mut rmst = ReducedMst::new(n);
-    rows.push(Table1Row {
-        name: "Reduction: MST",
-        claimed: ("O(m) (subst.)", "O(1)", "O(1)"),
-        agg: run_weighted(&mut rmst, &wups),
-        batch: None,
-        query: None,
-    });
-
-    rows
-}
-
-/// Scaling sweep of one constructor over doubling sizes.
-pub fn sweep<F>(mut make: F, sizes: &[usize], steps: usize, seed: u64, tree: bool) -> ScalingSweep
+/// The one runner. Replays `ups` one update at a time into a fresh instance
+/// and into the [`DynamicGraph`] ground truth, auditing the instance against
+/// it after the last update — and after every update where that is cheap
+/// (`n <= 128`). An audit failure panics: no number measured on a corrupted
+/// state is ever reported. Then the optional columns: the stream again on a
+/// second fresh instance if `batched`, and uniform `mix` queries against
+/// the audited one (reads never mutate).
+fn measure<A: DynamicGraphAlgorithm>(
+    (n, _, seed): Cell,
+    make: impl Fn() -> A,
+    ups: &[A::Update],
+    audit: impl Fn(&mut A, &DynamicGraph) -> Result<(), String>,
+    batched: bool,
+    mix: Option<QueryMix>,
+) -> Measured
 where
-    F: FnMut(usize, DmpcParams) -> Box<dyn DynamicGraphAlgorithm>,
+    A::Update: Into<Update>,
 {
-    let mut sw = ScalingSweep::default();
-    for &n in sizes {
-        let params = canonical_params(n);
-        let mut alg = make(n, params);
-        let ups = if tree {
-            tree_stream(n, steps, seed)
-        } else {
-            standard_stream(n, steps, seed)
-        };
-        let agg = run_unweighted(alg.as_mut(), &ups);
-        sw.push(params.input_size(), agg);
+    let (mut alg, mut truth) = (make(), DynamicGraph::new(n));
+    let mut agg = AggregateMetrics::default();
+    for (i, &u) in ups.iter().enumerate() {
+        match u.into() {
+            Update::Insert(e) => truth.insert(e),
+            Update::Delete(e) => truth.delete(e),
+        }
+        .expect("valid stream");
+        agg.absorb(&alg.apply(u));
+        if n <= 128 || i + 1 == ups.len() {
+            audit(&mut alg, &truth)
+                .unwrap_or_else(|err| panic!("{} after update {i}: {err}", alg.name()));
+        }
     }
-    sw
+    let batch = batched.then(|| time_stream_batched(&mut make(), ups, 16).batch);
+    let query = mix.map(|mix| {
+        let ops = streams::mixed_stream(n, 64, 100, TargetDist::Uniform, mix, seed);
+        let reads = ops.iter().filter_map(|op| match op {
+            Op::Read(q) => Some(*q),
+            Op::Write(_) => None,
+        });
+        let mut total = QueryMetrics::default();
+        for wave in reads.collect::<Vec<Query>>().chunks(16) {
+            total.merge(&alg.answer_queries(wave).1);
+        }
+        total
+    });
+    Measured { agg, batch, query }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+fn check(ok: bool, what: &str) -> Result<(), String> {
+    ok.then_some(()).ok_or_else(|| what.to_string())
+}
 
-    #[test]
-    fn table1_runs_and_is_clean() {
-        let rows = measure_table1(48, 60, 3);
-        assert_eq!(rows.len(), 8);
-        for r in &rows {
-            assert_eq!(r.agg.violations, 0, "{} violated the model", r.name);
-            assert!(r.agg.updates > 0);
-        }
-        // Dynamic rows are O(1) rounds; reduction rows are not.
-        assert!(rows[0].agg.max_rounds <= 24);
-        assert!(rows[3].agg.max_rounds <= 12);
-    }
+/// Structure and directory audits, and the same partition as BFS.
+fn audit_conn(driver: &ConnDriver, truth: &DynamicGraph) -> Result<(), String> {
+    driver.audit()?;
+    driver.audit_directory()?;
+    let (mut to_bfs, mut to_label) = (HashMap::new(), HashMap::new());
+    let pairs = driver
+        .component_labels()
+        .into_iter()
+        .zip(truth.components());
+    let same = |(l, b)| *to_bfs.entry(l).or_insert(b) == b && *to_label.entry(b).or_insert(l) == l;
+    check({ pairs }.all(same), "component labels disagree with BFS")
+}
+
+/// The maintained forest weighs what Kruskal's does on the live edges
+/// (updates carry exact weights; only bulk loads are bucketed).
+fn audit_msf(forest: Weight, truth: &DynamicGraph, seed: u64) -> Result<(), String> {
+    let weigh = |e| (e, streams::edge_weight(e, MAX_W, seed));
+    let live: Vec<(Edge, Weight)> = truth.edges().map(weigh).collect();
+    let exact = msf_weight(truth.n(), &live);
+    check(
+        forest == exact,
+        &format!("forest {forest}, Kruskal {exact}"),
+    )
+}
+
+/// Every vertex against its BFS representative and against the next
+/// vertex: O(n) probes instead of all pairs.
+fn audit_reduced_conn(a: &mut ReducedConnectivity, truth: &DynamicGraph) -> Result<(), String> {
+    let (n, bfs) = (truth.n(), truth.components());
+    let agree = (0..n).all(|v| {
+        let next = (v + 1) % n;
+        a.connected(v as V, bfs[v]) && a.connected(v as V, next as V) == (bfs[v] == bfs[next])
+    });
+    check(agree, "connectivity disagrees with BFS")
+}
+
+/// Table 1, top to bottom: the §3, §4 and §6 matchings; §5 connectivity and
+/// MST; the §7 reduction over Neiman–Solomon, HDT and the sequential MSF.
+pub static ROWS: [Row; 8] = [
+    Row {
+        name: "Maximal matching",
+        claimed: [O1, O1, SQRT],
+        run: |c @ (n, ..)| {
+            let make = || DmpcMaximalMatching::new(canonical_params(n));
+            measure(
+                c,
+                make,
+                &churn(c),
+                |a, g| a.audit(g),
+                true,
+                Some(QueryMix::Matching),
+            )
+        },
+    },
+    Row {
+        name: "3/2-app. matching",
+        claimed: [O1, ("O(n/sqrt N)", Some(0.5)), SQRT],
+        run: |c @ (n, ..)| {
+            let make = || DmpcThreeHalves::new(canonical_params(n));
+            measure(
+                c,
+                make,
+                &churn(c),
+                |a, g| a.audit(g),
+                false,
+                Some(QueryMix::Matching),
+            )
+        },
+    },
+    Row {
+        name: "(2+eps)-app. matching",
+        claimed: [O1, ("~O(1)", Some(0.0)), ("~O(1)", Some(0.0))],
+        run: |c @ (n, ..)| {
+            let make = || CsMatching::new(n, CsParams::defaults(n, 0.3));
+            let audit = |a: &mut CsMatching, g: &DynamicGraph| {
+                a.audit()?;
+                check(is_valid_matching(g, &a.matching()), "not a matching")
+            };
+            measure(c, make, &churn(c), audit, false, None)
+        },
+    },
+    Row {
+        name: "Connected comps",
+        claimed: [O1, SQRT, SQRT],
+        run: |c @ (n, ..)| {
+            let make = || DmpcConnectivity::new(canonical_params(n));
+            measure(
+                c,
+                make,
+                &tree(c),
+                |a, g| audit_conn(a.driver(), g),
+                true,
+                Some(QueryMix::Connectivity),
+            )
+        },
+    },
+    Row {
+        name: "(1+eps)-MST",
+        claimed: [O1, SQRT, SQRT],
+        run: |c @ (n, _, seed)| {
+            let make = || DmpcMst::new(canonical_params(n), 0.1);
+            let audit = |a: &mut DmpcMst, g: &DynamicGraph| {
+                audit_conn(a.driver(), g)?;
+                audit_msf(a.forest_weight(), g, seed)
+            };
+            measure(
+                c,
+                make,
+                &weighted(c),
+                audit,
+                false,
+                Some(QueryMix::Connectivity),
+            )
+        },
+    },
+    Row {
+        name: "Reduction: maximal matching",
+        claimed: [("O(sqrt m)", None), O1, O1],
+        run: |c @ (n, ..)| {
+            let make = || ReducedMatching::new(n, canonical_params(n).m_max);
+            let maximal = |a: &mut ReducedMatching, g: &DynamicGraph| {
+                check(is_maximal_matching(g, &a.matching()), "not maximal")
+            };
+            measure(c, make, &churn(c), maximal, false, None)
+        },
+    },
+    Row {
+        name: "Reduction: connected comps",
+        claimed: [("~O(1) am.", None), O1, O1],
+        run: |c @ (n, ..)| {
+            let make = || ReducedConnectivity::new(n);
+            measure(c, make, &tree(c), audit_reduced_conn, false, None)
+        },
+    },
+    Row {
+        name: "Reduction: MST",
+        claimed: [("O(m) (subst.)", None), O1, O1],
+        run: |c @ (n, _, seed)| {
+            let msf = |a: &mut ReducedMst, g: &DynamicGraph| audit_msf(a.forest_weight(), g, seed);
+            measure(c, || ReducedMst::new(n), &weighted(c), msf, false, None)
+        },
+    },
+];
+
+/// A scaling sweep: `(N = n + m_max, aggregate)` per size, in increasing `N`.
+pub type Sweep = Vec<(usize, AggregateMetrics)>;
+
+/// Scaling sweep of one row over `sizes`.
+pub fn sweep(row: &Row, sizes: &[usize], steps: usize, seed: u64) -> Sweep {
+    let point = |&n| {
+        (
+            canonical_params(n).input_size(),
+            row.measure((n, steps, seed)).agg,
+        )
+    };
+    sizes.iter().map(point).collect()
+}
+
+/// E9: a dynamic row (maximal matching, else connectivity) over 60 churn
+/// updates at `n`, against one static recomputation of the final graph on
+/// the same machine count.
+pub fn dynamic_vs_static(matching: bool, n: usize) -> (AggregateMetrics, UpdateMetrics) {
+    let (cell, p) = ((n, 60, 5), canonical_params(n).storage_machines());
+    let (row, ups) = match matching {
+        true => (&ROWS[0], churn(cell)),
+        false => (&ROWS[3], tree(cell)),
+    };
+    let edges: Vec<Edge> = streams::replay(n, &ups).edges().collect();
+    let fixed = match matching {
+        true => StaticMaximalMatching::new(n, p, 7).recompute(&edges).1,
+        false => StaticCc::new(n, p).recompute(&edges).1,
+    };
+    (row.measure(cell).agg, fixed)
+}
+
+/// E11: maximal matching at `n` with machine memory `mult * sqrt N`: the
+/// machine count (fixed by `N`, not by `S`) and the measured aggregate.
+pub fn memory_ablation(n: usize, mult: usize) -> (usize, AggregateMetrics) {
+    let params = canonical_params(n).with_multiplier(mult);
+    let (cell, make) = ((n, 150, 11), || DmpcMaximalMatching::new(params));
+    let agg = measure(cell, make, &churn(cell), |a, g| a.audit(g), false, None).agg;
+    (Layout::new(&params).total_machines(), agg)
 }

@@ -5,18 +5,14 @@ use crate::machine::{ConnMachine, EntryKind, Routing, VertexState, BATCH_CTRL};
 use crate::messages::{BatchItem, ConnMsg};
 use crate::preprocess;
 use crate::shard::MAX_VERTICES;
-use dmpc_core::{
-    DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm, QueryableAlgorithm,
-    WeightedDynamicGraphAlgorithm,
-};
+use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
 use dmpc_eulertour::indexed::CompId;
 use dmpc_graph::streams::coalesce;
-use dmpc_graph::{Edge, Query, QueryAnswer, Update, Weight, V};
+use dmpc_graph::{Edge, Query, QueryAnswer, Update, Weight, WeightedUpdate, V};
 use dmpc_mpc::chaos::{ChaosKind, Fnv1a};
 use dmpc_mpc::text::dec_order_key;
 use dmpc_mpc::{
-    BatchMetrics, Cluster, ClusterConfig, ExecOptions, MachineId, QueryMetrics, Scheduler,
-    UpdateMetrics,
+    BatchMetrics, Cluster, ClusterConfig, ExecOptions, MachineId, QueryMetrics, UpdateMetrics,
 };
 use std::collections::{BTreeSet, HashMap};
 
@@ -58,11 +54,9 @@ impl ConnDriver {
         let machines = machines.unwrap_or_else(|| params.storage_machines()).max(1);
         let block = params.n.div_ceil(machines).max(1);
         let machines = params.n.div_ceil(block); // machines actually used
-        let scheduler = exec.scheduler;
         let progs = (0..machines as MachineId)
             .map(|id| {
-                let mut m =
-                    ConnMachine::with_opts(id, params.n, block, mst_mode, routing, scheduler);
+                let mut m = ConnMachine::with_opts(id, params.n, block, mst_mode, routing);
                 // Leave the shard headroom under S for the machine's
                 // non-shard state (scalars, directory, transient buffers),
                 // which is metered in the same budget.
@@ -95,6 +89,15 @@ impl ConnDriver {
         self.clear_stale_batch_state();
         self.cluster.inject(to, msg);
         self.cluster.run_update()
+    }
+
+    /// Runs one update as its own metered quiescence run.
+    fn update(&mut self, u: WeightedUpdate) -> UpdateMetrics {
+        let msg = match u {
+            WeightedUpdate::Insert(e, w) => ConnMsg::Insert { e, w, lane: None },
+            WeightedUpdate::Delete(e) => ConnMsg::Delete { e, lane: None },
+        };
+        self.run(self.owner(u.edge().u), msg)
     }
 
     /// Abort recovery between runs: a previous batch run aborted by the
@@ -380,6 +383,14 @@ impl ConnDriver {
     #[doc(hidden)]
     pub fn set_round_limit(&mut self, limit: usize) {
         self.cluster.set_round_limit(limit);
+    }
+
+    /// Test hook: caps the batch controller at one lane, so a batch's
+    /// conflict groups run one after another — the serialized comparator of
+    /// `tests/scheduler_diff.rs` (bit-identical outcomes, more rounds).
+    #[doc(hidden)]
+    pub fn serialize_lanes(&mut self) {
+        self.cluster.machine_mut(BATCH_CTRL).set_lane_cap(1);
     }
 
     /// Test hook: the machines the most recent run stepped (see
@@ -794,17 +805,6 @@ impl DmpcConnectivity {
         }
     }
 
-    /// New empty instance with an explicit batch scheduler (the
-    /// conflict/serialized differential-testing knob; see [`Scheduler`]).
-    /// States, digests and query answers are bit-identical across
-    /// schedulers; only the batch round counts differ.
-    pub fn with_scheduler(params: DmpcParams, mut exec: ExecOptions, scheduler: Scheduler) -> Self {
-        exec.scheduler = scheduler;
-        DmpcConnectivity {
-            driver: ConnDriver::with_exec(params, false, exec),
-        }
-    }
-
     /// New empty instance with an explicit machine count (the model
     /// default is `params.storage_machines()`; the P sweep at fixed n in
     /// `tests/multicast.rs` pins that the active footprint follows owner
@@ -848,23 +848,25 @@ impl DmpcConnectivity {
     }
 }
 
-/// Batched query plane: `Connected`/`ComponentOf` resolve in two rounds per
-/// wave, `PathMax` in five, all `q` queries of a wave concurrently (see
-/// `machine.rs`, "The query plane").
-impl QueryableAlgorithm for DmpcConnectivity {
-    fn answer_query(&mut self, q: Query) -> (QueryAnswer, QueryMetrics) {
-        let (mut answers, m) = self.driver.answer_query_batch(&[q]);
-        (answers.pop().expect("one answer per query"), m)
-    }
-
-    fn answer_queries(&mut self, queries: &[Query]) -> (Vec<QueryAnswer>, QueryMetrics) {
-        self.driver.answer_query_batch(queries)
-    }
-}
-
 impl DynamicGraphAlgorithm for DmpcConnectivity {
+    type Update = Update;
+
     fn name(&self) -> &'static str {
         "dmpc-connectivity"
+    }
+
+    fn apply(&mut self, u: Update) -> UpdateMetrics {
+        self.driver.update(match u {
+            Update::Insert(e) => WeightedUpdate::Insert(e, 1),
+            Update::Delete(e) => WeightedUpdate::Delete(e),
+        })
+    }
+
+    /// Batched query plane: `Connected`/`ComponentOf` resolve in two rounds
+    /// per wave, `PathMax` in five, all `q` queries of a wave concurrently
+    /// (see `machine.rs`, "The query plane").
+    fn answer_queries(&mut self, queries: &[Query]) -> (Vec<QueryAnswer>, QueryMetrics) {
+        self.driver.answer_query_batch(queries)
     }
 
     fn resident_words(&self) -> usize {
@@ -873,23 +875,6 @@ impl DynamicGraphAlgorithm for DmpcConnectivity {
 
     fn admission_budget(&self) -> Option<usize> {
         Some(self.driver.batch_chunk())
-    }
-
-    fn insert(&mut self, e: Edge) -> UpdateMetrics {
-        let to = self.driver.owner(e.u);
-        self.driver.run(
-            to,
-            ConnMsg::Insert {
-                e,
-                w: 1,
-                lane: None,
-            },
-        )
-    }
-
-    fn delete(&mut self, e: Edge) -> UpdateMetrics {
-        let to = self.driver.owner(e.u);
-        self.driver.run(to, ConnMsg::Delete { e, lane: None })
     }
 
     /// Genuinely batched execution (machine program, not a loop): the batch
@@ -970,39 +955,42 @@ impl DmpcMst {
     pub fn connected(&self, a: V, b: V) -> bool {
         self.driver.connected(a, b)
     }
-}
 
-/// MST mode shares the connectivity query plane; `PathMax` answers come
-/// from the maintained (1+eps)-approximate spanning forest, with weights
-/// reflecting the preprocessing's bucketing for bulk-loaded edges.
-impl QueryableAlgorithm for DmpcMst {
-    fn answer_query(&mut self, q: Query) -> (QueryAnswer, QueryMetrics) {
-        let (mut answers, m) = self.driver.answer_query_batch(&[q]);
-        (answers.pop().expect("one answer per query"), m)
+    /// Processes a weighted edge insertion.
+    pub fn insert(&mut self, e: Edge, w: Weight) -> UpdateMetrics {
+        self.driver.update(WeightedUpdate::Insert(e, w))
     }
 
-    fn answer_queries(&mut self, queries: &[Query]) -> (Vec<QueryAnswer>, QueryMetrics) {
-        self.driver.answer_query_batch(queries)
+    /// Processes an edge deletion.
+    pub fn delete(&mut self, e: Edge) -> UpdateMetrics {
+        self.driver.update(WeightedUpdate::Delete(e))
     }
 }
 
-impl WeightedDynamicGraphAlgorithm for DmpcMst {
+impl DynamicGraphAlgorithm for DmpcMst {
+    type Update = WeightedUpdate;
+
     fn name(&self) -> &'static str {
         "dmpc-mst"
     }
 
+    fn apply(&mut self, u: WeightedUpdate) -> UpdateMetrics {
+        self.driver.update(u)
+    }
+
+    /// MST mode shares the connectivity query plane; `PathMax` answers come
+    /// from the maintained (1+eps)-approximate spanning forest, with weights
+    /// reflecting the preprocessing's bucketing for bulk-loaded edges.
+    fn answer_queries(&mut self, queries: &[Query]) -> (Vec<QueryAnswer>, QueryMetrics) {
+        self.driver.answer_query_batch(queries)
+    }
+
+    fn resident_words(&self) -> usize {
+        self.driver.cluster.resident_words()
+    }
+
     fn admission_budget(&self) -> Option<usize> {
         Some(self.driver.batch_chunk())
-    }
-
-    fn insert(&mut self, e: Edge, w: Weight) -> UpdateMetrics {
-        let to = self.driver.owner(e.u);
-        self.driver.run(to, ConnMsg::Insert { e, w, lane: None })
-    }
-
-    fn delete(&mut self, e: Edge) -> UpdateMetrics {
-        let to = self.driver.owner(e.u);
-        self.driver.run(to, ConnMsg::Delete { e, lane: None })
     }
 }
 

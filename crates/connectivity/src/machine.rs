@@ -108,10 +108,9 @@
 //!    map-keyed idiom the query plane uses for `pending_queries`). Every
 //!    terminal step of a lane's flow signals [`ConnMsg::BatchStructDone`]
 //!    (with the lane id) back to the controller, which dispatches that
-//!    lane's next item. Under [`dmpc_mpc::Scheduler::Serialized`] the
-//!    controller still computes the partition (the stats are reported
-//!    either way) but runs everything as a single lane — the differential-
-//!    testing baseline, bit-identical in outcomes.
+//!    lane's next item. Under a lane cap of one (the driver's
+//!    `serialize_lanes` test hook) the groups run one after another — the
+//!    differential-testing baseline, bit-identical in outcomes.
 //!
 //! Classifications stay valid across phase 1 because only structural ops
 //! (phase 2, strictly later) can change components; phase 2 re-classifies
@@ -137,7 +136,7 @@ use dmpc_eulertour::indexed::{CompId, TourOp};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{partition_conflicts, Edge, QueryAnswer, Update, Weight, V};
 use dmpc_mpc::text::{self, put_field, Fields, Sink};
-use dmpc_mpc::{pack_text, unpack_text, Envelope, Machine, MachineId, Outbox, RoundCtx, Scheduler};
+use dmpc_mpc::{pack_text, unpack_text, Envelope, Machine, MachineId, Outbox, RoundCtx};
 use std::collections::{BTreeMap, VecDeque};
 
 pub use crate::shard::{EntryKind, VertexState};
@@ -161,13 +160,11 @@ fn lane_key(lane: Option<u32>) -> u32 {
 /// [`dmpc_mpc::BatchMetrics`]' conflict fields.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ConflictStats {
-    /// Conflict groups in the partition. Reported under both schedulers —
-    /// `Serialized` computes the partition it declines to exploit.
+    /// Conflict groups in the partition.
     pub groups: usize,
     /// Items in the largest group (the serialization floor).
     pub depth: usize,
-    /// Maximum lanes concurrently in flight (1 under `Serialized` whenever
-    /// any structural item ran).
+    /// Maximum lanes concurrently in flight (at most the lane cap).
     pub max_lanes: usize,
 }
 
@@ -192,7 +189,7 @@ struct BatchCtl {
     /// Classified-as-structural items, collected during phase 1.
     structural: Vec<StructItem>,
     /// Phase 2 per-lane queues (each sorted by batch position); index =
-    /// lane id. Under `Scheduler::Serialized` there is at most one lane.
+    /// lane id.
     lanes: Vec<VecDeque<BatchItem>>,
     /// First lane not yet started (lanes start in id order as slots free).
     next_lane: usize,
@@ -365,8 +362,6 @@ pub struct ConnMachine {
     pending_mst: Option<PendingMst>,
     /// Controller state of the in-flight batch (machine 0 only).
     batch: Option<BatchCtl>,
-    /// How the controller schedules a batch's structural leftovers.
-    scheduler: Scheduler,
     /// Maximum lanes the controller keeps in flight at once (bounds the
     /// transient per-lane state and concurrent multicast fan-in; set by the
     /// driver from the machine capacity).
@@ -391,14 +386,13 @@ pub struct ConnMachine {
 
 impl ConnMachine {
     /// Creates the machine with its owned vertex block and explicit
-    /// routing and batch scheduler choices.
+    /// routing choice.
     pub fn with_opts(
         id: MachineId,
         n_vertices: usize,
         block: usize,
         mst_mode: bool,
         routing: Routing,
-        scheduler: Scheduler,
     ) -> Self {
         let bounds = Self::uniform_bounds(n_vertices, block);
         let lo = bounds[id as usize];
@@ -416,7 +410,6 @@ impl ConnMachine {
             pending_cuts: BTreeMap::new(),
             pending_mst: None,
             batch: None,
-            scheduler,
             lane_cap: usize::MAX,
             last_conflict: None,
             pending_queries: BTreeMap::new(),
@@ -1970,12 +1963,9 @@ impl ConnMachine {
         }
     }
 
-    /// Controller: partition the structural leftovers into conflict groups
-    /// and start phase 2. The partition is computed under *both* schedulers
-    /// (the stats always report the batch's true conflict structure);
-    /// `Scheduler::Serialized` then collapses everything into one lane.
+    /// Controller: partition the structural leftovers into conflict groups,
+    /// one lane each, and start phase 2.
     fn batch_begin_structural(&mut self, out: &mut Outbox<ConnMsg>) {
-        let scheduler = self.scheduler;
         let ctl = self.batch.as_mut().expect("phase 2 without a batch");
         let mut items = std::mem::take(&mut ctl.structural);
         items.sort_unstable_by_key(|s| s.item.seq);
@@ -1984,17 +1974,9 @@ impl ConnMachine {
             .map(|s| (u64::from(s.ca), u64::from(s.cb)))
             .collect();
         let part = partition_conflicts(&touches);
-        let n_lanes = match scheduler {
-            Scheduler::Conflict => part.groups,
-            Scheduler::Serialized => items.len().min(1),
-        };
-        let mut lanes: Vec<VecDeque<BatchItem>> = vec![VecDeque::new(); n_lanes];
+        let mut lanes: Vec<VecDeque<BatchItem>> = vec![VecDeque::new(); part.groups];
         for (i, s) in items.into_iter().enumerate() {
-            let lane = match scheduler {
-                Scheduler::Conflict => part.group_of[i] as usize,
-                Scheduler::Serialized => 0,
-            };
-            lanes[lane].push_back(s.item);
+            lanes[part.group_of[i] as usize].push_back(s.item);
         }
         ctl.stats = ConflictStats {
             groups: part.groups,

@@ -328,7 +328,7 @@ impl Shard {
 mod tests {
     use super::*;
     use crate::DmpcMst;
-    use dmpc_core::{DmpcParams, WeightedDynamicGraphAlgorithm};
+    use dmpc_core::DmpcParams;
     use dmpc_eulertour::indexed::IndexedForest;
     use dmpc_graph::streams::{self, WeightedUpdate};
     use rand::rngs::StdRng;

@@ -35,18 +35,7 @@ fn conn_with(n: usize, p: usize) -> DmpcConnectivity {
 /// Applies one weighted batch to an MST instance (weights derived
 /// deterministically per edge, so replicas see identical ops).
 fn apply_mst(a: &mut DmpcMst, batch: &[Update]) -> BatchMetrics {
-    let mut bm = BatchMetrics::default();
-    for wu in streams::with_weights(batch, 64, 77) {
-        match wu {
-            dmpc_graph::WeightedUpdate::Insert(e, w) => {
-                bm.absorb_update(&dmpc_core::WeightedDynamicGraphAlgorithm::insert(a, e, w))
-            }
-            dmpc_graph::WeightedUpdate::Delete(e) => {
-                bm.absorb_update(&dmpc_core::WeightedDynamicGraphAlgorithm::delete(a, e))
-            }
-        }
-    }
-    bm
+    a.apply_batch(&streams::with_weights(batch, 64, 77))
 }
 
 // ----- shard migration ------------------------------------------------------

@@ -3,7 +3,7 @@
 //! audits after every update.
 
 use dmpc_connectivity::{DmpcConnectivity, DmpcMst};
-use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, WeightedDynamicGraphAlgorithm};
+use dmpc_core::{DmpcParams, DynamicGraphAlgorithm};
 use dmpc_graph::mst::msf_weight;
 use dmpc_graph::streams::{self, Update, WeightedUpdate};
 use dmpc_graph::{DynamicGraph, Edge, Weight};

@@ -7,9 +7,7 @@
 //! and a text order of the ids disagree the most.
 
 use dmpc_connectivity::{DmpcConnectivity, DmpcMst, Routing};
-use dmpc_core::{
-    DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm, WeightedDynamicGraphAlgorithm,
-};
+use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
 use dmpc_graph::{streams, WeightedUpdate};
 use dmpc_mpc::chaos::fnv1a;
 use dmpc_mpc::{ExecOptions, MachineId};

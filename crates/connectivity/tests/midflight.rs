@@ -12,7 +12,6 @@
 use dmpc_connectivity::{DmpcConnectivity, DmpcMst, Routing};
 use dmpc_core::{
     apply_unweighted, run_chaos_stream, DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm,
-    QueryableAlgorithm,
 };
 use dmpc_graph::{streams, Query, QueryAnswer, Update};
 use dmpc_mpc::{BatchMetrics, ChaosKind, ChaosPlan, ExecOptions};
@@ -40,18 +39,7 @@ fn partitions_equal(a: &[u32], b: &[u32]) -> bool {
 /// Applies one weighted batch to an MST instance (weights derived
 /// deterministically per edge, so replicas see identical ops).
 fn apply_mst(a: &mut DmpcMst, batch: &[Update]) -> BatchMetrics {
-    let mut bm = BatchMetrics::default();
-    for wu in streams::with_weights(batch, 64, 77) {
-        match wu {
-            dmpc_graph::WeightedUpdate::Insert(e, w) => {
-                bm.absorb_update(&dmpc_core::WeightedDynamicGraphAlgorithm::insert(a, e, w))
-            }
-            dmpc_graph::WeightedUpdate::Delete(e) => {
-                bm.absorb_update(&dmpc_core::WeightedDynamicGraphAlgorithm::delete(a, e))
-            }
-        }
-    }
-    bm
+    a.apply_batch(&streams::with_weights(batch, 64, 77))
 }
 
 // ----- the round sweep ------------------------------------------------------

@@ -11,7 +11,7 @@
 use dmpc_connectivity::algorithm::ConnDriver;
 use dmpc_connectivity::machine::VertexState;
 use dmpc_connectivity::{DmpcConnectivity, DmpcMst, Routing};
-use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, WeightedDynamicGraphAlgorithm};
+use dmpc_core::{DmpcParams, DynamicGraphAlgorithm};
 use dmpc_eulertour::indexed::CompId;
 use dmpc_graph::streams::{self, Update, WeightedUpdate};
 use dmpc_graph::{DynamicGraph, Edge, V};

@@ -3,7 +3,7 @@
 //! approximation slack), with audits at every step.
 
 use dmpc_connectivity::DmpcMst;
-use dmpc_core::{DmpcParams, WeightedDynamicGraphAlgorithm};
+use dmpc_core::DmpcParams;
 use dmpc_graph::mst::msf_weight;
 use dmpc_graph::{Edge, Weight};
 use proptest::prelude::*;

@@ -4,9 +4,7 @@
 //! between update batches (reads must be invisible to later writes).
 
 use dmpc_connectivity::{DmpcConnectivity, DmpcMst};
-use dmpc_core::{
-    DmpcParams, DynamicGraphAlgorithm, QueryableAlgorithm, WeightedDynamicGraphAlgorithm,
-};
+use dmpc_core::{DmpcParams, DynamicGraphAlgorithm};
 use dmpc_graph::{DynamicGraph, Edge, Query, QueryAnswer, Update, Weight, V};
 use proptest::prelude::*;
 
@@ -190,7 +188,7 @@ proptest! {
         let wstream = dmpc_graph::streams::with_weights(&stream, 30, 5);
         let pool = pool_from(n as u32, &qseeds);
         for (i, &u) in wstream.iter().enumerate() {
-            match u.unweighted() {
+            match Update::from(u) {
                 Update::Insert(e) => g.insert(e).unwrap(),
                 Update::Delete(e) => g.delete(e).unwrap(),
             }

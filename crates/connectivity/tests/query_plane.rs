@@ -3,7 +3,7 @@
 //! and agree bit-identically with looped single queries and ground truth.
 
 use dmpc_connectivity::{DmpcConnectivity, DmpcMst};
-use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, QueryableAlgorithm};
+use dmpc_core::{DmpcParams, DynamicGraphAlgorithm};
 use dmpc_graph::streams;
 use dmpc_graph::{DynamicGraph, Edge, Query, QueryAnswer, Update, Weight, V};
 use dmpc_mpc::{ExecOptions, QueryMetrics};
@@ -239,7 +239,7 @@ fn mst_path_max_queries_match_the_maintained_forest() {
     let ups = streams::churn_stream(n, 2 * n, 140, 0.5, 13);
     let wups = streams::with_weights(&ups, 50, 13);
     for &u in &wups {
-        use dmpc_core::WeightedDynamicGraphAlgorithm;
+        use dmpc_core::DynamicGraphAlgorithm;
         let m = alg.apply(u);
         assert!(m.clean());
     }

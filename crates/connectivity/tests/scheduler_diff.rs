@@ -1,4 +1,4 @@
-//! Scheduler differential: the conflict-group scheduler against the
+//! Schedule differential: the conflict-group schedule against the
 //! serialized controller — one protocol, two phase-2 schedules,
 //! bit-identical everything.
 //!
@@ -15,18 +15,24 @@
 use dmpc_connectivity::{ConflictStats, DmpcConnectivity, Routing};
 use dmpc_core::{
     apply_unweighted, run_chaos_stream, DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm,
-    QueryableAlgorithm,
 };
 use dmpc_graph::streams::{self, chunk_stream, QueryMix, TargetDist, Update};
 use dmpc_graph::{Op, Query};
-use dmpc_mpc::{ChaosKind, ChaosPlan, ExecOptions, Scheduler};
+use dmpc_mpc::{ChaosKind, ChaosPlan, ExecOptions};
 use proptest::prelude::*;
+
+/// The serialized comparator: the same program under a lane cap of one, so
+/// a batch's conflict groups run one after another.
+fn serialized(mut alg: DmpcConnectivity) -> DmpcConnectivity {
+    alg.driver_mut().serialize_lanes();
+    alg
+}
 
 fn pair(n: usize, m_max: usize) -> (DmpcConnectivity, DmpcConnectivity) {
     let params = DmpcParams::new(n, m_max);
     (
-        DmpcConnectivity::with_scheduler(params, ExecOptions::default(), Scheduler::Conflict),
-        DmpcConnectivity::with_scheduler(params, ExecOptions::default(), Scheduler::Serialized),
+        DmpcConnectivity::new(params),
+        serialized(DmpcConnectivity::new(params)),
     )
 }
 
@@ -179,21 +185,20 @@ proptest! {
         // Disjoint fresh paths per batch: guaranteed multi-lane phase 2.
         let batches = streams::conflict_batches(n, 4, 2, 3, seed);
         let target = 1usize; // kill inside the second batch
-        let mk = |s: Scheduler| move || {
-            DmpcConnectivity::with_scheduler(
-                DmpcParams::new(n, 4 * n), ExecOptions::default(), s,
-            )
+        let mk = |serialize: bool| move || {
+            let alg = DmpcConnectivity::new(DmpcParams::new(n, 4 * n));
+            if serialize { serialized(alg) } else { alg }
         };
         let plan = ChaosPlan::new(seed).with_event_in_round(target, r, ChaosKind::Kill(1));
-        let plain_c = run_chaos_stream(mk(Scheduler::Conflict), apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
-        let plain_s = run_chaos_stream(mk(Scheduler::Serialized), apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
+        let plain_c = run_chaos_stream(mk(false), apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
+        let plain_s = run_chaos_stream(mk(true), apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
         prop_assert_eq!(&plain_c.final_digest, &plain_s.final_digest);
         let chaos_c = run_chaos_stream(
-            mk(Scheduler::Conflict), apply_unweighted, &batches, &plan, 3,
+            mk(false), apply_unweighted, &batches, &plan, 3,
             &[],
         );
         let chaos_s = run_chaos_stream(
-            mk(Scheduler::Serialized), apply_unweighted, &batches, &plan, 3,
+            mk(true), apply_unweighted, &batches, &plan, 3,
             &[],
         );
         prop_assert_eq!(&chaos_c.final_digest, &plain_c.final_digest,
@@ -296,13 +301,16 @@ fn canonical_clustered_mixed_cell_halves_batch_rounds() {
         QueryMix::Connectivity,
         42,
     );
-    let [con, ser] = [Scheduler::Conflict, Scheduler::Serialized].map(|scheduler| {
-        let exec = ExecOptions {
-            scheduler,
-            ..ExecOptions::default()
-        };
-        let mut alg =
-            DmpcConnectivity::with_cluster(DmpcParams::new(n, 3 * n), exec, Routing::Multicast, 16);
+    let [con, ser] = [false, true].map(|serialize| {
+        let mut alg = DmpcConnectivity::with_cluster(
+            DmpcParams::new(n, 3 * n),
+            ExecOptions::default(),
+            Routing::Multicast,
+            16,
+        );
+        if serialize {
+            alg = serialized(alg);
+        }
         let (mut rounds, mut violations) = (0, 0);
         let mut answers = Vec::new();
         let mut writes: Vec<Update> = Vec::new();
@@ -322,7 +330,7 @@ fn canonical_clustered_mixed_cell_halves_batch_rounds() {
                 reads.clear();
             }
         }
-        assert_eq!(violations, 0, "{scheduler:?}");
+        assert_eq!(violations, 0, "serialized: {serialize}");
         (alg.state_digest(), answers, rounds)
     });
     let ((digest_con, answers_con, rounds_con), (digest_ser, answers_ser, rounds_ser)) = (con, ser);

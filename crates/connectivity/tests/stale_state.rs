@@ -14,10 +14,7 @@
 //!   touched set or out of it, reports empty transient state.
 
 use dmpc_connectivity::{DmpcConnectivity, DmpcMst, Routing};
-use dmpc_core::{
-    DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm, QueryableAlgorithm,
-    WeightedDynamicGraphAlgorithm,
-};
+use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
 use dmpc_graph::{streams, Query, Update, WeightedUpdate, V};
 use dmpc_mpc::{ChaosKind, ExecOptions, MachineId};
 

@@ -6,8 +6,11 @@
 //! looped [`DynamicGraphAlgorithm::apply_batch`] default; algorithms with a
 //! genuinely batched machine program (shared preprocessing fan-out, shared
 //! coordinator rounds) override it and report a lower amortized cost.
+//!
+//! Weight is data: the MST algorithms implement the same trait with
+//! [`DynamicGraphAlgorithm::Update`] set to `dmpc_graph::WeightedUpdate`.
 
-use dmpc_graph::{Edge, Query, QueryAnswer, Update, Weight, WeightedUpdate};
+use dmpc_graph::{Edge, Query, QueryAnswer, Update};
 use dmpc_mpc::{BatchMetrics, QueryMetrics, UpdateMetrics};
 
 /// The reference batch execution: apply the updates one by one, in order,
@@ -16,7 +19,7 @@ use dmpc_mpc::{BatchMetrics, QueryMetrics, UpdateMetrics};
 /// `batched_*_amortizes_rounds` tests of both algorithm crates).
 pub fn apply_batch_looped<A: DynamicGraphAlgorithm + ?Sized>(
     alg: &mut A,
-    updates: &[Update],
+    updates: &[A::Update],
 ) -> BatchMetrics {
     let mut b = BatchMetrics::default();
     for &u in updates {
@@ -26,10 +29,10 @@ pub fn apply_batch_looped<A: DynamicGraphAlgorithm + ?Sized>(
 }
 
 /// The reference query-wave execution: answer the queries one by one, in
-/// order, summing their costs. This is both the default `answer_queries`
-/// and the looped baseline the genuinely batched overrides are compared
-/// against (the query-plane tests of both algorithm crates).
-pub fn answer_queries_looped<A: QueryableAlgorithm + ?Sized>(
+/// order, summing their costs — the looped baseline the genuinely batched
+/// `answer_queries` overrides are compared against (the query-plane tests
+/// of both algorithm crates).
+pub fn answer_queries_looped<A: DynamicGraphAlgorithm + ?Sized>(
     alg: &mut A,
     queries: &[Query],
 ) -> (Vec<QueryAnswer>, QueryMetrics) {
@@ -43,67 +46,38 @@ pub fn answer_queries_looped<A: QueryableAlgorithm + ?Sized>(
     (answers, total)
 }
 
-/// The query plane: read-only access to the maintained structure, metered
-/// like updates but amortized over queries. Both algorithm traits extend
-/// this, so every algorithm keeps compiling via the defaults — answering
-/// [`QueryAnswer::Unsupported`] per query and looping singles for waves.
-/// Algorithms with a genuinely batched machine program (one fan-out wave
-/// answering all `q` queries in O(1) rounds) override [`Self::answer_queries`].
+/// A fully-dynamic distributed graph algorithm: processes edge updates —
+/// singly or in batches — answers read-only queries, and reports the DMPC
+/// cost of each unit of work.
 ///
 /// Queries MUST NOT modify the maintained structure: interleaving query
 /// waves anywhere in an update stream must not change any later answer or
 /// update outcome (pinned by the query-plane property tests).
-pub trait QueryableAlgorithm {
-    /// Answers one query, returning the answer and the metered cost.
-    /// The default supports nothing.
-    fn answer_query(&mut self, q: Query) -> (QueryAnswer, QueryMetrics) {
-        let _ = q;
-        (QueryAnswer::Unsupported, QueryMetrics::one_unanswered())
-    }
+pub trait DynamicGraphAlgorithm {
+    /// What one update carries: `dmpc_graph::Update` for the unweighted
+    /// algorithms, `dmpc_graph::WeightedUpdate` for the MST ones.
+    type Update: Copy;
 
-    /// Answers an ordered batch of queries as one unit of work and returns
-    /// the answers (index-aligned with `queries`) plus the combined,
-    /// amortizable cost. The default loops [`Self::answer_query`]; overrides
-    /// must return bit-identical answers while sharing rounds across the
-    /// wave.
-    fn answer_queries(&mut self, queries: &[Query]) -> (Vec<QueryAnswer>, QueryMetrics) {
-        answer_queries_looped(self, queries)
-    }
-}
-
-/// Looped batch execution for weighted algorithms.
-pub fn apply_weighted_batch_looped<A: WeightedDynamicGraphAlgorithm + ?Sized>(
-    alg: &mut A,
-    updates: &[WeightedUpdate],
-) -> BatchMetrics {
-    let mut b = BatchMetrics::default();
-    for &u in updates {
-        b.absorb_update(&alg.apply(u));
-    }
-    b
-}
-
-/// A fully-dynamic distributed graph algorithm: processes edge updates —
-/// singly or in batches — and reports the DMPC cost of each unit of work.
-/// The [`QueryableAlgorithm`] supertrait adds the read side; its defaults
-/// answer nothing, so algorithms without a query program just write
-/// `impl QueryableAlgorithm for X {}`.
-pub trait DynamicGraphAlgorithm: QueryableAlgorithm {
     /// Short name used in reports.
     fn name(&self) -> &'static str;
 
-    /// Processes an edge insertion, returning the update's metered cost.
-    fn insert(&mut self, e: Edge) -> UpdateMetrics;
+    /// Processes one edge insertion or deletion, returning its metered cost.
+    fn apply(&mut self, u: Self::Update) -> UpdateMetrics;
 
-    /// Processes an edge deletion, returning the update's metered cost.
-    fn delete(&mut self, e: Edge) -> UpdateMetrics;
+    /// `apply(Update::Insert(e))`; MST has an inherent `insert(e, w)` instead.
+    fn insert(&mut self, e: Edge) -> UpdateMetrics
+    where
+        Self: Sized + DynamicGraphAlgorithm<Update = Update>,
+    {
+        self.apply(Update::Insert(e))
+    }
 
-    /// Applies any unweighted update.
-    fn apply(&mut self, u: Update) -> UpdateMetrics {
-        match u {
-            Update::Insert(e) => self.insert(e),
-            Update::Delete(e) => self.delete(e),
-        }
+    /// `apply(Update::Delete(e))`, for the unweighted algorithms.
+    fn delete(&mut self, e: Edge) -> UpdateMetrics
+    where
+        Self: Sized + DynamicGraphAlgorithm<Update = Update>,
+    {
+        self.apply(Update::Delete(e))
     }
 
     /// Applies an ordered batch of updates as one unit of work and returns
@@ -111,8 +85,27 @@ pub trait DynamicGraphAlgorithm: QueryableAlgorithm {
     /// every algorithm supports batches; overrides must preserve sequential
     /// batch semantics (see `dmpc_graph::streams::coalesce` for the
     /// intra-batch cancellation rules) while sharing rounds across the batch.
-    fn apply_batch(&mut self, updates: &[Update]) -> BatchMetrics {
+    fn apply_batch(&mut self, updates: &[Self::Update]) -> BatchMetrics {
         apply_batch_looped(self, updates)
+    }
+
+    /// Answers one query, returning the answer and the metered cost: a
+    /// wave of one through [`Self::answer_queries`].
+    fn answer_query(&mut self, q: Query) -> (QueryAnswer, QueryMetrics) {
+        let (mut answers, m) = self.answer_queries(&[q]);
+        (answers.pop().expect("one answer per query"), m)
+    }
+
+    /// Answers an ordered batch of queries as one unit of work and returns
+    /// the answers (index-aligned with `queries`) plus the combined,
+    /// amortizable cost. The default supports nothing; algorithms with a
+    /// query plane (one fan-out wave answering all `q` queries in O(1)
+    /// rounds) override it, sharing rounds across the wave while answering
+    /// exactly what [`answer_queries_looped`] does.
+    fn answer_queries(&mut self, queries: &[Query]) -> (Vec<QueryAnswer>, QueryMetrics) {
+        let mut unanswered = QueryMetrics::one_unanswered();
+        unanswered.queries = queries.len();
+        (vec![QueryAnswer::Unsupported; queries.len()], unanswered)
     }
 
     /// Current total resident memory across the algorithm's machines, in
@@ -132,41 +125,6 @@ pub trait DynamicGraphAlgorithm: QueryableAlgorithm {
     }
 }
 
-/// A fully-dynamic distributed algorithm on weighted graphs (the MST
-/// algorithms). Queries arrive through the same [`QueryableAlgorithm`]
-/// supertrait as the unweighted interface.
-pub trait WeightedDynamicGraphAlgorithm: QueryableAlgorithm {
-    /// Short name used in reports.
-    fn name(&self) -> &'static str;
-
-    /// Processes a weighted edge insertion.
-    fn insert(&mut self, e: Edge, w: Weight) -> UpdateMetrics;
-
-    /// Processes an edge deletion.
-    fn delete(&mut self, e: Edge) -> UpdateMetrics;
-
-    /// Applies any weighted update.
-    fn apply(&mut self, u: WeightedUpdate) -> UpdateMetrics {
-        match u {
-            WeightedUpdate::Insert(e, w) => self.insert(e, w),
-            WeightedUpdate::Delete(e) => self.delete(e),
-        }
-    }
-
-    /// Applies an ordered batch of weighted updates as one unit of work.
-    /// Defaults to looping [`Self::apply`]; see
-    /// [`DynamicGraphAlgorithm::apply_batch`] for the override contract.
-    fn apply_batch(&mut self, updates: &[WeightedUpdate]) -> BatchMetrics {
-        apply_weighted_batch_looped(self, updates)
-    }
-
-    /// Largest admissible batch under the send-cap budget; see
-    /// [`DynamicGraphAlgorithm::admission_budget`].
-    fn admission_budget(&self) -> Option<usize> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,17 +134,16 @@ mod tests {
         deletes: usize,
     }
 
-    impl QueryableAlgorithm for Dummy {}
     impl DynamicGraphAlgorithm for Dummy {
+        type Update = Update;
         fn name(&self) -> &'static str {
             "dummy"
         }
-        fn insert(&mut self, _e: Edge) -> UpdateMetrics {
-            self.inserts += 1;
-            UpdateMetrics::default()
-        }
-        fn delete(&mut self, _e: Edge) -> UpdateMetrics {
-            self.deletes += 1;
+        fn apply(&mut self, u: Update) -> UpdateMetrics {
+            match u {
+                Update::Insert(_) => self.inserts += 1,
+                Update::Delete(_) => self.deletes += 1,
+            }
             UpdateMetrics::default()
         }
     }

@@ -32,7 +32,7 @@
 //! checkpoints right after each migration so replay suffixes never straddle
 //! a repartition.
 
-use crate::algorithm::{DynamicGraphAlgorithm, QueryableAlgorithm};
+use crate::algorithm::DynamicGraphAlgorithm;
 use dmpc_graph::{Query, Update};
 use dmpc_mpc::chaos::{ChaosKind, ChaosPlan};
 use dmpc_mpc::{BatchMetrics, MachineId, QueryMetrics, RecoveryMetrics, UpdateMetrics};
@@ -416,7 +416,11 @@ impl ChurnReport {
 
     /// One read wave against a partial cluster: writes pause, reads degrade.
     /// Returns (answered, degraded).
-    fn outage_wave<A: QueryableAlgorithm>(&mut self, a: &mut A, reads: &[Query]) -> (usize, usize) {
+    fn outage_wave<A: DynamicGraphAlgorithm>(
+        &mut self,
+        a: &mut A,
+        reads: &[Query],
+    ) -> (usize, usize) {
         if reads.is_empty() {
             return (0, 0);
         }
@@ -461,7 +465,7 @@ pub fn run_chaos_stream<A, F, App>(
     outage_reads: &[Query],
 ) -> ChurnReport
 where
-    A: ElasticAlgorithm + QueryableAlgorithm,
+    A: ElasticAlgorithm + DynamicGraphAlgorithm,
     F: Fn() -> A,
     App: FnMut(&mut A, &[Update]) -> BatchMetrics,
 {
@@ -623,6 +627,9 @@ where
 }
 
 /// Convenience apply-closure for unweighted [`DynamicGraphAlgorithm`]s.
-pub fn apply_unweighted<A: DynamicGraphAlgorithm>(a: &mut A, batch: &[Update]) -> BatchMetrics {
+pub fn apply_unweighted<A: DynamicGraphAlgorithm<Update = Update>>(
+    a: &mut A,
+    batch: &[Update],
+) -> BatchMetrics {
     a.apply_batch(batch)
 }

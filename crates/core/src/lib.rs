@@ -1,5 +1,5 @@
 //! The DMPC model layer: model parameters, the dynamic-algorithm interface,
-//! experiment drivers, and Table-1-style reporting.
+//! and the elasticity/recovery plane.
 //!
 //! The paper defines the **DMPC** model (Section 2): machines with
 //! `O(sqrt(N))`-word memories, where `N = n + m` is the input size; a
@@ -10,17 +10,15 @@
 //!
 //! * [`DmpcParams`] — derives `S`, the machine count, and related quantities
 //!   from `n` and the edge capacity, exactly as the paper's algorithms assume.
-//! * [`DynamicGraphAlgorithm`] / [`WeightedDynamicGraphAlgorithm`] — the
-//!   interface every distributed algorithm in this workspace implements.
-//!   The unit of work is a batch of `k` updates (`apply_batch`, defaulting
-//!   to a loop over `apply` so single updates are the `k = 1` case).
-//! * [`experiment`] — batched stream replay, plus scaling sweeps with
-//!   log-log slope fits used to check Table 1's growth shapes.
+//! * [`DynamicGraphAlgorithm`] — the one interface every distributed
+//!   algorithm here implements; weight is its associated `Update` type
+//!   (`WeightedUpdate` for MST), queries, `resident_words` and
+//!   `admission_budget` are default methods. The unit of work is a batch of
+//!   `k` updates (`apply_batch`, defaulting to a loop over `apply`: `k = 1`).
 //! * [`elastic`] — the chaos-plane surface ([`ElasticAlgorithm`]) and the
 //!   rebuild engine ([`RebuildEngine`]: checkpoint + replay, fenced epochs)
 //!   shared by the service loop and the churn harness that interleaves
 //!   kill/revive/split/merge events with a workload stream.
-//! * [`report`] — plain-text table rendering for the bench binaries.
 //!
 //! # Example
 //!
@@ -36,17 +34,11 @@
 
 pub mod algorithm;
 pub mod elastic;
-pub mod experiment;
 pub mod model;
-pub mod report;
 
-pub use algorithm::{
-    answer_queries_looped, apply_batch_looped, apply_weighted_batch_looped, DynamicGraphAlgorithm,
-    QueryableAlgorithm, WeightedDynamicGraphAlgorithm,
-};
+pub use algorithm::{answer_queries_looped, apply_batch_looped, DynamicGraphAlgorithm};
 pub use elastic::{
     apply_unweighted, run_chaos_stream, AppliedEvent, ChurnReport, DrainRecord, ElasticAlgorithm,
     EpochAbort, MidFlightRecovery, RebuildEngine,
 };
-pub use experiment::{run_stream_batched, ScalingPoint, ScalingSweep};
 pub use model::DmpcParams;

@@ -45,10 +45,12 @@ impl WeightedUpdate {
             WeightedUpdate::Insert(e, _) | WeightedUpdate::Delete(e) => e,
         }
     }
+}
 
-    /// Drops weights, producing the unweighted update.
-    pub fn unweighted(&self) -> Update {
-        match *self {
+/// Drops the weight.
+impl From<WeightedUpdate> for Update {
+    fn from(u: WeightedUpdate) -> Update {
+        match u {
             WeightedUpdate::Insert(e, _) => Update::Insert(e),
             WeightedUpdate::Delete(e) => Update::Delete(e),
         }

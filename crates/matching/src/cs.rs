@@ -30,9 +30,9 @@
 //!   (paper Section 6.2) is unnecessary in a sequential batch executor and
 //!   is therefore not modelled.
 
-use dmpc_core::{DynamicGraphAlgorithm, QueryableAlgorithm};
+use dmpc_core::DynamicGraphAlgorithm;
 use dmpc_graph::matching::Matching;
-use dmpc_graph::{Edge, V};
+use dmpc_graph::{Edge, Update, V};
 use dmpc_mpc::UpdateMetrics;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -292,11 +292,18 @@ impl CsMatching {
     }
 }
 
-impl QueryableAlgorithm for CsMatching {}
-
 impl DynamicGraphAlgorithm for CsMatching {
+    type Update = Update;
+
     fn name(&self) -> &'static str {
         "dmpc-(2+eps)-matching"
+    }
+
+    fn apply(&mut self, u: Update) -> UpdateMetrics {
+        match u {
+            Update::Insert(e) => self.insert(e),
+            Update::Delete(e) => self.delete(e),
+        }
     }
 
     fn insert(&mut self, e: Edge) -> UpdateMetrics {

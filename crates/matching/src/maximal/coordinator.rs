@@ -1466,10 +1466,18 @@ impl Coordinator {
     }
 
     fn aug_counters(&mut self, z: V) {
+        // `ctx.adj` caches each list as fetched, so its annotations predate
+        // any rotation made since in this update; every such mutation went
+        // through `ctx.stat`, whose records therefore override them.
+        let stat = &self.ctx.stat;
         let cands: Vec<(V, V, bool)> = self.ctx.adj[&z]
             .iter()
-            .filter(|(_, ann)| ann.matched)
-            .map(|&(w, ann)| (w, ann.mate, ann.mate_light))
+            .filter_map(|&(w, ann)| {
+                let now = stat.get(&w).map(|r| (r.matched(), r.mate));
+                let (matched, mate) = now.unwrap_or((ann.matched, ann.mate));
+                let mate_light = stat.get(&mate).map_or(ann.mate_light, |r| !r.heavy);
+                matched.then_some((w, mate, mate_light))
+            })
             .collect();
         if cands.is_empty() {
             self.park(z);

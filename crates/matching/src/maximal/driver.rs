@@ -6,7 +6,7 @@ use super::msg::{Ann, HistSlice, MatchMsg, StatRec, NO_MATE};
 use super::stats::StatsMachine;
 use super::storage::{OverflowMachine, StorageMachine, StoreVertex};
 use super::Layout;
-use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, QueryableAlgorithm};
+use dmpc_core::{DmpcParams, DynamicGraphAlgorithm};
 use dmpc_graph::matching::Matching;
 use dmpc_graph::{DynamicGraph, Edge, Query, QueryAnswer, Update, V};
 use dmpc_mpc::chaos::{ChaosKind, Fnv1a};
@@ -449,16 +449,30 @@ fn coord_suffix(c: &Coordinator, seen: u64) -> HistSlice {
     c.hist_suffix(seen)
 }
 
-/// Batched query plane: every `q`-query wave resolves in one round —
-/// `IsMatched` at the stats machines, `MatchingSize` at the coordinator —
-/// without acquiring any update-path state (works in both Section 3 and
-/// 3/2 mode, whose mutations share `do_match`/`do_unmatch`).
-impl QueryableAlgorithm for DmpcMaximalMatching {
-    fn answer_query(&mut self, q: Query) -> (QueryAnswer, QueryMetrics) {
-        let (mut answers, m) = self.answer_queries(&[q]);
-        (answers.pop().expect("one answer per query"), m)
+impl DynamicGraphAlgorithm for DmpcMaximalMatching {
+    type Update = Update;
+
+    fn name(&self) -> &'static str {
+        if self.three_halves {
+            "dmpc-3/2-matching"
+        } else {
+            "dmpc-maximal-matching"
+        }
     }
 
+    fn apply(&mut self, u: Update) -> UpdateMetrics {
+        let msg = match u {
+            Update::Insert(e) => MatchMsg::Insert(e),
+            Update::Delete(e) => MatchMsg::Delete(e),
+        };
+        self.cluster.inject(COORDINATOR, msg);
+        self.cluster.run_update()
+    }
+
+    /// Batched query plane: every `q`-query wave resolves in one round —
+    /// `IsMatched` at the stats machines, `MatchingSize` at the coordinator —
+    /// without acquiring any update-path state (works in both Section 3 and
+    /// 3/2 mode, whose mutations share `do_match`/`do_unmatch`).
     fn answer_queries(&mut self, queries: &[Query]) -> (Vec<QueryAnswer>, QueryMetrics) {
         let mut answers = Vec::with_capacity(queries.len());
         let mut qm = QueryMetrics::default();
@@ -473,16 +487,6 @@ impl QueryableAlgorithm for DmpcMaximalMatching {
         }
         (answers, qm)
     }
-}
-
-impl DynamicGraphAlgorithm for DmpcMaximalMatching {
-    fn name(&self) -> &'static str {
-        if self.three_halves {
-            "dmpc-3/2-matching"
-        } else {
-            "dmpc-maximal-matching"
-        }
-    }
 
     fn resident_words(&self) -> usize {
         self.cluster.resident_words()
@@ -493,16 +497,6 @@ impl DynamicGraphAlgorithm for DmpcMaximalMatching {
         // the looped 3/2 mode has no batching to protect, so any window
         // size is admissible there too.
         Some((self.params.sqrt_n() / 4).max(1))
-    }
-
-    fn insert(&mut self, e: Edge) -> UpdateMetrics {
-        self.cluster.inject(COORDINATOR, MatchMsg::Insert(e));
-        self.cluster.run_update()
-    }
-
-    fn delete(&mut self, e: Edge) -> UpdateMetrics {
-        self.cluster.inject(COORDINATOR, MatchMsg::Delete(e));
-        self.cluster.run_update()
     }
 
     /// Genuinely batched execution (Section 3 mode): the batch is coalesced

@@ -9,9 +9,9 @@
 //! O(sqrt N) communication per round — Table 1 row 2.
 
 use crate::maximal::DmpcMaximalMatching;
-use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, QueryableAlgorithm};
+use dmpc_core::{DmpcParams, DynamicGraphAlgorithm};
 use dmpc_graph::matching::Matching;
-use dmpc_graph::{DynamicGraph, Edge, Query, QueryAnswer};
+use dmpc_graph::{DynamicGraph, Query, QueryAnswer, Update};
 use dmpc_mpc::{QueryMetrics, UpdateMetrics};
 
 /// Fully-dynamic 3/2-approximate maximum matching.
@@ -44,29 +44,21 @@ impl DmpcThreeHalves {
     }
 }
 
-/// The 3/2 algorithm shares the Section 3 machine layout, so its query
-/// plane is the inner one: `IsMatched` answered at the stats machines,
-/// `MatchingSize` from the coordinator's matched-pair counter.
-impl QueryableAlgorithm for DmpcThreeHalves {
-    fn answer_query(&mut self, q: Query) -> (QueryAnswer, QueryMetrics) {
-        self.inner.answer_query(q)
-    }
-
-    fn answer_queries(&mut self, queries: &[Query]) -> (Vec<QueryAnswer>, QueryMetrics) {
-        self.inner.answer_queries(queries)
-    }
-}
-
 impl DynamicGraphAlgorithm for DmpcThreeHalves {
+    type Update = Update;
+
     fn name(&self) -> &'static str {
         "dmpc-3/2-matching"
     }
 
-    fn insert(&mut self, e: Edge) -> UpdateMetrics {
-        self.inner.insert(e)
+    fn apply(&mut self, u: Update) -> UpdateMetrics {
+        self.inner.apply(u)
     }
 
-    fn delete(&mut self, e: Edge) -> UpdateMetrics {
-        self.inner.delete(e)
+    /// The 3/2 algorithm shares the Section 3 machine layout, so its query
+    /// plane is the inner one: `IsMatched` answered at the stats machines,
+    /// `MatchingSize` from the coordinator's matched-pair counter.
+    fn answer_queries(&mut self, queries: &[Query]) -> (Vec<QueryAnswer>, QueryMetrics) {
+        self.inner.answer_queries(queries)
     }
 }

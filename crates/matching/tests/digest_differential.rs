@@ -4,7 +4,7 @@
 //! are lossless: a checkpoint restored into a fresh instance is the same
 //! instance.
 
-use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm, QueryableAlgorithm};
+use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
 use dmpc_graph::{streams, Edge, Query, Update};
 use dmpc_matching::DmpcMaximalMatching;
 use dmpc_mpc::chaos::fnv1a;

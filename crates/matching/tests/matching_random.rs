@@ -9,7 +9,7 @@ use dmpc_graph::streams::{self, Update};
 use dmpc_graph::{DynamicGraph, Edge};
 use dmpc_matching::{DmpcMaximalMatching, DmpcThreeHalves};
 
-fn drive<A: DynamicGraphAlgorithm>(
+fn drive<A: DynamicGraphAlgorithm<Update = Update>>(
     n: usize,
     alg: &mut A,
     ups: &[Update],
@@ -130,12 +130,21 @@ fn maximal_bulk_load_then_churn() {
 
 #[test]
 fn three_halves_random_churn_verified() {
-    let n = 30;
-    for seed in 0..3 {
-        let params = DmpcParams::new(n, 220);
+    // (n, m_max, build-up edges, churn steps, seed). The n >= 64 streams
+    // are the bench bins' own first cells: each once left a stale rotation
+    // (its matched pair re-matched since the scan that chose it) to corrupt
+    // the free-neighbour counters some two hundred updates in.
+    let small = (0..3).map(|seed| (30, 220, 60, 160, seed));
+    let bins = [
+        (64, 192, 128, 120, 1),
+        (64, 192, 128, 120, 9),
+        (128, 384, 256, 120, 42),
+    ];
+    for (n, m_max, build, steps, seed) in small.chain(bins) {
+        let params = DmpcParams::new(n, m_max);
         let mut alg = DmpcThreeHalves::new(params);
         let mut g = DynamicGraph::new(n);
-        let ups = streams::churn_stream(n, 60, 160, 0.5, seed);
+        let ups = streams::churn_stream(n, build, steps, 0.5, seed);
         for (step, &u) in ups.iter().enumerate() {
             let m = match u {
                 Update::Insert(e) => {
@@ -147,9 +156,13 @@ fn three_halves_random_churn_verified() {
                     alg.delete(e)
                 }
             };
-            assert!(m.clean(), "seed {seed} step {step}: {:?}", m.violations);
+            assert!(
+                m.clean(),
+                "n {n} seed {seed} step {step}: {:?}",
+                m.violations
+            );
             alg.audit(&g)
-                .unwrap_or_else(|err| panic!("seed {seed} step {step} ({u:?}): {err}"));
+                .unwrap_or_else(|err| panic!("n {n} seed {seed} step {step} ({u:?}): {err}"));
         }
         // Empirical approximation factor: 3/2 of the maximum matching.
         let max = maximum_matching_size(&g);

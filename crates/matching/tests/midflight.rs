@@ -7,7 +7,6 @@
 
 use dmpc_core::{
     apply_unweighted, run_chaos_stream, DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm,
-    QueryableAlgorithm,
 };
 use dmpc_graph::{streams, DynamicGraph, Query, QueryAnswer, Update};
 use dmpc_matching::DmpcMaximalMatching;

@@ -7,7 +7,7 @@ use dmpc_graph::{DynamicGraph, Edge, Update};
 use dmpc_matching::{DmpcMaximalMatching, DmpcThreeHalves};
 use proptest::prelude::*;
 
-fn apply_ops<A: DynamicGraphAlgorithm>(
+fn apply_ops<A: DynamicGraphAlgorithm<Update = Update>>(
     n: usize,
     m_max: usize,
     alg: &mut A,

@@ -4,7 +4,7 @@
 //! truth), with query waves interleaved between update batches — and the
 //! waves never touch the update path's state.
 
-use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, QueryableAlgorithm};
+use dmpc_core::{DmpcParams, DynamicGraphAlgorithm};
 use dmpc_graph::{DynamicGraph, Edge, Query, QueryAnswer, Update, V};
 use dmpc_matching::{DmpcMaximalMatching, DmpcThreeHalves};
 use proptest::prelude::*;

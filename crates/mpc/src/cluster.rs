@@ -21,7 +21,7 @@
 //! and the determinism argument.
 
 use crate::chaos::ChaosKind;
-use crate::machine::{Envelope, Machine, Payload as _, Scheduler};
+use crate::machine::{Envelope, Machine, Payload as _};
 use crate::metrics::{BatchMetrics, RoundMetrics, UpdateMetrics, Violation};
 use crate::parallel::{worker_task, Group, StepEnv, WorkerScratch};
 use crate::pool::WorkerPool;
@@ -58,10 +58,6 @@ pub struct ExecOptions {
     /// tracking costs a hash-map update per delivered message, so
     /// timing-focused runs force it off via [`ExecOptions::lean`].
     pub track_flows: Option<bool>,
-    /// How batch pipelines schedule leftover structural items (see
-    /// [`Scheduler`]): conflict-group lanes by default, one serialized lane
-    /// for differential testing. Bit-identical outcomes either way.
-    pub scheduler: Scheduler,
 }
 
 impl Default for ExecOptions {
@@ -71,7 +67,6 @@ impl Default for ExecOptions {
             threads: 0,
             record_per_round: true,
             track_flows: None,
-            scheduler: Scheduler::default(),
         }
     }
 }
@@ -117,10 +112,6 @@ pub struct ClusterConfig {
     /// streams that only need aggregates can switch this off; `rounds` and
     /// `total_words` are identical either way.
     pub record_per_round: bool,
-    /// Batch structural scheduler (see [`Scheduler`]). The executor never
-    /// reads this — machine programs running a batch pipeline do — but it
-    /// rides in the config so every driver constructor threads it for free.
-    pub scheduler: Scheduler,
 }
 
 impl Default for ClusterConfig {
@@ -132,7 +123,6 @@ impl Default for ClusterConfig {
             backend: Backend::Serial,
             threads: 0,
             record_per_round: true,
-            scheduler: Scheduler::default(),
         }
     }
 }
@@ -152,7 +142,6 @@ impl ClusterConfig {
         self.backend = exec.backend;
         self.threads = exec.threads;
         self.record_per_round = exec.record_per_round;
-        self.scheduler = exec.scheduler;
         if let Some(flows) = exec.track_flows {
             self.track_flows = flows;
         }

@@ -85,7 +85,7 @@ pub mod text;
 pub use chaos::{pack_text, unpack_text, ChaosCaps, ChaosEvent, ChaosKind, ChaosPlan, SnapCourier};
 pub use clock::{LatencyStats, SimClock};
 pub use cluster::{Backend, Cluster, ClusterConfig, ExecOptions};
-pub use machine::{Envelope, Machine, Outbox, Payload, RoundCtx, Scheduler};
+pub use machine::{Envelope, Machine, Outbox, Payload, RoundCtx};
 pub use metrics::{
     entropy_bits, loglog_slope, AggregateMetrics, BatchMetrics, QueryMetrics, RecoveryMetrics,
     RoundMetrics, UpdateMetrics, Violation,

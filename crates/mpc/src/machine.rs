@@ -2,28 +2,6 @@
 
 use crate::MachineId;
 
-/// How a batch pipeline schedules the structural items left over after
-/// classification.
-///
-/// Both schedulers run the identical per-item protocol and produce
-/// bit-identical final states, digests, query answers and audits (pinned by
-/// scheduler-differential property tests, like the backend pair and the
-/// routing pair); they differ only in how many structural
-/// protocol lanes are in flight at once, and therefore in rounds.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Scheduler {
-    /// Partition the batch's structural items into conflict groups —
-    /// union-find over the components each item touches — and run disjoint
-    /// groups concurrently, each in its own protocol lane. Only true
-    /// conflicts (items whose component sets overlap) serialize (default).
-    #[default]
-    Conflict,
-    /// One global lane: every structural item serializes through the
-    /// controller (the original batch pipeline, kept for differential
-    /// testing).
-    Serialized,
-}
-
 /// A message payload. Every payload reports its size in 64-bit words so the
 /// simulator can meter communication and enforce per-round send/receive caps.
 pub trait Payload: Send + Clone + std::fmt::Debug {

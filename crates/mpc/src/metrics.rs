@@ -200,16 +200,13 @@ pub struct BatchMetrics {
     pub violations: usize,
     /// Conflict groups the batch's structural phases partitioned into,
     /// summed over the batch's runs (0 when no structural phase ran, or for
-    /// drivers that predate the conflict scheduler). Reported for both
-    /// schedulers: `Serialized` still computes the partition it declines to
-    /// exploit.
+    /// drivers that predate the conflict scheduler).
     pub conflict_groups: usize,
     /// Largest conflict group (structural items that must serialize) across
     /// the batch's runs — the round floor of the conflict scheduler.
     pub conflict_depth: usize,
     /// Maximum structural protocol lanes concurrently in flight across the
-    /// batch's runs (1 under `Scheduler::Serialized` whenever a structural
-    /// phase ran).
+    /// batch's runs (bounded by the controller's lane cap).
     pub max_lanes: usize,
 }
 

@@ -27,8 +27,8 @@
 //! assert!(alg.connected(0, 1));
 //! ```
 
-use dmpc_core::{DynamicGraphAlgorithm, QueryableAlgorithm, WeightedDynamicGraphAlgorithm};
-use dmpc_graph::{Edge, Weight};
+use dmpc_core::DynamicGraphAlgorithm;
+use dmpc_graph::{Edge, Update, Weight, WeightedUpdate};
 use dmpc_mpc::{RoundMetrics, UpdateMetrics};
 use dmpc_seqdyn::{HdtConnectivity, NsMatching, ProbeCounted, SeqDynMst};
 
@@ -81,26 +81,27 @@ impl ReducedConnectivity {
         }
     }
 
-    /// Connectivity query (also a metered O(1)-probe operation).
+    /// Connectivity query. Its probes are dropped rather than left to be
+    /// charged to the next update.
     pub fn connected(&mut self, a: u32, b: u32) -> bool {
-        self.inner.connected(a, b)
+        let joined = self.inner.connected(a, b);
+        self.inner.take_probes();
+        joined
     }
 }
 
-impl QueryableAlgorithm for ReducedConnectivity {}
-
 impl DynamicGraphAlgorithm for ReducedConnectivity {
+    type Update = Update;
+
     fn name(&self) -> &'static str {
         "reduction-hdt-connectivity"
     }
 
-    fn insert(&mut self, e: Edge) -> UpdateMetrics {
-        self.inner.insert(e);
-        metrics_from_probes(self.inner.take_probes())
-    }
-
-    fn delete(&mut self, e: Edge) -> UpdateMetrics {
-        self.inner.delete(e);
+    fn apply(&mut self, u: Update) -> UpdateMetrics {
+        match u {
+            Update::Insert(e) => self.inner.insert(e),
+            Update::Delete(e) => self.inner.delete(e),
+        }
         metrics_from_probes(self.inner.take_probes())
     }
 }
@@ -124,20 +125,18 @@ impl ReducedMatching {
     }
 }
 
-impl QueryableAlgorithm for ReducedMatching {}
-
 impl DynamicGraphAlgorithm for ReducedMatching {
+    type Update = Update;
+
     fn name(&self) -> &'static str {
         "reduction-ns-matching"
     }
 
-    fn insert(&mut self, e: Edge) -> UpdateMetrics {
-        self.inner.insert(e);
-        metrics_from_probes(self.inner.take_probes())
-    }
-
-    fn delete(&mut self, e: Edge) -> UpdateMetrics {
-        self.inner.delete(e);
+    fn apply(&mut self, u: Update) -> UpdateMetrics {
+        match u {
+            Update::Insert(e) => self.inner.insert(e),
+            Update::Delete(e) => self.inner.delete(e),
+        }
         metrics_from_probes(self.inner.take_probes())
     }
 }
@@ -159,22 +158,30 @@ impl ReducedMst {
     pub fn forest_weight(&self) -> Weight {
         self.inner.forest_weight()
     }
+
+    /// Processes a weighted edge insertion.
+    pub fn insert(&mut self, e: Edge, w: Weight) -> UpdateMetrics {
+        self.apply(WeightedUpdate::Insert(e, w))
+    }
+
+    /// Processes an edge deletion.
+    pub fn delete(&mut self, e: Edge) -> UpdateMetrics {
+        self.apply(WeightedUpdate::Delete(e))
+    }
 }
 
-impl QueryableAlgorithm for ReducedMst {}
+impl DynamicGraphAlgorithm for ReducedMst {
+    type Update = WeightedUpdate;
 
-impl WeightedDynamicGraphAlgorithm for ReducedMst {
     fn name(&self) -> &'static str {
         "reduction-dynamic-mst"
     }
 
-    fn insert(&mut self, e: Edge, w: Weight) -> UpdateMetrics {
-        self.inner.insert(e, w);
-        metrics_from_probes(self.inner.take_probes())
-    }
-
-    fn delete(&mut self, e: Edge) -> UpdateMetrics {
-        self.inner.delete(e);
+    fn apply(&mut self, u: WeightedUpdate) -> UpdateMetrics {
+        match u {
+            WeightedUpdate::Insert(e, w) => self.inner.insert(e, w),
+            WeightedUpdate::Delete(e) => self.inner.delete(e),
+        }
         metrics_from_probes(self.inner.take_probes())
     }
 }

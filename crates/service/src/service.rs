@@ -16,12 +16,10 @@
 
 use crate::buffer::{AdmissionBuffer, BackpressurePolicy, Offer, ShedRecord};
 use crate::window::{CloseReason, WindowPolicy, WindowRecord};
-use dmpc_core::{
-    DynamicGraphAlgorithm, ElasticAlgorithm, RebuildEngine, WeightedDynamicGraphAlgorithm,
-};
+use dmpc_core::{DynamicGraphAlgorithm, ElasticAlgorithm, RebuildEngine};
 use dmpc_graph::arrivals::Arrival;
 use dmpc_graph::streams::with_weights;
-use dmpc_graph::{Op, Query, QueryAnswer, Update, Weight};
+use dmpc_graph::{Op, Query, QueryAnswer, Update, Weight, WeightedUpdate};
 use dmpc_mpc::{
     BatchMetrics, ChaosKind, ChaosPlan, LatencyStats, MachineId, QueryMetrics, RecoveryMetrics,
     SimClock, UpdateMetrics,
@@ -61,7 +59,7 @@ impl<A> UnweightedService<A> {
     }
 }
 
-impl<A: DynamicGraphAlgorithm> ServiceAlgorithm for UnweightedService<A> {
+impl<A: DynamicGraphAlgorithm<Update = Update>> ServiceAlgorithm for UnweightedService<A> {
     fn service_name(&self) -> &'static str {
         self.inner.name()
     }
@@ -75,7 +73,7 @@ impl<A: DynamicGraphAlgorithm> ServiceAlgorithm for UnweightedService<A> {
     }
 
     fn admission_budget(&self) -> Option<usize> {
-        DynamicGraphAlgorithm::admission_budget(&self.inner)
+        self.inner.admission_budget()
     }
 }
 
@@ -103,7 +101,9 @@ impl<A> WeightedEdgeService<A> {
     }
 }
 
-impl<A: WeightedDynamicGraphAlgorithm> ServiceAlgorithm for WeightedEdgeService<A> {
+impl<A: DynamicGraphAlgorithm<Update = WeightedUpdate>> ServiceAlgorithm
+    for WeightedEdgeService<A>
+{
     fn service_name(&self) -> &'static str {
         self.inner.name()
     }
@@ -118,7 +118,7 @@ impl<A: WeightedDynamicGraphAlgorithm> ServiceAlgorithm for WeightedEdgeService<
     }
 
     fn admission_budget(&self) -> Option<usize> {
-        WeightedDynamicGraphAlgorithm::admission_budget(&self.inner)
+        self.inner.admission_budget()
     }
 }
 

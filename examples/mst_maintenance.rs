@@ -9,7 +9,7 @@
 //! seconds).
 
 use dmpc::connectivity::DmpcMst;
-use dmpc::core::{DmpcParams, WeightedDynamicGraphAlgorithm};
+use dmpc::core::DmpcParams;
 use dmpc::graph::mst::msf_weight;
 use dmpc::graph::streams::{self, WeightedUpdate};
 use dmpc::graph::{Edge, Weight};

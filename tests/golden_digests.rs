@@ -17,7 +17,7 @@
 use dmpc::connectivity::{DmpcConnectivity, DmpcMst};
 use dmpc::core::{
     apply_unweighted, run_chaos_stream, ChurnReport, DmpcParams, DynamicGraphAlgorithm,
-    ElasticAlgorithm, WeightedDynamicGraphAlgorithm,
+    ElasticAlgorithm,
 };
 use dmpc::graph::streams::{self, Update, WeightedUpdate};
 use dmpc::matching::DmpcMaximalMatching;
@@ -150,7 +150,10 @@ fn matching(n: usize, m_max: usize) -> DmpcMaximalMatching {
     DmpcMaximalMatching::new(DmpcParams::new(n, m_max))
 }
 
-fn replay<A: DynamicGraphAlgorithm + ElasticAlgorithm>(mut alg: A, ups: &[Update]) -> Golden {
+fn replay<A: DynamicGraphAlgorithm<Update = Update> + ElasticAlgorithm>(
+    mut alg: A,
+    ups: &[Update],
+) -> Golden {
     let mut t = Tally::default();
     for &u in ups {
         t.update(&alg.apply(u));
@@ -158,7 +161,7 @@ fn replay<A: DynamicGraphAlgorithm + ElasticAlgorithm>(mut alg: A, ups: &[Update
     t.golden(alg.state_digest())
 }
 
-fn replay_batched<A: DynamicGraphAlgorithm + ElasticAlgorithm>(
+fn replay_batched<A: DynamicGraphAlgorithm<Update = Update> + ElasticAlgorithm>(
     mut alg: A,
     ups: &[Update],
     k: usize,
@@ -388,7 +391,7 @@ fn checkpoint_bytes<A: ElasticAlgorithm>(alg: &mut A) -> u64 {
     dmpc::mpc::chaos::fnv1a(before.concat().as_bytes())
 }
 
-fn batched<A: DynamicGraphAlgorithm>(mut alg: A, ups: &[Update], k: usize) -> A {
+fn batched<A: DynamicGraphAlgorithm<Update = Update>>(mut alg: A, ups: &[Update], k: usize) -> A {
     for batch in ups.chunks(k) {
         assert!(alg.apply_batch(batch).clean());
     }
