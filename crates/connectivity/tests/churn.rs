@@ -6,11 +6,13 @@
 //! the same stream, and both match the `DynamicGraph` ground truth.
 
 use dmpc_connectivity::{DmpcConnectivity, DmpcMst, Routing};
-use dmpc_core::{
-    apply_unweighted, run_chaos_stream, DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm,
+use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
+use dmpc_graph::{streams, Edge, Op, Update};
+use dmpc_mpc::{ChaosCaps, ChaosKind, ChaosPlan, ExecOptions, MachineId};
+use dmpc_service::{
+    CloseReason, ServiceAlgorithm, ServiceLoop, ServiceReport, UnweightedService,
+    WeightedEdgeService,
 };
-use dmpc_graph::{streams, Edge, Update};
-use dmpc_mpc::{BatchMetrics, ChaosCaps, ChaosKind, ChaosPlan, ExecOptions, MachineId};
 use proptest::prelude::*;
 
 fn partitions_equal(a: &[u32], b: &[u32]) -> bool {
@@ -32,10 +34,29 @@ fn conn_with(n: usize, p: usize) -> DmpcConnectivity {
     DmpcConnectivity::with_cluster(params, ExecOptions::default(), Routing::Multicast, p)
 }
 
-/// Applies one weighted batch to an MST instance (weights derived
+/// An MST instance behind the weighted adapter (weights derived
 /// deterministically per edge, so replicas see identical ops).
-fn apply_mst(a: &mut DmpcMst, batch: &[Update]) -> BatchMetrics {
-    a.apply_batch(&streams::with_weights(batch, 64, 77))
+fn mst_service(params: DmpcParams) -> WeightedEdgeService<DmpcMst> {
+    WeightedEdgeService::new(DmpcMst::new(params, 0.1), 64, 77)
+}
+
+/// Drives `batches` as write-only windows through the service loop under
+/// `plan`, checkpointing after every `every` windows (0: never).
+fn churn<A, F>(make: F, batches: &[Vec<Update>], plan: &ChaosPlan, every: usize) -> ServiceReport
+where
+    A: ServiceAlgorithm + ElasticAlgorithm,
+    F: Fn() -> A,
+{
+    let mut a = make();
+    let mut lp = ServiceLoop::new(&mut a, &make, plan);
+    for (i, batch) in batches.iter().enumerate() {
+        let ops = batch.iter().map(|&u| Op::Write(u)).collect();
+        lp.window(ops, CloseReason::Size, 0, 0);
+        if every > 0 && (i + 1) % every == 0 {
+            lp.checkpoint();
+        }
+    }
+    lp.finish()
 }
 
 // ----- shard migration ------------------------------------------------------
@@ -280,20 +301,21 @@ fn chaos_stream_recovers_bit_identical() {
     let plan = ChaosPlan::generate(42, batches.len(), p, 10, ChaosCaps::default());
     assert!(!plan.events.is_empty());
     let make = || conn_with(n, p);
+    let service = || UnweightedService::new(make());
 
-    let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 4, &[]);
-    let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
+    let chaos = churn(service, &batches, &plan, 4);
+    let plain = churn(service, &batches, &ChaosPlan::new(0), 0);
 
     assert_eq!(
         chaos.final_digest, plain.final_digest,
         "chaos run diverged from failure-free run"
     );
-    assert_eq!(chaos.updates, plain.updates);
+    assert_eq!(chaos.writes.updates, plain.writes.updates);
     assert_eq!(
         chaos.recovery.violations, 0,
         "recovery must be violation-free"
     );
-    assert_eq!(chaos.workload.violations, 0);
+    assert_eq!(chaos.writes.violations, 0);
     assert!(chaos.applied.iter().any(|e| e.kind.starts_with("kill")));
     assert!(chaos.applied.iter().any(|e| e.kind.starts_with("revive")));
     assert!(chaos.recovery.total_words > 0);
@@ -317,22 +339,22 @@ fn mst_chaos_stream_recovers_bit_identical() {
     let n = 48;
     let batches = streams::chaos_churn_batches(n, 6, 5, 120, 10, 7);
     let params = DmpcParams::new(n, 4 * n);
-    let make = || DmpcMst::new(params, 0.1);
+    let service = || mst_service(params);
     // The MST driver uses the model-default machine count; generate the
     // plan against the actual layout.
-    let p = make().driver().n_machines();
+    let p = service().n_shards();
     let plan = ChaosPlan::generate(7, batches.len(), p, 8, ChaosCaps::default());
 
-    let chaos = run_chaos_stream(make, apply_mst, &batches, &plan, 3, &[]);
-    let plain = run_chaos_stream(make, apply_mst, &batches, &ChaosPlan::new(0), 0, &[]);
+    let chaos = churn(service, &batches, &plan, 3);
+    let plain = churn(service, &batches, &ChaosPlan::new(0), 0);
     assert_eq!(chaos.final_digest, plain.final_digest);
     assert_eq!(chaos.recovery.violations, 0);
-    assert_eq!(chaos.workload.violations, 0);
+    assert_eq!(chaos.writes.violations, 0);
 
     // Forest weight sanity against a fresh failure-free instance.
-    let mut a = make();
+    let mut a = service();
     for b in &batches {
-        apply_mst(&mut a, b);
+        a.apply_window(b);
     }
     assert_eq!(a.state_digest(), chaos.final_digest);
 }
@@ -351,11 +373,12 @@ proptest! {
         let batches = streams::chaos_churn_batches(n, 5, 4, 90, 9, seed);
         let plan = ChaosPlan::generate(seed, batches.len(), p, events, ChaosCaps::default());
         let make = || conn_with(n, p);
-        let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 3, &[]);
-        let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
+        let service = || UnweightedService::new(make());
+        let chaos = churn(service, &batches, &plan, 3);
+        let plain = churn(service, &batches, &ChaosPlan::new(0), 0);
         prop_assert_eq!(chaos.final_digest, plain.final_digest);
         prop_assert_eq!(chaos.recovery.violations, 0);
-        prop_assert_eq!(chaos.workload.violations, 0);
+        prop_assert_eq!(chaos.writes.violations, 0);
 
         let mut alg = make();
         for b in &batches { alg.apply_batch(b); }
@@ -372,18 +395,18 @@ proptest! {
         let n = 32;
         let batches = streams::chaos_churn_batches(n, 4, 4, 60, 8, seed);
         let params = DmpcParams::new(n, 3 * n);
-        let make = || DmpcMst::new(params, 0.1);
-        let p = make().driver().n_machines();
+        let service = || mst_service(params);
+        let p = service().n_shards();
         let plan = ChaosPlan::generate(seed, batches.len(), p, events, ChaosCaps::default());
-        let chaos = run_chaos_stream(make, apply_mst, &batches, &plan, 4, &[]);
-        let plain = run_chaos_stream(make, apply_mst, &batches, &ChaosPlan::new(0), 0, &[]);
+        let chaos = churn(service, &batches, &plan, 4);
+        let plain = churn(service, &batches, &ChaosPlan::new(0), 0);
         prop_assert_eq!(chaos.final_digest, plain.final_digest);
         prop_assert_eq!(chaos.recovery.violations, 0);
-        prop_assert_eq!(chaos.workload.violations, 0);
+        prop_assert_eq!(chaos.writes.violations, 0);
     }
 
     /// Hand-built worst-case plans: kill immediately followed by revive at
-    /// the same batch index, repeated; the harness handles back-to-back
+    /// the same batch index, repeated; the loop handles back-to-back
     /// transitions.
     #[test]
     fn prop_kill_revive_same_batch(seed in 0u64..500, m in 0u32..5) {
@@ -397,8 +420,9 @@ proptest! {
             .with_event(mid + 1, ChaosKind::Kill(m))
             .with_event(mid + 2, ChaosKind::Revive(m));
         let make = || conn_with(n, p);
-        let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 2, &[]);
-        let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
+        let service = || UnweightedService::new(make());
+        let chaos = churn(service, &batches, &plan, 2);
+        let plain = churn(service, &batches, &ChaosPlan::new(0), 0);
         prop_assert_eq!(chaos.final_digest, plain.final_digest);
         prop_assert_eq!(chaos.recovery.violations, 0);
         prop_assert_eq!(chaos.applied.len(), 4);

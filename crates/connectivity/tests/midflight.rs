@@ -6,15 +6,17 @@
 //! structural batch recovers bit-identically — the chaos run's final digest
 //! equals the failure-free run's digest and the `DynamicGraph` ground
 //! truth. Word-level conservation (sent == delivered + lost) is asserted at
-//! the simulator layer (`dmpc-mpc`); here the harness-level retry/backoff/
+//! the simulator layer (`dmpc-mpc`); here the loop-level retry/backoff/
 //! recovery trajectory is checked.
 
 use dmpc_connectivity::{DmpcConnectivity, DmpcMst, Routing};
-use dmpc_core::{
-    apply_unweighted, run_chaos_stream, DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm,
+use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
+use dmpc_graph::{streams, Op, Query, QueryAnswer, Update};
+use dmpc_mpc::{ChaosKind, ChaosPlan, ExecOptions};
+use dmpc_service::{
+    CloseReason, ServiceAlgorithm, ServiceLoop, ServiceReport, UnweightedService,
+    WeightedEdgeService,
 };
-use dmpc_graph::{streams, Query, QueryAnswer, Update};
-use dmpc_mpc::{BatchMetrics, ChaosKind, ChaosPlan, ExecOptions};
 use proptest::prelude::*;
 
 fn conn_with(n: usize, p: usize) -> DmpcConnectivity {
@@ -36,10 +38,36 @@ fn partitions_equal(a: &[u32], b: &[u32]) -> bool {
     norm(a) == norm(b)
 }
 
-/// Applies one weighted batch to an MST instance (weights derived
-/// deterministically per edge, so replicas see identical ops).
-fn apply_mst(a: &mut DmpcMst, batch: &[Update]) -> BatchMetrics {
-    a.apply_batch(&streams::with_weights(batch, 64, 77))
+/// Drives `windows` through the service loop under `plan`, checkpointing
+/// after every `every` windows (0: never).
+fn drive<A, F>(make: F, windows: Vec<Vec<Op>>, plan: &ChaosPlan, every: usize) -> ServiceReport
+where
+    A: ServiceAlgorithm + ElasticAlgorithm,
+    F: Fn() -> A,
+{
+    let mut a = make();
+    let mut lp = ServiceLoop::new(&mut a, &make, plan);
+    for (i, ops) in windows.into_iter().enumerate() {
+        lp.window(ops, CloseReason::Size, 0, 0);
+        if every > 0 && (i + 1) % every == 0 {
+            lp.checkpoint();
+        }
+    }
+    lp.finish()
+}
+
+fn write_windows(batches: &[Vec<Update>]) -> Vec<Vec<Op>> {
+    let ops = |b: &Vec<Update>| b.iter().map(|&u| Op::Write(u)).collect();
+    batches.iter().map(ops).collect()
+}
+
+/// [`drive`] over `batches` as write-only windows.
+fn churn<A, F>(make: F, batches: &[Vec<Update>], plan: &ChaosPlan, every: usize) -> ServiceReport
+where
+    A: ServiceAlgorithm + ElasticAlgorithm,
+    F: Fn() -> A,
+{
+    drive(make, write_windows(batches), plan, every)
 }
 
 // ----- the round sweep ------------------------------------------------------
@@ -54,39 +82,42 @@ fn kill_at_every_round_recovers_bit_identical() {
     let p = 6;
     let batches = streams::chaos_churn_batches(n, 6, 4, 120, 10, 21);
     let make = || conn_with(n, p);
-    let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
+    let service = || UnweightedService::new(make());
+    let plain = churn(service, &batches, &ChaosPlan::new(0), 0);
     let target = batches.len() / 2;
     let mut fired = 0usize;
     for r in 1..=10u32 {
         let plan =
             ChaosPlan::new(100 + r as u64).with_event_in_round(target, r, ChaosKind::Kill(2));
-        let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 3, &[]);
+        let chaos = churn(service, &batches, &plan, 3);
         assert_eq!(
             chaos.final_digest, plain.final_digest,
             "kill at round {r} diverged from the failure-free run"
         );
-        assert_eq!(chaos.batches, batches.len());
-        assert_eq!(chaos.workload.violations, 0);
+        assert_eq!(chaos.windows.len(), batches.len());
+        assert_eq!(chaos.writes.violations, 0);
         // Only clean executions are merged into the workload; aborted
         // epochs carry their losses in the mid-flight trajectory.
-        assert_eq!(chaos.workload.lost_words, 0);
-        assert_eq!(chaos.workload.lost_messages, 0);
-        assert_eq!(chaos.mid_flight.len(), chaos.retries);
+        assert_eq!(chaos.writes.lost_words, 0);
+        assert_eq!(chaos.writes.lost_messages, 0);
+        assert_eq!(chaos.aborts.len(), chaos.retries);
         if chaos.retries > 0 {
             fired += 1;
-            let rec = &chaos.mid_flight[0];
-            assert_eq!(rec.at_batch, target);
+            let rec = &chaos.aborts[0];
+            assert_eq!(rec.at_window, target);
             assert_eq!(rec.kill_round, r);
             assert_eq!(rec.victims, vec![2]);
             assert_eq!(rec.attempt, 1, "one clean retry must suffice");
             assert!(
-                rec.aborted_rounds >= r as usize,
+                rec.aborted.rounds >= r as usize,
                 "the epoch ran to round {r}"
             );
-            assert!(rec.recovery_words > 0, "the rebuild handoff is metered");
+            assert!(rec.recovery_words() > 0, "the rebuild handoff is metered");
             assert_eq!(
-                rec.latency_rounds,
-                (rec.aborted_rounds - (r as usize - 1)) + rec.backoff_rounds + rec.recovery_rounds,
+                rec.latency_rounds(),
+                (rec.aborted.rounds - (r as usize - 1))
+                    + rec.backoff_rounds
+                    + rec.recovery_rounds(),
                 "latency decomposes into abort remainder + backoff + rebuild"
             );
         }
@@ -115,17 +146,17 @@ fn mst_mid_round_kill_recovers_bit_identical() {
     let n = 32;
     let batches = streams::chaos_churn_batches(n, 4, 4, 60, 8, 5);
     let params = DmpcParams::new(n, 3 * n);
-    let make = || DmpcMst::new(params, 0.1);
-    let plain = run_chaos_stream(make, apply_mst, &batches, &ChaosPlan::new(0), 0, &[]);
+    let service = || WeightedEdgeService::new(DmpcMst::new(params, 0.1), 64, 77);
+    let plain = churn(service, &batches, &ChaosPlan::new(0), 0);
     let mut fired = 0usize;
     for r in [1u32, 2, 4] {
         let plan = ChaosPlan::new(9).with_event_in_round(1, r, ChaosKind::Kill(1));
-        let chaos = run_chaos_stream(make, apply_mst, &batches, &plan, 3, &[]);
+        let chaos = churn(service, &batches, &plan, 3);
         assert_eq!(
             chaos.final_digest, plain.final_digest,
             "MST kill at round {r} diverged"
         );
-        assert_eq!(chaos.workload.lost_words, 0);
+        assert_eq!(chaos.writes.lost_words, 0);
         fired += chaos.retries;
     }
     assert!(fired >= 1, "at least the round-1 kill must fire");
@@ -133,37 +164,42 @@ fn mst_mid_round_kill_recovers_bit_identical() {
 
 // ----- degraded-mode service ------------------------------------------------
 
-/// While a mid-flight victim rebuilds, the query plane stays up: reads whose
-/// owner set intersects the dead machine come back `Degraded`, reads wholly
-/// on live machines stay exact, and path queries degrade conservatively.
-/// ("Writes pause, reads degrade.")
+/// While a victim is down, the query plane stays up: reads whose owner set
+/// intersects the dead machine come back `Degraded`, reads wholly on live
+/// machines stay exact, and path queries degrade conservatively. ("Writes
+/// pause, reads degrade.") The outage is a boundary one — machine 2 dies
+/// at the frontier before batch `target`, a read window is served by the
+/// partial cluster, and the next boundary revives it.
 #[test]
 fn reads_degrade_during_midflight_rebuild() {
     let n = 40;
     let p = 5; // machine 2 owns vertices 16..24
     let batches = streams::chaos_churn_batches(n, 5, 4, 100, 8, 31);
     let target = 2.min(batches.len() - 1);
-    let plan = ChaosPlan::new(3).with_event_in_round(target, 1, ChaosKind::Kill(2));
-    let make = || conn_with(n, p);
+    let plan = ChaosPlan::new(3)
+        .with_event(target, ChaosKind::Kill(2))
+        .with_event(target + 1, ChaosKind::Revive(2));
+    let service = || UnweightedService::new(conn_with(n, p));
     let reads = [
         Query::Connected(17, 1), // one endpoint owned by the victim
         Query::ComponentOf(18),  // owned by the victim
         Query::Connected(1, 2),  // both owners alive: exact
         Query::PathMax(1, 2),    // conservative during any outage
     ];
-    let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 8, &reads);
-    let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
+    let mut windows = write_windows(&batches);
+    windows.insert(target, reads.iter().map(|&q| Op::Read(q)).collect());
+    let chaos = drive(service, windows, &plan, 8);
+    let plain = churn(service, &batches, &ChaosPlan::new(0), 0);
     assert_eq!(chaos.final_digest, plain.final_digest);
-    assert_eq!(chaos.retries, 1, "the round-1 kill must fire exactly once");
-    assert_eq!(chaos.reads_answered, reads.len());
+    assert_eq!(chaos.violations(), 0);
+    assert_eq!(chaos.applied.len(), 2, "the kill and the revive both fire");
+    assert_eq!(chaos.answers.len(), reads.len());
     assert_eq!(
-        chaos.degraded_answers, 3,
+        chaos.answers.iter().filter(|a| a.is_degraded()).count(),
+        3,
         "two owner-dead reads + the conservative path query degrade"
     );
-    assert_eq!(chaos.outage_reads.queries, reads.len());
-    let rec = &chaos.mid_flight[0];
-    assert_eq!(rec.reads_answered, reads.len());
-    assert_eq!(rec.degraded_answers, 3);
+    assert_eq!(chaos.reads.queries, reads.len());
 }
 
 /// Direct unit check of the degraded wave against a boundary-killed
@@ -215,21 +251,22 @@ fn deferral_drain_records_latency() {
     let batches = streams::chaos_churn_batches(n, 5, 4, 80, 8, 17);
     assert!(batches.len() >= 5);
     let make = || conn_with(n, p);
-    let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
+    let service = || UnweightedService::new(make());
+    let plain = churn(service, &batches, &ChaosPlan::new(0), 0);
 
     // Boundary kill before batch 1, revive before batch 3: batches 1 and 2
     // are deferred and drained at the revive boundary.
     let plan = ChaosPlan::new(1)
         .with_event(1, ChaosKind::Kill(3))
         .with_event(3, ChaosKind::Revive(3));
-    let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 2, &[]);
+    let chaos = churn(service, &batches, &plan, 2);
     let drained: Vec<_> = chaos
         .drained
         .iter()
-        .map(|d| (d.batch, d.drained_at, d.latency_batches))
+        .map(|d| (d.window, d.drained_at, d.latency_windows))
         .collect();
     assert_eq!(drained, vec![(1, 3, 2), (2, 3, 1)]);
-    assert_eq!(chaos.batches, batches.len());
+    assert_eq!(chaos.windows.len(), batches.len());
     assert_eq!(chaos.final_digest, plain.final_digest);
 
     // A kill never revived by the plan: the straggler revive and the final
@@ -237,14 +274,14 @@ fn deferral_drain_records_latency() {
     // extend the replay suffix.
     let last = batches.len();
     let plan_tail = ChaosPlan::new(2).with_event(last - 2, ChaosKind::Kill(3));
-    let chaos_tail = run_chaos_stream(make, apply_unweighted, &batches, &plan_tail, 2, &[]);
+    let chaos_tail = churn(service, &batches, &plan_tail, 2);
     let drained_tail: Vec<_> = chaos_tail
         .drained
         .iter()
-        .map(|d| (d.batch, d.drained_at, d.latency_batches))
+        .map(|d| (d.window, d.drained_at, d.latency_windows))
         .collect();
     assert_eq!(drained_tail, vec![(last - 2, last, 2), (last - 1, last, 1)]);
-    assert_eq!(chaos_tail.batches, batches.len());
+    assert_eq!(chaos_tail.windows.len(), batches.len());
     assert_eq!(chaos_tail.final_digest, plain.final_digest);
 }
 
@@ -268,18 +305,18 @@ proptest! {
         let batches = streams::chaos_churn_batches(n, 5, 4, 80, 8, seed);
         let target = (batches.len() * target_frac / 4).min(batches.len() - 1);
         let plan = ChaosPlan::new(seed).with_event_in_round(target, r, ChaosKind::Kill(victim));
-        let make = || conn_with(n, p);
-        let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 3, &[]);
-        let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
+        let service = || UnweightedService::new(conn_with(n, p));
+        let chaos = churn(service, &batches, &plan, 3);
+        let plain = churn(service, &batches, &ChaosPlan::new(0), 0);
         prop_assert_eq!(chaos.final_digest, plain.final_digest);
-        prop_assert_eq!(chaos.workload.violations, 0);
-        prop_assert_eq!(chaos.workload.lost_words, 0);
-        prop_assert_eq!(chaos.workload.lost_messages, 0);
-        prop_assert_eq!(chaos.mid_flight.len(), chaos.retries);
-        for rec in &chaos.mid_flight {
-            prop_assert_eq!(rec.at_batch, target);
+        prop_assert_eq!(chaos.writes.violations, 0);
+        prop_assert_eq!(chaos.writes.lost_words, 0);
+        prop_assert_eq!(chaos.writes.lost_messages, 0);
+        prop_assert_eq!(chaos.aborts.len(), chaos.retries);
+        for rec in &chaos.aborts {
+            prop_assert_eq!(rec.at_window, target);
             prop_assert_eq!(rec.kill_round, r);
-            prop_assert!(rec.recovery_words > 0);
+            prop_assert!(rec.recovery_words() > 0);
         }
     }
 }

@@ -13,12 +13,11 @@
 //! clustered service cell below pin by how much.
 
 use dmpc_connectivity::{ConflictStats, DmpcConnectivity, Routing};
-use dmpc_core::{
-    apply_unweighted, run_chaos_stream, DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm,
-};
+use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
 use dmpc_graph::streams::{self, chunk_stream, QueryMix, TargetDist, Update};
 use dmpc_graph::{Op, Query};
 use dmpc_mpc::{ChaosKind, ChaosPlan, ExecOptions};
+use dmpc_service::{CloseReason, ServiceAlgorithm, ServiceLoop, ServiceReport, UnweightedService};
 use proptest::prelude::*;
 
 /// The serialized comparator: the same program under a lane cap of one, so
@@ -34,6 +33,25 @@ fn pair(n: usize, m_max: usize) -> (DmpcConnectivity, DmpcConnectivity) {
         DmpcConnectivity::new(params),
         serialized(DmpcConnectivity::new(params)),
     )
+}
+
+/// Drives `batches` as write-only windows through the service loop under
+/// `plan`, checkpointing after every `every` windows (0: never).
+fn churn<A, F>(make: F, batches: &[Vec<Update>], plan: &ChaosPlan, every: usize) -> ServiceReport
+where
+    A: ServiceAlgorithm + ElasticAlgorithm,
+    F: Fn() -> A,
+{
+    let mut a = make();
+    let mut lp = ServiceLoop::new(&mut a, &make, plan);
+    for (i, batch) in batches.iter().enumerate() {
+        let ops = batch.iter().map(|&u| Op::Write(u)).collect();
+        lp.window(ops, CloseReason::Size, 0, 0);
+        if every > 0 && (i + 1) % every == 0 {
+            lp.checkpoint();
+        }
+    }
+    lp.finish()
 }
 
 fn partitions_equal(a: &[u32], b: &[u32]) -> bool {
@@ -187,27 +205,21 @@ proptest! {
         let target = 1usize; // kill inside the second batch
         let mk = |serialize: bool| move || {
             let alg = DmpcConnectivity::new(DmpcParams::new(n, 4 * n));
-            if serialize { serialized(alg) } else { alg }
+            UnweightedService::new(if serialize { serialized(alg) } else { alg })
         };
         let plan = ChaosPlan::new(seed).with_event_in_round(target, r, ChaosKind::Kill(1));
-        let plain_c = run_chaos_stream(mk(false), apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
-        let plain_s = run_chaos_stream(mk(true), apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
+        let plain_c = churn(mk(false), &batches, &ChaosPlan::new(0), 0);
+        let plain_s = churn(mk(true), &batches, &ChaosPlan::new(0), 0);
         prop_assert_eq!(&plain_c.final_digest, &plain_s.final_digest);
-        let chaos_c = run_chaos_stream(
-            mk(false), apply_unweighted, &batches, &plan, 3,
-            &[],
-        );
-        let chaos_s = run_chaos_stream(
-            mk(true), apply_unweighted, &batches, &plan, 3,
-            &[],
-        );
+        let chaos_c = churn(mk(false), &batches, &plan, 3);
+        let chaos_s = churn(mk(true), &batches, &plan, 3);
         prop_assert_eq!(&chaos_c.final_digest, &plain_c.final_digest,
             "conflict-scheduled chaos diverged (kill round {})", r);
         prop_assert_eq!(&chaos_s.final_digest, &plain_s.final_digest,
             "serialized chaos diverged (kill round {})", r);
-        prop_assert_eq!(chaos_c.workload.violations, 0);
-        prop_assert_eq!(chaos_c.workload.lost_words, 0);
-        prop_assert_eq!(chaos_s.workload.violations, 0);
+        prop_assert_eq!(chaos_c.writes.violations, 0);
+        prop_assert_eq!(chaos_c.writes.lost_words, 0);
+        prop_assert_eq!(chaos_s.writes.violations, 0);
     }
 }
 

@@ -1,5 +1,5 @@
 //! The DMPC model layer: model parameters, the dynamic-algorithm interface,
-//! and the elasticity/recovery plane.
+//! and the chaos-plane surface.
 //!
 //! The paper defines the **DMPC** model (Section 2): machines with
 //! `O(sqrt(N))`-word memories, where `N = n + m` is the input size; a
@@ -15,10 +15,12 @@
 //!   (`WeightedUpdate` for MST), queries, `resident_words` and
 //!   `admission_budget` are default methods. The unit of work is a batch of
 //!   `k` updates (`apply_batch`, defaulting to a loop over `apply`: `k = 1`).
-//! * [`elastic`] — the chaos-plane surface ([`ElasticAlgorithm`]) and the
-//!   rebuild engine ([`RebuildEngine`]: checkpoint + replay, fenced epochs)
-//!   shared by the service loop and the churn harness that interleaves
-//!   kill/revive/split/merge events with a workload stream.
+//! * [`elastic`] — the chaos-plane surface ([`ElasticAlgorithm`]):
+//!   per-machine snapshot/restore and metered kill/revive/split/merge.
+//!
+//! Nothing here drives an algorithm. The one loop that turns a stream into
+//! `apply_batch`/`answer_queries` calls, fires chaos events and recovers
+//! from them is `dmpc-service`'s `ServiceLoop`.
 //!
 //! # Example
 //!
@@ -37,8 +39,5 @@ pub mod elastic;
 pub mod model;
 
 pub use algorithm::{answer_queries_looped, apply_batch_looped, DynamicGraphAlgorithm};
-pub use elastic::{
-    apply_unweighted, run_chaos_stream, AppliedEvent, ChurnReport, DrainRecord, ElasticAlgorithm,
-    EpochAbort, MidFlightRecovery, RebuildEngine,
-};
+pub use elastic::ElasticAlgorithm;
 pub use model::DmpcParams;

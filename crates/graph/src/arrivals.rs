@@ -38,8 +38,8 @@ pub enum ArrivalProcess {
         /// Expected ops per tick (> 0).
         ops_per_tick: f64,
     },
-    /// A low base rate punctuated by periodic bursts — the hub-fan-out
-    /// traffic shape `streams::burst_batches` models offline.
+    /// A low base rate punctuated by periodic bursts — the traffic shape of
+    /// one account fanning out.
     Bursty {
         /// Expected ops per tick outside bursts (>= 0).
         base: f64,

@@ -262,10 +262,6 @@ pub fn chunk_stream(updates: &[Update], k: usize) -> Vec<Vec<Update>> {
 // `one_seed_reproduces_every_generator` test.
 // ---------------------------------------------------------------------------
 
-/// Salt of [`burst_batches`].
-pub const SALT_BURST: u64 = 0x1234_5678_9abc_def0;
-/// Salt of [`cancelling_batches`].
-pub const SALT_CANCEL: u64 = 0x0bad_cafe_f00d_d00d;
 /// Salt of [`churn_stream`].
 pub const SALT_CHURN: u64 = 0x9e37_79b9_7f4a_7c15;
 /// Salt of [`clustered_churn_stream`].
@@ -285,92 +281,6 @@ pub const SALT_CONFLICT: u64 = 0x00c0_4f11_c7ba_7c45;
 /// generator's salt.
 pub fn stream_rng(seed: u64, salt: u64) -> StdRng {
     StdRng::seed_from_u64(seed ^ salt)
-}
-
-/// Correlated burst batches: each batch picks a random *hub* vertex and
-/// performs `k` updates on edges incident to it (inserting absent spokes,
-/// deleting present ones). Models the bursty, locality-heavy update traffic
-/// (one account fanning out) that batch-dynamic MPC algorithms target.
-/// Every batch is valid as a sequential stream; batches compose into one
-/// valid stream.
-pub fn burst_batches(n: usize, batches: usize, k: usize, seed: u64) -> Vec<Vec<Update>> {
-    assert!(n >= 2, "bursts need at least two vertices");
-    let mut b = StreamBuilder::new(n, seed);
-    let mut rng = stream_rng(seed, SALT_BURST);
-    let mut out = Vec::with_capacity(batches);
-    let mut len_so_far = 0usize;
-    for _ in 0..batches {
-        let hub = rng.gen_range(0..n as V);
-        for _ in 0..k {
-            let spoke = {
-                let s = rng.gen_range(0..n as V - 1);
-                if s >= hub {
-                    s + 1
-                } else {
-                    s
-                }
-            };
-            let e = Edge::new(hub, spoke);
-            if b.graph.has_edge(e) {
-                b.delete(e);
-            } else {
-                b.insert(e);
-            }
-        }
-        out.push(b.updates[len_so_far..].to_vec());
-        len_so_far = b.updates.len();
-    }
-    out
-}
-
-/// Mixed insert/delete batches that *deliberately* contain cancelling pairs:
-/// roughly `cancel_frac` of each batch's slots are spent on an
-/// insert-then-delete (or delete-then-insert) of the same edge. Exercises
-/// the intra-batch cancellation semantics of `coalesce`.
-pub fn cancelling_batches(
-    n: usize,
-    batches: usize,
-    k: usize,
-    cancel_frac: f64,
-    seed: u64,
-) -> Vec<Vec<Update>> {
-    assert!((0.0..=1.0).contains(&cancel_frac));
-    let mut b = StreamBuilder::new(n, seed);
-    let mut rng = stream_rng(seed, SALT_CANCEL);
-    let mut out = Vec::with_capacity(batches);
-    let mut len_so_far = 0usize;
-    for _ in 0..batches {
-        let mut slots = 0usize;
-        while slots < k {
-            if slots + 1 < k && rng.gen_bool(cancel_frac) {
-                // A cancelling pair on one edge.
-                if b.m() > 0 && rng.gen_bool(0.5) {
-                    if let Some(e) = b.random_delete() {
-                        b.insert(e);
-                        slots += 2;
-                        continue;
-                    }
-                }
-                if let Some(e) = b.random_insert() {
-                    b.delete(e);
-                    slots += 2;
-                    continue;
-                }
-                slots += 1; // graph full/empty: fall through to a plain op
-            } else if b.m() == 0 || rng.gen_bool(0.5) {
-                if b.random_insert().is_none() {
-                    b.random_delete();
-                }
-                slots += 1;
-            } else {
-                b.random_delete();
-                slots += 1;
-            }
-        }
-        out.push(b.updates[len_so_far..].to_vec());
-        len_so_far = b.updates.len();
-    }
-    out
 }
 
 /// Insert `m` random edges, then churn for `steps` updates with the given
@@ -682,41 +592,6 @@ pub fn mixed_stream(
     out
 }
 
-/// Insert-only stream of `m` random edges (the paper's Section 4 algorithm
-/// starts from the empty graph).
-pub fn insert_only_stream(n: usize, m: usize, seed: u64) -> Vec<Update> {
-    let mut b = StreamBuilder::new(n, seed);
-    for _ in 0..m {
-        if b.random_insert().is_none() {
-            break;
-        }
-    }
-    b.build()
-}
-
-/// Sliding-window stream: insert `window` edges, then for `steps` updates
-/// alternately insert a fresh edge and delete the oldest one. Models evolving
-/// social-network edges with bounded lifetime.
-pub fn sliding_window_stream(n: usize, window: usize, steps: usize, seed: u64) -> Vec<Update> {
-    let mut b = StreamBuilder::new(n, seed);
-    let mut fifo: std::collections::VecDeque<Edge> = std::collections::VecDeque::new();
-    for _ in 0..window {
-        if let Some(e) = b.random_insert() {
-            fifo.push_back(e);
-        }
-    }
-    for _ in 0..steps {
-        if let Some(e) = b.random_insert() {
-            fifo.push_back(e);
-        }
-        if fifo.len() > window {
-            let old = fifo.pop_front().unwrap();
-            b.delete(old);
-        }
-    }
-    b.build()
-}
-
 /// A forest-heavy stream: builds a random spanning tree then repeatedly
 /// deletes a random *tree* edge and reinserts an edge reconnecting the two
 /// sides. This is the worst case for connectivity/MST maintenance (every
@@ -794,20 +669,6 @@ mod tests {
         let ups = churn_stream(50, 100, 500, 0.5, 7);
         let g = replay(50, &ups); // panics if invalid
         assert!(g.m() <= 50 * 49 / 2);
-    }
-
-    #[test]
-    fn insert_only_has_no_deletes() {
-        let ups = insert_only_stream(30, 60, 1);
-        assert!(ups.iter().all(|u| u.is_insert()));
-        assert_eq!(ups.len(), 60);
-    }
-
-    #[test]
-    fn sliding_window_bounds_edges() {
-        let ups = sliding_window_stream(40, 30, 200, 3);
-        let g = replay(40, &ups);
-        assert!(g.m() <= 31, "window should cap live edges, got {}", g.m());
     }
 
     #[test]
@@ -899,9 +760,14 @@ mod tests {
     #[test]
     fn coalesce_preserves_replay_state() {
         // Replaying coalesce(batch) reaches the same graph as replaying batch.
-        let n = 30;
+        // Churn on a graph this small revisits edges within a batch.
+        let n = 8;
         for seed in 0..4 {
-            let batches = cancelling_batches(n, 6, 12, 0.5, seed);
+            let batches = chunk_stream(&churn_stream(n, 10, 72, 0.5, seed), 12);
+            assert!(
+                batches.iter().any(|b| coalesce(b).len() < b.len()),
+                "no cancelling pair to net out"
+            );
             let mut g_full = DynamicGraph::new(n);
             let mut g_net = DynamicGraph::new(n);
             for batch in &batches {
@@ -986,33 +852,6 @@ mod tests {
         assert_eq!(flat, ups);
         // k = 0 clamps to 1.
         assert_eq!(chunk_stream(&ups, 0).len(), ups.len());
-    }
-
-    #[test]
-    fn burst_batches_are_hub_local_and_valid() {
-        let batches = burst_batches(25, 8, 10, 3);
-        assert_eq!(batches.len(), 8);
-        let flat: Vec<Update> = batches.iter().flatten().copied().collect();
-        replay(25, &flat); // panics if any batch breaks validity
-        for batch in &batches {
-            assert_eq!(batch.len(), 10);
-            // All edges of a burst share the hub vertex.
-            let e0 = batch[0].edge();
-            let shared: Vec<V> = [e0.u, e0.v]
-                .into_iter()
-                .filter(|&h| batch.iter().all(|u| u.edge().u == h || u.edge().v == h))
-                .collect();
-            assert!(!shared.is_empty(), "no common hub in {batch:?}");
-        }
-    }
-
-    #[test]
-    fn cancelling_batches_contain_cancelling_pairs() {
-        let batches = cancelling_batches(20, 10, 12, 0.6, 5);
-        let flat: Vec<Update> = batches.iter().flatten().copied().collect();
-        replay(20, &flat);
-        // At least one batch must net out shorter than it is.
-        assert!(batches.iter().any(|b| coalesce(b).len() < b.len()));
     }
 
     #[test]
@@ -1105,14 +944,6 @@ mod tests {
     fn one_seed_reproduces_every_generator() {
         let seed = 42;
         // Same seed → bit-identical stream, for every generator.
-        assert_eq!(
-            burst_batches(25, 8, 10, seed),
-            burst_batches(25, 8, 10, seed)
-        );
-        assert_eq!(
-            cancelling_batches(20, 10, 12, 0.6, seed),
-            cancelling_batches(20, 10, 12, 0.6, seed)
-        );
         assert_eq!(
             churn_stream(25, 40, 100, 0.4, seed),
             churn_stream(25, 40, 100, 0.4, seed)

@@ -3,14 +3,32 @@
 //! runs that must land bit-identical to failure-free runs and match ground
 //! truth.
 
-use dmpc_core::{
-    apply_unweighted, run_chaos_stream, DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm,
-};
+use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
 use dmpc_graph::streams;
-use dmpc_graph::{DynamicGraph, Update};
+use dmpc_graph::{DynamicGraph, Op, Update};
 use dmpc_matching::DmpcMaximalMatching;
 use dmpc_mpc::{ChaosCaps, ChaosKind, ChaosPlan};
+use dmpc_service::{CloseReason, ServiceAlgorithm, ServiceLoop, ServiceReport, UnweightedService};
 use proptest::prelude::*;
+
+/// Drives `batches` as write-only windows through the service loop under
+/// `plan`, checkpointing after every `every` windows (0: never).
+fn churn<A, F>(make: F, batches: &[Vec<Update>], plan: &ChaosPlan, every: usize) -> ServiceReport
+where
+    A: ServiceAlgorithm + ElasticAlgorithm,
+    F: Fn() -> A,
+{
+    let mut a = make();
+    let mut lp = ServiceLoop::new(&mut a, &make, plan);
+    for (i, batch) in batches.iter().enumerate() {
+        let ops = batch.iter().map(|&u| Op::Write(u)).collect();
+        lp.window(ops, CloseReason::Size, 0, 0);
+        if every > 0 && (i + 1) % every == 0 {
+            lp.checkpoint();
+        }
+    }
+    lp.finish()
+}
 
 /// The coordinator is the paper's one reliable machine: never killable.
 /// Every other machine (stats, storage, overflow) is fair game.
@@ -101,7 +119,7 @@ fn kill_revive_each_role_bit_identical() {
     }
 }
 
-/// Chaos run through the shared harness: the generated plan (kills/revives
+/// Chaos run through the service loop: the generated plan (kills/revives
 /// only — matching has no shard migration; the coordinator is protected)
 /// lands bit-identical to the failure-free run, and the matching audits
 /// against ground truth.
@@ -111,6 +129,7 @@ fn chaos_stream_recovers_bit_identical() {
     let params = DmpcParams::new(n, 160);
     let batches = streams::chaos_churn_batches(n, 4, 5, 120, 10, 11);
     let make = || DmpcMaximalMatching::new(params);
+    let service = || UnweightedService::new(make());
     let p = make().n_shards();
     let caps = ChaosCaps {
         kill_revive: true,
@@ -123,11 +142,11 @@ fn chaos_stream_recovers_bit_identical() {
         .iter()
         .all(|e| !matches!(e.kind, ChaosKind::Kill(0))));
 
-    let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 3, &[]);
-    let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
+    let chaos = churn(service, &batches, &plan, 3);
+    let plain = churn(service, &batches, &ChaosPlan::new(0), 0);
     assert_eq!(chaos.final_digest, plain.final_digest);
     assert_eq!(chaos.recovery.violations, 0);
-    assert_eq!(chaos.workload.violations, 0);
+    assert_eq!(chaos.writes.violations, 0);
     assert!(chaos.applied.iter().any(|e| e.kind.starts_with("kill")));
     // Batches arriving during an outage are deferred, so a replay suffix
     // can legitimately be empty; but kills and revives must pair up.
@@ -164,14 +183,15 @@ proptest! {
         let params = DmpcParams::new(n, 120);
         let batches = streams::chaos_churn_batches(n, 3, 4, 60, 8, seed);
         let make = || DmpcMaximalMatching::new(params);
+        let service = || UnweightedService::new(make());
         let p = make().n_shards();
         let caps = ChaosCaps { kill_revive: true, split_merge: false, protect: 1 };
         let plan = ChaosPlan::generate(seed, batches.len(), p, events, caps);
-        let chaos = run_chaos_stream(make, apply_unweighted, &batches, &plan, 3, &[]);
-        let plain = run_chaos_stream(make, apply_unweighted, &batches, &ChaosPlan::new(0), 0, &[]);
+        let chaos = churn(service, &batches, &plan, 3);
+        let plain = churn(service, &batches, &ChaosPlan::new(0), 0);
         prop_assert_eq!(chaos.final_digest, plain.final_digest);
         prop_assert_eq!(chaos.recovery.violations, 0);
-        prop_assert_eq!(chaos.workload.violations, 0);
+        prop_assert_eq!(chaos.writes.violations, 0);
 
         let mut alg = make();
         let flat: Vec<Update> = batches.iter().flatten().copied().collect();

@@ -50,14 +50,6 @@ pub struct ChaosEvent {
     pub kind: ChaosKind,
 }
 
-impl ChaosEvent {
-    /// True if the event fires inside the round loop rather than at a
-    /// batch boundary.
-    pub fn mid_flight(&self) -> bool {
-        self.at_round.is_some()
-    }
-}
-
 /// Which event kinds a generated plan may contain, and which machines are
 /// exempt (e.g. a coordinator the paper treats as reliable).
 #[derive(Clone, Copy, Debug)]
@@ -122,11 +114,6 @@ impl ChaosPlan {
         self
     }
 
-    /// True if any event in the plan fires inside a round loop.
-    pub fn has_mid_flight(&self) -> bool {
-        self.events.iter().any(|e| e.mid_flight())
-    }
-
     /// Validates the plan against a cluster shape *before* any run starts,
     /// so malformed plans fail with a message naming the offending event
     /// instead of surfacing as a mid-run panic.
@@ -136,7 +123,7 @@ impl ChaosPlan {
     /// coordinator), and `max_rounds` the quiescence cap
     /// ([`crate::ClusterConfig::max_rounds_per_update`]) that bounds legal
     /// round offsets.
-    /// Mid-flight kills are *transient*: the elastic harness aborts the
+    /// Mid-flight kills are *transient*: the service loop aborts the
     /// epoch and recovers the victim before the next batch, so they count
     /// against the simultaneous-dead budget only within their own batch.
     pub fn validate(
@@ -243,8 +230,8 @@ impl ChaosPlan {
 
     /// Generates a well-formed plan: kills target alive, unprotected
     /// machines; revives target dead ones; splits/merges fire only while no
-    /// machine is dead (harnesses defer reshapes during an outage anyway);
-    /// every machine still dead at the end is revived one past the last
+    /// machine is dead (the service loop skips reshapes during an outage
+    /// anyway); every machine still dead at the end is revived one past the last
     /// batch. Deterministic in `(seed, n_batches, n_machines, n_events,
     /// caps)`.
     pub fn generate(
@@ -531,9 +518,7 @@ mod tests {
             .with_event_in_round(2, 5, ChaosKind::Kill(3))
             .with_event_in_round(4, 2, ChaosKind::Kill(3))
             .with_event_in_round(4, 6, ChaosKind::Revive(3));
-        assert!(mid.has_mid_flight());
         assert_eq!(mid.validate(8, 8, 10_000), Ok(()));
-        assert!(!ChaosPlan::new(0).has_mid_flight());
     }
 
     #[test]

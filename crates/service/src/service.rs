@@ -1,22 +1,28 @@
-//! The service loop: clocked ingestion → windowed admission → metered
-//! execution, with offline-replay equivalence and chaos tolerance.
+//! The service loop: one window executor ([`ServiceLoop`]) with two fronts
+//! over it — clocked ingestion and windowed admission
+//! ([`run_service_chaos`]) and replay of a recorded window log
+//! ([`replay_windows`]).
 //!
 //! # Determinism contract
 //!
 //! The simulated clock decides *where* windows close, never *how* a closed
 //! window executes: a window runs as the maximal same-kind runs of its ops
 //! (write bursts through `apply_batch`, read bursts through
-//! `answer_queries`), exactly like an offline replay of the same window
-//! sequence. So the online run's digests, answers, and audits are
-//! bit-identical to [`replay_windows`] over its [`WindowRecord`] log — and
-//! this holds with a chaos plan armed, because a failed window epoch aborts
-//! and retries until it completes cleanly
-//! ([`dmpc_core::RebuildEngine::run_epoch`]: survivors roll back to the
-//! pre-window frontier, victims rebuild from an off-cluster replica).
+//! `answer_queries`), and both fronts feed the same executor. So an online
+//! run's digests, answers, and audits are bit-identical to
+//! [`replay_windows`] over its [`WindowRecord`] log — and this holds with
+//! mid-flight kills armed, because a failed write epoch aborts and retries
+//! until it completes cleanly ([`RebuildEngine::run_epoch`]: survivors roll
+//! back to the pre-run frontier, victims rebuild from an off-cluster
+//! replica). A boundary outage keeps the digest half of that contract and
+//! gives up the answer half: while a machine is down write runs park and
+//! reads are served by the partial cluster, so those answers are stale or
+//! `Degraded` rather than replay-equal (see [`ServiceLoop`]).
 
 use crate::buffer::{AdmissionBuffer, BackpressurePolicy, Offer, ShedRecord};
+use crate::recovery::{EpochAbort, RebuildEngine};
 use crate::window::{CloseReason, WindowPolicy, WindowRecord};
-use dmpc_core::{DynamicGraphAlgorithm, ElasticAlgorithm, RebuildEngine};
+use dmpc_core::{DynamicGraphAlgorithm, ElasticAlgorithm};
 use dmpc_graph::arrivals::Arrival;
 use dmpc_graph::streams::with_weights;
 use dmpc_graph::{Op, Query, QueryAnswer, Update, Weight, WeightedUpdate};
@@ -207,8 +213,40 @@ pub struct LatencyBreakdown {
     pub secs: LatencyStats,
 }
 
-/// Everything one service run produced: admission accounting, the window
-/// log, workload metrics, answers, and per-op latency histograms.
+/// One applied chaos event with its metered cost.
+#[derive(Clone, Debug)]
+pub struct AppliedEvent {
+    /// Window index the event fired before (or inside, for the revive that
+    /// follows a mid-flight kill).
+    pub at_window: usize,
+    /// Human-readable event, e.g. `"kill 3"`.
+    pub kind: String,
+    /// Rounds of metered recovery/migration traffic (0 for kills).
+    pub rounds: usize,
+    /// Words of metered recovery/migration traffic.
+    pub words: usize,
+    /// Distinct machines the recovery run touched.
+    pub machines_touched: usize,
+    /// Logical updates replayed on the off-cluster replica.
+    pub replay_updates: usize,
+}
+
+/// One parked write run drained after full health returned — the
+/// deferral-accounting record (no deferral is invisible in the report).
+#[derive(Clone, Copy, Debug)]
+pub struct DrainRecord {
+    /// The window the write run arrived in.
+    pub window: usize,
+    /// Window index before which it was actually applied (the number of
+    /// windows executed, for the final drain in [`ServiceLoop::finish`]).
+    pub drained_at: usize,
+    /// Deferral latency in windows (`drained_at - window`).
+    pub latency_windows: usize,
+}
+
+/// Everything one run of the loop produced: admission accounting, the
+/// window log, workload metrics, answers, per-op latency histograms and the
+/// chaos trajectory.
 #[derive(Clone, Debug, Default)]
 pub struct ServiceReport {
     /// Ops that reached the service.
@@ -219,7 +257,8 @@ pub struct ServiceReport {
     pub shed: Vec<ShedRecord>,
     /// Every closed window, in execution order (the offline-replay input).
     pub windows: Vec<WindowRecord>,
-    /// Combined write-plane metrics (completed epochs only).
+    /// Combined write-plane metrics (completed epochs only: an aborted
+    /// attempt's cost lives in [`ServiceReport::aborts`]).
     pub writes: BatchMetrics,
     /// Combined read-plane metrics.
     pub reads: QueryMetrics,
@@ -237,11 +276,23 @@ pub struct ServiceReport {
     pub ticks: u64,
     /// Wall-clock seconds spent executing windows.
     pub wall_secs: f64,
-    /// Chaos: aborted window epochs retried.
+    /// Chaos: events applied, in order, with costs.
+    pub applied: Vec<AppliedEvent>,
+    /// Chaos: events that lapsed — invalid at their boundary (split of a
+    /// 1-vertex shard, revive of a live machine, kill of an unkillable one,
+    /// a reshape during an outage) or mid-flight with no write run to fire
+    /// in (a read-only window, or every write run parked).
+    pub skipped: usize,
+    /// Chaos: aborted write epochs retried.
     pub retries: usize,
     /// Chaos: rounds burned in aborted epochs (latency, not workload).
     pub aborted_rounds: usize,
-    /// Chaos: metered recovery traffic (revive handoffs + replica replay).
+    /// Chaos: one record per aborted epoch.
+    pub aborts: Vec<EpochAbort>,
+    /// Chaos: every parked write run with its drain position and latency.
+    pub drained: Vec<DrainRecord>,
+    /// Chaos: metered recovery traffic (revive handoffs, shard migrations,
+    /// replica replay).
     pub recovery: RecoveryMetrics,
     /// State digest after the last window.
     pub final_digest: u64,
@@ -264,20 +315,6 @@ impl ServiceReport {
     }
 }
 
-/// What an offline replay of a window log produced, for equivalence checks
-/// against the online [`ServiceReport`].
-#[derive(Clone, Debug, Default)]
-pub struct OfflineReplay {
-    /// Combined write-plane metrics.
-    pub writes: BatchMetrics,
-    /// Combined read-plane metrics.
-    pub reads: QueryMetrics,
-    /// Answers in admitted order.
-    pub answers: Vec<QueryAnswer>,
-    /// State digest after the last window.
-    pub final_digest: u64,
-}
-
 /// One buffered op with its latency basis.
 struct Pending {
     tick: u64,
@@ -286,8 +323,7 @@ struct Pending {
     secs0: f64,
 }
 
-/// A window's ops split into maximal same-kind runs, in admitted order —
-/// the execution shape shared by the online loop and the offline replay.
+/// A window's ops split into maximal same-kind runs, in admitted order.
 enum OpRun {
     Writes(Vec<Update>),
     Reads(Vec<Query>),
@@ -306,27 +342,15 @@ fn split_runs(ops: &[Op]) -> Vec<OpRun> {
     runs
 }
 
-/// Runs the full service loop without faults. `make` builds the (fresh)
-/// algorithm instance; the report's window log and final digest feed the
-/// offline-equivalence check ([`replay_windows`]).
-pub fn run_service<A, F>(make: F, arrivals: &[Arrival], cfg: &ServiceConfig) -> ServiceReport
-where
-    A: ServiceAlgorithm + ElasticAlgorithm,
-    F: Fn() -> A,
-{
-    run_service_chaos(make, arrivals, cfg, &ChaosPlan::new(0))
-}
-
-/// Runs the service loop with a chaos plan armed. Plan events must be
-/// *mid-flight kills*, keyed by **window index** (`at_batch` = the index
-/// of the targeted window in execution order); they arm before the
-/// targeted window's first write run, which then executes as a fenced
-/// epoch of the shared [`RebuildEngine`]: an attempt that loses a machine
-/// is aborted, victims rebuild from an off-cluster replica replay of the
-/// completed write log, and the run retries. Aborted rounds count toward
-/// the window's ops' *latency* but never toward workload metrics, so SLOs
-/// are measured through failures while digests stay bit-identical to the
-/// failure-free run.
+/// The admission front-end over [`ServiceLoop`]: arrivals queue in a bounded
+/// buffer under `cfg`'s backpressure policy, windows close on size or
+/// deadline (capped at the algorithm's admission budget), and every op's
+/// latency is metered from enqueue to window completion. `make` builds the
+/// instance and every recovery replica; `plan` is keyed by window index (see
+/// [`ServiceLoop`]; the empty plan is the failure-free run). Aborted rounds
+/// count toward a window's ops' *latency* but never toward workload metrics,
+/// so SLOs are measured through failures while digests stay bit-identical
+/// to the failure-free run.
 pub fn run_service_chaos<A, F>(
     make: F,
     arrivals: &[Arrival],
@@ -341,24 +365,13 @@ where
         arrivals.windows(2).all(|w| w[0].tick <= w[1].tick),
         "arrival ticks must be monotone (use arrivals::arrival_trace)"
     );
-    for ev in &plan.events {
-        assert!(
-            ev.mid_flight() && matches!(ev.kind, ChaosKind::Kill(_)),
-            "service chaos arms mid-flight kills only (window-indexed)"
-        );
-    }
-    let a = make();
-    let killable = (0..a.n_shards() as MachineId)
-        .filter(|&m| a.killable(m))
-        .count();
-    plan.validate(a.n_shards(), killable, a.round_limit())
-        .expect("invalid chaos plan");
+    let mut a = make();
     let window_cap = cfg
         .window
         .max_ops
         .min(a.admission_budget().unwrap_or(usize::MAX))
         .max(1);
-    let mut lp = ServiceLoop::new(a, &make, plan);
+    let mut lp = ServiceLoop::new(&mut a, &make, plan);
     let mut buf: AdmissionBuffer<Pending> = AdmissionBuffer::new(cfg.buffer_cap, cfg.backpressure);
     let mut clock = SimClock::new();
     let mut next = 0usize;
@@ -373,7 +386,7 @@ where
                 tick: t,
                 op,
                 rounds0: lp.cum_rounds,
-                secs0: lp.cum_secs,
+                secs0: lp.rep.wall_secs,
             };
             match buf.offer(p) {
                 Offer::Admitted | Offer::Blocked => {}
@@ -386,7 +399,7 @@ where
         // same tick, keeping close reasons deterministic.
         while buf.len() >= window_cap {
             let pend = buf.drain_front(window_cap);
-            lp.execute_window(pend, CloseReason::Size, t);
+            lp.admit(pend, CloseReason::Size, t);
             buf.refill();
         }
         // 3. Deadline rule. Never fires on an empty buffer: an idle tick
@@ -397,7 +410,7 @@ where
         {
             let len = buf.len();
             let pend = buf.drain_front(len);
-            lp.execute_window(pend, CloseReason::Deadline, t);
+            lp.admit(pend, CloseReason::Deadline, t);
             buf.refill();
         }
         // 4. Advance: stop once the trace is consumed and drained; jump
@@ -412,94 +425,155 @@ where
         }
     }
     lp.rep.ticks = clock.now();
-    lp.rep.wall_secs = lp.cum_secs;
-    lp.rep.final_digest = lp.a.state_digest();
-    lp.rep
+    lp.finish()
 }
 
-/// Offline replay of a service run's coalesced windows on a fresh
-/// instance: each window re-executes as the identical maximal same-kind
-/// runs, so digests, answers, and metrics must match the online run
-/// bit-for-bit.
+/// Offline replay of a recorded window log on `alg`, a fresh instance: the
+/// loop under the empty plan, so each window re-executes as the identical
+/// maximal same-kind runs and digests, answers, and metrics match a
+/// failure-free (or mid-flight-kills-only) online run bit-for-bit. The log
+/// is read in place; the report's own `windows` stays empty.
 pub fn replay_windows<A: ServiceAlgorithm + ElasticAlgorithm>(
     alg: &mut A,
     windows: &[WindowRecord],
-) -> OfflineReplay {
-    let mut out = OfflineReplay::default();
+) -> ServiceReport {
+    let plan = ChaosPlan::new(0);
+    let never = || -> A { unreachable!("the empty plan rebuilds nothing") };
+    let mut lp = ServiceLoop::new(alg, never, &plan);
     for w in windows {
-        for run in split_runs(&w.ops) {
-            match run {
-                OpRun::Writes(updates) => out.writes.merge(&alg.apply_window(&updates)),
-                OpRun::Reads(queries) => {
-                    let (answers, qm) = alg.answer_window(&queries);
-                    out.answers.extend(answers);
-                    out.reads.merge(&qm);
-                }
-            }
-        }
+        lp.execute(&w.ops);
     }
-    out.final_digest = alg.state_digest();
-    out
+    lp.finish()
 }
 
-/// Mutable state threaded through window executions.
-struct ServiceLoop<'p, A, F> {
-    a: A,
-    /// Rebuilds victims from the factory and the completed write runs. The
-    /// log is kept only while the plan holds an event in a later window:
-    /// past the last one no kill can fire, the log would never be read, and
-    /// on a failure-free run it would be a second copy of the whole workload.
-    engine: RebuildEngine<&'p F, Vec<Update>>,
-    plan: &'p ChaosPlan,
+/// The window executor — the one loop that turns windows of ops into
+/// `apply_window`/`answer_window` calls, with `plan`'s chaos events fired on
+/// the way and every failure recovered through one [`RebuildEngine`].
+///
+/// Feed it one window at a time ([`ServiceLoop::window`]), optionally
+/// [`ServiceLoop::checkpoint`] between windows, and [`ServiceLoop::finish`]
+/// for the report. A window runs as the maximal same-kind runs of its ops:
+/// write runs through `apply_window`, read runs through `answer_window`.
+///
+/// `plan` is keyed by **window index** (`at_batch` = the index of the
+/// targeted window in execution order):
+///
+/// * **Boundary events** fire before the window, in plan order. A kill
+///   fail-stops a live, killable machine; a revive rebuilds a dead one from
+///   an off-cluster replica; a split or merge migrates a shard (at full
+///   health only) and checkpoints right after, so a replay suffix never
+///   straddles a repartition. Anything else lapses into
+///   [`ServiceReport::skipped`].
+/// * **While any machine is down** write runs park instead of executing
+///   ("writes pause") and drain, in order and each with a [`DrainRecord`],
+///   at the revive that restores full health. Read runs are answered by the
+///   partial cluster ("reads degrade"): a read whose owners include a dead
+///   machine comes back [`QueryAnswer::Degraded`], and the rest do not see
+///   the parked writes. So answers served during a boundary outage are
+///   **not** replay-equal — only digests are.
+/// * **Events carrying a round offset** arm on the window's *first* write
+///   run, which executes as a fenced epoch
+///   ([`RebuildEngine::run_epoch`]): an attempt that loses a machine is
+///   aborted, survivors roll back, victims rebuild, and the run retries.
+///   They lapse when the window executes no write run.
+///
+/// [`ServiceLoop::finish`] fires the events at the index one past the last
+/// window, revives every machine still dead and drains the backlog, so the
+/// final state always covers every window fed.
+pub struct ServiceLoop<'a, A, F> {
+    a: &'a mut A,
+    /// Rebuilds victims from the factory, the last checkpoint and the write
+    /// runs completed since. The log is kept only while something can still
+    /// read it (see [`ServiceLoop::execute`]): on a failure-free run it
+    /// would be a second copy of the whole workload.
+    engine: RebuildEngine<F>,
+    plan: &'a ChaosPlan,
     rep: ServiceReport,
+    /// Machines killed at a boundary and not yet revived.
+    dead: Vec<MachineId>,
+    /// Write runs parked during the outage, with their window index.
+    parked: Vec<(usize, Vec<Update>)>,
+    /// Windows executed so far: the index of the next one.
+    index: usize,
+    /// Rounds elapsed so far, recovery included: the per-op latency clock.
     cum_rounds: usize,
-    cum_secs: f64,
-    window_index: usize,
 }
 
-impl<'p, A, F> ServiceLoop<'p, A, F>
+impl<'a, A, F> ServiceLoop<'a, A, F>
 where
     A: ServiceAlgorithm + ElasticAlgorithm,
     F: Fn() -> A,
 {
-    fn new(a: A, make: &'p F, plan: &'p ChaosPlan) -> Self {
+    /// A loop over `a` (a fresh instance). `make` builds the recovery
+    /// replicas and must deterministically reproduce `a`'s initial state.
+    /// Panics if `plan` fails [`ChaosPlan::validate`] against `a`'s cluster.
+    pub fn new(a: &'a mut A, make: F, plan: &'a ChaosPlan) -> Self {
+        let killable = (0..a.n_shards() as MachineId)
+            .filter(|&m| a.killable(m))
+            .count();
+        if let Err(msg) = plan.validate(a.n_shards(), killable, a.round_limit()) {
+            panic!("invalid chaos plan: {msg}");
+        }
         ServiceLoop {
             a,
             engine: RebuildEngine::new(make),
             plan,
             rep: ServiceReport::default(),
+            dead: Vec::new(),
+            parked: Vec::new(),
+            index: 0,
             cum_rounds: 0,
-            cum_secs: 0.0,
-            window_index: 0,
         }
     }
 
-    /// Executes one closed window and meters its ops' end-to-end latency.
-    fn execute_window(&mut self, pend: Vec<Pending>, reason: CloseReason, now: u64) {
-        debug_assert!(!pend.is_empty(), "windows never close empty");
-        let ops: Vec<Op> = pend.iter().map(|p| p.op).collect();
-        let opened_tick = pend[0].tick;
-        let started = Instant::now();
-        let mut rounds = 0usize;
-        // Chaos arms on the window's *first* write run only: one epoch
-        // fence per window, and a pure read window lets the events lapse.
-        let mut first_write = true;
-        for run in split_runs(&ops) {
-            match run {
-                OpRun::Writes(updates) => {
-                    rounds += self.run_write_epoch(updates, first_write);
-                    first_write = false;
-                }
-                OpRun::Reads(queries) => {
-                    let (answers, qm) = self.a.answer_window(&queries);
-                    rounds += qm.rounds;
-                    self.rep.answers.extend(answers);
-                    self.rep.reads.merge(&qm);
-                }
-            }
+    /// Executes `ops` (never empty) as the next window and records it.
+    pub fn window(
+        &mut self,
+        ops: Vec<Op>,
+        reason: CloseReason,
+        opened_tick: u64,
+        closed_tick: u64,
+    ) {
+        let index = self.index;
+        self.execute(&ops);
+        self.rep.windows.push(WindowRecord {
+            index,
+            opened_tick,
+            closed_tick,
+            reason,
+            ops,
+        });
+    }
+
+    /// Takes a full-cluster checkpoint and restarts the replay log there; a
+    /// no-op while any machine is down (a checkpoint holds every machine's
+    /// state or it is not one). The loop itself checkpoints only after a
+    /// shard migration.
+    pub fn checkpoint(&mut self) {
+        if self.dead.is_empty() {
+            self.engine.checkpoint(self.a);
         }
-        self.cum_rounds += rounds;
-        self.cum_secs += started.elapsed().as_secs_f64();
+    }
+
+    /// Ends the run: fires the events keyed one past the last window,
+    /// revives the stragglers, drains the backlog and digests the state.
+    pub fn finish(mut self) -> ServiceReport {
+        let at = self.index;
+        self.rep.skipped += self.boundary(at).len();
+        while let Some(m) = self.dead.pop() {
+            self.revive(at, m);
+        }
+        self.drain(at);
+        self.rep.final_digest = self.a.state_digest();
+        self.rep
+    }
+
+    /// Closes one admission window: executes it and meters its ops'
+    /// end-to-end latency.
+    fn admit(&mut self, pend: Vec<Pending>, reason: CloseReason, now: u64) {
+        debug_assert!(!pend.is_empty(), "windows never close empty");
+        let ops = pend.iter().map(|p| p.op).collect();
+        self.window(ops, reason, pend[0].tick, now);
         for p in &pend {
             let lat = match p.op {
                 Op::Write(_) => &mut self.rep.write_latency,
@@ -507,59 +581,161 @@ where
             };
             lat.rounds.record((self.cum_rounds - p.rounds0) as f64);
             lat.ticks.record((now - p.tick) as f64);
-            lat.secs.record(self.cum_secs - p.secs0);
+            lat.secs.record(self.rep.wall_secs - p.secs0);
         }
         self.rep.admitted += pend.len();
-        self.rep.windows.push(WindowRecord {
-            index: self.window_index,
-            opened_tick,
-            closed_tick: now,
-            reason,
-            ops,
-        });
-        self.window_index += 1;
     }
 
-    /// Runs one write run under the epoch fence. Returns the rounds the
-    /// run cost end to end — the completed epoch plus, under chaos, every
-    /// aborted attempt, backoff pause, and recovery handoff (those extra
-    /// rounds are latency only; workload metrics merge the clean epoch).
-    fn run_write_epoch(&mut self, updates: Vec<Update>, arm_allowed: bool) -> usize {
-        let armed: Vec<(u32, ChaosKind)> = if arm_allowed {
-            self.plan
-                .events_at(self.window_index)
-                .filter_map(|e| match e.kind {
-                    ChaosKind::Kill(m) if self.a.killable(m) && self.a.is_alive(m) => {
-                        Some((e.at_round?, e.kind))
-                    }
-                    _ => None,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let (bm, aborts) =
-            self.engine
-                .run_epoch(&mut self.a, A::apply_window, &updates, &armed, |_| {});
-        let mut rounds = bm.rounds;
-        self.rep.writes.merge(&bm);
-        for abort in &aborts {
-            self.rep.retries += 1;
-            self.rep.aborted_rounds += abort.aborted.rounds;
-            rounds += abort.aborted.rounds + abort.backoff_rounds;
-            for (handoff, replay) in &abort.rebuilds {
-                rounds += handoff.rounds;
-                self.rep.recovery.absorb_event(handoff);
-                self.rep.recovery.absorb_replay(replay);
+    /// The executor proper: window `self.index`'s boundary events, then its
+    /// runs in admitted order.
+    fn execute(&mut self, ops: &[Op]) {
+        let started = Instant::now();
+        let at = self.index;
+        // One epoch fence per window: the mid-flight events arm on its
+        // first executed write run, and lapse if there is none.
+        let mut mid = self.boundary(at);
+        for run in split_runs(ops) {
+            match run {
+                OpRun::Writes(updates) if !self.dead.is_empty() => self.parked.push((at, updates)),
+                OpRun::Writes(updates) => {
+                    let armed = std::mem::take(&mut mid);
+                    self.write_run(at, updates, &armed);
+                }
+                OpRun::Reads(queries) => {
+                    let (answers, qm) = self.a.answer_window(&queries);
+                    self.cum_rounds += qm.rounds;
+                    self.rep.answers.extend(answers);
+                    self.rep.reads.merge(&qm);
+                }
             }
         }
+        self.rep.skipped += mid.len();
+        // The log outlives the window only while a rebuild can still read
+        // it: a machine is down, or the plan holds an event in a later
+        // window.
         let plan = self.plan;
-        if plan.events.iter().any(|e| e.at_batch > self.window_index) {
-            self.engine.log.push(updates);
-        } else {
-            self.engine.log = Vec::new();
+        if self.dead.is_empty() && !plan.events.iter().any(|e| e.at_batch > at) {
+            self.engine.log.clear();
         }
-        rounds
+        self.index += 1;
+        self.rep.wall_secs += started.elapsed().as_secs_f64();
+    }
+
+    /// Fires the boundary events keyed at window `at`, in plan order, and
+    /// returns its mid-flight ones that can arm (a kill needs a killable
+    /// victim).
+    fn boundary(&mut self, at: usize) -> Vec<(u32, ChaosKind)> {
+        let plan = self.plan;
+        let mut mid = Vec::new();
+        for ev in plan.events_at(at) {
+            if let Some(r) = ev.at_round {
+                match ev.kind {
+                    ChaosKind::Kill(m) if !self.a.killable(m) => self.rep.skipped += 1,
+                    kind => mid.push((r, kind)),
+                }
+                continue;
+            }
+            let fired = match ev.kind {
+                ChaosKind::Kill(m) => {
+                    let ok = self.a.killable(m) && self.a.is_alive(m);
+                    if ok {
+                        self.a.kill(m);
+                        self.dead.push(m);
+                        let free = UpdateMetrics::default();
+                        self.event(at, format!("kill {m}"), &free, &BatchMetrics::default());
+                    }
+                    ok
+                }
+                ChaosKind::Revive(m) => match self.dead.iter().position(|&d| d == m) {
+                    Some(pos) => {
+                        self.dead.remove(pos);
+                        self.revive(at, m);
+                        if self.dead.is_empty() {
+                            self.drain(at);
+                        }
+                        true
+                    }
+                    None => false,
+                },
+                ChaosKind::Split(m) | ChaosKind::Merge(m) => {
+                    let is_split = matches!(ev.kind, ChaosKind::Split(_));
+                    // Reshapes only fire at full health: a migration must
+                    // not race a dead neighbour.
+                    let um = match self.dead.is_empty() && self.a.killable(m) {
+                        true if is_split => self.a.split(m),
+                        true => self.a.merge(m),
+                        false => None,
+                    };
+                    if let Some(um) = &um {
+                        let name = if is_split { "split" } else { "merge" };
+                        self.event(at, format!("{name} {m}"), um, &BatchMetrics::default());
+                        // Checkpoint immediately: replay suffixes must
+                        // never straddle a repartition.
+                        self.engine.checkpoint(self.a);
+                    }
+                    um.is_some()
+                }
+            };
+            if !fired {
+                self.rep.skipped += 1;
+            }
+        }
+        mid
+    }
+
+    /// Runs one write run of window `at` under the epoch fence and logs it.
+    /// The rounds it cost end to end — the completed epoch plus, under
+    /// chaos, every aborted attempt, backoff pause, and recovery handoff —
+    /// are latency; workload metrics merge the clean epoch only.
+    fn write_run(&mut self, at: usize, run: Vec<Update>, armed: &[(u32, ChaosKind)]) {
+        let (bm, aborts) = self.engine.run_epoch(self.a, at, &run, armed);
+        self.cum_rounds += bm.rounds;
+        self.rep.writes.merge(&bm);
+        for abort in aborts {
+            self.rep.retries += 1;
+            self.rep.aborted_rounds += abort.aborted.rounds;
+            self.cum_rounds += abort.aborted.rounds + abort.backoff_rounds;
+            for (&m, (handoff, replay)) in abort.victims.iter().zip(&abort.rebuilds) {
+                self.event(at, format!("revive {m}"), handoff, replay);
+            }
+            self.rep.aborts.push(abort);
+        }
+        self.engine.log.push(run);
+    }
+
+    /// Applies the parked write runs, in order, before window `at`: full
+    /// health is back. They extend the replay suffix like any other run.
+    fn drain(&mut self, at: usize) {
+        for (window, run) in std::mem::take(&mut self.parked) {
+            self.write_run(at, run, &[]);
+            self.rep.drained.push(DrainRecord {
+                window,
+                drained_at: at,
+                latency_windows: at - window,
+            });
+        }
+    }
+
+    /// Rebuilds dead machine `m` before window `at`.
+    fn revive(&mut self, at: usize, m: MachineId) {
+        let (handoff, replay) = self.engine.rebuild(self.a, m);
+        self.event(at, format!("revive {m}"), &handoff, &replay);
+    }
+
+    /// One applied event with its metered cost (none for a kill) and, behind
+    /// a revive, the replica's replay.
+    fn event(&mut self, at_window: usize, kind: String, um: &UpdateMetrics, replay: &BatchMetrics) {
+        self.cum_rounds += um.rounds;
+        self.rep.applied.push(AppliedEvent {
+            at_window,
+            kind,
+            rounds: um.rounds,
+            words: um.total_words,
+            machines_touched: um.machines_touched,
+            replay_updates: replay.updates,
+        });
+        self.rep.recovery.absorb_event(um);
+        self.rep.recovery.absorb_replay(replay);
     }
 }
 
@@ -568,11 +744,13 @@ mod tests {
     use super::*;
     use dmpc_graph::Edge;
 
-    /// A deterministic in-memory stub: a write run costs 3 rounds, a read
-    /// wave 2; the digest folds the applied update log.
+    /// A deterministic in-memory stub on three machines, machine 0 the
+    /// unkillable one: a write run costs 3 rounds, a read wave 2; the digest
+    /// folds the applied update log, which is also every machine's snapshot.
     struct StubAlg {
         log: Vec<Update>,
         budget: Option<usize>,
+        dead: Vec<MachineId>,
     }
 
     impl StubAlg {
@@ -580,6 +758,7 @@ mod tests {
             move || StubAlg {
                 log: Vec::new(),
                 budget,
+                dead: Vec::new(),
             }
         }
     }
@@ -589,6 +768,10 @@ mod tests {
             "stub"
         }
         fn apply_window(&mut self, updates: &[Update]) -> BatchMetrics {
+            assert!(
+                self.dead.is_empty(),
+                "a write run executed during an outage"
+            );
             self.log.extend_from_slice(updates);
             BatchMetrics {
                 updates: updates.len(),
@@ -612,38 +795,36 @@ mod tests {
 
     impl ElasticAlgorithm for StubAlg {
         fn n_shards(&self) -> usize {
-            1
+            3
         }
-        fn killable(&self, _m: MachineId) -> bool {
-            false
+        fn killable(&self, m: MachineId) -> bool {
+            m != 0
         }
-        fn is_alive(&self, _m: MachineId) -> bool {
-            true
+        fn is_alive(&self, m: MachineId) -> bool {
+            !self.dead.contains(&m)
         }
         fn round_limit(&self) -> usize {
             64
         }
-        fn arm_in_round(&mut self, _at_round: u32, _kind: ChaosKind) {
-            unreachable!("stub is never chaos-armed")
-        }
+        /// A stub run has no rounds for an armed event to fire in: fenced
+        /// to its epoch and discarded.
+        fn arm_in_round(&mut self, _at_round: u32, _kind: ChaosKind) {}
         fn restore_machine(&mut self, _m: MachineId, _snap: &str) {}
         fn snapshot_machine(&self, _m: MachineId) -> String {
             format!("{:?}", self.log)
         }
-        fn kill(&mut self, _m: MachineId) {
-            unreachable!("stub machines are not killable")
+        fn kill(&mut self, m: MachineId) {
+            self.dead.push(m);
         }
-        fn revive(&mut self, _m: MachineId, _snap: &str) -> UpdateMetrics {
-            unreachable!("stub machines are not killable")
+        /// Writes park during an outage, so a replica that replayed the
+        /// whole log stands exactly where the live instance does.
+        fn revive(&mut self, m: MachineId, snap: &str) -> UpdateMetrics {
+            assert_eq!(snap, self.snapshot_machine(m), "the replica lost writes");
+            self.dead.retain(|&d| d != m);
+            UpdateMetrics::default()
         }
         fn state_digest(&self) -> u64 {
-            self.log.iter().fold(0xcbf2_9ce4_8422_2325, |h, u| {
-                let word = match *u {
-                    Update::Insert(e) => 1u64 << 40 | (e.u as u64) << 20 | e.v as u64,
-                    Update::Delete(e) => 2u64 << 40 | (e.u as u64) << 20 | e.v as u64,
-                };
-                (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
-            })
+            dmpc_mpc::chaos::fnv1a(self.snapshot_machine(0).as_bytes())
         }
     }
 
@@ -661,6 +842,15 @@ mod tests {
         }
     }
 
+    /// The failure-free service run: the empty plan.
+    fn serve(
+        make: impl Fn() -> StubAlg,
+        arrivals: &[Arrival],
+        cfg: &ServiceConfig,
+    ) -> ServiceReport {
+        run_service_chaos(make, arrivals, cfg, &ChaosPlan::new(0))
+    }
+
     fn cfg(window: WindowPolicy, buffer_cap: usize, bp: BackpressurePolicy) -> ServiceConfig {
         ServiceConfig {
             window,
@@ -675,7 +865,7 @@ mod tests {
         // between their windows must produce no window records at all.
         let arrivals = [write_at(0, 0, 1), write_at(50, 1, 2)];
         let c = cfg(WindowPolicy::windowed(8, 2), 16, BackpressurePolicy::Shed);
-        let rep = run_service(StubAlg::maker(None), &arrivals, &c);
+        let rep = serve(StubAlg::maker(None), &arrivals, &c);
         assert_eq!(rep.windows.len(), 2, "idle ticks must not emit windows");
         assert!(rep.windows.iter().all(|w| !w.ops.is_empty()));
         assert_eq!(rep.windows[0].closed_tick, 2);
@@ -697,7 +887,7 @@ mod tests {
             write_at(3, 3, 4),
         ];
         let c = cfg(WindowPolicy::windowed(4, 3), 16, BackpressurePolicy::Shed);
-        let rep = run_service(StubAlg::maker(None), &arrivals, &c);
+        let rep = serve(StubAlg::maker(None), &arrivals, &c);
         assert_eq!(rep.windows.len(), 1);
         assert_eq!(rep.windows[0].reason, CloseReason::Size);
         assert_eq!(rep.windows[0].ops.len(), 4);
@@ -710,7 +900,7 @@ mod tests {
         // three shed — each with a record, never silently.
         let arrivals: Vec<Arrival> = (0..5).map(|i| write_at(0, i, i + 1)).collect();
         let c = cfg(WindowPolicy::windowed(2, 4), 2, BackpressurePolicy::Shed);
-        let rep = run_service(StubAlg::maker(None), &arrivals, &c);
+        let rep = serve(StubAlg::maker(None), &arrivals, &c);
         assert_eq!(rep.arrived, 5);
         assert_eq!(rep.admitted, 2);
         assert_eq!(rep.shed.len(), 3);
@@ -722,7 +912,7 @@ mod tests {
     fn block_backpressure_parks_and_loses_nothing() {
         let arrivals: Vec<Arrival> = (0..5).map(|i| write_at(0, i, i + 1)).collect();
         let c = cfg(WindowPolicy::windowed(2, 4), 2, BackpressurePolicy::Block);
-        let rep = run_service(StubAlg::maker(None), &arrivals, &c);
+        let rep = serve(StubAlg::maker(None), &arrivals, &c);
         assert_eq!(rep.arrived, 5);
         assert_eq!(rep.admitted, 5, "blocked ops must all be admitted");
         assert_eq!(rep.shed.len(), 0);
@@ -735,7 +925,7 @@ mod tests {
     fn per_op_policy_closes_one_op_windows() {
         let arrivals = [write_at(0, 0, 1), read_at(0, 0, 1), write_at(2, 1, 2)];
         let c = cfg(WindowPolicy::per_op(), 16, BackpressurePolicy::Shed);
-        let rep = run_service(StubAlg::maker(None), &arrivals, &c);
+        let rep = serve(StubAlg::maker(None), &arrivals, &c);
         assert_eq!(rep.windows.len(), 3);
         assert!(rep.windows.iter().all(|w| w.ops.len() == 1));
         assert!(rep.windows.iter().all(|w| w.reason == CloseReason::Size));
@@ -746,7 +936,7 @@ mod tests {
     fn admission_budget_caps_the_window() {
         let arrivals: Vec<Arrival> = (0..6).map(|i| write_at(0, i, i + 1)).collect();
         let c = cfg(WindowPolicy::windowed(100, 4), 16, BackpressurePolicy::Shed);
-        let rep = run_service(StubAlg::maker(Some(2)), &arrivals, &c);
+        let rep = serve(StubAlg::maker(Some(2)), &arrivals, &c);
         assert!(rep.windows.iter().all(|w| w.ops.len() <= 2));
         assert_eq!(rep.admitted, 6);
     }
@@ -757,7 +947,7 @@ mod tests {
         // 3-round window: both ops waited 3 ticks and 3 rounds.
         let arrivals = [write_at(0, 0, 1), write_at(0, 1, 2)];
         let c = cfg(WindowPolicy::windowed(8, 3), 16, BackpressurePolicy::Shed);
-        let rep = run_service(StubAlg::maker(None), &arrivals, &c);
+        let rep = serve(StubAlg::maker(None), &arrivals, &c);
         assert_eq!(rep.write_latency.ticks.count(), 2);
         assert_eq!(rep.write_latency.ticks.p50(), 3.0);
         assert_eq!(rep.write_latency.rounds.p99(), 3.0);
@@ -777,7 +967,7 @@ mod tests {
             })
             .collect();
         let c = cfg(WindowPolicy::windowed(4, 2), 32, BackpressurePolicy::Shed);
-        let rep = run_service(StubAlg::maker(None), &arrivals, &c);
+        let rep = serve(StubAlg::maker(None), &arrivals, &c);
         let mut fresh = StubAlg::maker(None)();
         let off = replay_windows(&mut fresh, &rep.windows);
         assert_eq!(off.final_digest, rep.final_digest);
@@ -789,44 +979,88 @@ mod tests {
     #[test]
     fn write_log_lives_only_while_a_later_kill_can_replay_it() {
         let make = StubAlg::maker(None);
-        let window = |i: u32| {
-            vec![Pending {
-                tick: 0,
-                op: write_at(0, i, i + 1).op,
-                rounds0: 0,
-                secs0: 0.0,
-            }]
-        };
-        // No plan (every `run_service` call): nothing is ever logged.
+        let window = |i: u32| vec![write_at(0, i, i + 1).op];
+        // No plan (every failure-free run): the log never outlives a window.
         let none = ChaosPlan::new(0);
-        let mut plain = ServiceLoop::new(make(), &make, &none);
+        let mut a = make();
+        let mut plain = ServiceLoop::new(&mut a, &make, &none);
         for i in 0..4 {
-            plain.execute_window(window(i), CloseReason::Size, 0);
+            plain.window(window(i), CloseReason::Size, 0, 0);
             assert!(plain.engine.log.is_empty());
         }
+        let plain = plain.finish();
         // Last kill at window 2: its replica replays the runs of windows 0
-        // and 1; once window 2's run completes nothing can ask again.
-        let plan = ChaosPlan::new(0).with_event_in_round(2, 1, ChaosKind::Kill(0));
-        let mut armed = ServiceLoop::new(make(), &make, &plan);
+        // and 1; once window 2 completes nothing can ask again.
+        let plan = ChaosPlan::new(0).with_event_in_round(2, 1, ChaosKind::Kill(1));
+        let mut a = make();
+        let mut armed = ServiceLoop::new(&mut a, &make, &plan);
         for i in 0..2 {
-            armed.execute_window(window(i), CloseReason::Size, 0);
+            armed.window(window(i), CloseReason::Size, 0, 0);
             assert_eq!(armed.engine.log.len(), i as usize + 1);
         }
         for i in 2..4 {
-            armed.execute_window(window(i), CloseReason::Size, 0);
-            assert_eq!(armed.engine.log.capacity(), 0, "log not dropped");
+            armed.window(window(i), CloseReason::Size, 0, 0);
+            assert!(armed.engine.log.is_empty(), "log not dropped");
         }
-        // The log is bookkeeping only: both loops served the same run.
-        assert_eq!(armed.a.state_digest(), plain.a.state_digest());
-        assert_eq!(armed.rep.writes.rounds, plain.rep.writes.rounds);
+        let armed = armed.finish();
+        // A boundary kill nothing revives: no event lies in a later window,
+        // but the end-of-stream rebuild still reads the log (the stub's
+        // `revive` checks the replica against the live instance).
+        let plan = ChaosPlan::new(0).with_event(2, ChaosKind::Kill(1));
+        let mut a = make();
+        let mut tail = ServiceLoop::new(&mut a, &make, &plan);
+        for i in 0..4 {
+            tail.window(window(i), CloseReason::Size, 0, 0);
+            assert_eq!(tail.engine.log.len(), 2.min(i as usize + 1));
+        }
+        let tail = tail.finish();
+        assert_eq!(tail.drained.len(), 2);
+        // The log is bookkeeping only: all three loops served the same run.
+        for rep in [&armed, &tail] {
+            assert_eq!(rep.final_digest, plain.final_digest);
+            assert_eq!(rep.writes.rounds, plain.writes.rounds);
+        }
     }
 
     #[test]
-    #[should_panic(expected = "mid-flight kills only")]
-    fn boundary_chaos_events_are_rejected() {
-        let plan = ChaosPlan::new(1).with_event(0, ChaosKind::Kill(0));
-        let arrivals = [write_at(0, 0, 1)];
-        let c = ServiceConfig::default();
-        run_service_chaos(StubAlg::maker(None), &arrivals, &c, &plan);
+    fn lapsed_chaos_events_are_counted_as_skipped() {
+        let make = StubAlg::maker(None);
+        let plan = ChaosPlan::new(0)
+            // Window 0 is read-only: no write run to fire in.
+            .with_event_in_round(0, 1, ChaosKind::Kill(1))
+            // Machine 0 is not killable, mid-flight ...
+            .with_event_in_round(1, 1, ChaosKind::Kill(0))
+            // Window 2's write run parks behind the boundary kill.
+            .with_event(2, ChaosKind::Kill(1))
+            .with_event_in_round(2, 1, ChaosKind::Kill(2))
+            .with_event(3, ChaosKind::Revive(1))
+            // ... or at a boundary (here the one `finish` fires).
+            .with_event(4, ChaosKind::Kill(0));
+        let windows = [
+            vec![read_at(0, 0, 1).op],
+            vec![write_at(0, 0, 1).op],
+            vec![write_at(0, 1, 2).op],
+            vec![write_at(0, 2, 3).op],
+        ];
+        let run = |plan: &ChaosPlan| {
+            let mut a = make();
+            let mut lp = ServiceLoop::new(&mut a, &make, plan);
+            for ops in &windows {
+                lp.window(ops.clone(), CloseReason::Size, 0, 0);
+            }
+            lp.finish()
+        };
+        let rep = run(&plan);
+        assert_eq!(rep.skipped, 4);
+        assert_eq!(rep.retries, 0);
+        let applied: Vec<&str> = rep.applied.iter().map(|e| e.kind.as_str()).collect();
+        assert_eq!(applied, ["kill 1", "revive 1"]);
+        let drained: Vec<_> = rep
+            .drained
+            .iter()
+            .map(|d| (d.window, d.drained_at, d.latency_windows))
+            .collect();
+        assert_eq!(drained, [(2, 3, 1)]);
+        assert_eq!(rep.final_digest, run(&ChaosPlan::new(0)).final_digest);
     }
 }

@@ -1,22 +1,23 @@
 //! Online == offline: the service loop over any seeded arrival trace must
 //! produce state digests, query answers, and audits bit-identical to an
 //! offline replay of the same coalesced windows — for connectivity, MST,
-//! and matching, and with a chaos plan armed.
+//! and matching, and with mid-flight kills armed. A boundary outage or a
+//! migration keeps the digest half of that (and the audits), pinned last.
 //!
 //! This is the PR 3/4/9 digest-differential pattern pointed at the service
 //! plane: the clock and the admission policy may only decide *where*
 //! windows close, never what a closed window computes.
 
 use dmpc_connectivity::{DmpcConnectivity, DmpcMst};
-use dmpc_core::{apply_unweighted, run_chaos_stream, DmpcParams};
-use dmpc_graph::arrivals::{arrival_trace, ArrivalProcess};
+use dmpc_core::{DmpcParams, ElasticAlgorithm};
+use dmpc_graph::arrivals::{arrival_trace, Arrival, ArrivalProcess};
 use dmpc_graph::streams::{self, QueryMix, TargetDist};
 use dmpc_graph::{Op, QueryAnswer, Update};
 use dmpc_matching::DmpcMaximalMatching;
 use dmpc_mpc::{ChaosKind, ChaosPlan};
 use dmpc_service::{
-    replay_windows, run_service, run_service_chaos, BackpressurePolicy, ServiceConfig,
-    UnweightedService, WeightedEdgeService, WindowPolicy,
+    replay_windows, run_service_chaos, BackpressurePolicy, ServiceAlgorithm, ServiceConfig,
+    ServiceLoop, ServiceReport, UnweightedService, WeightedEdgeService, WindowPolicy,
 };
 use proptest::prelude::*;
 
@@ -46,6 +47,15 @@ fn cfg(max_ops: usize, deadline: u64) -> ServiceConfig {
         buffer_cap: 4096,
         backpressure: BackpressurePolicy::Shed,
     }
+}
+
+/// The failure-free service run: the empty plan.
+fn run_service<A: ServiceAlgorithm + ElasticAlgorithm>(
+    make: impl Fn() -> A,
+    trace: &[Arrival],
+    cfg: &ServiceConfig,
+) -> ServiceReport {
+    run_service_chaos(make, trace, cfg, &ChaosPlan::new(0))
 }
 
 fn writes_of(ops: &[Op]) -> Vec<Update> {
@@ -158,59 +168,6 @@ proptest! {
         prop_assert_eq!(off.final_digest, chaos.final_digest);
     }
 
-    /// One engine, one set of numbers: the service recovers through the
-    /// same `RebuildEngine` as the batch harness, so feeding the harness
-    /// the service's write runs (each window's maximal write runs, in
-    /// order) with every window-indexed kill moved to its window's first
-    /// write run reproduces the digest and the whole recovery bill.
-    #[test]
-    fn service_and_harness_share_one_recovery(
-        seed in 0u64..200u64, r in 1u32..4, first in 0usize..3, gap in 1usize..4,
-    ) {
-        let n = 48;
-        let params = DmpcParams::new(n, 4 * n);
-        let ops = streams::mixed_stream(
-            n, 96, 30, TargetDist::Uniform, QueryMix::Connectivity, seed,
-        );
-        let trace = arrival_trace(&ops, ArrivalProcess::Steady { ops_per_tick: 3.0 }, seed);
-        let plan = ChaosPlan::new(seed)
-            .with_event_in_round(first, r, ChaosKind::Kill(1))
-            .with_event_in_round(first + gap, 1, ChaosKind::Kill(2));
-        let make = || DmpcConnectivity::new(params);
-        let online = run_service_chaos(
-            || UnweightedService::new(make()), &trace, &cfg(8, 3), &plan,
-        );
-
-        let mut runs: Vec<Vec<Update>> = Vec::new();
-        let mut first_run: Vec<Option<usize>> = Vec::new();
-        for w in &online.windows {
-            let at = runs.len();
-            runs.extend(
-                w.ops
-                    .chunk_by(|a, b| a.is_read() == b.is_read())
-                    .filter(|run| !run[0].is_read())
-                    .map(writes_of),
-            );
-            first_run.push((runs.len() > at).then_some(at));
-        }
-        // A kill aimed at a window without writes lapses in the service.
-        let mut batch_plan = ChaosPlan::new(seed);
-        for e in &plan.events {
-            if let Some(bi) = first_run[e.at_batch] {
-                batch_plan =
-                    batch_plan.with_event_in_round(bi, e.at_round.expect("mid-flight"), e.kind);
-            }
-        }
-        let offline = run_chaos_stream(make, apply_unweighted, &runs, &batch_plan, 0, &[]);
-        prop_assert_eq!(offline.final_digest, online.final_digest);
-        prop_assert_eq!(offline.retries, online.retries);
-        prop_assert_eq!(offline.aborted_rounds, online.aborted_rounds);
-        prop_assert_eq!(offline.recovery.rounds, online.recovery.rounds);
-        prop_assert_eq!(offline.recovery.total_words, online.recovery.total_words);
-        prop_assert_eq!(offline.recovery.replay_updates, online.recovery.replay_updates);
-        prop_assert_eq!(&offline.workload, &online.writes);
-    }
-
     /// Same chaos claim for the coordinator-protected matching driver.
     #[test]
     fn chaos_armed_matching_matches_failure_free(
@@ -237,6 +194,59 @@ proptest! {
         prop_assert_eq!(off.final_digest, chaos.final_digest);
         fresh.inner.audit(&g).map_err(TestCaseError::fail)?;
     }
+}
+
+/// The full chaos vocabulary, online: a boundary kill, windows with reads
+/// and writes served by the partial cluster, the revive that drains the
+/// parked writes, then one split and one merge. The digest equals the
+/// failure-free run's, admission accounting closes, nothing violates the
+/// model, and the instance that lived through it — the same windows fed to
+/// the loop by hand, same digest — passes both deep audits.
+#[test]
+fn boundary_outage_and_migrations_keep_the_service_bit_identical() {
+    let n = 48;
+    let params = DmpcParams::new(n, 4 * n);
+    let ops = streams::mixed_stream(n, 160, 40, TargetDist::Uniform, QueryMix::Connectivity, 42);
+    let trace = arrival_trace(&ops, ArrivalProcess::Steady { ops_per_tick: 3.0 }, 42);
+    let make = || UnweightedService::new(DmpcConnectivity::new(params));
+    let c = cfg(8, 3);
+    let plan = ChaosPlan::new(42)
+        .with_event(2, ChaosKind::Kill(1))
+        .with_event(5, ChaosKind::Revive(1))
+        .with_event(7, ChaosKind::Split(2))
+        .with_event(9, ChaosKind::Merge(3));
+    let plain = run_service(make, &trace, &c);
+    let chaos = run_service_chaos(make, &trace, &c, &plan);
+    assert!(
+        chaos.windows.len() > 9,
+        "every event must land inside the run"
+    );
+    assert!(
+        chaos.windows[2..5]
+            .iter()
+            .any(|w| w.ops.iter().any(Op::is_read))
+            && !chaos.drained.is_empty(),
+        "the outage must see reads and park writes"
+    );
+    let applied: Vec<&str> = chaos.applied.iter().map(|e| e.kind.as_str()).collect();
+    assert_eq!(applied, ["kill 1", "revive 1", "split 2", "merge 3"]);
+    assert_eq!(chaos.skipped, 0);
+    assert_eq!(chaos.final_digest, plain.final_digest);
+    assert_eq!(chaos.arrived, ops.len());
+    assert_eq!(chaos.arrived, chaos.admitted + chaos.shed.len());
+    assert_eq!(chaos.answers.len(), plain.answers.len());
+    assert_eq!(chaos.violations(), 0);
+
+    let mut survivor = make();
+    let mut lp = ServiceLoop::new(&mut survivor, make, &plan);
+    for w in &chaos.windows {
+        lp.window(w.ops.clone(), w.reason, w.opened_tick, w.closed_tick);
+    }
+    let by_hand = lp.finish();
+    assert_eq!(by_hand.final_digest, chaos.final_digest);
+    assert_eq!(by_hand.answers, chaos.answers);
+    survivor.inner.driver().audit().unwrap();
+    survivor.inner.driver().audit_directory().unwrap();
 }
 
 /// Deterministic end-to-end shape check: one seed, every policy knob — the

@@ -15,13 +15,12 @@
 //! case from its index, so those "random" cases were twelve fixed streams).
 
 use dmpc::connectivity::{DmpcConnectivity, DmpcMst};
-use dmpc::core::{
-    apply_unweighted, run_chaos_stream, ChurnReport, DmpcParams, DynamicGraphAlgorithm,
-    ElasticAlgorithm,
-};
+use dmpc::core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
 use dmpc::graph::streams::{self, Update, WeightedUpdate};
+use dmpc::graph::Op;
 use dmpc::matching::DmpcMaximalMatching;
 use dmpc::mpc::{BatchMetrics, ChaosCaps, ChaosPlan, Machine, UpdateMetrics};
+use dmpc::service::{CloseReason, ServiceAlgorithm, ServiceLoop, ServiceReport, UnweightedService};
 
 /// `(state_digest, total rounds, total words)` of one replayed stream.
 type Golden = (u64, usize, usize);
@@ -174,14 +173,33 @@ fn replay_batched<A: DynamicGraphAlgorithm<Update = Update> + ElasticAlgorithm>(
     (alg.state_digest(), bm.rounds, bm.total_words)
 }
 
+/// Drives `batches` as write-only windows through the service loop under
+/// `plan`, checkpointing after every `every` windows (0: never).
+fn churn<A, F>(make: F, batches: &[Vec<Update>], plan: &ChaosPlan, every: usize) -> ServiceReport
+where
+    A: ServiceAlgorithm + ElasticAlgorithm,
+    F: Fn() -> A,
+{
+    let mut a = make();
+    let mut lp = ServiceLoop::new(&mut a, &make, plan);
+    for (i, batch) in batches.iter().enumerate() {
+        let ops = batch.iter().map(|&u| Op::Write(u)).collect();
+        lp.window(ops, CloseReason::Size, 0, 0);
+        if every > 0 && (i + 1) % every == 0 {
+            lp.checkpoint();
+        }
+    }
+    lp.finish()
+}
+
 /// Workload plus recovery cost of a chaos run, and its final digest.
-fn chaos_golden(r: &ChurnReport) -> Golden {
-    assert_eq!(r.workload.violations, 0);
+fn chaos_golden(r: &ServiceReport) -> Golden {
+    assert_eq!(r.writes.violations, 0);
     assert_eq!(r.recovery.violations, 0);
     (
         r.final_digest,
-        r.workload.rounds + r.recovery.rounds,
-        r.workload.total_words + r.recovery.total_words,
+        r.writes.rounds + r.recovery.rounds,
+        r.writes.total_words + r.recovery.total_words,
     )
 }
 
@@ -235,15 +253,8 @@ fn connectivity_under_chaos() {
         let n = 40;
         let batches = streams::chaos_churn_batches(n, 5, 4, 90, 9, seed);
         let plan = ChaosPlan::generate(seed, batches.len(), 5, 6, ChaosCaps::default());
-        let make = || conn(n, 4 * n);
-        chaos_golden(&run_chaos_stream(
-            make,
-            apply_unweighted,
-            &batches,
-            &plan,
-            3,
-            &[],
-        ))
+        let make = || UnweightedService::new(conn(n, 4 * n));
+        chaos_golden(&churn(make, &batches, &plan, 3))
     });
 }
 
@@ -330,21 +341,14 @@ fn matching_under_chaos() {
     check("matching chaos", &SEEDS, &MATCHING_CHAOS, |seed| {
         let n = 32;
         let batches = streams::chaos_churn_batches(n, 4, 4, 70, 8, seed);
-        let make = || matching(n, 160);
+        let make = || UnweightedService::new(matching(n, 160));
         let caps = ChaosCaps {
             kill_revive: true,
             split_merge: false,
             protect: 1,
         };
         let plan = ChaosPlan::generate(seed, batches.len(), make().n_shards(), 4, caps);
-        chaos_golden(&run_chaos_stream(
-            make,
-            apply_unweighted,
-            &batches,
-            &plan,
-            3,
-            &[],
-        ))
+        chaos_golden(&churn(make, &batches, &plan, 3))
     });
 }
 
