@@ -598,6 +598,12 @@ impl Coordinator {
         })
     }
 
+    /// Slots of the dense sync table, one word each (metered as
+    /// coordinator memory).
+    pub fn sync_len(&self) -> usize {
+        self.last_seen.len()
+    }
+
     /// Current history length (tests assert it stays bounded by the
     /// refresh cycle).
     pub fn hist_len(&self) -> usize {

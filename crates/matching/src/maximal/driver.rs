@@ -93,11 +93,11 @@ impl Machine for Role {
             // Metered: the history buffer (O(sqrt N)) plus — during a
             // batch — the queued updates and the carried stat cache (both
             // bounded by the chunking in `apply_batch`), stashed answers and
-            // the recovery courier. The per-machine sync table (one word
-            // per storage/overflow machine, also O(sqrt N)) is not in the
-            // formula.
+            // the recovery courier — and the dense sync table, one word per
+            // machine (also O(sqrt N)).
             Role::Coord(c) => {
-                8 + 4 * c.hist_len()
+                8 + c.sync_len()
+                    + 4 * c.hist_len()
                     + 4 * c.cache_len()
                     + 2 * c.queue_len()
                     + 2 * c.answers_len()
@@ -297,6 +297,16 @@ impl DmpcMaximalMatching {
             }
             _ => unreachable!(),
         }
+        // One index sort per storage machine, paid here in set-up rather
+        // than by each machine's first message — and after the scratch
+        // graph is gone, so the indexes reuse its memory.
+        drop((g, m));
+        for sm in self.layout.storage_of(0)..self.layout.overflow_base() {
+            match self.cluster.machine_mut(sm) {
+                Role::Storage(s) => s.settle_index(),
+                _ => unreachable!(),
+            }
+        }
     }
 
     /// Runs one chunk of queries as a single metered wave: `IsMatched`
@@ -394,6 +404,11 @@ impl DmpcMaximalMatching {
             }
         }
         // Storage invariants + annotation coherence.
+        for (id, role) in self.cluster.machines().enumerate() {
+            if let Role::Storage(s) = role {
+                s.audit_index().map_err(|e| format!("machine {id}: {e}"))?;
+            }
+        }
         for v in 0..n as V {
             let sm = self.layout.storage_of(v);
             let sv = match self.cluster.machine(sm) {

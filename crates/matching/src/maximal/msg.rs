@@ -374,6 +374,13 @@ pub fn repair_entry(entry: &HistEntry, nbr: V, ann: &mut Ann) {
     }
 }
 
+/// The part of `hist` a machine synced up to `last_seen` has not replayed.
+/// Slices are seq-ascending (the coordinator ships a contiguous suffix of its
+/// buffer), so the seen part is a prefix.
+pub(super) fn fresh_suffix(hist: &[(u64, HistEntry)], last_seen: u64) -> &[(u64, HistEntry)] {
+    &hist[hist.partition_point(|&(seq, _)| seq <= last_seen)..]
+}
+
 /// One message's history repair, applied to a machine's entries in a
 /// single pass: the not-yet-seen part of the shipped slice, plus the set of
 /// vertices it names.
@@ -386,33 +393,25 @@ pub fn repair_entry(entry: &HistEntry, nbr: V, ann: &mut Ann) {
 ///
 /// Membership is exact, because a false "yes" costs a replay of the whole
 /// slice: an open-addressing table at most a quarter full, built in time
-/// linear in the slice. A fixed bitmap over the low vertex-id bits in front
-/// of it rejects most entries in one load, which keeps the pass near memory
-/// speed while slices are short.
+/// linear in the slice.
 pub(super) struct Repair<'a> {
     fresh: &'a [(u64, HistEntry)],
-    bits: [u64; BITMAP_WORDS],
     /// [`NO_MATE`] marks an empty slot (it is never a vertex).
     slots: Vec<V>,
     shift: u32,
 }
 
-const BITMAP_WORDS: usize = 64;
-
 impl<'a> Repair<'a> {
     /// The repair `hist` asks of a machine synced up to `last_seen`, or
-    /// `None` if the machine has seen all of it. Slices are seq-ascending
-    /// (the coordinator ships a contiguous suffix of its buffer), so the
-    /// seen part is a prefix.
+    /// `None` if the machine has seen all of it.
     pub(super) fn new(hist: &'a [(u64, HistEntry)], last_seen: u64) -> Option<Self> {
-        let fresh = &hist[hist.partition_point(|&(seq, _)| seq <= last_seen)..];
+        let fresh = fresh_suffix(hist, last_seen);
         if fresh.is_empty() {
             return None;
         }
         let len = (8 * fresh.len()).next_power_of_two().max(64);
         let mut r = Repair {
             fresh,
-            bits: [0; BITMAP_WORDS],
             slots: vec![NO_MATE; len],
             shift: 32 - len.trailing_zeros(),
         };
@@ -426,11 +425,6 @@ impl<'a> Repair<'a> {
             }
         }
         Some(r)
-    }
-
-    /// The unseen entries, in seq order (never empty).
-    pub(super) fn fresh(&self) -> &'a [(u64, HistEntry)] {
-        self.fresh
     }
 
     /// The sync point this repair brings the machine to.
@@ -450,7 +444,6 @@ impl<'a> Repair<'a> {
     }
 
     fn name(&mut self, v: V) {
-        self.bits[(v as usize >> 6) % BITMAP_WORDS] |= 1 << (v & 63);
         let i = self.probe(v);
         self.slots[i] = v;
     }
@@ -458,8 +451,7 @@ impl<'a> Repair<'a> {
     /// Whether the slice names `v`; [`NO_MATE`] is never named.
     #[inline]
     fn names(&self, v: V) -> bool {
-        self.bits[(v as usize >> 6) % BITMAP_WORDS] >> (v & 63) & 1 != 0
-            && self.slots[self.probe(v)] != NO_MATE
+        self.slots[self.probe(v)] != NO_MATE
     }
 
     /// Whether the slice can change an entry pointing at `nbr` whose

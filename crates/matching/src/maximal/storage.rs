@@ -8,7 +8,7 @@
 //! at `tau`, scans take the first hit), so all mutations preserve segment
 //! order — removals shift the tail down instead of swapping.
 
-use super::msg::{Ann, HistEntry, HistSlice, MatchMsg, Repair};
+use super::msg::{fresh_suffix, repair_entry, Ann, HistEntry, HistSlice, MatchMsg, Repair};
 use dmpc_graph::V;
 use dmpc_mpc::text::{self, put_field, Fields, Sink};
 
@@ -66,8 +66,21 @@ fn unpack_ann(mate: V, f: u8) -> Ann {
     }
 }
 
+/// Slots the neighbour index can name: its keys keep 16 bits for the slot.
+const MAX_SLOTS: usize = 1 << 16;
+
+/// Neighbour-index key of an entry pointing at `nbr` in `slot`: the low 16
+/// bits of `nbr` above the slot, so keys sort by neighbour first and one
+/// binary search finds every slot that may hold an entry for a vertex.
+#[inline]
+fn idx_key(nbr: V, slot: usize) -> u32 {
+    debug_assert!(slot < MAX_SLOTS);
+    (nbr << 16) | slot as u32
+}
+
 /// A machine's owned vertex block: per-slot state byte + arena segment,
-/// entries as three parallel arrays (neighbor, mate, flag byte).
+/// entries as three parallel arrays (neighbor, mate, flag byte), and the
+/// neighbour index over them.
 #[derive(Debug, Default)]
 struct Store {
     /// Direct-mapped interner base: vertex `v` lives in slot `v - base`.
@@ -84,6 +97,16 @@ struct Store {
     flags: Vec<u8>,
     /// Live entries in the arena (the rest are holes).
     live: usize,
+    /// Neighbour index: one [`idx_key`] per live entry, sorted (a multiset:
+    /// neighbours `x` and `x + 65,536` in one slot share a key). A hit only
+    /// names a slot; the entry is confirmed against the full `nbr` in that
+    /// slot's segment, so aliasing ids cost a short look, never a wrong
+    /// replay. History repair finds the entries a slice names through it.
+    idx: Vec<u32>,
+    /// Set by [`Store::insert_vertex`], the way in of both bulk paths
+    /// (`load`, `restore_text`): the index is behind the arena and is not
+    /// maintained until [`Store::settle_index`] rebuilds it with one sort.
+    idx_stale: bool,
 }
 
 impl Store {
@@ -107,11 +130,23 @@ impl Store {
         self.slot_of(v).expect("vertex not owned")
     }
 
-    /// Grows the slot range to cover `v` (installs an absent slot).
+    /// Grows the slot range to cover `v` (installs an absent slot). Growing
+    /// at the front renumbers every slot; the one caller, `insert_vertex`,
+    /// marks the index stale.
     fn ensure_slot(&mut self, v: V) -> usize {
         if self.state.is_empty() {
             self.base = v;
         }
+        // Storage blocks are at most ceil(sqrt N) <= 2^16 vertices for
+        // `u32` ids, so a valid layout never trips this.
+        let lo = self.base.min(v) as usize;
+        let hi = (self.base as usize + self.state.len()).max(v as usize + 1);
+        assert!(
+            hi - lo <= MAX_SLOTS,
+            "covering vertex {v} needs a slot above {}: \
+             the neighbour index keeps 16 bits for the slot",
+            MAX_SLOTS - 1
+        );
         if v < self.base {
             let k = (self.base - v) as usize;
             self.state.splice(0..0, std::iter::repeat_n(SLOT_ABSENT, k));
@@ -133,10 +168,70 @@ impl Store {
         s.start as usize..(s.start + s.len) as usize
     }
 
+    /// Every live entry's key, in slot order, at exact size.
+    fn arena_keys(&self) -> Vec<u32> {
+        let mut keys = Vec::with_capacity(self.live);
+        for slot in 0..self.pos.len() {
+            keys.extend(self.range(slot).map(|i| idx_key(self.nbr[i], slot)));
+        }
+        keys
+    }
+
+    /// Ends a bulk load: one sort per machine, not one sorted insert per
+    /// entry.
+    fn settle_index(&mut self) {
+        if !self.idx_stale {
+            return;
+        }
+        // Keys come out of the arena in slot order, so a stable sort on the
+        // neighbour half alone orders them: two counting passes, a byte
+        // each (a quarter of a comparison sort's time at ~3k keys, which is
+        // what keeps restore and bulk load within a few percent).
+        let mut keys = self.arena_keys();
+        let mut out = vec![0; keys.len()];
+        for shift in [16, 24] {
+            let mut at = [0usize; 257];
+            for &k in &keys {
+                at[(k >> shift & 0xFF) as usize + 1] += 1;
+            }
+            for b in 0..256 {
+                at[b + 1] += at[b];
+            }
+            for &k in &keys {
+                let b = (k >> shift & 0xFF) as usize;
+                out[at[b]] = k;
+                at[b] += 1;
+            }
+            std::mem::swap(&mut keys, &mut out);
+        }
+        self.idx = keys;
+        self.idx_stale = false;
+    }
+
+    fn index_add(&mut self, nbr: V, slot: usize) {
+        if self.idx_stale {
+            return;
+        }
+        let key = idx_key(nbr, slot);
+        let i = self.idx.partition_point(|&k| k < key);
+        self.idx.insert(i, key);
+    }
+
+    fn index_remove(&mut self, nbr: V, slot: usize) {
+        if self.idx_stale {
+            return;
+        }
+        let key = idx_key(nbr, slot);
+        let i = self.idx.partition_point(|&k| k < key);
+        assert_eq!(self.idx.get(i), Some(&key), "neighbour index lost a key");
+        self.idx.remove(i);
+    }
+
     /// Appends one entry to `at`'s segment, relocating (with headroom) on
     /// overflow; order-preserving.
     fn push_entry(&mut self, at: V, n: V, ann: Ann) {
         let slot = self.slot(at);
+        self.index_add(n, slot);
         let (m, f) = pack_ann(ann);
         let s = self.pos[slot];
         if s.len < s.cap {
@@ -193,6 +288,7 @@ impl Store {
         }
         self.pos[slot].len -= 1;
         self.live -= 1;
+        self.index_remove(n, slot);
         self.maybe_compact();
         true
     }
@@ -229,9 +325,10 @@ impl Store {
         }
     }
 
-    /// Installs vertex `v` with no entries (snapshot restore).
+    /// Installs vertex `v` with no entries (bulk load, snapshot restore).
     fn insert_vertex(&mut self, v: V, heavy: bool) {
         let slot = self.ensure_slot(v);
+        self.idx_stale = true;
         self.live -= self.pos[slot].len as usize;
         self.pos[slot].len = 0;
         self.state[slot] = if heavy { SLOT_HEAVY } else { SLOT_LIGHT };
@@ -303,11 +400,37 @@ impl Store {
             .collect();
         self.pos[slot].len = keep as u32;
         self.live -= moved.len();
+        for &(n, _) in &moved {
+            self.index_remove(n, slot);
+        }
         self.maybe_compact();
         moved
     }
 
-    /// History repair of the annotations: one pass over the entries,
+    /// History repair through the index: replays `fresh` over exactly the
+    /// entries pointing at `x` (every slot filed under `x`'s low 16 bits is
+    /// looked at; only a full-id match is replayed).
+    fn repair_nbr(&mut self, x: V, fresh: &[(u64, HistEntry)]) {
+        debug_assert!(!self.idx_stale);
+        let lo = idx_key(x, 0);
+        let from = self.idx.partition_point(|&k| k < lo);
+        for &key in self.idx[from..]
+            .iter()
+            .take_while(|&&k| k >> 16 == lo >> 16)
+        {
+            for i in self.range((key & 0xFFFF) as usize) {
+                if self.nbr[i] == x {
+                    let mut ann = unpack_ann(self.mate[i], self.flags[i]);
+                    for (_, entry) in fresh {
+                        repair_entry(entry, x, &mut ann);
+                    }
+                    (self.mate[i], self.flags[i]) = pack_ann(ann);
+                }
+            }
+        }
+    }
+
+    /// History repair of the annotations by one pass over the entries,
     /// replaying the slice through the kernel for those it can change
     /// (entry order is immaterial — repairs are per-entry independent).
     fn repair_anns(&mut self, repair: &Repair) {
@@ -327,7 +450,7 @@ impl Store {
         self.slot_of(v).map(|slot| self.materialize(slot))
     }
 
-    /// Direct state injection (bulk loading).
+    /// Direct state injection (bulk loading); leaves the index stale.
     fn load(&mut self, v: V, sv: StoreVertex) {
         self.insert_vertex(v, sv.heavy);
         for (n, ann) in sv.entries {
@@ -336,11 +459,12 @@ impl Store {
     }
 
     /// Exact resident footprint in words, counting the backing stores as
-    /// allocated: 13 bytes per slot (state byte + segment) plus 9 bytes per
-    /// arena entry capacity (neighbor + mate + flag byte), rounded up to
-    /// whole words.
+    /// allocated: 13 bytes per slot (state byte + segment), 9 bytes per
+    /// arena cell (neighbor + mate + flag byte, holes included) and 4 bytes
+    /// per live entry (its neighbour-index key, owed even while the index is
+    /// stale), rounded up to whole words.
     fn memory_words(&self) -> usize {
-        (self.state.len() + self.pos.len() * 12 + self.nbr.len() * 9).div_ceil(8)
+        (self.state.len() + self.pos.len() * 12 + self.nbr.len() * 9 + self.live * 4).div_ceil(8)
     }
 }
 
@@ -426,6 +550,7 @@ impl StorageMachine {
                 k => panic!("unknown snapshot line {:?}", String::from_utf8_lossy(k)),
             }
         }
+        self.verts.settle_index();
     }
 
     /// Read access for audits (materialized; not the update path).
@@ -433,9 +558,34 @@ impl StorageMachine {
         self.verts.vertex(v)
     }
 
-    /// Direct load for bulk preprocessing.
+    /// Direct load for bulk preprocessing. Leaves the neighbour index stale:
+    /// [`StorageMachine::settle_index`] (or, failing that, the first history
+    /// repair that reads it) rebuilds it.
     pub fn load(&mut self, v: V, sv: StoreVertex) {
         self.verts.load(v, sv);
+    }
+
+    /// Ends a bulk load: builds the neighbour index with one sort.
+    pub fn settle_index(&mut self) {
+        self.verts.settle_index();
+    }
+
+    /// Checks that the neighbour index is the sorted multiset of keys
+    /// recomputed from the arena (audits; not the update path).
+    pub fn audit_index(&self) -> Result<(), String> {
+        let st = &self.verts;
+        if st.idx_stale {
+            return Err("neighbour index is stale (bulk load not settled)".into());
+        }
+        let mut want = st.arena_keys();
+        want.sort_unstable();
+        if st.idx != want {
+            return Err(format!(
+                "neighbour index {:x?} != arena keys {want:x?}",
+                st.idx
+            ));
+        }
+        Ok(())
     }
 
     /// Sets the history synchronization point (bulk preprocessing).
@@ -448,19 +598,40 @@ impl StorageMachine {
         self.last_seen
     }
 
+    /// Replays the unseen part of `hist` over the stored annotations. What
+    /// to visit is read off the slice alone. `MatchAdd`/`MatchDel` act on an
+    /// entry only through its `nbr`, so a slice of nothing else is replayed
+    /// over the entries the index files under the endpoints it names — the
+    /// same entries the pass would pick, and replaying twice where an
+    /// endpoint recurs is harmless: the last slice entry naming a `nbr`
+    /// overwrites the whole annotation. `Heavy`/`Light` act through the
+    /// current `mate`, which has no index, so a slice carrying one takes the
+    /// one pass over every entry.
     fn repair(&mut self, hist: &HistSlice) {
-        let Some(repair) = Repair::new(hist, self.last_seen) else {
+        let fresh = fresh_suffix(hist, self.last_seen);
+        let Some(&(last_seq, _)) = fresh.last() else {
             return;
         };
-        self.verts.repair_anns(&repair);
-        for &(_, entry) in repair.fresh() {
-            match entry {
-                HistEntry::Heavy(c) => self.verts.set_heavy_if_present(c, true),
-                HistEntry::Light(c) => self.verts.set_heavy_if_present(c, false),
-                _ => {}
+        let endpoints = |&(_, entry): &(u64, HistEntry)| match entry {
+            HistEntry::MatchAdd(e, _, _) | HistEntry::MatchDel(e) => Some([e.u, e.v]),
+            HistEntry::Heavy(_) | HistEntry::Light(_) => None,
+        };
+        if fresh.iter().all(|h| endpoints(h).is_some()) {
+            self.verts.settle_index();
+            for x in fresh.iter().filter_map(endpoints).flatten() {
+                self.verts.repair_nbr(x, fresh);
+            }
+        } else if let Some(repair) = Repair::new(fresh, self.last_seen) {
+            self.verts.repair_anns(&repair);
+            for &(_, entry) in fresh {
+                match entry {
+                    HistEntry::Heavy(c) => self.verts.set_heavy_if_present(c, true),
+                    HistEntry::Light(c) => self.verts.set_heavy_if_present(c, false),
+                    _ => {}
+                }
             }
         }
-        self.last_seen = repair.last_seq();
+        self.last_seen = last_seq;
     }
 
     /// Handles one request; may produce a reply for the coordinator.
@@ -849,6 +1020,56 @@ mod tests {
         assert!(o.is_empty());
         o.handle(MatchMsg::ReleaseOverflow { v: 3 });
         assert_eq!(o.assigned(), None);
+    }
+
+    /// The metered footprint, to the byte: 13 per slot, 9 per arena cell
+    /// (holes included), 4 per live entry for its index key.
+    #[test]
+    fn memory_words_counts_slots_cells_and_index_keys() {
+        let mut m = StorageMachine::new(0, 4, 8);
+        assert_eq!(m.verts.memory_words(), (4usize * 13).div_ceil(8));
+        for (at, nbr) in [(0, 5), (0, 6), (1, 5)] {
+            let (ann, hist) = (Ann::free(), vec![]);
+            m.handle(MatchMsg::AddEdge { at, nbr, ann, hist });
+        }
+        // Vertex 0 grew in place at the tail (2 cells); vertex 1 opened a
+        // segment behind it with `ENTRY_HEADROOM` spare cells (3 cells).
+        assert_eq!((m.verts.nbr.len(), m.verts.live), (5, 3));
+        assert_eq!(
+            m.verts.memory_words(),
+            (4usize * 13 + 5 * 9 + 3 * 4).div_ceil(8)
+        );
+        assert_eq!(m.memory_words(), 2 + 14);
+        // A delete leaves its cell behind as a hole and drops its key.
+        for nbr in [5, 6] {
+            let hist = vec![];
+            m.handle(MatchMsg::DelEdge { at: 0, nbr, hist });
+        }
+        assert_eq!((m.verts.nbr.len(), m.verts.live), (5, 1));
+        assert_eq!(
+            m.verts.memory_words(),
+            (4usize * 13 + 5 * 9 + 4).div_ceil(8)
+        );
+        assert_eq!(m.memory_words(), 2 + 13);
+        // Owed while stale: a bulk load is metered before it is settled.
+        let mut l = StorageMachine::new(0, 0, 8);
+        let entries = vec![(5, Ann::free()), (6, Ann::free())];
+        let heavy = false;
+        l.load(2, StoreVertex { heavy, entries });
+        assert!(l.verts.idx_stale && l.verts.idx.is_empty());
+        assert_eq!(
+            l.verts.memory_words(),
+            (13usize + 2 * 9 + 2 * 4).div_ceil(8)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "16 bits for the slot")]
+    fn a_slot_the_index_cannot_name_is_refused() {
+        let mut m = StorageMachine::new(0, 0, 8);
+        m.load(0, StoreVertex::default());
+        m.load((1 << 16) - 1, StoreVertex::default()); // slot 65,535: the last one
+        m.load(1 << 16, StoreVertex::default());
     }
 
     /// Snapshot text after each step of the storage protocol.

@@ -1,10 +1,14 @@
 //! History repair and history trim are host-side machinery: however they
 //! are implemented, the machine state they leave must be the one the repair
-//! kernel defines. Three kinds of check:
+//! kernel defines. Four kinds of check:
 //!
 //! * a differential property test of the storage/overflow `repair` against
 //!   the kernel ([`repair_entry`]) folded entry by entry — the oracle is the
-//!   kernel, not a second implementation;
+//!   kernel, not a second implementation — over `MatchAdd`/`MatchDel`-only
+//!   slices (served through the storage machine's neighbour index) and
+//!   mixed ones (served by the pass);
+//! * an audit of that index against the arena after every step of the
+//!   storage protocol;
 //! * byte-level pins of the coordinator's `seen` lines (a machine synced at
 //!   seq 0 is emitted, a never-synced one is not);
 //! * a golden digest and golden model metrics for one seeded stream, so a
@@ -25,9 +29,10 @@ use proptest::prelude::*;
 /// the same vertices (repeated adds/dels on one vertex, heavy/light flips of
 /// a current mate).
 const UNIVERSE: V = 10;
-/// Every universe vertex has a twin this far above it, which the repair's
-/// low-bits vertex filter cannot tell from it.
-const ALIAS: V = 4096;
+/// Every universe vertex has a twin this far above it, which the storage
+/// machine's neighbour index (keyed by the low 16 bits) files under the same
+/// key; twins meet in one slot and across slots all the time.
+const ALIAS: V = 1 << 16;
 /// The storage machine under test owns `LO..HI`; the rest of the universe
 /// only appears as neighbors, mates and non-owned heavy/light flips.
 const LO: V = 2;
@@ -63,14 +68,15 @@ fn entries_from(raw: &[RawEntry]) -> Vec<(V, Ann)> {
         .collect()
 }
 
-/// A seq-contiguous slice starting at `first_seq`.
-fn slice_from(raw: &[RawEntry], first_seq: u64) -> HistSlice {
+/// A seq-contiguous slice starting at `first_seq`, of `kinds` entry kinds:
+/// 2 keeps it to `MatchAdd`/`MatchDel`, 4 mixes `Heavy`/`Light` in.
+fn slice_from(raw: &[RawEntry], first_seq: u64, kinds: u32) -> HistSlice {
     raw.iter()
         .enumerate()
         .map(|(i, &(kind, a, b, la, lb))| {
             let (a, b) = (vert(a), vert(b));
             let b = if a == b { (b + 1) % UNIVERSE } else { b };
-            let entry = match kind % 4 {
+            let entry = match kind % kinds {
                 0 => HistEntry::MatchAdd(Edge::new(a, b), la, lb),
                 1 => HistEntry::MatchDel(Edge::new(a, b)),
                 2 => HistEntry::Heavy(a),
@@ -101,10 +107,11 @@ proptest! {
 
     /// `Refresh(slice)` leaves exactly the state the kernel fold defines,
     /// including owned heavy flags and the sync point, for stale prefixes
-    /// and empty fresh suffixes alike.
+    /// and empty fresh suffixes alike — whether the slice is all
+    /// `MatchAdd`/`MatchDel` (half the cases; the index serves it) or mixed.
     #[test]
     fn storage_repair_equals_kernel_fold(
-        (verts, raw_hist, first_seq, stale) in (
+        (verts, raw_hist, first_seq, stale, match_only) in (
             collection::vec(
                 (any::<bool>(), collection::vec(
                     (0u32..64, 0u32..64, 0u32..64, any::<bool>(), any::<bool>()), 0..7)),
@@ -112,9 +119,10 @@ proptest! {
             collection::vec((0u32..64, 0u32..64, 0u32..64, any::<bool>(), any::<bool>()), 0..14),
             1u64..40,
             0u64..16,
+            any::<bool>(),
         )
     ) {
-        let hist = slice_from(&raw_hist, first_seq);
+        let hist = slice_from(&raw_hist, first_seq, if match_only { 2 } else { 4 });
         // `stale` entries of the slice are already seen (possibly all).
         let last_seen = first_seq - 1 + stale.min(hist.len() as u64);
         let mut want = StorageMachine::new(LO, HI, 4);
@@ -139,6 +147,8 @@ proptest! {
         prop_assert!(got.handle(MatchMsg::Refresh(hist)).is_none());
         prop_assert_eq!(got.last_seen(), want.last_seen());
         prop_assert_eq!(got.snapshot_text(), want.snapshot_text());
+        got.settle_index();
+        prop_assert_eq!(got.audit_index(), Ok(()));
     }
 
     /// The overflow machine's suspended stack under the same oracle.
@@ -151,7 +161,7 @@ proptest! {
             0u64..16,
         )
     ) {
-        let hist = slice_from(&raw_hist, first_seq);
+        let hist = slice_from(&raw_hist, first_seq, 4);
         let last_seen = first_seq - 1 + stale.min(hist.len() as u64);
         let edges = entries_from(&raw_edges);
         let mut got = OverflowMachine::default();
@@ -201,6 +211,161 @@ fn repair_handles_far_vertices_and_no_mate() {
         }
     );
     assert_eq!(m.last_seen(), 2);
+}
+
+/// Two neighbours that differ only above bit 16 share an index key. The
+/// index may only pick the slot; which entry is replayed is decided by the
+/// full id — with the twins in one slot (vertex 0) and in different slots
+/// (vertices 1 and 2).
+#[test]
+fn indexed_repair_tells_aliasing_neighbours_apart() {
+    let (x, twin) = (7, 7 + ALIAS);
+    let start: [(V, Vec<V>); 3] = [(0, vec![twin, 3, x]), (1, vec![x]), (2, vec![twin, 3])];
+    let mut m = StorageMachine::new(0, 3, 8);
+    for (v, nbrs) in &start {
+        let entries = nbrs.iter().map(|&n| (n, Ann::free())).collect();
+        let heavy = false;
+        m.load(*v, StoreVertex { heavy, entries });
+    }
+    let hist: HistSlice = vec![
+        (1, HistEntry::MatchAdd(Edge::new(x, 9), true, false)),
+        (2, HistEntry::MatchAdd(Edge::new(twin, 4), false, true)),
+        (3, HistEntry::MatchDel(Edge::new(twin, 4))),
+        (4, HistEntry::MatchAdd(Edge::new(3, twin), true, true)),
+    ];
+    m.handle(MatchMsg::Refresh(hist.clone()));
+    assert_eq!(m.audit_index(), Ok(()));
+    for (v, nbrs) in start {
+        let mut want: Vec<(V, Ann)> = nbrs.iter().map(|&n| (n, Ann::free())).collect();
+        fold_kernel(&mut want, &hist, 0);
+        assert_eq!(m.vertex(v).unwrap().entries, want, "vertex {v}");
+    }
+    let at_x = m.vertex(1).unwrap().entries[0].1;
+    let at_twin = m.vertex(2).unwrap().entries[0].1;
+    assert_eq!((at_x.mate, at_twin.mate), (9, 3));
+}
+
+/// The index is state: after every step of the storage protocol it is the
+/// sorted multiset of keys recomputed from the arena, and a
+/// `MatchAdd`/`MatchDel` slice served through it lands on the kernel fold.
+#[test]
+fn index_follows_the_storage_protocol() {
+    fn step(m: &mut StorageMachine, msg: MatchMsg) -> Option<MatchMsg> {
+        let what = format!("{msg:?}");
+        let reply = m.handle(msg);
+        assert_eq!(m.audit_index(), Ok(()), "after {what}");
+        reply
+    }
+    /// A slice naming every neighbour in play, checked against the oracle.
+    fn refresh_matches_fold(m: &mut StorageMachine) {
+        let seq = m.last_seen() + 1;
+        let hist: HistSlice = vec![
+            (seq, HistEntry::MatchAdd(Edge::new(5, 6), true, false)),
+            (seq + 1, HistEntry::MatchDel(Edge::new(6, 5 + ALIAS))),
+            (
+                seq + 2,
+                HistEntry::MatchAdd(Edge::new(5 + ALIAS, 40), false, true),
+            ),
+        ];
+        let entries = |m: &StorageMachine, v| m.vertex(v).unwrap().entries;
+        let want: Vec<Vec<(V, Ann)>> = (0..4)
+            .map(|v| {
+                let mut entries = entries(m, v);
+                fold_kernel(&mut entries, &hist, seq - 1);
+                entries
+            })
+            .collect();
+        step(m, MatchMsg::Refresh(hist));
+        for (v, want) in (0..4).zip(want) {
+            assert_eq!(entries(m, v), want, "vertex {v}");
+        }
+    }
+    let (ann, hist) = (Ann::free(), Vec::new);
+    let add = |at, nbr| MatchMsg::AddEdge {
+        at,
+        nbr,
+        ann,
+        hist: hist(),
+    };
+    let del = |at, nbr| MatchMsg::DelEdge {
+        at,
+        nbr,
+        hist: hist(),
+    };
+    let mut m = StorageMachine::new(0, 4, 2);
+    for (at, nbr) in [
+        (0, 5),
+        (0, 6),
+        (1, 5),
+        (2, 5 + ALIAS),
+        (0, 5 + ALIAS),
+        (3, 6),
+    ] {
+        step(&mut m, add(at, nbr));
+    }
+    refresh_matches_fold(&mut m);
+    let found = |reply| matches!(reply, Some(MatchMsg::DelReply { found: true, .. }));
+    assert!(found(step(&mut m, del(1, 5))));
+    assert!(!found(step(&mut m, del(1, 5 + ALIAS))));
+    // tau = 2: the mate edge moves to the front and `5` leaves the alive set.
+    let mate = Some(5 + ALIAS);
+    match step(
+        &mut m,
+        MatchMsg::MakeHeavy {
+            v: 0,
+            mate,
+            hist: hist(),
+        },
+    ) {
+        Some(MatchMsg::MovedOut { entries, .. }) => {
+            assert_eq!((entries.len(), entries[0].0), (1, 5))
+        }
+        other => panic!("{other:?}"),
+    }
+    step(&mut m, del(0, 6));
+    let entry = (5, ann);
+    step(
+        &mut m,
+        MatchMsg::AddAlive {
+            at: 0,
+            entry,
+            hist: hist(),
+        },
+    );
+    refresh_matches_fold(&mut m);
+
+    // A delete burst: 60 entries in, 56 out, so the arena compacts on the
+    // way (a machine that never compacted would hold 60 cells or more).
+    let words_before = m.memory_words();
+    for nbr in 100..160 {
+        step(&mut m, add(3, nbr));
+    }
+    for nbr in 104..160 {
+        step(&mut m, del(3, nbr));
+    }
+    assert!(m.memory_words() < words_before + 60 * 9 / 8);
+    refresh_matches_fold(&mut m);
+
+    // The index is not in the snapshot: a restore rebuilds it.
+    let text = m.snapshot_text();
+    let mut c = StorageMachine::new(0, 4, 2);
+    c.restore_text(&text);
+    assert_eq!(c.audit_index(), Ok(()));
+    assert_eq!(c.snapshot_text(), text);
+    refresh_matches_fold(&mut c);
+
+    // Loading in descending vertex order grows the slot range at the front,
+    // which renumbers every slot an already built index names.
+    let mut d = StorageMachine::new(0, 0, 2);
+    for v in (0..4).rev() {
+        d.load(v, m.vertex(v).unwrap());
+        assert!(d.audit_index().is_err(), "a load leaves the index stale");
+        d.settle_index();
+        assert_eq!(d.audit_index(), Ok(()), "after loading {v}");
+    }
+    d.set_last_seen(m.last_seen());
+    assert_eq!(d.snapshot_text(), text);
+    refresh_matches_fold(&mut d);
 }
 
 /// The sync table's text form: a machine synced at seq 0 has a `seen` line,
