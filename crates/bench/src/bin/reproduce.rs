@@ -3,10 +3,18 @@
 //! asserts on.
 //!
 //! Usage: `reproduce [section...]` with sections `table1 [n] [steps]`,
-//! `scaling`, `static`, `entropy`, `memory`; no argument prints all five.
+//! `scaling`, `static`, `entropy`, `memory`, `large [exp...]`; a section's
+//! numbers follow its name, and no argument prints all six.
 
 use dmpc_bench::report::{render_sweep, render_table};
-use dmpc_bench::{dynamic_vs_static, memory_ablation, sweep, ROWS};
+use dmpc_bench::{
+    dynamic_vs_static, memory_ablation, sweep, time_stream_batched, trajectory_workload, ROWS,
+};
+use dmpc_connectivity::DmpcConnectivity;
+use dmpc_core::DynamicGraphAlgorithm;
+use dmpc_graph::Update;
+use dmpc_matching::DmpcMaximalMatching;
+use dmpc_mpc::ExecOptions;
 
 /// E1–E6: Table 1 at one size, paper claim beside measured worst case.
 fn table1(n: usize, steps: usize) {
@@ -81,19 +89,80 @@ fn memory() {
         );
     }
     println!("\nWords are flat in S at a fixed machine count (set by N: see `scaling`), so an");
-    println!("S below them (multiplier 8: 256 < 359) breaks the send cap instead.");
+    println!("S below them (multiplier 8: 256 < 359) breaks the send cap instead.\n");
 }
+
+/// The large-n trajectory: n = 2^exp with `P = Θ(N/S)` machines (2048 at
+/// n = 2^20) over clustered churn at a 256-vertex component grain (see
+/// `trajectory_workload` for why owner-set locality is what makes a
+/// one-host simulation of the model feasible at millions of vertices),
+/// replayed through `apply_batch` at k = 64 on the lean serial executor.
+/// Each cell prints wall-clock updates/sec, the peak resident-words proxy
+/// (which must grow ~linearly in the input) and the model-violation count,
+/// which is asserted zero. Connectivity runs at every n; matching joins at
+/// n >= 2^14 (its coordinator protocol dominates below). The full sweep is
+/// `large 10 12 14 16 18 20`, minutes at the top end.
+fn large(exps: &[usize]) {
+    const K: usize = 64;
+    println!("Large-n trajectory: clustered churn, lean serial executor, k = {K}\n");
+    println!(
+        "{:<13} | {:>8} | {:>5} | {:>8} | {:>11} | {:>9} | {:>12} | {:>5}",
+        "algorithm", "n", "P", "stream", "updates/s", "secs", "peak words", "viol"
+    );
+    for &e in if exps.is_empty() { &[10][..] } else { exps } {
+        let n = 1usize << e;
+        // Enough churn for a stable rate at small n, capped so the 2^20
+        // cell (whose 2n-insert build-up already dominates) stays minutes.
+        let (params, ups) = trajectory_workload(n, (n / 4).clamp(1024, 1 << 18), 42);
+        let mut algs: Vec<(&str, Box<dyn DynamicGraphAlgorithm<Update = Update>>)> = vec![(
+            "connectivity",
+            Box::new(DmpcConnectivity::with_exec(params, ExecOptions::lean())),
+        )];
+        if e >= 14 {
+            algs.push((
+                "matching",
+                Box::new(DmpcMaximalMatching::with_exec(params, ExecOptions::lean())),
+            ));
+        }
+        for (alg, mut a) in algs {
+            let run = time_stream_batched(a.as_mut(), &ups, K);
+            assert_eq!(
+                run.batch.violations, 0,
+                "{alg} at n=2^{e}: model violations"
+            );
+            println!(
+                "{alg:<13} | {n:>8} | {:>5} | {:>8} | {:>11.1} | {:>9.3} | {:>12} | {:>5}",
+                params.storage_machines(),
+                ups.len(),
+                run.updates_per_sec(),
+                run.secs,
+                run.peak_resident_words,
+                run.batch.violations,
+            );
+        }
+    }
+    println!();
+}
+
+/// A section's name and its printer, which takes the section's numbers.
+type Section<'a> = (&'a str, &'a dyn Fn(&[usize]));
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let numbers: Vec<usize> = args.iter().filter_map(|a| a.parse().ok()).collect();
-    let number = |at: usize, default| numbers.get(at).copied().unwrap_or(default);
-    let sections: [(&str, &dyn Fn()); 5] = [
-        ("table1", &|| table1(number(0, 256), number(1, 300))),
-        ("scaling", &scaling),
-        ("static", &dynamic_vs_static_table),
-        ("entropy", &entropy),
-        ("memory", &memory),
+    // A section's numbers: the numeric arguments right after its name.
+    let numbers = |name: &str| -> Vec<usize> {
+        let after = args.iter().skip_while(|a| *a != name).skip(1);
+        after.map_while(|a| a.parse().ok()).collect()
+    };
+    let sections: [Section; 6] = [
+        ("table1", &|at| {
+            table1(*at.first().unwrap_or(&256), *at.get(1).unwrap_or(&300))
+        }),
+        ("scaling", &|_| scaling()),
+        ("static", &|_| dynamic_vs_static_table()),
+        ("entropy", &|_| entropy()),
+        ("memory", &|_| memory()),
+        ("large", &large),
     ];
     let named = |a: &String| sections.iter().any(|(name, _)| name == a);
     if let Some(bad) = args
@@ -105,7 +174,7 @@ fn main() {
     }
     for (name, print) in sections {
         if !args.iter().any(named) || args.iter().any(|a| a == name) {
-            print();
+            print(&numbers(name));
         }
     }
 }

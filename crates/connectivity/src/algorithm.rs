@@ -1,7 +1,7 @@
 //! Drivers binding the connectivity/MST machine programs to the simulator,
 //! plus audits used by the test suite.
 
-use crate::machine::{ConnMachine, EntryKind, Routing, VertexState, BATCH_CTRL};
+use crate::machine::{ConnMachine, EntryKind, VertexState, BATCH_CTRL};
 use crate::messages::{BatchItem, ConnMsg};
 use crate::preprocess;
 use crate::shard::MAX_VERTICES;
@@ -26,24 +26,10 @@ pub struct ConnDriver {
 }
 
 impl ConnDriver {
-    fn new(params: DmpcParams, mst_mode: bool) -> Self {
-        Self::with_exec(params, mst_mode, ExecOptions::default())
-    }
-
-    fn with_exec(params: DmpcParams, mst_mode: bool, exec: ExecOptions) -> Self {
-        Self::with_opts(params, mst_mode, exec, Routing::default(), None)
-    }
-
-    /// Full-control constructor: executor tuning, multicast/broadcast
-    /// routing, and an optional machine-count override (`None` uses the
-    /// model's O(sqrt N) count).
-    fn with_opts(
-        params: DmpcParams,
-        mst_mode: bool,
-        exec: ExecOptions,
-        routing: Routing,
-        machines: Option<usize>,
-    ) -> Self {
+    /// The one constructor: connectivity or MST mode, an executor profile,
+    /// and an optional machine-count override (`None` uses the model's
+    /// O(sqrt N) count).
+    fn new(params: DmpcParams, mst_mode: bool, exec: ExecOptions, machines: Option<usize>) -> Self {
         // Checked once here, before any machine exists, so the shard hot
         // path never has to: a larger id would alias the tree tag bit.
         assert!(
@@ -54,26 +40,11 @@ impl ConnDriver {
         let machines = machines.unwrap_or_else(|| params.storage_machines()).max(1);
         let block = params.n.div_ceil(machines).max(1);
         let machines = params.n.div_ceil(block); // machines actually used
+        let capacity = params.capacity_words();
         let progs = (0..machines as MachineId)
-            .map(|id| {
-                let mut m = ConnMachine::with_opts(id, params.n, block, mst_mode, routing);
-                // Leave the shard headroom under S for the machine's
-                // non-shard state (scalars, directory, transient buffers),
-                // which is metered in the same budget.
-                m.set_memory_budget(params.capacity_words().saturating_sub(32));
-                // Cap concurrent lanes so the per-lane protocol state and
-                // the controller's lane bookkeeping stay a small fraction
-                // of the machine budget.
-                m.set_lane_cap((params.capacity_words() / 64).max(1));
-                m
-            })
+            .map(|id| ConnMachine::new(id, params.n, block, mst_mode, capacity))
             .collect();
-        // Flow tracking is on by default for drivers (the entropy bench
-        // relies on it); `exec` can override it (e.g. `ExecOptions::lean()`
-        // forces it off for timing runs).
-        let mut cfg = ClusterConfig::with_capacity(params.capacity_words());
-        cfg.track_flows = true;
-        let cfg = cfg.with_exec(exec);
+        let cfg = ClusterConfig::with_capacity(capacity).with_exec(exec);
         ConnDriver {
             cluster: Cluster::new(progs, cfg),
             params,
@@ -390,7 +361,7 @@ impl ConnDriver {
     /// `tests/scheduler_diff.rs` (bit-identical outcomes, more rounds).
     #[doc(hidden)]
     pub fn serialize_lanes(&mut self) {
-        self.cluster.machine_mut(BATCH_CTRL).set_lane_cap(1);
+        self.cluster.machine_mut(BATCH_CTRL).serialize_lanes();
     }
 
     /// Test hook: the machines the most recent run stepped (see
@@ -781,27 +752,16 @@ pub struct DmpcConnectivity {
 }
 
 impl DmpcConnectivity {
-    /// New empty instance.
+    /// New empty instance, fully metered (per-round detail and flows).
     pub fn new(params: DmpcParams) -> Self {
-        DmpcConnectivity {
-            driver: ConnDriver::new(params, false),
-        }
+        Self::with_exec(params, ExecOptions::default())
     }
 
     /// New empty instance with explicit executor tuning (backend selection,
-    /// per-round recording) — behaviour is bit-identical across backends.
+    /// metering detail) — behaviour is bit-identical across profiles.
     pub fn with_exec(params: DmpcParams, exec: ExecOptions) -> Self {
         DmpcConnectivity {
-            driver: ConnDriver::with_exec(params, false, exec),
-        }
-    }
-
-    /// New empty instance with explicit structural-op routing. States and
-    /// query answers are bit-identical across routings; only the metered
-    /// active machines/communication differ (the differential-testing knob).
-    pub fn with_routing(params: DmpcParams, exec: ExecOptions, routing: Routing) -> Self {
-        DmpcConnectivity {
-            driver: ConnDriver::with_opts(params, false, exec, routing, None),
+            driver: ConnDriver::new(params, false, exec, None),
         }
     }
 
@@ -809,14 +769,9 @@ impl DmpcConnectivity {
     /// default is `params.storage_machines()`; the P sweep at fixed n in
     /// `tests/multicast.rs` pins that the active footprint follows owner
     /// sets, not P).
-    pub fn with_cluster(
-        params: DmpcParams,
-        exec: ExecOptions,
-        routing: Routing,
-        machines: usize,
-    ) -> Self {
+    pub fn with_cluster(params: DmpcParams, exec: ExecOptions, machines: usize) -> Self {
         DmpcConnectivity {
-            driver: ConnDriver::with_opts(params, false, exec, routing, Some(machines)),
+            driver: ConnDriver::new(params, false, exec, Some(machines)),
         }
     }
 
@@ -909,21 +864,12 @@ pub struct DmpcMst {
 }
 
 impl DmpcMst {
-    /// New empty instance; `epsilon` controls preprocessing bucketing.
+    /// New empty instance, fully metered; `epsilon` controls preprocessing
+    /// bucketing.
     pub fn new(params: DmpcParams, epsilon: f64) -> Self {
         assert!(epsilon > 0.0);
         DmpcMst {
-            driver: ConnDriver::new(params, true),
-            epsilon,
-        }
-    }
-
-    /// New empty instance with explicit structural-op routing (see
-    /// [`DmpcConnectivity::with_routing`]).
-    pub fn with_routing(params: DmpcParams, epsilon: f64, routing: Routing) -> Self {
-        assert!(epsilon > 0.0);
-        DmpcMst {
-            driver: ConnDriver::with_opts(params, true, ExecOptions::default(), routing, None),
+            driver: ConnDriver::new(params, true, ExecOptions::default(), None),
             epsilon,
         }
     }
@@ -989,6 +935,10 @@ impl DynamicGraphAlgorithm for DmpcMst {
         self.driver.cluster.resident_words()
     }
 
+    /// The same `sqrt N` window cap as connectivity, but only as a cap: MST
+    /// mode has no batched machine program (`machine.rs`, `pending_mst`), so
+    /// `apply_batch` is the trait's default loop over [`Self::apply`] and a
+    /// window of `k` updates costs `k` quiescence runs, not one round trip.
     fn admission_budget(&self) -> Option<usize> {
         Some(self.driver.batch_chunk())
     }

@@ -14,8 +14,6 @@
 //!   component-owner directory; see `machine`), which each recipient applies
 //!   locally — O(1) rounds, O(sqrt N) active machines, O(sqrt N) total
 //!   communication per update, exactly the paper's Table 1 rows 4 and 5.
-//!   The legacy all-machine broadcast survives behind [`Routing::Broadcast`]
-//!   for differential testing; states are bit-identical across routings.
 //! * Tree-edge deletions trigger the paper's one-round replacement search:
 //!   every owner reports at most one candidate crossing edge (plus its
 //!   post-split side membership, which refines the directory) to a
@@ -50,6 +48,6 @@ pub mod static_cc;
 pub mod static_mst;
 
 pub use algorithm::{DmpcConnectivity, DmpcMst};
-pub use machine::{ConflictStats, Routing};
+pub use machine::ConflictStats;
 pub use static_cc::StaticCc;
 pub use static_mst::StaticMst;

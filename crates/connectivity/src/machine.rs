@@ -42,11 +42,9 @@
 //!
 //! Owner sets are O(sqrt N) words but only ever travel point-to-point; the
 //! multicast payloads stay O(1) words, keeping per-update communication at
-//! O(sqrt N) total. The legacy all-machine broadcast survives behind
-//! [`Routing::Broadcast`] for differential testing: both routings run the
-//! identical protocol — broadcast merely
-//! over-addresses the multicasts, and the extra recipients no-op — so
-//! machine states are bit-identical while active-machine metrics differ.
+//! O(sqrt N) total. (The all-machine broadcast this replaced ran the
+//! identical protocol and merely over-addressed the multicasts; its totals
+//! are frozen beside multicast's in `tests/golden_digests.rs`.)
 //!
 //! Machines never send messages to themselves: self-addressed protocol
 //! steps execute locally in the same round (local computation is free in
@@ -166,19 +164,6 @@ pub struct ConflictStats {
     pub depth: usize,
     /// Maximum lanes concurrently in flight (at most the lane cap).
     pub max_lanes: usize,
-}
-
-/// How structural multicasts are addressed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Routing {
-    /// Address structural ops, replacement searches and path-max queries
-    /// only to the affected components' owner machines (the directory).
-    #[default]
-    Multicast,
-    /// Legacy routing: send them to every machine. Kept behind this flag
-    /// for differential testing — states are bit-identical to multicast,
-    /// only the metered active machines/communication differ.
-    Broadcast,
 }
 
 /// Controller-side state of one in-flight batch.
@@ -343,7 +328,6 @@ pub struct ConnMachine {
     /// in sync by O(1)-word [`ConnMsg::Boundary`] broadcasts on migration).
     bounds: Vec<V>,
     mst_mode: bool,
-    routing: Routing,
     verts: Shard,
     /// Owner directory shard: authoritative sets for components rooted in
     /// this machine's block (entries only for sets of size >= 2; the
@@ -363,8 +347,8 @@ pub struct ConnMachine {
     /// Controller state of the in-flight batch (machine 0 only).
     batch: Option<BatchCtl>,
     /// Maximum lanes the controller keeps in flight at once (bounds the
-    /// transient per-lane state and concurrent multicast fan-in; set by the
-    /// driver from the machine capacity).
+    /// transient per-lane state and concurrent multicast fan-in; derived
+    /// from the machine capacity).
     lane_cap: usize,
     /// Statistics of the last completed batch (controller only), harvested
     /// by the driver after the run.
@@ -385,24 +369,30 @@ pub struct ConnMachine {
 }
 
 impl ConnMachine {
-    /// Creates the machine with its owned vertex block and explicit
-    /// routing choice.
-    pub fn with_opts(
+    /// Creates the machine with its owned vertex block under machine
+    /// capacity `capacity_words` (the model's `S`), from which it derives
+    /// its two budgets: the shard compacts its arenas whenever a mutation
+    /// would leave it above `S - 32` while slack remains (headroom for the
+    /// scalars, directory and transient buffers metered in the same `S`),
+    /// and the batch controller keeps at most `S / 64` lanes in flight so
+    /// per-lane protocol state and concurrent multicast fan-in stay a small
+    /// fraction of it.
+    pub fn new(
         id: MachineId,
         n_vertices: usize,
         block: usize,
         mst_mode: bool,
-        routing: Routing,
+        capacity_words: usize,
     ) -> Self {
         let bounds = Self::uniform_bounds(n_vertices, block);
         let lo = bounds[id as usize];
         let hi = bounds[id as usize + 1];
-        let verts = Shard::new_range(lo, hi);
+        let mut verts = Shard::new_range(lo, hi);
+        verts.set_soft_cap(capacity_words.saturating_sub(32));
         ConnMachine {
             id,
             bounds,
             mst_mode,
-            routing,
             verts,
             dir: BTreeMap::new(),
             local: VecDeque::new(),
@@ -410,7 +400,7 @@ impl ConnMachine {
             pending_cuts: BTreeMap::new(),
             pending_mst: None,
             batch: None,
-            lane_cap: usize::MAX,
+            lane_cap: (capacity_words / 64).max(1),
             last_conflict: None,
             pending_queries: BTreeMap::new(),
             answers: Vec::new(),
@@ -420,12 +410,10 @@ impl ConnMachine {
         }
     }
 
-    /// Bounds the lanes the batch controller keeps in flight at once. The
-    /// driver derives this from the machine capacity `S` so per-lane
-    /// transient state and concurrent multicast fan-in stay within the
-    /// model's memory budget.
-    pub fn set_lane_cap(&mut self, cap: usize) {
-        self.lane_cap = cap.max(1);
+    /// Test hook behind `ConnDriver::serialize_lanes`: one lane at a time.
+    #[doc(hidden)]
+    pub fn serialize_lanes(&mut self) {
+        self.lane_cap = 1;
     }
 
     /// Takes the statistics of the last completed batch (controller only;
@@ -511,14 +499,6 @@ impl ConnMachine {
         self.verts.vertices()
     }
 
-    /// Sets the machine's resident budget (the model capacity `S`, in
-    /// words). The shard compacts its arenas whenever a mutation would
-    /// leave it above this while slack remains, so arena holes never turn a
-    /// compactly-fitting shard into a memory violation.
-    pub fn set_memory_budget(&mut self, words: usize) {
-        self.verts.set_soft_cap(words);
-    }
-
     /// This machine's directory shard (audits/tests; not part of the model).
     pub fn directory(&self) -> &BTreeMap<CompId, Vec<MachineId>> {
         &self.dir
@@ -597,10 +577,8 @@ impl ConnMachine {
             put_field(s, self.id as u64);
             s.put(b"\nmst");
             put_field(s, self.mst_mode as u64);
-            s.put(match self.routing {
-                Routing::Multicast => b"\nrouting m\nbounds",
-                Routing::Broadcast => b"\nrouting b\nbounds",
-            });
+            // The `routing` line is a fixed part of the v1 format.
+            s.put(b"\nrouting m\nbounds");
             for &b in &self.bounds {
                 put_field(s, b as u64);
             }
@@ -635,11 +613,19 @@ impl ConnMachine {
             match f.word().expect("non-empty snapshot line") {
                 b"id" => {
                     let id: MachineId = f.dec();
-                    debug_assert_eq!(id, self.id, "snapshot restored on wrong machine");
+                    assert_eq!(
+                        id, self.id,
+                        "snapshot of machine {id} restored on machine {}",
+                        self.id
+                    );
                 }
                 b"mst" => {
                     let mst = f.flag();
-                    debug_assert_eq!(mst, self.mst_mode);
+                    assert_eq!(
+                        mst, self.mst_mode,
+                        "snapshot with mst = {mst} restored on machine {} with mst = {}",
+                        self.id, self.mst_mode
+                    );
                 }
                 b"routing" => {}
                 b"bounds" => self.bounds = std::iter::from_fn(|| f.next_dec()).collect(),
@@ -830,15 +816,9 @@ impl ConnMachine {
     }
 
     /// Remote multicast audience for an owner set: the set minus this
-    /// machine under [`Routing::Multicast`], every other machine under
-    /// [`Routing::Broadcast`].
-    fn audience(&self, owners: &[MachineId], ctx: &RoundCtx) -> Vec<MachineId> {
-        match self.routing {
-            Routing::Multicast => owners.iter().copied().filter(|&m| m != self.id).collect(),
-            Routing::Broadcast => (0..ctx.n_machines as MachineId)
-                .filter(|&m| m != self.id)
-                .collect(),
-        }
+    /// machine.
+    fn audience(&self, owners: &[MachineId]) -> Vec<MachineId> {
+        owners.iter().copied().filter(|&m| m != self.id).collect()
     }
 
     /// The directory's answer for `comp` at its root owner: the stored set,
@@ -919,7 +899,6 @@ impl ConnMachine {
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn handle_ins_query(
         &mut self,
         e: Edge,
@@ -927,7 +906,6 @@ impl ConnMachine {
         x: VertexInfo,
         lane: Option<u32>,
         known_owners: Option<Vec<MachineId>>,
-        ctx: &RoundCtx,
         out: &mut Outbox<ConnMsg>,
     ) {
         let y = e.other(x.v);
@@ -939,7 +917,7 @@ impl ConnMachine {
                 // Find the max-weight tree edge on the x..y path first; the
                 // query multicast needs the component's owner set.
                 match self.set_if_local(y_comp, y_size) {
-                    Some(owners) => self.launch_path_max(e, w, x, owners, ctx, out),
+                    Some(owners) => self.launch_path_max(e, w, x, owners, out),
                     None => {
                         let prev = self
                             .pending_fetches
@@ -1006,7 +984,7 @@ impl ConnMachine {
                 }
             };
             if let Some(u) = union {
-                self.do_link(e, w, &x, u, lane, ctx, out);
+                self.do_link(e, w, &x, u, lane, out);
             }
         }
     }
@@ -1014,9 +992,6 @@ impl ConnMachine {
     /// Executes a cross-component link with the merged owner set resolved:
     /// multicasts the Apply, applies locally, and installs the directory
     /// update at the merged root owner.
-    // The parameters mirror the link flow's wire state one-to-one; a struct
-    // here would duplicate the InsQuery message shape.
-    #[allow(clippy::too_many_arguments)]
     fn do_link(
         &mut self,
         e: Edge,
@@ -1024,7 +999,6 @@ impl ConnMachine {
         x: &VertexInfo,
         union: Vec<MachineId>,
         lane: Option<u32>,
-        ctx: &RoundCtx,
         out: &mut Outbox<ConnMsg>,
     ) {
         let y = e.other(x.v);
@@ -1062,7 +1036,7 @@ impl ConnMachine {
             rendezvous: None,
             lane,
         };
-        for m in self.audience(&union, ctx) {
+        for m in self.audience(&union) {
             out.send(m, ConnMsg::Apply(b));
         }
         self.verts.apply_struct(&b);
@@ -1083,13 +1057,7 @@ impl ConnMachine {
         self.signal_struct_done(lane, out);
     }
 
-    fn handle_delete(
-        &mut self,
-        e: Edge,
-        lane: Option<u32>,
-        ctx: &RoundCtx,
-        out: &mut Outbox<ConnMsg>,
-    ) {
+    fn handle_delete(&mut self, e: Edge, lane: Option<u32>, out: &mut Outbox<ConnMsg>) {
         let u = e.u;
         let (kind, _w) = self
             .verts
@@ -1132,7 +1100,6 @@ impl ConnMachine {
                         None,
                         lane,
                         None,
-                        ctx,
                         out,
                     );
                 }
@@ -1155,7 +1122,6 @@ impl ConnMachine {
         then_link: Option<(Edge, Weight)>,
         lane: Option<u32>,
         owners: Option<Vec<MachineId>>,
-        ctx: &RoundCtx,
         out: &mut Outbox<ConnMsg>,
     ) {
         let owners = match owners {
@@ -1185,7 +1151,7 @@ impl ConnMachine {
             }
         };
         self.do_cut(
-            e, parent, fy, ly, mode, search, then_link, lane, owners, ctx, out,
+            e, parent, fy, ly, mode, search, then_link, lane, owners, out,
         );
     }
 
@@ -1204,7 +1170,6 @@ impl ConnMachine {
         then_link: Option<(Edge, Weight)>,
         lane: Option<u32>,
         owners: Vec<MachineId>,
-        ctx: &RoundCtx,
         out: &mut Outbox<ConnMsg>,
     ) {
         let child = e.other(parent);
@@ -1237,7 +1202,7 @@ impl ConnMachine {
             rendezvous: if search { Some(self.id) } else { None },
             lane,
         };
-        let remote = self.audience(&owners, ctx);
+        let remote = self.audience(&owners);
         for &m in &remote {
             out.send(m, ConnMsg::Apply(b));
         }
@@ -1357,7 +1322,6 @@ impl ConnMachine {
         w: Weight,
         x: VertexInfo,
         owners: Vec<MachineId>,
-        ctx: &RoundCtx,
         out: &mut Outbox<ConnMsg>,
     ) {
         let y = e.other(x.v);
@@ -1373,7 +1337,7 @@ impl ConnMachine {
             w,
             rendezvous: self.id,
         };
-        let remote = self.audience(&owners, ctx);
+        let remote = self.audience(&owners);
         for &m in &remote {
             out.send(m, q.clone());
         }
@@ -1472,7 +1436,6 @@ impl ConnMachine {
         e: Edge,
         w: Weight,
         owners: Vec<MachineId>,
-        ctx: &RoundCtx,
         out: &mut Outbox<ConnMsg>,
     ) {
         let u = d.u;
@@ -1508,7 +1471,6 @@ impl ConnMachine {
                 Some((e, w)),
                 None,
                 Some(owners),
-                ctx,
                 out,
             );
         }
@@ -1549,7 +1511,6 @@ impl ConnMachine {
         comp: CompId,
         owners: Vec<MachineId>,
         reply_lane: Option<u32>,
-        ctx: &RoundCtx,
         out: &mut Outbox<ConnMsg>,
     ) {
         let cont = self
@@ -1567,7 +1528,7 @@ impl ConnMachine {
             } => {
                 let acc = merge_sets(acc, &owners);
                 if waiting == 1 {
-                    self.do_link(e, w, &x, acc, lane, ctx, out);
+                    self.do_link(e, w, &x, acc, lane, out);
                 } else {
                     self.pending_fetches.insert(
                         lane_key(lane),
@@ -1594,11 +1555,11 @@ impl ConnMachine {
             } => {
                 debug_assert_eq!(self.verts.comp_of(parent), comp);
                 self.do_cut(
-                    e, parent, fy, ly, mode, search, then_link, lane, owners, ctx, out,
+                    e, parent, fy, ly, mode, search, then_link, lane, owners, out,
                 );
             }
             FetchCont::PathMax { e, w, x } => {
-                self.launch_path_max(e, w, x, owners, ctx, out);
+                self.launch_path_max(e, w, x, owners, out);
             }
         }
     }
@@ -2059,14 +2020,14 @@ impl ConnMachine {
     ) {
         match msg {
             ConnMsg::Insert { e, w, lane } => self.handle_insert(e, w, lane, out),
-            ConnMsg::Delete { e, lane } => self.handle_delete(e, lane, ctx, out),
+            ConnMsg::Delete { e, lane } => self.handle_delete(e, lane, out),
             ConnMsg::InsQuery {
                 e,
                 w,
                 x,
                 lane,
                 known_owners,
-            } => self.handle_ins_query(e, w, x, lane, known_owners, ctx, out),
+            } => self.handle_ins_query(e, w, x, lane, known_owners, out),
             ConnMsg::AddNonTree {
                 e,
                 w,
@@ -2101,7 +2062,7 @@ impl ConnMachine {
                 owners,
             } => {
                 self.start_cut(
-                    e, parent, fy, ly, mode, search, then_link, lane, owners, ctx, out,
+                    e, parent, fy, ly, mode, search, then_link, lane, owners, out,
                 );
             }
             ConnMsg::StartLink { e, w, lane, owners } => {
@@ -2117,14 +2078,12 @@ impl ConnMachine {
                 ..
             } => self.handle_path_max_query(comp, fx, lx, fy, ly, rendezvous, out),
             ConnMsg::PathMaxReply { best } => acc.path_replies.push(best),
-            ConnMsg::StartSwap { d, e, w, owners } => {
-                self.handle_start_swap(d, e, w, owners, ctx, out)
-            }
+            ConnMsg::StartSwap { d, e, w, owners } => self.handle_start_swap(d, e, w, owners, out),
             ConnMsg::DirFetch { .. } | ConnMsg::CutReport { .. } | ConnMsg::Apply(_) => {
                 unreachable!("handled before dispatch")
             }
             ConnMsg::DirReply { comp, owners, lane } => {
-                self.handle_dir_reply(comp, owners, lane, ctx, out)
+                self.handle_dir_reply(comp, owners, lane, out)
             }
             ConnMsg::DirStore { comp, owners } => {
                 debug_assert_eq!(self.root_owner(comp), self.id);

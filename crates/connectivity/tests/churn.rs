@@ -5,7 +5,7 @@
 //! chaos run's final state digest equals the failure-free run's digest over
 //! the same stream, and both match the `DynamicGraph` ground truth.
 
-use dmpc_connectivity::{DmpcConnectivity, DmpcMst, Routing};
+use dmpc_connectivity::{DmpcConnectivity, DmpcMst};
 use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
 use dmpc_graph::{streams, Edge, Op, Update};
 use dmpc_mpc::{ChaosCaps, ChaosKind, ChaosPlan, ExecOptions, MachineId};
@@ -31,7 +31,7 @@ fn partitions_equal(a: &[u32], b: &[u32]) -> bool {
 
 fn conn_with(n: usize, p: usize) -> DmpcConnectivity {
     let params = DmpcParams::new(n, 4 * n);
-    DmpcConnectivity::with_cluster(params, ExecOptions::default(), Routing::Multicast, p)
+    DmpcConnectivity::with_cluster(params, ExecOptions::default(), p)
 }
 
 /// An MST instance behind the weighted adapter (weights derived
@@ -200,6 +200,25 @@ fn kill_and_revive_is_bit_identical() {
     assert_eq!(alg.state_digest(), twin.state_digest());
 }
 
+/// A snapshot is restored only on the machine, and in the mode, it was
+/// taken from — in release builds too, where a `debug_assert` would let
+/// machine 3's shard be installed on machine 5.
+#[test]
+#[should_panic(expected = "snapshot of machine 3 restored on machine 5")]
+fn restore_refuses_another_machines_snapshot() {
+    let mut alg = conn_with(64, 8);
+    let snap = alg.snapshot_machine(3);
+    alg.restore_machine(5, &snap);
+}
+
+#[test]
+#[should_panic(expected = "snapshot with mst = true restored on machine 2 with mst = false")]
+fn restore_refuses_a_snapshot_of_the_other_mode() {
+    let params = DmpcParams::new(64, 256);
+    let snap = DmpcMst::new(params, 0.1).snapshot_machine(2);
+    DmpcConnectivity::new(params).restore_machine(2, &snap);
+}
+
 /// Reviving with a replayed suffix (checkpoint taken *before* some batches)
 /// still lands bit-identically.
 #[test]
@@ -242,11 +261,7 @@ fn recovery_traffic_flow_discipline() {
     let p = 8;
     let params = DmpcParams::new(n, 4 * n);
     let cap = params.capacity_words();
-    let exec = ExecOptions {
-        track_flows: Some(true),
-        ..ExecOptions::default()
-    };
-    let mut alg = DmpcConnectivity::with_cluster(params, exec, Routing::Multicast, p);
+    let mut alg = DmpcConnectivity::with_cluster(params, ExecOptions::default(), p);
     let ups = streams::clustered_churn_stream(n, 8, 6, 80, 0.6, 13);
     alg.apply_batch(&ups);
 
@@ -274,8 +289,7 @@ fn recovery_traffic_flow_discipline() {
 
     let ckpt = ElasticAlgorithm::checkpoint(&alg);
     alg.driver_mut().kill_machine(4);
-    let mut replica =
-        DmpcConnectivity::with_cluster(params, ExecOptions::default(), Routing::Multicast, p);
+    let mut replica = DmpcConnectivity::with_cluster(params, ExecOptions::default(), p);
     replica.restore(&ckpt);
     let um = alg
         .driver_mut()

@@ -6,7 +6,7 @@
 //! straddle every decimal length up to five digits, where a numeric order
 //! and a text order of the ids disagree the most.
 
-use dmpc_connectivity::{DmpcConnectivity, DmpcMst, Routing};
+use dmpc_connectivity::{DmpcConnectivity, DmpcMst};
 use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
 use dmpc_graph::{streams, WeightedUpdate};
 use dmpc_mpc::chaos::fnv1a;
@@ -62,14 +62,8 @@ fn weighted_lines_at_three_and_four_digits() {
 #[test]
 fn across_split_merge_and_kill_revive() {
     let (n, p) = (1001, 8);
-    let make = || {
-        DmpcConnectivity::with_cluster(
-            DmpcParams::new(n, 4 * n),
-            ExecOptions::default(),
-            Routing::Multicast,
-            p,
-        )
-    };
+    let make =
+        || DmpcConnectivity::with_cluster(DmpcParams::new(n, 4 * n), ExecOptions::default(), p);
     let ups = streams::clustered_churn_stream(n, 8, 40, 400, 0.6, 17);
     let mut alg = make();
     alg.apply_batch(&ups);

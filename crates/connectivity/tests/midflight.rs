@@ -9,7 +9,7 @@
 //! the simulator layer (`dmpc-mpc`); here the loop-level retry/backoff/
 //! recovery trajectory is checked.
 
-use dmpc_connectivity::{DmpcConnectivity, DmpcMst, Routing};
+use dmpc_connectivity::{DmpcConnectivity, DmpcMst};
 use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
 use dmpc_graph::{streams, Op, Query, QueryAnswer, Update};
 use dmpc_mpc::{ChaosKind, ChaosPlan, ExecOptions};
@@ -21,7 +21,7 @@ use proptest::prelude::*;
 
 fn conn_with(n: usize, p: usize) -> DmpcConnectivity {
     let params = DmpcParams::new(n, 4 * n);
-    DmpcConnectivity::with_cluster(params, ExecOptions::default(), Routing::Multicast, p)
+    DmpcConnectivity::with_cluster(params, ExecOptions::default(), p)
 }
 
 fn partitions_equal(a: &[u32], b: &[u32]) -> bool {

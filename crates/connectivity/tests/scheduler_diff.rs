@@ -12,7 +12,7 @@
 //! shallow conflict graphs must — differ: the depth sweep and the canonical
 //! clustered service cell below pin by how much.
 
-use dmpc_connectivity::{ConflictStats, DmpcConnectivity, Routing};
+use dmpc_connectivity::{ConflictStats, DmpcConnectivity};
 use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
 use dmpc_graph::streams::{self, chunk_stream, QueryMix, TargetDist, Update};
 use dmpc_graph::{Op, Query};
@@ -314,12 +314,8 @@ fn canonical_clustered_mixed_cell_halves_batch_rounds() {
         42,
     );
     let [con, ser] = [false, true].map(|serialize| {
-        let mut alg = DmpcConnectivity::with_cluster(
-            DmpcParams::new(n, 3 * n),
-            ExecOptions::default(),
-            Routing::Multicast,
-            16,
-        );
+        let mut alg =
+            DmpcConnectivity::with_cluster(DmpcParams::new(n, 3 * n), ExecOptions::default(), 16);
         if serialize {
             alg = serialized(alg);
         }

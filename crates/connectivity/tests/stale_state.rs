@@ -13,14 +13,14 @@
 //!   query waves, migrations, kill/revive) every machine, inside the
 //!   touched set or out of it, reports empty transient state.
 
-use dmpc_connectivity::{DmpcConnectivity, DmpcMst, Routing};
+use dmpc_connectivity::{DmpcConnectivity, DmpcMst};
 use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
 use dmpc_graph::{streams, Query, Update, WeightedUpdate, V};
 use dmpc_mpc::{ChaosKind, ExecOptions, MachineId};
 
 fn conn_with(n: usize, p: usize) -> DmpcConnectivity {
     let params = DmpcParams::new(n, 4 * n);
-    DmpcConnectivity::with_cluster(params, ExecOptions::default(), Routing::Multicast, p)
+    DmpcConnectivity::with_cluster(params, ExecOptions::default(), p)
 }
 
 /// Machines holding transient state right now.

@@ -122,19 +122,16 @@ pub struct DmpcMaximalMatching {
 }
 
 impl DmpcMaximalMatching {
-    /// Creates an empty instance.
+    /// Creates an empty instance, fully metered (per-round detail and
+    /// flows).
     pub fn new(params: DmpcParams) -> Self {
-        Self::with_mode_exec(params, false, ExecOptions::default())
+        Self::with_exec(params, ExecOptions::default())
     }
 
     /// Creates an empty instance with explicit executor tuning (backend
-    /// selection, per-round recording) — bit-identical across backends.
+    /// selection, metering detail) — bit-identical across profiles.
     pub fn with_exec(params: DmpcParams, exec: ExecOptions) -> Self {
         Self::with_mode_exec(params, false, exec)
-    }
-
-    pub(crate) fn with_mode(params: DmpcParams, three_halves: bool) -> Self {
-        Self::with_mode_exec(params, three_halves, ExecOptions::default())
     }
 
     pub(crate) fn with_mode_exec(
@@ -162,12 +159,7 @@ impl DmpcMaximalMatching {
         for _ in 0..layout.n_overflow {
             machines.push(Role::Overflow(OverflowMachine::default()));
         }
-        // Flow tracking is on by default for drivers (the entropy bench
-        // relies on it); `exec` can override it (e.g. `ExecOptions::lean()`
-        // forces it off for timing runs).
-        let mut cfg = ClusterConfig::with_capacity(params.capacity_words());
-        cfg.track_flows = true;
-        let cfg = cfg.with_exec(exec);
+        let cfg = ClusterConfig::with_capacity(params.capacity_words()).with_exec(exec);
         DmpcMaximalMatching {
             cluster: Cluster::new(machines, cfg),
             layout,

@@ -12,7 +12,7 @@ use crate::maximal::DmpcMaximalMatching;
 use dmpc_core::{DmpcParams, DynamicGraphAlgorithm};
 use dmpc_graph::matching::Matching;
 use dmpc_graph::{DynamicGraph, Query, QueryAnswer, Update};
-use dmpc_mpc::{QueryMetrics, UpdateMetrics};
+use dmpc_mpc::{ExecOptions, QueryMetrics, UpdateMetrics};
 
 /// Fully-dynamic 3/2-approximate maximum matching.
 pub struct DmpcThreeHalves {
@@ -23,7 +23,7 @@ impl DmpcThreeHalves {
     /// Creates an empty instance.
     pub fn new(params: DmpcParams) -> Self {
         DmpcThreeHalves {
-            inner: DmpcMaximalMatching::with_mode(params, true),
+            inner: DmpcMaximalMatching::with_mode_exec(params, true, ExecOptions::default()),
         }
     }
 

@@ -43,21 +43,21 @@ pub enum Backend {
 /// Executor tuning knobs, orthogonal to the DMPC model parameters. Drivers
 /// accept these so benches can select a backend or trim metering overhead
 /// without touching the algorithm's model configuration (capacity, round
-/// limits).
-#[derive(Clone, Copy, Debug)]
+/// limits). The default is the fully metered serial profile.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecOptions {
     /// The stepping backend.
     pub backend: Backend,
     /// Worker count for the pool backend (0 = available parallelism).
     pub threads: usize,
-    /// Record per-round detail in [`UpdateMetrics::per_round`].
+    /// Record per-round detail in [`UpdateMetrics::per_round`]. Long churn
+    /// streams that only need aggregates can switch this off; `rounds` and
+    /// `total_words` are identical either way.
     pub record_per_round: bool,
-    /// Overrides `(src,dst)` flow tracking (the Section 8 entropy metric)
-    /// when `Some`; `None` leaves the config's own setting untouched, so
-    /// picking a backend never silently changes what gets metered. Flow
-    /// tracking costs a hash-map update per delivered message, so
-    /// timing-focused runs force it off via [`ExecOptions::lean`].
-    pub track_flows: Option<bool>,
+    /// Record per-`(src,dst)` flows (the Section 8 entropy metric). Costs a
+    /// hash-map update per delivered message, so timing-focused runs switch
+    /// it off via [`ExecOptions::lean`].
+    pub track_flows: bool,
 }
 
 impl Default for ExecOptions {
@@ -66,7 +66,7 @@ impl Default for ExecOptions {
             backend: Backend::Serial,
             threads: 0,
             record_per_round: true,
-            track_flows: None,
+            track_flows: true,
         }
     }
 }
@@ -78,22 +78,14 @@ impl ExecOptions {
     pub fn lean() -> Self {
         ExecOptions {
             record_per_round: false,
-            track_flows: Some(false),
-            ..Default::default()
-        }
-    }
-
-    /// The worker-pool backend with `threads` workers (0 = all cores).
-    pub fn pool(threads: usize) -> Self {
-        ExecOptions {
-            backend: Backend::WorkerPool,
-            threads,
+            track_flows: false,
             ..Default::default()
         }
     }
 }
 
-/// Cluster configuration: the DMPC model parameters.
+/// Cluster configuration: the DMPC model parameters plus the executor
+/// profile that runs them.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Machine memory / per-round send & receive cap `S`, in words.
@@ -102,16 +94,9 @@ pub struct ClusterConfig {
     pub capacity_words: Option<usize>,
     /// Safety limit on rounds per update (quiescence failure guard).
     pub max_rounds_per_update: usize,
-    /// Record per-(src,dst) flows for the entropy metric (small overhead).
-    pub track_flows: bool,
-    /// Machine-stepping backend (bit-identical across both choices).
-    pub backend: Backend,
-    /// Worker count for the pool backend (0 = available parallelism).
-    pub threads: usize,
-    /// Record per-round detail in [`UpdateMetrics::per_round`]. Long churn
-    /// streams that only need aggregates can switch this off; `rounds` and
-    /// `total_words` are identical either way.
-    pub record_per_round: bool,
+    /// Backend and metering detail (bit-identical model counts across
+    /// every choice).
+    pub exec: ExecOptions,
 }
 
 impl Default for ClusterConfig {
@@ -119,10 +104,7 @@ impl Default for ClusterConfig {
         ClusterConfig {
             capacity_words: None,
             max_rounds_per_update: 10_000,
-            track_flows: false,
-            backend: Backend::Serial,
-            threads: 0,
-            record_per_round: true,
+            exec: ExecOptions::default(),
         }
     }
 }
@@ -136,15 +118,9 @@ impl ClusterConfig {
         }
     }
 
-    /// Overlays executor tuning on this config. `track_flows` is only
-    /// touched when the options carry an explicit override.
+    /// This config under the executor profile `exec`.
     pub fn with_exec(mut self, exec: ExecOptions) -> Self {
-        self.backend = exec.backend;
-        self.threads = exec.threads;
-        self.record_per_round = exec.record_per_round;
-        if let Some(flows) = exec.track_flows {
-            self.track_flows = flows;
-        }
+        self.exec = exec;
         self
     }
 }
@@ -207,15 +183,15 @@ impl<M: Machine> Cluster<M> {
     /// [`Backend::WorkerPool`] the worker threads are spawned here, once,
     /// and reused for every subsequent round.
     pub fn new(machines: Vec<M>, cfg: ClusterConfig) -> Self {
-        let threads = match cfg.backend {
+        let threads = match cfg.exec.backend {
             Backend::Serial => 1,
             Backend::WorkerPool => {
-                if cfg.threads == 0 {
+                if cfg.exec.threads == 0 {
                     std::thread::available_parallelism()
                         .map(|p| p.get())
                         .unwrap_or(1)
                 } else {
-                    cfg.threads
+                    cfg.exec.threads
                 }
             }
         };
@@ -399,7 +375,7 @@ impl<M: Machine> Cluster<M> {
             metrics.max_words_per_round = metrics.max_words_per_round.max(rm.words);
             metrics.total_words += rm.words;
             metrics.total_messages += rm.messages;
-            if self.cfg.record_per_round {
+            if self.cfg.exec.record_per_round {
                 metrics.per_round.push(rm);
             }
         }
@@ -540,7 +516,7 @@ impl<M: Machine> Cluster<M> {
                     rm.words += w;
                     rm.messages += 1;
                     recv += w;
-                    if self.cfg.track_flows {
+                    if self.cfg.exec.track_flows {
                         *update.flows.entry((env.from, to)).or_default() += w as u64;
                     }
                 }
@@ -1064,11 +1040,7 @@ mod tests {
 
     #[test]
     fn flows_tracked_when_enabled() {
-        let cfg = ClusterConfig {
-            track_flows: true,
-            ..Default::default()
-        };
-        let mut c = relay_cluster(3, cfg);
+        let mut c = relay_cluster(3, ClusterConfig::default());
         let m = run_single_update(&mut c, 0, 3);
         // 0->1, 1->2, 2->0 one word each.
         assert_eq!(m.flows.len(), 3);
@@ -1113,34 +1085,60 @@ mod tests {
         assert!(a.machines_touched <= a.rounds * a.max_active_machines.max(1));
     }
 
+    /// The two metering bits are metering only: whatever they are set to,
+    /// the run costs the same in the model and leaves the same states.
     #[test]
     fn record_per_round_off_keeps_aggregates_identical() {
-        let run = |record: bool| {
-            let cfg = ClusterConfig {
-                record_per_round: record,
+        let run = |record_per_round: bool, track_flows: bool| {
+            let exec = ExecOptions {
+                record_per_round,
+                track_flows,
                 ..Default::default()
             };
-            let mut c = relay_cluster(4, cfg);
-            run_single_update(&mut c, 0, 9)
+            let mut c = relay_cluster(4, ClusterConfig::default().with_exec(exec));
+            let m = run_single_update(&mut c, 0, 9);
+            let seen: Vec<u64> = c.machines().map(|m| m.seen).collect();
+            (m, seen)
         };
-        let on = run(true);
-        let off = run(false);
+        let (on, on_seen) = run(true, true);
         assert_eq!(on.per_round.len(), on.rounds);
-        assert!(off.per_round.is_empty());
-        assert_eq!(on.rounds, off.rounds);
-        assert_eq!(on.total_words, off.total_words);
-        assert_eq!(on.total_messages, off.total_messages);
-        assert_eq!(on.max_words_per_round, off.max_words_per_round);
-        assert_eq!(on.max_active_machines, off.max_active_machines);
+        assert_eq!(on.flows.values().sum::<u64>(), on.total_words as u64);
+        for (record, flows) in [(false, true), (true, false), (false, false)] {
+            let (off, off_seen) = run(record, flows);
+            assert_eq!(off.per_round.len(), if record { on.rounds } else { 0 });
+            assert_eq!(off.flows.is_empty(), !flows);
+            assert_eq!(on.rounds, off.rounds);
+            assert_eq!(on.total_words, off.total_words);
+            assert_eq!(on.total_messages, off.total_messages);
+            assert_eq!(on.max_words_per_round, off.max_words_per_round);
+            assert_eq!(on.max_active_machines, off.max_active_machines);
+            assert_eq!(on.machines_touched, off.machines_touched);
+            assert_eq!(on.violations, off.violations);
+            assert_eq!(on_seen, off_seen);
+        }
+    }
+
+    /// `with_exec` stores the profile it is given, whole — for the three
+    /// shapes the benchmark builds.
+    #[test]
+    fn with_exec_is_a_field_store() {
+        let pool = ExecOptions {
+            backend: Backend::WorkerPool,
+            threads: 2,
+            ..ExecOptions::lean()
+        };
+        for exec in [ExecOptions::default(), ExecOptions::lean(), pool] {
+            assert_eq!(ClusterConfig::default().with_exec(exec).exec, exec);
+        }
     }
 
     #[test]
     fn worker_pool_backend_matches_serial() {
-        let pool_cfg = ClusterConfig {
+        let pool_cfg = ClusterConfig::default().with_exec(ExecOptions {
             backend: Backend::WorkerPool,
             threads: 3,
             ..Default::default()
-        };
+        });
         let mut serial = relay_cluster(6, ClusterConfig::default());
         let mut pooled = relay_cluster(6, pool_cfg);
         for hops in [7u64, 3, 11, 0, 5] {

@@ -2,7 +2,8 @@
 //! backend, conservation of message accounting, and cap enforcement.
 
 use dmpc_mpc::{
-    Backend, Cluster, ClusterConfig, Envelope, Machine, MachineId, Outbox, Payload, RoundCtx,
+    Backend, Cluster, ClusterConfig, Envelope, ExecOptions, Machine, MachineId, Outbox, Payload,
+    RoundCtx,
 };
 use proptest::prelude::*;
 
@@ -54,12 +55,11 @@ fn assert_touched_is_the_counted_set<M: Machine>(c: &Cluster<M>, machines_touche
 }
 
 fn run(backend: Backend, tokens: &[(u8, u8)], machines: usize) -> (Vec<u64>, Vec<usize>) {
-    let cfg = ClusterConfig {
+    let cfg = ClusterConfig::default().with_exec(ExecOptions {
         backend,
         threads: 4,
-        track_flows: true,
         ..Default::default()
-    };
+    });
     let mut c = Cluster::new(
         (0..machines).map(|i| Router { acc: i as u64 }).collect(),
         cfg,
@@ -102,12 +102,11 @@ proptest! {
     ) {
         let machines = 12usize;
         let run_batches = |backend: Backend| {
-            let cfg = ClusterConfig {
+            let cfg = ClusterConfig::default().with_exec(ExecOptions {
                 backend,
                 threads: 4,
-                track_flows: true,
                 ..Default::default()
-            };
+            });
             let mut c = Cluster::new(
                 (0..machines).map(|i| Router { acc: i as u64 }).collect::<Vec<_>>(),
                 cfg,
@@ -172,12 +171,8 @@ proptest! {
             .map(|&(to, v)| ((to as usize % machines) as MachineId, Packet(v as u64)))
             .collect();
 
-        // Real executor, serial backend, flows on.
-        let cfg = ClusterConfig {
-            track_flows: true,
-            ..Default::default()
-        };
-        let mut c = Cluster::new(mk(), cfg);
+        // Real executor, serial backend, flows on (the default profile).
+        let mut c = Cluster::new(mk(), ClusterConfig::default());
         c.inject_batch(inj.clone());
         let real = c.run_update();
 
@@ -281,12 +276,11 @@ fn inbox_order_matches_reference_at_every_round_size() {
                     .collect::<Vec<_>>()
             };
             for backend in [Backend::Serial, Backend::WorkerPool] {
-                let cfg = ClusterConfig {
+                let cfg = ClusterConfig::default().with_exec(ExecOptions {
                     backend,
                     threads: 3,
-                    track_flows: true,
                     ..Default::default()
-                };
+                });
                 let mut c = Cluster::new(mk(), cfg);
                 c.inject_batch(inj.clone());
                 let real = c.run_update();

@@ -10,6 +10,15 @@
 //! arenas, the executor or any host-side bookkeeping must not move a
 //! digest, a round or a word.
 //!
+//! The `MULTICAST_*` constants came the same way from commit 9e4e563, the
+//! last one that could still address a structural multicast to every
+//! machine instead of the affected components' owners: each stream of
+//! `crates/connectivity/tests/multicast.rs` was run under both routings,
+//! every machine's vertex states and directory shard were asserted equal
+//! after every update, and multicast's totals were printed beside
+//! broadcast's. Broadcast merely over-addressed, so a digest that moves
+//! here means the one remaining routing changed what it computes.
+//!
 //! [`SEEDS`] are the twelve seeds the vendored proptest stub drew for the
 //! old suites' `seed in 0u64..1u64 << 48` strategy (the stub seeds each
 //! case from its index, so those "random" cases were twelve fixed streams).
@@ -17,10 +26,12 @@
 use dmpc::connectivity::{DmpcConnectivity, DmpcMst};
 use dmpc::core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
 use dmpc::graph::streams::{self, Update, WeightedUpdate};
-use dmpc::graph::Op;
+use dmpc::graph::{DynamicGraph, Edge, Op};
 use dmpc::matching::DmpcMaximalMatching;
-use dmpc::mpc::{BatchMetrics, ChaosCaps, ChaosPlan, Machine, UpdateMetrics};
+use dmpc::mpc::{BatchMetrics, ChaosCaps, ChaosPlan, ExecOptions, Machine, UpdateMetrics};
 use dmpc::service::{CloseReason, ServiceAlgorithm, ServiceLoop, ServiceReport, UnweightedService};
+use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// `(state_digest, total rounds, total words)` of one replayed stream.
 type Golden = (u64, usize, usize);
@@ -122,11 +133,75 @@ const CANONICAL: [Golden; 4] = [
     (17695691996732485748, 2943, 153331),
 ];
 
+/// One stream under owner-set multicast, `(state_digest, rounds, words,
+/// sum of machines_touched)`, and under the all-machine broadcast that ran
+/// the same protocol, `(rounds, words, sum of machines_touched)`.
+type Routed = ((u64, usize, usize, usize), (usize, usize, usize));
+
+/// The sixteen cases the vendored proptest stub draws for `multicast.rs`'s
+/// `vec((0u32..24, 0u32..24, any::<bool>()), 1..120)`, by case index.
+const MULTICAST_PROPTEST: [Routed; 16] = [
+    ((9870439846019109572, 44, 649, 40), (44, 2313, 144)),
+    ((4339578917939402452, 128, 2796, 153), (128, 4828, 280)),
+    ((8229174652267030521, 3, 28, 2), (3, 188, 12)),
+    ((16170603462219536947, 96, 2410, 126), (96, 4490, 256)),
+    ((12524623682809466405, 195, 4861, 243), (195, 7008, 375)),
+    ((5937357798705230869, 40, 443, 27), (40, 1931, 120)),
+    ((18296051875694062937, 166, 3568, 205), (166, 5989, 351)),
+    ((7700859791668671804, 145, 4065, 205), (145, 5841, 316)),
+    ((8092786891551070422, 111, 2222, 130), (111, 4694, 282)),
+    ((3880863758111023701, 133, 2523, 149), (133, 5173, 314)),
+    ((6419062039055956656, 194, 3318, 221), (194, 5835, 373)),
+    ((16590721222396896734, 122, 2005, 121), (122, 4734, 290)),
+    ((14590219624670749293, 178, 5207, 245), (178, 7351, 379)),
+    ((7976292415559082939, 42, 678, 42), (43, 2310, 144)),
+    ((10266379423775391842, 239, 5977, 286), (240, 8265, 429)),
+    ((14881646200199703367, 75, 1472, 84), (75, 3392, 204)),
+];
+/// The [`MST_CHURN`] streams.
+const MULTICAST_MST: [Routed; 3] = [
+    (
+        (14544705878201844831, 1151, 46660, 1493),
+        (1153, 49214, 1653),
+    ),
+    (
+        (18237013094924977716, 1111, 42081, 1485),
+        (1111, 44728, 1645),
+    ),
+    (
+        (14650486467542310681, 1154, 50735, 1505),
+        (1157, 53673, 1689),
+    ),
+];
+/// Canonical churn (n = 256, 512 mixed updates, seed 42) at P = 16.
+const MULTICAST_CANONICAL_P16: Routed = (
+    (17164679207077951000, 3884, 125300, 5521),
+    (3893, 155903, 7429),
+);
+/// Clustered churn, n = 128, at P = 32.
+const MULTICAST_CLUSTERED_P32: Routed = (
+    (12723173749733691690, 1255, 15349, 874),
+    (1272, 154938, 8082),
+);
+/// Clustered churn, n = 256, at P = 4, 16 and 64.
+const MULTICAST_P_SWEEP: [Routed; 3] = [
+    ((10757535703899456080, 640, 0, 640), (1530, 34239, 2485)),
+    (
+        (10757535703899456080, 2400, 15842, 1184),
+        (2509, 177038, 9873),
+    ),
+    (
+        (10757535703899456080, 3001, 54169, 2856),
+        (3015, 731258, 39403),
+    ),
+];
+
 /// Running model-cost totals; every absorbed run must be violation-free.
 #[derive(Default)]
 struct Tally {
     rounds: usize,
     words: usize,
+    touched: usize,
 }
 
 impl Tally {
@@ -134,6 +209,7 @@ impl Tally {
         assert!(m.clean(), "model violations: {:?}", m.violations);
         self.rounds += m.rounds;
         self.words += m.total_words;
+        self.touched += m.machines_touched;
     }
 
     fn golden(&self, digest: u64) -> Golden {
@@ -274,6 +350,75 @@ fn mst_churn_streams() {
         }
         t.golden(ElasticAlgorithm::state_digest(&alg))
     });
+}
+
+/// Replays `ups` one at a time and holds the totals against the frozen
+/// multicast run — which never cost more than broadcast's in any column.
+fn check_routed<A>(name: &str, mut alg: A, ups: &[A::Update], (want, bc): Routed)
+where
+    A: DynamicGraphAlgorithm + ElasticAlgorithm,
+{
+    let mut t = Tally::default();
+    for &u in ups {
+        t.update(&alg.apply(u));
+    }
+    let got = (alg.state_digest(), t.rounds, t.words, t.touched);
+    assert_eq!(got, want, "{name}: golden moved");
+    assert!(got.1 <= bc.0 && got.2 <= bc.1 && got.3 <= bc.2);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The streams of `multicast.rs`'s differential proptest.
+    #[test]
+    fn multicast_proptest_streams(
+        ops in proptest::collection::vec((0u32..24, 0u32..24, any::<bool>()), 1..120)
+    ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
+        let mut g = DynamicGraph::new(24);
+        // Self-loops, duplicate inserts and deletes of absent edges drop out.
+        let valid = |&(a, b, ins): &(u32, u32, bool)| {
+            let e = (a != b).then(|| Edge::new(a, b))?;
+            match ins {
+                true => g.insert(e).ok().map(|_| Update::Insert(e)),
+                false => g.delete(e).ok().map(|_| Update::Delete(e)),
+            }
+        };
+        let ups: Vec<Update> = ops.iter().filter_map(valid).collect();
+        check_routed(&format!("case {case}"), conn(24, 140), &ups, MULTICAST_PROPTEST[case]);
+    }
+}
+
+/// MST mode, canonical churn at a forced P = 16, and clustered churn at
+/// P = 32 and across the P sweep, where each machine is given the memory
+/// its share of the graph needs when P is forced below the model's count.
+#[test]
+fn multicast_streams() {
+    for (seed, want) in MULTICAST_MST.into_iter().enumerate() {
+        let ups = streams::with_weights(
+            &streams::churn_stream(32, 50, 120, 0.5, seed as u64),
+            100,
+            seed as u64,
+        );
+        let alg = DmpcMst::new(DmpcParams::new(32, 160), 0.1);
+        check_routed(&format!("mst seed {seed}"), alg, &ups, want);
+    }
+    let at = |params, p| DmpcConnectivity::with_cluster(params, ExecOptions::default(), p);
+    let n = 256;
+    let ups = streams::churn_stream(n, 2 * n, 512, 0.5, 42);
+    let alg = at(DmpcParams::new(n, 3 * n), 16);
+    check_routed("canonical P=16", alg, &ups, MULTICAST_CANONICAL_P16);
+    let ups = streams::clustered_churn_stream(128, 8, 12, 200, 0.5, 9);
+    let alg = at(DmpcParams::new(128, 384), 32);
+    check_routed("clustered P=32", alg, &ups, MULTICAST_CLUSTERED_P32);
+    let ups = streams::clustered_churn_stream(n, 8, n / 16, 512, 0.5, 42);
+    for (p, want) in [4, 16, 64].into_iter().zip(MULTICAST_P_SWEEP) {
+        let base = DmpcParams::new(n, 3 * n);
+        let params = base.with_multiplier(32 * base.storage_machines().div_ceil(p).max(1));
+        check_routed(&format!("sweep P={p}"), at(params, p), &ups, want);
+    }
 }
 
 /// Resident words (summed over machines) and checkpoint-text digest of MST
