@@ -31,10 +31,12 @@ impl ConnDriver {
     /// O(sqrt N) count).
     fn new(params: DmpcParams, mst_mode: bool, exec: ExecOptions, machines: Option<usize>) -> Self {
         // Checked once here, before any machine exists, so the shard hot
-        // path never has to: a larger id would alias the tree tag bit.
+        // path never has to: tour indexes reach 4n - 4, and the shard
+        // stores them in 32-bit columns.
         assert!(
             params.n <= MAX_VERTICES,
-            "n = {} exceeds the {MAX_VERTICES}-vertex limit of the shard's tagged 32-bit ids",
+            "n = {} exceeds the {MAX_VERTICES}-vertex limit: tour indexes (below 4n) \
+             must fit the shard's 32-bit columns",
             params.n
         );
         let machines = machines.unwrap_or_else(|| params.storage_machines()).max(1);
@@ -618,11 +620,18 @@ impl ConnDriver {
         Ok(())
     }
 
-    /// Structural audit (tests): component labelling is consistent, index
-    /// lists partition each tour, adjacency entries are symmetric, tree
-    /// entries pair up parent/child spans (one parent edge per non-root
-    /// vertex), and cached far indexes are live.
+    /// Structural audit (tests): every machine's shard layout is sound
+    /// (segments inside their arenas, live totals balanced, tree entries
+    /// exactly the tree prefix of each segment), component labelling is
+    /// consistent, index lists partition each tour, adjacency entries are
+    /// symmetric, tree entries pair up parent/child spans (one parent edge
+    /// per non-root vertex), and cached far indexes are live.
     pub fn audit(&self) -> Result<(), String> {
+        for (mid, m) in self.cluster.machines().enumerate() {
+            m.shard()
+                .check_layout()
+                .map_err(|e| format!("machine {mid}: {e}"))?;
+        }
         let n = self.params.n;
         let mut comp: Vec<CompId> = Vec::with_capacity(n);
         let mut size: Vec<u64> = Vec::with_capacity(n);

@@ -1178,9 +1178,8 @@ impl ConnMachine {
         let x_after = self
             .verts
             .idx_of(parent)
-            .iter()
-            .filter(|&&s| s != fy - 1 && s != ly + 1)
-            .map(|&s| if s > ly { s - span } else { s })
+            .filter(|&s| s != fy - 1 && s != ly + 1)
+            .map(|s| if s > ly { s - span } else { s })
             .min()
             .unwrap_or(0);
         let main = TourOp::Cut {

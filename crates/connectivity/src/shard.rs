@@ -8,6 +8,17 @@
 //! abandoned on relocation); arenas compact when holes outgrow live data, so
 //! the resident footprint stays linear in the shard.
 //!
+//! Every adjacency segment stores its tree entries first: an entry is a tree
+//! entry exactly when it lies in its segment's prefix of `tree` entries, so
+//! no entry carries a kind tag and the kernels run one loop over the tree
+//! prefix and one over the non-tree suffix without testing a kind per entry.
+//! Each mutation keeps the split with at most two entry moves (see
+//! [`Shard::adj_set`] and [`Shard::adj_remove`]); bulk stores write the tree
+//! entries first, relocation and compaction copy segments in order. Tour
+//! indexes and entry annotations are `u32` columns (indexes stay below `4n`,
+//! see [`MAX_VERTICES`]), widened to [`TourIx`] at the shard boundary and
+//! narrowed by the one checked helper `ix32`.
+//!
 //! A structural op is applied by two in-place kernels (one per op kind,
 //! [`Shard::apply_struct`]); what an op does to one vertex is defined, as
 //! pure functions over its core fields and one adjacency entry, in the
@@ -30,6 +41,7 @@ use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, Weight, V};
 use dmpc_mpc::text::{put_field, Fields, Sink};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// An adjacency entry at one endpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,9 +95,9 @@ pub(crate) struct ApplyOutcome {
 
 // ----- the arenas -------------------------------------------------------
 
-/// One segment of an arena: a vertex's entries live in
-/// `arena[start..start+len]`, with `cap - len` free words of headroom
-/// before the segment must relocate to the arena tail (leaving a hole).
+/// One tour segment: a vertex's indexes live in `tour[start..start+len]`,
+/// with `cap - len` free words of headroom before the segment must relocate
+/// to the arena tail (leaving a hole).
 #[derive(Clone, Copy, Debug, Default)]
 struct Seg {
     start: u32,
@@ -93,19 +105,68 @@ struct Seg {
     cap: u32,
 }
 
+impl Seg {
+    #[inline]
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// One adjacency segment: a [`Seg`] over the four entry columns plus the
+/// length of its tree prefix — entries `start..start+tree` are the vertex's
+/// tree entries, `start+tree..start+len` its non-tree entries.
+#[derive(Clone, Copy, Debug, Default)]
+struct AdjSeg {
+    start: u32,
+    len: u32,
+    cap: u32,
+    tree: u32,
+}
+
+impl AdjSeg {
+    #[inline]
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+
+    /// Arena index of the first non-tree entry (= one past the prefix).
+    #[inline]
+    fn mid(self) -> usize {
+        (self.start + self.tree) as usize
+    }
+
+    /// The tree prefix and the non-tree suffix.
+    #[inline]
+    fn parts(self) -> (Range<usize>, Range<usize>) {
+        let r = self.range();
+        (r.start..self.mid(), self.mid()..r.end)
+    }
+}
+
 /// Absence sentinel in the `comp` property array (component ids are vertex
 /// ids, which stay far below `u32::MAX`).
 const COMP_NONE: CompId = CompId::MAX;
-/// Tag bit packed into the adjacency `far` array: set = tree entry.
-const TREE_BIT: u32 = 1 << 31;
-/// Largest vertex count a shard can address: every vertex id (owned or far
-/// endpoint) must stay below [`TREE_BIT`].
-pub(crate) const MAX_VERTICES: usize = TREE_BIT as usize;
+/// Largest vertex count a shard can address: a component of `k` vertices
+/// has tour indexes `1..=4(k-1)`, so `n <= 2^30` keeps every index (and
+/// every vertex id) inside the `u32` tour and annotation columns.
+pub(crate) const MAX_VERTICES: usize = 1 << 30;
 /// Headroom granted when an adjacency segment relocates.
 const ADJ_HEADROOM: u32 = 2;
 /// Headroom granted when a tour segment relocates (links grow a vertex's
 /// index list by up to 2).
 const TOUR_HEADROOM: u32 = 4;
+
+/// Narrows a tour index to its `u32` column: the one `TourIx` → `u32`
+/// conversion, in range whenever `n <= MAX_VERTICES` (which `ConnDriver`
+/// checks before any machine exists).
+#[inline]
+fn ix32(i: TourIx) -> u32 {
+    debug_assert!(
+        i <= u32::MAX as TourIx,
+        "tour index {i} exceeds the 32-bit columns"
+    );
+    i as u32
+}
 
 /// A machine's owned vertex shard: property arrays indexed by
 /// `slot = v - base`, plus two arenas (tour indexes, adjacency entries)
@@ -122,20 +183,21 @@ pub(crate) struct Shard {
     size: Vec<u32>,
     /// Tour-index segment per slot (into `tour`).
     tpos: Vec<Seg>,
-    /// Tour-index arena.
-    tour: Vec<TourIx>,
+    /// Tour-index arena, narrowed to `u32`.
+    tour: Vec<u32>,
     /// Live words in `tour` (sum of segment lens; the rest are holes).
     tour_live: usize,
-    /// Adjacency segment per slot (into the four entry arrays).
-    apos: Vec<Seg>,
-    /// Far endpoint | [`TREE_BIT`], per entry.
-    afar: Vec<u32>,
+    /// Adjacency segment per slot (into the four entry columns), tree
+    /// entries first.
+    apos: Vec<AdjSeg>,
+    /// Far endpoint, per entry.
+    afar: Vec<V>,
     /// Edge weight, per entry.
     aw: Vec<Weight>,
-    /// `lo` (tree) or `cached` (non-tree), per entry.
-    aa: Vec<u64>,
+    /// `lo` (tree) or `cached` (non-tree), per entry, narrowed to `u32`.
+    aa: Vec<u32>,
     /// `hi` (tree) or `far_comp` (non-tree), per entry.
-    ab: Vec<u64>,
+    ab: Vec<u32>,
     /// Live entries in the adjacency arena.
     adj_live: usize,
     /// Soft resident budget in words (0 = unlimited): a mutation that
@@ -143,27 +205,30 @@ pub(crate) struct Shard {
     /// never turns a shard that *would* fit compactly into a capacity
     /// violation.
     soft_cap: usize,
-    /// Reusable copy-out buffer for the tour kernel.
-    scratch: Vec<TourIx>,
+    /// Reusable copy-out buffer for the tour kernel and the loaders.
+    scratch: Vec<u32>,
 }
 
 #[inline]
-fn decode_kind(tagged: u32, a: u64, b: u64) -> EntryKind {
-    if tagged & TREE_BIT != 0 {
-        EntryKind::Tree { lo: a, hi: b }
+fn decode_kind(tree: bool, a: u32, b: u32) -> EntryKind {
+    if tree {
+        EntryKind::Tree {
+            lo: a.into(),
+            hi: b.into(),
+        }
     } else {
         EntryKind::NonTree {
-            cached: a,
-            far_comp: b as CompId,
+            cached: a.into(),
+            far_comp: b,
         }
     }
 }
 
 #[inline]
-fn encode_kind(kind: &EntryKind) -> (bool, u64, u64) {
+fn encode_kind(kind: &EntryKind) -> (bool, u32, u32) {
     match *kind {
-        EntryKind::Tree { lo, hi } => (true, lo, hi),
-        EntryKind::NonTree { cached, far_comp } => (false, cached, far_comp as u64),
+        EntryKind::Tree { lo, hi } => (true, ix32(lo), ix32(hi)),
+        EntryKind::NonTree { cached, far_comp } => (false, ix32(cached), far_comp),
     }
 }
 
@@ -181,7 +246,10 @@ impl Shard {
 
     /// Grows the slot range to cover `v` (installs an absent slot).
     fn ensure_slot(&mut self, v: V) -> usize {
-        debug_assert!(v < TREE_BIT, "vertex id collides with the tree tag bit");
+        debug_assert!(
+            (v as usize) < MAX_VERTICES,
+            "vertex id beyond the shard limit"
+        );
         if self.comp.is_empty() {
             self.base = v;
         }
@@ -192,7 +260,7 @@ impl Shard {
             self.tpos
                 .splice(0..0, std::iter::repeat_n(Seg::default(), k));
             self.apos
-                .splice(0..0, std::iter::repeat_n(Seg::default(), k));
+                .splice(0..0, std::iter::repeat_n(AdjSeg::default(), k));
             self.base = v;
         }
         let i = (v - self.base) as usize;
@@ -200,7 +268,7 @@ impl Shard {
             self.comp.push(COMP_NONE);
             self.size.push(0);
             self.tpos.push(Seg::default());
-            self.apos.push(Seg::default());
+            self.apos.push(AdjSeg::default());
         }
         i
     }
@@ -234,15 +302,14 @@ impl Shard {
     }
 
     #[inline]
-    fn tour_slice(&self, slot: usize) -> &[TourIx] {
-        let s = self.tpos[slot];
-        &self.tour[s.start as usize..(s.start + s.len) as usize]
+    fn tour_slice(&self, slot: usize) -> &[u32] {
+        &self.tour[self.tpos[slot].range()]
     }
 
     /// Overwrites a slot's tour segment, relocating to the arena tail (with
     /// headroom) when it outgrows its capacity. The caller owes a
     /// [`Self::maybe_compact_tour`] once it is done storing.
-    fn tour_write(&mut self, slot: usize, vals: &[TourIx], headroom: u32) {
+    fn tour_write(&mut self, slot: usize, vals: &[u32], headroom: u32) {
         let s = self.tpos[slot];
         self.tour_live = self.tour_live - s.len as usize + vals.len();
         if vals.len() as u32 <= s.cap {
@@ -275,7 +342,7 @@ impl Shard {
         let mut tour = Vec::with_capacity(self.tour_live);
         for s in self.tpos.iter_mut() {
             let start = tour.len() as u32;
-            tour.extend_from_slice(&self.tour[s.start as usize..(s.start + s.len) as usize]);
+            tour.extend_from_slice(&self.tour[s.range()]);
             *s = Seg {
                 start,
                 len: s.len,
@@ -287,91 +354,131 @@ impl Shard {
 
     #[inline]
     fn adj_find(&self, slot: usize, far: V) -> Option<usize> {
-        let s = self.apos[slot];
-        (s.start as usize..(s.start + s.len) as usize).find(|&i| self.afar[i] & !TREE_BIT == far)
+        let r = self.apos[slot].range();
+        let k = self.afar[r.clone()].iter().position(|&f| f == far)?;
+        Some(r.start + k)
     }
 
-    /// Appends one entry to a slot's adjacency segment, relocating (with
-    /// headroom) on overflow.
-    fn adj_push(&mut self, slot: usize, far: V, kind: &EntryKind, w: Weight, headroom: u32) {
-        let (tree, a, b) = encode_kind(kind);
-        let tagged = far | if tree { TREE_BIT } else { 0 };
+    /// Whether arena index `i` of `slot`'s segment lies in its tree prefix.
+    #[inline]
+    fn is_tree(&self, slot: usize, i: usize) -> bool {
+        i < self.apos[slot].mid()
+    }
+
+    /// The entry at arena index `i` of `slot`'s segment.
+    fn entry(&self, slot: usize, i: usize) -> (EntryKind, Weight) {
+        let kind = decode_kind(self.is_tree(slot, i), self.aa[i], self.ab[i]);
+        (kind, self.aw[i])
+    }
+
+    /// Writes one entry's four columns at arena index `i`.
+    #[inline]
+    fn adj_put(&mut self, i: usize, far: V, w: Weight, a: u32, b: u32) {
+        self.afar[i] = far;
+        self.aw[i] = w;
+        self.aa[i] = a;
+        self.ab[i] = b;
+    }
+
+    /// Copies the entry at arena index `from` over the one at `to`.
+    #[inline]
+    fn adj_move(&mut self, from: usize, to: usize) {
+        self.afar[to] = self.afar[from];
+        self.aw[to] = self.aw[from];
+        self.aa[to] = self.aa[from];
+        self.ab[to] = self.ab[from];
+    }
+
+    /// Appends `k` zeroed entries to the adjacency arena.
+    fn adj_extend(&mut self, k: usize) {
+        let len = self.afar.len() + k;
+        self.afar.resize(len, 0);
+        self.aw.resize(len, 0);
+        self.aa.resize(len, 0);
+        self.ab.resize(len, 0);
+    }
+
+    /// Makes room for one more entry in a slot's segment: in place while it
+    /// has headroom, by growing when it ends at the arena tail (no hole; the
+    /// common case during snapshot restores, where a vertex's entries
+    /// stream in back-to-back), otherwise by relocating it in order to the
+    /// tail with `headroom` spare words. Returns whether it relocated.
+    fn adj_reserve(&mut self, slot: usize, headroom: u32) -> bool {
         let s = self.apos[slot];
         if s.len < s.cap {
-            let i = (s.start + s.len) as usize;
-            self.afar[i] = tagged;
-            self.aw[i] = w;
-            self.aa[i] = a;
-            self.ab[i] = b;
-            self.apos[slot].len += 1;
-        } else if (s.start + s.cap) as usize == self.afar.len() {
-            // The segment ends at the arena tail: grow in place, no hole.
-            // This is the common case during snapshot restores, where a
-            // vertex's entries stream in back-to-back.
-            self.afar.push(tagged);
-            self.aw.push(w);
-            self.aa.push(a);
-            self.ab.push(b);
-            self.apos[slot].len += 1;
+            return false;
+        }
+        if (s.start + s.cap) as usize == self.afar.len() {
+            self.adj_extend(1);
             self.apos[slot].cap += 1;
+            return false;
+        }
+        let start = self.afar.len();
+        let cap = s.len + 1 + headroom;
+        self.adj_extend(cap as usize);
+        for (k, from) in s.range().enumerate() {
+            self.adj_move(from, start + k);
+        }
+        self.apos[slot] = AdjSeg {
+            start: start as u32,
+            cap,
+            ..s
+        };
+        true
+    }
+
+    /// Adds one entry to a slot's segment, relocating (with headroom) on
+    /// overflow. A tree entry takes the first non-tree entry's place, which
+    /// moves to the end.
+    fn adj_push(&mut self, slot: usize, far: V, kind: &EntryKind, w: Weight, headroom: u32) {
+        let relocated = self.adj_reserve(slot, headroom);
+        let (tree, a, b) = encode_kind(kind);
+        let s = self.apos[slot];
+        let end = s.range().end;
+        let i = if tree {
+            self.adj_move(s.mid(), end);
+            self.apos[slot].tree += 1;
+            s.mid()
         } else {
-            let start = self.afar.len() as u32;
-            let cap = s.len + 1 + headroom;
-            for k in s.start as usize..(s.start + s.len) as usize {
-                let (f, ww, va, vb) = (self.afar[k], self.aw[k], self.aa[k], self.ab[k]);
-                self.afar.push(f);
-                self.aw.push(ww);
-                self.aa.push(va);
-                self.ab.push(vb);
-            }
-            self.afar.push(tagged);
-            self.aw.push(w);
-            self.aa.push(a);
-            self.ab.push(b);
-            let pad = (cap - s.len - 1) as usize;
-            self.afar.resize(self.afar.len() + pad, 0);
-            self.aw.resize(self.aw.len() + pad, 0);
-            self.aa.resize(self.aa.len() + pad, 0);
-            self.ab.resize(self.ab.len() + pad, 0);
-            self.apos[slot] = Seg {
-                start,
-                len: s.len + 1,
-                cap,
-            };
+            end
+        };
+        self.adj_put(i, far, w, a, b);
+        self.apos[slot].len += 1;
+        if relocated {
             self.maybe_compact_adj();
         }
         self.adj_live += 1;
     }
 
-    /// Writes a whole (empty) adjacency segment at once with an exact cap —
-    /// bulk loading, where per-entry pushes would leave relocation holes.
+    /// Writes a whole (empty) adjacency segment at once with an exact cap,
+    /// tree entries first — bulk loading, where per-entry pushes would
+    /// leave relocation holes.
     fn adj_store(&mut self, slot: usize, entries: &BTreeMap<V, (EntryKind, Weight)>) {
         let s = self.apos[slot];
         debug_assert_eq!(s.len, 0, "adj_store over a non-empty segment");
         let n = entries.len() as u32;
-        let base = if n <= s.cap {
-            self.apos[slot].len = n;
-            s.start as usize
+        let tree = (entries.values())
+            .filter(|(kind, _)| matches!(kind, EntryKind::Tree { .. }))
+            .count() as u32;
+        let start = if n <= s.cap {
+            s.start
         } else {
-            let start = self.afar.len();
-            self.afar.resize(start + n as usize, 0);
-            self.aw.resize(start + n as usize, 0);
-            self.aa.resize(start + n as usize, 0);
-            self.ab.resize(start + n as usize, 0);
-            self.apos[slot] = Seg {
-                start: start as u32,
-                len: n,
-                cap: n,
-            };
+            let start = self.afar.len() as u32;
+            self.adj_extend(n as usize);
             start
         };
-        for (j, (&far, (kind, w))) in entries.iter().enumerate() {
-            let (tree, a, b) = encode_kind(kind);
-            let i = base + j;
-            self.afar[i] = far | if tree { TREE_BIT } else { 0 };
-            self.aw[i] = *w;
-            self.aa[i] = a;
-            self.ab[i] = b;
+        self.apos[slot] = AdjSeg {
+            start,
+            len: n,
+            cap: s.cap.max(n),
+            tree,
+        };
+        let (mut t, mut nt) = (start as usize, (start + tree) as usize);
+        for (&far, (kind, w)) in entries {
+            let (is_tree, a, b) = encode_kind(kind);
+            let next = if is_tree { &mut t } else { &mut nt };
+            self.adj_put(*next, far, *w, a, b);
+            *next += 1;
         }
         self.adj_live += n as usize;
         self.maybe_compact_adj();
@@ -394,12 +501,12 @@ impl Shard {
         let slot_bytes = self.comp.len() * 4    // comp: u32
             + self.size.len() * 4               // size: u32
             + self.tpos.len() * 12              // Seg: 3 x u32
-            + self.apos.len() * 12;
-        let tour_bytes = self.tour.len() * 8;
-        let adj_bytes = self.afar.len() * 4     // far|tag: u32
+            + self.apos.len() * 16; // AdjSeg: 4 x u32
+        let tour_bytes = self.tour.len() * 4;
+        let adj_bytes = self.afar.len() * 4     // far: u32
             + self.aw.len() * 8                 // weight: u64
-            + self.aa.len() * 8
-            + self.ab.len() * 8;
+            + self.aa.len() * 4
+            + self.ab.len() * 4;
         (slot_bytes + tour_bytes + adj_bytes).div_ceil(8)
     }
 
@@ -428,16 +535,15 @@ impl Shard {
         let mut ab = Vec::with_capacity(self.adj_live);
         for s in self.apos.iter_mut() {
             let start = afar.len() as u32;
-            for i in s.start as usize..(s.start + s.len) as usize {
-                afar.push(self.afar[i]);
-                aw.push(self.aw[i]);
-                aa.push(self.aa[i]);
-                ab.push(self.ab[i]);
-            }
-            *s = Seg {
+            let r = s.range();
+            afar.extend_from_slice(&self.afar[r.clone()]);
+            aw.extend_from_slice(&self.aw[r.clone()]);
+            aa.extend_from_slice(&self.aa[r.clone()]);
+            ab.extend_from_slice(&self.ab[r]);
+            *s = AdjSeg {
                 start,
-                len: s.len,
                 cap: s.len,
+                ..*s
             };
         }
         self.afar = afar;
@@ -453,34 +559,24 @@ impl Shard {
         self.tour_live -= self.tpos[slot].len as usize;
         self.adj_live -= self.apos[slot].len as usize;
         self.tpos[slot] = Seg::default();
-        self.apos[slot] = Seg::default();
+        self.apos[slot] = AdjSeg::default();
     }
 
     fn materialize(&self, slot: usize) -> VertexState {
-        let s = self.apos[slot];
         VertexState {
             comp: self.comp[slot],
             size: self.size[slot] as u64,
-            idx: self.tour_slice(slot).to_vec(),
-            adj: (s.start as usize..(s.start + s.len) as usize)
-                .map(|i| {
-                    (
-                        self.afar[i] & !TREE_BIT,
-                        (
-                            decode_kind(self.afar[i], self.aa[i], self.ab[i]),
-                            self.aw[i],
-                        ),
-                    )
-                })
+            idx: self.tour_slice(slot).iter().map(|&i| i.into()).collect(),
+            adj: (self.apos[slot].range())
+                .map(|i| (self.afar[i], self.entry(slot, i)))
                 .collect(),
         }
     }
 
     /// Drops the (at most two) occurrences of `d0`/`d1` from a slot's tour
     /// segment in place; the freed tail words stay segment headroom.
-    fn tour_drop(&mut self, slot: usize, d0: TourIx, d1: TourIx) {
-        let s = self.tpos[slot];
-        let t = &mut self.tour[s.start as usize..(s.start + s.len) as usize];
+    fn tour_drop(&mut self, slot: usize, d0: u32, d1: u32) {
+        let t = &mut self.tour[self.tpos[slot].range()];
         let mut kept = 0;
         for j in 0..t.len() {
             let i = t[j];
@@ -520,8 +616,9 @@ impl Shard {
     /// Link kernel: members of `a` shift their indexes above `fx` by
     /// `elen_b + 4`; members of the absorbed `b` are rerooted (when the
     /// broadcast says so) and shifted by `fx + 2`; `x` and `y` gain the new
-    /// edge's two appearances each. Non-tree entries follow the same maps,
-    /// keyed by their `far_comp`, whoever holds them.
+    /// edge's two appearances each. Tree entries live in their owner's index
+    /// space, so only members' tree prefixes move; non-tree entries follow
+    /// the same maps keyed by their `far_comp`, whoever holds them.
     fn sweep_link(&mut self, b: &StructBroadcast) {
         let TourOp::Link {
             a,
@@ -534,7 +631,8 @@ impl Shard {
         else {
             unreachable!("dispatched on a link")
         };
-        let (shift_a, shift_b) = (elen_b + 4, fx + 2);
+        let (fx32, shift_a) = (ix32(fx), ix32(elen_b + 4));
+        let shift_b = fx + 2;
         let rot = match b.reroot {
             Some(TourOp::Reroot {
                 comp, elen, l_y, ..
@@ -544,8 +642,12 @@ impl Shard {
             }
             _ => None,
         };
-        let map_a = |i: TourIx| if i > fx { i + shift_a } else { i };
-        let map_b = |i: TourIx| rot.map_or(i, |(elen, l_y)| map_reroot(i, elen, l_y)) + shift_b;
+        let map_a = |i: u32| if i > fx32 { i + shift_a } else { i };
+        // The reroot's modular arithmetic runs at full width.
+        let map_b = |i: u32| {
+            let i = TourIx::from(i);
+            ix32(rot.map_or(i, |(elen, l_y)| map_reroot(i, elen, l_y)) + shift_b)
+        };
         let mut scratch = std::mem::take(&mut self.scratch);
         for slot in 0..self.comp.len() {
             let c = self.comp[slot];
@@ -554,18 +656,18 @@ impl Shard {
             }
             let from_b = c == bc;
             let member = from_b || c == a;
+            let (tree, rest) = self.apos[slot].parts();
             if member {
                 self.comp[slot] = a;
                 self.size[slot] = b.merged_size as u32;
                 let v = self.base + slot as V;
-                let ts = self.tpos[slot];
-                let t = &mut self.tour[ts.start as usize..(ts.start + ts.len) as usize];
+                let t = &mut self.tour[self.tpos[slot].range()];
                 let grown = if from_b {
                     t.iter_mut().for_each(|i| *i = map_b(*i));
-                    (v == y).then_some([fx + 2, fx + elen_b + 3])
+                    (v == y).then(|| [fx + 2, fx + elen_b + 3].map(ix32))
                 } else {
                     t.iter_mut().for_each(|i| *i = map_a(*i));
-                    (v == x).then_some([fx + 1, fx + elen_b + 4])
+                    (v == x).then(|| [fx + 1, fx + elen_b + 4].map(ix32))
                 };
                 if let Some(new) = grown {
                     scratch.clear();
@@ -576,32 +678,29 @@ impl Shard {
                 } else if from_b && rot.is_some() {
                     t.sort_unstable();
                 }
-            }
-            let s = self.apos[slot];
-            let seg = s.start as usize..(s.start + s.len) as usize;
-            let (far, aa, ab) = (
-                &self.afar[seg.clone()],
-                &mut self.aa[seg.clone()],
-                &mut self.ab[seg],
-            );
-            for ((&tagged, ea), eb) in far.iter().zip(aa).zip(ab) {
-                if tagged & TREE_BIT != 0 {
-                    // Tree entries live in their owner's index space.
-                    if from_b {
+                let (aa, ab) = (&mut self.aa[tree.clone()], &mut self.ab[tree]);
+                if from_b {
+                    for (ea, eb) in aa.iter_mut().zip(ab) {
                         let (p, q) = (map_b(*ea), map_b(*eb));
                         (*ea, *eb) = (p.min(q), p.max(q));
-                    } else if member {
+                    }
+                } else {
+                    for (ea, eb) in aa.iter_mut().zip(ab) {
                         (*ea, *eb) = (map_a(*ea), map_a(*eb));
                     }
-                } else if *eb as CompId == bc {
+                }
+            }
+            let (aa, ab) = (&mut self.aa[rest.clone()], &mut self.ab[rest]);
+            for (ea, eb) in aa.iter_mut().zip(ab) {
+                if *eb == bc {
                     // cached == 0: the far endpoint was a singleton, i.e.
                     // the link's y, whose first new index is 0 + shift_b.
                     *ea = map_b(*ea);
-                    *eb = a as u64;
-                } else if *eb as CompId == a {
+                    *eb = a;
+                } else if *eb == a {
                     // cached == 0: the far endpoint was the singleton x,
                     // whose first new index is fx + 1 (fx = 0).
-                    *ea = if *ea == 0 { fx + 1 } else { map_a(*ea) };
+                    *ea = if *ea == 0 { fx32 + 1 } else { map_a(*ea) };
                 }
             }
         }
@@ -611,8 +710,9 @@ impl Shard {
     /// Cut kernel: members of `comp` strictly inside `(fy, ly)` detach into
     /// `new_comp` (indexes `- fy`), the rest close the gap (indexes above
     /// `ly` drop by the span); `x` and `y` lose the cut edge's appearances.
-    /// Non-tree entries into `comp` are re-classified by the far side, and a
-    /// searching cut folds the crossing ones into the replacement candidate.
+    /// A member's tree entries go through the same map; non-tree entries
+    /// into `comp` are re-classified by the far side, and a searching cut
+    /// folds the crossing ones into the replacement candidate.
     fn sweep_cut(&mut self, b: &StructBroadcast) -> ApplyOutcome {
         let TourOp::Cut {
             comp,
@@ -625,13 +725,14 @@ impl Shard {
         else {
             unreachable!("dispatched on a cut")
         };
+        let (fy, ly) = (ix32(fy), ix32(ly));
         let span = (ly - fy + 1) + 2;
-        let k_sub = (ly - fy).div_ceil(4) as u32;
+        let k_sub = (ly - fy).div_ceil(4);
         // Some live index of y after the cut (0: it became a singleton).
         let y_cached = if ly == fy + 1 { 0 } else { 1 };
-        let x_after = b.x_after;
+        let x_after = ix32(b.x_after);
         let searching = b.rendezvous.is_some();
-        let map = |i: TourIx| {
+        let map = |i: u32| {
             if i > fy && i < ly {
                 i - fy
             } else if i > ly {
@@ -650,14 +751,14 @@ impl Shard {
             let v = self.base + slot as V;
             let member = c == comp;
             let mut detached = false;
+            let (tree, rest) = self.apos[slot].parts();
             if member {
                 if v == x {
                     self.tour_drop(slot, fy - 1, ly + 1);
                 } else if v == y {
                     self.tour_drop(slot, fy, ly);
                 }
-                let ts = self.tpos[slot];
-                let t = &mut self.tour[ts.start as usize..(ts.start + ts.len) as usize];
+                let t = &mut self.tour[self.tpos[slot].range()];
                 // A vertex with no indexes left is a singleton; the child
                 // endpoint forms the new component by itself.
                 detached = t.first().map_or(v == y, |&i| i > fy && i < ly);
@@ -671,38 +772,25 @@ impl Shard {
                     self.size[slot] -= k_sub;
                     outcome.owns_parent = true;
                 }
+                // A surviving tree edge lies on one side. The cut edge's own
+                // entry (at x and y) is mapped too — to `(fy - 1, fy - 2)`
+                // and `(fy, ly)`, no underflow — and rewritten or removed by
+                // the materialization step right after.
+                let (aa, ab) = (&mut self.aa[tree.clone()], &mut self.ab[tree]);
+                for (ea, eb) in aa.iter_mut().zip(ab) {
+                    (*ea, *eb) = (map(*ea), map(*eb));
+                }
             } else if c == new_comp {
                 outcome.owns_child = true;
             }
-            // The cut edge's own entries are rewritten by the
-            // materialization step, not here.
-            let skip = if v == x {
-                y
-            } else if v == y {
-                x
-            } else {
-                V::MAX
-            };
-            let s = self.apos[slot];
-            let seg = s.start as usize..(s.start + s.len) as usize;
-            let (far, aa, ab) = (
-                &self.afar[seg.clone()],
-                &mut self.aa[seg.clone()],
-                &mut self.ab[seg.clone()],
+            // The cut edge is a tree edge, so no non-tree entry names it.
+            let (fars, aa, ab) = (
+                &self.afar[rest.clone()],
+                &mut self.aa[rest.clone()],
+                &mut self.ab[rest.clone()],
             );
-            for (k, ((&tagged, ea), eb)) in far.iter().zip(aa).zip(ab).enumerate() {
-                let far = tagged & !TREE_BIT;
-                if far == skip {
-                    continue;
-                }
-                if tagged & TREE_BIT != 0 {
-                    // A surviving tree edge lies on one side.
-                    if member {
-                        (*ea, *eb) = (map(*ea), map(*eb));
-                    }
-                    continue;
-                }
-                if *eb as CompId != comp {
+            for (k, ((&far, ea), eb)) in fars.iter().zip(aa).zip(ab).enumerate() {
+                if *eb != comp {
                     continue;
                 }
                 // Classify the far side, repairing the dying indexes of the
@@ -719,11 +807,11 @@ impl Shard {
                     inside
                 };
                 if far_detached {
-                    *eb = new_comp as u64;
+                    *eb = new_comp;
                 }
                 if searching && member && far_detached != detached {
                     // Crossing edge: replacement candidate.
-                    let cand = (self.aw[seg.start + k], Edge::new(v, far));
+                    let cand = (self.aw[rest.start + k], Edge::new(v, far));
                     if best.is_none_or(|cur| cand < cur) {
                         best = Some(cand);
                     }
@@ -732,6 +820,72 @@ impl Shard {
         }
         outcome.best = best.map(|(w, e)| (e, w));
         outcome
+    }
+
+    /// Layout audit: every segment lies inside its arena and within its
+    /// capacity, the live-word totals balance, absent slots hold nothing,
+    /// and each adjacency segment's tree prefix holds exactly its vertex's
+    /// tree entries. A vertex appears in its tour twice per incident tree
+    /// edge and each tree entry names those two appearances, so the
+    /// prefix's `(lo, hi)` pairs, sorted, *are* the vertex's tour-index
+    /// list: a tree entry past the prefix, or a non-tree entry inside it,
+    /// breaks the equality.
+    pub fn check_layout(&self) -> Result<(), String> {
+        let entries = self.afar.len();
+        if [self.aw.len(), self.aa.len(), self.ab.len()] != [entries; 3] {
+            return Err(format!(
+                "adjacency columns disagree on length: far {entries}, w {}, a {}, b {}",
+                self.aw.len(),
+                self.aa.len(),
+                self.ab.len()
+            ));
+        }
+        let n = self.comp.len();
+        if [self.size.len(), self.tpos.len(), self.apos.len()] != [n; 3] {
+            return Err(format!("property arrays disagree on the slot count {n}"));
+        }
+        let tour_live: usize = self.tpos.iter().map(|s| s.len as usize).sum();
+        let adj_live: usize = self.apos.iter().map(|s| s.len as usize).sum();
+        if (tour_live, adj_live) != (self.tour_live, self.adj_live) {
+            return Err(format!(
+                "live totals {} tour words / {} entries, segments hold {tour_live} / {adj_live}",
+                self.tour_live, self.adj_live
+            ));
+        }
+        let mut pairs = Vec::new();
+        for slot in 0..n {
+            let v = self.base + slot as V;
+            let (t, s) = (self.tpos[slot], self.apos[slot]);
+            if t.len > t.cap || t.start as usize + t.cap as usize > self.tour.len() {
+                return Err(format!(
+                    "vertex {v}: tour segment {t:?} outside the {}-word arena",
+                    self.tour.len()
+                ));
+            }
+            if s.tree > s.len || s.len > s.cap || s.start as usize + s.cap as usize > entries {
+                return Err(format!(
+                    "vertex {v}: adjacency segment {s:?} outside the {entries}-entry arena"
+                ));
+            }
+            if self.comp[slot] == COMP_NONE {
+                if t.len != 0 || s.len != 0 {
+                    return Err(format!("absent slot {slot} holds {t:?} and {s:?}"));
+                }
+                continue;
+            }
+            let (tree, _) = s.parts();
+            pairs.clear();
+            pairs.extend(tree.flat_map(|i| [self.aa[i], self.ab[i]]));
+            pairs.sort_unstable();
+            if pairs != self.tour_slice(slot) {
+                return Err(format!(
+                    "vertex {v}: tree prefix of {} entries names {pairs:?}, its tour indexes are {:?}",
+                    s.tree,
+                    self.tour_slice(slot)
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -746,7 +900,7 @@ impl Shard {
             comp: (lo..hi).collect(),
             size: vec![1; n],
             tpos: vec![Seg::default(); n],
-            apos: vec![Seg::default(); n],
+            apos: vec![AdjSeg::default(); n],
             ..Default::default()
         }
     }
@@ -778,13 +932,13 @@ impl Shard {
     }
 
     pub fn f_of(&self, v: V) -> TourIx {
-        self.idx_of(v).first().copied().unwrap_or(0)
+        self.idx_of(v).next().unwrap_or(0)
     }
 
-    /// The vertex's tour-index list (the cut flow derives the surviving
-    /// parent index from it).
-    pub fn idx_of(&self, v: V) -> &[TourIx] {
-        self.tour_slice(self.slot(v))
+    /// The vertex's tour-index list, ascending (the cut flow derives the
+    /// surviving parent index from it).
+    pub fn idx_of(&self, v: V) -> impl Iterator<Item = TourIx> + '_ {
+        self.tour_slice(self.slot(v)).iter().map(|&i| i.into())
     }
 
     /// O(1)-word wire summary of one vertex.
@@ -795,47 +949,63 @@ impl Shard {
             v,
             comp: self.comp[slot],
             size: self.size[slot] as u64,
-            f: t.first().copied().unwrap_or(0),
-            l: t.last().copied().unwrap_or(0),
+            f: t.first().map_or(0, |&i| i.into()),
+            l: t.last().map_or(0, |&i| i.into()),
         }
     }
 
     /// One adjacency entry, if present (panics when `v` is not owned).
     pub fn adj_get(&self, v: V, far: V) -> Option<(EntryKind, Weight)> {
-        self.adj_find(self.slot(v), far).map(|i| {
-            (
-                decode_kind(self.afar[i], self.aa[i], self.ab[i]),
-                self.aw[i],
-            )
-        })
+        let slot = self.slot(v);
+        self.adj_find(slot, far).map(|i| self.entry(slot, i))
     }
 
-    /// Inserts or overwrites one adjacency entry.
+    /// Inserts or overwrites one adjacency entry. A kind flip costs one
+    /// move: a tree entry turning non-tree trades places with the last tree
+    /// entry and the prefix shrinks over it; a non-tree entry turning tree
+    /// trades places with the first non-tree entry and the prefix grows
+    /// over it.
     pub fn adj_set(&mut self, v: V, far: V, kind: EntryKind, w: Weight) {
         let slot = self.slot(v);
         match self.adj_find(slot, far) {
             Some(i) => {
                 let (tree, a, b) = encode_kind(&kind);
-                self.afar[i] = far | if tree { TREE_BIT } else { 0 };
-                self.aw[i] = w;
-                self.aa[i] = a;
-                self.ab[i] = b;
+                let mid = self.apos[slot].mid();
+                let i = match (i < mid, tree) {
+                    (true, false) => {
+                        self.adj_move(mid - 1, i);
+                        self.apos[slot].tree -= 1;
+                        mid - 1
+                    }
+                    (false, true) => {
+                        self.adj_move(mid, i);
+                        self.apos[slot].tree += 1;
+                        mid
+                    }
+                    _ => i,
+                };
+                self.adj_put(i, far, w, a, b);
             }
             None => self.adj_push(slot, far, &kind, w, ADJ_HEADROOM),
         }
         self.enforce_soft_cap();
     }
 
-    /// Removes one adjacency entry (no-op when absent).
+    /// Removes one adjacency entry (no-op when absent). A non-tree entry's
+    /// place is taken by the segment's last entry; a tree entry's by the
+    /// last tree entry, whose place the last entry takes.
     pub fn adj_remove(&mut self, v: V, far: V) {
         let slot = self.slot(v);
         if let Some(i) = self.adj_find(slot, far) {
-            let sg = self.apos[slot];
-            let last = (sg.start + sg.len - 1) as usize;
-            self.afar[i] = self.afar[last];
-            self.aw[i] = self.aw[last];
-            self.aa[i] = self.aa[last];
-            self.ab[i] = self.ab[last];
+            let s = self.apos[slot];
+            let last = s.range().end - 1;
+            if i < s.mid() {
+                self.adj_move(s.mid() - 1, i);
+                self.adj_move(last, s.mid() - 1);
+                self.apos[slot].tree -= 1;
+            } else {
+                self.adj_move(last, i);
+            }
             self.apos[slot].len -= 1;
             self.adj_live -= 1;
             self.maybe_compact_adj();
@@ -944,8 +1114,8 @@ impl Shard {
     /// Each tree edge is processed once, at its child endpoint, whose
     /// subtree span `[f(v), l(v)]` is the first and last word of its tour
     /// segment: the edge is on the x..y path iff that span contains exactly
-    /// one endpoint. Only then are the vertex's entries walked for its one
-    /// child-side tree entry (even `lo`, arrival parity), whose `(lo, hi)`
+    /// one endpoint. Only then is the vertex's tree prefix walked for its
+    /// one child-side entry (even `lo`, arrival parity), whose `(lo, hi)`
     /// equals the span (`ConnDriver::audit` checks both).
     pub fn path_max(
         &self,
@@ -955,6 +1125,7 @@ impl Shard {
         fy: TourIx,
         ly: TourIx,
     ) -> Option<(Edge, Weight)> {
+        let [fx, lx, fy, ly] = [fx, lx, fy, ly].map(ix32);
         let mut best: Option<(Weight, Edge)> = None;
         for slot in 0..self.comp.len() {
             if self.comp[slot] != comp {
@@ -969,15 +1140,15 @@ impl Shard {
             if contains_x == contains_y {
                 continue;
             }
-            let sg = self.apos[slot];
-            let child_side = (sg.start as usize..(sg.start + sg.len) as usize)
-                .find(|&i| self.afar[i] & TREE_BIT != 0 && self.aa[i].is_multiple_of(2));
+            let (mut tree, _) = self.apos[slot].parts();
             // Only a root has no parent edge (and its span holds both
             // endpoints, so it is never a hit).
-            let Some(i) = child_side else { continue };
+            let Some(i) = tree.find(|&i| self.aa[i].is_multiple_of(2)) else {
+                continue;
+            };
             debug_assert_eq!((self.aa[i], self.ab[i]), (f, l), "child span is not f/l");
             let v = self.base + slot as V;
-            let (w, e) = (self.aw[i], Edge::new(v, self.afar[i] & !TREE_BIT));
+            let (w, e) = (self.aw[i], Edge::new(v, self.afar[i]));
             let better = match best {
                 None => true,
                 Some((bw, be)) => w > bw || (w == bw && e < be),
@@ -1016,7 +1187,7 @@ impl Shard {
 
     /// Installs (or replaces) `v`'s component id, size and tour indexes,
     /// leaving it with no adjacency entries; returns its slot.
-    fn load_core(&mut self, v: V, comp: CompId, size: u64, idx: &[TourIx]) -> usize {
+    fn load_core(&mut self, v: V, comp: CompId, size: u64, idx: &[u32]) -> usize {
         let slot = self.ensure_slot(v);
         if self.comp[slot] != COMP_NONE {
             // Replacing: free the old segments' live words first.
@@ -1024,6 +1195,7 @@ impl Shard {
             self.adj_live -= self.apos[slot].len as usize;
             self.tpos[slot].len = 0;
             self.apos[slot].len = 0;
+            self.apos[slot].tree = 0;
         }
         self.comp[slot] = comp;
         self.size[slot] = size as u32;
@@ -1034,7 +1206,11 @@ impl Shard {
 
     /// Direct state injection (bulk loading).
     pub fn load_vertex(&mut self, v: V, st: VertexState) {
-        let slot = self.load_core(v, st.comp, st.size, &st.idx);
+        let mut idx = std::mem::take(&mut self.scratch);
+        idx.clear();
+        idx.extend(st.idx.iter().map(|&i| ix32(i)));
+        let slot = self.load_core(v, st.comp, st.size, &idx);
+        self.scratch = idx;
         self.adj_store(slot, &st.adj);
         self.enforce_soft_cap();
     }
@@ -1070,7 +1246,9 @@ impl Shard {
     }
 
     /// Parses one `vert`/`adj` snapshot line (an `adj` line requires its
-    /// `vert` line to have been parsed first).
+    /// `vert` line to have been parsed first). Tour indexes and annotations
+    /// are read at their column width, so one beyond `u32` is refused by
+    /// the typed field check rather than truncated.
     pub fn parse_line(&mut self, line: &str) {
         let mut f = Fields::new(line);
         match f.word().expect("non-empty snapshot line") {
@@ -1078,7 +1256,7 @@ impl Shard {
                 let (v, comp, size): (V, CompId, u64) = (f.dec(), f.dec(), f.dec());
                 let mut idx = std::mem::take(&mut self.scratch);
                 idx.clear();
-                while let Some(i) = f.next_dec() {
+                while let Some(i) = f.next_dec::<u32>() {
                     idx.push(i);
                 }
                 self.load_core(v, comp, size, &idx);
@@ -1092,11 +1270,11 @@ impl Shard {
                 let (v, u): (V, V) = (f.dec(), f.dec());
                 let kind = match f.word().expect("adj line ends before its kind") {
                     b"t" => EntryKind::Tree {
-                        lo: f.dec(),
-                        hi: f.dec(),
+                        lo: f.dec::<u32>().into(),
+                        hi: f.dec::<u32>().into(),
                     },
                     b"n" => EntryKind::NonTree {
-                        cached: f.dec(),
+                        cached: f.dec::<u32>().into(),
                         far_comp: f.dec(),
                     },
                     k => panic!("unknown adj kind {:?}", String::from_utf8_lossy(k)),
@@ -1120,11 +1298,8 @@ impl Shard {
     /// ascending: far endpoints are unique within a slot, so any injective
     /// key gives a total order that arena placement cannot move.
     pub fn entry_order(&self, slot: usize, key: impl Fn(V) -> u64, order: &mut Vec<(u64, u32)>) {
-        let s = self.apos[slot];
         order.clear();
-        order.extend(
-            (s.start..s.start + s.len).map(|i| (key(self.afar[i as usize] & !TREE_BIT), i)),
-        );
+        order.extend((self.apos[slot].range()).map(|i| (key(self.afar[i]), i as u32)));
         order.sort_unstable();
     }
 
@@ -1135,20 +1310,19 @@ impl Shard {
         put_field(s, self.comp[slot] as u64);
         put_field(s, self.size[slot] as u64);
         for &i in self.tour_slice(slot) {
-            put_field(s, i);
+            put_field(s, i.into());
         }
         s.put(b"\n");
     }
 
     /// Emits the `adj` line of the entry at arena index `i` of `slot`.
     pub fn write_adj_line<S: Sink>(&self, s: &mut S, slot: usize, i: usize) {
-        let tagged = self.afar[i];
         s.put(b"adj");
         put_field(s, (self.base + slot as V) as u64);
-        put_field(s, (tagged & !TREE_BIT) as u64);
-        s.put(if tagged & TREE_BIT != 0 { b" t" } else { b" n" });
-        put_field(s, self.aa[i]);
-        put_field(s, self.ab[i]);
+        put_field(s, self.afar[i] as u64);
+        s.put(if self.is_tree(slot, i) { b" t" } else { b" n" });
+        put_field(s, self.aa[i].into());
+        put_field(s, self.ab[i].into());
         put_field(s, self.aw[i]);
         s.put(b"\n");
     }
@@ -1245,11 +1419,12 @@ mod tests {
     #[test]
     fn accessors_and_snapshot_match_the_loaded_states() {
         let sh = loaded();
+        assert_eq!(sh.check_layout(), Ok(()));
         for (v, st) in demo_states() {
             assert_eq!(sh.comp_of(v), st.comp);
             assert_eq!(sh.size_of(v), st.size);
             assert_eq!(sh.f_of(v), st.idx[0]);
-            assert_eq!(sh.idx_of(v), st.idx);
+            assert_eq!(sh.idx_of(v).collect::<Vec<_>>(), st.idx);
             assert_eq!(
                 sh.info(v),
                 VertexInfo {
@@ -1301,6 +1476,15 @@ mod tests {
         assert_eq!(text_of(&back), text);
     }
 
+    /// A tour index beyond the 32-bit columns is refused by the typed field
+    /// check, not truncated.
+    #[test]
+    #[should_panic(expected = "snapshot field 4294967296 out of range")]
+    fn snapshot_index_beyond_32_bits_is_refused() {
+        let mut sh = Shard::default();
+        sh.parse_line("vert 0 0 2 1 4294967296");
+    }
+
     #[test]
     fn extract_range_emits_the_moved_text_and_trims() {
         let mut sh = loaded();
@@ -1310,6 +1494,7 @@ mod tests {
         assert_eq!(sh.len(), 1);
         assert!(!sh.contains(0) && !sh.contains(1) && sh.contains(2));
         assert_eq!(text_of(&sh), DEMO_TEXT[kept..]);
+        assert_eq!(sh.check_layout(), Ok(()));
         // The trimmed shard must not keep charging for the moved slots.
         let words_after = sh.memory_words();
         assert!(
@@ -1324,22 +1509,22 @@ mod tests {
     /// Hand computation for the [`loaded`] shard (bulk loads use zero
     /// headroom, so caps == lens and the arenas are hole-free):
     ///
-    /// * slot arrays, 3 slots: comp 3x4 + size 3x4 + tpos 3x12 + apos 3x12
-    ///   = 96 bytes
-    /// * tour arena: 2 + 4 + 2 = 8 indexes x 8 bytes = 64 bytes
-    /// * adjacency arena: 6 entries x (4 + 8 + 8 + 8) = 168 bytes
+    /// * slot arrays, 3 slots: comp 3x4 + size 3x4 + tpos 3x12 + apos
+    ///   (with its tree count) 3x16 = 108 bytes
+    /// * tour arena: 2 + 4 + 2 = 8 indexes x 4 bytes = 32 bytes
+    /// * adjacency arena: 6 entries x (far 4 + weight 8 + 4 + 4) = 120 bytes
     ///
-    /// total = 328 bytes = ceil(328 / 8) = 41 words.
+    /// total = 260 bytes = ceil(260 / 8) = 33 words.
     #[test]
     fn soa_resident_words_within_10pct_of_hand_count() {
-        let hand = 41.0_f64;
+        let hand = 33.0_f64;
         let got = loaded().memory_words() as f64;
         assert!(
             (got - hand).abs() <= hand * 0.10,
             "resident {got} vs hand-computed {hand}"
         );
         // For this exactly-sized shard the two should in fact be equal.
-        assert_eq!(got as usize, 41);
+        assert_eq!(got as usize, 33);
     }
 
     #[test]
@@ -1366,5 +1551,155 @@ mod tests {
             s.afar.len(),
             s.adj_live
         );
+    }
+
+    // ----- tree-prefix upkeep, one O(1) path at a time -------------------
+
+    /// A shard mutated entry by entry beside the vertex states it should
+    /// hold. After every step its snapshot text must equal that of a shard
+    /// bulk-loaded with those states — the text prints each entry's kind
+    /// from its place in the segment, so an entry on the wrong side of the
+    /// tree prefix shows.
+    struct Mirror {
+        sh: Shard,
+        want: BTreeMap<V, VertexState>,
+    }
+
+    impl Mirror {
+        /// Vertices 0..4: vertex 1 holds a mixed segment (three tree, three
+        /// non-tree entries), vertex 2 only non-tree entries, vertex 3 only
+        /// tree entries. Annotations are arbitrary: only placement is
+        /// under test.
+        fn new() -> Self {
+            let states = [
+                (0, vec![(9, non_tree(1, 9), 1)]),
+                (
+                    1,
+                    vec![
+                        (10, tree(1, 2), 1),
+                        (11, non_tree(3, 11), 2),
+                        (12, tree(4, 5), 3),
+                        (13, non_tree(6, 13), 4),
+                        (14, tree(7, 8), 5),
+                        (15, non_tree(9, 15), 6),
+                    ],
+                ),
+                (2, vec![(20, non_tree(1, 20), 1), (21, non_tree(2, 21), 2)]),
+                (3, vec![(30, tree(1, 2), 1), (31, tree(3, 4), 2)]),
+            ];
+            let mut m = Mirror {
+                sh: Shard::default(),
+                want: BTreeMap::new(),
+            };
+            for (v, adj) in states {
+                let st = demo_state(0, 4, &[1, 2], &adj);
+                m.sh.load_vertex(v, st.clone());
+                m.want.insert(v, st);
+            }
+            m.check("bulk load");
+            m
+        }
+
+        fn set(&mut self, v: V, far: V, kind: EntryKind, w: Weight) {
+            self.sh.adj_set(v, far, kind, w);
+            self.want.get_mut(&v).unwrap().adj.insert(far, (kind, w));
+            self.check(&format!("set {v}->{far} {kind:?}"));
+        }
+
+        fn remove(&mut self, v: V, far: V) {
+            self.sh.adj_remove(v, far);
+            self.want.get_mut(&v).unwrap().adj.remove(&far);
+            self.check(&format!("remove {v}->{far}"));
+        }
+
+        fn check(&self, ctx: &str) {
+            let mut bulk = Shard::default();
+            for (&v, st) in &self.want {
+                bulk.load_vertex(v, st.clone());
+            }
+            assert_eq!(text_of(&self.sh), text_of(&bulk), "after {ctx}");
+            let live: usize = self.sh.apos.iter().map(|s| s.len as usize).sum();
+            assert_eq!(self.sh.adj_live, live, "after {ctx}: adj_live");
+        }
+    }
+
+    #[test]
+    fn kind_flips_through_adj_set_keep_the_tree_prefix() {
+        let mut m = Mirror::new();
+        // Tree -> non-tree: first, middle and last of the prefix.
+        m.set(1, 12, non_tree(40, 12), 3);
+        m.set(1, 10, non_tree(41, 10), 1);
+        m.set(1, 14, non_tree(42, 14), 5);
+        assert_eq!(m.sh.apos[1].tree, 0);
+        // Non-tree -> tree, until the segment is all tree.
+        for far in 10..16 {
+            m.set(1, far, tree(far as TourIx, 50), far as Weight);
+        }
+        assert_eq!(m.sh.apos[1].tree, 6);
+        // A flip in a segment with no entry of the other kind.
+        m.set(2, 21, tree(5, 6), 2);
+        m.set(3, 30, non_tree(5, 30), 1);
+        // Same-kind overwrites stay where they are.
+        m.set(3, 31, tree(8, 9), 7);
+        m.set(2, 20, non_tree(8, 20), 7);
+    }
+
+    #[test]
+    fn adj_remove_keeps_the_tree_prefix() {
+        let mut m = Mirror::new();
+        // Tree entries from a mixed segment: middle, then first.
+        m.remove(1, 12);
+        m.remove(1, 10);
+        // A non-tree entry from a mixed segment.
+        m.remove(1, 13);
+        // The last tree entry, then the non-tree entries left.
+        m.remove(1, 14);
+        assert_eq!(m.sh.apos[1].tree, 0);
+        m.remove(1, 15);
+        m.remove(1, 11);
+        // From segments of one kind.
+        m.remove(3, 30);
+        m.remove(2, 21);
+        // Absent: a no-op.
+        m.remove(2, 99);
+    }
+
+    #[test]
+    fn pushes_relocate_or_grow_at_the_tail_and_keep_the_tree_prefix() {
+        let mut m = Mirror::new();
+        // Vertex 3's segment ends at the arena tail: it grows in place.
+        let (before, arena) = (m.sh.apos[3], m.sh.afar.len());
+        m.set(3, 32, non_tree(9, 32), 3);
+        m.set(3, 33, tree(11, 12), 4);
+        assert_eq!(m.sh.apos[3].start, before.start, "tail segment moved");
+        assert_eq!(m.sh.afar.len(), arena + 2, "tail growth left a hole");
+        // Vertex 1's is full and not at the tail: a tree push relocates it
+        // (the first non-tree entry moves to the new end)...
+        let before = m.sh.apos[1];
+        m.set(1, 16, tree(20, 21), 7);
+        let after = m.sh.apos[1];
+        assert_ne!(after.start, before.start, "full segment did not relocate");
+        assert_eq!((after.len, after.cap), (7, 7 + ADJ_HEADROOM));
+        // ...and the headroom takes both kinds without moving again.
+        m.set(1, 17, non_tree(22, 17), 8);
+        m.set(1, 18, tree(23, 24), 9);
+        assert_eq!(m.sh.apos[1].start, after.start);
+        // A vertex with no segment at all.
+        m.set(0, 8, tree(1, 2), 2);
+    }
+
+    #[test]
+    fn compaction_keeps_the_tree_prefix() {
+        let mut m = Mirror::new();
+        m.set(1, 16, tree(20, 21), 7); // relocates: leaves a hole
+        m.set(0, 8, tree(1, 2), 2); // relocates: leaves a hole
+        assert!(m.sh.afar.len() > m.sh.adj_live);
+        m.sh.compact_adj();
+        assert_eq!(m.sh.afar.len(), m.sh.adj_live, "compaction left holes");
+        m.check("compact_adj");
+        // Mutations after compaction (every cap is tight now).
+        m.set(2, 22, tree(3, 4), 3);
+        m.remove(1, 12);
+        m.set(1, 11, tree(30, 31), 2);
     }
 }

@@ -243,12 +243,13 @@ impl Shard {
                 continue;
             }
             let v = self.base + slot as V;
-            let mut idx = self.tour_slice(slot).to_vec();
+            let mut idx: Vec<TourIx> = self.tour_slice(slot).iter().map(|&i| i.into()).collect();
             let mut comp = self.comp[slot];
             let mut size = self.size[slot] as u64;
             let fl = update_core(b, v, &mut comp, &mut size, &mut idx);
             self.comp[slot] = comp;
             self.size[slot] = size as u32;
+            let idx: Vec<u32> = idx.into_iter().map(ix32).collect();
             self.tour_write(slot, &idx, TOUR_HEADROOM);
             self.maybe_compact_tour();
             if comp == cut_comp {
@@ -256,18 +257,9 @@ impl Shard {
             } else if comp == cut_new {
                 outcome.owns_child = true;
             }
-            let s = self.apos[slot];
-            for i in s.start as usize..(s.start + s.len) as usize {
-                let mut kind = decode_kind(self.afar[i], self.aa[i], self.ab[i]);
-                rewrite_entry(
-                    b,
-                    &fl,
-                    v,
-                    self.afar[i] & !TREE_BIT,
-                    &mut kind,
-                    self.aw[i],
-                    &mut best,
-                );
+            for i in self.apos[slot].range() {
+                let (mut kind, w) = self.entry(slot, i);
+                rewrite_entry(b, &fl, v, self.afar[i], &mut kind, w, &mut best);
                 let (_, a, bb) = encode_kind(&kind);
                 self.aa[i] = a;
                 self.ab[i] = bb;
@@ -294,13 +286,11 @@ impl Shard {
                 continue;
             }
             let v = self.base + slot as V;
-            let sg = self.apos[slot];
-            for i in sg.start as usize..(sg.start + sg.len) as usize {
-                if self.afar[i] & TREE_BIT == 0 {
+            for i in self.apos[slot].range() {
+                let (EntryKind::Tree { lo, hi }, w) = self.entry(slot, i) else {
                     continue;
-                }
+                };
                 // Process each tree edge once: at its child endpoint.
-                let (lo, hi) = (self.aa[i], self.ab[i]);
                 if !lo.is_multiple_of(2) {
                     continue;
                 }
@@ -309,7 +299,7 @@ impl Shard {
                 let contains_x = lo <= fx && lx <= hi;
                 let contains_y = lo <= fy && ly <= hi;
                 if contains_x ^ contains_y {
-                    let (w, e) = (self.aw[i], Edge::new(v, self.afar[i] & !TREE_BIT));
+                    let e = Edge::new(v, self.afar[i]);
                     let better = match best {
                         None => true,
                         Some((bw, be)) => w > bw || (w == bw && e < be),
@@ -604,15 +594,19 @@ mod tests {
         dmpc_mpc::text::render(|s| sh.write_all(s))
     }
 
-    /// The tour arena's books balance and its holes stay within the
-    /// compaction threshold.
-    fn check_tour_arena(sh: &Shard, ctx: &str) {
-        let live: usize = sh.tpos.iter().map(|s| s.len as usize).sum();
-        assert_eq!(sh.tour_live, live, "{ctx}: tour_live");
+    /// Both shards pass the layout audit, and the kernels' tour arena keeps
+    /// its holes within the compaction threshold.
+    fn check_layout(new: &Shard, old: &Shard, ctx: &str) {
+        for (sh, which) in [(new, "kernels"), (old, "oracle")] {
+            if let Err(e) = sh.check_layout() {
+                panic!("{ctx}: {which} shard: {e}");
+            }
+        }
+        let live = new.tour_live;
         assert!(
-            sh.tour.len() <= live + live / 8 + 16,
+            new.tour.len() <= live + live / 8 + 16,
             "{ctx}: {} tour words for {live} live",
-            sh.tour.len()
+            new.tour.len()
         );
     }
 
@@ -652,10 +646,12 @@ mod tests {
                     old.load_vertex(v, st);
                 }
             }
+            check_layout(&new, &old, &format!("seed {seed} bulk load"));
             for step in 0..400 {
                 let ctx = format!("seed {seed} step {step}");
                 if w.rng.gen_bool(0.3) {
                     w.toggle_non_tree(&mut [&mut new, &mut old]);
+                    check_layout(&new, &old, &ctx);
                     continue;
                 }
                 let b = w.struct_op();
@@ -670,7 +666,7 @@ mod tests {
                 assert_eq!(new.vertices(), old.vertices(), "{ctx}: after {b:?}");
                 assert_eq!(text_of(&new), text_of(&old), "{ctx}: after {b:?}");
                 w.check(&new, &ctx);
-                check_tour_arena(&new, &ctx);
+                check_layout(&new, &old, &ctx);
                 // Path maxima on the post-op forest: span scan, entry scan
                 // and the world agree.
                 for _ in 0..4 {

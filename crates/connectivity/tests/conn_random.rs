@@ -265,20 +265,20 @@ fn table1_shape_rounds_constant_communication_sqrt() {
     assert!(words_at_size.last().unwrap() > words_at_size.first().unwrap());
 }
 
-/// Vertex ids share a 32-bit word with the shard's tree-entry tag bit, so
-/// the driver refuses `n > 2^31` up front instead of letting an id alias
-/// the tag in release builds. The panic fires before any machine (or any
-/// O(n) allocation) exists.
+/// Tour indexes reach `4n - 4` and the shard stores them in 32-bit columns,
+/// so the driver refuses `n > 2^30` up front instead of letting an index
+/// wrap in release builds. The panic fires before any machine (or any O(n)
+/// allocation) exists.
 #[test]
-#[should_panic(expected = "exceeds the 2147483648-vertex limit")]
-fn vertex_count_beyond_tag_bit_is_refused() {
-    let n = (1usize << 31) + 1;
+#[should_panic(expected = "exceeds the 1073741824-vertex limit: tour indexes")]
+fn vertex_count_beyond_32_bit_tour_indexes_is_refused() {
+    let n = (1usize << 30) + 1;
     DmpcConnectivity::new(DmpcParams::new(n, 3 * n));
 }
 
 /// Resident memory of a loaded instance stays within 25% of a plain
 /// container model of the shards alone (4 core words per vertex, 1 per tour
-/// index, 4 per adjacency entry): the arenas spend 3.5 words per entry,
+/// index, 4 per adjacency entry): the arenas spend 2.5 words per entry,
 /// and the slack between compactions is bounded by the `live/8 + 16`
 /// threshold plus relocation headroom — with room left for every
 /// machine's non-shard state.
