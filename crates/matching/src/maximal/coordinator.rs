@@ -11,9 +11,20 @@
 use super::msg::{Ann, HistEntry, HistSlice, MatchMsg, StatRec, NO_MATE};
 use super::Layout;
 use dmpc_graph::{Edge, Update, V};
+use dmpc_mpc::chaos::Fnv1a;
 use dmpc_mpc::text::{self, put_field, Fields, Sink};
 use dmpc_mpc::MachineId;
 use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
+
+/// Every coordinator hash map, keyed by vertex or machine ids. These maps
+/// sit on the per-update path, where SipHash's per-key cost (it resists
+/// keys chosen to collide, and ids taken from the coordinator's own state
+/// are not chosen by anyone) was a visible share of each update; FNV-1a
+/// folds a `u32` key in four multiply steps. Its fixed seed also makes the
+/// iteration order, and so the coordinator's outbox order, the same in
+/// every process.
+pub type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv1a>>;
 
 /// What to do once a batch of stats records arrives.
 #[derive(Clone, Debug)]
@@ -138,7 +149,7 @@ pub enum Phase {
         /// Replies still missing.
         expect: usize,
         /// Whether each endpoint's alive-set copy was removed.
-        found_alive: HashMap<V, bool>,
+        found_alive: FnvMap<V, bool>,
     },
     /// Awaiting `FetchReply` refills.
     AwaitFetch {
@@ -217,7 +228,7 @@ pub enum Phase {
         /// Replies still missing.
         expect: usize,
         /// Adjacency gathered so far, merged per vertex.
-        got: HashMap<V, Vec<V>>,
+        got: FnvMap<V, Vec<V>>,
     },
     /// Batch drain paused at a send-budget boundary; resumes on
     /// [`MatchMsg::BatchResume`].
@@ -230,9 +241,9 @@ pub struct Ctx {
     /// The update being processed.
     pub upd: Option<Update>,
     /// Cached records, kept current with local mutations.
-    pub stat: HashMap<V, StatRec>,
+    pub stat: FnvMap<V, StatRec>,
     /// Snapshot of records at first fetch (pre-update statuses).
-    pub pre: HashMap<V, StatRec>,
+    pub pre: FnvMap<V, StatRec>,
     /// Free vertices still to process.
     pub free_list: Vec<V>,
     /// Vertices certified free-and-pathless; re-queued after any later
@@ -241,9 +252,9 @@ pub struct Ctx {
     /// mutations per update).
     pub parked: Vec<V>,
     /// Fetched adjacency lists (light vertices: complete).
-    pub adj: HashMap<V, Vec<(V, Ann)>>,
+    pub adj: FnvMap<V, Vec<(V, Ann)>>,
     /// Direct counter deltas (relation changes).
-    pub counter_deltas: HashMap<V, i64>,
+    pub counter_deltas: FnvMap<V, i64>,
     /// Matched edges created this update, pending the both-sides-free
     /// safety check (3/2 mode).
     pub new_edges: Vec<(V, V)>,
@@ -275,18 +286,26 @@ pub struct Coordinator {
     /// Per-round send budget `S` in words; the batch drain yields to the
     /// next round rather than exceed it.
     send_budget: usize,
-    /// The update-history, contiguous in `seq`: entries are pushed with
-    /// consecutive numbers and only ever popped from the front.
-    hist: VecDeque<(u64, HistEntry)>,
+    /// The update-history, contiguous in seq: entries are pushed with
+    /// consecutive numbers and only ever popped from the front, so the last
+    /// one is `next_seq - 1` and no entry stores its own
+    /// ([`Coordinator::front_seq`]).
+    hist: VecDeque<HistEntry>,
     next_seq: u64,
     /// Sync table, dense by machine id: the history seq each machine was
     /// last sent up to. `None` (never synced) trims like seq 0 but, unlike
     /// `Some(0)`, has no `seen` line in the snapshot.
     last_seen: Vec<Option<u64>>,
+    /// Counts over the sync table: `lag[i]` storage and overflow machines
+    /// were last sent up to seq `lag_base + i`. A trim pops the empty
+    /// slots off the front, after which `lag_base` is the minimum sync
+    /// point — no scan of the table.
+    lag: VecDeque<u32>,
+    lag_base: u64,
     rr_cursor: usize,
-    overflow_of: HashMap<V, MachineId>,
+    overflow_of: FnvMap<V, MachineId>,
     free_overflow: Vec<MachineId>,
-    suspended: HashMap<V, usize>,
+    suspended: FnvMap<V, usize>,
     /// Current protocol phase.
     pub phase: Phase,
     /// Per-update working memory.
@@ -323,6 +342,14 @@ fn put_pair<S: Sink>(s: &mut S, key: &[u8], a: u64, b: u64) {
     s.put(b"\n");
 }
 
+/// Adds one machine to count slot `at`, growing the table to reach it.
+fn count_at(lag: &mut VecDeque<u32>, at: usize) {
+    if at >= lag.len() {
+        lag.resize(at + 1, 0);
+    }
+    lag[at] += 1;
+}
+
 impl Coordinator {
     /// Creates the coordinator for the given layout; `send_budget` is the
     /// machine send cap `S` (in words) the batch drain must respect.
@@ -335,13 +362,15 @@ impl Coordinator {
             hist: VecDeque::new(),
             next_seq: 1,
             last_seen: vec![None; layout.total_machines()],
+            lag: VecDeque::from([(layout.n_storage + layout.n_overflow) as u32]),
+            lag_base: 0,
             rr_cursor: 0,
-            overflow_of: HashMap::new(),
+            overflow_of: FnvMap::default(),
             free_overflow: (0..layout.n_overflow)
                 .rev()
                 .map(|i| base + i as MachineId)
                 .collect(),
-            suspended: HashMap::new(),
+            suspended: FnvMap::default(),
             phase: Phase::Idle,
             ctx: Ctx::default(),
             queue: VecDeque::new(),
@@ -382,7 +411,7 @@ impl Coordinator {
         s.put(b"\nrr");
         put_field(s, self.rr_cursor as u64);
         s.put(b"\n");
-        for &(seq, ref h) in &self.hist {
+        for (seq, h) in (self.front_seq()..).zip(&self.hist) {
             s.put(b"hist");
             put_field(s, seq);
             match *h {
@@ -457,6 +486,7 @@ impl Coordinator {
         self.out_words = 0;
         let mut lines = text.lines();
         assert_eq!(lines.next(), Some("coord v2"), "snapshot header");
+        let mut front = None;
         for line in lines {
             let mut f = Fields::new(line);
             match f.word().expect("non-empty snapshot line") {
@@ -476,7 +506,9 @@ impl Coordinator {
                             panic!("unknown hist entry kind {}", String::from_utf8_lossy(other))
                         }
                     };
-                    self.hist.push_back((seq, entry));
+                    let want = *front.get_or_insert(seq) + self.hist.len() as u64;
+                    assert_eq!(seq, want, "history not contiguous in seq");
+                    self.hist.push_back(entry);
                 }
                 b"seen" => {
                     let m: usize = f.dec();
@@ -494,6 +526,30 @@ impl Coordinator {
                 other => panic!("unknown snapshot key {}", String::from_utf8_lossy(other)),
             }
         }
+        if let Some(front) = front {
+            assert_eq!(
+                front + self.hist.len() as u64,
+                self.next_seq,
+                "history does not end at seq {}",
+                self.next_seq - 1
+            );
+        }
+        self.rebuild_lag();
+    }
+
+    /// Refills the count table from the sync table.
+    fn rebuild_lag(&mut self) {
+        self.lag_base = self.scan_min_seen();
+        self.lag.clear();
+        for q in &self.last_seen[1 + self.layout.n_stats..] {
+            count_at(&mut self.lag, (q.unwrap_or(0) - self.lag_base) as usize);
+        }
+    }
+
+    /// The sync points the trim reads: those of every storage and overflow
+    /// machine (the coordinator and the stats machines carry no history).
+    fn synced(&self) -> &[Option<u64>] {
+        &self.last_seen[1 + self.layout.n_stats..]
     }
 
     fn courier_chunk(&mut self) -> Vec<(MachineId, MatchMsg)> {
@@ -561,47 +617,59 @@ impl Coordinator {
     // ---- history helpers -------------------------------------------------
 
     fn push_hist(&mut self, e: HistEntry) {
-        debug_assert!(self
-            .hist
-            .back()
-            .is_none_or(|&(seq, _)| seq + 1 == self.next_seq));
-        self.hist.push_back((self.next_seq, e));
+        self.hist.push_back(e);
         self.next_seq += 1;
     }
 
+    /// Seq of the first buffered entry (`next_seq` when none is).
+    fn front_seq(&self) -> u64 {
+        self.next_seq - self.hist.len() as u64
+    }
+
+    /// The suffix `machine` has not seen; marks it synced to the end, moving
+    /// the machine from its old count slot to the head one.
     fn hist_for(&mut self, machine: MachineId) -> HistSlice {
-        let seen = self.last_seen[machine as usize].unwrap_or(0);
-        self.last_seen[machine as usize] = Some(self.next_seq - 1);
+        let head = self.next_seq - 1;
+        let seen = self.last_seen[machine as usize].replace(head).unwrap_or(0);
+        if seen != head {
+            self.lag[(seen - self.lag_base) as usize] -= 1;
+            count_at(&mut self.lag, (head - self.lag_base) as usize);
+        }
         self.hist_suffix(seen)
     }
 
     /// Drops the history prefix every storage/overflow machine has been
-    /// sent: one scan of the dense sync table.
+    /// sent: the empty count slots leave the front, and `lag_base` is then
+    /// the minimum sync point.
     fn trim_hist(&mut self) {
-        if self.hist.is_empty() {
-            return;
+        while self.lag.front() == Some(&0) {
+            self.lag.pop_front();
+            self.lag_base += 1;
         }
-        let first_store = 1 + self.layout.n_stats;
-        let min_seen = self.last_seen[first_store..]
+        debug_assert_eq!(self.lag_base, self.scan_min_seen(), "count table");
+        self.hist.drain(..self.first_after(self.lag_base));
+    }
+
+    /// The minimum sync point by a scan of the table: the oracle the count
+    /// table is checked against.
+    fn scan_min_seen(&self) -> u64 {
+        self.synced()
             .iter()
             .map(|s| s.unwrap_or(0))
             .min()
-            .unwrap_or(0);
-        self.hist.drain(..self.first_after(min_seen));
+            .unwrap_or(0)
     }
 
     /// Index of the first buffered entry with seq above `seen`: the deque
     /// is contiguous in seq, so it sits at a fixed offset from the front.
     fn first_after(&self, seen: u64) -> usize {
-        self.hist.front().map_or(0, |&(front, _)| {
-            ((seen + 1).saturating_sub(front) as usize).min(self.hist.len())
-        })
+        ((seen + 1).saturating_sub(self.front_seq()) as usize).min(self.hist.len())
     }
 
-    /// Slots of the dense sync table, one word each (metered as
-    /// coordinator memory).
-    pub fn sync_len(&self) -> usize {
-        self.last_seen.len()
+    /// Words of the sync state: one per slot of the dense table, and one
+    /// per two `u32` count slots (metered as coordinator memory).
+    pub fn sync_words(&self) -> usize {
+        self.last_seen.len() + self.lag.len().div_ceil(2)
     }
 
     /// Current history length (tests assert it stays bounded by the
@@ -613,7 +681,9 @@ impl Coordinator {
     /// The history entries with sequence number greater than `seen`
     /// (read-only; used by audits to replicate a machine's repair).
     pub fn hist_suffix(&self, seen: u64) -> HistSlice {
-        self.hist.range(self.first_after(seen)..).copied().collect()
+        let first = self.first_after(seen);
+        let seqs = self.front_seq() + first as u64..;
+        seqs.zip(self.hist.range(first..).copied()).collect()
     }
 
     // ---- small senders ---------------------------------------------------
@@ -649,7 +719,7 @@ impl Coordinator {
     }
 
     fn fetch_stats(&mut self, vs: Vec<V>, then: StatsThen) {
-        let mut by_machine: HashMap<MachineId, Vec<V>> = HashMap::new();
+        let mut by_machine: FnvMap<MachineId, Vec<V>> = FnvMap::default();
         for v in vs {
             if self.ctx.stat.contains_key(&v) {
                 continue;
@@ -1224,11 +1294,11 @@ impl Coordinator {
         }
         self.phase = Phase::AwaitDelProbes {
             expect,
-            found_alive: HashMap::new(),
+            found_alive: FnvMap::default(),
         };
     }
 
-    fn delete_after_probes(&mut self, found_alive: HashMap<V, bool>) {
+    fn delete_after_probes(&mut self, found_alive: FnvMap<V, bool>) {
         let e = self.ctx.upd.unwrap().edge();
         let mut fetches = 0;
         for v in [e.u, e.v] {
@@ -1490,7 +1560,7 @@ impl Coordinator {
             self.process_free();
             return;
         }
-        let mut by_machine: HashMap<MachineId, Vec<V>> = HashMap::new();
+        let mut by_machine: FnvMap<MachineId, Vec<V>> = FnvMap::default();
         for &(_, wp, _) in &cands {
             by_machine
                 .entry(self.layout.stats_of(wp))
@@ -1510,7 +1580,7 @@ impl Coordinator {
     }
 
     fn aug_pick(&mut self, z: V, cands: Vec<(V, V, bool)>, got: Vec<(V, u32)>) {
-        let counters: HashMap<V, u32> = got.into_iter().collect();
+        let counters: FnvMap<V, u32> = got.into_iter().collect();
         let diff = self.ctx.status_diff();
         let adj_has = |v: V, w: V| -> bool {
             self.ctx
@@ -1633,11 +1703,11 @@ impl Coordinator {
                 }
                 self.phase = Phase::AwaitCommitAdj {
                     expect,
-                    got: HashMap::new(),
+                    got: FnvMap::default(),
                 };
                 return;
             }
-            let got: HashMap<V, Vec<V>> = diff
+            let got: FnvMap<V, Vec<V>> = diff
                 .iter()
                 .map(|&(v, _)| {
                     (
@@ -1652,7 +1722,7 @@ impl Coordinator {
         }
     }
 
-    fn commit_counters(&mut self, mut adjacency: HashMap<V, Vec<V>>) {
+    fn commit_counters(&mut self, mut adjacency: FnvMap<V, Vec<V>>) {
         for (v, _) in self.ctx.status_diff() {
             if let std::collections::hash_map::Entry::Vacant(e) = adjacency.entry(v) {
                 let l: Vec<V> = self.ctx.adj[&v].iter().map(|&(n, _)| n).collect();
@@ -1666,7 +1736,7 @@ impl Coordinator {
                 *deltas.entry(nbr).or_default() += d;
             }
         }
-        let mut by_machine: HashMap<(MachineId, i64), Vec<V>> = HashMap::new();
+        let mut by_machine: FnvMap<(MachineId, i64), Vec<V>> = FnvMap::default();
         for (v, d) in deltas {
             if d != 0 {
                 by_machine
@@ -1703,5 +1773,128 @@ impl Coordinator {
             self.send(dmpc_mpc::COORDINATOR, MatchMsg::BatchResume);
             self.phase = Phase::BatchYield;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dmpc_core::DmpcParams;
+
+    /// The sync state as the old full-table scan kept it: a plain table,
+    /// and a history front that moves to `min + 1` at every trim.
+    struct Oracle {
+        seen: Vec<Option<u64>>,
+        first_store: usize,
+        front: u64,
+    }
+
+    impl Oracle {
+        fn mark(&mut self, m: usize, head: u64) {
+            self.seen[m] = Some(head);
+        }
+
+        fn trim(&mut self) {
+            let min = self.seen[self.first_store..]
+                .iter()
+                .map(|s| s.unwrap_or(0))
+                .min();
+            self.front = self.front.max(min.unwrap() + 1);
+        }
+
+        fn seen_lines(&self) -> String {
+            let lines = self.seen.iter().enumerate();
+            lines
+                .filter_map(|(m, q)| q.map(|q| format!("seen {m} {q}\n")))
+                .collect()
+        }
+    }
+
+    fn seen_lines(c: &Coordinator) -> String {
+        let text = c.snapshot_text();
+        text.lines()
+            .filter(|l| l.starts_with("seen"))
+            .map(|l| format!("{l}\n"))
+            .collect()
+    }
+
+    /// The count table holds exactly the table's histogram from `lag_base`.
+    fn assert_lag_counts(c: &Coordinator) {
+        let mut want = vec![0u32; c.lag.len()];
+        for q in c.synced().iter().map(|s| s.unwrap_or(0)) {
+            want[(q - c.lag_base) as usize] += 1;
+        }
+        assert_eq!(c.lag.iter().copied().collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn count_table_trims_what_the_scan_trims() {
+        let layout = Layout::new(&DmpcParams::new(256, 768));
+        let first_store = 1 + layout.n_stats;
+        let total = layout.total_machines();
+        let mut c = Coordinator::new(layout, false, 1 << 20);
+        // Seqs 5..=20 buffered; every fourth storage/overflow machine never
+        // synced, the rest spread unevenly over 4..=20.
+        let mut text = String::from("coord v2\npairs 0\nseq 21\nrr 3\n");
+        for seq in 5..=20 {
+            text += &format!("hist {seq} light {}\n", seq % 7);
+        }
+        let mut oracle = Oracle {
+            seen: vec![None; total],
+            first_store,
+            front: 5,
+        };
+        for m in first_store..total {
+            if m % 4 != 0 {
+                let q = 4 + (m as u64 * 7) % 17;
+                text += &format!("seen {m} {q}\n");
+                oracle.mark(m, q);
+            }
+        }
+        c.restore_text(&text);
+        assert_eq!(c.snapshot_text(), text);
+        assert_lag_counts(&c);
+        let mut x = 12345u64;
+        for step in 0..4000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let pick = (x >> 33) as usize;
+            match pick % 8 {
+                0 | 1 => c.push_hist(HistEntry::Heavy(pick as V % 256)),
+                2..=4 => {
+                    let m = first_store + pick / 8 % (total - first_store);
+                    let from = oracle.seen[m].unwrap_or(0).max(oracle.front - 1);
+                    let got = c.hist_for(m as MachineId);
+                    oracle.mark(m, c.next_seq - 1);
+                    let seqs: Vec<u64> = got.iter().map(|&(s, _)| s).collect();
+                    assert_eq!(seqs, (from + 1..c.next_seq).collect::<Vec<_>>());
+                }
+                5 | 6 => {
+                    let m = first_store + c.rr_cursor % (total - first_store);
+                    c.refresh_and_idle();
+                    oracle.mark(m, c.next_seq - 1);
+                    oracle.trim();
+                }
+                _ => {
+                    c.trim_hist();
+                    oracle.trim();
+                }
+            }
+            if step % 500 == 499 {
+                let snap = c.snapshot_text();
+                c.restore_text(&snap);
+                assert_eq!(c.snapshot_text(), snap, "step {step}");
+            }
+            assert_lag_counts(&c);
+            assert_eq!(
+                c.hist_len() as u64,
+                c.next_seq - oracle.front,
+                "step {step}"
+            );
+            assert_eq!(seen_lines(&c), oracle.seen_lines(), "step {step}");
+        }
+        // The never-synced machines were reached, so the history did drain.
+        assert!(oracle.front > 5 && c.lag_base == c.scan_min_seen());
     }
 }

@@ -93,11 +93,12 @@ impl Machine for Role {
             // Metered: the history buffer (O(sqrt N)) plus — during a
             // batch — the queued updates and the carried stat cache (both
             // bounded by the chunking in `apply_batch`), stashed answers and
-            // the recovery courier — and the dense sync table, one word per
-            // machine (also O(sqrt N)).
+            // the recovery courier — and the sync state, one word per
+            // machine plus its count table (also O(sqrt N)). A history entry
+            // is 3 words: its seq is implied by its place in the deque.
             Role::Coord(c) => {
-                8 + c.sync_len()
-                    + 4 * c.hist_len()
+                8 + c.sync_words()
+                    + 3 * c.hist_len()
                     + 4 * c.cache_len()
                     + 2 * c.queue_len()
                     + 2 * c.answers_len()

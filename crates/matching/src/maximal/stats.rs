@@ -3,15 +3,17 @@
 use super::msg::{MatchMsg, StatRec};
 use dmpc_graph::V;
 use dmpc_mpc::text::{self, put_field, Fields, Sink};
-use std::collections::BTreeMap;
 
 /// A stats machine owning a contiguous block of vertex records. Records are
 /// exact at all times: the coordinator pushes every change as part of the
 /// update that causes it — which is what lets [`MatchMsg::QIsMatched`]
 /// queries be answered here in one round, bypassing the coordinator.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct StatsMachine {
-    recs: BTreeMap<V, StatRec>,
+    /// The owned block is `lo..hi`; vertex `v`'s record is `recs[v - lo]`.
+    lo: V,
+    hi: V,
+    recs: Vec<StatRec>,
     /// Query answers stashed for driver-side extraction after the wave.
     answers: Vec<(u32, bool)>,
     /// Inbound recovery-snapshot chunks accumulated so far.
@@ -22,7 +24,9 @@ impl StatsMachine {
     /// Creates the machine owning vertices `lo..hi`.
     pub fn new(lo: V, hi: V) -> Self {
         StatsMachine {
-            recs: (lo..hi).map(|v| (v, StatRec::new())).collect(),
+            lo,
+            hi,
+            recs: vec![StatRec::new(); (hi - lo) as usize],
             answers: Vec::new(),
             snap_buf: Vec::new(),
         }
@@ -35,10 +39,21 @@ impl StatsMachine {
         self.snap_buf = Vec::new();
     }
 
-    /// Renders the record table (deterministic: key order).
+    /// The record slot of `v`; panics if `v` is not owned here.
+    fn slot(&self, v: V) -> usize {
+        assert!(
+            (self.lo..self.hi).contains(&v),
+            "vertex {v} is not owned by the stats machine of {}..{}",
+            self.lo,
+            self.hi
+        );
+        (v - self.lo) as usize
+    }
+
+    /// Renders the record table (deterministic: vertex order).
     pub fn write_text<S: Sink>(&self, s: &mut S) {
         s.put(b"stats v1\n");
-        for (&v, r) in &self.recs {
+        for (v, r) in (self.lo..).zip(&self.recs) {
             s.put(b"rec");
             put_field(s, v as u64);
             put_field(s, r.degree as u64);
@@ -55,6 +70,9 @@ impl StatsMachine {
     }
 
     /// Full state restore from [`StatsMachine::snapshot_text`] output.
+    /// Records must come in vertex order from `lo` without gaps, so another
+    /// machine's snapshot is refused rather than installed under foreign
+    /// keys.
     pub fn restore_text(&mut self, text: &str) {
         self.wipe();
         let mut lines = text.lines();
@@ -63,15 +81,19 @@ impl StatsMachine {
             let mut f = Fields::new(line);
             assert_eq!(f.word(), Some(&b"rec"[..]));
             let v: V = f.dec();
-            self.recs.insert(
-                v,
-                StatRec {
-                    degree: f.dec(),
-                    mate: f.dec(),
-                    heavy: f.flag(),
-                    free_nbrs: f.dec(),
-                },
+            let want = self.lo as usize + self.recs.len();
+            assert!(
+                v as usize == want && v < self.hi,
+                "snapshot record for vertex {v} restored on the stats machine of {}..{}",
+                self.lo,
+                self.hi
             );
+            self.recs.push(StatRec {
+                degree: f.dec(),
+                mate: f.dec(),
+                heavy: f.flag(),
+                free_nbrs: f.dec(),
+            });
         }
     }
 
@@ -83,29 +105,32 @@ impl StatsMachine {
 
     /// Read access for audits/extraction.
     pub fn record(&self, v: V) -> Option<&StatRec> {
-        self.recs.get(&v)
+        self.recs.get(v.checked_sub(self.lo)? as usize)
     }
 
     /// Direct load for bulk preprocessing.
     pub fn load(&mut self, v: V, rec: StatRec) {
-        self.recs.insert(v, rec);
+        let i = self.slot(v);
+        self.recs[i] = rec;
     }
 
     /// Handles one request, possibly producing a reply for the coordinator.
     pub fn handle(&mut self, msg: MatchMsg) -> Option<MatchMsg> {
         match msg {
             MatchMsg::StatQuery(vs) => Some(MatchMsg::StatReply(
-                vs.iter().map(|&v| (v, self.recs[&v])).collect(),
+                vs.iter().map(|&v| (v, self.recs[self.slot(v)])).collect(),
             )),
             MatchMsg::StatSet(rs) => {
                 for (v, r) in rs {
-                    self.recs.insert(v, r);
+                    let i = self.slot(v);
+                    self.recs[i] = r;
                 }
                 None
             }
             MatchMsg::CounterDelta(vs, delta) => {
                 for v in vs {
-                    let r = self.recs.get_mut(&v).expect("vertex not owned");
+                    let i = self.slot(v);
+                    let r = &mut self.recs[i];
                     let nv = r.free_nbrs as i64 + delta as i64;
                     debug_assert!(nv >= 0, "counter of {v} went negative");
                     r.free_nbrs = nv.max(0) as u32;
@@ -113,10 +138,12 @@ impl StatsMachine {
                 None
             }
             MatchMsg::CounterQuery(vs) => Some(MatchMsg::CounterReply(
-                vs.iter().map(|&v| (v, self.recs[&v].free_nbrs)).collect(),
+                vs.iter()
+                    .map(|&v| (v, self.recs[self.slot(v)].free_nbrs))
+                    .collect(),
             )),
             MatchMsg::QIsMatched { qid, v } => {
-                self.answers.push((qid, self.recs[&v].matched()));
+                self.answers.push((qid, self.recs[self.slot(v)].matched()));
                 None
             }
             MatchMsg::SnapChunk { words, last } => {
@@ -184,5 +211,41 @@ mod tests {
             }
             _ => panic!(),
         }
+    }
+
+    /// Two neighbouring machines with distinct records in every slot.
+    fn neighbours() -> (StatsMachine, StatsMachine) {
+        let (mut a, mut b) = (StatsMachine::new(0, 10), StatsMachine::new(10, 20));
+        for v in 0..20 {
+            let mut r = StatRec::new();
+            r.degree = v + 1;
+            r.mate = v ^ 1;
+            r.heavy = v % 3 == 0;
+            r.free_nbrs = v / 2;
+            let m = if v < 10 { &mut a } else { &mut b };
+            m.handle(MatchMsg::StatSet(vec![(v, r)]));
+        }
+        (a, b)
+    }
+
+    #[test]
+    fn own_snapshot_round_trips_after_wipe() {
+        let (_, mut m) = neighbours();
+        let snap = m.snapshot_text();
+        m.wipe();
+        assert!(m.record(10).is_none());
+        m.restore_text(&snap);
+        assert_eq!(m.snapshot_text(), snap);
+        assert_eq!(m.record(13).unwrap().degree, 14);
+        assert!(m.record(9).is_none() && m.record(20).is_none());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "snapshot record for vertex 0 restored on the stats machine of 10..20"
+    )]
+    fn restore_refuses_a_neighbours_snapshot() {
+        let (a, mut b) = neighbours();
+        b.restore_text(&a.snapshot_text());
     }
 }

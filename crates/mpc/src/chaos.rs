@@ -387,6 +387,19 @@ impl Default for Fnv1a {
     }
 }
 
+/// The same digest behind the standard hashing traits, so
+/// `BuildHasherDefault<Fnv1a>` can key a `HashMap`: a key's hash is
+/// [`fnv1a`] of the bytes its `Hash` impl writes.
+impl std::hash::Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        Fnv1a::write(self, bytes)
+    }
+
+    fn finish(&self) -> u64 {
+        Fnv1a::finish(self)
+    }
+}
+
 /// Sender-side state of one budgeted stop-and-wait state transfer: at most
 /// `budget` payload words leave per round, the next chunk departs only on
 /// the receiver's ack, so handoff never violates the send cap `S`.
@@ -465,6 +478,19 @@ mod tests {
             assert_eq!(h.finish(), fnv1a(text));
         }
         assert_eq!(Fnv1a::new().finish(), fnv1a(b""));
+    }
+
+    #[test]
+    fn hasher_path_equals_one_shot() {
+        use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+        let text = b"vert 0 0 1\nadj 0 1 t 2 3 4";
+        let mut h = Fnv1a::default();
+        Hasher::write(&mut h, &text[..7]);
+        Hasher::write(&mut h, &text[7..]);
+        assert_eq!(Hasher::finish(&h), fnv1a(text));
+        // A map key hashes to the digest of the bytes its `Hash` writes.
+        let build = BuildHasherDefault::<Fnv1a>::default();
+        assert_eq!(build.hash_one(77u32), fnv1a(&77u32.to_ne_bytes()));
     }
 
     #[test]

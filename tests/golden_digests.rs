@@ -457,7 +457,9 @@ fn mst_canonical_resident_words_do_not_grow() {
 /// of 64 (the storage, history and overflow arenas, summed over machines):
 /// the 3,427 arena words of before the neighbour index, plus one `u32` per
 /// live storage entry for the index (550 words) and one word per machine
-/// for the coordinator's sync table (73), both metered since.
+/// for the coordinator's sync table (73), both metered since. The count
+/// table beside the sync table is metered too; history entries dropped
+/// their seq word to pay for it, and the total stayed at 4,038.
 const MATCHING_CANONICAL_RESIDENT: usize = 4050;
 
 /// The matching twin of the ceiling above: arena slack may not creep in.
