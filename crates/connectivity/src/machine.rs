@@ -637,6 +637,7 @@ impl ConnMachine {
                 _ => self.verts.parse_line(line),
             }
         }
+        self.verts.end_lines();
     }
 
     /// Installs migrated vertex state (vert/adj lines only — directory
@@ -645,6 +646,7 @@ impl ConnMachine {
         for line in text.lines() {
             self.verts.parse_line(line);
         }
+        self.verts.end_lines();
     }
 
     /// Source side of [`ConnMsg::MigrateBegin`]: shift the boundary,

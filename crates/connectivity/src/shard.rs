@@ -2,11 +2,11 @@
 //!
 //! [`ConnMachine`](crate::machine::ConnMachine) keeps its owned vertex block
 //! in a [`Shard`]: flat structure-of-arrays slices keyed by dense local slot
-//! ids (the `pvector` + property-array idiom), with per-vertex tour-index
-//! lists and adjacency entries stored as segments of two shared arenas.
-//! Deletes punch free holes (segment `len < cap`, or whole segments
-//! abandoned on relocation); arenas compact when holes outgrow live data, so
-//! the resident footprint stays linear in the shard.
+//! ids (the `pvector` + property-array idiom), with per-vertex adjacency
+//! entries stored as segments of one shared arena. Deletes punch free holes
+//! (segment `len < cap`, or whole segments abandoned on relocation); the
+//! arena compacts when holes outgrow live data, so the resident footprint
+//! stays linear in the shard.
 //!
 //! Every adjacency segment stores its tree entries first: an entry is a tree
 //! entry exactly when it lies in its segment's prefix of `tree` entries, so
@@ -14,10 +14,11 @@
 //! prefix and one over the non-tree suffix without testing a kind per entry.
 //! Each mutation keeps the split with at most two entry moves (see
 //! [`Shard::adj_set`] and [`Shard::adj_remove`]); bulk stores write the tree
-//! entries first, relocation and compaction copy segments in order. Tour
-//! indexes and entry annotations are `u32` columns (indexes stay below `4n`,
-//! see [`MAX_VERTICES`]), widened to [`TourIx`] at the shard boundary and
-//! narrowed by the one checked helper `ix32`.
+//! entries first, relocation and compaction copy segments in order. The
+//! tree prefix *is* the vertex's tour (each entry names the vertex's two
+//! appearances for its edge) and starts with the parent edge. Annotations
+//! are `u32` columns (indexes stay below `4n`, see [`MAX_VERTICES`]),
+//! widened to [`TourIx`] at the shard boundary and narrowed by `ix32`.
 //!
 //! A structural op is applied by two in-place kernels (one per op kind,
 //! [`Shard::apply_struct`]); what an op does to one vertex is defined, as
@@ -40,6 +41,7 @@ use dmpc_eulertour::indexed::{map_reroot, CompId, TourOp};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, Weight, V};
 use dmpc_mpc::text::{put_field, Fields, Sink};
+use std::cell::{RefCell, RefMut};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -93,28 +95,11 @@ pub(crate) struct ApplyOutcome {
     pub owns_child: bool,
 }
 
-// ----- the arenas -------------------------------------------------------
+// ----- the arena --------------------------------------------------------
 
-/// One tour segment: a vertex's indexes live in `tour[start..start+len]`,
-/// with `cap - len` free words of headroom before the segment must relocate
-/// to the arena tail (leaving a hole).
-#[derive(Clone, Copy, Debug, Default)]
-struct Seg {
-    start: u32,
-    len: u32,
-    cap: u32,
-}
-
-impl Seg {
-    #[inline]
-    fn range(self) -> Range<usize> {
-        self.start as usize..(self.start + self.len) as usize
-    }
-}
-
-/// One adjacency segment: a [`Seg`] over the four entry columns plus the
-/// length of its tree prefix — entries `start..start+tree` are the vertex's
-/// tree entries, `start+tree..start+len` its non-tree entries.
+/// One adjacency segment: a vertex's entries are `start..start+len` of the
+/// entry columns (tree entries first: `tree` of them), with `cap - len` of
+/// headroom before it relocates to the arena tail, leaving a hole.
 #[derive(Clone, Copy, Debug, Default)]
 struct AdjSeg {
     start: u32,
@@ -148,13 +133,10 @@ impl AdjSeg {
 const COMP_NONE: CompId = CompId::MAX;
 /// Largest vertex count a shard can address: a component of `k` vertices
 /// has tour indexes `1..=4(k-1)`, so `n <= 2^30` keeps every index (and
-/// every vertex id) inside the `u32` tour and annotation columns.
+/// every vertex id) inside the `u32` annotation columns.
 pub(crate) const MAX_VERTICES: usize = 1 << 30;
 /// Headroom granted when an adjacency segment relocates.
 const ADJ_HEADROOM: u32 = 2;
-/// Headroom granted when a tour segment relocates (links grow a vertex's
-/// index list by up to 2).
-const TOUR_HEADROOM: u32 = 4;
 
 /// Narrows a tour index to its `u32` column: the one `TourIx` → `u32`
 /// conversion, in range whenever `n <= MAX_VERTICES` (which `ConnDriver`
@@ -169,8 +151,8 @@ fn ix32(i: TourIx) -> u32 {
 }
 
 /// A machine's owned vertex shard: property arrays indexed by
-/// `slot = v - base`, plus two arenas (tour indexes, adjacency entries)
-/// addressed by per-slot segments.
+/// `slot = v - base`, plus the adjacency arena addressed by per-slot
+/// segments.
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
     /// Direct-mapped interner base: global vertex `v` lives in slot
@@ -181,14 +163,8 @@ pub(crate) struct Shard {
     /// Component size per slot (component sizes are at most `n`, which
     /// fits `u32` since vertex ids do).
     size: Vec<u32>,
-    /// Tour-index segment per slot (into `tour`).
-    tpos: Vec<Seg>,
-    /// Tour-index arena, narrowed to `u32`.
-    tour: Vec<u32>,
-    /// Live words in `tour` (sum of segment lens; the rest are holes).
-    tour_live: usize,
     /// Adjacency segment per slot (into the four entry columns), tree
-    /// entries first.
+    /// entries first, the parent edge first of those.
     apos: Vec<AdjSeg>,
     /// Far endpoint, per entry.
     afar: Vec<V>,
@@ -205,8 +181,12 @@ pub(crate) struct Shard {
     /// never turns a shard that *would* fit compactly into a capacity
     /// violation.
     soft_cap: usize,
-    /// Reusable copy-out buffer for the tour kernel and the loaders.
-    scratch: Vec<u32>,
+    /// Reused buffer for index lists derived from a tree prefix.
+    idx_buf: RefCell<Vec<u32>>,
+    /// The vertex of the last parsed `vert` line, until it is checked.
+    vert_line: Option<V>,
+    /// The index list the last parsed `vert` line printed.
+    vert_idx: Vec<TourIx>,
 }
 
 #[inline]
@@ -257,8 +237,6 @@ impl Shard {
             let k = (self.base - v) as usize;
             self.comp.splice(0..0, std::iter::repeat_n(COMP_NONE, k));
             self.size.splice(0..0, std::iter::repeat_n(0u32, k));
-            self.tpos
-                .splice(0..0, std::iter::repeat_n(Seg::default(), k));
             self.apos
                 .splice(0..0, std::iter::repeat_n(AdjSeg::default(), k));
             self.base = v;
@@ -267,7 +245,6 @@ impl Shard {
         while self.comp.len() <= i {
             self.comp.push(COMP_NONE);
             self.size.push(0);
-            self.tpos.push(Seg::default());
             self.apos.push(AdjSeg::default());
         }
         i
@@ -282,74 +259,65 @@ impl Shard {
                 self.base = 0;
                 self.comp.clear();
                 self.size.clear();
-                self.tpos.clear();
                 self.apos.clear();
                 return;
             }
         };
         self.comp.truncate(last + 1);
         self.size.truncate(last + 1);
-        self.tpos.truncate(last + 1);
         self.apos.truncate(last + 1);
         let first = self.comp.iter().position(|&c| c != COMP_NONE).unwrap();
         if first > 0 {
             self.comp.drain(..first);
             self.size.drain(..first);
-            self.tpos.drain(..first);
             self.apos.drain(..first);
             self.base += first as V;
         }
     }
 
+    /// A slot's tour indexes, ascending: its tree prefix's pairs, sorted.
+    fn indexes(&self, slot: usize) -> RefMut<'_, Vec<u32>> {
+        let mut idx = self.idx_buf.borrow_mut();
+        let (tree, _) = self.apos[slot].parts();
+        idx.clear();
+        for (&lo, &hi) in self.aa[tree.clone()].iter().zip(&self.ab[tree]) {
+            idx.extend([lo, hi]);
+        }
+        idx.sort_unstable();
+        idx
+    }
+
+    /// [`Self::indexes`] as an owned list at the shard boundary's width.
+    fn index_list(&self, slot: usize) -> Vec<TourIx> {
+        self.indexes(slot).iter().map(|&i| i.into()).collect()
+    }
+
+    /// Arena index of `slot`'s parent edge: its first tree entry, if even.
     #[inline]
-    fn tour_slice(&self, slot: usize) -> &[u32] {
-        &self.tour[self.tpos[slot].range()]
+    fn parent_edge(&self, slot: usize) -> Option<usize> {
+        let s = self.apos[slot];
+        let i = s.start as usize;
+        (s.tree > 0 && self.aa[i].is_multiple_of(2)).then_some(i)
     }
 
-    /// Overwrites a slot's tour segment, relocating to the arena tail (with
-    /// headroom) when it outgrows its capacity. The caller owes a
-    /// [`Self::maybe_compact_tour`] once it is done storing.
-    fn tour_write(&mut self, slot: usize, vals: &[u32], headroom: u32) {
-        let s = self.tpos[slot];
-        self.tour_live = self.tour_live - s.len as usize + vals.len();
-        if vals.len() as u32 <= s.cap {
-            self.tour[s.start as usize..s.start as usize + vals.len()].copy_from_slice(vals);
-            self.tpos[slot].len = vals.len() as u32;
-        } else {
-            let start = self.tour.len() as u32;
-            let cap = vals.len() as u32 + headroom;
-            self.tour.extend_from_slice(vals);
-            self.tour.resize(self.tour.len() + headroom as usize, 0);
-            self.tpos[slot] = Seg {
-                start,
-                len: vals.len() as u32,
-                cap,
-            };
+    /// A slot's span `(f, l)`: its parent edge, else (a root) its tree
+    /// prefix's least `lo` and greatest `hi`; `(0, 0)` for a singleton.
+    fn span(&self, slot: usize) -> (u32, u32) {
+        if let Some(i) = self.parent_edge(slot) {
+            return (self.aa[i], self.ab[i]);
         }
+        let (tree, _) = self.apos[slot].parts();
+        (tree.map(|i| (self.aa[i], self.ab[i])))
+            .reduce(|(f, l), (lo, hi)| (f.min(lo), l.max(hi)))
+            .unwrap_or((0, 0))
     }
 
-    fn maybe_compact_tour(&mut self) {
-        // Slack is a fraction of the live size (amortized O(1) per op), kept
-        // small in absolute terms too: resident memory is metered against
-        // the machine capacity S, so holes are not free.
-        if self.tour.len() <= self.tour_live + self.tour_live / 8 + 16 {
-            return;
+    /// Moves `slot`'s parent edge (its even-`lo` tree entry) to the front.
+    fn lift_parent_edge(&mut self, slot: usize) {
+        let (tree, _) = self.apos[slot].parts();
+        if let Some(i) = tree.clone().find(|&i| self.aa[i].is_multiple_of(2)) {
+            self.adj_swap(tree.start, i);
         }
-        self.compact_tour();
-    }
-
-    fn compact_tour(&mut self) {
-        let mut tour = Vec::with_capacity(self.tour_live);
-        for s in self.tpos.iter_mut() {
-            let start = tour.len() as u32;
-            tour.extend_from_slice(&self.tour[s.range()]);
-            *s = Seg {
-                start,
-                len: s.len,
-                cap: s.len,
-            };
-        }
-        self.tour = tour;
     }
 
     #[inline]
@@ -387,6 +355,15 @@ impl Shard {
         self.aw[to] = self.aw[from];
         self.aa[to] = self.aa[from];
         self.ab[to] = self.ab[from];
+    }
+
+    /// Swaps the entries at arena indexes `i` and `j`.
+    #[inline]
+    fn adj_swap(&mut self, i: usize, j: usize) {
+        self.afar.swap(i, j);
+        self.aw.swap(i, j);
+        self.aa.swap(i, j);
+        self.ab.swap(i, j);
     }
 
     /// Appends `k` zeroed entries to the adjacency arena.
@@ -444,6 +421,9 @@ impl Shard {
         };
         self.adj_put(i, far, w, a, b);
         self.apos[slot].len += 1;
+        if tree {
+            self.lift_parent_edge(slot);
+        }
         if relocated {
             self.maybe_compact_adj();
         }
@@ -480,6 +460,7 @@ impl Shard {
             self.adj_put(*next, far, *w, a, b);
             *next += 1;
         }
+        self.lift_parent_edge(slot);
         self.adj_live += n as usize;
         self.maybe_compact_adj();
     }
@@ -492,39 +473,33 @@ impl Shard {
     }
 
     /// Resident footprint in 64-bit words: the exact backing stores — every
-    /// property array, both arenas *including their free holes and segment
-    /// headroom* (that memory is resident), and the segment tables,
+    /// property array, the arena *including its free holes and segment
+    /// headroom* (that memory is resident), and the segment table,
     /// converted from bytes at 8 bytes/word. Transient scratch buffers are
     /// excluded (they are executor-style reusable workspace, not shard
     /// state).
     pub fn memory_words(&self) -> usize {
         let slot_bytes = self.comp.len() * 4    // comp: u32
             + self.size.len() * 4               // size: u32
-            + self.tpos.len() * 12              // Seg: 3 x u32
             + self.apos.len() * 16; // AdjSeg: 4 x u32
-        let tour_bytes = self.tour.len() * 4;
         let adj_bytes = self.afar.len() * 4     // far: u32
             + self.aw.len() * 8                 // weight: u64
             + self.aa.len() * 4
             + self.ab.len() * 4;
-        (slot_bytes + tour_bytes + adj_bytes).div_ceil(8)
+        (slot_bytes + adj_bytes).div_ceil(8)
     }
 
-    /// Compacts both arenas if the shard sits above its soft budget while
+    /// Compacts the arena if the shard sits above its soft budget while
     /// holding any slack. Steady-state mutations never pay this; it only
     /// fires when a shard is near the machine capacity `S`, where the
     /// metered footprint must match the compact one.
     fn enforce_soft_cap(&mut self) {
-        if self.soft_cap == 0 {
-            return;
-        }
-        if self.tour.len() == self.tour_live && self.afar.len() == self.adj_live {
+        if self.soft_cap == 0 || self.afar.len() == self.adj_live {
             return;
         }
         if self.memory_words() <= self.soft_cap {
             return;
         }
-        self.compact_tour();
         self.compact_adj();
     }
 
@@ -552,13 +527,11 @@ impl Shard {
         self.ab = ab;
     }
 
-    /// Removes a slot entirely (migration), freeing its segments as holes.
+    /// Removes a slot entirely (migration), freeing its segment as a hole.
     fn remove_slot(&mut self, slot: usize) {
         self.comp[slot] = COMP_NONE;
         self.size[slot] = 0;
-        self.tour_live -= self.tpos[slot].len as usize;
         self.adj_live -= self.apos[slot].len as usize;
-        self.tpos[slot] = Seg::default();
         self.apos[slot] = AdjSeg::default();
     }
 
@@ -566,67 +539,43 @@ impl Shard {
         VertexState {
             comp: self.comp[slot],
             size: self.size[slot] as u64,
-            idx: self.tour_slice(slot).iter().map(|&i| i.into()).collect(),
+            idx: self.index_list(slot),
             adj: (self.apos[slot].range())
                 .map(|i| (self.afar[i], self.entry(slot, i)))
                 .collect(),
         }
     }
 
-    /// Drops the (at most two) occurrences of `d0`/`d1` from a slot's tour
-    /// segment in place; the freed tail words stay segment headroom.
-    fn tour_drop(&mut self, slot: usize, d0: u32, d1: u32) {
-        let t = &mut self.tour[self.tpos[slot].range()];
-        let mut kept = 0;
-        for j in 0..t.len() {
-            let i = t[j];
-            if i != d0 && i != d1 {
-                t[kept] = i;
-                kept += 1;
-            }
-        }
-        self.tour_live -= t.len() - kept;
-        self.tpos[slot].len = kept as u32;
-    }
-
     /// The structural sweep: applies the broadcast's reroot + main op to
-    /// every owned vertex's core (component id, size, tour indexes) and to
-    /// every adjacency entry's annotations, in place in the arenas.
-    ///
-    /// In place is exact because every index map is monotone on one
-    /// vertex's sorted list — a cut leaves a vertex wholly inside or wholly
-    /// outside `(fy, ly)`, a link adds one constant or shifts the tail above
-    /// `fx`, and a reroot is a rotation (map, then sort the slice where it
-    /// lies). Only the op's two endpoints change length. The `oracle` test
-    /// module holds the per-vertex definition these kernels are checked
-    /// against.
+    /// every owned vertex's core (component id, size) and to every
+    /// adjacency entry's annotations, in place in the arena; mapping a
+    /// vertex's tree entries maps its tour. The `oracle` test module holds
+    /// the per-vertex definition these kernels are checked against.
     fn apply_sweep(&mut self, b: &StructBroadcast) -> ApplyOutcome {
-        let outcome = match b.main {
+        match b.main {
             TourOp::Link { .. } => {
                 self.sweep_link(b);
                 ApplyOutcome::default()
             }
             TourOp::Cut { .. } => self.sweep_cut(b),
             TourOp::Reroot { .. } => unreachable!("reroot is never a main op"),
-        };
-        self.maybe_compact_tour();
-        outcome
+        }
     }
 
     /// Link kernel: members of `a` shift their indexes above `fx` by
     /// `elen_b + 4`; members of the absorbed `b` are rerooted (when the
-    /// broadcast says so) and shifted by `fx + 2`; `x` and `y` gain the new
-    /// edge's two appearances each. Tree entries live in their owner's index
-    /// space, so only members' tree prefixes move; non-tree entries follow
-    /// the same maps keyed by their `far_comp`, whoever holds them.
+    /// broadcast says so) and shifted by `fx + 2`. Tree entries live in
+    /// their owner's index space, so only members' tree prefixes move;
+    /// non-tree entries follow the same maps keyed by their `far_comp`,
+    /// whoever holds them. Even shifts keep every entry's side; a reroot
+    /// flips the path to the new root, so it lifts each parent edge again.
     fn sweep_link(&mut self, b: &StructBroadcast) {
         let TourOp::Link {
             a,
             b: bc,
-            x,
-            y,
             fx,
             elen_b,
+            ..
         } = b.main
         else {
             unreachable!("dispatched on a link")
@@ -643,12 +592,11 @@ impl Shard {
             _ => None,
         };
         let map_a = |i: u32| if i > fx32 { i + shift_a } else { i };
-        // The reroot's modular arithmetic runs at full width.
+        // The reroot runs at full width (`i + elen` can pass `u32::MAX`).
         let map_b = |i: u32| {
             let i = TourIx::from(i);
             ix32(rot.map_or(i, |(elen, l_y)| map_reroot(i, elen, l_y)) + shift_b)
         };
-        let mut scratch = std::mem::take(&mut self.scratch);
         for slot in 0..self.comp.len() {
             let c = self.comp[slot];
             if c == COMP_NONE {
@@ -660,29 +608,14 @@ impl Shard {
             if member {
                 self.comp[slot] = a;
                 self.size[slot] = b.merged_size as u32;
-                let v = self.base + slot as V;
-                let t = &mut self.tour[self.tpos[slot].range()];
-                let grown = if from_b {
-                    t.iter_mut().for_each(|i| *i = map_b(*i));
-                    (v == y).then(|| [fx + 2, fx + elen_b + 3].map(ix32))
-                } else {
-                    t.iter_mut().for_each(|i| *i = map_a(*i));
-                    (v == x).then(|| [fx + 1, fx + elen_b + 4].map(ix32))
-                };
-                if let Some(new) = grown {
-                    scratch.clear();
-                    scratch.extend_from_slice(t);
-                    scratch.extend_from_slice(&new);
-                    scratch.sort_unstable();
-                    self.tour_write(slot, &scratch, TOUR_HEADROOM);
-                } else if from_b && rot.is_some() {
-                    t.sort_unstable();
-                }
                 let (aa, ab) = (&mut self.aa[tree.clone()], &mut self.ab[tree]);
                 if from_b {
                     for (ea, eb) in aa.iter_mut().zip(ab) {
                         let (p, q) = (map_b(*ea), map_b(*eb));
                         (*ea, *eb) = (p.min(q), p.max(q));
+                    }
+                    if rot.is_some() {
+                        self.lift_parent_edge(slot);
                     }
                 } else {
                     for (ea, eb) in aa.iter_mut().zip(ab) {
@@ -704,15 +637,14 @@ impl Shard {
                 }
             }
         }
-        self.scratch = scratch;
     }
 
     /// Cut kernel: members of `comp` strictly inside `(fy, ly)` detach into
     /// `new_comp` (indexes `- fy`), the rest close the gap (indexes above
-    /// `ly` drop by the span); `x` and `y` lose the cut edge's appearances.
-    /// A member's tree entries go through the same map; non-tree entries
-    /// into `comp` are re-classified by the far side, and a searching cut
-    /// folds the crossing ones into the replacement candidate.
+    /// `ly` drop by the span, both even), and so do their tree entries; the
+    /// cut edge's own go in the materialization step. Non-tree entries into
+    /// `comp` are re-classified by the far side, and a searching cut folds
+    /// the crossing ones into the replacement candidate.
     fn sweep_cut(&mut self, b: &StructBroadcast) -> ApplyOutcome {
         let TourOp::Cut {
             comp,
@@ -753,22 +685,14 @@ impl Shard {
             let mut detached = false;
             let (tree, rest) = self.apos[slot].parts();
             if member {
-                if v == x {
-                    self.tour_drop(slot, fy - 1, ly + 1);
-                } else if v == y {
-                    self.tour_drop(slot, fy, ly);
-                }
-                let t = &mut self.tour[self.tpos[slot].range()];
-                // A vertex with no indexes left is a singleton; the child
-                // endpoint forms the new component by itself.
-                detached = t.first().map_or(v == y, |&i| i > fy && i < ly);
+                // But for x and y, a member's entries lie on one side.
+                let inside = |i: usize| self.aa[i] > fy && self.aa[i] < ly;
+                detached = v == y || (v != x && tree.clone().next().is_some_and(inside));
                 if detached {
-                    t.iter_mut().for_each(|i| *i -= fy);
                     self.comp[slot] = new_comp;
                     self.size[slot] = k_sub;
                     outcome.owns_child = true;
                 } else {
-                    t.iter_mut().filter(|i| **i > ly).for_each(|i| *i -= span);
                     self.size[slot] -= k_sub;
                     outcome.owns_parent = true;
                 }
@@ -822,14 +746,12 @@ impl Shard {
         outcome
     }
 
-    /// Layout audit: every segment lies inside its arena and within its
-    /// capacity, the live-word totals balance, absent slots hold nothing,
-    /// and each adjacency segment's tree prefix holds exactly its vertex's
-    /// tree entries. A vertex appears in its tour twice per incident tree
-    /// edge and each tree entry names those two appearances, so the
-    /// prefix's `(lo, hi)` pairs, sorted, *are* the vertex's tour-index
-    /// list: a tree entry past the prefix, or a non-tree entry inside it,
-    /// breaks the equality.
+    /// Layout audit: every segment lies inside the arena and within its
+    /// capacity, the live-entry total balances, absent slots hold nothing,
+    /// and no child-side tree entry (even `lo`) sits anywhere but first in
+    /// its prefix, where [`Self::span`] and [`Self::path_max`] read it.
+    /// (`ConnDriver::audit` checks that a prefix holds exactly its vertex's
+    /// tree edges: the indexes they name must partition each tour.)
     pub fn check_layout(&self) -> Result<(), String> {
         let entries = self.afar.len();
         if [self.aw.len(), self.aa.len(), self.ab.len()] != [entries; 3] {
@@ -841,47 +763,35 @@ impl Shard {
             ));
         }
         let n = self.comp.len();
-        if [self.size.len(), self.tpos.len(), self.apos.len()] != [n; 3] {
+        if [self.size.len(), self.apos.len()] != [n; 2] {
             return Err(format!("property arrays disagree on the slot count {n}"));
         }
-        let tour_live: usize = self.tpos.iter().map(|s| s.len as usize).sum();
         let adj_live: usize = self.apos.iter().map(|s| s.len as usize).sum();
-        if (tour_live, adj_live) != (self.tour_live, self.adj_live) {
+        if adj_live != self.adj_live {
             return Err(format!(
-                "live totals {} tour words / {} entries, segments hold {tour_live} / {adj_live}",
-                self.tour_live, self.adj_live
+                "live total {} entries, segments hold {adj_live}",
+                self.adj_live
             ));
         }
-        let mut pairs = Vec::new();
         for slot in 0..n {
             let v = self.base + slot as V;
-            let (t, s) = (self.tpos[slot], self.apos[slot]);
-            if t.len > t.cap || t.start as usize + t.cap as usize > self.tour.len() {
-                return Err(format!(
-                    "vertex {v}: tour segment {t:?} outside the {}-word arena",
-                    self.tour.len()
-                ));
-            }
+            let s = self.apos[slot];
             if s.tree > s.len || s.len > s.cap || s.start as usize + s.cap as usize > entries {
                 return Err(format!(
                     "vertex {v}: adjacency segment {s:?} outside the {entries}-entry arena"
                 ));
             }
             if self.comp[slot] == COMP_NONE {
-                if t.len != 0 || s.len != 0 {
-                    return Err(format!("absent slot {slot} holds {t:?} and {s:?}"));
+                if s.len != 0 {
+                    return Err(format!("absent slot {slot} holds {s:?}"));
                 }
                 continue;
             }
             let (tree, _) = s.parts();
-            pairs.clear();
-            pairs.extend(tree.flat_map(|i| [self.aa[i], self.ab[i]]));
-            pairs.sort_unstable();
-            if pairs != self.tour_slice(slot) {
+            if let Some(i) = tree.skip(1).find(|&i| self.aa[i].is_multiple_of(2)) {
+                let far = self.afar[i];
                 return Err(format!(
-                    "vertex {v}: tree prefix of {} entries names {pairs:?}, its tour indexes are {:?}",
-                    s.tree,
-                    self.tour_slice(slot)
+                    "vertex {v}: child-side entry to {far} is not first in its prefix"
                 ));
             }
         }
@@ -899,7 +809,6 @@ impl Shard {
             base: lo,
             comp: (lo..hi).collect(),
             size: vec![1; n],
-            tpos: vec![Seg::default(); n],
             apos: vec![AdjSeg::default(); n],
             ..Default::default()
         }
@@ -932,25 +841,25 @@ impl Shard {
     }
 
     pub fn f_of(&self, v: V) -> TourIx {
-        self.idx_of(v).next().unwrap_or(0)
+        self.span(self.slot(v)).0.into()
     }
 
     /// The vertex's tour-index list, ascending (the cut flow derives the
     /// surviving parent index from it).
-    pub fn idx_of(&self, v: V) -> impl Iterator<Item = TourIx> + '_ {
-        self.tour_slice(self.slot(v)).iter().map(|&i| i.into())
+    pub fn idx_of(&self, v: V) -> impl Iterator<Item = TourIx> {
+        self.index_list(self.slot(v)).into_iter()
     }
 
     /// O(1)-word wire summary of one vertex.
     pub fn info(&self, v: V) -> VertexInfo {
         let slot = self.slot(v);
-        let t = self.tour_slice(slot);
+        let (f, l) = self.span(slot);
         VertexInfo {
             v,
             comp: self.comp[slot],
             size: self.size[slot] as u64,
-            f: t.first().map_or(0, |&i| i.into()),
-            l: t.last().map_or(0, |&i| i.into()),
+            f: f.into(),
+            l: l.into(),
         }
     }
 
@@ -985,6 +894,9 @@ impl Shard {
                     _ => i,
                 };
                 self.adj_put(i, far, w, a, b);
+                if tree {
+                    self.lift_parent_edge(slot);
+                }
             }
             None => self.adj_push(slot, far, &kind, w, ADJ_HEADROOM),
         }
@@ -1111,12 +1023,11 @@ impl Shard {
     /// spans (ties broken toward the smaller edge for determinism; the fold
     /// is a strict total order, so iteration order cannot matter).
     ///
-    /// Each tree edge is processed once, at its child endpoint, whose
-    /// subtree span `[f(v), l(v)]` is the first and last word of its tour
-    /// segment: the edge is on the x..y path iff that span contains exactly
-    /// one endpoint. Only then is the vertex's tree prefix walked for its
-    /// one child-side entry (even `lo`, arrival parity), whose `(lo, hi)`
-    /// equals the span (`ConnDriver::audit` checks both).
+    /// Each tree edge is processed once, at its child endpoint, as the
+    /// first entry of that endpoint's tree prefix (the parent edge: even
+    /// `lo`, arrival parity), whose `(lo, hi)` is the subtree span
+    /// `[f(v), l(v)]`: the edge is on the x..y path iff that span contains
+    /// exactly one endpoint. One entry is read per member.
     pub fn path_max(
         &self,
         comp: CompId,
@@ -1131,22 +1042,17 @@ impl Shard {
             if self.comp[slot] != comp {
                 continue;
             }
-            let t = self.tour_slice(slot);
-            let (Some(&f), Some(&l)) = (t.first(), t.last()) else {
+            // Only a root (or a singleton) has no parent edge; its span
+            // holds both endpoints, so it is never a hit.
+            let Some(i) = self.parent_edge(slot) else {
                 continue;
             };
+            let (f, l) = (self.aa[i], self.ab[i]);
             let contains_x = f <= fx && lx <= l;
             let contains_y = f <= fy && ly <= l;
             if contains_x == contains_y {
                 continue;
             }
-            let (mut tree, _) = self.apos[slot].parts();
-            // Only a root has no parent edge (and its span holds both
-            // endpoints, so it is never a hit).
-            let Some(i) = tree.find(|&i| self.aa[i].is_multiple_of(2)) else {
-                continue;
-            };
-            debug_assert_eq!((self.aa[i], self.ab[i]), (f, l), "child span is not f/l");
             let v = self.base + slot as V;
             let (w, e) = (self.aw[i], Edge::new(v, self.afar[i]));
             let better = match best {
@@ -1185,33 +1091,41 @@ impl Shard {
             .collect()
     }
 
-    /// Installs (or replaces) `v`'s component id, size and tour indexes,
-    /// leaving it with no adjacency entries; returns its slot.
-    fn load_core(&mut self, v: V, comp: CompId, size: u64, idx: &[u32]) -> usize {
+    /// Installs (or replaces) `v`'s component id and size, leaving it with
+    /// no adjacency entries; returns its slot.
+    fn load_core(&mut self, v: V, comp: CompId, size: u64) -> usize {
         let slot = self.ensure_slot(v);
         if self.comp[slot] != COMP_NONE {
-            // Replacing: free the old segments' live words first.
-            self.tour_live -= self.tpos[slot].len as usize;
+            // Replacing: free the old segment's live entries first.
             self.adj_live -= self.apos[slot].len as usize;
-            self.tpos[slot].len = 0;
             self.apos[slot].len = 0;
             self.apos[slot].tree = 0;
         }
         self.comp[slot] = comp;
         self.size[slot] = size as u32;
-        self.tour_write(slot, idx, 0);
-        self.maybe_compact_tour();
         slot
+    }
+
+    /// Panics, naming the vertex, unless `idx` is the list `v`'s tree
+    /// entries name (the shard keeps no list of its own to load it into).
+    fn check_indexes(&self, v: V, idx: &[TourIx], source: &str) {
+        let derived = self.indexes(self.slot(v));
+        let same = derived
+            .iter()
+            .map(|&d| TourIx::from(d))
+            .eq(idx.iter().copied());
+        assert!(
+            same,
+            "{source} of vertex {v} lists tour indexes {idx:?}, its tree entries name {:?}",
+            *derived
+        );
     }
 
     /// Direct state injection (bulk loading).
     pub fn load_vertex(&mut self, v: V, st: VertexState) {
-        let mut idx = std::mem::take(&mut self.scratch);
-        idx.clear();
-        idx.extend(st.idx.iter().map(|&i| ix32(i)));
-        let slot = self.load_core(v, st.comp, st.size, &idx);
-        self.scratch = idx;
+        let slot = self.load_core(v, st.comp, st.size);
         self.adj_store(slot, &st.adj);
+        self.check_indexes(v, &st.idx, "loaded state");
         self.enforce_soft_cap();
     }
 
@@ -1240,7 +1154,6 @@ impl Shard {
         // so compact exactly: the remaining shard must not keep charging
         // for the moved segments' holes.
         self.trim_slots();
-        self.compact_tour();
         self.compact_adj();
         text
     }
@@ -1248,19 +1161,20 @@ impl Shard {
     /// Parses one `vert`/`adj` snapshot line (an `adj` line requires its
     /// `vert` line to have been parsed first). Tour indexes and annotations
     /// are read at their column width, so one beyond `u32` is refused by
-    /// the typed field check rather than truncated.
+    /// the typed field check rather than truncated. A `vert` line's indexes
+    /// are checked against the entries after it (see [`Self::end_lines`]).
     pub fn parse_line(&mut self, line: &str) {
         let mut f = Fields::new(line);
         match f.word().expect("non-empty snapshot line") {
             b"vert" => {
+                self.end_lines();
                 let (v, comp, size): (V, CompId, u64) = (f.dec(), f.dec(), f.dec());
-                let mut idx = std::mem::take(&mut self.scratch);
-                idx.clear();
+                self.vert_idx.clear();
                 while let Some(i) = f.next_dec::<u32>() {
-                    idx.push(i);
+                    self.vert_idx.push(i.into());
                 }
-                self.load_core(v, comp, size, &idx);
-                self.scratch = idx;
+                self.vert_line = Some(v);
+                self.load_core(v, comp, size);
                 // The arena upkeep `load_vertex` does after storing no
                 // entries, so the metered footprint matches it exactly.
                 self.maybe_compact_adj();
@@ -1287,6 +1201,14 @@ impl Shard {
         }
     }
 
+    /// Ends a run of [`Self::parse_line`] calls by checking its last `vert`
+    /// line (each earlier one is checked when the next begins).
+    pub fn end_lines(&mut self) {
+        if let Some(v) = self.vert_line.take() {
+            self.check_indexes(v, &self.vert_idx, "snapshot `vert` line");
+        }
+    }
+
     /// The occupied slots with their vertex ids, in id order.
     pub fn slots(&self) -> impl Iterator<Item = (usize, V)> + '_ {
         (0..self.comp.len())
@@ -1309,7 +1231,7 @@ impl Shard {
         put_field(s, (self.base + slot as V) as u64);
         put_field(s, self.comp[slot] as u64);
         put_field(s, self.size[slot] as u64);
-        for &i in self.tour_slice(slot) {
+        for &i in self.indexes(slot).iter() {
             put_field(s, i.into());
         }
         s.put(b"\n");
@@ -1459,10 +1381,10 @@ mod tests {
         let text = text_of(&sh);
         assert_eq!(
             text,
-            "vert 0 0 3 1 8\n\
+            "vert 0 0 3 1 10\n\
              adj 0 1 t 1 10 7\n\
              adj 0 2 n 3 0 9\n\
-             vert 1 0 3 2 3 6 7\n\
+             vert 1 0 3 2 7\n\
              adj 1 0 t 2 7 5\n\
              adj 1 2 n 4 0 6\n\
              vert 2 0 3 4 5\n\
@@ -1473,7 +1395,39 @@ mod tests {
         for line in text.lines() {
             back.parse_line(line);
         }
+        back.end_lines();
         assert_eq!(text_of(&back), text);
+    }
+
+    fn restore_demo(from: &str, to: &str) {
+        let mut sh = Shard::default();
+        for line in DEMO_TEXT.replacen(from, to, 1).lines() {
+            sh.parse_line(line);
+        }
+        sh.end_lines();
+    }
+
+    /// A `vert` line that disagrees with its entries is caught at the next
+    /// `vert` line...
+    #[test]
+    #[should_panic(expected = "snapshot `vert` line of vertex 1 lists tour indexes [2, 3, 6, 9]")]
+    fn restore_refuses_a_tampered_vert_line() {
+        restore_demo("vert 1 0 3 2 3 6 7", "vert 1 0 3 2 3 6 9");
+    }
+
+    /// ...or, for the last vertex, when the lines end.
+    #[test]
+    #[should_panic(expected = "snapshot `vert` line of vertex 2 lists tour indexes [4, 6]")]
+    fn restore_refuses_a_tampered_last_vert_line() {
+        restore_demo("vert 2 0 3 4 5", "vert 2 0 3 4 6");
+    }
+
+    #[test]
+    #[should_panic(expected = "loaded state of vertex 2 lists tour indexes [4, 7]")]
+    fn load_vertex_refuses_indexes_its_entries_do_not_name() {
+        let [_, _, (v, mut st)] = demo_states();
+        st.idx = vec![4, 7];
+        Shard::default().load_vertex(v, st);
     }
 
     /// A tour index beyond the 32-bit columns is refused by the typed field
@@ -1507,24 +1461,24 @@ mod tests {
     /// shard within 10%.
     ///
     /// Hand computation for the [`loaded`] shard (bulk loads use zero
-    /// headroom, so caps == lens and the arenas are hole-free):
+    /// headroom, so caps == lens and the arena is hole-free):
     ///
-    /// * slot arrays, 3 slots: comp 3x4 + size 3x4 + tpos 3x12 + apos
-    ///   (with its tree count) 3x16 = 108 bytes
-    /// * tour arena: 2 + 4 + 2 = 8 indexes x 4 bytes = 32 bytes
+    /// * slot arrays, 3 slots: comp 3x4 + size 3x4 + apos (with its tree
+    ///   count) 3x16 = 72 bytes
     /// * adjacency arena: 6 entries x (far 4 + weight 8 + 4 + 4) = 120 bytes
+    ///   (the 8 tour indexes are the 4 tree entries' `lo`/`hi` words)
     ///
-    /// total = 260 bytes = ceil(260 / 8) = 33 words.
+    /// total = 192 bytes = 192 / 8 = 24 words.
     #[test]
     fn soa_resident_words_within_10pct_of_hand_count() {
-        let hand = 33.0_f64;
+        let hand = 24.0_f64;
         let got = loaded().memory_words() as f64;
         assert!(
             (got - hand).abs() <= hand * 0.10,
             "resident {got} vs hand-computed {hand}"
         );
         // For this exactly-sized shard the two should in fact be equal.
-        assert_eq!(got as usize, 33);
+        assert_eq!(got as usize, 24);
     }
 
     #[test]
@@ -1555,14 +1509,14 @@ mod tests {
 
     // ----- tree-prefix upkeep, one O(1) path at a time -------------------
 
-    /// A shard mutated entry by entry beside the vertex states it should
-    /// hold. After every step its snapshot text must equal that of a shard
-    /// bulk-loaded with those states — the text prints each entry's kind
-    /// from its place in the segment, so an entry on the wrong side of the
-    /// tree prefix shows.
+    /// A shard mutated entry by entry beside the entries it should hold.
+    /// After every step its materialized entries must equal those — an
+    /// entry's kind is decoded from its place in the segment, so an entry
+    /// on the wrong side of the tree prefix shows — and it must pass
+    /// `check_layout`, so a parent edge that is not first shows too.
     struct Mirror {
         sh: Shard,
-        want: BTreeMap<V, VertexState>,
+        want: BTreeMap<V, BTreeMap<V, (EntryKind, Weight)>>,
     }
 
     impl Mirror {
@@ -1572,9 +1526,10 @@ mod tests {
         /// under test.
         fn new() -> Self {
             let states = [
-                (0, vec![(9, non_tree(1, 9), 1)]),
+                (0, vec![], vec![(9, non_tree(1, 9), 1)]),
                 (
                     1,
+                    vec![1, 2, 4, 5, 7, 8],
                     vec![
                         (10, tree(1, 2), 1),
                         (11, non_tree(3, 11), 2),
@@ -1584,17 +1539,25 @@ mod tests {
                         (15, non_tree(9, 15), 6),
                     ],
                 ),
-                (2, vec![(20, non_tree(1, 20), 1), (21, non_tree(2, 21), 2)]),
-                (3, vec![(30, tree(1, 2), 1), (31, tree(3, 4), 2)]),
+                (
+                    2,
+                    vec![],
+                    vec![(20, non_tree(1, 20), 1), (21, non_tree(2, 21), 2)],
+                ),
+                (
+                    3,
+                    vec![1, 2, 3, 4],
+                    vec![(30, tree(1, 2), 1), (31, tree(3, 4), 2)],
+                ),
             ];
             let mut m = Mirror {
                 sh: Shard::default(),
                 want: BTreeMap::new(),
             };
-            for (v, adj) in states {
-                let st = demo_state(0, 4, &[1, 2], &adj);
-                m.sh.load_vertex(v, st.clone());
-                m.want.insert(v, st);
+            for (v, idx, adj) in states {
+                let st = demo_state(0, 4, &idx, &adj);
+                m.want.insert(v, st.adj.clone());
+                m.sh.load_vertex(v, st);
             }
             m.check("bulk load");
             m
@@ -1602,40 +1565,58 @@ mod tests {
 
         fn set(&mut self, v: V, far: V, kind: EntryKind, w: Weight) {
             self.sh.adj_set(v, far, kind, w);
-            self.want.get_mut(&v).unwrap().adj.insert(far, (kind, w));
+            self.want.get_mut(&v).unwrap().insert(far, (kind, w));
             self.check(&format!("set {v}->{far} {kind:?}"));
         }
 
         fn remove(&mut self, v: V, far: V) {
             self.sh.adj_remove(v, far);
-            self.want.get_mut(&v).unwrap().adj.remove(&far);
+            self.want.get_mut(&v).unwrap().remove(&far);
             self.check(&format!("remove {v}->{far}"));
         }
 
-        fn check(&self, ctx: &str) {
-            let mut bulk = Shard::default();
-            for (&v, st) in &self.want {
-                bulk.load_vertex(v, st.clone());
-            }
-            assert_eq!(text_of(&self.sh), text_of(&bulk), "after {ctx}");
-            let live: usize = self.sh.apos.iter().map(|s| s.len as usize).sum();
-            assert_eq!(self.sh.adj_live, live, "after {ctx}: adj_live");
+        /// The far endpoint of the first entry of `v`'s tree prefix.
+        fn first_tree(&self, v: V) -> Option<V> {
+            let s = self.sh.apos[self.sh.slot(v)];
+            (s.tree > 0).then(|| self.sh.afar[s.start as usize])
         }
+
+        fn check(&self, ctx: &str) {
+            for (v, st) in self.sh.vertices() {
+                assert_eq!(st.adj, self.want[&v], "after {ctx}: vertex {v}");
+            }
+            assert_eq!(self.sh.check_layout(), Ok(()), "after {ctx}");
+        }
+    }
+
+    #[test]
+    fn check_layout_names_a_misplaced_parent_edge() {
+        let Mirror { mut sh, .. } = Mirror::new();
+        // Vertex 1's prefix is (12, 10, 14): plant its parent edge last.
+        let start = sh.apos[1].start as usize;
+        sh.adj_swap(start, start + 2);
+        let want = "vertex 1: child-side entry to 12 is not first in its prefix";
+        assert_eq!(sh.check_layout(), Err(want.to_string()));
     }
 
     #[test]
     fn kind_flips_through_adj_set_keep_the_tree_prefix() {
         let mut m = Mirror::new();
-        // Tree -> non-tree: first, middle and last of the prefix.
+        // Tree -> non-tree: first (the parent edge), last, and the one left
+        // of the prefix.
         m.set(1, 12, non_tree(40, 12), 3);
+        assert!(matches!(m.first_tree(1), Some(10 | 14)));
         m.set(1, 10, non_tree(41, 10), 1);
         m.set(1, 14, non_tree(42, 14), 5);
         assert_eq!(m.sh.apos[1].tree, 0);
-        // Non-tree -> tree, until the segment is all tree.
+        // Non-tree -> tree (parent side), until the segment is all tree.
         for far in 10..16 {
-            m.set(1, far, tree(far as TourIx, 50), far as Weight);
+            m.set(1, far, tree(2 * far as TourIx + 1, 50), far as Weight);
         }
         assert_eq!(m.sh.apos[1].tree, 6);
+        // A parent-side entry overwritten into the parent edge goes first.
+        m.set(1, 13, tree(26, 50), 13);
+        assert_eq!(m.first_tree(1), Some(13));
         // A flip in a segment with no entry of the other kind.
         m.set(2, 21, tree(5, 6), 2);
         m.set(3, 30, non_tree(5, 30), 1);
@@ -1647,8 +1628,10 @@ mod tests {
     #[test]
     fn adj_remove_keeps_the_tree_prefix() {
         let mut m = Mirror::new();
-        // Tree entries from a mixed segment: middle, then first.
+        // Tree entries from a mixed segment: first (the parent edge), then
+        // last.
         m.remove(1, 12);
+        assert!(matches!(m.first_tree(1), Some(10 | 14)));
         m.remove(1, 10);
         // A non-tree entry from a mixed segment.
         m.remove(1, 13);
@@ -1670,13 +1653,14 @@ mod tests {
         // Vertex 3's segment ends at the arena tail: it grows in place.
         let (before, arena) = (m.sh.apos[3], m.sh.afar.len());
         m.set(3, 32, non_tree(9, 32), 3);
-        m.set(3, 33, tree(11, 12), 4);
+        m.set(3, 33, tree(12, 13), 4); // a parent edge behind two parent-side entries
+        assert_eq!(m.first_tree(3), Some(33));
         assert_eq!(m.sh.apos[3].start, before.start, "tail segment moved");
         assert_eq!(m.sh.afar.len(), arena + 2, "tail growth left a hole");
         // Vertex 1's is full and not at the tail: a tree push relocates it
         // (the first non-tree entry moves to the new end)...
         let before = m.sh.apos[1];
-        m.set(1, 16, tree(20, 21), 7);
+        m.set(1, 16, tree(21, 22), 7);
         let after = m.sh.apos[1];
         assert_ne!(after.start, before.start, "full segment did not relocate");
         assert_eq!((after.len, after.cap), (7, 7 + ADJ_HEADROOM));
@@ -1691,7 +1675,7 @@ mod tests {
     #[test]
     fn compaction_keeps_the_tree_prefix() {
         let mut m = Mirror::new();
-        m.set(1, 16, tree(20, 21), 7); // relocates: leaves a hole
+        m.set(1, 16, tree(21, 22), 7); // relocates: leaves a hole
         m.set(0, 8, tree(1, 2), 2); // relocates: leaves a hole
         assert!(m.sh.afar.len() > m.sh.adj_live);
         m.sh.compact_adj();
@@ -1700,6 +1684,7 @@ mod tests {
         // Mutations after compaction (every cap is tight now).
         m.set(2, 22, tree(3, 4), 3);
         m.remove(1, 12);
-        m.set(1, 11, tree(30, 31), 2);
+        m.set(1, 11, tree(30, 31), 2); // promoted into the parent edge
+        assert_eq!(m.first_tree(1), Some(11));
     }
 }

@@ -229,8 +229,9 @@ pub(super) fn rewrite_entry(
 
 impl Shard {
     /// [`Shard::apply_struct`] as a fold of the per-vertex definition: copy
-    /// each vertex's tour out, [`update_core`], store it back, then
-    /// [`rewrite_entry`] on every decoded entry.
+    /// each vertex's tour out of its tree prefix, [`update_core`], then
+    /// [`rewrite_entry`] on every decoded entry. Once the edge's entries are
+    /// in, each prefix must name the list `update_core` computed.
     pub(super) fn apply_struct_oracle(&mut self, b: &StructBroadcast) -> ApplyOutcome {
         let mut best: Option<(Weight, Edge)> = None;
         let mut outcome = ApplyOutcome::default();
@@ -238,20 +239,18 @@ impl Shard {
             TourOp::Cut { comp, new_comp, .. } => (comp, new_comp),
             _ => (COMP_NONE, COMP_NONE),
         };
+        let mut cores = Vec::new();
         for slot in 0..self.comp.len() {
             if self.comp[slot] == COMP_NONE {
                 continue;
             }
             let v = self.base + slot as V;
-            let mut idx: Vec<TourIx> = self.tour_slice(slot).iter().map(|&i| i.into()).collect();
+            let mut idx = self.index_list(slot);
             let mut comp = self.comp[slot];
             let mut size = self.size[slot] as u64;
             let fl = update_core(b, v, &mut comp, &mut size, &mut idx);
             self.comp[slot] = comp;
             self.size[slot] = size as u32;
-            let idx: Vec<u32> = idx.into_iter().map(ix32).collect();
-            self.tour_write(slot, &idx, TOUR_HEADROOM);
-            self.maybe_compact_tour();
             if comp == cut_comp {
                 outcome.owns_parent = true;
             } else if comp == cut_new {
@@ -264,9 +263,14 @@ impl Shard {
                 self.aa[i] = a;
                 self.ab[i] = bb;
             }
+            self.lift_parent_edge(slot);
+            cores.push((slot, idx));
         }
         outcome.best = best.map(|(w, e)| (e, w));
         self.materialize_edge(b);
+        for (slot, idx) in cores {
+            assert_eq!(self.index_list(slot), idx, "slot {slot} after {b:?}");
+        }
         outcome
     }
 
@@ -594,20 +598,13 @@ mod tests {
         dmpc_mpc::text::render(|s| sh.write_all(s))
     }
 
-    /// Both shards pass the layout audit, and the kernels' tour arena keeps
-    /// its holes within the compaction threshold.
+    /// Both shards pass the layout audit.
     fn check_layout(new: &Shard, old: &Shard, ctx: &str) {
         for (sh, which) in [(new, "kernels"), (old, "oracle")] {
             if let Err(e) = sh.check_layout() {
                 panic!("{ctx}: {which} shard: {e}");
             }
         }
-        let live = new.tour_live;
-        assert!(
-            new.tour.len() <= live + live / 8 + 16,
-            "{ctx}: {} tour words for {live} live",
-            new.tour.len()
-        );
     }
 
     /// Seeded worlds × shard geometries × every op shape: the in-place

@@ -27,10 +27,13 @@ pub type CompId = u32;
 
 /// The reroot index map: `i <- ((i + elen - l_y) mod elen) + 1`.
 /// Callers must skip the reroot when `y` is already the root, as the paper
-/// does ("we first make y the root ... if it is not already").
+/// does ("we first make y the root ... if it is not already"). The `mod`
+/// is a conditional subtract: `i + elen - l_y + 1` lies in `[2, 2·elen]`.
 pub fn map_reroot(i: TourIx, elen: TourIx, l_y: TourIx) -> TourIx {
     debug_assert!(i >= 1 && i <= elen && l_y <= elen);
-    ((i + elen - l_y) % elen) + 1
+    debug_assert!(l_y >= 1, "a singleton is never rerooted");
+    let j = i + elen - l_y + 1;
+    j - if j > elen { elen } else { 0 }
 }
 
 /// An O(1)-word description of a tour update, broadcast to all machines;
@@ -478,6 +481,18 @@ mod tests {
         fo.load_tree(&[Edge::new(1, 2), Edge::new(2, 3), Edge::new(1, 4)], 1);
         fo.load_tree(&[Edge::new(0, 5), Edge::new(5, 6)], 0);
         fo
+    }
+
+    #[test]
+    fn map_reroot_equals_the_modular_formula() {
+        for elen in (4..=64).step_by(4) {
+            for i in 1..=elen {
+                for l_y in 1..=elen {
+                    let want = ((i + elen - l_y) % elen) + 1;
+                    assert_eq!(map_reroot(i, elen, l_y), want, "{i} {elen} {l_y}");
+                }
+            }
+        }
     }
 
     #[test]
