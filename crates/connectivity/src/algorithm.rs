@@ -59,7 +59,6 @@ impl ConnDriver {
     }
 
     fn run(&mut self, to: MachineId, msg: ConnMsg) -> UpdateMetrics {
-        self.clear_stale_batch_state();
         self.cluster.inject(to, msg);
         self.cluster.run_update()
     }
@@ -73,28 +72,10 @@ impl ConnDriver {
         self.run(self.owner(u.edge().u), msg)
     }
 
-    /// Abort recovery between runs: a previous batch run aborted by the
-    /// round-limit guard (its `Violation::RoundLimit` is the authoritative
-    /// error signal) can leave batch bookkeeping behind — controller state
-    /// on machine 0, and a pending-search flag on whichever machine was the
-    /// cut rendezvous. Drop it so later runs neither meter phantom memory
-    /// nor emit spurious batch completion signals.
-    ///
-    /// Only the machines the previous run stepped are swept: transient
-    /// state is written nowhere but inside `on_messages` (and reset by
-    /// `wipe`/`restore_text`), and every `run_update` of this driver is
-    /// preceded by this call, so a machine outside [`Cluster::touched`] is
-    /// still as clean as the previous sweep left it.
-    fn clear_stale_batch_state(&mut self) {
-        self.cluster
-            .for_each_touched_mut(ConnMachine::clear_stale_batch);
-    }
-
     /// Runs one pre-coalesced batch chunk through the two-phase batch
     /// protocol as a single metered quiescence run, folding the
     /// controller's conflict-partition statistics into the metrics.
     fn run_batch_chunk(&mut self, items: Vec<BatchItem>) -> BatchMetrics {
-        self.clear_stale_batch_state();
         let k = items.len();
         let mut bm = self.cluster.run_batch(
             std::iter::once((BATCH_CTRL, ConnMsg::BatchStart { items })),
@@ -123,7 +104,6 @@ impl ConnDriver {
     /// tracking is on — the metering tests assert O(q) words per wave).
     /// Callers wanting capacity-safe chunking use [`Self::answer_query_batch`].
     pub fn query_wave(&mut self, chunk: &[Query]) -> (Vec<QueryAnswer>, UpdateMetrics) {
-        self.clear_stale_batch_state();
         let n_machines = self.cluster.n_machines() as MachineId;
         // During an outage the wave routes around the dead machines: a query
         // whose owner set intersects a dead machine answers `Degraded`
@@ -761,7 +741,7 @@ pub struct DmpcConnectivity {
 }
 
 impl DmpcConnectivity {
-    /// New empty instance, fully metered (per-round detail and flows).
+    /// New empty instance, fully metered (flows tracked).
     pub fn new(params: DmpcParams) -> Self {
         Self::with_exec(params, ExecOptions::default())
     }

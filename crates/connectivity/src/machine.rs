@@ -446,22 +446,8 @@ impl ConnMachine {
         &self.bounds
     }
 
-    /// Abort recovery: drops controller/rendezvous/fetch state left behind
-    /// by a round-limit-aborted run, so later runs are not charged phantom
-    /// memory for it. Called by the driver between runs (the in-machine
-    /// reset in `handle_batch_start` covers the batch-after-batch case).
-    pub fn clear_stale_batch(&mut self) {
-        self.batch = None;
-        self.pending_cuts.clear();
-        self.pending_fetches.clear();
-        self.pending_mst = None;
-        self.pending_queries.clear();
-        self.answers.clear();
-        self.last_conflict = None;
-    }
-
-    /// True when nothing [`ConnMachine::clear_stale_batch`] would drop is
-    /// present (test hook for the driver's touched-set sweep).
+    /// True when nothing [`Machine::abandon_run`] would drop is present
+    /// (test hook for the executor's abort contract).
     #[doc(hidden)]
     pub fn transient_is_empty(&self) -> bool {
         self.batch.is_none()
@@ -1803,12 +1789,6 @@ impl ConnMachine {
     /// Controller: fan the batch out to the owners for classification.
     fn handle_batch_start(&mut self, items: Vec<BatchItem>, out: &mut Outbox<ConnMsg>) {
         assert_eq!(self.id, BATCH_CTRL, "batches start at the controller");
-        // External injections only arrive between runs, so leftover state
-        // here means the previous run was aborted by the round-limit guard
-        // (its violation is already metered); drop it and start fresh.
-        self.batch = None;
-        self.pending_cuts.clear();
-        self.pending_fetches.clear();
         if items.is_empty() {
             return;
         }
@@ -2097,7 +2077,6 @@ impl ConnMachine {
             ConnMsg::DirDrop { comp } => {
                 self.dir.remove(&comp);
             }
-            ConnMsg::Ack => {}
             ConnMsg::QConnProbe {
                 qid,
                 probe,
@@ -2365,5 +2344,18 @@ impl Machine for ConnMachine {
             words += s.len();
         }
         words
+    }
+
+    /// Drops the controller, rendezvous, fetch and query state a cut-short
+    /// run strands, so later runs are neither charged phantom memory for
+    /// it nor sent spurious completion signals.
+    fn abandon_run(&mut self) {
+        self.batch = None;
+        self.pending_cuts.clear();
+        self.pending_fetches.clear();
+        self.pending_mst = None;
+        self.pending_queries.clear();
+        self.answers.clear();
+        self.last_conflict = None;
     }
 }

@@ -55,10 +55,9 @@ pub enum CutMode {
     Demote,
 }
 
-/// The O(1)-word structural-change payload. Under component-owner multicast
-/// it is addressed only to the affected components' owner machines; the
-/// legacy broadcast routing sends it to every machine (differential-testing
-/// flag, see `machine.rs`).
+/// The O(1)-word structural-change payload, multicast to the affected
+/// components' owner machines only (found through the root-owner
+/// directory, see `machine.rs`).
 #[derive(Clone, Copy, Debug)]
 pub struct StructBroadcast {
     /// Optional reroot of the absorbed side (links only).
@@ -246,8 +245,6 @@ pub enum ConnMsg {
         /// Owner set of the component being swapped inside.
         owners: Vec<MachineId>,
     },
-    /// No-op acknowledgement (kept for protocol symmetry in tests).
-    Ack,
 
     // ---- owner directory (see `machine.rs` "The owner directory") --------
     /// any machine -> root owner of `comp`: request the component's owner
@@ -502,7 +499,6 @@ impl Payload for ConnMsg {
             ConnMsg::PathMaxQuery { .. } => 10,
             ConnMsg::PathMaxReply { .. } => 3,
             ConnMsg::StartSwap { owners, .. } => 5 + owners.len(),
-            ConnMsg::Ack => 1,
             ConnMsg::MigrateBegin { .. } => 5,
             ConnMsg::Boundary { .. } => 3,
             ConnMsg::SnapChunk { words, .. } => 2 + words.len(),
@@ -544,7 +540,6 @@ mod tests {
             .size_words()
                 <= 16
         );
-        assert!(ConnMsg::Ack.size_words() >= 1);
         assert_eq!(ConnMsg::Delete { e, lane: None }.size_words(), 2);
         // Lane ids pack into the op word: a laned message costs the same.
         assert_eq!(

@@ -1,17 +1,18 @@
-//! The driver sweeps transient protocol state (`clear_stale_batch`) and
-//! drains query answers only on the machines the previous run stepped, not
-//! on all `P`. That rests on a superset argument: transient state is written
-//! nowhere but inside `on_messages`, so a machine outside the touched set
-//! cannot hold any. These tests check the argument instead of assuming it:
+//! The executor drops the transient protocol state of a cut-short run
+//! (`Machine::abandon_run`) on the machines that run stepped, and the driver
+//! drains query answers from those machines only, not from all `P`. That
+//! rests on a superset argument: transient state is written nowhere but
+//! inside `on_messages`, so a machine outside the touched set cannot hold
+//! any. These tests check the argument instead of assuming it:
 //!
-//! * an aborted run (round-limit guard, mid-flight kill) leaves stale state
-//!   behind, and the calls that follow it are indistinguishable — digest,
-//!   answers, every metric — from the same calls on an instance that never
-//!   aborted;
-//! * what an aborted run strands sits on machines it stepped, and after
-//!   every *clean* run of a churn/chaos stream (batches, per-op updates,
-//!   query waves, migrations, kill/revive) every machine, inside the
-//!   touched set or out of it, reports empty transient state.
+//! * an aborted run (round-limit guard, mid-flight kill), and a later run
+//!   whose messages die at the dead machine's door, leave no transient
+//!   state behind, and the calls that follow an abort are
+//!   indistinguishable — digest, answers, every metric — from the same calls
+//!   on an instance that never aborted;
+//! * after every *clean* run of a churn/chaos stream (batches, per-op
+//!   updates, query waves, migrations, kill/revive) every machine, inside
+//!   the touched set or out of it, reports empty transient state.
 
 use dmpc_connectivity::{DmpcConnectivity, DmpcMst};
 use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
@@ -64,8 +65,8 @@ fn reads(n: usize, salt: usize) -> Vec<Query> {
 
 /// Runs the continuation both instances must agree on — a query wave
 /// *first* (nothing in a wave resets batch state machine-side, so only the
-/// driver's sweep can have cleaned up), then a batch, then another wave —
-/// asserting equality of everything observable after each call.
+/// executor's abort hook can have cleaned up), then a batch, then another
+/// wave — asserting equality of everything observable after each call.
 fn assert_same_continuation(
     alg: &mut DmpcConnectivity,
     twin: &mut DmpcConnectivity,
@@ -98,8 +99,8 @@ fn assert_same_continuation(
 
 /// (a) A batch cut short by the round-limit guard after its first round:
 /// the controller has opened the batch and fanned out classification, no
-/// owner has acted yet. Machine 0 is left holding the batch; the next call
-/// is a query wave, and after it nothing may remain.
+/// owner has acted yet. The executor drops the open batch from machine 0
+/// as the run stops; the next call is a query wave.
 #[test]
 fn round_limit_abort_then_clean_calls_match_a_never_aborted_instance() {
     let n = 96;
@@ -121,9 +122,10 @@ fn round_limit_abort_then_clean_calls_match_a_never_aborted_instance() {
     // One chunk, so one run: its only violation is the guard's.
     assert_eq!(aborted.violations, 1, "the round-limit guard must fire");
     assert_eq!(aborted.rounds, 1);
-    // Non-vacuous: the abort really left state behind, and only where the
-    // run stepped; the logical state is untouched.
-    assert_eq!(dirty(&alg), vec![0], "the controller holds the open batch");
+    // The abort hook already dropped the controller's open batch; the
+    // logical state is untouched.
+    assert_eq!(alg.driver().touched(), [0], "only the controller stepped");
+    assert_all_clean(&alg, "the abort hook drops the open batch");
     assert_dirty_within_touched(&alg, "round-limit abort");
     assert_eq!(alg.state_digest(), before);
 
@@ -182,12 +184,42 @@ fn midflight_kill_abort_then_clean_calls_match_a_never_aborted_instance() {
 
         assert_same_continuation(&mut alg, &mut twin, n, &rest[0]);
     }
-    // Non-vacuous: kills fired, some cost the window messages, and some
-    // stranded transient state on the survivors.
+    // Non-vacuous: kills fired and some cost the window messages; the abort
+    // hook left no transient state on any machine, survivors included.
     assert!(
-        fired >= 8 && lossy >= 4 && left_dirty >= 4,
+        fired >= 8 && lossy >= 4 && left_dirty == 0,
         "fired={fired}, lossy={lossy}, left_dirty={left_dirty}"
     );
+}
+
+/// (c) A write window longer than one batch chunk, with a mid-flight kill
+/// in its first chunk's run: the later chunks run with the victim dead, so
+/// their messages to it die at its door. Those runs are cut short too, and
+/// no survivor is left holding their transient state.
+#[test]
+fn chunks_after_a_midflight_kill_leave_no_transient_state() {
+    let n = 96;
+    let p = 8;
+    let batches = streams::chaos_churn_batches(n, 6, 5, 160, 12, 19);
+    let (prefix, rest) = batches.split_at(batches.len() / 2);
+    let window = rest[..4].concat();
+    let mut fired = 0;
+    for victim in 0..p as MachineId {
+        for kill_round in 2..=4u32 {
+            let mut alg = conn_with(n, p);
+            for b in prefix {
+                assert!(alg.apply_batch(b).clean());
+            }
+            alg.arm_in_round(kill_round, ChaosKind::Kill(victim));
+            alg.apply_batch(&window);
+            if alg.is_alive(victim) {
+                continue;
+            }
+            fired += 1;
+            assert_all_clean(&alg, "chunks run against a dead machine");
+        }
+    }
+    assert!(fired >= 8, "fired={fired}");
 }
 
 /// After every run of a churn stream with the whole chaos repertoire —

@@ -66,12 +66,6 @@ impl DmpcParams {
     pub fn heavy_threshold(&self) -> usize {
         ((2.0 * self.m_max.max(1) as f64).sqrt()).ceil() as usize
     }
-
-    /// Capacity of the coordinator's update-history ring buffer: it must
-    /// cover at least one full round-robin refresh cycle over all machines.
-    pub fn history_capacity(&self, total_machines: usize) -> usize {
-        (2 * total_machines).max(2 * self.sqrt_n())
-    }
 }
 
 #[cfg(test)]
@@ -106,12 +100,5 @@ mod tests {
             assert!(mu <= sq + 1, "mu={mu} sqrt={sq}");
             assert!(mu + 1 >= sq / 2);
         }
-    }
-
-    #[test]
-    fn history_covers_machines() {
-        let p = DmpcParams::new(100, 300);
-        assert!(p.history_capacity(50) >= 50);
-        assert!(p.history_capacity(10) >= 2 * p.sqrt_n());
     }
 }

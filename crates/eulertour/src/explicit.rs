@@ -69,11 +69,6 @@ impl ExplicitTour {
         ExplicitTour { seq }
     }
 
-    /// Builds a tour directly from a 1-based sequence (for tests/figures).
-    pub fn from_seq(seq: Vec<V>) -> Self {
-        ExplicitTour { seq }
-    }
-
     /// The sequence (position 1 is element 0).
     pub fn seq(&self) -> &[V] {
         &self.seq

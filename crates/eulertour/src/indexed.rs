@@ -274,11 +274,6 @@ impl IndexedForest {
         self.members[&self.comp_of(v)].len()
     }
 
-    /// Vertices of `v`'s tree.
-    pub fn tree_members(&self, v: V) -> &[V] {
-        &self.members[&self.comp_of(v)]
-    }
-
     /// Tour length of `v`'s tree: `4(|T|-1)`.
     pub fn elen(&self, v: V) -> TourIx {
         4 * (self.tree_size(v) as TourIx - 1)
@@ -302,11 +297,6 @@ impl IndexedForest {
     /// The tree edges currently present.
     pub fn tree_edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.tree_edges.iter().copied()
-    }
-
-    /// Number of tree edges.
-    pub fn n_tree_edges(&self) -> usize {
-        self.tree_edges.len()
     }
 
     /// True if `(x,y)` is a tree edge.

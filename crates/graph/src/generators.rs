@@ -27,36 +27,6 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> Vec<Edge> {
     edges
 }
 
-/// Preferential-attachment graph: each new vertex attaches `k` edges to
-/// existing vertices chosen proportionally to degree (the paper's motivating
-/// "evolving social network" workload).
-pub fn preferential_attachment(n: usize, k: usize, seed: u64) -> Vec<Edge> {
-    assert!(n >= 2);
-    let k = k.max(1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut edges: Vec<Edge> = Vec::new();
-    // endpoint multiset: sampling uniformly from it = degree-proportional.
-    let mut ends: Vec<V> = vec![0, 1];
-    edges.push(Edge::new(0, 1));
-    for v in 2..n as V {
-        let mut chosen = HashSet::new();
-        let mut tries = 0;
-        while chosen.len() < k.min(v as usize) && tries < 50 * k {
-            let t = ends[rng.gen_range(0..ends.len())];
-            tries += 1;
-            if t != v {
-                chosen.insert(t);
-            }
-        }
-        for t in chosen {
-            edges.push(Edge::new(v, t));
-            ends.push(v);
-            ends.push(t);
-        }
-    }
-    edges
-}
-
 /// A `rows x cols` grid graph — the road-network-like workload.
 pub fn grid(rows: usize, cols: usize) -> Vec<Edge> {
     let id = |r: usize, c: usize| (r * cols + c) as V;
@@ -126,14 +96,6 @@ mod tests {
         assert_eq!(es.len(), 100);
         let set: HashSet<Edge> = es.iter().copied().collect();
         assert_eq!(set.len(), 100);
-    }
-
-    #[test]
-    fn pa_graph_is_connected() {
-        let es = preferential_attachment(100, 2, 11);
-        let g = DynamicGraph::from_edges(100, &es);
-        let labels = g.components();
-        assert!(labels.iter().all(|&l| l == labels[0]));
     }
 
     #[test]

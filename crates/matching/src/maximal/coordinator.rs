@@ -598,9 +598,12 @@ impl Coordinator {
         self.suspended.insert(v, count);
     }
 
-    /// True when no update or batch is in flight.
-    pub fn is_idle(&self) -> bool {
-        matches!(self.phase, Phase::Idle) && self.queue.is_empty()
+    /// Drops the update or batch a cut-short run left in flight (see
+    /// `dmpc_mpc::Machine::abandon_run`): replies it waits for were dropped,
+    /// so the next injection must start from idle.
+    pub fn abandon_run(&mut self) {
+        self.phase = Phase::Idle;
+        self.queue.clear();
     }
 
     /// Records currently cached in per-update working memory (metered as
@@ -817,17 +820,6 @@ impl Coordinator {
 
     /// Starts processing an injected update; returns outbound messages.
     pub fn start(&mut self, upd: Update) -> Vec<(MachineId, MatchMsg)> {
-        // Mirror of the recovery in `start_batch`: a non-idle state at
-        // injection time can only be a round-limit-aborted previous run.
-        // Per the simulator's record-don't-abort contract, that run's
-        // `Violation::RoundLimit` is the authoritative error signal;
-        // execution after it is best-effort (in-flight replies were
-        // dropped, so machine-side state may be inconsistent until callers
-        // acting on the violation reset the structure).
-        if !self.is_idle() {
-            self.phase = Phase::Idle;
-            self.queue.clear();
-        }
         self.ctx = Ctx {
             upd: Some(upd),
             ..Default::default()
@@ -847,15 +839,6 @@ impl Coordinator {
     /// only: the 3/2 algorithm's counter commit reads pre-update snapshots
     /// that assume one update per run.
     pub fn start_batch(&mut self, updates: Vec<Update>) -> Vec<(MachineId, MatchMsg)> {
-        // External injections only arrive between runs; a non-idle state
-        // here means the previous run was aborted by the round-limit guard
-        // (its violation is already metered — the authoritative error
-        // signal under the simulator's record-don't-abort contract).
-        // Recover rather than panic; post-abort execution is best-effort.
-        if !self.is_idle() {
-            self.phase = Phase::Idle;
-            self.queue.clear();
-        }
         assert!(
             !self.three_halves,
             "batched execution covers the Section 3 algorithm only"

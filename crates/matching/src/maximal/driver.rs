@@ -109,6 +109,14 @@ impl Machine for Role {
             Role::Overflow(o) => o.memory_words(),
         }
     }
+
+    /// The coordinator's idle reset. The other roles answer each message on
+    /// its own, so a cut-short run strands nothing there.
+    fn abandon_run(&mut self) {
+        if let Role::Coord(c) = self {
+            c.abandon_run();
+        }
+    }
 }
 
 /// Fully-dynamic maximal matching in the DMPC model (paper Section 3):
@@ -123,8 +131,7 @@ pub struct DmpcMaximalMatching {
 }
 
 impl DmpcMaximalMatching {
-    /// Creates an empty instance, fully metered (per-round detail and
-    /// flows).
+    /// Creates an empty instance, fully metered (flows tracked).
     pub fn new(params: DmpcParams) -> Self {
         Self::with_exec(params, ExecOptions::default())
     }
@@ -676,5 +683,25 @@ mod tests {
             resident <= modelled + modelled / 4,
             "resident {resident} words exceeds the container model's {modelled} by more than 25%"
         );
+    }
+
+    /// A batch cut short by the round limit, while the coordinator waits
+    /// for stats replies with the rest of its chunk queued, leaves it idle
+    /// with nothing queued: the executor's abort hook reset it.
+    #[test]
+    fn a_cut_short_batch_leaves_the_coordinator_idle() {
+        let n = 128;
+        let mut alg = DmpcMaximalMatching::new(DmpcParams::new(n, 3 * n));
+        let ups = streams::churn_stream(n, 2 * n, 384, 0.55, 42);
+        for &u in &ups[..256] {
+            assert!(alg.apply(u).clean());
+        }
+        alg.cluster.set_round_limit(2);
+        assert!(alg.apply_batch(&ups[256..264]).violations > 0);
+        let Role::Coord(c) = alg.cluster.machine(COORDINATOR) else {
+            unreachable!()
+        };
+        assert!(matches!(c.phase, super::super::coordinator::Phase::Idle));
+        assert_eq!(c.queue_len(), 0);
     }
 }

@@ -121,8 +121,7 @@ impl ChaosPlan {
     /// `n_machines` is the cluster size, `killable` the number of machines
     /// the algorithm allows chaos to take (e.g. all but a protected
     /// coordinator), and `max_rounds` the quiescence cap
-    /// ([`crate::ClusterConfig::max_rounds_per_update`]) that bounds legal
-    /// round offsets.
+    /// ([`crate::Cluster::round_limit`]) that bounds legal round offsets.
     /// Mid-flight kills are *transient*: the service loop aborts the
     /// epoch and recovers the victim before the next batch, so they count
     /// against the simultaneous-dead budget only within their own batch.

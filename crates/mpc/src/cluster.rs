@@ -22,7 +22,7 @@
 
 use crate::chaos::ChaosKind;
 use crate::machine::{Envelope, Machine, Payload as _};
-use crate::metrics::{BatchMetrics, RoundMetrics, UpdateMetrics, Violation};
+use crate::metrics::{BatchMetrics, UpdateMetrics, Violation};
 use crate::parallel::{worker_task, Group, StepEnv, WorkerScratch};
 use crate::pool::WorkerPool;
 use crate::MachineId;
@@ -40,20 +40,22 @@ pub enum Backend {
     WorkerPool,
 }
 
+/// Rounds a quiescence run may take before the executor stops it with a
+/// [`Violation::RoundLimit`] (the quiescence failure guard). Every protocol
+/// here quiesces in far fewer; the legal in-round chaos offsets are
+/// `1..=ROUND_LIMIT`.
+pub const ROUND_LIMIT: usize = 10_000;
+
 /// Executor tuning knobs, orthogonal to the DMPC model parameters. Drivers
 /// accept these so benches can select a backend or trim metering overhead
-/// without touching the algorithm's model configuration (capacity, round
-/// limits). The default is the fully metered serial profile.
+/// without touching the algorithm's model configuration. The default is the
+/// fully metered serial profile.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecOptions {
     /// The stepping backend.
     pub backend: Backend,
     /// Worker count for the pool backend (0 = available parallelism).
     pub threads: usize,
-    /// Record per-round detail in [`UpdateMetrics::per_round`]. Long churn
-    /// streams that only need aggregates can switch this off; `rounds` and
-    /// `total_words` are identical either way.
-    pub record_per_round: bool,
     /// Record per-`(src,dst)` flows (the Section 8 entropy metric). Costs a
     /// hash-map update per delivered message, so timing-focused runs switch
     /// it off via [`ExecOptions::lean`].
@@ -65,19 +67,16 @@ impl Default for ExecOptions {
         ExecOptions {
             backend: Backend::Serial,
             threads: 0,
-            record_per_round: true,
             track_flows: true,
         }
     }
 }
 
 impl ExecOptions {
-    /// Serial stepping with aggregates only — per-round detail and flow
-    /// tracking off. The fastest profile for long bench streams that never
-    /// look at per-round detail or entropy.
+    /// Serial stepping with flow tracking off. The fastest profile for long
+    /// bench streams that never look at entropy.
     pub fn lean() -> Self {
         ExecOptions {
-            record_per_round: false,
             track_flows: false,
             ..Default::default()
         }
@@ -86,27 +85,15 @@ impl ExecOptions {
 
 /// Cluster configuration: the DMPC model parameters plus the executor
 /// profile that runs them.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ClusterConfig {
     /// Machine memory / per-round send & receive cap `S`, in words.
     /// `None` disables capacity metering entirely (an explicitly unlimited
     /// cluster — no cap arithmetic happens, so nothing can wrap).
     pub capacity_words: Option<usize>,
-    /// Safety limit on rounds per update (quiescence failure guard).
-    pub max_rounds_per_update: usize,
     /// Backend and metering detail (bit-identical model counts across
     /// every choice).
     pub exec: ExecOptions,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            capacity_words: None,
-            max_rounds_per_update: 10_000,
-            exec: ExecOptions::default(),
-        }
-    }
 }
 
 impl ClusterConfig {
@@ -130,7 +117,8 @@ impl ClusterConfig {
 pub struct Cluster<M: Machine> {
     machines: Vec<M>,
     cfg: ClusterConfig,
-    rounds_total: u64,
+    /// The quiescence cap: [`ROUND_LIMIT`] outside tests.
+    round_limit: usize,
     /// Messages queued for delivery at the start of the next round.
     pending: Vec<Envelope<M::Msg>>,
     /// Double buffer: swapped with `pending` each round, then sorted so
@@ -205,7 +193,7 @@ impl<M: Machine> Cluster<M> {
         Cluster {
             machines,
             cfg,
-            rounds_total: 0,
+            round_limit: ROUND_LIMIT,
             pending: Vec::new(),
             delivered: Vec::new(),
             sort_aux: Vec::new(),
@@ -303,18 +291,17 @@ impl<M: Machine> Cluster<M> {
         self.update_epoch
     }
 
-    /// The configured quiescence cap (the legal range of in-round chaos
-    /// offsets is `1..=round_limit()`).
+    /// The quiescence cap (the legal range of in-round chaos offsets is
+    /// `1..=round_limit()`).
     pub fn round_limit(&self) -> usize {
-        self.cfg.max_rounds_per_update
+        self.round_limit
     }
 
-    /// Test hook: overrides the quiescence cap the cluster was configured
-    /// with ([`ClusterConfig::max_rounds_per_update`]), for drivers that
-    /// build their own config.
+    /// Test hook: overrides the quiescence cap ([`ROUND_LIMIT`]), so a test
+    /// can stop a run at a chosen round.
     #[doc(hidden)]
     pub fn set_round_limit(&mut self, limit: usize) {
-        self.cfg.max_rounds_per_update = limit;
+        self.round_limit = limit;
     }
 
     /// Arms a mid-flight chaos event: `kind` fires at the *start* of round
@@ -338,11 +325,6 @@ impl<M: Machine> Cluster<M> {
         self.armed.push((at_round, kind));
     }
 
-    /// Number of armed mid-flight events not yet fired this run.
-    pub fn armed_len(&self) -> usize {
-        self.armed.len()
-    }
-
     /// Queues an external message (the arriving update) for delivery in the
     /// first round of the next `run_update` call.
     pub fn inject(&mut self, to: MachineId, msg: M::Msg) {
@@ -354,30 +336,27 @@ impl<M: Machine> Cluster<M> {
     }
 
     /// Runs rounds until quiescence (no messages in flight) and returns the
-    /// update's metrics.
+    /// update's metrics. A run cut short — stopped at the round limit, or a
+    /// machine killed or a message dropped at a dead machine's door inside
+    /// it — ends with [`Machine::abandon_run`] on every machine it stepped.
     pub fn run_update(&mut self) -> UpdateMetrics {
         let mut metrics = UpdateMetrics::default();
         let mut round: u32 = 0;
+        let mut cut_short = false;
         self.update_epoch += 1;
         self.touched.clear();
         while !self.pending.is_empty() {
-            if metrics.rounds >= self.cfg.max_rounds_per_update {
+            if metrics.rounds >= self.round_limit {
                 metrics.violations.push(Violation::RoundLimit {
-                    limit: self.cfg.max_rounds_per_update,
+                    limit: self.round_limit,
                 });
                 self.pending.clear();
+                cut_short = true;
                 break;
             }
             round += 1;
-            let rm = self.step_round(round, &mut metrics);
+            cut_short |= self.step_round(round, &mut metrics);
             metrics.rounds += 1;
-            metrics.max_active_machines = metrics.max_active_machines.max(rm.active_machines);
-            metrics.max_words_per_round = metrics.max_words_per_round.max(rm.words);
-            metrics.total_words += rm.words;
-            metrics.total_messages += rm.messages;
-            if self.cfg.exec.record_per_round {
-                metrics.per_round.push(rm);
-            }
         }
         // Epoch fence: armed mid-flight events are scoped to this run.
         // Events that never fired (the run quiesced before their round)
@@ -385,7 +364,11 @@ impl<M: Machine> Cluster<M> {
         if !self.armed.is_empty() {
             self.armed.clear();
         }
-        self.rounds_total += metrics.rounds as u64;
+        // Machine state changes only inside a round, so what a cut-short
+        // run strands sits on the machines it stepped, and nowhere else.
+        if cut_short {
+            self.for_each_touched_mut(M::abandon_run);
+        }
         metrics
     }
 
@@ -413,11 +396,6 @@ impl<M: Machine> Cluster<M> {
         BatchMetrics::from_run(updates, &m)
     }
 
-    /// Total rounds executed over the cluster's lifetime.
-    pub fn rounds_total(&self) -> u64 {
-        self.rounds_total
-    }
-
     /// Sum of every machine's resident memory, in words — the wall-clock
     /// benchmarks' peak-RSS proxy (sampled between runs, not metered).
     pub fn resident_words(&self) -> usize {
@@ -426,8 +404,11 @@ impl<M: Machine> Cluster<M> {
 
     /// Executes one synchronous round: sorts pending messages into
     /// contiguous per-receiver runs, steps each receiver once, collects the
-    /// new outboxes — all on reused scratch buffers.
-    fn step_round(&mut self, round: u32, update: &mut UpdateMetrics) -> RoundMetrics {
+    /// new outboxes — all on reused scratch buffers — and folds the round's
+    /// cost into `update`. Returns true when the round killed a machine or
+    /// dropped a message at a dead machine's door, which cuts the run short.
+    fn step_round(&mut self, round: u32, update: &mut UpdateMetrics) -> bool {
+        let mut lost = false;
         // `delivered` was left empty (with capacity) by the previous round;
         // after the swap it holds this round's messages and `pending` is the
         // empty buffer that will collect the next round's.
@@ -445,6 +426,7 @@ impl<M: Machine> Cluster<M> {
                         ChaosKind::Kill(m) => {
                             self.kill(m);
                             self.lost_stamp[m as usize] = self.update_epoch;
+                            lost = true;
                         }
                         ChaosKind::Revive(m) => self.revive(m),
                         _ => unreachable!("arm_in_round rejects reshapes"),
@@ -462,12 +444,13 @@ impl<M: Machine> Cluster<M> {
         // allocating (the buffers go back after).
         if self.dead_count > 0 {
             let epoch = self.update_epoch;
+            let before = self.delivered.len();
             let alive = std::mem::take(&mut self.alive);
-            let lost = std::mem::take(&mut self.lost_stamp);
+            let lost_stamp = std::mem::take(&mut self.lost_stamp);
             self.delivered.retain(|e| {
                 let ok = alive[e.to as usize];
                 if !ok {
-                    if lost[e.to as usize] == epoch {
+                    if lost_stamp[e.to as usize] == epoch {
                         let external = e.from == Envelope::<M::Msg>::EXTERNAL;
                         let words = e.msg.size_words();
                         if !external {
@@ -490,17 +473,14 @@ impl<M: Machine> Cluster<M> {
                 ok
             });
             self.alive = alive;
-            self.lost_stamp = lost;
+            self.lost_stamp = lost_stamp;
+            lost |= self.delivered.len() < before;
         }
         self.sort_delivered();
 
-        let mut rm = RoundMetrics {
-            round,
-            ..Default::default()
-        };
-
         // Walk the (to, from)-sorted runs: build the group index and meter
         // receive volumes in one pass.
+        let (mut words, mut messages) = (0usize, 0usize);
         self.groups.clear();
         let cap = self.cfg.capacity_words;
         let mut i = 0usize;
@@ -513,8 +493,8 @@ impl<M: Machine> Cluster<M> {
                 // External injections are not machine-to-machine traffic.
                 if env.from != Envelope::<M::Msg>::EXTERNAL {
                     let w = env.msg.size_words();
-                    rm.words += w;
-                    rm.messages += 1;
+                    words += w;
+                    messages += 1;
                     recv += w;
                     if self.cfg.exec.track_flows {
                         *update.flows.entry((env.from, to)).or_default() += w as u64;
@@ -522,7 +502,6 @@ impl<M: Machine> Cluster<M> {
                 }
                 i += 1;
             }
-            rm.max_recv_words = rm.max_recv_words.max(recv);
             if let Some(cap) = cap {
                 if recv > cap {
                     update.violations.push(Violation::RecvCap {
@@ -544,7 +523,10 @@ impl<M: Machine> Cluster<M> {
                 len: i - start,
             });
         }
-        rm.active_machines = self.groups.len();
+        update.max_active_machines = update.max_active_machines.max(self.groups.len());
+        update.max_words_per_round = update.max_words_per_round.max(words);
+        update.total_words += words;
+        update.total_messages += messages;
 
         // Step the active machines over contiguous group chunks.
         let used = self.threads.min(self.groups.len()).max(1);
@@ -576,7 +558,6 @@ impl<M: Machine> Cluster<M> {
             let w = &mut self.workers[t];
             for &(machine, sent) in &w.sent {
                 update.total_words_sent += sent;
-                rm.max_send_words = rm.max_send_words.max(sent);
                 if let Some(cap) = cap {
                     if sent > cap {
                         update.violations.push(Violation::SendCap {
@@ -605,7 +586,7 @@ impl<M: Machine> Cluster<M> {
                 }
             }
         }
-        rm
+        lost
     }
 
     /// Sorts `delivered` into `(to, from, injection order)` order — the
@@ -736,25 +717,34 @@ fn counting_sort_by<Msg>(
     }
 }
 
-/// Convenience: inject a single message and drive it to quiescence.
-pub fn run_single_update<M: Machine>(
-    cluster: &mut Cluster<M>,
-    to: MachineId,
-    msg: M::Msg,
-) -> UpdateMetrics {
-    cluster.inject(to, msg);
-    cluster.run_update()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::{Outbox, RoundCtx};
 
-    /// Relays a countdown token to the next machine until it hits zero.
+    /// Injects a single message and drives it to quiescence.
+    fn run_single_update<M: Machine>(
+        cluster: &mut Cluster<M>,
+        to: MachineId,
+        msg: M::Msg,
+    ) -> UpdateMetrics {
+        cluster.inject(to, msg);
+        cluster.run_update()
+    }
+
+    impl<M: Machine> Cluster<M> {
+        /// Number of armed mid-flight events not yet fired this run.
+        fn armed_len(&self) -> usize {
+            self.armed.len()
+        }
+    }
+
+    /// Relays a countdown token to the next machine until it hits zero,
+    /// counting the runs it was told to abandon.
     struct Relay {
         id: MachineId,
         seen: u64,
+        abandoned: u32,
     }
 
     impl Machine for Relay {
@@ -778,11 +768,19 @@ mod tests {
         fn memory_words(&self) -> usize {
             2
         }
+
+        fn abandon_run(&mut self) {
+            self.abandoned += 1;
+        }
     }
 
     fn relay_cluster(n: usize, cfg: ClusterConfig) -> Cluster<Relay> {
         let machines = (0..n as MachineId)
-            .map(|id| Relay { id, seen: 0 })
+            .map(|id| Relay {
+                id,
+                seen: 0,
+                abandoned: 0,
+            })
             .collect();
         Cluster::new(machines, cfg)
     }
@@ -988,13 +986,8 @@ mod tests {
                 out.send(ctx.self_id, 1);
             }
         }
-        let mut c = Cluster::new(
-            vec![Forever],
-            ClusterConfig {
-                max_rounds_per_update: 10,
-                ..Default::default()
-            },
-        );
+        let mut c = Cluster::new(vec![Forever], ClusterConfig::default());
+        c.set_round_limit(10);
         let m = run_single_update(&mut c, 0, 1);
         assert!(matches!(
             m.violations[0],
@@ -1085,37 +1078,81 @@ mod tests {
         assert!(a.machines_touched <= a.rounds * a.max_active_machines.max(1));
     }
 
-    /// The two metering bits are metering only: whatever they are set to,
-    /// the run costs the same in the model and leaves the same states.
+    /// The metering bit is metering only: with flows off the run costs the
+    /// same in the model and leaves the same states.
     #[test]
-    fn record_per_round_off_keeps_aggregates_identical() {
-        let run = |record_per_round: bool, track_flows: bool| {
-            let exec = ExecOptions {
-                record_per_round,
-                track_flows,
-                ..Default::default()
-            };
+    fn track_flows_off_keeps_aggregates_identical() {
+        let run = |exec: ExecOptions| {
             let mut c = relay_cluster(4, ClusterConfig::default().with_exec(exec));
             let m = run_single_update(&mut c, 0, 9);
             let seen: Vec<u64> = c.machines().map(|m| m.seen).collect();
             (m, seen)
         };
-        let (on, on_seen) = run(true, true);
-        assert_eq!(on.per_round.len(), on.rounds);
+        let (on, on_seen) = run(ExecOptions::default());
+        let (off, off_seen) = run(ExecOptions::lean());
         assert_eq!(on.flows.values().sum::<u64>(), on.total_words as u64);
-        for (record, flows) in [(false, true), (true, false), (false, false)] {
-            let (off, off_seen) = run(record, flows);
-            assert_eq!(off.per_round.len(), if record { on.rounds } else { 0 });
-            assert_eq!(off.flows.is_empty(), !flows);
-            assert_eq!(on.rounds, off.rounds);
-            assert_eq!(on.total_words, off.total_words);
-            assert_eq!(on.total_messages, off.total_messages);
-            assert_eq!(on.max_words_per_round, off.max_words_per_round);
-            assert_eq!(on.max_active_machines, off.max_active_machines);
-            assert_eq!(on.machines_touched, off.machines_touched);
-            assert_eq!(on.violations, off.violations);
-            assert_eq!(on_seen, off_seen);
+        assert!(off.flows.is_empty());
+        assert_eq!(on.rounds, off.rounds);
+        assert_eq!(on.total_words, off.total_words);
+        assert_eq!(on.total_messages, off.total_messages);
+        assert_eq!(on.max_words_per_round, off.max_words_per_round);
+        assert_eq!(on.max_active_machines, off.max_active_machines);
+        assert_eq!(on.machines_touched, off.machines_touched);
+        assert_eq!(on.violations, off.violations);
+        assert_eq!(on_seen, off_seen);
+    }
+
+    /// `abandon_run` fires once on exactly the machines a cut-short run
+    /// stepped — after a round-limit stop, an in-round kill (whether or not
+    /// it cost a message) and a drop at a dead machine's door — and never
+    /// after a run that completed, capacity violations or not.
+    #[test]
+    fn abandon_run_fires_on_the_touched_set_of_a_cut_short_run_only() {
+        use crate::chaos::ChaosKind;
+        // Per-machine hook counts since the last call, zeroed.
+        fn take(c: &mut Cluster<Relay>) -> Vec<u32> {
+            (0..c.n_machines() as MachineId)
+                .map(|m| std::mem::take(&mut c.machine_mut(m).abandoned))
+                .collect()
         }
+        let mut c = relay_cluster(6, ClusterConfig::with_capacity(0));
+        // Completed runs: a token round the ring, a batch, a quiescent run;
+        // every delivery breaks the zero capacity.
+        assert!(!run_single_update(&mut c, 0, 9).clean());
+        c.run_batch([(0, 3), (2, 4)], 2);
+        c.run_update();
+        assert_eq!(take(&mut c), [0; 6]);
+
+        // Round limit: rounds 1..=3 step machines 0, 1, 2.
+        c.set_round_limit(3);
+        let m = run_single_update(&mut c, 0, 9);
+        assert!(m.violations.contains(&Violation::RoundLimit { limit: 3 }));
+        assert_eq!(c.touched(), [0, 1, 2]);
+        assert_eq!(take(&mut c), [1, 1, 1, 0, 0, 0]);
+        c.set_round_limit(ROUND_LIMIT);
+
+        // In-round kill that quarantines the token at machine 2's door.
+        c.arm_in_round(3, ChaosKind::Kill(2));
+        assert_eq!(run_single_update(&mut c, 0, 9).lost_messages, 1);
+        assert_eq!(c.touched(), [0, 1]);
+        assert_eq!(take(&mut c), [1, 1, 0, 0, 0, 0]);
+        c.revive(2);
+
+        // In-round kill of a machine the run never addresses.
+        c.arm_in_round(2, ChaosKind::Kill(5));
+        assert_eq!(run_single_update(&mut c, 0, 2).lost_messages, 0);
+        assert_eq!(c.touched(), [0, 1, 2]);
+        assert_eq!(take(&mut c), [1, 1, 1, 0, 0, 0]);
+
+        // A later run messaging the machine still dead: dropped at the door.
+        run_single_update(&mut c, 3, 4);
+        assert_eq!(c.touched(), [3, 4]);
+        assert_eq!(take(&mut c), [0, 0, 0, 1, 1, 0]);
+
+        // Revived, the same run completes and nothing fires.
+        c.revive(5);
+        run_single_update(&mut c, 3, 4);
+        assert_eq!(take(&mut c), [0; 6]);
     }
 
     /// `with_exec` stores the profile it is given, whole — for the three

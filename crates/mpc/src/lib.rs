@@ -88,7 +88,7 @@ pub use cluster::{Backend, Cluster, ClusterConfig, ExecOptions};
 pub use machine::{Envelope, Machine, Outbox, Payload, RoundCtx};
 pub use metrics::{
     entropy_bits, loglog_slope, AggregateMetrics, BatchMetrics, QueryMetrics, RecoveryMetrics,
-    RoundMetrics, UpdateMetrics, Violation,
+    UpdateMetrics, Violation,
 };
 pub use pool::WorkerPool;
 

@@ -49,7 +49,6 @@ pub struct RoundCtx {
 pub struct Outbox<'a, M> {
     from: MachineId,
     sink: &'a mut Vec<Envelope<M>>,
-    base: usize,
     words: usize,
 }
 
@@ -58,11 +57,9 @@ impl<'a, M: Payload> Outbox<'a, M> {
     /// appended through this view are attributed to `from`. Public so tests
     /// and harnesses can drive machine programs without a cluster.
     pub fn open(from: MachineId, sink: &'a mut Vec<Envelope<M>>) -> Self {
-        let base = sink.len();
         Outbox {
             from,
             sink,
-            base,
             words: 0,
         }
     }
@@ -91,11 +88,6 @@ impl<'a, M: Payload> Outbox<'a, M> {
     /// enforcement). Maintained incrementally — O(1) per call.
     pub fn queued_words(&self) -> usize {
         self.words
-    }
-
-    /// Number of messages queued by this machine so far this round.
-    pub fn queued_messages(&self) -> usize {
-        self.sink.len() - self.base
     }
 }
 
@@ -127,6 +119,14 @@ pub trait Machine: Send {
     fn memory_words(&self) -> usize {
         0
     }
+
+    /// Called by the executor once on every machine a run stepped, when the
+    /// run was cut short: it stopped at the round limit, or a machine was
+    /// killed or a message dropped at a dead machine's door inside it, so a
+    /// reply the protocol waits for may never arrive. Drop the in-flight
+    /// protocol state such a run strands. Never called after a run that
+    /// completed. The default keeps everything.
+    fn abandon_run(&mut self) {}
 }
 
 // Blanket payload impls for simple testing payloads.
@@ -159,7 +159,6 @@ mod tests {
         out.send(1, vec![1, 2, 3]);
         out.send(2, vec![9]);
         assert_eq!(out.queued_words(), 4);
-        assert_eq!(out.queued_messages(), 2);
         assert_eq!(sink.len(), 2);
         assert_eq!(sink[0].from, 3);
         assert_eq!(sink[0].to, 1);
@@ -189,10 +188,7 @@ mod tests {
         }
 
         fn sink_words(out: &Outbox<Vec<u64>>) -> usize {
-            out.sink[out.base..]
-                .iter()
-                .map(|e| e.msg.size_words())
-                .sum()
+            out.sink.iter().map(|e| e.msg.size_words()).sum()
         }
     }
 
@@ -209,11 +205,9 @@ mod tests {
         {
             let mut b = Outbox::open(1, &mut sink);
             assert_eq!(b.queued_words(), 0);
-            assert_eq!(b.queued_messages(), 0);
             b.send(0, 20);
             b.send(0, 30);
             assert_eq!(b.queued_words(), 2);
-            assert_eq!(b.queued_messages(), 2);
         }
         let route: Vec<(MachineId, MachineId, u64)> =
             sink.iter().map(|e| (e.from, e.to, e.msg)).collect();

@@ -77,39 +77,22 @@ pub enum Violation {
     },
 }
 
-/// Per-round measurements.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RoundMetrics {
-    /// Round number within the update (1-based).
-    pub round: u32,
-    /// Machines stepped this round (= machines receiving messages; stepped
-    /// machines are exactly the paper's "active" machines).
-    pub active_machines: usize,
-    /// Messages delivered this round.
-    pub messages: usize,
-    /// Total words delivered this round (the paper's "communication per
-    /// round").
-    pub words: usize,
-    /// Largest per-machine receive volume this round.
-    pub max_recv_words: usize,
-    /// Largest per-machine send volume this round.
-    pub max_send_words: usize,
-}
-
 /// Measurements for one update (= one injected operation driven to
 /// quiescence).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct UpdateMetrics {
     /// Number of synchronous rounds the update needed.
     pub rounds: usize,
-    /// Maximum over rounds of active machines.
+    /// Maximum over rounds of active machines (machines stepped in a round
+    /// = machines receiving messages, the paper's "active" machines).
     pub max_active_machines: usize,
     /// Distinct machines active in *any* round of the update — the paper's
     /// "machines used per update". `max_active_machines` bounds one round;
     /// this counts the whole footprint (a 3-round update touching disjoint
     /// pairs has `max_active_machines = 2` but `machines_touched = 6`).
     pub machines_touched: usize,
-    /// Maximum over rounds of words communicated.
+    /// Maximum over rounds of words communicated (the paper's
+    /// "communication per round").
     pub max_words_per_round: usize,
     /// Total words over all rounds.
     pub total_words: usize,
@@ -125,8 +108,6 @@ pub struct UpdateMetrics {
     pub lost_words: usize,
     /// Messages quarantined by mid-round kills (machine-to-machine only).
     pub lost_messages: usize,
-    /// Per-round detail.
-    pub per_round: Vec<RoundMetrics>,
     /// Capacity violations observed.
     pub violations: Vec<Violation>,
     /// Pairwise flows (src, dst) -> words, if flow tracking is enabled.

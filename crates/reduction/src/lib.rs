@@ -29,7 +29,7 @@
 
 use dmpc_core::DynamicGraphAlgorithm;
 use dmpc_graph::{Edge, Update, Weight, WeightedUpdate};
-use dmpc_mpc::{RoundMetrics, UpdateMetrics};
+use dmpc_mpc::UpdateMetrics;
 use dmpc_seqdyn::{HdtConnectivity, NsMatching, ProbeCounted, SeqDynMst};
 
 /// Words exchanged per memory probe (request + reply headers).
@@ -38,15 +38,14 @@ const WORDS_PER_PROBE: usize = 4;
 /// Converts a probe count into the reduction's DMPC metrics.
 ///
 /// Every probe is one request round followed by one reply round between
-/// `M_MRA` and the memory machine, each carrying half of
-/// `WORDS_PER_PROBE`, so `rounds = 2 * probes` and the per-round detail
-/// sums exactly to the totals (`per_round.len() == rounds`, like every
-/// simulator-produced metric). A zero-probe operation touched no memory
-/// machine and reports an all-zero update.
+/// `M_MRA` and the memory machine, each one message carrying half of
+/// `WORDS_PER_PROBE`, so `rounds = 2 * probes` and the totals are the
+/// per-round cost times the rounds. A zero-probe operation touched no
+/// memory machine and reports an all-zero update.
 pub fn metrics_from_probes(probes: u64) -> UpdateMetrics {
     let rounds = (2 * probes) as usize;
     let words_per_round = WORDS_PER_PROBE / 2;
-    let mut m = UpdateMetrics {
+    UpdateMetrics {
         rounds,
         max_active_machines: if probes > 0 { 2 } else { 0 },
         machines_touched: if probes > 0 { 2 } else { 0 },
@@ -54,18 +53,7 @@ pub fn metrics_from_probes(probes: u64) -> UpdateMetrics {
         total_words: rounds * words_per_round,
         total_messages: rounds,
         ..Default::default()
-    };
-    for r in 0..rounds {
-        m.per_round.push(RoundMetrics {
-            round: r as u32 + 1,
-            active_machines: 2,
-            messages: 1,
-            words: words_per_round,
-            max_recv_words: words_per_round,
-            max_send_words: words_per_round,
-        });
     }
-    m
 }
 
 /// Reduction row "Connected comps": sequential HDT under the simulation.
@@ -200,33 +188,24 @@ mod tests {
         assert_eq!(m.max_words_per_round, WORDS_PER_PROBE / 2);
     }
 
-    /// Regression (PR 4): the per-round detail must agree with the totals —
-    /// `per_round.len() == rounds` and the per-round words/messages sum to
-    /// `total_words`/`total_messages` — and a zero-probe operation must not
-    /// fabricate rounds.
+    /// Regression: every round carries one message of the same size, so the
+    /// totals are the per-round cost times the rounds — and a zero-probe
+    /// operation must not fabricate rounds.
     #[test]
     fn reduction_per_round_consistent_with_totals() {
         for probes in [0u64, 1, 7, 32] {
             let m = metrics_from_probes(probes);
             assert_eq!(m.rounds, 2 * probes as usize, "probes={probes}");
-            assert_eq!(m.per_round.len(), m.rounds, "probes={probes}");
-            let words: usize = m.per_round.iter().map(|r| r.words).sum();
-            let msgs: usize = m.per_round.iter().map(|r| r.messages).sum();
-            assert_eq!(words, m.total_words, "probes={probes}");
-            assert_eq!(msgs, m.total_messages, "probes={probes}");
-            let max_w = m.per_round.iter().map(|r| r.words).max().unwrap_or(0);
-            assert_eq!(max_w, m.max_words_per_round, "probes={probes}");
-            let max_a = m
-                .per_round
-                .iter()
-                .map(|r| r.active_machines)
-                .max()
-                .unwrap_or(0);
-            assert_eq!(max_a, m.max_active_machines, "probes={probes}");
+            assert_eq!(m.total_messages, m.rounds, "probes={probes}");
+            assert_eq!(
+                m.total_words,
+                m.rounds * m.max_words_per_round,
+                "probes={probes}"
+            );
         }
         let zero = metrics_from_probes(0);
         assert_eq!(zero.rounds, 0);
-        assert!(zero.per_round.is_empty());
+        assert_eq!(zero.max_active_machines, 0);
         assert_eq!(zero.total_words, 0);
         assert_eq!(zero.machines_touched, 0);
     }
