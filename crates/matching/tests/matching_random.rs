@@ -198,6 +198,53 @@ fn three_halves_star_heavy_stress() {
     }
 }
 
+/// Golden model costs and final matching of the Section 4 algorithm at
+/// n=128, one update per run: a seeded churn stream, then a star that
+/// drives vertex 0 heavy, then the deletion of vertex 0's churn edges and
+/// of the star in insertion order (alive edges first, so suspended edges
+/// refill them, and vertex 0 goes free while heavy), back to light. The
+/// stream reaches every §4 wait — the insert check, the augmentation
+/// search and its counters, both both-sides-free scans (a rotation among
+/// them), heavy scans with suspended edges, steals and the counter commit —
+/// which no §3-only golden does; a change to how the coordinator waits
+/// must move none of these numbers.
+#[test]
+fn three_halves_golden_costs_n128() {
+    let n = 128;
+    let params = DmpcParams::new(n, 3 * n);
+    let mut ups = streams::churn_stream(n, 2 * n, 384, 0.55, 32);
+    let g = streams::replay(n, &ups);
+    let star: Vec<Edge> = (1..=64)
+        .map(|v| Edge::new(0, v))
+        .filter(|&e| !g.has_edge(e))
+        .collect();
+    assert!(g.degree(0) + star.len() > params.heavy_threshold() + 8);
+    ups.extend(star.iter().map(|&e| Update::Insert(e)));
+    ups.extend(g.neighbors(0).map(|v| Update::Delete(Edge::new(0, v))));
+    ups.extend(star.iter().map(|&e| Update::Delete(e)));
+    let mut alg = DmpcThreeHalves::new(params);
+    let (mut rounds, mut words, mut messages, mut active) = (0, 0, 0, 0);
+    for (step, &u) in ups.iter().enumerate() {
+        let m = alg.apply(u);
+        assert!(m.clean(), "step {step}: {:?}", m.violations);
+        rounds += m.rounds;
+        words += m.total_words;
+        messages += m.total_messages;
+        active = active.max(m.max_active_machines);
+    }
+    let g = streams::replay(n, &ups);
+    alg.audit(&g).unwrap();
+    let mut h = dmpc_mpc::chaos::Fnv1a::new();
+    for e in alg.matching().edges() {
+        h.write(&e.u.to_le_bytes());
+        h.write(&e.v.to_le_bytes());
+    }
+    assert_eq!(
+        (rounds, words, messages, active, h.finish()),
+        (5841, 86768, 11320, 7, 11137940058448441959)
+    );
+}
+
 #[test]
 fn rounds_stay_constant_across_sizes() {
     // The Table 1 headline for rows 1-2: rounds per update do not grow
