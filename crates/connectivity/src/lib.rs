@@ -1,5 +1,6 @@
 //! DMPC fully-dynamic connectivity and (1+eps)-approximate MST (paper
-//! Section 5), plus the static MPC baselines they are compared against.
+//! Section 5), plus the static MPC connectivity baseline they are compared
+//! against.
 //!
 //! The dynamic algorithms run as *distributed machine programs* on the
 //! `dmpc-mpc` simulator:
@@ -45,9 +46,7 @@ pub mod messages;
 pub mod preprocess;
 mod shard;
 pub mod static_cc;
-pub mod static_mst;
 
 pub use algorithm::{DmpcConnectivity, DmpcMst};
 pub use machine::ConflictStats;
 pub use static_cc::StaticCc;
-pub use static_mst::StaticMst;

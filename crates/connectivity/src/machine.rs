@@ -1238,7 +1238,11 @@ impl ConnMachine {
             .pending_cuts
             .remove(&key)
             .expect("cut reports without a cut");
-        debug_assert!(reports.len() == pc.remote, "cut reports missing");
+        // Fewer reports than audience members means a reporter was killed
+        // in this run: the executor ends such a run with `abandon_run`, and
+        // the epoch fence rolls it back, so whatever this finalization
+        // starts is discarded.
+        debug_assert!(reports.len() <= pc.remote, "more cut reports than audience");
         let best = reports
             .iter()
             .filter_map(|&(_, b, _, _)| b)

@@ -14,6 +14,7 @@
 //!   updates, query waves, migrations, kill/revive) every machine, inside
 //!   the touched set or out of it, reports empty transient state.
 
+use dmpc_connectivity::algorithm::ConnDriver;
 use dmpc_connectivity::{DmpcConnectivity, DmpcMst};
 use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
 use dmpc_graph::{streams, Query, Update, WeightedUpdate, V};
@@ -25,8 +26,8 @@ fn conn_with(n: usize, p: usize) -> DmpcConnectivity {
 }
 
 /// Machines holding transient state right now.
-fn dirty(alg: &DmpcConnectivity) -> Vec<MachineId> {
-    alg.driver()
+fn dirty(driver: &ConnDriver) -> Vec<MachineId> {
+    driver
         .machines()
         .enumerate()
         .filter(|(_, m)| !m.transient_is_empty())
@@ -35,9 +36,9 @@ fn dirty(alg: &DmpcConnectivity) -> Vec<MachineId> {
 }
 
 /// The superset argument: whatever is dirty was stepped by the last run.
-fn assert_dirty_within_touched(alg: &DmpcConnectivity, what: &str) {
-    let touched = alg.driver().touched();
-    for m in dirty(alg) {
+fn assert_dirty_within_touched(driver: &ConnDriver, what: &str) {
+    let touched = driver.touched();
+    for m in dirty(driver) {
         assert!(
             touched.contains(&m),
             "{what}: machine {m} holds transient state but the run never stepped it \
@@ -46,8 +47,8 @@ fn assert_dirty_within_touched(alg: &DmpcConnectivity, what: &str) {
     }
 }
 
-fn assert_all_clean(alg: &DmpcConnectivity, what: &str) {
-    assert_eq!(dirty(alg), Vec::<MachineId>::new(), "{what}");
+fn assert_all_clean(driver: &ConnDriver, what: &str) {
+    assert_eq!(dirty(driver), Vec::<MachineId>::new(), "{what}");
 }
 
 /// A fixed read mix over `n` vertices: connected pairs, component probes,
@@ -88,7 +89,7 @@ fn assert_same_continuation(
             );
         }
         assert_all_clean(
-            alg,
+            alg.driver(),
             "a clean call after the abort must leave nothing behind",
         );
         assert_eq!(alg.state_digest(), twin.state_digest(), "step {step}");
@@ -125,8 +126,8 @@ fn round_limit_abort_then_clean_calls_match_a_never_aborted_instance() {
     // The abort hook already dropped the controller's open batch; the
     // logical state is untouched.
     assert_eq!(alg.driver().touched(), [0], "only the controller stepped");
-    assert_all_clean(&alg, "the abort hook drops the open batch");
-    assert_dirty_within_touched(&alg, "round-limit abort");
+    assert_all_clean(alg.driver(), "the abort hook drops the open batch");
+    assert_dirty_within_touched(alg.driver(), "round-limit abort");
     assert_eq!(alg.state_digest(), before);
 
     assert_same_continuation(&mut alg, &mut twin, n, &rest[0]);
@@ -170,8 +171,8 @@ fn midflight_kill_abort_then_clean_calls_match_a_never_aborted_instance() {
         // A kill can fire without costing the window a message (nothing
         // was addressed to the victim afterwards); the rollback is the same.
         lossy += usize::from(!aborted.clean());
-        left_dirty += usize::from(!dirty(&alg).is_empty());
-        assert_dirty_within_touched(&alg, "mid-flight abort");
+        left_dirty += usize::from(!dirty(alg.driver()).is_empty());
+        assert_dirty_within_touched(alg.driver(), "mid-flight abort");
 
         alg.kill(victim);
         for m in (0..p as MachineId).filter(|&m| m != victim) {
@@ -179,7 +180,7 @@ fn midflight_kill_abort_then_clean_calls_match_a_never_aborted_instance() {
         }
         let rebuilt = alg.revive(victim, &frontier[victim as usize]);
         assert!(rebuilt.clean(), "handoff: {:?}", rebuilt.violations);
-        assert_all_clean(&alg, "after rollback + revive");
+        assert_all_clean(alg.driver(), "after rollback + revive");
         assert_eq!(alg.state_digest(), twin.state_digest());
 
         assert_same_continuation(&mut alg, &mut twin, n, &rest[0]);
@@ -190,6 +191,66 @@ fn midflight_kill_abort_then_clean_calls_match_a_never_aborted_instance() {
         fired >= 8 && lossy >= 4 && left_dirty == 0,
         "fired={fired}, lossy={lossy}, left_dirty={left_dirty}"
     );
+}
+
+/// (b, MST) Test (b) on the MST driver's per-update runs. Deleting a forest
+/// edge searches for a replacement: the cut's audience reports to a
+/// rendezvous, so a kill between the multicast and the reports leaves the
+/// rendezvous short of reports. The run is cut short and rolled back, and
+/// the calls after it match an instance that never aborted.
+#[test]
+fn mst_midflight_kill_abort_then_clean_calls_match_a_never_aborted_instance() {
+    let n = 96;
+    let params = DmpcParams::new(n, 4 * n);
+    let ups = streams::clustered_churn_stream(n, 4, 5, 120, 0.6, 31);
+    let mut alg = DmpcMst::new(params, 0.1);
+    for wu in streams::with_weights(&ups, 64, 7) {
+        assert!(alg.apply(wu).clean());
+    }
+    let p = alg.n_shards() as MachineId;
+    let frontier: Vec<String> = (0..p).map(|m| alg.snapshot_machine(m)).collect();
+    let restore = |alg: &mut DmpcMst, skip: Option<MachineId>| {
+        for m in (0..p).filter(|&m| Some(m) != skip) {
+            alg.restore_machine(m, &frontier[m as usize]);
+        }
+    };
+    let mut twin = DmpcMst::new(params, 0.1);
+    let (mut fired, mut lossy) = (0, 0);
+    let tree = alg.driver().tree_edges();
+    for &(e, _) in tree.iter().step_by(tree.len() / 4).take(4) {
+        let del = WeightedUpdate::Delete(e);
+        for victim in 0..p {
+            for kill_round in 2..=5u32 {
+                restore(&mut alg, None);
+                restore(&mut twin, None);
+                alg.arm_in_round(kill_round, ChaosKind::Kill(victim));
+                let aborted = alg.apply(del);
+                if alg.is_alive(victim) {
+                    assert!(aborted.clean());
+                    continue;
+                }
+                fired += 1;
+                lossy += usize::from(!aborted.clean());
+                assert_dirty_within_touched(alg.driver(), "mid-flight abort");
+
+                alg.kill(victim);
+                restore(&mut alg, Some(victim));
+                let rebuilt = alg.revive(victim, &frontier[victim as usize]);
+                assert!(rebuilt.clean(), "handoff: {:?}", rebuilt.violations);
+                assert_all_clean(alg.driver(), "after rollback + revive");
+                assert_eq!(alg.state_digest(), twin.state_digest(), "{e}");
+
+                assert_eq!(alg.apply(del), twin.apply(del), "{e} after the abort");
+                let qs = [Query::PathMax(e.u, e.v), Query::Connected(e.u, e.v)];
+                assert_eq!(alg.answer_queries(&qs), twin.answer_queries(&qs));
+                assert_all_clean(alg.driver(), "a clean call after the abort");
+                assert_eq!(alg.state_digest(), twin.state_digest(), "{e}");
+            }
+        }
+    }
+    alg.driver().audit().unwrap();
+    // Non-vacuous: most kills fire, and some cost the run its reports.
+    assert!(fired >= 64 && lossy >= 16, "fired={fired}, lossy={lossy}");
 }
 
 /// (c) A write window longer than one batch chunk, with a mid-flight kill
@@ -216,7 +277,7 @@ fn chunks_after_a_midflight_kill_leave_no_transient_state() {
                 continue;
             }
             fired += 1;
-            assert_all_clean(&alg, "chunks run against a dead machine");
+            assert_all_clean(alg.driver(), "chunks run against a dead machine");
         }
     }
     assert!(fired >= 8, "fired={fired}");
@@ -235,7 +296,7 @@ fn transient_state_never_outlives_a_run_nor_leaves_the_touched_set() {
         let mut alg = conn_with(n, p);
         // Every run here is clean, so "nothing dirty outside the touched
         // set" is checked in its strongest form: nothing dirty anywhere.
-        let check = assert_all_clean;
+        let check = |alg: &DmpcConnectivity, what: &str| assert_all_clean(alg.driver(), what);
         for (i, b) in batches.iter().enumerate() {
             if i % 4 == 3 {
                 // Per-op path.

@@ -20,7 +20,7 @@
 //!   the short-augmenting-path detector used by the 3/2-approximation proofs.
 //! * [`maxmatch`] — an Edmonds blossom maximum-matching implementation used to
 //!   measure empirical approximation ratios.
-//! * [`mst`] — Kruskal reference MST and spanning forests.
+//! * [`mst`] — Kruskal reference minimum spanning forest.
 //!
 //! # Example
 //!

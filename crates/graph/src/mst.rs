@@ -1,6 +1,6 @@
-//! Reference spanning forest / minimum spanning forest algorithms.
+//! Reference minimum spanning forest (Kruskal).
 
-use crate::{DynamicGraph, Edge, UnionFind, Weight, V};
+use crate::{Edge, UnionFind, Weight};
 
 /// Kruskal's algorithm over an explicit weighted edge list. Returns the
 /// minimum spanning forest edges and the total weight. Ties are broken by the
@@ -23,54 +23,6 @@ pub fn kruskal(n: usize, edges: &[(Edge, Weight)]) -> (Vec<Edge>, Weight) {
 /// Weight of the minimum spanning forest (convenience).
 pub fn msf_weight(n: usize, edges: &[(Edge, Weight)]) -> Weight {
     kruskal(n, edges).1
-}
-
-/// A BFS spanning forest of `g` (one tree per connected component).
-pub fn spanning_forest(g: &DynamicGraph) -> Vec<Edge> {
-    let n = g.n();
-    let mut seen = vec![false; n];
-    let mut forest = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
-    for s in 0..n as V {
-        if seen[s as usize] {
-            continue;
-        }
-        seen[s as usize] = true;
-        queue.push_back(s);
-        while let Some(x) = queue.pop_front() {
-            for y in g.neighbors(x) {
-                if !seen[y as usize] {
-                    seen[y as usize] = true;
-                    forest.push(Edge::new(x, y));
-                    queue.push_back(y);
-                }
-            }
-        }
-    }
-    forest
-}
-
-/// Checks that `forest` is a spanning forest of `g`: acyclic, edges present,
-/// and connecting exactly the components of `g`.
-pub fn is_spanning_forest(g: &DynamicGraph, forest: &[Edge]) -> bool {
-    let mut uf = UnionFind::new(g.n());
-    for &e in forest {
-        if !g.has_edge(e) {
-            return false;
-        }
-        if !uf.union(e.u, e.v) {
-            return false; // cycle
-        }
-    }
-    // Same number of components as the graph itself.
-    let g_components = {
-        let labels = g.components();
-        let mut set: Vec<V> = labels.clone();
-        set.sort_unstable();
-        set.dedup();
-        set.len()
-    };
-    uf.components() == g_components
 }
 
 #[cfg(test)]
@@ -100,22 +52,6 @@ mod tests {
         let (forest, w) = kruskal(4, &edges);
         assert_eq!(forest.len(), 2);
         assert_eq!(w, 12);
-    }
-
-    #[test]
-    fn spanning_forest_valid_on_random_graph() {
-        let es = generators::gnm(40, 80, 2);
-        let g = DynamicGraph::from_edges(40, &es);
-        let f = spanning_forest(&g);
-        assert!(is_spanning_forest(&g, &f));
-    }
-
-    #[test]
-    fn spanning_forest_detects_cycle() {
-        let es = vec![Edge::new(0, 1), Edge::new(1, 2), Edge::new(0, 2)];
-        let g = DynamicGraph::from_edges(3, &es);
-        assert!(!is_spanning_forest(&g, &es)); // all three edges form a cycle
-        assert!(is_spanning_forest(&g, &es[..2]));
     }
 
     #[test]

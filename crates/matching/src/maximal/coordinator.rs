@@ -2,6 +2,16 @@
 //! machine has seen which history prefix, and orchestrates every update as
 //! a constant number of request/reply waves.
 //!
+//! The coordinator waits one way. Whatever sends a wave sets one countdown
+//! to the number of replies it expects and a phase holding only what the
+//! continuation needs (`wait`). `reply` folds each message into the phase,
+//! counts down in one place, and at zero hands the phase to `resume`, the
+//! one match that continues the update. Every free-neighbor scan goes
+//! through `scan_free`, and its `ScanPurpose` says how `on_scan_free`
+//! resumes: `Rematch` a free vertex, the Section 4 insert check `InsAug`,
+//! the last hop of a length-3 augmentation `AugFinal`, and the two scans of
+//! the both-sides-free check on a new matched edge, `CheckA` then `CheckB`.
+//!
 //! In 3/2 mode, scans of a heavy vertex consult *both* its alive set (on
 //! its storage machine) and its suspended stack (on its overflow machine):
 //! a free neighbor hiding among suspended edges would otherwise survive as
@@ -27,8 +37,8 @@ use std::hash::BuildHasherDefault;
 pub type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv1a>>;
 
 /// What to do once a batch of stats records arrives.
-#[derive(Clone, Debug)]
-pub enum StatsThen {
+#[derive(Debug)]
+pub(crate) enum StatsThen {
     /// Initial fetch of an insert's endpoints.
     InsPrimary,
     /// Second insert wave: the endpoints' mates.
@@ -47,223 +57,120 @@ pub enum StatsThen {
 
 /// A queued matching mutation awaiting the stats of its participants.
 #[derive(Clone, Copy, Debug)]
-pub enum MutateAction {
+pub(crate) enum MutateAction {
     /// Add `(a, b)` to the matching.
-    MatchPair {
-        /// One endpoint.
-        a: V,
-        /// The other endpoint.
-        b: V,
-    },
-    /// Heavy steal: unmatch `(w, wm)`, match `(z, w)`, queue `wm`.
-    Steal {
-        /// The free heavy vertex.
-        z: V,
-        /// The stolen neighbor.
-        w: V,
-        /// Its (light) former mate.
-        wm: V,
-    },
-    /// Length-3 augmentation: unmatch `(w, wp)`, match `(z, w)` and
-    /// `(wp, q)`.
-    AugRotate {
-        /// The free vertex the path starts at.
-        z: V,
-        /// Its matched neighbor.
-        w: V,
-        /// `w`'s former mate.
-        wp: V,
-        /// The free endpoint closing the path.
-        q: V,
-    },
-    /// Safety-net rotation: unmatch `(a, b)`, match `(a, x)` and `(b, y)`
-    /// (the both-sides-free check on a freshly created matched edge).
-    CheckRotate {
-        /// One endpoint of the new matched edge.
-        a: V,
-        /// The other endpoint.
-        b: V,
-        /// Pre-free witness adjacent to `a`.
-        x: V,
-        /// Pre-free witness adjacent to `b` (distinct from `x`).
-        y: V,
-    },
-    /// Section 4 insert case: unmatch `(u, up)`, match `(u, v)` and
-    /// `(up, w)`.
-    InsAugRotate {
-        /// The matched endpoint of the inserted edge.
-        u: V,
-        /// Its former mate.
-        up: V,
-        /// The free endpoint of the inserted edge.
-        v: V,
-        /// The free neighbor of `up` closing the path.
-        w: V,
-    },
+    MatchPair { a: V, b: V },
+    /// Heavy steal by free heavy `z`: unmatch `(w, wm)`, match `(z, w)`,
+    /// queue `w`'s light former mate `wm`.
+    Steal { z: V, w: V, wm: V },
+    /// Length-3 augmentation from free `z`: unmatch `(w, wp)`, match
+    /// `(z, w)` and `(wp, q)`.
+    AugRotate { z: V, w: V, wp: V, q: V },
+    /// Safety-net rotation of a new matched edge `(a, b)` whose ends both
+    /// have free witnesses `x != y`: unmatch `(a, b)`, match `(a, x)` and
+    /// `(b, y)`.
+    CheckRotate { a: V, b: V, x: V, y: V },
+    /// Section 4 insert case, inserted `(u, v)` with `v` free: unmatch
+    /// `(u, up)`, match `(u, v)` and `(up, w)`.
+    InsAugRotate { u: V, up: V, v: V, w: V },
 }
 
-/// Why a free-neighbor scan was issued.
+/// Why a free-neighbor scan was issued; [`Coordinator`]'s `on_scan_free`
+/// resumes each.
 #[derive(Clone, Copy, Debug)]
-pub enum ScanPurpose {
+pub(crate) enum ScanPurpose {
     /// Try to rematch free vertex `z`.
     Rematch,
-    /// Section 4 insert check at `up = mate(u)` (excluding `v`).
-    InsAug {
-        /// Matched endpoint.
-        u: V,
-        /// Its mate being scanned.
-        up: V,
-        /// Free endpoint of the new edge.
-        v: V,
-    },
-    /// Final scan of a length-3 augmentation at `wp` (excluding `z`).
-    AugFinal {
-        /// Path start.
-        z: V,
-        /// Matched neighbor.
-        w: V,
-        /// Its mate being scanned.
-        wp: V,
-    },
+    /// Section 4 insert check at `up = mate(u)`, excluding the inserted
+    /// edge's free endpoint `v`.
+    InsAug { u: V, up: V, v: V },
+    /// Final scan of a length-3 augmentation from `z` through `w`, at
+    /// `wp = mate(w)` (excluding `z`).
+    AugFinal { z: V, w: V, wp: V },
+    /// Both-sides-free check of the new matched edge `(a, b)`: the scan of
+    /// `a` for a witness outside the in-update free set.
+    CheckA { a: V, b: V },
+    /// The check's scan of `b` for a witness other than `a`'s witness `x`.
+    CheckB { a: V, b: V, x: V },
 }
 
-/// Coordinator protocol phase.
-#[derive(Clone, Debug)]
-pub enum Phase {
+/// Coordinator protocol phase: what the replies of the wave in flight are
+/// folded into, and how the update resumes once the last one is in
+/// ([`Coordinator`]'s `resume`). How many replies are still outstanding is
+/// the coordinator's one countdown, not part of the phase.
+#[derive(Debug)]
+pub(crate) enum Phase {
     /// No update in flight.
     Idle,
-    /// Awaiting `StatReply` batches.
-    AwaitStats {
-        /// Replies still missing.
-        expect: usize,
-        /// Continuation.
-        then: StatsThen,
-    },
-    /// Awaiting `MovedOut` replies from heavy transitions.
-    AwaitMovedOut {
-        /// Replies still missing.
-        expect: usize,
-    },
-    /// Awaiting `DelReply` probes.
-    AwaitDelProbes {
-        /// Replies still missing.
-        expect: usize,
-        /// Whether each endpoint's alive-set copy was removed.
-        found_alive: FnvMap<V, bool>,
-    },
-    /// Awaiting `FetchReply` refills.
-    AwaitFetch {
-        /// Replies still missing.
-        expect: usize,
-    },
-    /// Awaiting scan replies for free heavy vertex `z` (alive scan plus, in
-    /// 3/2 mode, the suspended scan).
-    AwaitScanHeavy {
-        /// The free heavy vertex.
+    /// `StatReply` batches, cached into the per-update records.
+    Stats(StatsThen),
+    /// `MovedOut` replies from heavy transitions.
+    MovedOut,
+    /// `DelReply` probes: whether each endpoint's alive-set copy was removed.
+    DelProbes(FnvMap<V, bool>),
+    /// `FetchReply` refills.
+    Fetch,
+    /// The scans of free heavy vertex `z` (alive set, plus the suspended
+    /// stack in 3/2 mode): the least free neighbor and a steal candidate.
+    ScanHeavy {
         z: V,
-        /// Replies still missing.
-        expect: usize,
-        /// Free neighbors reported so far.
-        free: Vec<V>,
-        /// Steal candidate from the alive scan.
+        free: Option<V>,
         steal: Option<(V, V)>,
     },
-    /// Awaiting free-neighbor scan replies (1 machine for a light vertex,
-    /// 2 for a heavy one in 3/2 mode).
-    AwaitScanFree {
-        /// Scanned vertex.
+    /// A free-neighbor scan of `z` (storage, plus overflow for a heavy `z`
+    /// in 3/2 mode): the least free neighbor found.
+    ScanFree {
         z: V,
-        /// Why.
         purpose: ScanPurpose,
-        /// Replies still missing.
-        expect: usize,
-        /// Free neighbors reported so far.
-        found: Vec<V>,
+        found: Option<V>,
     },
-    /// Awaiting `ScanAdjReply` batches for an augmentation search at `z`.
-    AwaitAugAdj {
-        /// Path start.
+    /// `ScanAdjReply` batches for an augmentation search at `z`, cached
+    /// into the per-update adjacency.
+    AugAdj(V),
+    /// `CounterReply` batches for the augmentation search at `z`, over its
+    /// candidate `(w, mate(w), mate-is-light)` triples in scan order.
+    AugCounters {
         z: V,
-        /// Replies still missing.
-        expect: usize,
-    },
-    /// Awaiting `CounterReply` batches for the augmentation search at `z`.
-    AwaitAugCounters {
-        /// Path start.
-        z: V,
-        /// Candidate (w, mate(w), mate-is-light) triples in scan order.
         cands: Vec<(V, V, bool)>,
-        /// Replies still missing.
-        expect: usize,
-        /// Counters received so far.
         got: Vec<(V, u32)>,
     },
-    /// Checking a new matched edge `(a,b)`: scanning `a` for a free witness
-    /// outside the in-update free set.
-    AwaitCheckScanA {
-        /// One endpoint.
-        a: V,
-        /// The other endpoint.
-        b: V,
-        /// Replies still missing.
-        expect: usize,
-        /// Witnesses found so far.
-        found: Vec<V>,
-    },
-    /// Checking `(a,b)`: scanning `b` for a witness distinct from `x`.
-    AwaitCheckScanB {
-        /// One endpoint.
-        a: V,
-        /// The other endpoint.
-        b: V,
-        /// The witness at `a`.
-        x: V,
-        /// Replies still missing.
-        expect: usize,
-        /// Witnesses found so far.
-        found: Vec<V>,
-    },
-    /// Awaiting `ScanAdjReply` batches for the end-of-update counter commit.
-    AwaitCommitAdj {
-        /// Replies still missing.
-        expect: usize,
-        /// Adjacency gathered so far, merged per vertex.
-        got: FnvMap<V, Vec<V>>,
-    },
+    /// `ScanAdjReply` batches for the end-of-update counter commit, merged
+    /// per vertex.
+    CommitAdj(FnvMap<V, Vec<V>>),
     /// Batch drain paused at a send-budget boundary; resumes on
     /// [`MatchMsg::BatchResume`].
-    BatchYield,
+    Yield,
 }
 
 /// The per-update working memory.
 #[derive(Debug, Default)]
-pub struct Ctx {
+struct Ctx {
     /// The update being processed.
-    pub upd: Option<Update>,
+    upd: Option<Update>,
     /// Cached records, kept current with local mutations.
-    pub stat: FnvMap<V, StatRec>,
+    stat: FnvMap<V, StatRec>,
     /// Snapshot of records at first fetch (pre-update statuses).
-    pub pre: FnvMap<V, StatRec>,
+    pre: FnvMap<V, StatRec>,
     /// Free vertices still to process.
-    pub free_list: Vec<V>,
+    free_list: Vec<V>,
     /// Vertices certified free-and-pathless; re-queued after any later
     /// matching mutation, since a rematch elsewhere can create a new
     /// length-3 path ending at them (fixpoint bounded by the O(1)
     /// mutations per update).
-    pub parked: Vec<V>,
+    parked: Vec<V>,
     /// Fetched adjacency lists (light vertices: complete).
-    pub adj: FnvMap<V, Vec<(V, Ann)>>,
+    adj: FnvMap<V, Vec<(V, Ann)>>,
     /// Direct counter deltas (relation changes).
-    pub counter_deltas: FnvMap<V, i64>,
+    counter_deltas: FnvMap<V, i64>,
     /// Matched edges created this update, pending the both-sides-free
     /// safety check (3/2 mode).
-    pub new_edges: Vec<(V, V)>,
+    new_edges: Vec<(V, V)>,
 }
 
 impl Ctx {
     /// Vertices whose matched-status now differs from the pre-update
     /// snapshot; `true` = now free.
-    pub fn status_diff(&self) -> Vec<(V, bool)> {
+    fn status_diff(&self) -> Vec<(V, bool)> {
         let mut out = Vec::new();
         for (&v, rec) in &self.stat {
             if let Some(p) = self.pre.get(&v) {
@@ -275,6 +182,12 @@ impl Ctx {
         out.sort_unstable();
         out
     }
+}
+
+/// The lesser of two optional free neighbors: a scan that hears from two
+/// machines keeps the least witness either reported.
+fn least(a: Option<V>, b: Option<V>) -> Option<V> {
+    a.into_iter().chain(b).min()
 }
 
 /// The coordinator machine state.
@@ -307,9 +220,12 @@ pub struct Coordinator {
     free_overflow: Vec<MachineId>,
     suspended: FnvMap<V, usize>,
     /// Current protocol phase.
-    pub phase: Phase,
+    pub(crate) phase: Phase,
+    /// Replies still outstanding for the wave in flight: set where the wave
+    /// is sent (`wait`), counted down in one place in `reply`.
+    expect: usize,
     /// Per-update working memory.
-    pub ctx: Ctx,
+    ctx: Ctx,
     /// Updates of the in-flight batch still to drain. The stat cache in
     /// [`Ctx::stat`] is carried from update to update within a batch (the
     /// coordinator is the only writer, so cached records stay exact), which
@@ -372,6 +288,7 @@ impl Coordinator {
                 .collect(),
             suspended: FnvMap::default(),
             phase: Phase::Idle,
+            expect: 0,
             ctx: Ctx::default(),
             queue: VecDeque::new(),
             matched_pairs: 0,
@@ -703,6 +620,12 @@ impl Coordinator {
         std::mem::take(&mut self.out)
     }
 
+    /// Waits for the `replies` of the wave just sent, in `phase`.
+    fn wait(&mut self, replies: usize, phase: Phase) {
+        self.expect = replies;
+        self.phase = phase;
+    }
+
     fn send_storage(&mut self, v: V, build: impl FnOnce(HistSlice) -> MatchMsg) {
         let m = self.layout.storage_of(v);
         let h = self.hist_for(m);
@@ -736,11 +659,11 @@ impl Coordinator {
             self.after_stats(then);
             return;
         }
-        let expect = by_machine.len();
+        let replies = by_machine.len();
         for (m, vs) in by_machine {
             self.send(m, MatchMsg::StatQuery(vs));
         }
-        self.phase = Phase::AwaitStats { expect, then };
+        self.wait(replies, Phase::Stats(then));
     }
 
     fn light(&self, v: V) -> bool {
@@ -765,7 +688,7 @@ impl Coordinator {
     /// `z_heavy` is passed explicitly because `z`'s record may not be
     /// cached (it can come from an adjacency annotation).
     fn scan_free(&mut self, z: V, z_heavy: bool, exclude: Vec<V>, purpose: ScanPurpose) {
-        let mut expect = 1;
+        let mut replies = 1;
         let ex = exclude.clone();
         self.send_storage(z, |hist| MatchMsg::ScanFree {
             z,
@@ -774,14 +697,10 @@ impl Coordinator {
         });
         if self.three_halves && z_heavy && self.suspended.get(&z).copied().unwrap_or(0) > 0 {
             self.send_overflow(z, |hist| MatchMsg::ScanFree { z, exclude, hist });
-            expect += 1;
+            replies += 1;
         }
-        self.phase = Phase::AwaitScanFree {
-            z,
-            purpose,
-            expect,
-            found: Vec::new(),
-        };
+        let found = None;
+        self.wait(replies, Phase::ScanFree { z, purpose, found });
     }
 
     // ---- matching mutations -----------------------------------------------
@@ -897,238 +816,93 @@ impl Coordinator {
             MatchMsg::SnapAck => return self.courier_chunk(),
             _ => {}
         }
-        let phase = std::mem::replace(&mut self.phase, Phase::Idle);
-        match (phase, msg) {
-            (Phase::AwaitStats { mut expect, then }, MatchMsg::StatReply(recs)) => {
+        // Fold the reply into the phase. The side effects a reply carries
+        // (moving suspended edges, the suspended counts) happen here, in the
+        // call that received it, so they leave in this call's outbox: the
+        // batch drain's yield test reads `out_words`, which every `take_out`
+        // resets, and a deferred send would move yields, and so rounds.
+        let mut phase = std::mem::replace(&mut self.phase, Phase::Idle);
+        match (&mut phase, msg) {
+            (Phase::Stats(_), MatchMsg::StatReply(recs)) => {
                 for (v, r) in recs {
                     self.ctx.stat.insert(v, r);
                     self.ctx.pre.entry(v).or_insert(r);
                 }
-                expect -= 1;
-                if expect == 0 {
-                    self.after_stats(then);
-                } else {
-                    self.phase = Phase::AwaitStats { expect, then };
-                }
             }
-            (Phase::AwaitMovedOut { mut expect }, MatchMsg::MovedOut { v, entries }) => {
-                expect -= 1;
+            (Phase::MovedOut, MatchMsg::MovedOut { v, entries }) => {
                 if !entries.is_empty() {
                     *self.suspended.entry(v).or_default() += entries.len();
                     self.send_overflow(v, |hist| MatchMsg::AddSuspended { v, entries, hist });
                 }
-                if expect == 0 {
-                    self.insert_place_edge();
-                } else {
-                    self.phase = Phase::AwaitMovedOut { expect };
-                }
             }
-            (
-                Phase::AwaitDelProbes {
-                    mut expect,
-                    mut found_alive,
-                },
-                MatchMsg::DelReply { at, found, alive },
-            ) => {
+            (Phase::DelProbes(found_alive), MatchMsg::DelReply { at, found, alive }) => {
                 // Only an alive-set removal can trigger a suspended-stack
-                // refill; a suspended removal leaves the alive set intact.
-                if found && alive {
-                    found_alive.insert(at, true);
-                } else if found && !alive {
-                    // Suspended copy removed: account for it.
+                // refill; a suspended removal leaves the alive set intact
+                // and is accounted for here.
+                *found_alive.entry(at).or_default() |= found && alive;
+                if found && !alive {
                     if let Some(c) = self.suspended.get_mut(&at) {
                         *c -= 1;
                     }
                 }
-                found_alive.entry(at).or_insert(false);
-                expect -= 1;
-                if expect == 0 {
-                    self.delete_after_probes(found_alive);
-                } else {
-                    self.phase = Phase::AwaitDelProbes {
-                        expect,
-                        found_alive,
-                    };
-                }
             }
-            (Phase::AwaitFetch { mut expect }, MatchMsg::FetchReply { v, entry }) => {
-                expect -= 1;
+            (Phase::Fetch, MatchMsg::FetchReply { v, entry }) => {
                 if let Some(entry) = entry {
                     *self.suspended.get_mut(&v).unwrap() -= 1;
                     self.send_storage(v, |hist| MatchMsg::AddAlive { at: v, entry, hist });
                 }
-                if expect == 0 {
-                    self.delete_after_refill();
-                } else {
-                    self.phase = Phase::AwaitFetch { expect };
-                }
             }
             (
-                Phase::AwaitScanHeavy {
-                    z,
-                    mut expect,
-                    mut free,
-                    steal,
+                Phase::ScanHeavy { free, steal, .. },
+                MatchMsg::ScanHeavyReply {
+                    free: f, steal: s, ..
                 },
-                reply,
             ) => {
-                let steal = match reply {
-                    MatchMsg::ScanHeavyReply {
-                        free: f, steal: s, ..
-                    } => {
-                        free.extend(f);
-                        s.or(steal)
-                    }
-                    MatchMsg::ScanFreeReply { q, .. } => {
-                        free.extend(q);
-                        steal
-                    }
-                    other => panic!("unexpected reply in heavy scan: {other:?}"),
-                };
-                expect -= 1;
-                if expect == 0 {
-                    self.on_scan_heavy(z, free, steal);
-                } else {
-                    self.phase = Phase::AwaitScanHeavy {
-                        z,
-                        expect,
-                        free,
-                        steal,
-                    };
-                }
+                *free = least(*free, f);
+                *steal = s.or(*steal);
             }
             (
-                Phase::AwaitScanFree {
-                    z,
-                    purpose,
-                    mut expect,
-                    mut found,
-                },
+                Phase::ScanHeavy { free, .. } | Phase::ScanFree { found: free, .. },
                 MatchMsg::ScanFreeReply { q, .. },
             ) => {
-                found.extend(q);
-                expect -= 1;
-                if expect == 0 {
-                    found.sort_unstable();
-                    self.on_scan_free(z, purpose, found.first().copied());
-                } else {
-                    self.phase = Phase::AwaitScanFree {
-                        z,
-                        purpose,
-                        expect,
-                        found,
-                    };
-                }
+                *free = least(*free, q);
             }
-            (Phase::AwaitAugAdj { z, mut expect }, MatchMsg::ScanAdjReply { z: v, entries }) => {
-                self.ctx.adj.insert(v, entries);
-                expect -= 1;
-                if expect == 0 {
-                    self.aug_counters(z);
-                } else {
-                    self.phase = Phase::AwaitAugAdj { z, expect };
-                }
+            (Phase::AugAdj(_), MatchMsg::ScanAdjReply { z, entries }) => {
+                self.ctx.adj.insert(z, entries);
             }
-            (
-                Phase::AwaitAugCounters {
-                    z,
-                    cands,
-                    mut expect,
-                    mut got,
-                },
-                MatchMsg::CounterReply(rs),
-            ) => {
-                got.extend(rs);
-                expect -= 1;
-                if expect == 0 {
-                    self.aug_pick(z, cands, got);
-                } else {
-                    self.phase = Phase::AwaitAugCounters {
-                        z,
-                        cands,
-                        expect,
-                        got,
-                    };
-                }
-            }
-            (
-                Phase::AwaitCheckScanA {
-                    a,
-                    b,
-                    mut expect,
-                    mut found,
-                },
-                MatchMsg::ScanFreeReply { q, .. },
-            ) => {
-                found.extend(q);
-                expect -= 1;
-                if expect == 0 {
-                    found.sort_unstable();
-                    match found.first().copied() {
-                        Some(x) => self.check_scan_b(a, b, x),
-                        None => self.pre_commit(),
-                    }
-                } else {
-                    self.phase = Phase::AwaitCheckScanA {
-                        a,
-                        b,
-                        expect,
-                        found,
-                    };
-                }
-            }
-            (
-                Phase::AwaitCheckScanB {
-                    a,
-                    b,
-                    x,
-                    mut expect,
-                    mut found,
-                },
-                MatchMsg::ScanFreeReply { q, .. },
-            ) => {
-                found.extend(q);
-                expect -= 1;
-                if expect == 0 {
-                    found.sort_unstable();
-                    match found.first().copied() {
-                        Some(y) => self.fetch_stats(
-                            vec![x, y],
-                            StatsThen::Mutate(MutateAction::CheckRotate { a, b, x, y }),
-                        ),
-                        None => self.pre_commit(),
-                    }
-                } else {
-                    self.phase = Phase::AwaitCheckScanB {
-                        a,
-                        b,
-                        x,
-                        expect,
-                        found,
-                    };
-                }
-            }
-            (
-                Phase::AwaitCommitAdj {
-                    mut expect,
-                    mut got,
-                },
-                MatchMsg::ScanAdjReply { z, entries },
-            ) => {
+            (Phase::AugCounters { got, .. }, MatchMsg::CounterReply(rs)) => got.extend(rs),
+            (Phase::CommitAdj(got), MatchMsg::ScanAdjReply { z, entries }) => {
                 got.entry(z)
                     .or_default()
                     .extend(entries.iter().map(|&(n, _)| n));
-                expect -= 1;
-                if expect == 0 {
-                    self.commit_counters(got);
-                } else {
-                    self.phase = Phase::AwaitCommitAdj { expect, got };
-                }
             }
-            (Phase::BatchYield, MatchMsg::BatchResume) => self.next_queued(),
+            (Phase::Yield, MatchMsg::BatchResume) => {}
             (phase, msg) => panic!("coordinator in {phase:?} got unexpected {msg:?}"),
         }
+        self.expect -= 1;
+        if self.expect == 0 {
+            self.resume(phase);
+        } else {
+            self.phase = phase;
+        }
         self.take_out()
+    }
+
+    /// Continues the update once the last reply of a wave is in.
+    fn resume(&mut self, phase: Phase) {
+        match phase {
+            Phase::Idle => unreachable!("an idle coordinator waits for nothing"),
+            Phase::Stats(then) => self.after_stats(then),
+            Phase::MovedOut => self.insert_place_edge(),
+            Phase::DelProbes(found_alive) => self.delete_after_probes(found_alive),
+            Phase::Fetch => self.delete_after_refill(),
+            Phase::ScanHeavy { z, free, steal } => self.on_scan_heavy(z, free, steal),
+            Phase::ScanFree { z, purpose, found } => self.on_scan_free(z, purpose, found),
+            Phase::AugAdj(z) => self.aug_counters(z),
+            Phase::AugCounters { z, cands, got } => self.aug_pick(z, cands, got),
+            Phase::CommitAdj(got) => self.commit_counters(got),
+            Phase::Yield => self.next_queued(),
+        }
     }
 
     // ---- insert flow -------------------------------------------------------
@@ -1201,9 +975,7 @@ impl Coordinator {
         if transitions.is_empty() {
             self.insert_place_edge();
         } else {
-            self.phase = Phase::AwaitMovedOut {
-                expect: transitions.len(),
-            };
+            self.wait(transitions.len(), Phase::MovedOut);
         }
     }
 
@@ -1266,19 +1038,16 @@ impl Coordinator {
 
     fn delete_probes(&mut self) {
         let e = self.ctx.upd.unwrap().edge();
-        let mut expect = 0;
+        let mut replies = 0;
         for (at, nbr) in [(e.u, e.v), (e.v, e.u)] {
             self.send_storage(at, |hist| MatchMsg::DelEdge { at, nbr, hist });
-            expect += 1;
+            replies += 1;
             if self.ctx.stat[&at].heavy && self.overflow_of.contains_key(&at) {
                 self.send_overflow(at, |hist| MatchMsg::DelEdge { at, nbr, hist });
-                expect += 1;
+                replies += 1;
             }
         }
-        self.phase = Phase::AwaitDelProbes {
-            expect,
-            found_alive: FnvMap::default(),
-        };
+        self.wait(replies, Phase::DelProbes(FnvMap::default()));
     }
 
     fn delete_after_probes(&mut self, found_alive: FnvMap<V, bool>) {
@@ -1295,7 +1064,7 @@ impl Coordinator {
             }
         }
         if fetches > 0 {
-            self.phase = Phase::AwaitFetch { expect: fetches };
+            self.wait(fetches, Phase::Fetch);
         } else {
             self.delete_after_refill();
         }
@@ -1367,7 +1136,7 @@ impl Coordinator {
             return;
         };
         if self.ctx.stat[&z].heavy {
-            let mut expect = 1;
+            let mut replies = 1;
             self.send_storage(z, |hist| MatchMsg::ScanHeavy { z, hist });
             if self.three_halves && self.suspended.get(&z).copied().unwrap_or(0) > 0 {
                 self.send_overflow(z, |hist| MatchMsg::ScanFree {
@@ -1375,22 +1144,17 @@ impl Coordinator {
                     exclude: Vec::new(),
                     hist,
                 });
-                expect += 1;
+                replies += 1;
             }
-            self.phase = Phase::AwaitScanHeavy {
-                z,
-                expect,
-                free: Vec::new(),
-                steal: None,
-            };
+            let (free, steal) = (None, None);
+            self.wait(replies, Phase::ScanHeavy { z, free, steal });
         } else {
             self.scan_free(z, false, Vec::new(), ScanPurpose::Rematch);
         }
     }
 
-    fn on_scan_heavy(&mut self, z: V, mut free: Vec<V>, steal: Option<(V, V)>) {
-        free.sort_unstable();
-        if let Some(&q) = free.first() {
+    fn on_scan_heavy(&mut self, z: V, free: Option<V>, steal: Option<(V, V)>) {
+        if let Some(q) = free {
             self.fetch_stats(
                 vec![q],
                 StatsThen::Mutate(MutateAction::MatchPair { a: z, b: q }),
@@ -1445,6 +1209,22 @@ impl Coordinator {
                     panic!("counter promised a free neighbor of {wp} but the scan found none");
                 }
             }
+            ScanPurpose::CheckA { a, b } => match q {
+                Some(x) => {
+                    let mut exclude = self.in_update_free();
+                    exclude.push(x);
+                    let b_heavy = self.ctx.stat[&b].heavy;
+                    self.scan_free(b, b_heavy, exclude, ScanPurpose::CheckB { a, b, x });
+                }
+                None => self.pre_commit(),
+            },
+            ScanPurpose::CheckB { a, b, x } => match q {
+                Some(y) => self.fetch_stats(
+                    vec![x, y],
+                    StatsThen::Mutate(MutateAction::CheckRotate { a, b, x, y }),
+                ),
+                None => self.pre_commit(),
+            },
         }
     }
 
@@ -1516,12 +1296,12 @@ impl Coordinator {
             self.aug_counters(z);
             return;
         }
-        let expect = want.len();
+        let replies = want.len();
         for v in want {
             debug_assert!(self.light(v), "augmentation participants are light");
             self.send_storage(v, |hist| MatchMsg::ScanAdj { z: v, hist });
         }
-        self.phase = Phase::AwaitAugAdj { z, expect };
+        self.wait(replies, Phase::AugAdj(z));
     }
 
     fn aug_counters(&mut self, z: V) {
@@ -1550,16 +1330,12 @@ impl Coordinator {
                 .or_default()
                 .push(wp);
         }
-        let expect = by_machine.len();
+        let replies = by_machine.len();
         for (m, vs) in by_machine {
             self.send(m, MatchMsg::CounterQuery(vs));
         }
-        self.phase = Phase::AwaitAugCounters {
-            z,
-            cands,
-            expect,
-            got: Vec::new(),
-        };
+        let got = Vec::new();
+        self.wait(replies, Phase::AugCounters { z, cands, got });
     }
 
     fn aug_pick(&mut self, z: V, cands: Vec<(V, V, bool)>, got: Vec<(V, u32)>) {
@@ -1610,60 +1386,11 @@ impl Coordinator {
             if self.ctx.stat[&a].mate != b {
                 continue;
             }
-            let exclude = self.in_update_free();
-            let a_heavy = self.ctx.stat[&a].heavy;
-            let mut expect = 1;
-            let ex = exclude.clone();
-            self.send_storage(a, |hist| MatchMsg::ScanFree {
-                z: a,
-                exclude: ex,
-                hist,
-            });
-            if a_heavy && self.suspended.get(&a).copied().unwrap_or(0) > 0 {
-                self.send_overflow(a, |hist| MatchMsg::ScanFree {
-                    z: a,
-                    exclude,
-                    hist,
-                });
-                expect += 1;
-            }
-            self.phase = Phase::AwaitCheckScanA {
-                a,
-                b,
-                expect,
-                found: Vec::new(),
-            };
+            let (a_heavy, exclude) = (self.ctx.stat[&a].heavy, self.in_update_free());
+            self.scan_free(a, a_heavy, exclude, ScanPurpose::CheckA { a, b });
             return;
         }
         self.finalize();
-    }
-
-    fn check_scan_b(&mut self, a: V, b: V, x: V) {
-        let mut exclude = self.in_update_free();
-        exclude.push(x);
-        let b_heavy = self.ctx.stat[&b].heavy;
-        let mut expect = 1;
-        let ex = exclude.clone();
-        self.send_storage(b, |hist| MatchMsg::ScanFree {
-            z: b,
-            exclude: ex,
-            hist,
-        });
-        if b_heavy && self.suspended.get(&b).copied().unwrap_or(0) > 0 {
-            self.send_overflow(b, |hist| MatchMsg::ScanFree {
-                z: b,
-                exclude,
-                hist,
-            });
-            expect += 1;
-        }
-        self.phase = Phase::AwaitCheckScanB {
-            a,
-            b,
-            x,
-            expect,
-            found: Vec::new(),
-        };
     }
 
     fn finalize(&mut self) {
@@ -1675,19 +1402,16 @@ impl Coordinator {
                 .filter(|v| !self.ctx.adj.contains_key(v))
                 .collect();
             if !missing.is_empty() {
-                let mut expect = 0;
+                let mut replies = 0;
                 for v in missing {
                     self.send_storage(v, |hist| MatchMsg::ScanAdj { z: v, hist });
-                    expect += 1;
+                    replies += 1;
                     if self.ctx.stat[&v].heavy && self.suspended.get(&v).copied().unwrap_or(0) > 0 {
                         self.send_overflow(v, |hist| MatchMsg::ScanAdj { z: v, hist });
-                        expect += 1;
+                        replies += 1;
                     }
                 }
-                self.phase = Phase::AwaitCommitAdj {
-                    expect,
-                    got: FnvMap::default(),
-                };
+                self.wait(replies, Phase::CommitAdj(FnvMap::default()));
                 return;
             }
             let got: FnvMap<V, Vec<V>> = diff
@@ -1754,7 +1478,7 @@ impl Coordinator {
             // Nearing the send cap: yield and resume next round, so the
             // combined drain never violates the per-round send budget.
             self.send(dmpc_mpc::COORDINATOR, MatchMsg::BatchResume);
-            self.phase = Phase::BatchYield;
+            self.wait(1, Phase::Yield);
         }
     }
 }

@@ -67,7 +67,7 @@ impl Layout {
         let n = params.n;
         let sqrt_n = params.sqrt_n();
         let stats_block = sqrt_n.max(1);
-        let n_stats = n.div_ceil(stats_block).max(1);
+        let n_stats = params.stats_machines();
         let n_storage = params.storage_machines();
         let storage_block = n.div_ceil(n_storage).max(1);
         let n_storage = n.div_ceil(storage_block).max(1);

@@ -17,7 +17,7 @@
 //! * [`core`] — DMPC model parameters, algorithm traits, experiment
 //!   drivers, reporting.
 //! * [`connectivity`] — dynamic connectivity + (1+eps)-MST (Section 5) and
-//!   static baselines.
+//!   a static connectivity baseline.
 //! * [`matching`] — maximal matching (Section 3), 3/2-approximation
 //!   (Section 4), (2+eps)-approximation (Section 6), static baseline.
 //! * [`seqdyn`] / [`reduction`] — sequential dynamic algorithms and the
