@@ -129,7 +129,7 @@ fn words_are_flat_in_the_memory_multiplier() {
 /// sends 2,942 words > S = 2,912 in round 7), another at n = 4096; n = 256,
 /// 1024 and 8192 are clean. The fix changes rounds, so it waits for item 3.
 #[test]
-#[ignore = "ROADMAP item 3"]
+#[ignore = "ROADMAP item 14"]
 fn mst_respects_the_send_cap_at_n_2048() {
     assert_eq!(ROWS[4].measure((2048, STEPS, SEED)).agg.violations, 0);
 }

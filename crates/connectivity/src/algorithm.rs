@@ -414,11 +414,6 @@ impl ConnDriver {
         h.finish()
     }
 
-    /// The model parameters.
-    pub fn params(&self) -> &DmpcParams {
-        &self.params
-    }
-
     /// Number of machines in the cluster.
     pub fn n_machines(&self) -> usize {
         self.cluster.n_machines()

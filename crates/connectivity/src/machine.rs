@@ -21,12 +21,17 @@
 //! `{owner_of(comp)}` is exact, because a component confined to one machine
 //! is confined to its root's owner.
 //!
+//! Every flow that needs a set gets it one way, `ConnMachine::resolve`: a
+//! set the flow already carries wins; otherwise each component's set is
+//! answered locally (singletons and self-rooted components) or fetched with
+//! one O(1)-round [`ConnMsg::DirFetch`] round-trip to its root owner. The
+//! flow's continuation (a link, a cut, or an MST path-max query) runs at
+//! once, or parks under its lane until the last [`ConnMsg::DirReply`].
+//!
 //! Maintenance mirrors the structural flow that is already running:
 //!
-//! * **Links** merge: the initiator resolves both sides' sets (locally for
-//!   singletons and self-rooted components, otherwise via an O(1)-round
-//!   [`ConnMsg::DirFetch`] round-trip to the root owner), multicasts the
-//!   O(1)-word [`ConnMsg::Apply`] to the union, and installs the union at
+//! * **Links** merge: the initiator resolves both sides' sets, multicasts
+//!   the O(1)-word [`ConnMsg::Apply`] to the union, and installs the union at
 //!   the merged root owner ([`ConnMsg::DirStore`]) while dropping the
 //!   absorbed id ([`ConnMsg::DirDrop`]).
 //! * **Deleting cuts** refine: every owner's [`ConnMsg::CutReport`] to the
@@ -39,6 +44,8 @@
 //! * **MST swap cuts** (demote + immediate re-link) leave the owner set
 //!   unchanged, so the set resolved once for the path-max query rides along
 //!   the whole swap ([`ConnMsg::StartSwap`] / [`ConnMsg::NeedParentCut`]).
+//!   A deleting cut and a swap's demote enter through the same tree-cut
+//!   step, which hands a [`CutReq`] to the parent endpoint's owner.
 //!
 //! Owner sets are O(sqrt N) words but only ever travel point-to-point; the
 //! multicast payloads stay O(1) words, keeping per-update communication at
@@ -128,7 +135,9 @@
 //! structural op is in flight, so a fetched set cannot go stale before its
 //! flow finishes.
 
-use crate::messages::{BatchItem, ConnMsg, CutMode, StructBroadcast, StructItem, VertexInfo};
+use crate::messages::{
+    BatchItem, ConnMsg, CutMode, CutReq, StructBroadcast, StructItem, VertexInfo,
+};
 use crate::shard::{ApplyOutcome, Shard};
 use dmpc_eulertour::indexed::{CompId, TourOp};
 use dmpc_eulertour::TourIx;
@@ -214,48 +223,54 @@ struct PendingMst {
     e: Edge,
     /// Its weight.
     w: Weight,
-    /// `f(x)` of the initiating endpoint (the non-tree cached index if the
-    /// tree is kept).
-    fx: TourIx,
-    /// The initiating endpoint.
-    x_v: V,
+    /// The initiating endpoint (its `f` is the non-tree cached index if
+    /// the tree is kept).
+    x: VertexInfo,
     /// The component's owner set, resolved once and reused by the swap.
     owners: Vec<MachineId>,
     /// The rendezvous' own on-path maximum.
     local_best: Option<(Edge, Weight)>,
 }
 
-/// A structural flow suspended on a directory fetch; resumed by the
-/// [`ConnMsg::DirReply`]. Keyed by lane in `pending_fetches`: within one
-/// lane at most one structural op is in flight, so one slot per lane
-/// suffices, and concurrently fetching lanes never collide.
+/// What a structural flow does once its owner set is resolved (see
+/// [`ConnMachine::resolve`]).
 #[derive(Debug)]
-enum FetchCont {
-    /// A cross-component insert waiting for one or both owner sets.
+enum Then {
+    /// Link a cross-component insert over the union of both sides' sets.
     Link {
         e: Edge,
         w: Weight,
         x: VertexInfo,
         lane: Option<u32>,
-        /// Union of the sets resolved so far.
-        acc: Vec<MachineId>,
-        /// Outstanding DirReply count (1 or 2).
-        waiting: usize,
     },
-    /// A tree cut waiting for the component's owner set.
-    Cut {
-        e: Edge,
-        parent: V,
-        fy: TourIx,
-        ly: TourIx,
-        mode: CutMode,
-        search: bool,
-        then_link: Option<(Edge, Weight)>,
-        lane: Option<u32>,
-    },
-    /// An MST intra-component insert waiting for the owner set before
-    /// multicasting the path-max query.
+    /// Cut a tree edge at its parent endpoint's owner.
+    Cut(CutReq),
+    /// Multicast an MST intra-component insert's path-max query.
     PathMax { e: Edge, w: Weight, x: VertexInfo },
+}
+
+impl Then {
+    /// Batch lane of the flow (MST path-max flows are never batched).
+    fn lane(&self) -> Option<u32> {
+        match self {
+            Then::Link { lane, .. } => *lane,
+            Then::Cut(req) => req.lane,
+            Then::PathMax { .. } => None,
+        }
+    }
+}
+
+/// A structural flow suspended on directory fetches; resumed when the last
+/// [`ConnMsg::DirReply`] arrives. Keyed by lane in `pending_fetches`:
+/// within one lane at most one structural op is in flight, so one slot per
+/// lane suffices, and concurrently fetching lanes never collide.
+#[derive(Debug)]
+struct Fetch {
+    then: Then,
+    /// Union of the sets resolved so far.
+    acc: Vec<MachineId>,
+    /// Outstanding DirReply count (1 or 2).
+    waiting: usize,
 }
 
 /// One received [`ConnMsg::CutReport`]: (sender, best candidate,
@@ -285,9 +300,8 @@ enum QueryFold {
         expect: u16,
         /// Joins folded so far.
         got: u16,
-        /// Running maximum, `(weight, edge)` ordered like the update-path
-        /// aggregation in `finish_path_max`.
-        best: Option<(Weight, Edge)>,
+        /// Running maximum, folded by [`heaviest`] like the update path's.
+        best: Option<(Edge, Weight)>,
         /// No join reported the endpoints disconnected.
         connected: bool,
     },
@@ -337,7 +351,7 @@ pub struct ConnMachine {
     local: VecDeque<ConnMsg>,
     /// Structural flows suspended on directory fetches, keyed by lane
     /// ([`SOLO_LANE`] for unbatched flows).
-    pending_fetches: BTreeMap<u32, FetchCont>,
+    pending_fetches: BTreeMap<u32, Fetch>,
     /// In-flight searching cuts at the rendezvous (this machine), keyed by
     /// lane.
     pending_cuts: BTreeMap<u32, PendingCut>,
@@ -533,16 +547,10 @@ impl ConnMachine {
     /// Fail-stop wipe: drops all program state (the partition table keeps
     /// its last value; a revive handoff overwrites it anyway).
     pub fn wipe(&mut self) {
+        self.abandon_run();
         self.verts.clear();
         self.dir.clear();
         self.local.clear();
-        self.pending_fetches.clear();
-        self.pending_cuts.clear();
-        self.pending_mst = None;
-        self.batch = None;
-        self.last_conflict = None;
-        self.pending_queries.clear();
-        self.answers.clear();
         self.transfer = None;
         self.snap_buf = Vec::new();
         self.staged = None;
@@ -842,10 +850,23 @@ impl ConnMachine {
         }
     }
 
-    fn handle_insert(&mut self, e: Edge, w: Weight, lane: Option<u32>, out: &mut Outbox<ConnMsg>) {
-        let u = e.u;
-        debug_assert!(self.verts.adj_get(u, e.v).is_none(), "duplicate insert {e}");
-        let x = self.verts.info(u);
+    /// Starts an insertion at `e.u`'s owner. A replacement or swap link
+    /// ([`ConnMsg::StartLink`]) arrives with the merged component's owner
+    /// set known; a replacement edge already exists as a non-tree entry at
+    /// both owners (the Apply handler converts the entries to tree entries).
+    fn handle_insert(
+        &mut self,
+        e: Edge,
+        w: Weight,
+        lane: Option<u32>,
+        known_owners: Option<Vec<MachineId>>,
+        out: &mut Outbox<ConnMsg>,
+    ) {
+        debug_assert!(
+            known_owners.is_some() || self.verts.adj_get(e.u, e.v).is_none(),
+            "duplicate insert {e}"
+        );
+        let x = self.verts.info(e.u);
         self.route(
             self.owner(e.v),
             ConnMsg::InsQuery {
@@ -853,7 +874,7 @@ impl ConnMachine {
                 w,
                 x,
                 lane,
-                known_owners: None,
+                known_owners,
             },
             out,
         );
@@ -898,89 +919,92 @@ impl ConnMachine {
     ) {
         let y = e.other(x.v);
         let (y_comp, y_size) = (self.verts.comp_of(y), self.verts.size_of(y));
-        if y_comp == x.comp {
-            // Intra-component edge.
-            if self.mst_mode {
-                debug_assert!(lane.is_none(), "MST mode has no batched path");
-                // Find the max-weight tree edge on the x..y path first; the
-                // query multicast needs the component's owner set.
-                match self.set_if_local(y_comp, y_size) {
-                    Some(owners) => self.launch_path_max(e, w, x, owners, out),
-                    None => {
-                        let prev = self
-                            .pending_fetches
-                            .insert(lane_key(lane), FetchCont::PathMax { e, w, x });
-                        debug_assert!(prev.is_none(), "fetch slot already occupied");
-                        out.send(
-                            self.root_owner(y_comp),
-                            ConnMsg::DirFetch { comp: y_comp, lane },
-                        );
-                    }
-                }
-            } else {
-                self.add_non_tree_pair(e, w, &x, out);
-                self.signal_struct_done(lane, out);
-            }
+        if y_comp != x.comp {
+            // Cross-component: link over the union of both owner sets.
+            // Replacement/swap links arrive with the union attached.
+            let sides = [(x.comp, x.size), (y_comp, y_size)];
+            self.resolve(known_owners, &sides, Then::Link { e, w, x, lane }, out);
+        } else if self.mst_mode {
+            debug_assert!(lane.is_none(), "MST mode has no batched path");
+            // Find the max-weight tree edge on the x..y path first; the
+            // query multicast needs the component's owner set.
+            self.resolve(None, &[(y_comp, y_size)], Then::PathMax { e, w, x }, out);
         } else {
-            // Cross-component: resolve the union of both owner sets, then
-            // link. Replacement/swap links arrive with the union attached.
-            let union = match known_owners {
-                Some(u) => Some(u),
+            self.add_non_tree_pair(e, w, &x, out);
+            self.signal_struct_done(lane, out);
+        }
+    }
+
+    /// The one way a flow learns an owner set. `known` (a set that
+    /// travelled with the flow) wins; otherwise each `(comp, size)` set is
+    /// answered locally when [`Self::set_if_local`] can, and fetched from
+    /// its root owner when not (x's fetch before y's). `then` runs with the
+    /// union at once, or parks until the last [`ConnMsg::DirReply`].
+    fn resolve(
+        &mut self,
+        known: Option<Vec<MachineId>>,
+        comps: &[(CompId, u64)],
+        then: Then,
+        out: &mut Outbox<ConnMsg>,
+    ) {
+        if let Some(owners) = known {
+            return self.resume(then, owners, out);
+        }
+        let lane = then.lane();
+        let mut acc = Vec::new();
+        let mut waiting = 0;
+        for &(comp, size) in comps {
+            match self.set_if_local(comp, size) {
+                Some(set) => absorb(&mut acc, set),
                 None => {
-                    let sx = self.set_if_local(x.comp, x.size);
-                    let sy = self.set_if_local(y_comp, y_size);
-                    match (sx, sy) {
-                        (Some(a), Some(b)) => Some(merge_sets(a, &b)),
-                        (sx, sy) => {
-                            let mut acc = Vec::new();
-                            let mut waiting = 0usize;
-                            match sx {
-                                Some(a) => acc = merge_sets(acc, &a),
-                                None => {
-                                    out.send(
-                                        self.root_owner(x.comp),
-                                        ConnMsg::DirFetch { comp: x.comp, lane },
-                                    );
-                                    waiting += 1;
-                                }
-                            }
-                            match sy {
-                                Some(b) => acc = merge_sets(acc, &b),
-                                None => {
-                                    out.send(
-                                        self.root_owner(y_comp),
-                                        ConnMsg::DirFetch { comp: y_comp, lane },
-                                    );
-                                    waiting += 1;
-                                }
-                            }
-                            let prev = self.pending_fetches.insert(
-                                lane_key(lane),
-                                FetchCont::Link {
-                                    e,
-                                    w,
-                                    x,
-                                    lane,
-                                    acc,
-                                    waiting,
-                                },
-                            );
-                            debug_assert!(prev.is_none(), "fetch slot already occupied");
-                            None
-                        }
-                    }
+                    out.send(self.root_owner(comp), ConnMsg::DirFetch { comp, lane });
+                    waiting += 1;
                 }
-            };
-            if let Some(u) = union {
-                self.do_link(e, w, &x, u, lane, out);
             }
+        }
+        if waiting == 0 {
+            self.resume(then, acc, out);
+        } else {
+            let fetch = Fetch { then, acc, waiting };
+            let prev = self.pending_fetches.insert(lane_key(lane), fetch);
+            debug_assert!(prev.is_none(), "fetch slot already occupied");
+        }
+    }
+
+    /// Folds one [`ConnMsg::DirReply`] into the lane's parked fetch and
+    /// resumes the flow once no reply is outstanding.
+    fn handle_dir_reply(
+        &mut self,
+        owners: Vec<MachineId>,
+        lane: Option<u32>,
+        out: &mut Outbox<ConnMsg>,
+    ) {
+        let key = lane_key(lane);
+        let fetch = self
+            .pending_fetches
+            .get_mut(&key)
+            .expect("DirReply without a fetch");
+        absorb(&mut fetch.acc, owners);
+        fetch.waiting -= 1;
+        if fetch.waiting == 0 {
+            let Fetch { then, acc, .. } = self.pending_fetches.remove(&key).expect("found above");
+            self.resume(then, acc, out);
+        }
+    }
+
+    /// Runs a flow's continuation with its owner set resolved.
+    fn resume(&mut self, then: Then, owners: Vec<MachineId>, out: &mut Outbox<ConnMsg>) {
+        match then {
+            Then::Link { e, w, x, lane } => self.link(e, w, &x, owners, lane, out),
+            Then::Cut(req) => self.cut(req, owners, out),
+            Then::PathMax { e, w, x } => self.launch_path_max(e, w, x, owners, out),
         }
     }
 
     /// Executes a cross-component link with the merged owner set resolved:
     /// multicasts the Apply, applies locally, and installs the directory
     /// update at the merged root owner.
-    fn do_link(
+    fn link(
         &mut self,
         e: Edge,
         w: Weight,
@@ -1046,120 +1070,102 @@ impl ConnMachine {
     }
 
     fn handle_delete(&mut self, e: Edge, lane: Option<u32>, out: &mut Outbox<ConnMsg>) {
-        let u = e.u;
         let (kind, _w) = self
             .verts
-            .adj_get(u, e.v)
+            .adj_get(e.u, e.v)
             .unwrap_or_else(|| panic!("delete of absent edge {e}"));
         match kind {
             EntryKind::NonTree { .. } => {
-                self.verts.adj_remove(u, e.v);
-                self.route(self.owner(e.v), ConnMsg::DelNonTree { e, at: e.v }, out);
+                self.delete_non_tree(e, out);
                 self.signal_struct_done(lane, out);
             }
-            EntryKind::Tree { lo, hi } => {
-                if lo % 2 == 0 {
-                    // u is the child: the parent's owner must compute the
-                    // surviving parent index, then multicast.
-                    self.route(
-                        self.owner(e.v),
-                        ConnMsg::NeedParentCut {
-                            e,
-                            parent: e.v,
-                            fy: lo,
-                            ly: hi,
-                            mode: CutMode::Remove,
-                            search: true,
-                            then_link: None,
-                            lane,
-                            owners: None,
-                        },
-                        out,
-                    );
-                } else {
-                    // u is the parent: cut directly.
-                    self.start_cut(
-                        e,
-                        u,
-                        lo + 1,
-                        hi - 1,
-                        CutMode::Remove,
-                        true,
-                        None,
-                        lane,
-                        None,
-                        out,
-                    );
-                }
-            }
+            EntryKind::Tree { lo, hi } => self.cut_tree_edge(e, (lo, hi), None, lane, None, out),
         }
     }
 
-    /// Begins a cut of tree edge `e` whose parent endpoint is `parent`
-    /// (owned by this machine) and whose child spans `fy..=ly`: resolves
-    /// the component's owner set (given, local, or fetched), then executes.
-    #[allow(clippy::too_many_arguments)]
-    fn start_cut(
+    /// Drops non-tree edge `e` at `e.u` (owned here) and at `e.v`'s owner.
+    /// Shared by the single-update flow and the batch classifier.
+    fn delete_non_tree(&mut self, e: Edge, out: &mut Outbox<ConnMsg>) {
+        self.verts.adj_remove(e.u, e.v);
+        self.route(self.owner(e.v), ConnMsg::DelNonTree { e, at: e.v }, out);
+    }
+
+    /// The one tree-cut entry, at the owner of `e.u`, whose entry for tree
+    /// edge `e` spans `lo..=hi`: a deleting cut (`then_link: None`) removes
+    /// the edge and searches for a replacement, an MST swap's demote keeps
+    /// it as a non-tree edge and links `then_link` right after. An even
+    /// `lo` makes `e.u` the child, so the parent's owner must compute the
+    /// surviving parent index: the request travels there.
+    fn cut_tree_edge(
         &mut self,
         e: Edge,
-        parent: V,
-        fy: TourIx,
-        ly: TourIx,
-        mode: CutMode,
-        search: bool,
+        (lo, hi): (TourIx, TourIx),
         then_link: Option<(Edge, Weight)>,
         lane: Option<u32>,
         owners: Option<Vec<MachineId>>,
         out: &mut Outbox<ConnMsg>,
     ) {
-        let owners = match owners {
-            Some(o) => o,
-            None => {
-                let comp = self.verts.comp_of(parent);
-                if self.root_owner(comp) == self.id {
-                    self.dir_owners(comp)
-                } else {
-                    let prev = self.pending_fetches.insert(
-                        lane_key(lane),
-                        FetchCont::Cut {
-                            e,
-                            parent,
-                            fy,
-                            ly,
-                            mode,
-                            search,
-                            then_link,
-                            lane,
-                        },
-                    );
-                    debug_assert!(prev.is_none(), "fetch slot already occupied");
-                    out.send(self.root_owner(comp), ConnMsg::DirFetch { comp, lane });
-                    return;
-                }
-            }
+        let (parent, fy, ly) = if lo % 2 == 0 {
+            (e.v, lo, hi)
+        } else {
+            (e.u, lo + 1, hi - 1)
         };
-        self.do_cut(
-            e, parent, fy, ly, mode, search, then_link, lane, owners, out,
+        let swap = then_link.is_some();
+        let req = CutReq {
+            e,
+            parent,
+            fy,
+            ly,
+            mode: if swap {
+                CutMode::Demote
+            } else {
+                CutMode::Remove
+            },
+            search: !swap,
+            then_link,
+            lane,
+        };
+        if parent == e.u {
+            self.resolve_cut(req, owners, out);
+        } else {
+            self.route(
+                self.owner(parent),
+                ConnMsg::NeedParentCut { req, owners },
+                out,
+            );
+        }
+    }
+
+    /// At the parent endpoint's owner: resolve the cut component's owner
+    /// set, then [`Self::cut`]. `set_if_local` is exact here because a
+    /// component with a tree edge has at least two vertices.
+    fn resolve_cut(
+        &mut self,
+        req: CutReq,
+        owners: Option<Vec<MachineId>>,
+        out: &mut Outbox<ConnMsg>,
+    ) {
+        let (comp, size) = (
+            self.verts.comp_of(req.parent),
+            self.verts.size_of(req.parent),
         );
+        self.resolve(owners, &[(comp, size)], Then::Cut(req), out);
     }
 
     /// Executes a cut with the owner set resolved: multicasts the Apply,
     /// applies locally, and arms the rendezvous aggregation (searching
     /// cuts) or the follow-up link (MST swaps).
-    #[allow(clippy::too_many_arguments)]
-    fn do_cut(
-        &mut self,
-        e: Edge,
-        parent: V,
-        fy: TourIx,
-        ly: TourIx,
-        mode: CutMode,
-        search: bool,
-        then_link: Option<(Edge, Weight)>,
-        lane: Option<u32>,
-        owners: Vec<MachineId>,
-        out: &mut Outbox<ConnMsg>,
-    ) {
+    fn cut(&mut self, req: CutReq, owners: Vec<MachineId>, out: &mut Outbox<ConnMsg>) {
+        let CutReq {
+            e,
+            parent,
+            fy,
+            ly,
+            mode,
+            search,
+            then_link,
+            lane,
+        } = req;
         let child = e.other(parent);
         let comp = self.verts.comp_of(parent);
         let span = (ly - fy + 1) + 2;
@@ -1336,8 +1342,7 @@ impl ConnMachine {
         self.pending_mst = Some(PendingMst {
             e,
             w,
-            fx: x.f,
-            x_v: x.v,
+            x,
             owners,
             local_best,
         });
@@ -1366,58 +1371,25 @@ impl ConnMachine {
 
     fn finish_path_max(&mut self, replies: Vec<Option<(Edge, Weight)>>, out: &mut Outbox<ConnMsg>) {
         let p = self.pending_mst.take().expect("no pending MST insert");
-        let mut best: Option<(Weight, Edge)> = None;
-        for r in replies.into_iter().chain([p.local_best]).flatten() {
-            let cand = (r.1, r.0);
-            let better = match best {
-                None => true,
-                Some((bw, be)) => cand.0 > bw || (cand.0 == bw && cand.1 < be),
-            };
-            if better {
-                best = Some(cand);
-            }
-        }
-        let (e, w, fx, x_v) = (p.e, p.w, p.fx, p.x_v);
-        let y = e.other(x_v);
+        let best = heaviest(replies.into_iter().chain([p.local_best]));
         match best {
-            Some((dw, d)) if dw > w => {
+            Some((d, dw)) if dw > p.w => {
                 // Swap: demote d, then link e. The demote must be initiated
                 // at d's parent endpoint owner; the owner set rides along.
                 self.route(
                     self.owner(d.u),
                     ConnMsg::StartSwap {
                         d,
-                        e,
-                        w,
+                        e: p.e,
+                        w: p.w,
                         owners: p.owners,
                     },
                     out,
                 );
             }
-            _ => {
-                // Keep the tree; e becomes a non-tree edge.
-                let cached_far = self.verts.f_of(y);
-                let comp = self.verts.comp_of(y);
-                self.verts.adj_set(
-                    y,
-                    x_v,
-                    EntryKind::NonTree {
-                        cached: fx,
-                        far_comp: comp,
-                    },
-                    w,
-                );
-                self.route(
-                    self.owner(x_v),
-                    ConnMsg::AddNonTree {
-                        e,
-                        w,
-                        at: x_v,
-                        cached_far,
-                    },
-                    out,
-                );
-            }
+            // Keep the tree; e becomes a non-tree edge. `x.comp` is still
+            // y's component: MST flows run one at a time.
+            _ => self.add_non_tree_pair(p.e, p.w, &p.x, out),
         }
     }
 
@@ -1429,130 +1401,11 @@ impl ConnMachine {
         owners: Vec<MachineId>,
         out: &mut Outbox<ConnMsg>,
     ) {
-        let u = d.u;
-        let (kind, _) = self.verts.adj_get(u, d.v).expect("swap edge missing");
+        let (kind, _) = self.verts.adj_get(d.u, d.v).expect("swap edge missing");
         let EntryKind::Tree { lo, hi } = kind else {
             panic!("swap target {d} is not a tree edge");
         };
-        if lo % 2 == 0 {
-            // u is the child; hand off to the parent's owner.
-            self.route(
-                self.owner(d.v),
-                ConnMsg::NeedParentCut {
-                    e: d,
-                    parent: d.v,
-                    fy: lo,
-                    ly: hi,
-                    mode: CutMode::Demote,
-                    search: false,
-                    then_link: Some((e, w)),
-                    lane: None,
-                    owners: Some(owners),
-                },
-                out,
-            );
-        } else {
-            self.start_cut(
-                d,
-                u,
-                lo + 1,
-                hi - 1,
-                CutMode::Demote,
-                false,
-                Some((e, w)),
-                None,
-                Some(owners),
-                out,
-            );
-        }
-    }
-
-    /// A replacement/StartLink insertion: the edge already exists as a
-    /// non-tree entry at both owners; re-run the insert query path with the
-    /// known owner set (the Apply handler converts the entries to tree
-    /// entries).
-    fn handle_insert_replacement(
-        &mut self,
-        e: Edge,
-        w: Weight,
-        lane: Option<u32>,
-        owners: Vec<MachineId>,
-        out: &mut Outbox<ConnMsg>,
-    ) {
-        let u = e.u;
-        let x = self.verts.info(u);
-        self.route(
-            self.owner(e.v),
-            ConnMsg::InsQuery {
-                e,
-                w,
-                x,
-                lane,
-                known_owners: Some(owners),
-            },
-            out,
-        );
-    }
-
-    /// Resumes the structural flow suspended on a directory fetch. The
-    /// reply carries the lane id of the flow that issued the fetch, so
-    /// concurrent lanes resume the right continuation.
-    fn handle_dir_reply(
-        &mut self,
-        comp: CompId,
-        owners: Vec<MachineId>,
-        reply_lane: Option<u32>,
-        out: &mut Outbox<ConnMsg>,
-    ) {
-        let cont = self
-            .pending_fetches
-            .remove(&lane_key(reply_lane))
-            .expect("DirReply without a fetch");
-        match cont {
-            FetchCont::Link {
-                e,
-                w,
-                x,
-                lane,
-                acc,
-                waiting,
-            } => {
-                let acc = merge_sets(acc, &owners);
-                if waiting == 1 {
-                    self.do_link(e, w, &x, acc, lane, out);
-                } else {
-                    self.pending_fetches.insert(
-                        lane_key(lane),
-                        FetchCont::Link {
-                            e,
-                            w,
-                            x,
-                            lane,
-                            acc,
-                            waiting: waiting - 1,
-                        },
-                    );
-                }
-            }
-            FetchCont::Cut {
-                e,
-                parent,
-                fy,
-                ly,
-                mode,
-                search,
-                then_link,
-                lane,
-            } => {
-                debug_assert_eq!(self.verts.comp_of(parent), comp);
-                self.do_cut(
-                    e, parent, fy, ly, mode, search, then_link, lane, owners, out,
-                );
-            }
-            FetchCont::PathMax { e, w, x } => {
-                self.launch_path_max(e, w, x, owners, out);
-            }
-        }
+        self.cut_tree_edge(d, (lo, hi), Some((e, w)), None, Some(owners), out);
     }
 
     // ----- query plane ----------------------------------------------------
@@ -1742,8 +1595,8 @@ impl ConnMachine {
         );
     }
 
-    /// Rendezvous: folds one path-max join with the same (weight desc, edge
-    /// asc) tie-break as the update path's `finish_path_max`.
+    /// Rendezvous: folds one path-max join with the update path's
+    /// [`heaviest`].
     fn handle_q_path_join(
         &mut self,
         qid: u32,
@@ -1768,18 +1621,10 @@ impl ConnMachine {
         };
         *got += 1;
         *conn &= connected;
-        if let Some((e, w)) = best {
-            let better = match *acc {
-                None => true,
-                Some((bw, be)) => w > bw || (w == bw && e < be),
-            };
-            if better {
-                *acc = Some((w, e));
-            }
-        }
+        *acc = heaviest([*acc, best]);
         if *got == *expect {
             let answer = if *conn {
-                QueryAnswer::PathMax(acc.map(|(w, e)| (e, w)))
+                QueryAnswer::PathMax(*acc)
             } else {
                 QueryAnswer::PathMax(None)
             };
@@ -1849,8 +1694,7 @@ impl ConnMachine {
                         .unwrap_or_else(|| panic!("delete of absent edge {e} in batch"));
                     match kind {
                         EntryKind::NonTree { .. } => {
-                            self.verts.adj_remove(e.u, e.v);
-                            self.route(self.owner(e.v), ConnMsg::DelNonTree { e, at: e.v }, out);
+                            self.delete_non_tree(e, out);
                             report.done += 1;
                         }
                         EntryKind::Tree { .. } => {
@@ -2004,7 +1848,7 @@ impl ConnMachine {
         out: &mut Outbox<ConnMsg>,
     ) {
         match msg {
-            ConnMsg::Insert { e, w, lane } => self.handle_insert(e, w, lane, out),
+            ConnMsg::Insert { e, w, lane } => self.handle_insert(e, w, lane, None, out),
             ConnMsg::Delete { e, lane } => self.handle_delete(e, lane, out),
             ConnMsg::InsQuery {
                 e,
@@ -2035,23 +1879,9 @@ impl ConnMachine {
                 let far = e.other(at);
                 self.verts.adj_remove(at, far);
             }
-            ConnMsg::NeedParentCut {
-                e,
-                parent,
-                fy,
-                ly,
-                mode,
-                search,
-                then_link,
-                lane,
-                owners,
-            } => {
-                self.start_cut(
-                    e, parent, fy, ly, mode, search, then_link, lane, owners, out,
-                );
-            }
+            ConnMsg::NeedParentCut { req, owners } => self.resolve_cut(req, owners, out),
             ConnMsg::StartLink { e, w, lane, owners } => {
-                self.handle_insert_replacement(e, w, lane, owners, out)
+                self.handle_insert(e, w, lane, Some(owners), out)
             }
             ConnMsg::PathMaxQuery {
                 comp,
@@ -2067,9 +1897,7 @@ impl ConnMachine {
             ConnMsg::DirFetch { .. } | ConnMsg::CutReport { .. } | ConnMsg::Apply(_) => {
                 unreachable!("handled before dispatch")
             }
-            ConnMsg::DirReply { comp, owners, lane } => {
-                self.handle_dir_reply(comp, owners, lane, out)
-            }
+            ConnMsg::DirReply { owners, lane, .. } => self.handle_dir_reply(owners, lane, out),
             ConnMsg::DirStore { comp, owners } => {
                 debug_assert_eq!(self.root_owner(comp), self.id);
                 if owners.len() >= 2 {
@@ -2174,12 +2002,26 @@ impl ConnMachine {
     }
 }
 
-/// Merges two sorted-or-not owner sets into a sorted, deduplicated union.
-fn merge_sets(mut a: Vec<MachineId>, b: &[MachineId]) -> Vec<MachineId> {
-    a.extend_from_slice(b);
-    a.sort_unstable();
-    a.dedup();
-    a
+/// Merges `set` into the owner-set union `acc`. The first set is taken as
+/// is (directory sets are already sorted, so a lone set costs no sort);
+/// each later one leaves `acc` sorted and deduplicated.
+fn absorb(acc: &mut Vec<MachineId>, set: Vec<MachineId>) {
+    if acc.is_empty() {
+        *acc = set;
+    } else {
+        acc.extend(set);
+        acc.sort_unstable();
+        acc.dedup();
+    }
+}
+
+/// The path maximum of some candidates, the one order the update path and
+/// the query plane share: the heavier edge wins, ties go to the smaller.
+fn heaviest(cands: impl IntoIterator<Item = Option<(Edge, Weight)>>) -> Option<(Edge, Weight)> {
+    cands
+        .into_iter()
+        .flatten()
+        .max_by_key(|&(e, w)| (w, std::cmp::Reverse(e)))
 }
 
 /// Per-round accumulator for one classifier's report to the controller
@@ -2327,10 +2169,7 @@ impl Machine for ConnMachine {
             words += 6 + p.owners.len();
         }
         for f in self.pending_fetches.values() {
-            words += 4 + match f {
-                FetchCont::Link { acc, .. } => acc.len(),
-                FetchCont::Cut { .. } | FetchCont::PathMax { .. } => 0,
-            };
+            words += 4 + f.acc.len();
         }
         // Transient query-plane state at this rendezvous: folds and stashed
         // answers, both bounded by the driver's wave chunking.

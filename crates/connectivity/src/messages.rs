@@ -55,6 +55,29 @@ pub enum CutMode {
     Demote,
 }
 
+/// One tree-edge cut, as the parent endpoint's owner executes it: the value
+/// that travels in [`ConnMsg::NeedParentCut`], parks on a directory fetch,
+/// and runs once the component's owner set is known.
+#[derive(Clone, Copy, Debug)]
+pub struct CutReq {
+    /// The tree edge being cut.
+    pub e: Edge,
+    /// The parent endpoint (owned by the executing machine).
+    pub parent: V,
+    /// Child endpoint's first appearance.
+    pub fy: TourIx,
+    /// Child endpoint's last appearance.
+    pub ly: TourIx,
+    /// Remove (deletion) or demote (MST swap).
+    pub mode: CutMode,
+    /// Run the replacement search after the cut.
+    pub search: bool,
+    /// Link this edge right after the cut (MST swaps).
+    pub then_link: Option<(Edge, Weight)>,
+    /// Batch lane of this flow: signal completion with it.
+    pub lane: Option<u32>,
+}
+
 /// The O(1)-word structural-change payload, multicast to the affected
 /// components' owner machines only (found through the root-owner
 /// directory, see `machine.rs`).
@@ -157,22 +180,8 @@ pub enum ConnMsg {
     /// the parent endpoint; carries the child's span so the parent owner can
     /// compute its surviving index and multicast the cut.
     NeedParentCut {
-        /// The tree edge being cut.
-        e: Edge,
-        /// The parent endpoint (owned by the receiver).
-        parent: V,
-        /// Child endpoint's first appearance.
-        fy: TourIx,
-        /// Child endpoint's last appearance.
-        ly: TourIx,
-        /// Remove (deletion) or demote (MST swap).
-        mode: CutMode,
-        /// Run the replacement search after the cut.
-        search: bool,
-        /// Link this edge right after the cut (MST swaps).
-        then_link: Option<(Edge, Weight)>,
-        /// Batch lane of this flow: signal completion with it.
-        lane: Option<u32>,
+        /// The cut, addressed to the parent endpoint's owner.
+        req: CutReq,
         /// Owner set of the component being cut, when the sender already
         /// holds it (MST swap flows resolve it once for the whole swap).
         owners: Option<Vec<MachineId>>,
@@ -594,7 +603,7 @@ mod tests {
                 e: Edge::new(0, 1),
                 w: 1,
                 lane: None,
-                owners
+                owners: owners.clone()
             }
             .size_words(),
             10
@@ -615,6 +624,35 @@ mod tests {
             }
             .size_words(),
             8
+        );
+        let req = CutReq {
+            e: Edge::new(0, 1),
+            parent: 0,
+            fy: 2,
+            ly: 5,
+            mode: CutMode::Demote,
+            search: false,
+            then_link: Some((Edge::new(2, 3), 4)),
+            lane: None,
+        };
+        assert_eq!(ConnMsg::NeedParentCut { req, owners: None }.size_words(), 9);
+        assert_eq!(
+            ConnMsg::NeedParentCut {
+                req,
+                owners: Some(owners.clone())
+            }
+            .size_words(),
+            16
+        );
+        assert_eq!(
+            ConnMsg::StartSwap {
+                d: Edge::new(0, 1),
+                e: Edge::new(2, 3),
+                w: 4,
+                owners
+            }
+            .size_words(),
+            12
         );
     }
 
