@@ -180,8 +180,12 @@ fn kill_and_revive_is_bit_identical() {
     let snap = replica.snapshot_machine(3);
     let um = alg.driver_mut().revive_machine(3, &snap);
     assert!(um.clean(), "revive violations: {:?}", um.violations);
-    assert!(um.total_words > 0, "recovery traffic must be metered");
     assert!(alg.driver().is_alive(3));
+    let s = DmpcParams::new(n, 4 * n).capacity_words();
+    assert_eq!(
+        (um.rounds, um.total_messages, um.total_words),
+        handoff_cost(&snap, s)
+    );
 
     // No migration happened, so even the raw per-machine snapshots (bounds,
     // directory shards and all) must match text-for-text — stronger than
@@ -198,6 +202,28 @@ fn kill_and_revive_is_bit_identical() {
     alg.apply_batch(post);
     twin.apply_batch(post);
     assert_eq!(alg.state_digest(), twin.state_digest());
+
+    // At S = 4 sqrt(n) the handoff takes several chunks, paced one per
+    // ack. (A machine this small outgrows S, so the run is not clean.)
+    let params = DmpcParams::new(n, 4 * n).with_multiplier(4);
+    let mut small = DmpcConnectivity::with_cluster(params, ExecOptions::default(), p);
+    let snap = small.snapshot_machine(3);
+    small.driver_mut().kill_machine(3);
+    let um = small.driver_mut().revive_machine(3, &snap);
+    assert_eq!(small.snapshot_machine(3), snap);
+    let cost = handoff_cost(&snap, params.capacity_words());
+    assert!(cost.1 > 2, "several chunks: {cost:?}");
+    assert_eq!((um.rounds, um.total_messages, um.total_words), cost);
+}
+
+/// Rounds, messages and words of one revive handoff of `snap` under machine
+/// capacity `s`: the text is packed eight bytes a word behind a length
+/// word and shipped in `s / 4`-word chunks, each acked before the next
+/// leaves. A chunk costs 2 words plus its payload, an ack 1.
+fn handoff_cost(snap: &str, s: usize) -> (usize, usize, usize) {
+    let w = 1 + snap.len().div_ceil(8);
+    let c = w.div_ceil(s / 4);
+    (2 * c + 1, 2 * c, w + 3 * c)
 }
 
 /// A snapshot is restored only on the machine, and in the mode, it was

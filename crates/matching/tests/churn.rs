@@ -87,10 +87,14 @@ fn kill_revive_each_role_bit_identical() {
                 }
             }
         }
-        let um = alg.revive(victim, &replica.snapshot_machine(victim));
+        let snap = replica.snapshot_machine(victim);
+        let um = alg.revive(victim, &snap);
         assert!(um.clean(), "revive violations: {:?}", um.violations);
-        assert!(um.total_words > 0, "handoff must be metered");
         assert!(alg.is_alive(victim));
+        assert_eq!(
+            (um.rounds, um.total_messages, um.total_words),
+            handoff_cost(&snap, params.capacity_words())
+        );
 
         assert_eq!(
             alg.state_digest(),
@@ -117,6 +121,31 @@ fn kill_revive_each_role_bit_identical() {
         assert_eq!(alg.state_digest(), twin.state_digest());
         alg.audit(&g).unwrap();
     }
+
+    // At S = 2 sqrt(n) the handoff takes several chunks, paced one per
+    // ack. (A machine this small outgrows S, so the run is not clean.)
+    let small = params.with_multiplier(2);
+    let mut alg = DmpcMaximalMatching::new(small);
+    for &u in pre {
+        alg.apply(u);
+    }
+    let snap = alg.snapshot_machine(1);
+    alg.kill(1);
+    let um = alg.revive(1, &snap);
+    assert_eq!(alg.snapshot_machine(1), snap);
+    let cost = handoff_cost(&snap, small.capacity_words());
+    assert!(cost.1 > 2, "several chunks: {cost:?}");
+    assert_eq!((um.rounds, um.total_messages, um.total_words), cost);
+}
+
+/// Rounds, messages and words of one revive handoff of `snap` under machine
+/// capacity `s`: the text is packed eight bytes a word behind a length
+/// word and shipped in `s / 4`-word chunks, each acked before the next
+/// leaves. A chunk costs 2 words plus its payload, an ack 1.
+fn handoff_cost(snap: &str, s: usize) -> (usize, usize, usize) {
+    let w = 1 + snap.len().div_ceil(8);
+    let c = w.div_ceil(s / 4);
+    (2 * c + 1, 2 * c, w + 3 * c)
 }
 
 /// Chaos run through the service loop: the generated plan (kills/revives
