@@ -12,7 +12,8 @@ use dmpc_graph::{Edge, Query, QueryAnswer, Update, Weight, WeightedUpdate, V};
 use dmpc_mpc::chaos::{ChaosKind, Fnv1a};
 use dmpc_mpc::text::dec_order_key;
 use dmpc_mpc::{
-    BatchMetrics, Cluster, ClusterConfig, ExecOptions, MachineId, QueryMetrics, UpdateMetrics,
+    handoff, BatchMetrics, Cluster, ClusterConfig, ExecOptions, HandoffMsg, MachineId,
+    QueryMetrics, UpdateMetrics,
 };
 use std::collections::{BTreeSet, HashMap};
 
@@ -239,15 +240,6 @@ impl ConnDriver {
         &self.bounds
     }
 
-    /// Per-chunk word budget for migration/recovery couriers: a quarter of
-    /// the machine capacity `S`, so transfer rounds stay well inside the
-    /// per-machine communication cap alongside the protocol's own traffic.
-    fn transfer_budget(&self) -> usize {
-        self.cluster
-            .capacity_words()
-            .map_or(1 << 20, |s| (s / 4).max(1))
-    }
-
     /// Splits machine `m`'s vertex range in half, migrating the upper half
     /// to its right neighbour (the last machine sheds its lower half to the
     /// left). `None` when the range has fewer than two vertices or the
@@ -287,7 +279,7 @@ impl ConnDriver {
     fn migrate(&mut self, from: MachineId, to: MachineId, lo: V, hi: V) -> UpdateMetrics {
         let (idx, val) = if to == from + 1 { (to, lo) } else { (from, hi) };
         self.bounds[idx as usize] = val;
-        let budget = self.transfer_budget();
+        let budget = handoff::chunk_budget(self.params.capacity_words());
         self.run(from, ConnMsg::MigrateBegin { to, lo, hi, budget })
     }
 
@@ -300,19 +292,17 @@ impl ConnDriver {
     }
 
     /// Revives `m` from `snapshot` (its recovered plain-text state,
-    /// typically checkpoint + replay on an off-cluster replica): the packed
-    /// text is staged at a live peer and shipped through the metered
-    /// message plane in budgeted chunks; the final chunk installs it.
+    /// typically checkpoint + replay on an off-cluster replica): a live
+    /// peer ships the text through the snapshot handoff, in budgeted
+    /// chunks over the metered message plane; the final chunk installs it.
     pub fn revive_machine(&mut self, m: MachineId, snapshot: &str) -> UpdateMetrics {
         self.cluster.revive(m);
         let peer = (0..self.cluster.n_machines() as MachineId)
             .find(|&p| p != m && self.cluster.is_alive(p))
             .expect("a live peer to stage the handoff");
-        let budget = self.transfer_budget();
-        self.cluster
-            .machine_mut(peer)
-            .stage_handoff(dmpc_mpc::pack_text(snapshot));
-        self.run(peer, ConnMsg::HandoffBegin { to: m, budget })
+        let budget = handoff::chunk_budget(self.params.capacity_words());
+        self.cluster.machine_mut(peer).handoff.stage(snapshot);
+        self.run(peer, ConnMsg::Handoff(HandoffMsg::Begin { to: m, budget }))
     }
 
     /// True if machine `m` currently accepts messages.

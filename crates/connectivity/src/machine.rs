@@ -142,8 +142,9 @@ use crate::shard::{ApplyOutcome, Shard};
 use dmpc_eulertour::indexed::{CompId, TourOp};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{partition_conflicts, Edge, QueryAnswer, Update, Weight, V};
+use dmpc_mpc::handoff::Outcome;
 use dmpc_mpc::text::{self, put_field, Fields, Sink};
-use dmpc_mpc::{pack_text, unpack_text, Envelope, Machine, MachineId, Outbox, RoundCtx};
+use dmpc_mpc::{Envelope, Handoff, HandoffMsg, Machine, MachineId, Outbox, RoundCtx};
 use std::collections::{BTreeMap, VecDeque};
 
 pub use crate::shard::{EntryKind, VertexState};
@@ -321,17 +322,16 @@ struct RoundAcc {
     path_replies: Vec<Option<(Edge, Weight)>>,
 }
 
-/// Source-side state of one in-flight shard migration or recovery handoff:
-/// the budgeted snapshot courier plus (migrations only) the directory
-/// patches that follow the data phase.
+/// Source-side rest of an in-flight shard migration: the directory patches
+/// that follow its data, sent a budget at a time.
 #[derive(Debug)]
-struct Transfer {
-    /// The stop-and-wait chunk courier.
-    courier: dmpc_mpc::SnapCourier,
-    /// Directory repair messages, sent budget-chunked after the data phase.
-    patches: VecDeque<(MachineId, ConnMsg)>,
+struct Migration {
+    /// The destination, which bounces each [`ConnMsg::MigrateKick`].
+    to: MachineId,
     /// Per-round payload budget (words).
     budget: usize,
+    /// Directory repair messages still to send.
+    patches: VecDeque<(MachineId, ConnMsg)>,
 }
 
 /// The connectivity/MST owner machine.
@@ -373,13 +373,11 @@ pub struct ConnMachine {
     /// Completed query answers stashed at this rendezvous, drained by the
     /// driver after the wave quiesces.
     answers: Vec<(u32, QueryAnswer)>,
-    /// Outbound migration/handoff in flight (source side).
-    transfer: Option<Transfer>,
-    /// Inbound snapshot chunks accumulated so far (receiver side).
-    snap_buf: Vec<u64>,
-    /// Packed snapshot staged by the driver for a recovery handoff
-    /// (consumed by [`ConnMsg::HandoffBegin`]).
-    staged: Option<Vec<u64>>,
+    /// Outbound migration in flight (source side).
+    migration: Option<Migration>,
+    /// The snapshot handoff: a revive's state or a migration's vertices,
+    /// waiting to ship, shipping or arriving.
+    pub(crate) handoff: Handoff,
 }
 
 impl ConnMachine {
@@ -418,9 +416,8 @@ impl ConnMachine {
             last_conflict: None,
             pending_queries: BTreeMap::new(),
             answers: Vec::new(),
-            transfer: None,
-            snap_buf: Vec::new(),
-            staged: None,
+            migration: None,
+            handoff: Handoff::default(),
         }
     }
 
@@ -528,9 +525,10 @@ impl ConnMachine {
     // quiescence. In one round the source (1) moves the partition boundary
     // locally and broadcasts the O(1)-word [`ConnMsg::Boundary`] so every
     // machine routes by the new table from the next round on, (2) extracts
-    // the moving vertex states into a plain-text payload, and (3) starts a
-    // budgeted stop-and-wait courier of [`ConnMsg::SnapChunk`]s to the
-    // receiver. After the data phase the courier drains the *patch phase*:
+    // the moving vertex states into a plain-text payload, and (3) ships it
+    // to the receiver through the snapshot handoff (`dmpc_mpc::handoff`:
+    // budgeted chunks, each acked before the next). After the data phase
+    // the source drains the *patch phase*:
     // directory repair messages, O(1) words per affected component —
     // complete [`ConnMsg::DirStore`]/[`ConnMsg::DirDrop`] replacements for
     // components rooted in the source's old range (it held their exact
@@ -540,9 +538,11 @@ impl ConnMachine {
     // # Recovery handoff
     //
     // A revive ships a full snapshot the same way: the driver stages the
-    // packed text at a live peer and injects [`ConnMsg::HandoffBegin`]; the
-    // final chunk carries `install = true` so the receiver replaces its
-    // (wiped) state wholesale via [`ConnMachine::restore_text`].
+    // text at a live peer and injects [`HandoffMsg::Begin`] there. The
+    // receiver tells the two apart by the text itself: a full snapshot
+    // starts with the `connmachine v1` header and replaces its (wiped)
+    // state wholesale via [`ConnMachine::restore_text`]; migrated vertex
+    // lines merge into its shard.
 
     /// Fail-stop wipe: drops all program state (the partition table keeps
     /// its last value; a revive handoff overwrites it anyway).
@@ -551,15 +551,8 @@ impl ConnMachine {
         self.verts.clear();
         self.dir.clear();
         self.local.clear();
-        self.transfer = None;
-        self.snap_buf = Vec::new();
-        self.staged = None;
-    }
-
-    /// Driver-side staging of a packed snapshot for a recovery handoff
-    /// (consumed by the next [`ConnMsg::HandoffBegin`]).
-    pub fn stage_handoff(&mut self, words: Vec<u64>) {
-        self.staged = Some(words);
+        self.migration = None;
+        self.handoff = Handoff::default();
     }
 
     /// Plain-text snapshot of the full program state at quiescence
@@ -634,18 +627,9 @@ impl ConnMachine {
         self.verts.end_lines();
     }
 
-    /// Installs migrated vertex state (vert/adj lines only — directory
-    /// repair travels separately in the patch phase).
-    fn install_vert_lines(&mut self, text: &str) {
-        for line in text.lines() {
-            self.verts.parse_line(line);
-        }
-        self.verts.end_lines();
-    }
-
     /// Source side of [`ConnMsg::MigrateBegin`]: shift the boundary,
     /// broadcast it, extract the moving range, compute directory repairs,
-    /// and start the budgeted courier.
+    /// and start shipping the range.
     fn handle_migrate_begin(
         &mut self,
         to: MachineId,
@@ -730,71 +714,55 @@ impl ConnMachine {
                 ));
             }
         }
-        self.transfer = Some(Transfer {
-            courier: dmpc_mpc::SnapCourier::new(to, false, pack_text(&text), budget),
-            patches,
+        self.migration = Some(Migration {
+            to,
             budget,
+            patches,
         });
-        self.transfer_step(out);
+        self.handoff.ship(to, &text, budget, out, ConnMsg::Handoff);
     }
 
-    /// Advances an in-flight transfer by one round: the next data chunk,
-    /// or (data done) up to one budget's worth of directory patches. When
-    /// patches remain, pacing stays stop-and-wait: a [`ConnMsg::MigrateKick`]
-    /// goes to the migration destination, which bounces a
-    /// [`ConnMsg::SnapAck`] that re-enters this function next round (a
-    /// self-message would execute same-round and defeat the budget — and no
-    /// machine ever messages itself).
-    fn transfer_step(&mut self, out: &mut Outbox<ConnMsg>) {
-        let Some(tr) = &mut self.transfer else {
+    /// One round of a migration's patch phase, once its data is shipped: up
+    /// to one budget's worth of directory patches. When patches remain,
+    /// pacing stays stop-and-wait: a [`ConnMsg::MigrateKick`] goes to the
+    /// migration destination, which bounces the ack that re-enters this
+    /// function next round (a self-message would execute same-round and
+    /// defeat the budget — and no machine ever messages itself).
+    fn patch_step(&mut self, out: &mut Outbox<ConnMsg>) {
+        let Some(mig) = &mut self.migration else {
             return;
         };
-        if let Some((words, last)) = tr.courier.next_chunk() {
-            let install = tr.courier.install;
-            out.send(
-                tr.courier.dst,
-                ConnMsg::SnapChunk {
-                    words,
-                    last,
-                    install,
-                },
-            );
-            return;
-        }
         let mut sent = 0usize;
-        while let Some((to, msg)) = tr.patches.pop_front() {
+        while let Some((to, msg)) = mig.patches.pop_front() {
             debug_assert_ne!(to, self.id, "patches never target the source");
             sent += dmpc_mpc::Payload::size_words(&msg);
             out.send(to, msg);
-            if sent >= tr.budget {
+            if sent >= mig.budget {
                 break;
             }
         }
-        if tr.patches.is_empty() {
-            self.transfer = None;
+        if mig.patches.is_empty() {
+            self.migration = None;
         } else {
-            out.send(tr.courier.dst, ConnMsg::MigrateKick);
+            out.send(mig.to, ConnMsg::MigrateKick);
         }
     }
 
-    /// Receiver side of one snapshot chunk.
-    fn handle_snap_chunk(
-        &mut self,
-        from: MachineId,
-        words: &[u64],
-        last: bool,
-        install: bool,
-        out: &mut Outbox<ConnMsg>,
-    ) {
-        self.snap_buf.extend_from_slice(words);
-        out.send(from, ConnMsg::SnapAck);
-        if last {
-            let buf = std::mem::take(&mut self.snap_buf);
-            let text = unpack_text(&buf);
-            if install {
-                self.restore_text(&text);
-            } else {
-                self.install_vert_lines(&text);
+    /// Feeds one handoff message: the handoff sends its own chunks and
+    /// acks; a finished shipment moves a migration on to its patches. A
+    /// received text is a revive's full snapshot, which replaces the state,
+    /// or a migration's vertex lines, which merge into the shard (directory
+    /// repair travels separately, in the patch phase).
+    fn handle_handoff(&mut self, from: MachineId, msg: HandoffMsg, out: &mut Outbox<ConnMsg>) {
+        match self.handoff.on_message(from, msg, out, ConnMsg::Handoff) {
+            Outcome::Pending => {}
+            Outcome::Shipped => self.patch_step(out),
+            Outcome::Received(text) if text.starts_with("connmachine v1\n") => {
+                self.restore_text(&text)
+            }
+            Outcome::Received(text) => {
+                text.lines().for_each(|line| self.verts.parse_line(line));
+                self.verts.end_lines();
             }
         }
     }
@@ -1969,19 +1937,6 @@ impl ConnMachine {
             ConnMsg::MigrateBegin { to, lo, hi, budget } => {
                 self.handle_migrate_begin(to, lo, hi, budget, ctx, out)
             }
-            ConnMsg::HandoffBegin { to, budget } => {
-                let words = self
-                    .staged
-                    .take()
-                    .expect("handoff without a staged snapshot");
-                self.transfer = Some(Transfer {
-                    courier: dmpc_mpc::SnapCourier::new(to, true, words, budget),
-                    patches: VecDeque::new(),
-                    budget,
-                });
-                self.transfer_step(out);
-            }
-            ConnMsg::SnapAck => self.transfer_step(out),
             ConnMsg::DirPatch { comp, add, remove } => {
                 debug_assert_eq!(self.root_owner(comp), self.id);
                 let mut set = self.dir.remove(&comp).unwrap_or_else(|| vec![self.id]);
@@ -1995,7 +1950,7 @@ impl ConnMachine {
                     self.dir.insert(comp, set);
                 }
             }
-            ConnMsg::Boundary { .. } | ConnMsg::SnapChunk { .. } | ConnMsg::MigrateKick => {
+            ConnMsg::Boundary { .. } | ConnMsg::Handoff(_) | ConnMsg::MigrateKick => {
                 unreachable!("handled before dispatch")
             }
         }
@@ -2081,14 +2036,10 @@ impl Machine for ConnMachine {
         });
         for env in inbox.drain(..) {
             match env.msg {
-                ConnMsg::SnapChunk {
-                    words,
-                    last,
-                    install,
-                } => self.handle_snap_chunk(env.from, &words, last, install, out),
+                ConnMsg::Handoff(h) => self.handle_handoff(env.from, h, out),
                 // Patch-phase pacing bounce: ack so the source's next
-                // budgeted patch round fires (see `transfer_step`).
-                ConnMsg::MigrateKick => out.send(env.from, ConnMsg::SnapAck),
+                // budgeted patch round fires (see `patch_step`).
+                ConnMsg::MigrateKick => out.send(env.from, ConnMsg::Handoff(HandoffMsg::Ack)),
                 ConnMsg::DirFetch { comp, lane } => {
                     debug_assert_eq!(self.root_owner(comp), self.id);
                     out.send(
@@ -2174,17 +2125,17 @@ impl Machine for ConnMachine {
         // Transient query-plane state at this rendezvous: folds and stashed
         // answers, both bounded by the driver's wave chunking.
         words += 6 * self.pending_queries.len() + 4 * self.answers.len();
-        // Recovery plane: unsent transfer payload + queued directory
-        // patches, inbound chunk buffer, and any driver-staged snapshot.
-        if let Some(tr) = &self.transfer {
-            words += 2 + tr.courier.words_left();
-            for (_, msg) in &tr.patches {
+        // Recovery plane: the handoff's words, then a migration's queued
+        // directory patches. A migration's destination and budget are the
+        // shipment's 2-word header while its data ships, and its own after.
+        words += self.handoff.memory_words();
+        if let Some(mig) = &self.migration {
+            if !self.handoff.is_shipping() {
+                words += 2;
+            }
+            for (_, msg) in &mig.patches {
                 words += 1 + dmpc_mpc::Payload::size_words(msg);
             }
-        }
-        words += self.snap_buf.len();
-        if let Some(s) = &self.staged {
-            words += s.len();
         }
         words
     }

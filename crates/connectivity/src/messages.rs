@@ -3,7 +3,7 @@
 use dmpc_eulertour::indexed::{CompId, TourOp};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, Update, Weight, V};
-use dmpc_mpc::{MachineId, Payload};
+use dmpc_mpc::{HandoffMsg, MachineId, Payload};
 
 /// One update inside a batch, tagged with its position in the batch so the
 /// structural phase replays each conflict group's items in original order.
@@ -312,22 +312,13 @@ pub enum ConnMsg {
         /// Its new value.
         val: V,
     },
-    /// courier -> receiver: one budgeted chunk of packed snapshot text
-    /// (stop-and-wait: the next chunk departs on the [`ConnMsg::SnapAck`]).
-    SnapChunk {
-        /// Packed text words (see `dmpc_mpc::chaos::pack_text`).
-        words: Vec<u64>,
-        /// Final chunk of this transfer.
-        last: bool,
-        /// On `last`: install as a full state restore (recovery) instead of
-        /// merging migrated vertices (migration).
-        install: bool,
-    },
-    /// receiver -> courier: chunk received, send the next.
-    SnapAck,
-    /// Courier self-kick: continue a budgeted transfer next round (sent to
-    /// self across rounds — the one deliberate self-message, pacing the
-    /// patch phase after the data phase).
+    /// The snapshot handoff (see `dmpc_mpc::handoff`): a revive's full
+    /// state, or a migration's moving vertices, in budgeted chunks.
+    Handoff(HandoffMsg),
+    /// migration source -> destination: pacing for the patch phase after
+    /// the data phase. The destination bounces a
+    /// [`HandoffMsg::Ack`], which releases the source's next budget of
+    /// directory patches one round later (no machine messages itself).
     MigrateKick,
     /// migration source -> remote root owner: incrementally repair `comp`'s
     /// stored owner set after a shard migration (the component itself was
@@ -339,14 +330,6 @@ pub enum ConnMsg {
         add: MachineId,
         /// Machine that no longer owns any (the source, when drained).
         remove: Option<MachineId>,
-    },
-    /// Driver-injected at a recovery staging peer: ship the staged snapshot
-    /// to revived machine `to` in `budget`-word chunks.
-    HandoffBegin {
-        /// The revived machine.
-        to: MachineId,
-        /// Per-chunk payload budget (words).
-        budget: usize,
     },
 
     // ---- query plane (see `machine.rs` "The query plane") ----------------
@@ -510,10 +493,9 @@ impl Payload for ConnMsg {
             ConnMsg::StartSwap { owners, .. } => 5 + owners.len(),
             ConnMsg::MigrateBegin { .. } => 5,
             ConnMsg::Boundary { .. } => 3,
-            ConnMsg::SnapChunk { words, .. } => 2 + words.len(),
-            ConnMsg::SnapAck | ConnMsg::MigrateKick => 1,
+            ConnMsg::Handoff(h) => h.size_words(),
+            ConnMsg::MigrateKick => 1,
             ConnMsg::DirPatch { .. } => 4,
-            ConnMsg::HandoffBegin { .. } => 3,
             ConnMsg::DirFetch { .. } | ConnMsg::DirDrop { .. } => 2,
             ConnMsg::DirReply { owners, .. } | ConnMsg::DirStore { owners, .. } => 2 + owners.len(),
             ConnMsg::QConnProbe { .. } => 4,

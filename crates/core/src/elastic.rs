@@ -74,7 +74,8 @@ pub trait ElasticAlgorithm {
 
     /// Revives machine `m` from `snap` (its recovered plain-text state):
     /// the snapshot is staged at a live peer and shipped through the
-    /// metered message plane. Returns the handoff's metrics.
+    /// metered message plane (`dmpc_mpc::handoff`). Returns the handoff's
+    /// metrics.
     fn revive(&mut self, m: MachineId, snap: &str) -> UpdateMetrics;
 
     /// Splits machine `m`'s shard, migrating half its range to a

@@ -238,12 +238,6 @@ pub struct Coordinator {
     matched_pairs: usize,
     /// Query answers stashed for driver-side extraction after the wave.
     answers: Vec<(u32, usize)>,
-    /// Outbound recovery handoff in flight (the coordinator is the paper's
-    /// reliable machine, so it stages and ships revive snapshots).
-    courier: Option<dmpc_mpc::SnapCourier>,
-    /// Packed snapshot staged by the driver for the next
-    /// [`MatchMsg::HandoffBegin`].
-    staged: Option<Vec<u64>>,
     out: Vec<(MachineId, MatchMsg)>,
     /// Words queued in `out` (what the batch drain checks against the send
     /// budget after every update).
@@ -293,23 +287,9 @@ impl Coordinator {
             queue: VecDeque::new(),
             matched_pairs: 0,
             answers: Vec::new(),
-            courier: None,
-            staged: None,
             out: Vec::new(),
             out_words: 0,
         }
-    }
-
-    /// Driver-side staging of a packed snapshot for a recovery handoff
-    /// (consumed by the next [`MatchMsg::HandoffBegin`]).
-    pub fn stage_handoff(&mut self, words: Vec<u64>) {
-        self.staged = Some(words);
-    }
-
-    /// Words held by the recovery plane (metered as coordinator memory).
-    pub fn recovery_words(&self) -> usize {
-        self.courier.as_ref().map_or(0, |c| 2 + c.words_left())
-            + self.staged.as_ref().map_or(0, |s| s.len())
     }
 
     /// Plain-text snapshot of the coordinator's full durable state. The
@@ -318,7 +298,7 @@ impl Coordinator {
     /// lossless: history buffer, sync table, overflow directory and the
     /// matched-pair counter all round-trip through
     /// [`Coordinator::restore_text`]. Transient working state (phase, ctx,
-    /// queue, stashed answers, courier) is empty at every quiescent boundary
+    /// queue, stashed answers) is empty at every quiescent boundary
     /// and is not serialized.
     pub fn write_text<S: Sink>(&self, s: &mut S) {
         s.put(b"coord v2\npairs");
@@ -397,8 +377,6 @@ impl Coordinator {
         self.ctx = Ctx::default();
         self.queue.clear();
         self.answers.clear();
-        self.courier = None;
-        self.staged = None;
         self.out.clear();
         self.out_words = 0;
         let mut lines = text.lines();
@@ -467,17 +445,6 @@ impl Coordinator {
     /// machine (the coordinator and the stats machines carry no history).
     fn synced(&self) -> &[Option<u64>] {
         &self.last_seen[1 + self.layout.n_stats..]
-    }
-
-    fn courier_chunk(&mut self) -> Vec<(MachineId, MatchMsg)> {
-        let mut msgs = Vec::new();
-        if let Some(c) = &mut self.courier {
-            match c.next_chunk() {
-                Some((words, last)) => msgs.push((c.dst, MatchMsg::SnapChunk { words, last })),
-                None => self.courier = None,
-            }
-        }
-        msgs
     }
 
     /// Bulk-load hook: presets the matched-pair counter to the size of the
@@ -802,20 +769,6 @@ impl Coordinator {
 
     /// Feeds one reply message; returns outbound messages.
     pub fn reply(&mut self, msg: MatchMsg) -> Vec<(MachineId, MatchMsg)> {
-        // Recovery-handoff traffic is phase-independent: the courier runs
-        // only at driver-level quiescence, never inside an update.
-        match msg {
-            MatchMsg::HandoffBegin { to, budget } => {
-                let words = self
-                    .staged
-                    .take()
-                    .expect("handoff without a staged snapshot");
-                self.courier = Some(dmpc_mpc::SnapCourier::new(to, true, words, budget));
-                return self.courier_chunk();
-            }
-            MatchMsg::SnapAck => return self.courier_chunk(),
-            _ => {}
-        }
         // Fold the reply into the phase. The side effects a reply carries
         // (moving suspended edges, the suspended counts) happen here, in the
         // call that received it, so they leave in this call's outbox: the

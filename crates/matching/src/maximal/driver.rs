@@ -10,13 +10,14 @@ use dmpc_core::{DmpcParams, DynamicGraphAlgorithm};
 use dmpc_graph::matching::Matching;
 use dmpc_graph::{DynamicGraph, Edge, Query, QueryAnswer, Update, V};
 use dmpc_mpc::chaos::{ChaosKind, Fnv1a};
+use dmpc_mpc::handoff::{self, Outcome};
 use dmpc_mpc::text::{self, Sink};
 use dmpc_mpc::{
-    BatchMetrics, Cluster, ClusterConfig, Envelope, ExecOptions, Machine, MachineId, Outbox,
-    QueryMetrics, RoundCtx, UpdateMetrics, COORDINATOR,
+    BatchMetrics, Cluster, ClusterConfig, Envelope, ExecOptions, Handoff, HandoffMsg, Machine,
+    MachineId, Outbox, QueryMetrics, RoundCtx, UpdateMetrics, COORDINATOR,
 };
 
-/// One machine of the matching cluster.
+/// The protocol program one machine of the matching cluster runs.
 // Each simulated machine holds exactly one Role for its whole lifetime, so
 // the size difference between variants costs nothing per-message; boxing the
 // large variants would only add indirection to the hot stepping path.
@@ -32,7 +33,15 @@ pub enum Role {
     Overflow(OverflowMachine),
 }
 
-impl Machine for Role {
+/// One machine of the matching cluster: its role's program, plus the
+/// snapshot handoff every machine runs alike (the coordinator, the paper's
+/// reliable machine, ships revive snapshots; the revived machine receives).
+pub struct MatchMachine {
+    role: Role,
+    handoff: Handoff,
+}
+
+impl Machine for MatchMachine {
     type Msg = MatchMsg;
 
     fn on_messages(
@@ -41,79 +50,27 @@ impl Machine for Role {
         inbox: &mut Vec<Envelope<MatchMsg>>,
         out: &mut Outbox<MatchMsg>,
     ) {
-        match self {
-            Role::Coord(c) => {
-                for env in inbox.drain(..) {
-                    let msgs = if env.from == Envelope::<MatchMsg>::EXTERNAL {
-                        match env.msg {
-                            MatchMsg::Insert(e) => c.start(Update::Insert(e)),
-                            MatchMsg::Delete(e) => c.start(Update::Delete(e)),
-                            MatchMsg::Batch(ups) => c.start_batch(ups),
-                            MatchMsg::QMatchingSize { qid } => {
-                                c.answer_matching_size(qid);
-                                Vec::new()
-                            }
-                            m @ MatchMsg::HandoffBegin { .. } => c.reply(m),
-                            other => panic!("unexpected injected message {other:?}"),
-                        }
-                    } else {
-                        c.reply(env.msg)
-                    };
-                    for (to, m) in msgs {
-                        out.send(to, m);
+        for env in inbox.drain(..) {
+            match env.msg {
+                MatchMsg::Handoff(h) => {
+                    let done = self.handoff.on_message(env.from, h, out, MatchMsg::Handoff);
+                    if let Outcome::Received(text) = done {
+                        self.role.restore_text(&text);
                     }
                 }
-            }
-            Role::Stats(s) => {
-                for env in inbox.drain(..) {
-                    if let Some(r) = s.handle(env.msg) {
-                        out.send(COORDINATOR, r);
-                    }
-                }
-            }
-            Role::Storage(s) => {
-                for env in inbox.drain(..) {
-                    if let Some(r) = s.handle(env.msg) {
-                        out.send(COORDINATOR, r);
-                    }
-                }
-            }
-            Role::Overflow(o) => {
-                for env in inbox.drain(..) {
-                    if let Some(r) = o.handle(env.msg) {
-                        out.send(COORDINATOR, r);
-                    }
-                }
+                msg => self.role.handle(env.from, msg, out),
             }
         }
     }
 
     fn memory_words(&self) -> usize {
-        match self {
-            // Metered: the history buffer (O(sqrt N)) plus — during a
-            // batch — the queued updates and the carried stat cache (both
-            // bounded by the chunking in `apply_batch`), stashed answers and
-            // the recovery courier — and the sync state, one word per
-            // machine plus its count table (also O(sqrt N)). A history entry
-            // is 3 words: its seq is implied by its place in the deque.
-            Role::Coord(c) => {
-                8 + c.sync_words()
-                    + 3 * c.hist_len()
-                    + 4 * c.cache_len()
-                    + 2 * c.queue_len()
-                    + 2 * c.answers_len()
-                    + c.recovery_words()
-            }
-            Role::Stats(s) => s.memory_words(),
-            Role::Storage(s) => s.memory_words(),
-            Role::Overflow(o) => o.memory_words(),
-        }
+        self.role.memory_words() + self.handoff.memory_words()
     }
 
     /// The coordinator's idle reset. The other roles answer each message on
     /// its own, so a cut-short run strands nothing there.
     fn abandon_run(&mut self) {
-        if let Role::Coord(c) = self {
+        if let Role::Coord(c) = &mut self.role {
             c.abandon_run();
         }
     }
@@ -123,7 +80,7 @@ impl Machine for Role {
 /// O(1) rounds and O(1) active machines per update, O(sqrt N) communication
 /// per round, worst case.
 pub struct DmpcMaximalMatching {
-    cluster: Cluster<Role>,
+    cluster: Cluster<MatchMachine>,
     layout: Layout,
     params: DmpcParams,
     /// Section 4 mode flag (set by [`crate::threehalves::DmpcThreeHalves`]).
@@ -167,6 +124,13 @@ impl DmpcMaximalMatching {
         for _ in 0..layout.n_overflow {
             machines.push(Role::Overflow(OverflowMachine::default()));
         }
+        let machines = machines
+            .into_iter()
+            .map(|role| MatchMachine {
+                role,
+                handoff: Handoff::default(),
+            })
+            .collect();
         let cfg = ClusterConfig::with_capacity(params.capacity_words()).with_exec(exec);
         DmpcMaximalMatching {
             cluster: Cluster::new(machines, cfg),
@@ -187,14 +151,14 @@ impl DmpcMaximalMatching {
     }
 
     fn coord(&self) -> &Coordinator {
-        match self.cluster.machine(COORDINATOR) {
+        match &self.cluster.machine(COORDINATOR).role {
             Role::Coord(c) => c,
             _ => unreachable!(),
         }
     }
 
     fn stats_rec(&self, v: V) -> StatRec {
-        match self.cluster.machine(self.layout.stats_of(v)) {
+        match &self.cluster.machine(self.layout.stats_of(v)).role {
             Role::Stats(s) => *s.record(v).expect("missing record"),
             _ => unreachable!(),
         }
@@ -246,7 +210,7 @@ impl DmpcMaximalMatching {
         // Stats machines.
         for v in 0..n as V {
             let sm = self.layout.stats_of(v);
-            match self.cluster.machine_mut(sm) {
+            match &mut self.cluster.machine_mut(sm).role {
                 Role::Stats(s) => s.load(v, recs[v as usize]),
                 _ => unreachable!(),
             }
@@ -270,7 +234,7 @@ impl DmpcMaximalMatching {
                 }
             }
             let sm = self.layout.storage_of(v);
-            match self.cluster.machine_mut(sm) {
+            match &mut self.cluster.machine_mut(sm).role {
                 Role::Storage(s) => s.load(v, StoreVertex { heavy, entries }),
                 _ => unreachable!(),
             }
@@ -281,14 +245,14 @@ impl DmpcMaximalMatching {
                     (ov as usize) < self.layout.total_machines(),
                     "overflow pool exhausted during bulk load"
                 );
-                match self.cluster.machine_mut(ov) {
+                match &mut self.cluster.machine_mut(ov).role {
                     Role::Overflow(o) => o.load(v, suspended.clone(), 0),
                     _ => unreachable!(),
                 }
                 preassign.push((v, ov, suspended.len()));
             }
         }
-        match self.cluster.machine_mut(COORDINATOR) {
+        match &mut self.cluster.machine_mut(COORDINATOR).role {
             Role::Coord(c) => {
                 for (v, ov, count) in preassign {
                     c.preassign_overflow(v, ov, count);
@@ -302,7 +266,7 @@ impl DmpcMaximalMatching {
         // graph is gone, so the indexes reuse its memory.
         drop((g, m));
         for sm in self.layout.storage_of(0)..self.layout.overflow_base() {
-            match self.cluster.machine_mut(sm) {
+            match &mut self.cluster.machine_mut(sm).role {
                 Role::Storage(s) => s.settle_index(),
                 _ => unreachable!(),
             }
@@ -340,23 +304,24 @@ impl DmpcMaximalMatching {
         let m = self.cluster.run_update();
         // Answers are stashed inside `on_messages`, so only the machines
         // this wave stepped can hold any.
-        self.cluster.for_each_touched_mut(|role| match role {
-            Role::Coord(c) => {
-                got.extend(
-                    c.take_answers()
-                        .into_iter()
-                        .map(|(qid, n)| (qid, QueryAnswer::Count(n))),
-                );
-            }
-            Role::Stats(s) => {
-                got.extend(
-                    s.take_answers()
-                        .into_iter()
-                        .map(|(qid, b)| (qid, QueryAnswer::Bool(b))),
-                );
-            }
-            Role::Storage(_) | Role::Overflow(_) => {}
-        });
+        self.cluster
+            .for_each_touched_mut(|node| match &mut node.role {
+                Role::Coord(c) => {
+                    got.extend(
+                        c.take_answers()
+                            .into_iter()
+                            .map(|(qid, n)| (qid, QueryAnswer::Count(n))),
+                    );
+                }
+                Role::Stats(s) => {
+                    got.extend(
+                        s.take_answers()
+                            .into_iter()
+                            .map(|(qid, b)| (qid, QueryAnswer::Bool(b))),
+                    );
+                }
+                Role::Storage(_) | Role::Overflow(_) => {}
+            });
         got.sort_unstable_by_key(|&(qid, _)| qid);
         assert_eq!(got.len(), chunk.len(), "query answers missing/duplicated");
         (got.into_iter().map(|(_, a)| a).collect(), m)
@@ -404,18 +369,18 @@ impl DmpcMaximalMatching {
             }
         }
         // Storage invariants + annotation coherence.
-        for (id, role) in self.cluster.machines().enumerate() {
-            if let Role::Storage(s) = role {
+        for (id, node) in self.cluster.machines().enumerate() {
+            if let Role::Storage(s) = &node.role {
                 s.audit_index().map_err(|e| format!("machine {id}: {e}"))?;
             }
         }
         for v in 0..n as V {
             let sm = self.layout.storage_of(v);
-            let sv = match self.cluster.machine(sm) {
+            let sv = match &self.cluster.machine(sm).role {
                 Role::Storage(s) => s.vertex(v).expect("missing store vertex"),
                 _ => unreachable!(),
             };
-            let machine_seen = match self.cluster.machine(sm) {
+            let machine_seen = match &self.cluster.machine(sm).role {
                 Role::Storage(s) => s.last_seen(),
                 _ => unreachable!(),
             };
@@ -547,6 +512,60 @@ impl DynamicGraphAlgorithm for DmpcMaximalMatching {
 }
 
 impl Role {
+    /// Handles one message of the role's own protocol: the coordinator
+    /// sends what its reply calls for, the other roles answer it.
+    fn handle(&mut self, from: MachineId, msg: MatchMsg, out: &mut Outbox<MatchMsg>) {
+        let reply = match self {
+            Role::Coord(c) => {
+                let msgs = if from == Envelope::<MatchMsg>::EXTERNAL {
+                    match msg {
+                        MatchMsg::Insert(e) => c.start(Update::Insert(e)),
+                        MatchMsg::Delete(e) => c.start(Update::Delete(e)),
+                        MatchMsg::Batch(ups) => c.start_batch(ups),
+                        MatchMsg::QMatchingSize { qid } => {
+                            c.answer_matching_size(qid);
+                            Vec::new()
+                        }
+                        other => panic!("unexpected injected message {other:?}"),
+                    }
+                } else {
+                    c.reply(msg)
+                };
+                for (to, m) in msgs {
+                    out.send(to, m);
+                }
+                return;
+            }
+            Role::Stats(s) => s.handle(msg),
+            Role::Storage(s) => s.handle(msg),
+            Role::Overflow(o) => o.handle(msg),
+        };
+        if let Some(r) = reply {
+            out.send(COORDINATOR, r);
+        }
+    }
+
+    /// Metered memory of the role's program. The coordinator's is the
+    /// history buffer (O(sqrt N)) plus — during a batch — the queued
+    /// updates and the carried stat cache (both bounded by the chunking in
+    /// `apply_batch`), stashed answers, and the sync state, one word per
+    /// machine plus its count table (also O(sqrt N)). A history entry is 3
+    /// words: its seq is implied by its place in the deque.
+    fn memory_words(&self) -> usize {
+        match self {
+            Role::Coord(c) => {
+                8 + c.sync_words()
+                    + 3 * c.hist_len()
+                    + 4 * c.cache_len()
+                    + 2 * c.queue_len()
+                    + 2 * c.answers_len()
+            }
+            Role::Stats(s) => s.memory_words(),
+            Role::Storage(s) => s.memory_words(),
+            Role::Overflow(o) => o.memory_words(),
+        }
+    }
+
     /// Renders this machine's program state as its snapshot text.
     fn write_text<S: Sink>(&self, s: &mut S) {
         match self {
@@ -612,37 +631,40 @@ impl dmpc_core::ElasticAlgorithm for DmpcMaximalMatching {
     }
 
     fn restore_machine(&mut self, m: MachineId, snap: &str) {
-        self.cluster.machine_mut(m).restore_text(snap);
+        let node = self.cluster.machine_mut(m);
+        node.handoff = Handoff::default();
+        node.role.restore_text(snap);
     }
 
     fn snapshot_machine(&self, m: MachineId) -> String {
-        self.cluster.machine(m).snapshot_text()
+        self.cluster.machine(m).role.snapshot_text()
     }
 
     fn kill(&mut self, m: MachineId) {
         assert_ne!(m, COORDINATOR, "the coordinator is the reliable machine");
         self.cluster.kill(m);
-        self.cluster.machine_mut(m).wipe();
+        let node = self.cluster.machine_mut(m);
+        node.handoff = Handoff::default();
+        node.role.wipe();
     }
 
     fn revive(&mut self, m: MachineId, snap: &str) -> UpdateMetrics {
         self.cluster.revive(m);
-        let budget = (self.params.capacity_words() / 4).max(1);
-        match self.cluster.machine_mut(COORDINATOR) {
-            Role::Coord(c) => c.stage_handoff(dmpc_mpc::pack_text(snap)),
-            _ => unreachable!(),
-        }
-        self.cluster
-            .inject(COORDINATOR, MatchMsg::HandoffBegin { to: m, budget });
+        let budget = handoff::chunk_budget(self.params.capacity_words());
+        self.cluster.machine_mut(COORDINATOR).handoff.stage(snap);
+        self.cluster.inject(
+            COORDINATOR,
+            MatchMsg::Handoff(HandoffMsg::Begin { to: m, budget }),
+        );
         self.cluster.run_update()
     }
 
     /// FNV-1a of each machine's snapshot text, rendered straight into the
     /// hasher, folded in machine order (rotate-left by one, then xor).
     fn state_digest(&self) -> u64 {
-        self.cluster.machines().fold(0, |digest: u64, role| {
+        self.cluster.machines().fold(0, |digest: u64, node| {
             let mut h = Fnv1a::new();
-            role.write_text(&mut h);
+            node.role.write_text(&mut h);
             digest.rotate_left(1) ^ h.finish()
         })
     }
@@ -667,12 +689,12 @@ mod tests {
         }
         let (mut arenas, mut model) = (0, 2 * alg.layout.n_storage);
         for m in alg.cluster.machines() {
-            if let Role::Storage(s) = m {
+            if let Role::Storage(s) = &m.role {
                 arenas += s.memory_words();
             }
         }
         for v in 0..n as V {
-            let Role::Storage(s) = alg.cluster.machine(alg.layout.storage_of(v)) else {
+            let Role::Storage(s) = &alg.cluster.machine(alg.layout.storage_of(v)).role else {
                 unreachable!()
             };
             model += 2 + 4 * s.vertex(v).expect("owned").entries.len();
@@ -698,7 +720,7 @@ mod tests {
         }
         alg.cluster.set_round_limit(2);
         assert!(alg.apply_batch(&ups[256..264]).violations > 0);
-        let Role::Coord(c) = alg.cluster.machine(COORDINATOR) else {
+        let Role::Coord(c) = &alg.cluster.machine(COORDINATOR).role else {
             unreachable!()
         };
         assert!(matches!(c.phase, super::super::coordinator::Phase::Idle));

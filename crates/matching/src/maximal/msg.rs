@@ -1,7 +1,7 @@
 //! Messages, per-vertex records, annotations, and the update-history.
 
 use dmpc_graph::{Edge, Update, V};
-use dmpc_mpc::{MachineId, Payload};
+use dmpc_mpc::{HandoffMsg, Payload};
 
 /// Sentinel for "no mate".
 pub const NO_MATE: V = V::MAX;
@@ -274,24 +274,9 @@ pub enum MatchMsg {
         v: V,
     },
 
-    // --- recovery handoff (chaos plane) ---
-    /// Injected at the coordinator: start shipping the staged snapshot to
-    /// the revived machine `to` in budgeted chunks.
-    HandoffBegin {
-        /// The revived machine.
-        to: MachineId,
-        /// Per-chunk word budget.
-        budget: usize,
-    },
-    /// One chunk of a packed snapshot; the receiver installs on `last`.
-    SnapChunk {
-        /// Packed snapshot words (see `dmpc_mpc::pack_text`).
-        words: Vec<u64>,
-        /// True on the final chunk.
-        last: bool,
-    },
-    /// Stop-and-wait acknowledgement releasing the next chunk.
-    SnapAck,
+    /// The snapshot handoff of a revive (see `dmpc_mpc::handoff`): the
+    /// coordinator ships, the revived machine receives.
+    Handoff(HandoffMsg),
 }
 
 impl Payload for MatchMsg {
@@ -329,9 +314,7 @@ impl Payload for MatchMsg {
             MatchMsg::FetchReply { .. } => 5,
             MatchMsg::AddAlive { hist, .. } => 6 + hist_words(hist),
             MatchMsg::ReleaseOverflow { .. } => 2,
-            MatchMsg::HandoffBegin { .. } => 3,
-            MatchMsg::SnapChunk { words, .. } => 2 + words.len(),
-            MatchMsg::SnapAck => 1,
+            MatchMsg::Handoff(h) => h.size_words(),
         }
     }
 }

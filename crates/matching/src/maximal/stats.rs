@@ -16,8 +16,6 @@ pub struct StatsMachine {
     recs: Vec<StatRec>,
     /// Query answers stashed for driver-side extraction after the wave.
     answers: Vec<(u32, bool)>,
-    /// Inbound recovery-snapshot chunks accumulated so far.
-    snap_buf: Vec<u64>,
 }
 
 impl StatsMachine {
@@ -28,7 +26,6 @@ impl StatsMachine {
             hi,
             recs: vec![StatRec::new(); (hi - lo) as usize],
             answers: Vec::new(),
-            snap_buf: Vec::new(),
         }
     }
 
@@ -36,7 +33,6 @@ impl StatsMachine {
     pub fn wipe(&mut self) {
         self.recs.clear();
         self.answers.clear();
-        self.snap_buf = Vec::new();
     }
 
     /// The record slot of `v`; panics if `v` is not owned here.
@@ -146,21 +142,13 @@ impl StatsMachine {
                 self.answers.push((qid, self.recs[self.slot(v)].matched()));
                 None
             }
-            MatchMsg::SnapChunk { words, last } => {
-                self.snap_buf.extend_from_slice(&words);
-                if last {
-                    let buf = std::mem::take(&mut self.snap_buf);
-                    self.restore_text(&dmpc_mpc::unpack_text(&buf));
-                }
-                Some(MatchMsg::SnapAck)
-            }
             other => panic!("stats machine got unexpected message {other:?}"),
         }
     }
 
     /// Memory footprint in words.
     pub fn memory_words(&self) -> usize {
-        1 + 4 * self.recs.len() + 2 * self.answers.len() + self.snap_buf.len()
+        1 + 4 * self.recs.len() + 2 * self.answers.len()
     }
 }
 

@@ -474,8 +474,6 @@ pub struct StorageMachine {
     verts: Store,
     last_seen: u64,
     tau: usize,
-    /// Inbound recovery-snapshot chunks accumulated so far.
-    snap_buf: Vec<u64>,
 }
 
 impl StorageMachine {
@@ -486,7 +484,6 @@ impl StorageMachine {
             verts: Store::new_range(lo, hi),
             last_seen: 0,
             tau,
-            snap_buf: Vec::new(),
         }
     }
 
@@ -495,7 +492,6 @@ impl StorageMachine {
     pub fn wipe(&mut self) {
         self.verts = Store::default();
         self.last_seen = 0;
-        self.snap_buf = Vec::new();
     }
 
     /// Renders the snapshot: sync point, then per-vertex heavy flag and
@@ -689,21 +685,13 @@ impl StorageMachine {
                 self.verts.set_heavy_if_present(v, false);
                 None
             }
-            MatchMsg::SnapChunk { words, last } => {
-                self.snap_buf.extend_from_slice(&words);
-                if last {
-                    let buf = std::mem::take(&mut self.snap_buf);
-                    self.restore_text(&dmpc_mpc::unpack_text(&buf));
-                }
-                Some(MatchMsg::SnapAck)
-            }
             other => panic!("storage machine got unexpected message {other:?}"),
         }
     }
 
     /// Memory footprint in words.
     pub fn memory_words(&self) -> usize {
-        2 + self.verts.memory_words() + self.snap_buf.len()
+        2 + self.verts.memory_words()
     }
 }
 
@@ -735,8 +723,6 @@ pub struct OverflowMachine {
     assigned: Option<V>,
     edges: Vec<(V, Ann)>,
     last_seen: u64,
-    /// Inbound recovery-snapshot chunks accumulated so far.
-    snap_buf: Vec<u64>,
 }
 
 impl OverflowMachine {
@@ -772,7 +758,6 @@ impl OverflowMachine {
         self.assigned = None;
         self.edges = Vec::new();
         self.last_seen = 0;
-        self.snap_buf = Vec::new();
     }
 
     /// Renders the snapshot: sync point, assignment, and the suspended
@@ -883,21 +868,13 @@ impl OverflowMachine {
                 self.assigned = None;
                 None
             }
-            MatchMsg::SnapChunk { words, last } => {
-                self.snap_buf.extend_from_slice(&words);
-                if last {
-                    let buf = std::mem::take(&mut self.snap_buf);
-                    self.restore_text(&dmpc_mpc::unpack_text(&buf));
-                }
-                Some(MatchMsg::SnapAck)
-            }
             other => panic!("overflow machine got unexpected message {other:?}"),
         }
     }
 
     /// Memory footprint in words.
     pub fn memory_words(&self) -> usize {
-        3 + 4 * self.edges.len() + self.snap_buf.len()
+        3 + 4 * self.edges.len()
     }
 }
 

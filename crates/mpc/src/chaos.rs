@@ -1,20 +1,16 @@
 //! The chaos fault-injection plane: deterministic, seedable schedules of
-//! machine failures and shard reshapes, plus the shared helpers every
-//! recovery/migration transfer uses.
+//! machine failures and shard reshapes.
 //!
 //! A [`ChaosPlan`] is a first-class, reproducible test input: a list of
-//! kill/revive/split/merge events pinned to *batch indexes* of a workload
-//! stream. Harnesses (see `dmpc_core::elastic`) apply the events between
-//! batches, so the same `(stream seed, plan seed)` pair always produces the
-//! same fault trajectory — faults are data, not ad-hoc test hacks.
+//! kill/revive/split/merge events keyed by *window index* (`at_batch`).
+//! The one harness, `dmpc_service::ServiceLoop`, applies the events between
+//! windows (or, for mid-flight events, inside one), so the same
+//! `(stream seed, plan seed)` pair always produces the same fault
+//! trajectory — faults are data, not ad-hoc test hacks. [`fnv1a`] is the
+//! digest used for bit-identical state comparisons.
 //!
-//! The plane also owns the wire-format helpers for state transfer:
-//! snapshots are plain text (the repo's serialization idiom), packed eight
-//! bytes per 64-bit word by [`pack_text`] so handoff traffic is metered in
-//! the model's units, and streamed in capacity-budgeted chunks by a
-//! stop-and-wait [`SnapCourier`] (chunk, ack, next chunk) so migration and
-//! recovery respect the per-round send cap `S` exactly like PR 5's query
-//! waves. [`fnv1a`] is the digest used for bit-identical state comparisons.
+//! How a revived machine's state or a migrated shard travels is not part
+//! of the plan: that is the metered snapshot handoff of [`crate::handoff`].
 
 use crate::MachineId;
 
@@ -313,37 +309,6 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Packs a text snapshot into wire words: word 0 is the byte length, then
-/// the bytes, eight per word, zero-padded. Snapshots stay human-readable on
-/// the machine side while handoff traffic is metered in model words.
-pub fn pack_text(text: &str) -> Vec<u64> {
-    let bytes = text.as_bytes();
-    let mut words = Vec::with_capacity(1 + bytes.len().div_ceil(8));
-    words.push(bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut w = [0u8; 8];
-        w[..chunk.len()].copy_from_slice(chunk);
-        words.push(u64::from_le_bytes(w));
-    }
-    words
-}
-
-/// Inverse of [`pack_text`]. Panics on a malformed buffer (transfer-layer
-/// bugs, not data-dependent conditions).
-pub fn unpack_text(words: &[u64]) -> String {
-    let len = words[0] as usize;
-    assert!(
-        words.len() == 1 + len.div_ceil(8),
-        "packed text length mismatch"
-    );
-    let mut bytes = Vec::with_capacity(len);
-    for w in &words[1..] {
-        bytes.extend_from_slice(&w.to_le_bytes());
-    }
-    bytes.truncate(len);
-    String::from_utf8(bytes).expect("packed text is valid UTF-8")
-}
-
 /// FNV-1a over bytes: the digest used for bit-identical state comparisons
 /// (chaos runs vs failure-free replays).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -399,73 +364,9 @@ impl std::hash::Hasher for Fnv1a {
     }
 }
 
-/// Sender-side state of one budgeted stop-and-wait state transfer: at most
-/// `budget` payload words leave per round, the next chunk departs only on
-/// the receiver's ack, so handoff never violates the send cap `S`.
-#[derive(Clone, Debug)]
-pub struct SnapCourier {
-    /// The receiving machine.
-    pub dst: MachineId,
-    /// Whether the receiver installs the payload as a full state restore
-    /// (recovery) or merges it (migration).
-    pub install: bool,
-    words: Vec<u64>,
-    cursor: usize,
-    budget: usize,
-}
-
-impl SnapCourier {
-    /// A courier shipping `words` to `dst`, at most `budget` payload words
-    /// per chunk.
-    pub fn new(dst: MachineId, install: bool, words: Vec<u64>, budget: usize) -> Self {
-        SnapCourier {
-            dst,
-            install,
-            words,
-            cursor: 0,
-            budget: budget.max(1),
-        }
-    }
-
-    /// The next chunk and whether it is the last, or `None` when the
-    /// payload is fully shipped. An empty payload still yields one (empty,
-    /// last) chunk so the receiver always observes a terminator.
-    pub fn next_chunk(&mut self) -> Option<(Vec<u64>, bool)> {
-        if self.cursor > self.words.len() || (self.cursor == self.words.len() && self.cursor != 0) {
-            return None;
-        }
-        let end = (self.cursor + self.budget).min(self.words.len());
-        let chunk = self.words[self.cursor..end].to_vec();
-        self.cursor = end;
-        let last = end == self.words.len();
-        if last && end == 0 {
-            self.cursor = 1; // mark the empty payload as shipped
-        }
-        Some((chunk, last))
-    }
-
-    /// Payload words not yet shipped (memory accounting).
-    pub fn words_left(&self) -> usize {
-        self.words.len().saturating_sub(self.cursor)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pack_unpack_round_trips() {
-        for text in [
-            "",
-            "a",
-            "12345678",
-            "123456789",
-            "vert 0 0 1\nadj 0 1 t 2 3 4\n",
-        ] {
-            assert_eq!(unpack_text(&pack_text(text)), text);
-        }
-    }
 
     #[test]
     fn streamed_fnv1a_equals_one_shot_at_every_split() {
@@ -601,26 +502,5 @@ mod tests {
             .validate(8, 8, 100)
             .unwrap_err();
         assert!(err.contains("not dead"), "{err}");
-    }
-
-    #[test]
-    fn courier_chunks_respect_budget_and_terminate() {
-        let words: Vec<u64> = (0..23).collect();
-        let mut c = SnapCourier::new(3, false, words.clone(), 10);
-        let mut got = Vec::new();
-        let mut lasts = 0;
-        while let Some((chunk, last)) = c.next_chunk() {
-            assert!(chunk.len() <= 10);
-            got.extend(chunk);
-            if last {
-                lasts += 1;
-            }
-        }
-        assert_eq!(got, words);
-        assert_eq!(lasts, 1);
-        // Empty payloads still emit exactly one terminating chunk.
-        let mut e = SnapCourier::new(0, true, Vec::new(), 4);
-        assert_eq!(e.next_chunk(), Some((Vec::new(), true)));
-        assert_eq!(e.next_chunk(), None);
     }
 }

@@ -76,15 +76,17 @@
 pub mod chaos;
 pub mod clock;
 pub mod cluster;
+pub mod handoff;
 pub mod machine;
 pub mod metrics;
 pub mod parallel;
 pub mod pool;
 pub mod text;
 
-pub use chaos::{pack_text, unpack_text, ChaosCaps, ChaosEvent, ChaosKind, ChaosPlan, SnapCourier};
+pub use chaos::{ChaosCaps, ChaosEvent, ChaosKind, ChaosPlan};
 pub use clock::{LatencyStats, SimClock};
 pub use cluster::{Backend, Cluster, ClusterConfig, ExecOptions};
+pub use handoff::{Handoff, HandoffMsg};
 pub use machine::{Envelope, Machine, Outbox, Payload, RoundCtx};
 pub use metrics::{
     entropy_bits, loglog_slope, AggregateMetrics, BatchMetrics, QueryMetrics, RecoveryMetrics,

@@ -20,7 +20,8 @@
 //!    arriving during an outage are parked).
 //! 3. The replica's shard-`m` snapshot is staged at a live peer and shipped
 //!    to the revived machine through the metered message plane in
-//!    capacity-budgeted chunks, so recovery cost appears in the same
+//!    capacity-budgeted chunks (the snapshot handoff of
+//!    `dmpc_mpc::handoff`), so recovery cost appears in the same
 //!    rounds/words/machines-touched units as updates.
 //!
 //! A kill firing *inside* a run goes through the same rebuild, wrapped in
