@@ -661,17 +661,17 @@ mod tests {
             .size_words(),
             4
         );
-        assert!(
+        assert_eq!(
             ConnMsg::QPathJoin {
                 qid: 0,
                 best: Some((Edge::new(0, 1), 9)),
                 expect: 4,
                 connected: true
             }
-            .size_words()
-                <= 6
+            .size_words(),
+            6
         );
-        assert!(
+        assert_eq!(
             ConnMsg::QPathEval {
                 qid: 0,
                 comp: 1,
@@ -682,8 +682,67 @@ mod tests {
                 rendezvous: 6,
                 expect: 7
             }
-            .size_words()
-                <= 9
+            .size_words(),
+            9
+        );
+    }
+
+    #[test]
+    fn path_max_messages_are_exact_words() {
+        // The update path's path-max multicast and reply and the query
+        // plane's start, probe and resolve, each at its exact charge (the
+        // evaluation and the join are pinned above).
+        let best = Some((Edge::new(0, 1), 9));
+        assert_eq!(
+            ConnMsg::PathMaxQuery {
+                comp: 1,
+                fx: 2,
+                lx: 3,
+                fy: 4,
+                ly: 5,
+                e: Edge::new(6, 7),
+                w: 8,
+                rendezvous: 9
+            }
+            .size_words(),
+            10
+        );
+        assert_eq!(ConnMsg::PathMaxReply { best }.size_words(), 3);
+        assert_eq!(ConnMsg::PathMaxReply { best: None }.size_words(), 3);
+        assert_eq!(
+            ConnMsg::QPathStart {
+                qid: 0,
+                u: 1,
+                v: 2,
+                rendezvous: 3
+            }
+            .size_words(),
+            5
+        );
+        assert_eq!(
+            ConnMsg::QPathProbe {
+                qid: 0,
+                v: 1,
+                comp: 2,
+                fx: 3,
+                lx: 4,
+                rendezvous: 5
+            }
+            .size_words(),
+            7
+        );
+        assert_eq!(
+            ConnMsg::QPathResolve {
+                qid: 0,
+                comp: 1,
+                fx: 2,
+                lx: 3,
+                fy: 4,
+                ly: 5,
+                rendezvous: 6
+            }
+            .size_words(),
+            8
         );
     }
 
