@@ -910,9 +910,11 @@ impl DynamicGraphAlgorithm for DmpcMst {
     }
 
     /// The same `sqrt N` window cap as connectivity, but only as a cap: MST
-    /// mode has no batched machine program (`machine.rs`, `pending_mst`), so
-    /// `apply_batch` is the trait's default loop over [`Self::apply`] and a
-    /// window of `k` updates costs `k` quiescence runs, not one round trip.
+    /// mode has no batched machine program, so `apply_batch` is the trait's
+    /// default loop over [`Self::apply`] and a window of `k` updates costs
+    /// `k` quiescence runs, not one round trip. What keeps MST out of the
+    /// batch plane: the batch classifier executes an intra-component insert
+    /// as non-structural, and `Then::PathMax` (`machine.rs`) carries no lane.
     fn admission_budget(&self) -> Option<usize> {
         Some(self.driver.batch_chunk())
     }

@@ -63,8 +63,8 @@
 //! injected in one round and resolved by stateless probes joining at
 //! per-query *rendezvous* machines (`rendezvous = qid mod P`), whose partial
 //! folds are keyed by query id so the whole wave aggregates concurrently —
-//! unlike the update path's single-slot pending state, which serializes
-//! structural ops.
+//! where the update path parks at most one flow per lane, so structural ops
+//! of one lane serialize.
 //!
 //! * `Connected(u, v)` / `ComponentOf(u)`: one [`ConnMsg::QConnProbe`] per
 //!   endpoint is injected at the endpoint's owner, which sends the
@@ -109,7 +109,8 @@
 //!    the items into *conflict groups* (union-find over those pairs, see
 //!    `dmpc_graph::conflict`). Items of one group run serialized, in batch
 //!    order, as one protocol *lane*; disjoint groups run concurrently, each
-//!    lane's rendezvous/fetch/pending state keyed by its lane id (the same
+//!    lane's waiting flow (an owner-set fetch, a cut's or an MST insert's
+//!    rendezvous) parked in one table under its lane id (the same
 //!    map-keyed idiom the query plane uses for `pending_queries`). Every
 //!    terminal step of a lane's flow signals [`ConnMsg::BatchStructDone`]
 //!    (with the lane id) back to the controller, which dispatches that
@@ -136,7 +137,7 @@
 //! flow finishes.
 
 use crate::messages::{
-    BatchItem, ConnMsg, CutMode, CutReq, StructBroadcast, StructItem, VertexInfo,
+    BatchItem, ConnMsg, CutMode, CutReq, PathSpans, StructBroadcast, StructItem, VertexInfo,
 };
 use crate::shard::{ApplyOutcome, Shard};
 use dmpc_eulertour::indexed::{CompId, TourOp};
@@ -152,16 +153,11 @@ pub use crate::shard::{EntryKind, VertexState};
 /// The machine doubling as batch controller (id 0).
 pub const BATCH_CTRL: MachineId = 0;
 
-/// Pending-state map key for flows outside any batch lane (single updates,
-/// MST swaps) — exactly one such flow is ever in flight cluster-wide, so
-/// one reserved key suffices. Lane ids are dense batch-group indexes and
-/// never reach this value.
+/// Parked-table key for flows outside any batch lane (single updates, MST
+/// inserts and swaps) — exactly one such flow is ever in flight
+/// cluster-wide, so one reserved key suffices. Lane ids are dense
+/// batch-group indexes and never reach this value.
 const SOLO_LANE: u32 = u32::MAX;
-
-/// Map key of a flow's pending state: its lane id, or [`SOLO_LANE`].
-fn lane_key(lane: Option<u32>) -> u32 {
-    lane.unwrap_or(SOLO_LANE)
-}
 
 /// Controller-side statistics of one batch's structural phase, harvested by
 /// the driver after the run and folded into
@@ -198,8 +194,7 @@ struct BatchCtl {
 
 /// Rendezvous-side state of an in-flight searching cut: the local apply
 /// outcome stashed until the remote [`ConnMsg::CutReport`]s arrive (they all
-/// arrive in the round after the multicast). Keyed by lane in
-/// `pending_cuts` so concurrently searching lanes fold separately.
+/// arrive in the round after the multicast).
 #[derive(Debug)]
 struct PendingCut {
     /// Surviving (parent) side component id.
@@ -261,25 +256,36 @@ impl Then {
     }
 }
 
-/// A structural flow suspended on directory fetches; resumed when the last
-/// [`ConnMsg::DirReply`] arrives. Keyed by lane in `pending_fetches`:
-/// within one lane at most one structural op is in flight, so one slot per
-/// lane suffices, and concurrently fetching lanes never collide.
-#[derive(Debug)]
-struct Fetch {
-    then: Then,
-    /// Union of the sets resolved so far.
-    acc: Vec<MachineId>,
-    /// Outstanding DirReply count (1 or 2).
-    waiting: usize,
-}
-
 /// One received [`ConnMsg::CutReport`]: (sender, best candidate,
 /// owns_parent, owns_child).
 type CutReportIn = (MachineId, Option<(Edge, Weight)>, bool, bool);
 
+/// A flow parked at this machine until its replies arrive, keyed by lane in
+/// `ConnMachine::parked` ([`SOLO_LANE`] for unbatched flows): within one
+/// lane at most one structural op is in flight, so one entry per lane
+/// suffices, and concurrently waiting lanes never collide. Every reply
+/// folds into its lane's entry the moment it arrives.
+#[derive(Debug)]
+enum Parked {
+    /// A structural flow waiting on its owner sets; it resumes at the last
+    /// [`ConnMsg::DirReply`].
+    Owners {
+        then: Then,
+        /// Union of the sets resolved so far.
+        acc: Vec<MachineId>,
+        /// Outstanding DirReply count (1 or 2).
+        waiting: usize,
+    },
+    /// A searching cut's rendezvous and the [`ConnMsg::CutReport`]s
+    /// received so far.
+    Cut(PendingCut, Vec<CutReportIn>),
+    /// An MST insert's path-max rendezvous and the
+    /// [`ConnMsg::PathMaxReply`]s received so far.
+    PathMax(PendingMst, Vec<Option<(Edge, Weight)>>),
+}
+
 /// Rendezvous-side partial fold of one in-flight query. Like the
-/// lane-keyed update state (`pending_cuts` etc.), query folds are keyed by
+/// lane-keyed update state (`parked`), query folds are keyed by
 /// query id so a whole wave of queries aggregates concurrently; an entry is
 /// removed (and the answer stashed) the moment its last join arrives.
 #[derive(Debug)]
@@ -306,20 +312,6 @@ enum QueryFold {
         /// No join reported the endpoints disconnected.
         connected: bool,
     },
-}
-
-/// Round-local accumulators threaded through message dispatch (the
-/// aggregation messages of one round fold into a single action).
-#[derive(Default)]
-struct RoundAcc {
-    /// This classifier's report to the controller.
-    report: BatchReportAcc,
-    /// Remote cut reports, folded per lane so concurrently searching lanes
-    /// finalize independently (all of one lane's reports arrive in one
-    /// round; reports of different lanes may share a round).
-    cut_reports: BTreeMap<u32, Vec<CutReportIn>>,
-    /// Remote path-max replies.
-    path_replies: Vec<Option<(Edge, Weight)>>,
 }
 
 /// Source-side rest of an in-flight shard migration: the directory patches
@@ -349,15 +341,9 @@ pub struct ConnMachine {
     dir: BTreeMap<CompId, Vec<MachineId>>,
     /// Self-addressed messages executed locally within the same round.
     local: VecDeque<ConnMsg>,
-    /// Structural flows suspended on directory fetches, keyed by lane
-    /// ([`SOLO_LANE`] for unbatched flows).
-    pending_fetches: BTreeMap<u32, Fetch>,
-    /// In-flight searching cuts at the rendezvous (this machine), keyed by
-    /// lane.
-    pending_cuts: BTreeMap<u32, PendingCut>,
-    /// In-flight MST path-max aggregation at the rendezvous (MST mode has
-    /// no batched path, so a single slot still suffices).
-    pending_mst: Option<PendingMst>,
+    /// Flows waiting here on owner sets, cut reports or path-max replies,
+    /// keyed by lane ([`SOLO_LANE`] for unbatched flows).
+    parked: BTreeMap<u32, Parked>,
     /// Controller state of the in-flight batch (machine 0 only).
     batch: Option<BatchCtl>,
     /// Maximum lanes the controller keeps in flight at once (bounds the
@@ -408,9 +394,7 @@ impl ConnMachine {
             verts,
             dir: BTreeMap::new(),
             local: VecDeque::new(),
-            pending_fetches: BTreeMap::new(),
-            pending_cuts: BTreeMap::new(),
-            pending_mst: None,
+            parked: BTreeMap::new(),
             batch: None,
             lane_cap: (capacity_words / 64).max(1),
             last_conflict: None,
@@ -462,9 +446,7 @@ impl ConnMachine {
     #[doc(hidden)]
     pub fn transient_is_empty(&self) -> bool {
         self.batch.is_none()
-            && self.pending_cuts.is_empty()
-            && self.pending_fetches.is_empty()
-            && self.pending_mst.is_none()
+            && self.parked.is_empty()
             && self.pending_queries.is_empty()
             && self.answers.is_empty()
             && self.last_conflict.is_none()
@@ -933,31 +915,62 @@ impl ConnMachine {
         if waiting == 0 {
             self.resume(then, acc, out);
         } else {
-            let fetch = Fetch { then, acc, waiting };
-            let prev = self.pending_fetches.insert(lane_key(lane), fetch);
-            debug_assert!(prev.is_none(), "fetch slot already occupied");
+            self.park(lane, Parked::Owners { then, acc, waiting });
         }
     }
 
-    /// Folds one [`ConnMsg::DirReply`] into the lane's parked fetch and
-    /// resumes the flow once no reply is outstanding.
-    fn handle_dir_reply(
-        &mut self,
-        owners: Vec<MachineId>,
-        lane: Option<u32>,
-        out: &mut Outbox<ConnMsg>,
-    ) {
-        let key = lane_key(lane);
-        let fetch = self
-            .pending_fetches
-            .get_mut(&key)
-            .expect("DirReply without a fetch");
-        absorb(&mut fetch.acc, owners);
-        fetch.waiting -= 1;
-        if fetch.waiting == 0 {
-            let Fetch { then, acc, .. } = self.pending_fetches.remove(&key).expect("found above");
-            self.resume(then, acc, out);
+    /// Parks a flow under its lane until its replies arrive.
+    fn park(&mut self, lane: Option<u32>, flow: Parked) {
+        let prev = self.parked.insert(lane.unwrap_or(SOLO_LANE), flow);
+        debug_assert!(prev.is_none(), "lane {lane:?} is already parked here");
+    }
+
+    /// Folds one reply into its lane's parked flow: an owner set resumes
+    /// the flow once none is outstanding; a cut report or path-max reply
+    /// waits for [`Self::take_ready`] at the end of the round.
+    fn fold_reply(&mut self, from: MachineId, msg: ConnMsg, out: &mut Outbox<ConnMsg>) {
+        let lane = match msg {
+            ConnMsg::DirReply { lane, .. } | ConnMsg::CutReport { lane, .. } => lane,
+            // MST path-max flows are never batched.
+            _ => None,
+        };
+        let key = lane.unwrap_or(SOLO_LANE);
+        match (self.parked.get_mut(&key), msg) {
+            (Some(Parked::Owners { acc, waiting, .. }), ConnMsg::DirReply { owners, .. }) => {
+                absorb(acc, owners);
+                *waiting -= 1;
+                if *waiting == 0 {
+                    if let Some(Parked::Owners { then, acc, .. }) = self.parked.remove(&key) {
+                        self.resume(then, acc, out);
+                    }
+                }
+            }
+            (
+                Some(Parked::Cut(_, reports)),
+                ConnMsg::CutReport {
+                    best,
+                    owns_parent,
+                    owns_child,
+                    ..
+                },
+            ) => reports.push((from, best, owns_parent, owns_child)),
+            (Some(Parked::PathMax(_, replies)), ConnMsg::PathMaxReply { best }) => {
+                replies.push(best)
+            }
+            (_, msg) => panic!("{msg:?} for lane {lane:?}, which is not waiting on it here"),
         }
+    }
+
+    /// Removes the lowest-laned rendezvous whose replies arrived. They all
+    /// arrive in one round, so it finalizes on the replies it has (a
+    /// reporter killed mid-run leaves the set short).
+    fn take_ready(&mut self) -> Option<Parked> {
+        let (&key, _) = self.parked.iter().find(|(_, p)| match p {
+            Parked::Owners { .. } => false,
+            Parked::Cut(_, reports) => !reports.is_empty(),
+            Parked::PathMax(_, replies) => !replies.is_empty(),
+        })?;
+        self.parked.remove(&key)
     }
 
     /// Runs a flow's continuation with its owner set resolved.
@@ -1185,21 +1198,18 @@ impl ConnMachine {
         }
         let outcome = self.verts.apply_struct(&b);
         if search {
-            let remote_n = remote.len();
-            let prev = self.pending_cuts.insert(
-                lane_key(lane),
-                PendingCut {
-                    comp,
-                    new_comp: child,
-                    old_owners: owners,
-                    remote: remote_n,
-                    local: outcome,
-                    lane,
-                },
-            );
-            debug_assert!(prev.is_none(), "cut rendezvous slot already occupied");
-            if remote_n == 0 {
-                self.finalize_cut(lane_key(lane), Vec::new(), out);
+            let pc = PendingCut {
+                comp,
+                new_comp: child,
+                old_owners: owners,
+                remote: remote.len(),
+                local: outcome,
+                lane,
+            };
+            if remote.is_empty() {
+                self.finalize_cut(pc, Vec::new(), out);
+            } else {
+                self.park(lane, Parked::Cut(pc, Vec::new()));
             }
         }
     }
@@ -1207,11 +1217,12 @@ impl ConnMachine {
     /// Rendezvous: folds one lane's remote [`ConnMsg::CutReport`]s with the
     /// stashed local outcome — either launching the replacement link (which
     /// restores the old owner set) or installing the refined split sets.
-    fn finalize_cut(&mut self, key: u32, reports: Vec<CutReportIn>, out: &mut Outbox<ConnMsg>) {
-        let pc = self
-            .pending_cuts
-            .remove(&key)
-            .expect("cut reports without a cut");
+    fn finalize_cut(
+        &mut self,
+        pc: PendingCut,
+        reports: Vec<CutReportIn>,
+        out: &mut Outbox<ConnMsg>,
+    ) {
         // Fewer reports than audience members means a reporter was killed
         // in this run: the executor ends such a run with `abandon_run`, and
         // the epoch fence rolls it back, so whatever this finalization
@@ -1239,40 +1250,24 @@ impl ConnMachine {
             None => {
                 // No replacement: the component stays split. Refine the
                 // directory from the membership the reports carried.
-                let mut parent_owners = Vec::new();
-                let mut child_owners = Vec::new();
-                if pc.local.owns_parent {
-                    parent_owners.push(self.id);
-                }
-                if pc.local.owns_child {
-                    child_owners.push(self.id);
-                }
-                for &(m, _, op, oc) in &reports {
+                let local = (self.id, None, pc.local.owns_parent, pc.local.owns_child);
+                let (mut parent, mut child) = (Vec::new(), Vec::new());
+                for (m, _, op, oc) in reports.into_iter().chain([local]) {
                     if op {
-                        parent_owners.push(m);
+                        parent.push(m);
                     }
                     if oc {
-                        child_owners.push(m);
+                        child.push(m);
                     }
                 }
-                parent_owners.sort_unstable();
-                child_owners.sort_unstable();
-                self.route(
-                    self.root_owner(pc.comp),
-                    ConnMsg::DirStore {
-                        comp: pc.comp,
-                        owners: parent_owners,
-                    },
-                    out,
-                );
-                self.route(
-                    self.root_owner(pc.new_comp),
-                    ConnMsg::DirStore {
-                        comp: pc.new_comp,
-                        owners: child_owners,
-                    },
-                    out,
-                );
+                for (comp, mut owners) in [(pc.comp, parent), (pc.new_comp, child)] {
+                    owners.sort_unstable();
+                    self.route(
+                        self.root_owner(comp),
+                        ConnMsg::DirStore { comp, owners },
+                        out,
+                    );
+                }
                 self.signal_struct_done(pc.lane, out);
             }
         }
@@ -1289,15 +1284,16 @@ impl ConnMachine {
         owners: Vec<MachineId>,
         out: &mut Outbox<ConnMsg>,
     ) {
-        let y = e.other(x.v);
-        let yi = self.verts.info(y);
-        let (y_comp, y_f, y_l) = (yi.comp, yi.f, yi.l);
-        let q = ConnMsg::PathMaxQuery {
-            comp: y_comp,
+        let y = self.verts.info(e.other(x.v));
+        let path = PathSpans {
+            comp: y.comp,
             fx: x.f,
             lx: x.l,
-            fy: y_f,
-            ly: y_l,
+            fy: y.f,
+            ly: y.l,
+        };
+        let q = ConnMsg::PathMaxQuery {
+            path,
             e,
             w,
             rendezvous: self.id,
@@ -1306,39 +1302,26 @@ impl ConnMachine {
         for &m in &remote {
             out.send(m, q.clone());
         }
-        let local_best = self.verts.path_max(y_comp, x.f, x.l, y_f, y_l);
-        self.pending_mst = Some(PendingMst {
+        let p = PendingMst {
             e,
             w,
             x,
             owners,
-            local_best,
-        });
+            local_best: self.verts.path_max(&path),
+        };
         if remote.is_empty() {
-            self.finish_path_max(Vec::new(), out);
+            self.finish_path_max(p, Vec::new(), out);
+        } else {
+            self.park(None, Parked::PathMax(p, Vec::new()));
         }
     }
 
-    // The parameters mirror the PathMaxQuery wire-message fields one-to-one;
-    // bundling them into a struct here would just duplicate that message type.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_path_max_query(
+    fn finish_path_max(
         &mut self,
-        comp: CompId,
-        fx: TourIx,
-        lx: TourIx,
-        fy: TourIx,
-        ly: TourIx,
-        rendezvous: MachineId,
+        p: PendingMst,
+        replies: Vec<Option<(Edge, Weight)>>,
         out: &mut Outbox<ConnMsg>,
     ) {
-        debug_assert_ne!(rendezvous, self.id, "the rendezvous answers locally");
-        let best = self.verts.path_max(comp, fx, lx, fy, ly);
-        out.send(rendezvous, ConnMsg::PathMaxReply { best });
-    }
-
-    fn finish_path_max(&mut self, replies: Vec<Option<(Edge, Weight)>>, out: &mut Outbox<ConnMsg>) {
-        let p = self.pending_mst.take().expect("no pending MST insert");
         let best = heaviest(replies.into_iter().chain([p.local_best]));
         match best {
             Some((d, dw)) if dw > p.w => {
@@ -1482,16 +1465,18 @@ impl ConnMachine {
             );
             return;
         }
-        let (fy, ly) = (vi.f, vi.l);
+        let path = PathSpans {
+            comp,
+            fx,
+            lx,
+            fy: vi.f,
+            ly: vi.l,
+        };
         self.route(
             self.root_owner(comp),
             ConnMsg::QPathResolve {
                 qid,
-                comp,
-                fx,
-                lx,
-                fy,
-                ly,
+                path,
                 rendezvous,
             },
             out,
@@ -1502,31 +1487,22 @@ impl ConnMachine {
     /// multicast the evaluation (the root owner is always a member of the
     /// set — it owns the component's root vertex — so its own evaluation
     /// routes locally in the same round).
-    #[allow(clippy::too_many_arguments)]
     fn handle_q_path_resolve(
         &mut self,
         qid: u32,
-        comp: CompId,
-        fx: TourIx,
-        lx: TourIx,
-        fy: TourIx,
-        ly: TourIx,
+        path: PathSpans,
         rendezvous: MachineId,
         out: &mut Outbox<ConnMsg>,
     ) {
-        debug_assert_eq!(self.root_owner(comp), self.id);
-        let owners = self.dir_owners(comp);
+        debug_assert_eq!(self.root_owner(path.comp), self.id);
+        let owners = self.dir_owners(path.comp);
         let expect = owners.len() as u16;
         for m in owners {
             self.route(
                 m,
                 ConnMsg::QPathEval {
                     qid,
-                    comp,
-                    fx,
-                    lx,
-                    fy,
-                    ly,
+                    path,
                     rendezvous,
                     expect,
                 },
@@ -1536,21 +1512,16 @@ impl ConnMachine {
     }
 
     /// One owner's evaluation: the local on-path maximum, joined at the
-    /// rendezvous (shares `local_path_max` with the update-path MST swap).
-    #[allow(clippy::too_many_arguments)]
+    /// rendezvous (the same `Shard::path_max` as the update-path MST swap).
     fn handle_q_path_eval(
         &mut self,
         qid: u32,
-        comp: CompId,
-        fx: TourIx,
-        lx: TourIx,
-        fy: TourIx,
-        ly: TourIx,
+        path: &PathSpans,
         rendezvous: MachineId,
         expect: u16,
         out: &mut Outbox<ConnMsg>,
     ) {
-        let best = self.verts.path_max(comp, fx, lx, fy, ly);
+        let best = self.verts.path_max(path);
         self.route(
             rendezvous,
             ConnMsg::QPathJoin {
@@ -1812,7 +1783,7 @@ impl ConnMachine {
         &mut self,
         msg: ConnMsg,
         ctx: &RoundCtx,
-        acc: &mut RoundAcc,
+        report: &mut BatchReportAcc,
         out: &mut Outbox<ConnMsg>,
     ) {
         match msg {
@@ -1852,20 +1823,20 @@ impl ConnMachine {
                 self.handle_insert(e, w, lane, Some(owners), out)
             }
             ConnMsg::PathMaxQuery {
-                comp,
-                fx,
-                lx,
-                fy,
-                ly,
-                rendezvous,
-                ..
-            } => self.handle_path_max_query(comp, fx, lx, fy, ly, rendezvous, out),
-            ConnMsg::PathMaxReply { best } => acc.path_replies.push(best),
+                path, rendezvous, ..
+            } => {
+                debug_assert_ne!(rendezvous, self.id, "the rendezvous answers locally");
+                let best = self.verts.path_max(&path);
+                out.send(rendezvous, ConnMsg::PathMaxReply { best });
+            }
             ConnMsg::StartSwap { d, e, w, owners } => self.handle_start_swap(d, e, w, owners, out),
-            ConnMsg::DirFetch { .. } | ConnMsg::CutReport { .. } | ConnMsg::Apply(_) => {
+            ConnMsg::DirFetch { .. }
+            | ConnMsg::DirReply { .. }
+            | ConnMsg::CutReport { .. }
+            | ConnMsg::PathMaxReply { .. }
+            | ConnMsg::Apply(_) => {
                 unreachable!("handled before dispatch")
             }
-            ConnMsg::DirReply { owners, lane, .. } => self.handle_dir_reply(owners, lane, out),
             ConnMsg::DirStore { comp, owners } => {
                 debug_assert_eq!(self.root_owner(comp), self.id);
                 if owners.len() >= 2 {
@@ -1900,23 +1871,15 @@ impl ConnMachine {
             } => self.handle_q_path_probe(qid, v, comp, fx, lx, rendezvous, out),
             ConnMsg::QPathResolve {
                 qid,
-                comp,
-                fx,
-                lx,
-                fy,
-                ly,
+                path,
                 rendezvous,
-            } => self.handle_q_path_resolve(qid, comp, fx, lx, fy, ly, rendezvous, out),
+            } => self.handle_q_path_resolve(qid, path, rendezvous, out),
             ConnMsg::QPathEval {
                 qid,
-                comp,
-                fx,
-                lx,
-                fy,
-                ly,
+                path,
                 rendezvous,
                 expect,
-            } => self.handle_q_path_eval(qid, comp, fx, lx, fy, ly, rendezvous, expect, out),
+            } => self.handle_q_path_eval(qid, &path, rendezvous, expect, out),
             ConnMsg::QPathJoin {
                 qid,
                 best,
@@ -1924,11 +1887,9 @@ impl ConnMachine {
                 connected,
             } => self.handle_q_path_join(qid, best, expect, connected),
             ConnMsg::BatchStart { items } => self.handle_batch_start(items, out),
-            ConnMsg::BatchClassify { items } => {
-                self.handle_batch_classify(items, &mut acc.report, out)
-            }
+            ConnMsg::BatchClassify { items } => self.handle_batch_classify(items, report, out),
             ConnMsg::BatchInsClassify { e, w, x, seq } => {
-                self.handle_batch_ins_classify(e, w, x, seq, &mut acc.report, out)
+                self.handle_batch_ins_classify(e, w, x, seq, report, out)
             }
             ConnMsg::BatchReport { done, structural } => {
                 self.handle_batch_report(done, structural, out)
@@ -2003,7 +1964,7 @@ impl Machine for ConnMachine {
         out: &mut Outbox<ConnMsg>,
     ) {
         debug_assert!(self.local.is_empty(), "local queue drains every round");
-        let mut acc = RoundAcc::default();
+        let mut report = BatchReportAcc::default();
         // Structural Applies first, so follow-up protocol steps delivered in
         // the same round see post-op state; then directory fetches (served
         // from pre-dispatch state), then everything else. The inbox is
@@ -2051,51 +2012,32 @@ impl Machine for ConnMachine {
                         },
                     );
                 }
-                ConnMsg::CutReport {
-                    best,
-                    owns_parent,
-                    owns_child,
-                    lane,
-                } => acc.cut_reports.entry(lane_key(lane)).or_default().push((
-                    env.from,
-                    best,
-                    owns_parent,
-                    owns_child,
-                )),
-                msg => self.dispatch(msg, ctx, &mut acc, out),
+                msg @ (ConnMsg::DirReply { .. }
+                | ConnMsg::CutReport { .. }
+                | ConnMsg::PathMaxReply { .. }) => self.fold_reply(env.from, msg, out),
+                msg => self.dispatch(msg, ctx, &mut report, out),
             }
         }
-        // Fixpoint: locally-routed steps, rendezvous aggregations and the
-        // classification report can each enqueue more local work; everything
-        // here is same-round local computation (free in the MPC model).
+        // Fixpoint: locally-routed steps, rendezvous finalizations (lanes in
+        // ascending order) and the classification report can each enqueue
+        // more local work; everything here is same-round local computation
+        // (free in the MPC model).
         loop {
             if let Some(msg) = self.local.pop_front() {
-                self.dispatch(msg, ctx, &mut acc, out);
+                self.dispatch(msg, ctx, &mut report, out);
                 continue;
             }
-            if let Some((&key, _)) = acc.cut_reports.iter().next() {
-                let reports = acc.cut_reports.remove(&key).unwrap();
-                self.finalize_cut(key, reports, out);
-                continue;
-            }
-            if !acc.path_replies.is_empty() {
-                let replies = std::mem::take(&mut acc.path_replies);
-                self.finish_path_max(replies, out);
-                continue;
-            }
-            if !acc.report.is_empty() {
-                let report = std::mem::take(&mut acc.report);
-                if self.id == BATCH_CTRL {
-                    self.handle_batch_report(report.done, report.structural, out);
-                } else {
-                    out.send(
-                        BATCH_CTRL,
-                        ConnMsg::BatchReport {
-                            done: report.done,
-                            structural: report.structural,
-                        },
-                    );
+            if let Some(flow) = self.take_ready() {
+                match flow {
+                    Parked::Cut(pc, reports) => self.finalize_cut(pc, reports, out),
+                    Parked::PathMax(p, replies) => self.finish_path_max(p, replies, out),
+                    Parked::Owners { .. } => unreachable!("a fetch resumes at its last reply"),
                 }
+                continue;
+            }
+            if !report.is_empty() {
+                let BatchReportAcc { done, structural } = std::mem::take(&mut report);
+                self.route(BATCH_CTRL, ConnMsg::BatchReport { done, structural }, out);
                 continue;
             }
             break;
@@ -2113,14 +2055,14 @@ impl Machine for ConnMachine {
                 words += 2 + 3 * lane.len();
             }
         }
-        for pc in self.pending_cuts.values() {
-            words += 4 + pc.old_owners.len();
-        }
-        if let Some(p) = &self.pending_mst {
-            words += 6 + p.owners.len();
-        }
-        for f in self.pending_fetches.values() {
-            words += 4 + f.acc.len();
+        // Parked flows (replies are round-local: a rendezvous finalizes in
+        // the round they arrive).
+        for p in self.parked.values() {
+            words += match p {
+                Parked::Owners { acc, .. } => 4 + acc.len(),
+                Parked::Cut(pc, _) => 4 + pc.old_owners.len(),
+                Parked::PathMax(pm, _) => 6 + pm.owners.len(),
+            };
         }
         // Transient query-plane state at this rendezvous: folds and stashed
         // answers, both bounded by the driver's wave chunking.
@@ -2145,9 +2087,7 @@ impl Machine for ConnMachine {
     /// it nor sent spurious completion signals.
     fn abandon_run(&mut self) {
         self.batch = None;
-        self.pending_cuts.clear();
-        self.pending_fetches.clear();
-        self.pending_mst = None;
+        self.parked.clear();
         self.pending_queries.clear();
         self.answers.clear();
         self.last_conflict = None;

@@ -46,6 +46,24 @@ pub struct VertexInfo {
     pub l: TourIx,
 }
 
+/// A tree path, as the owners evaluate its maximum: the component and the
+/// two endpoints' tour spans. The value that [`ConnMsg::PathMaxQuery`],
+/// [`ConnMsg::QPathResolve`] and [`ConnMsg::QPathEval`] carry and
+/// `Shard::path_max` reads (5 words).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PathSpans {
+    /// The component both endpoints belong to.
+    pub comp: CompId,
+    /// `f(x)` of one endpoint.
+    pub fx: TourIx,
+    /// `l(x)` of one endpoint.
+    pub lx: TourIx,
+    /// `f(y)` of the other endpoint.
+    pub fy: TourIx,
+    /// `l(y)` of the other endpoint.
+    pub ly: TourIx,
+}
+
 /// What happens to the cut edge's adjacency entries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CutMode {
@@ -219,16 +237,8 @@ pub enum ConnMsg {
     /// edge on the path between the two spans; every recipient replies to
     /// `rendezvous`.
     PathMaxQuery {
-        /// Component being queried.
-        comp: CompId,
-        /// `f(x)` of one endpoint.
-        fx: TourIx,
-        /// `l(x)` of one endpoint.
-        lx: TourIx,
-        /// `f(y)` of the other endpoint.
-        fy: TourIx,
-        /// `l(y)` of the other endpoint.
-        ly: TourIx,
+        /// The path between the candidate's endpoints.
+        path: PathSpans,
         /// Candidate new edge.
         e: Edge,
         /// Candidate weight.
@@ -386,16 +396,8 @@ pub enum ConnMsg {
     QPathResolve {
         /// Query id.
         qid: u32,
-        /// The shared component.
-        comp: CompId,
-        /// u's span.
-        fx: TourIx,
-        /// u's span.
-        lx: TourIx,
-        /// v's span.
-        fy: TourIx,
-        /// v's span.
-        ly: TourIx,
+        /// The shared component, u's span and v's span.
+        path: PathSpans,
         /// The per-query rendezvous machine.
         rendezvous: MachineId,
     },
@@ -404,16 +406,8 @@ pub enum ConnMsg {
     QPathEval {
         /// Query id.
         qid: u32,
-        /// The component.
-        comp: CompId,
-        /// u's span.
-        fx: TourIx,
-        /// u's span.
-        lx: TourIx,
-        /// v's span.
-        fy: TourIx,
-        /// v's span.
-        ly: TourIx,
+        /// The component, u's span and v's span.
+        path: PathSpans,
         /// The per-query rendezvous machine.
         rendezvous: MachineId,
         /// Joins the rendezvous must fold (= the owner-set size).
@@ -518,6 +512,14 @@ impl Payload for ConnMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const PATH: PathSpans = PathSpans {
+        comp: 1,
+        fx: 2,
+        lx: 3,
+        fy: 4,
+        ly: 5,
+    };
 
     #[test]
     fn sizes_are_constant_words() {
@@ -674,11 +676,7 @@ mod tests {
         assert_eq!(
             ConnMsg::QPathEval {
                 qid: 0,
-                comp: 1,
-                fx: 2,
-                lx: 3,
-                fy: 4,
-                ly: 5,
+                path: PATH,
                 rendezvous: 6,
                 expect: 7
             }
@@ -695,11 +693,7 @@ mod tests {
         let best = Some((Edge::new(0, 1), 9));
         assert_eq!(
             ConnMsg::PathMaxQuery {
-                comp: 1,
-                fx: 2,
-                lx: 3,
-                fy: 4,
-                ly: 5,
+                path: PATH,
                 e: Edge::new(6, 7),
                 w: 8,
                 rendezvous: 9
@@ -734,11 +728,7 @@ mod tests {
         assert_eq!(
             ConnMsg::QPathResolve {
                 qid: 0,
-                comp: 1,
-                fx: 2,
-                lx: 3,
-                fy: 4,
-                ly: 5,
+                path: PATH,
                 rendezvous: 6
             }
             .size_words(),

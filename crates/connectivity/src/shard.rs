@@ -36,7 +36,7 @@
 //! Migrations shift the range; the interner rebases (rare, O(block) work)
 //! rather than paying a hash per access on the hot path.
 
-use crate::messages::{CutMode, StructBroadcast, VertexInfo};
+use crate::messages::{CutMode, PathSpans, StructBroadcast, VertexInfo};
 use dmpc_eulertour::indexed::{map_reroot, CompId, TourOp};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, Weight, V};
@@ -1028,18 +1028,11 @@ impl Shard {
     /// `lo`, arrival parity), whose `(lo, hi)` is the subtree span
     /// `[f(v), l(v)]`: the edge is on the x..y path iff that span contains
     /// exactly one endpoint. One entry is read per member.
-    pub fn path_max(
-        &self,
-        comp: CompId,
-        fx: TourIx,
-        lx: TourIx,
-        fy: TourIx,
-        ly: TourIx,
-    ) -> Option<(Edge, Weight)> {
-        let [fx, lx, fy, ly] = [fx, lx, fy, ly].map(ix32);
+    pub fn path_max(&self, path: &PathSpans) -> Option<(Edge, Weight)> {
+        let [fx, lx, fy, ly] = [path.fx, path.lx, path.fy, path.ly].map(ix32);
         let mut best: Option<(Weight, Edge)> = None;
         for slot in 0..self.comp.len() {
-            if self.comp[slot] != comp {
+            if self.comp[slot] != path.comp {
                 continue;
             }
             // Only a root (or a singleton) has no parent edge; its span
@@ -1369,7 +1362,14 @@ mod tests {
         assert_eq!(sh.vertices(), demo_states());
         assert_eq!(text_of(&sh), DEMO_TEXT);
         // Both tree edges lie on the 0..2 path; the heavier one wins.
-        assert_eq!(sh.path_max(0, 1, 8, 4, 5), Some((Edge::new(0, 1), 5)));
+        let path = PathSpans {
+            comp: 0,
+            fx: 1,
+            lx: 8,
+            fy: 4,
+            ly: 5,
+        };
+        assert_eq!(sh.path_max(&path), Some((Edge::new(0, 1), 5)));
     }
 
     #[test]

@@ -276,17 +276,10 @@ impl Shard {
 
     /// Path-max as a scan of every tree entry of every member: the edge is
     /// judged by its own child-side `(lo, hi)`, not by the vertex's span.
-    pub(super) fn path_max_oracle(
-        &self,
-        comp: CompId,
-        fx: TourIx,
-        lx: TourIx,
-        fy: TourIx,
-        ly: TourIx,
-    ) -> Option<(Edge, Weight)> {
+    pub(super) fn path_max_oracle(&self, path: &PathSpans) -> Option<(Edge, Weight)> {
         let mut best: Option<(Weight, Edge)> = None;
         for slot in 0..self.comp.len() {
-            if self.comp[slot] != comp {
+            if self.comp[slot] != path.comp {
                 continue;
             }
             let v = self.base + slot as V;
@@ -300,8 +293,8 @@ impl Shard {
                 }
                 // Child's subtree span is [lo, hi]; the edge is on the
                 // x..y path iff the span contains exactly one endpoint.
-                let contains_x = lo <= fx && lx <= hi;
-                let contains_y = lo <= fy && ly <= hi;
+                let contains_x = lo <= path.fx && path.lx <= hi;
+                let contains_y = lo <= path.fy && path.ly <= hi;
                 if contains_x ^ contains_y {
                     let e = Edge::new(v, self.afar[i]);
                     let better = match best {
@@ -672,9 +665,15 @@ mod tests {
                         continue;
                     }
                     let f = &w.forest;
-                    let q = (f.comp_of(x), f.f(x), f.l(x), f.f(y), f.l(y));
-                    let got = new.path_max(q.0, q.1, q.2, q.3, q.4);
-                    assert_eq!(got, new.path_max_oracle(q.0, q.1, q.2, q.3, q.4), "{ctx}");
+                    let q = PathSpans {
+                        comp: f.comp_of(x),
+                        fx: f.f(x),
+                        lx: f.l(x),
+                        fy: f.f(y),
+                        ly: f.l(y),
+                    };
+                    let got = new.path_max(&q);
+                    assert_eq!(got, new.path_max_oracle(&q), "{ctx}");
                     assert_eq!(got, w.path_max(&new, x, y), "{ctx}: path {x}..{y}");
                 }
             }
@@ -724,9 +723,16 @@ mod tests {
                     .collect();
                 for x in &infos {
                     for y in infos.iter().filter(|y| y.comp == x.comp && y.v > x.v) {
+                        let q = PathSpans {
+                            comp: x.comp,
+                            fx: x.f,
+                            lx: x.l,
+                            fy: y.f,
+                            ly: y.l,
+                        };
                         for sh in &shards {
-                            let got = sh.path_max(x.comp, x.f, x.l, y.f, y.l);
-                            let want = sh.path_max_oracle(x.comp, x.f, x.l, y.f, y.l);
+                            let got = sh.path_max(&q);
+                            let want = sh.path_max_oracle(&q);
                             assert_eq!(got, want, "seed {seed} step {step}: {x:?}..{y:?}");
                             hits += usize::from(got.is_some());
                         }

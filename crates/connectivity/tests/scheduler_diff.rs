@@ -262,6 +262,71 @@ fn conflict_batches_overlap_and_win() {
     ser.driver().audit().unwrap();
 }
 
+/// Two lanes parked at one machine in one round. Two three-vertex paths
+/// span machines 0, 1 and 2 (block 32), rooted at machine 0, and the batch
+/// cuts the lower edge of each, whose parent endpoint (32, 33) lives on
+/// machine 1. Both searching cuts rendezvous there, and their `CutReport`s
+/// (from machines 0 and 2) arrive in the same round. Only the first path
+/// has a replacement (the non-tree edge 0-64), so a report folded into the
+/// wrong lane would re-link the wrong path or refine the wrong directory
+/// entry. Each lane must finalize on its own reports, exactly as when the
+/// lanes run one at a time.
+#[test]
+fn two_lanes_rendezvous_at_one_machine_in_one_round() {
+    let n = 128;
+    let e = dmpc_graph::Edge::new;
+    let queries = [
+        Query::Connected(0, 64),
+        Query::Connected(1, 65),
+        Query::Connected(1, 33),
+        Query::ComponentOf(64),
+        Query::ComponentOf(65),
+        Query::PathMax(0, 64),
+        Query::PathMax(33, 65),
+    ];
+    let [con, ser] = [false, true].map(|serialize| {
+        let mut alg =
+            DmpcConnectivity::with_cluster(DmpcParams::new(n, 4 * n), ExecOptions::default(), 4);
+        if serialize {
+            alg = serialized(alg);
+        }
+        for edge in [e(0, 32), e(32, 64), e(0, 64), e(1, 33), e(33, 65)] {
+            assert!(alg.insert(edge).clean());
+        }
+        let bm = alg.apply_batch(&[Update::Delete(e(32, 64)), Update::Delete(e(33, 65))]);
+        assert_eq!(bm.violations, 0, "serialized: {serialize}");
+        assert_eq!(bm.conflict_groups, 2);
+        alg.driver().audit().unwrap();
+        alg.driver().audit_directory().unwrap();
+        let (answers, _) = alg.answer_queries(&queries);
+        (bm.max_lanes, bm.rounds, alg.state_digest(), answers)
+    });
+    assert_eq!(con.0, 2, "both lanes in flight at once");
+    assert_eq!(ser.0, 1);
+    assert!(
+        con.1 < ser.1,
+        "the lanes overlap ({} vs {} rounds)",
+        con.1,
+        ser.1
+    );
+    assert_eq!(con.2, ser.2, "digests diverged");
+    assert_eq!(con.3, ser.3, "answers diverged");
+    // The first path re-linked through 0-64; the second stayed split.
+    use dmpc_graph::QueryAnswer::{Bool, Component, PathMax};
+    assert_eq!(
+        con.3,
+        [
+            Bool(true),
+            Bool(false),
+            Bool(true),
+            Component(0),
+            Component(65),
+            PathMax(Some((e(0, 64), 1))),
+            PathMax(None),
+        ]
+    );
+}
+
 /// Depth sweep at a fixed 16 structural ops per batch: the partitioner
 /// reports the generator's depth, the two schedules end in one state, and
 /// the conflict schedule's rounds grow with the conflict depth — the

@@ -348,7 +348,7 @@ fn transient_state_never_outlives_a_run_nor_leaves_the_touched_set() {
 }
 
 /// The same invariant on the MST driver (per-update runs, `PathMax` waves,
-/// the `pending_mst` slot).
+/// the path-max rendezvous parked under the solo lane).
 #[test]
 fn mst_transient_state_stays_within_the_touched_set() {
     let n = 48;
