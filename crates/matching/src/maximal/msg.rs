@@ -488,4 +488,74 @@ mod tests {
         assert_eq!(MatchMsg::Refresh(h.clone()).size_words(), 41);
         assert!(MatchMsg::Insert(Edge::new(0, 1)).size_words() <= 2);
     }
+
+    /// Every store-bound request costs its own words plus 4 per history
+    /// entry, checked at h = 0 and h = 3 (`ReleaseOverflow` carries none).
+    #[test]
+    fn store_requests_are_exact_words() {
+        let (ann, entry) = (Ann::free(), (7, Ann::free()));
+        for h in [0, 3] {
+            let hist = || -> HistSlice { vec![(1, HistEntry::Heavy(2)); h] };
+            let cases = [
+                (MatchMsg::Refresh(hist()), 1),
+                (
+                    MatchMsg::AddEdge {
+                        at: 1,
+                        nbr: 2,
+                        ann,
+                        hist: hist(),
+                    },
+                    6,
+                ),
+                (
+                    MatchMsg::AddAlive {
+                        at: 1,
+                        entry,
+                        hist: hist(),
+                    },
+                    6,
+                ),
+                (
+                    MatchMsg::DelEdge {
+                        at: 1,
+                        nbr: 2,
+                        hist: hist(),
+                    },
+                    3,
+                ),
+                (
+                    MatchMsg::MakeHeavy {
+                        v: 1,
+                        mate: Some(2),
+                        hist: hist(),
+                    },
+                    3,
+                ),
+                (
+                    MatchMsg::ScanFree {
+                        z: 1,
+                        exclude: vec![2, 3],
+                        hist: hist(),
+                    },
+                    4,
+                ),
+                (MatchMsg::ScanAdj { z: 1, hist: hist() }, 2),
+                (MatchMsg::ScanHeavy { z: 1, hist: hist() }, 2),
+                (MatchMsg::MakeLight { v: 1, hist: hist() }, 2),
+                (MatchMsg::FetchSuspended { v: 1, hist: hist() }, 2),
+                (
+                    MatchMsg::AddSuspended {
+                        v: 1,
+                        entries: vec![entry; 2],
+                        hist: hist(),
+                    },
+                    9,
+                ),
+            ];
+            for (msg, words) in cases {
+                assert_eq!(msg.size_words(), words + 4 * h, "{msg:?}");
+            }
+        }
+        assert_eq!(MatchMsg::ReleaseOverflow { v: 1 }.size_words(), 2);
+    }
 }
