@@ -18,7 +18,7 @@
 //! the far end of a length-3 augmenting path. The plain Section 3 algorithm
 //! only needs the alive set (maximality is restored either way).
 
-use super::msg::{Ann, HistEntry, HistSlice, MatchMsg, StatRec, NO_MATE};
+use super::msg::{Ann, HistEntry, HistSlice, MatchMsg, StatRec, StoreReq, NO_MATE};
 use super::Layout;
 use dmpc_graph::{Edge, Update, V};
 use dmpc_mpc::chaos::Fnv1a;
@@ -593,16 +593,37 @@ impl Coordinator {
         self.phase = phase;
     }
 
-    fn send_storage(&mut self, v: V, build: impl FnOnce(HistSlice) -> MatchMsg) {
-        let m = self.layout.storage_of(v);
-        let h = self.hist_for(m);
-        self.send(m, build(h));
+    /// Sends `req` to store machine `m` behind the history suffix `m` has
+    /// not seen.
+    fn send_store(&mut self, m: MachineId, req: StoreReq) {
+        let hist = self.hist_for(m);
+        self.send(m, MatchMsg::Store { hist, req });
     }
 
-    fn send_overflow(&mut self, v: V, build: impl FnOnce(HistSlice) -> MatchMsg) {
-        let m = self.overflow_of[&v];
-        let h = self.hist_for(m);
-        self.send(m, build(h));
+    fn send_storage(&mut self, v: V, req: StoreReq) {
+        self.send_store(self.layout.storage_of(v), req);
+    }
+
+    fn send_overflow(&mut self, v: V, req: StoreReq) {
+        self.send_store(self.overflow_of[&v], req);
+    }
+
+    /// Sends `req` to `v`'s storage machine, and to its overflow machine too
+    /// when `overflow`; returns the number of replies to wait for.
+    fn send_stores(&mut self, v: V, req: StoreReq, overflow: bool) -> usize {
+        if overflow {
+            self.send_storage(v, req.clone());
+            self.send_overflow(v, req);
+            2
+        } else {
+            self.send_storage(v, req);
+            1
+        }
+    }
+
+    /// Whether heavy `v` has edges on its overflow machine's stack.
+    fn has_suspended(&self, v: V) -> bool {
+        self.suspended.get(&v).is_some_and(|&c| c > 0)
     }
 
     fn push_stat(&mut self, v: V) {
@@ -655,17 +676,8 @@ impl Coordinator {
     /// `z_heavy` is passed explicitly because `z`'s record may not be
     /// cached (it can come from an adjacency annotation).
     fn scan_free(&mut self, z: V, z_heavy: bool, exclude: Vec<V>, purpose: ScanPurpose) {
-        let mut replies = 1;
-        let ex = exclude.clone();
-        self.send_storage(z, |hist| MatchMsg::ScanFree {
-            z,
-            exclude: ex,
-            hist,
-        });
-        if self.three_halves && z_heavy && self.suspended.get(&z).copied().unwrap_or(0) > 0 {
-            self.send_overflow(z, |hist| MatchMsg::ScanFree { z, exclude, hist });
-            replies += 1;
-        }
+        let overflow = self.three_halves && z_heavy && self.has_suspended(z);
+        let replies = self.send_stores(z, StoreReq::ScanFree { z, exclude }, overflow);
         let found = None;
         self.wait(replies, Phase::ScanFree { z, purpose, found });
     }
@@ -785,7 +797,7 @@ impl Coordinator {
             (Phase::MovedOut, MatchMsg::MovedOut { v, entries }) => {
                 if !entries.is_empty() {
                     *self.suspended.entry(v).or_default() += entries.len();
-                    self.send_overflow(v, |hist| MatchMsg::AddSuspended { v, entries, hist });
+                    self.send_overflow(v, StoreReq::AddSuspended { v, entries });
                 }
             }
             (Phase::DelProbes(found_alive), MatchMsg::DelReply { at, found, alive }) => {
@@ -802,7 +814,7 @@ impl Coordinator {
             (Phase::Fetch, MatchMsg::FetchReply { v, entry }) => {
                 if let Some(entry) = entry {
                     *self.suspended.get_mut(&v).unwrap() -= 1;
-                    self.send_storage(v, |hist| MatchMsg::AddAlive { at: v, entry, hist });
+                    self.send_storage(v, StoreReq::AddAlive { at: v, entry });
                 }
             }
             (
@@ -921,7 +933,7 @@ impl Coordinator {
             self.suspended.insert(v, 0);
             let mate = self.ctx.stat[&v].mate;
             let mate = (mate != NO_MATE).then_some(mate);
-            self.send_storage(v, |hist| MatchMsg::MakeHeavy { v, mate, hist });
+            self.send_storage(v, StoreReq::MakeHeavy { v, mate });
         }
         self.push_stat(e.u);
         self.push_stat(e.v);
@@ -938,13 +950,10 @@ impl Coordinator {
             let ann = self.ann_of(nbr);
             if self.ctx.stat[&at].heavy {
                 *self.suspended.get_mut(&at).unwrap() += 1;
-                self.send_overflow(at, |hist| MatchMsg::AddSuspended {
-                    v: at,
-                    entries: vec![(nbr, ann)],
-                    hist,
-                });
+                let entries = vec![(nbr, ann)];
+                self.send_overflow(at, StoreReq::AddSuspended { v: at, entries });
             } else {
-                self.send_storage(at, |hist| MatchMsg::AddEdge { at, nbr, ann, hist });
+                self.send_storage(at, StoreReq::AddEdge { at, nbr, ann });
             }
         }
         if self.three_halves {
@@ -993,12 +1002,8 @@ impl Coordinator {
         let e = self.ctx.upd.unwrap().edge();
         let mut replies = 0;
         for (at, nbr) in [(e.u, e.v), (e.v, e.u)] {
-            self.send_storage(at, |hist| MatchMsg::DelEdge { at, nbr, hist });
-            replies += 1;
-            if self.ctx.stat[&at].heavy && self.overflow_of.contains_key(&at) {
-                self.send_overflow(at, |hist| MatchMsg::DelEdge { at, nbr, hist });
-                replies += 1;
-            }
+            let overflow = self.ctx.stat[&at].heavy && self.overflow_of.contains_key(&at);
+            replies += self.send_stores(at, StoreReq::DelEdge { at, nbr }, overflow);
         }
         self.wait(replies, Phase::DelProbes(FnvMap::default()));
     }
@@ -1007,12 +1012,11 @@ impl Coordinator {
         let e = self.ctx.upd.unwrap().edge();
         let mut fetches = 0;
         for v in [e.u, e.v] {
-            let suspended = self.suspended.get(&v).copied().unwrap_or(0);
             if self.ctx.stat[&v].heavy
                 && found_alive.get(&v).copied().unwrap_or(false)
-                && suspended > 0
+                && self.has_suspended(v)
             {
-                self.send_overflow(v, |hist| MatchMsg::FetchSuspended { v, hist });
+                self.send_overflow(v, StoreReq::FetchSuspended { v });
                 fetches += 1;
             }
         }
@@ -1035,12 +1039,11 @@ impl Coordinator {
             if was_heavy && newdeg == tau {
                 self.ctx.stat.get_mut(&v).unwrap().heavy = false;
                 self.push_hist(HistEntry::Light(v));
-                debug_assert_eq!(
-                    self.suspended.get(&v).copied().unwrap_or(0),
-                    0,
+                debug_assert!(
+                    !self.has_suspended(v),
                     "alive = min(tau, deg) keeps the stack empty at the transition"
                 );
-                self.send_storage(v, |hist| MatchMsg::MakeLight { v, hist });
+                self.send_storage(v, StoreReq::MakeLight { v });
                 if let Some(ov) = self.overflow_of.remove(&v) {
                     self.send(ov, MatchMsg::ReleaseOverflow { v });
                     self.free_overflow.push(ov);
@@ -1090,13 +1093,10 @@ impl Coordinator {
         };
         if self.ctx.stat[&z].heavy {
             let mut replies = 1;
-            self.send_storage(z, |hist| MatchMsg::ScanHeavy { z, hist });
-            if self.three_halves && self.suspended.get(&z).copied().unwrap_or(0) > 0 {
-                self.send_overflow(z, |hist| MatchMsg::ScanFree {
-                    z,
-                    exclude: Vec::new(),
-                    hist,
-                });
+            self.send_storage(z, StoreReq::ScanHeavy { z });
+            if self.three_halves && self.has_suspended(z) {
+                let exclude = Vec::new();
+                self.send_overflow(z, StoreReq::ScanFree { z, exclude });
                 replies += 1;
             }
             let (free, steal) = (None, None);
@@ -1252,7 +1252,7 @@ impl Coordinator {
         let replies = want.len();
         for v in want {
             debug_assert!(self.light(v), "augmentation participants are light");
-            self.send_storage(v, |hist| MatchMsg::ScanAdj { z: v, hist });
+            self.send_storage(v, StoreReq::ScanAdj { z: v });
         }
         self.wait(replies, Phase::AugAdj(z));
     }
@@ -1357,12 +1357,8 @@ impl Coordinator {
             if !missing.is_empty() {
                 let mut replies = 0;
                 for v in missing {
-                    self.send_storage(v, |hist| MatchMsg::ScanAdj { z: v, hist });
-                    replies += 1;
-                    if self.ctx.stat[&v].heavy && self.suspended.get(&v).copied().unwrap_or(0) > 0 {
-                        self.send_overflow(v, |hist| MatchMsg::ScanAdj { z: v, hist });
-                        replies += 1;
-                    }
+                    let overflow = self.ctx.stat[&v].heavy && self.has_suspended(v);
+                    replies += self.send_stores(v, StoreReq::ScanAdj { z: v }, overflow);
                 }
                 self.wait(replies, Phase::CommitAdj(FnvMap::default()));
                 return;
@@ -1416,9 +1412,10 @@ impl Coordinator {
         let count = self.layout.n_storage + self.layout.n_overflow;
         let m = (first + self.rr_cursor % count) as MachineId;
         self.rr_cursor = (self.rr_cursor + 1) % count;
-        let h = self.hist_for(m);
-        if !h.is_empty() {
-            self.send(m, MatchMsg::Refresh(h));
+        let hist = self.hist_for(m);
+        if !hist.is_empty() {
+            let req = StoreReq::Refresh;
+            self.send(m, MatchMsg::Store { hist, req });
         }
         self.trim_hist();
         if self.queue.is_empty() {

@@ -2,7 +2,7 @@
 //! extraction and deep structural audits.
 
 use super::coordinator::Coordinator;
-use super::msg::{Ann, HistSlice, MatchMsg, StatRec, NO_MATE};
+use super::msg::{Ann, MatchMsg, StatRec, NO_MATE};
 use super::stats::StatsMachine;
 use super::storage::{OverflowMachine, StorageMachine, StoreVertex};
 use super::Layout;
@@ -375,15 +375,10 @@ impl DmpcMaximalMatching {
             }
         }
         for v in 0..n as V {
-            let sm = self.layout.storage_of(v);
-            let sv = match &self.cluster.machine(sm).role {
-                Role::Storage(s) => s.vertex(v).expect("missing store vertex"),
-                _ => unreachable!(),
+            let Role::Storage(s) = &self.cluster.machine(self.layout.storage_of(v)).role else {
+                unreachable!()
             };
-            let machine_seen = match &self.cluster.machine(sm).role {
-                Role::Storage(s) => s.last_seen(),
-                _ => unreachable!(),
-            };
+            let sv = s.vertex(v).expect("missing store vertex");
             let deg = g.degree(v);
             let expect_alive = if sv.heavy { deg.min(tau) } else { deg };
             if sv.heavy != (deg > tau) {
@@ -395,7 +390,7 @@ impl DmpcMaximalMatching {
                     sv.entries.len()
                 ));
             }
-            let suffix = coord_suffix(coord, machine_seen);
+            let suffix = coord.hist_suffix(s.last_seen());
             for (nbr, mut ann) in sv.entries {
                 if !g.has_edge(Edge::new(v, nbr)) {
                     return Err(format!("storage {v}: stale edge to {nbr}"));
@@ -423,10 +418,6 @@ impl DmpcMaximalMatching {
         }
         Ok(())
     }
-}
-
-fn coord_suffix(c: &Coordinator, seen: u64) -> HistSlice {
-    c.hist_suffix(seen)
 }
 
 impl DynamicGraphAlgorithm for DmpcMaximalMatching {

@@ -6,7 +6,7 @@
 //! and — in 3/2 mode — the free-neighbor counter of Section 4); **storage
 //! machines** holding adjacency lists annotated with each neighbor's
 //! matching status (stale by up to one refresh cycle, repaired by replaying
-//! the history suffix attached to every coordinator message); and an
+//! the history suffix each coordinator `MatchMsg::Store` request carries); and an
 //! **overflow pool** holding the *suspended* edges of heavy vertices (the
 //! paper's `getSuspended` stack).
 //!

@@ -81,11 +81,13 @@ pub enum HistEntry {
     Light(V),
 }
 
-/// A numbered history suffix shipped with coordinator messages.
+/// A numbered history suffix, shipped in [`MatchMsg::Store`].
 pub type HistSlice = Vec<(u64, HistEntry)>;
 
-/// Requests/replies of the matching protocol. Every storage/overflow-bound
-/// message carries the history suffix the target has not yet seen.
+/// Requests/replies of the matching protocol. Every request to a storage or
+/// overflow machine but [`MatchMsg::ReleaseOverflow`] is one
+/// [`MatchMsg::Store`], which carries the history suffix the target has not
+/// yet seen; no other variant carries history.
 #[derive(Clone, Debug)]
 pub enum MatchMsg {
     /// Injected edge insertion.
@@ -132,29 +134,15 @@ pub enum MatchMsg {
     CounterReply(Vec<(V, u32)>),
 
     // --- coordinator <-> storage/overflow ---
-    /// Periodic round-robin refresh: just replay the history.
-    Refresh(HistSlice),
-    /// Add an edge copy at `at` pointing to `nbr`.
-    AddEdge {
-        /// Owning vertex.
-        at: V,
-        /// Neighbor.
-        nbr: V,
-        /// Fresh annotation for `nbr`.
-        ann: Ann,
+    /// A request to a storage or overflow machine behind the history suffix
+    /// it has not seen: the target replays `hist` once, then serves `req`.
+    Store {
         /// History suffix for repair.
         hist: HistSlice,
+        /// The request.
+        req: StoreReq,
     },
-    /// Remove the edge copy at `at` pointing to `nbr`; reply [`MatchMsg::DelReply`].
-    DelEdge {
-        /// Owning vertex.
-        at: V,
-        /// Neighbor.
-        nbr: V,
-        /// History suffix.
-        hist: HistSlice,
-    },
-    /// Whether the probe found (and removed) the edge copy.
+    /// Reply to [`StoreReq::DelEdge`]: whether the edge copy was removed.
     DelReply {
         /// Echo of the owning vertex.
         at: V,
@@ -164,45 +152,21 @@ pub enum MatchMsg {
         /// machine); false for the suspended stack (overflow machine).
         alive: bool,
     },
-    /// Scan the list of `z` for a free neighbor outside `exclude`.
-    ScanFree {
-        /// The scanned vertex.
-        z: V,
-        /// Neighbors to skip (O(1) entries).
-        exclude: Vec<V>,
-        /// History suffix.
-        hist: HistSlice,
-    },
-    /// Reply to [`MatchMsg::ScanFree`].
+    /// Reply to [`StoreReq::ScanFree`].
     ScanFreeReply {
         /// Echo.
         z: V,
         /// A free neighbor, if any.
         q: Option<V>,
     },
-    /// Return the whole adjacency list of `z` (O(tau) words; light vertices
-    /// and alive sets only).
-    ScanAdj {
-        /// The vertex.
-        z: V,
-        /// History suffix.
-        hist: HistSlice,
-    },
-    /// Reply to [`MatchMsg::ScanAdj`].
+    /// Reply to [`StoreReq::ScanAdj`].
     ScanAdjReply {
         /// Echo.
         z: V,
         /// The (neighbor, annotation) list.
         entries: Vec<(V, Ann)>,
     },
-    /// Scan heavy `z`'s alive set for a free neighbor and a steal candidate.
-    ScanHeavy {
-        /// The heavy vertex.
-        z: V,
-        /// History suffix.
-        hist: HistSlice,
-    },
-    /// Reply to [`MatchMsg::ScanHeavy`].
+    /// Reply to [`StoreReq::ScanHeavy`].
     ScanHeavyReply {
         /// Echo.
         z: V,
@@ -211,64 +175,21 @@ pub enum MatchMsg {
         /// A matched alive neighbor with a light mate: `(w, mate(w))`.
         steal: Option<(V, V)>,
     },
-    /// Flip `v` to heavy; keep `tau` alive edges (the mate edge among them)
-    /// and return the surplus via [`MatchMsg::MovedOut`].
-    MakeHeavy {
-        /// The transitioning vertex.
-        v: V,
-        /// Its mate if any (kept alive).
-        mate: Option<V>,
-        /// History suffix.
-        hist: HistSlice,
-    },
-    /// Surplus edges evicted by [`MatchMsg::MakeHeavy`].
+    /// Surplus edges evicted by [`StoreReq::MakeHeavy`].
     MovedOut {
         /// The heavy vertex.
         v: V,
         /// Evicted entries.
         entries: Vec<(V, Ann)>,
     },
-    /// Flip `v` back to light (its suspended stack is empty by invariant).
-    MakeLight {
-        /// The transitioning vertex.
-        v: V,
-        /// History suffix.
-        hist: HistSlice,
-    },
-    /// Append suspended edges of `v` at its overflow machine.
-    AddSuspended {
-        /// The heavy vertex.
-        v: V,
-        /// Entries to store.
-        entries: Vec<(V, Ann)>,
-        /// History suffix.
-        hist: HistSlice,
-    },
-    /// Pop one suspended edge of `v` (alive-set refill); reply
-    /// [`MatchMsg::FetchReply`].
-    FetchSuspended {
-        /// The heavy vertex.
-        v: V,
-        /// History suffix.
-        hist: HistSlice,
-    },
-    /// Reply to [`MatchMsg::FetchSuspended`].
+    /// Reply to [`StoreReq::FetchSuspended`].
     FetchReply {
         /// Echo.
         v: V,
         /// The popped entry (None if the stack is empty).
         entry: Option<(V, Ann)>,
     },
-    /// Put one edge into the alive set of heavy `v` (refill).
-    AddAlive {
-        /// The heavy vertex.
-        at: V,
-        /// The refilled entry.
-        entry: (V, Ann),
-        /// History suffix.
-        hist: HistSlice,
-    },
-    /// Release the overflow assignment of `v`.
+    /// Release the overflow assignment of `v` (carries no history).
     ReleaseOverflow {
         /// The vertex whose stack is freed.
         v: V,
@@ -279,9 +200,97 @@ pub enum MatchMsg {
     Handoff(HandoffMsg),
 }
 
+/// A request to a storage or overflow machine, carried by [`MatchMsg::Store`]
+/// behind the history suffix the target repairs with first.
+#[derive(Clone, Debug)]
+pub enum StoreReq {
+    /// Periodic round-robin refresh: nothing beyond the repair.
+    Refresh,
+    /// Add an edge copy at `at` pointing to `nbr`.
+    AddEdge {
+        /// Owning vertex.
+        at: V,
+        /// Neighbor.
+        nbr: V,
+        /// Fresh annotation for `nbr`.
+        ann: Ann,
+    },
+    /// Remove the copy at `at` pointing to `nbr`; reply [`MatchMsg::DelReply`].
+    DelEdge {
+        /// Owning vertex.
+        at: V,
+        /// Neighbor.
+        nbr: V,
+    },
+    /// Scan the list of `z` for a free neighbor outside `exclude`.
+    ScanFree {
+        /// The scanned vertex.
+        z: V,
+        /// Neighbors to skip (O(1) entries).
+        exclude: Vec<V>,
+    },
+    /// Return the whole adjacency list of `z` (O(tau) words; light vertices
+    /// and alive sets only).
+    ScanAdj {
+        /// The vertex.
+        z: V,
+    },
+    /// Scan heavy `z`'s alive set for a free neighbor and a steal candidate.
+    ScanHeavy {
+        /// The heavy vertex.
+        z: V,
+    },
+    /// Flip `v` to heavy; keep `tau` alive edges (the mate edge among them)
+    /// and return the surplus via [`MatchMsg::MovedOut`].
+    MakeHeavy {
+        /// The transitioning vertex.
+        v: V,
+        /// Its mate if any (kept alive).
+        mate: Option<V>,
+    },
+    /// Flip `v` back to light (its suspended stack is empty by invariant).
+    MakeLight {
+        /// The transitioning vertex.
+        v: V,
+    },
+    /// Append suspended edges of `v` at its overflow machine.
+    AddSuspended {
+        /// The heavy vertex.
+        v: V,
+        /// Entries to store.
+        entries: Vec<(V, Ann)>,
+    },
+    /// Pop one suspended edge of `v` (refill); reply [`MatchMsg::FetchReply`].
+    FetchSuspended {
+        /// The heavy vertex.
+        v: V,
+    },
+    /// Put one edge into the alive set of heavy `v` (refill).
+    AddAlive {
+        /// The heavy vertex.
+        at: V,
+        /// The refilled entry.
+        entry: (V, Ann),
+    },
+}
+
+impl StoreReq {
+    /// Words of the request; [`MatchMsg::Store`] adds 4 per history entry.
+    pub fn size_words(&self) -> usize {
+        match self {
+            StoreReq::Refresh => 1,
+            StoreReq::AddEdge { .. } | StoreReq::AddAlive { .. } => 6,
+            StoreReq::DelEdge { .. } | StoreReq::MakeHeavy { .. } => 3,
+            StoreReq::ScanFree { exclude, .. } => 2 + exclude.len(),
+            StoreReq::ScanAdj { .. } | StoreReq::ScanHeavy { .. } => 2,
+            StoreReq::MakeLight { .. } | StoreReq::FetchSuspended { .. } => 2,
+            StoreReq::AddSuspended { entries, .. } => 1 + 4 * entries.len(),
+        }
+    }
+}
+
 impl Payload for MatchMsg {
     fn size_words(&self) -> usize {
-        let hist_words = |h: &HistSlice| 4 * h.len();
         match self {
             MatchMsg::Insert(_) | MatchMsg::Delete(_) => 2,
             MatchMsg::Batch(ups) => 1 + 2 * ups.len(),
@@ -294,25 +303,13 @@ impl Payload for MatchMsg {
             MatchMsg::CounterDelta(vs, _) => 2 + vs.len(),
             MatchMsg::CounterQuery(vs) => 1 + vs.len(),
             MatchMsg::CounterReply(rs) => 1 + 2 * rs.len(),
-            MatchMsg::Refresh(h) => 1 + hist_words(h),
-            MatchMsg::AddEdge { hist, .. } => 6 + hist_words(hist),
-            MatchMsg::DelEdge { hist, .. } => 3 + hist_words(hist),
+            MatchMsg::Store { hist, req } => 4 * hist.len() + req.size_words(),
             MatchMsg::DelReply { .. } => 3,
-            MatchMsg::ScanFree { exclude, hist, .. } => 2 + exclude.len() + hist_words(hist),
             MatchMsg::ScanFreeReply { .. } => 2,
-            MatchMsg::ScanAdj { hist, .. } => 2 + hist_words(hist),
             MatchMsg::ScanAdjReply { entries, .. } => 1 + 4 * entries.len(),
-            MatchMsg::ScanHeavy { hist, .. } => 2 + hist_words(hist),
             MatchMsg::ScanHeavyReply { .. } => 4,
-            MatchMsg::MakeHeavy { hist, .. } => 3 + hist_words(hist),
             MatchMsg::MovedOut { entries, .. } => 1 + 4 * entries.len(),
-            MatchMsg::MakeLight { hist, .. } => 2 + hist_words(hist),
-            MatchMsg::AddSuspended { entries, hist, .. } => {
-                1 + 4 * entries.len() + hist_words(hist)
-            }
-            MatchMsg::FetchSuspended { hist, .. } => 2 + hist_words(hist),
             MatchMsg::FetchReply { .. } => 5,
-            MatchMsg::AddAlive { hist, .. } => 6 + hist_words(hist),
             MatchMsg::ReleaseOverflow { .. } => 2,
             MatchMsg::Handoff(h) => h.size_words(),
         }
@@ -484,8 +481,9 @@ mod tests {
 
     #[test]
     fn message_sizes_scale_with_payload() {
-        let h: HistSlice = vec![(1, HistEntry::MatchDel(Edge::new(0, 1))); 10];
-        assert_eq!(MatchMsg::Refresh(h.clone()).size_words(), 41);
+        let hist: HistSlice = vec![(1, HistEntry::MatchDel(Edge::new(0, 1))); 10];
+        let req = StoreReq::Refresh;
+        assert_eq!(MatchMsg::Store { hist, req }.size_words(), 41);
         assert!(MatchMsg::Insert(Edge::new(0, 1)).size_words() <= 2);
     }
 
@@ -494,65 +492,24 @@ mod tests {
     #[test]
     fn store_requests_are_exact_words() {
         let (ann, entry) = (Ann::free(), (7, Ann::free()));
+        let (mate, exclude, entries) = (Some(2), vec![2, 3], vec![entry; 2]);
+        let cases = [
+            (StoreReq::Refresh, 1),
+            (StoreReq::AddEdge { at: 1, nbr: 2, ann }, 6),
+            (StoreReq::AddAlive { at: 1, entry }, 6),
+            (StoreReq::DelEdge { at: 1, nbr: 2 }, 3),
+            (StoreReq::MakeHeavy { v: 1, mate }, 3),
+            (StoreReq::ScanFree { z: 1, exclude }, 4),
+            (StoreReq::ScanAdj { z: 1 }, 2),
+            (StoreReq::ScanHeavy { z: 1 }, 2),
+            (StoreReq::MakeLight { v: 1 }, 2),
+            (StoreReq::FetchSuspended { v: 1 }, 2),
+            (StoreReq::AddSuspended { v: 1, entries }, 9),
+        ];
         for h in [0, 3] {
-            let hist = || -> HistSlice { vec![(1, HistEntry::Heavy(2)); h] };
-            let cases = [
-                (MatchMsg::Refresh(hist()), 1),
-                (
-                    MatchMsg::AddEdge {
-                        at: 1,
-                        nbr: 2,
-                        ann,
-                        hist: hist(),
-                    },
-                    6,
-                ),
-                (
-                    MatchMsg::AddAlive {
-                        at: 1,
-                        entry,
-                        hist: hist(),
-                    },
-                    6,
-                ),
-                (
-                    MatchMsg::DelEdge {
-                        at: 1,
-                        nbr: 2,
-                        hist: hist(),
-                    },
-                    3,
-                ),
-                (
-                    MatchMsg::MakeHeavy {
-                        v: 1,
-                        mate: Some(2),
-                        hist: hist(),
-                    },
-                    3,
-                ),
-                (
-                    MatchMsg::ScanFree {
-                        z: 1,
-                        exclude: vec![2, 3],
-                        hist: hist(),
-                    },
-                    4,
-                ),
-                (MatchMsg::ScanAdj { z: 1, hist: hist() }, 2),
-                (MatchMsg::ScanHeavy { z: 1, hist: hist() }, 2),
-                (MatchMsg::MakeLight { v: 1, hist: hist() }, 2),
-                (MatchMsg::FetchSuspended { v: 1, hist: hist() }, 2),
-                (
-                    MatchMsg::AddSuspended {
-                        v: 1,
-                        entries: vec![entry; 2],
-                        hist: hist(),
-                    },
-                    9,
-                ),
-            ];
-            for (msg, words) in cases {
+            for (req, words) in cases.clone() {
+                let hist = vec![(1, HistEntry::Heavy(2)); h];
+                let msg = MatchMsg::Store { hist, req };
                 assert_eq!(msg.size_words(), words + 4 * h, "{msg:?}");
             }
         }

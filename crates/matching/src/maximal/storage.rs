@@ -8,7 +8,9 @@
 //! at `tau`, scans take the first hit), so all mutations preserve segment
 //! order — removals shift the tail down instead of swapping.
 
-use super::msg::{fresh_suffix, repair_entry, Ann, HistEntry, HistSlice, MatchMsg, Repair};
+use super::msg::{
+    fresh_suffix, repair_entry, Ann, HistEntry, HistSlice, MatchMsg, Repair, StoreReq,
+};
 use dmpc_graph::V;
 use dmpc_mpc::text::{self, put_field, Fields, Sink};
 
@@ -474,6 +476,8 @@ pub struct StorageMachine {
     verts: Store,
     last_seen: u64,
     tau: usize,
+    /// The owned block.
+    owned: std::ops::Range<V>,
 }
 
 impl StorageMachine {
@@ -484,11 +488,12 @@ impl StorageMachine {
             verts: Store::new_range(lo, hi),
             last_seen: 0,
             tau,
+            owned: lo..hi,
         }
     }
 
-    /// Fail-stop wipe (chaos plane): drops program state; `tau` is
-    /// construction-time configuration and survives.
+    /// Fail-stop wipe (chaos plane): drops program state; `tau` and the
+    /// owned block are construction-time configuration and survive.
     pub fn wipe(&mut self) {
         self.verts = Store::default();
         self.last_seen = 0;
@@ -526,6 +531,8 @@ impl StorageMachine {
     }
 
     /// Full state restore from [`StorageMachine::snapshot_text`] output.
+    /// Every vertex must lie in the owned block, so another machine's
+    /// snapshot is refused rather than installed under foreign keys.
     pub fn restore_text(&mut self, text: &str) {
         self.wipe();
         let mut lines = text.lines();
@@ -536,6 +543,11 @@ impl StorageMachine {
                 b"seen" => self.last_seen = f.dec(),
                 b"svert" => {
                     let v: V = f.dec();
+                    assert!(
+                        self.owned.contains(&v),
+                        "snapshot vertex {v} restored on the storage machine of {:?}",
+                        self.owned
+                    );
                     self.verts.insert_vertex(v, f.flag());
                 }
                 b"sedge" => {
@@ -632,19 +644,18 @@ impl StorageMachine {
 
     /// Handles one request; may produce a reply for the coordinator.
     pub fn handle(&mut self, msg: MatchMsg) -> Option<MatchMsg> {
-        match msg {
-            MatchMsg::Refresh(hist) => {
-                self.repair(&hist);
-                None
-            }
-            MatchMsg::AddEdge { at, nbr, ann, hist } => {
-                self.repair(&hist);
+        let MatchMsg::Store { hist, req } = msg else {
+            panic!("storage machine got unexpected message {msg:?}");
+        };
+        self.repair(&hist);
+        match req {
+            StoreReq::Refresh => None,
+            StoreReq::AddEdge { at, nbr, ann } => {
                 debug_assert!(!self.verts.has_entry(at, nbr));
                 self.verts.push_entry(at, nbr, ann);
                 None
             }
-            MatchMsg::DelEdge { at, nbr, hist } => {
-                self.repair(&hist);
+            StoreReq::DelEdge { at, nbr } => {
                 let found = self.verts.remove_entry(at, nbr);
                 Some(MatchMsg::DelReply {
                     at,
@@ -652,40 +663,32 @@ impl StorageMachine {
                     alive: true,
                 })
             }
-            MatchMsg::ScanFree { z, exclude, hist } => {
-                self.repair(&hist);
+            StoreReq::ScanFree { z, exclude } => {
                 let q = self.verts.scan_free(z, &exclude);
                 Some(MatchMsg::ScanFreeReply { z, q })
             }
-            MatchMsg::ScanAdj { z, hist } => {
-                self.repair(&hist);
-                Some(MatchMsg::ScanAdjReply {
-                    z,
-                    entries: self.verts.entries(self.verts.slot(z)),
-                })
-            }
-            MatchMsg::ScanHeavy { z, hist } => {
-                self.repair(&hist);
+            StoreReq::ScanAdj { z } => Some(MatchMsg::ScanAdjReply {
+                z,
+                entries: self.verts.entries(self.verts.slot(z)),
+            }),
+            StoreReq::ScanHeavy { z } => {
                 debug_assert!(self.verts.heavy(z));
                 let (free, steal) = self.verts.scan_heavy(z);
                 Some(MatchMsg::ScanHeavyReply { z, free, steal })
             }
-            MatchMsg::MakeHeavy { v, mate, hist } => {
-                self.repair(&hist);
+            StoreReq::MakeHeavy { v, mate } => {
                 let entries = self.verts.make_heavy(v, mate, self.tau);
                 Some(MatchMsg::MovedOut { v, entries })
             }
-            MatchMsg::AddAlive { at, entry, hist } => {
-                self.repair(&hist);
+            StoreReq::AddAlive { at, entry } => {
                 self.verts.push_entry(at, entry.0, entry.1);
                 None
             }
-            MatchMsg::MakeLight { v, hist } => {
-                self.repair(&hist);
+            StoreReq::MakeLight { v } => {
                 self.verts.set_heavy_if_present(v, false);
                 None
             }
-            other => panic!("storage machine got unexpected message {other:?}"),
+            other => panic!("storage machine got unexpected request {other:?}"),
         }
     }
 
@@ -812,13 +815,20 @@ impl OverflowMachine {
 
     /// Handles one request; may produce a reply.
     pub fn handle(&mut self, msg: MatchMsg) -> Option<MatchMsg> {
-        match msg {
-            MatchMsg::Refresh(hist) => {
-                self.repair(&hist);
-                None
+        let (hist, req) = match msg {
+            MatchMsg::Store { hist, req } => (hist, req),
+            MatchMsg::ReleaseOverflow { v } => {
+                debug_assert_eq!(self.assigned, Some(v));
+                debug_assert!(self.edges.is_empty());
+                self.assigned = None;
+                return None;
             }
-            MatchMsg::AddSuspended { v, entries, hist } => {
-                self.repair(&hist);
+            other => panic!("overflow machine got unexpected message {other:?}"),
+        };
+        self.repair(&hist);
+        match req {
+            StoreReq::Refresh => None,
+            StoreReq::AddSuspended { v, entries } => {
                 if self.assigned.is_none() {
                     self.assigned = Some(v);
                 }
@@ -826,8 +836,7 @@ impl OverflowMachine {
                 self.edges.extend(entries);
                 None
             }
-            MatchMsg::DelEdge { at, nbr, hist } => {
-                self.repair(&hist);
+            StoreReq::DelEdge { at, nbr } => {
                 debug_assert_eq!(self.assigned, Some(at));
                 let before = self.edges.len();
                 self.edges.retain(|&(x, _)| x != nbr);
@@ -837,8 +846,7 @@ impl OverflowMachine {
                     alive: false,
                 })
             }
-            MatchMsg::ScanFree { z, exclude, hist } => {
-                self.repair(&hist);
+            StoreReq::ScanFree { z, exclude } => {
                 debug_assert_eq!(self.assigned, Some(z));
                 let q = self
                     .edges
@@ -847,28 +855,18 @@ impl OverflowMachine {
                     .map(|&(nbr, _)| nbr);
                 Some(MatchMsg::ScanFreeReply { z, q })
             }
-            MatchMsg::FetchSuspended { v, hist } => {
-                self.repair(&hist);
+            StoreReq::FetchSuspended { v } => {
                 debug_assert_eq!(self.assigned, Some(v));
                 Some(MatchMsg::FetchReply {
                     v,
                     entry: self.edges.pop(),
                 })
             }
-            MatchMsg::ScanAdj { z, hist } => {
-                self.repair(&hist);
-                Some(MatchMsg::ScanAdjReply {
-                    z,
-                    entries: self.edges.clone(),
-                })
-            }
-            MatchMsg::ReleaseOverflow { v } => {
-                debug_assert_eq!(self.assigned, Some(v));
-                debug_assert!(self.edges.is_empty());
-                self.assigned = None;
-                None
-            }
-            other => panic!("overflow machine got unexpected message {other:?}"),
+            StoreReq::ScanAdj { z } => Some(MatchMsg::ScanAdjReply {
+                z,
+                entries: self.edges.clone(),
+            }),
+            other => panic!("overflow machine got unexpected request {other:?}"),
         }
     }
 
@@ -884,16 +882,28 @@ mod tests {
     use super::*;
     use dmpc_graph::Edge;
 
+    /// A request behind an empty history slice.
+    fn store(req: StoreReq) -> MatchMsg {
+        MatchMsg::Store { hist: vec![], req }
+    }
+
+    /// Adds the edge copy `at -> nbr`, annotated free, behind no history.
+    fn add(at: V, nbr: V) -> MatchMsg {
+        let ann = Ann::free();
+        store(StoreReq::AddEdge { at, nbr, ann })
+    }
+
+    /// A refresh: nothing but the repair `hist` asks for.
+    fn refresh(hist: HistSlice) -> MatchMsg {
+        let req = StoreReq::Refresh;
+        MatchMsg::Store { hist, req }
+    }
+
     #[test]
     fn add_del_scan() {
         let mut m = StorageMachine::new(0, 4, 8);
-        m.handle(MatchMsg::AddEdge {
-            at: 1,
-            nbr: 9,
-            ann: Ann::free(),
-            hist: vec![],
-        });
-        m.handle(MatchMsg::AddEdge {
+        m.handle(add(1, 9));
+        m.handle(store(StoreReq::AddEdge {
             at: 1,
             nbr: 8,
             ann: Ann {
@@ -901,36 +911,25 @@ mod tests {
                 mate: 3,
                 mate_light: true,
             },
-            hist: vec![],
-        });
+        }));
+        let exclude = vec![];
         match m
-            .handle(MatchMsg::ScanFree {
-                z: 1,
-                exclude: vec![],
-                hist: vec![],
-            })
+            .handle(store(StoreReq::ScanFree { z: 1, exclude }))
             .unwrap()
         {
             MatchMsg::ScanFreeReply { q, .. } => assert_eq!(q, Some(9)),
             _ => panic!(),
         }
+        let exclude = vec![9];
         match m
-            .handle(MatchMsg::ScanFree {
-                z: 1,
-                exclude: vec![9],
-                hist: vec![],
-            })
+            .handle(store(StoreReq::ScanFree { z: 1, exclude }))
             .unwrap()
         {
             MatchMsg::ScanFreeReply { q, .. } => assert_eq!(q, None),
             _ => panic!(),
         }
         match m
-            .handle(MatchMsg::DelEdge {
-                at: 1,
-                nbr: 9,
-                hist: vec![],
-            })
+            .handle(store(StoreReq::DelEdge { at: 1, nbr: 9 }))
             .unwrap()
         {
             MatchMsg::DelReply { found, alive, .. } => {
@@ -944,21 +943,16 @@ mod tests {
     #[test]
     fn history_repair_applies_once() {
         let mut m = StorageMachine::new(0, 2, 8);
-        m.handle(MatchMsg::AddEdge {
-            at: 0,
-            nbr: 5,
-            ann: Ann::free(),
-            hist: vec![],
-        });
+        m.handle(add(0, 5));
         let h1 = vec![(1, HistEntry::MatchAdd(Edge::new(5, 6), true, true))];
-        m.handle(MatchMsg::Refresh(h1.clone()));
+        m.handle(refresh(h1.clone()));
         assert!(m.vertex(0).unwrap().entries[0].1.matched);
         // Replaying the same suffix is a no-op (idempotent by seq).
         let h2 = vec![
             (1, HistEntry::MatchAdd(Edge::new(5, 6), true, true)),
             (2, HistEntry::MatchDel(Edge::new(5, 6))),
         ];
-        m.handle(MatchMsg::Refresh(h2));
+        m.handle(refresh(h2));
         assert!(!m.vertex(0).unwrap().entries[0].1.matched);
         assert_eq!(m.last_seen(), 2);
     }
@@ -966,26 +960,18 @@ mod tests {
     #[test]
     fn overflow_stack() {
         let mut o = OverflowMachine::default();
-        o.handle(MatchMsg::AddSuspended {
+        o.handle(store(StoreReq::AddSuspended {
             v: 3,
             entries: vec![(7, Ann::free()), (8, Ann::free())],
-            hist: vec![],
-        });
+        }));
         assert_eq!(o.assigned(), Some(3));
         assert_eq!(o.len(), 2);
-        match o
-            .handle(MatchMsg::FetchSuspended { v: 3, hist: vec![] })
-            .unwrap()
-        {
+        match o.handle(store(StoreReq::FetchSuspended { v: 3 })).unwrap() {
             MatchMsg::FetchReply { entry, .. } => assert_eq!(entry.unwrap().0, 8),
             _ => panic!(),
         }
         match o
-            .handle(MatchMsg::DelEdge {
-                at: 3,
-                nbr: 7,
-                hist: vec![],
-            })
+            .handle(store(StoreReq::DelEdge { at: 3, nbr: 7 }))
             .unwrap()
         {
             MatchMsg::DelReply { found, alive, .. } => {
@@ -1006,8 +992,7 @@ mod tests {
         let mut m = StorageMachine::new(0, 4, 8);
         assert_eq!(m.verts.memory_words(), (4usize * 13).div_ceil(8));
         for (at, nbr) in [(0, 5), (0, 6), (1, 5)] {
-            let (ann, hist) = (Ann::free(), vec![]);
-            m.handle(MatchMsg::AddEdge { at, nbr, ann, hist });
+            m.handle(add(at, nbr));
         }
         // Vertex 0 grew in place at the tail (2 cells); vertex 1 opened a
         // segment behind it with `ENTRY_HEADROOM` spare cells (3 cells).
@@ -1019,8 +1004,7 @@ mod tests {
         assert_eq!(m.memory_words(), 2 + 14);
         // A delete leaves its cell behind as a hole and drops its key.
         for nbr in [5, 6] {
-            let hist = vec![];
-            m.handle(MatchMsg::DelEdge { at: 0, nbr, hist });
+            m.handle(store(StoreReq::DelEdge { at: 0, nbr }));
         }
         assert_eq!((m.verts.nbr.len(), m.verts.live), (5, 1));
         assert_eq!(
@@ -1049,17 +1033,23 @@ mod tests {
         m.load(1 << 16, StoreVertex::default());
     }
 
+    /// A neighbour's snapshot names vertices this machine does not own: it
+    /// is refused, not installed under foreign keys.
+    #[test]
+    #[should_panic(expected = "snapshot vertex 0 restored on the storage machine of 4..8")]
+    fn restore_refuses_a_neighbours_snapshot() {
+        let mut a = StorageMachine::new(0, 4, 8);
+        a.handle(add(0, 5));
+        let mut b = StorageMachine::new(4, 8, 8);
+        b.restore_text(&a.snapshot_text());
+    }
+
     /// Snapshot text after each step of the storage protocol.
     #[test]
     fn snapshot_text_follows_the_storage_protocol() {
         let mut m = StorageMachine::new(0, 4, 2);
         for (at, nbr) in [(0, 5), (0, 6), (1, 5), (2, 7), (0, 7)] {
-            m.handle(MatchMsg::AddEdge {
-                at,
-                nbr,
-                ann: Ann::free(),
-                hist: vec![],
-            });
+            m.handle(add(at, nbr));
         }
         let free = NO_MATE;
         assert_eq!(
@@ -1076,12 +1066,9 @@ mod tests {
         // MakeHeavy moves the mate edge to the front and splits
         // positionally at tau = 2.
         let hist = vec![(1, HistEntry::MatchAdd(Edge::new(6, 0), true, true))];
-        m.handle(MatchMsg::Refresh(hist));
-        match m.handle(MatchMsg::MakeHeavy {
-            v: 0,
-            mate: Some(6),
-            hist: vec![],
-        }) {
+        m.handle(refresh(hist));
+        let mate = Some(6);
+        match m.handle(store(StoreReq::MakeHeavy { v: 0, mate })) {
             Some(MatchMsg::MovedOut { entries, .. }) => assert_eq!(entries, [(7, Ann::free())]),
             _ => panic!(),
         }
@@ -1099,11 +1086,7 @@ mod tests {
         );
 
         // Order-preserving delete at the front of a segment.
-        m.handle(MatchMsg::DelEdge {
-            at: 0,
-            nbr: 6,
-            hist: vec![],
-        });
+        m.handle(store(StoreReq::DelEdge { at: 0, nbr: 6 }));
         let text = m.snapshot_text();
         assert_eq!(
             text,

@@ -18,7 +18,9 @@ use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
 use dmpc_graph::streams::{self, Update};
 use dmpc_graph::{Edge, V};
 use dmpc_matching::maximal::coordinator::Coordinator;
-use dmpc_matching::maximal::msg::{repair_entry, Ann, HistEntry, HistSlice, MatchMsg, NO_MATE};
+use dmpc_matching::maximal::msg::{
+    repair_entry, Ann, HistEntry, HistSlice, MatchMsg, StoreReq, NO_MATE,
+};
 use dmpc_matching::maximal::storage::{OverflowMachine, StorageMachine, StoreVertex};
 use dmpc_matching::maximal::Layout;
 use dmpc_matching::DmpcMaximalMatching;
@@ -97,6 +99,17 @@ fn fold_kernel(entries: &mut [(V, Ann)], hist: &HistSlice, last_seen: u64) {
     }
 }
 
+/// A request behind an empty history slice.
+fn store(req: StoreReq) -> MatchMsg {
+    MatchMsg::Store { hist: vec![], req }
+}
+
+/// A refresh: nothing but the repair `hist` asks for.
+fn refresh(hist: HistSlice) -> MatchMsg {
+    let req = StoreReq::Refresh;
+    MatchMsg::Store { hist, req }
+}
+
 fn seen_after(hist: &HistSlice, last_seen: u64) -> u64 {
     hist.last()
         .map_or(last_seen, |&(seq, _)| seq.max(last_seen))
@@ -105,7 +118,7 @@ fn seen_after(hist: &HistSlice, last_seen: u64) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `Refresh(slice)` leaves exactly the state the kernel fold defines,
+    /// A refresh with `slice` leaves exactly the state the kernel fold defines,
     /// including owned heavy flags and the sync point, for stale prefixes
     /// and empty fresh suffixes alike — whether the slice is all
     /// `MatchAdd`/`MatchDel` (half the cases; the index serves it) or mixed.
@@ -144,7 +157,7 @@ proptest! {
         }
         want.set_last_seen(seen_after(&hist, last_seen));
         got.set_last_seen(last_seen);
-        prop_assert!(got.handle(MatchMsg::Refresh(hist)).is_none());
+        prop_assert!(got.handle(refresh(hist)).is_none());
         prop_assert_eq!(got.last_seen(), want.last_seen());
         prop_assert_eq!(got.snapshot_text(), want.snapshot_text());
         got.settle_index();
@@ -170,7 +183,7 @@ proptest! {
         fold_kernel(&mut repaired, &hist, last_seen);
         let mut want = OverflowMachine::default();
         want.load(3, repaired, seen_after(&hist, last_seen));
-        prop_assert!(got.handle(MatchMsg::Refresh(hist)).is_none());
+        prop_assert!(got.handle(refresh(hist)).is_none());
         prop_assert_eq!(got.snapshot_text(), want.snapshot_text());
     }
 }
@@ -193,7 +206,7 @@ fn repair_handles_far_vertices_and_no_mate() {
             entries: vec![(far, matched_far), (5, Ann::free())],
         },
     );
-    m.handle(MatchMsg::Refresh(vec![
+    m.handle(refresh(vec![
         (1, HistEntry::Heavy(far + 1)),
         (
             2,
@@ -233,7 +246,7 @@ fn indexed_repair_tells_aliasing_neighbours_apart() {
         (3, HistEntry::MatchDel(Edge::new(twin, 4))),
         (4, HistEntry::MatchAdd(Edge::new(3, twin), true, true)),
     ];
-    m.handle(MatchMsg::Refresh(hist.clone()));
+    m.handle(refresh(hist.clone()));
     assert_eq!(m.audit_index(), Ok(()));
     for (v, nbrs) in start {
         let mut want: Vec<(V, Ann)> = nbrs.iter().map(|&n| (n, Ann::free())).collect();
@@ -275,23 +288,14 @@ fn index_follows_the_storage_protocol() {
                 entries
             })
             .collect();
-        step(m, MatchMsg::Refresh(hist));
+        step(m, refresh(hist));
         for (v, want) in (0..4).zip(want) {
             assert_eq!(entries(m, v), want, "vertex {v}");
         }
     }
-    let (ann, hist) = (Ann::free(), Vec::new);
-    let add = |at, nbr| MatchMsg::AddEdge {
-        at,
-        nbr,
-        ann,
-        hist: hist(),
-    };
-    let del = |at, nbr| MatchMsg::DelEdge {
-        at,
-        nbr,
-        hist: hist(),
-    };
+    let ann = Ann::free();
+    let add = |at, nbr| store(StoreReq::AddEdge { at, nbr, ann });
+    let del = |at, nbr| store(StoreReq::DelEdge { at, nbr });
     let mut m = StorageMachine::new(0, 4, 2);
     for (at, nbr) in [
         (0, 5),
@@ -309,14 +313,7 @@ fn index_follows_the_storage_protocol() {
     assert!(!found(step(&mut m, del(1, 5 + ALIAS))));
     // tau = 2: the mate edge moves to the front and `5` leaves the alive set.
     let mate = Some(5 + ALIAS);
-    match step(
-        &mut m,
-        MatchMsg::MakeHeavy {
-            v: 0,
-            mate,
-            hist: hist(),
-        },
-    ) {
+    match step(&mut m, store(StoreReq::MakeHeavy { v: 0, mate })) {
         Some(MatchMsg::MovedOut { entries, .. }) => {
             assert_eq!((entries.len(), entries[0].0), (1, 5))
         }
@@ -324,14 +321,7 @@ fn index_follows_the_storage_protocol() {
     }
     step(&mut m, del(0, 6));
     let entry = (5, ann);
-    step(
-        &mut m,
-        MatchMsg::AddAlive {
-            at: 0,
-            entry,
-            hist: hist(),
-        },
-    );
+    step(&mut m, store(StoreReq::AddAlive { at: 0, entry }));
     refresh_matches_fold(&mut m);
 
     // A delete burst: 60 entries in, 56 out, so the arena compacts on the
