@@ -749,6 +749,32 @@ mod tests {
             .size_words(),
             16
         );
+        // The controller's per-owner share costs what the batch does.
+        for k in [0, 1, 4] {
+            assert_eq!(
+                ConnMsg::BatchClassify {
+                    items: vec![item; k]
+                }
+                .size_words(),
+                1 + 3 * k
+            );
+        }
+        assert_eq!(
+            ConnMsg::BatchInsClassify {
+                e: Edge::new(0, 1),
+                w: 1,
+                x: VertexInfo {
+                    v: 0,
+                    comp: 0,
+                    size: 1,
+                    f: 0,
+                    l: 0
+                },
+                seq: 2
+            }
+            .size_words(),
+            9
+        );
         // Each structural leftover ships its item plus the two touched
         // component ids (the conflict partitioner's input): 5 words.
         let s = StructItem { item, ca: 0, cb: 1 };
