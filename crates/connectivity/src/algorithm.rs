@@ -4,6 +4,7 @@
 use crate::machine::{ConnMachine, EntryKind, VertexState, BATCH_CTRL};
 use crate::messages::{BatchItem, ConnMsg};
 use crate::preprocess;
+use crate::query::QueryMsg;
 use crate::shard::MAX_VERTICES;
 use dmpc_core::{DmpcParams, DynamicGraphAlgorithm, ElasticAlgorithm};
 use dmpc_eulertour::indexed::CompId;
@@ -99,7 +100,7 @@ impl ConnDriver {
 
     /// Runs one chunk of queries as a single metered wave: every probe is
     /// injected in round 0, owners/rendezvous resolve them concurrently
-    /// (see `machine.rs`, "The query plane"), and the stashed answers are
+    /// (see `query.rs`), and the stashed answers are
     /// drained after quiescence. Returns answers index-aligned with `chunk`
     /// plus the raw run metrics (including the per-pair flow map when flow
     /// tracking is on — the metering tests assert O(q) words per wave).
@@ -138,12 +139,12 @@ impl ConnDriver {
                     for probe in [a, b] {
                         wave.push((
                             self.owner(probe),
-                            ConnMsg::QConnProbe {
+                            ConnMsg::Query(QueryMsg::ConnProbe {
                                 qid,
                                 probe,
                                 expect: 2,
                                 rendezvous,
-                            },
+                            }),
                         ));
                     }
                 }
@@ -152,12 +153,12 @@ impl ConnDriver {
                 }
                 Query::ComponentOf(v) => wave.push((
                     self.owner(v),
-                    ConnMsg::QConnProbe {
+                    ConnMsg::Query(QueryMsg::ConnProbe {
                         qid,
                         probe: v,
                         expect: 1,
                         rendezvous,
-                    },
+                    }),
                 )),
                 Query::PathMax(u, v) if u == v => {
                     got.push((qid, QueryAnswer::PathMax(None)));
@@ -170,12 +171,12 @@ impl ConnDriver {
                 }
                 Query::PathMax(u, v) => wave.push((
                     self.owner(u),
-                    ConnMsg::QPathStart {
+                    ConnMsg::Query(QueryMsg::PathStart {
                         qid,
                         u,
                         v,
                         rendezvous,
-                    },
+                    }),
                 )),
                 Query::IsMatched(_) | Query::MatchingSize => {
                     got.push((qid, QueryAnswer::Unsupported));
@@ -793,7 +794,7 @@ impl DynamicGraphAlgorithm for DmpcConnectivity {
 
     /// Batched query plane: `Connected`/`ComponentOf` resolve in two rounds
     /// per wave, `PathMax` in five, all `q` queries of a wave concurrently
-    /// (see `machine.rs`, "The query plane").
+    /// (see `query.rs`).
     fn answer_queries(&mut self, queries: &[Query]) -> (Vec<QueryAnswer>, QueryMetrics) {
         self.driver.answer_query_batch(queries)
     }

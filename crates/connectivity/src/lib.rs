@@ -44,6 +44,7 @@ pub mod algorithm;
 pub mod machine;
 pub mod messages;
 pub mod preprocess;
+pub mod query;
 mod shard;
 pub mod static_cc;
 

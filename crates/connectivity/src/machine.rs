@@ -59,33 +59,7 @@
 //!
 //! # The query plane
 //!
-//! Reads never enter the structural-op machinery: a wave of `q` queries is
-//! injected in one round and resolved by stateless probes joining at
-//! per-query *rendezvous* machines (`rendezvous = qid mod P`), whose partial
-//! folds are keyed by query id so the whole wave aggregates concurrently —
-//! where the update path parks at most one flow per lane, so structural ops
-//! of one lane serialize.
-//!
-//! * `Connected(u, v)` / `ComponentOf(u)`: one [`ConnMsg::QConnProbe`] per
-//!   endpoint is injected at the endpoint's owner, which sends the
-//!   component id to the rendezvous ([`ConnMsg::QConnJoin`]); the
-//!   rendezvous compares (or reports) the ids. Two rounds for the whole
-//!   wave, O(1) words per query.
-//! * `PathMax(u, v)`: u's owner ships u's tour span to v's owner
-//!   ([`ConnMsg::QPathProbe`]); on a component match the root owner
-//!   resolves the owner set from its directory shard
-//!   ([`ConnMsg::QPathResolve`], reusing PR 4's component-owner directory)
-//!   and multicasts the evaluation ([`ConnMsg::QPathEval`]); every owner
-//!   joins its local on-path maximum at the rendezvous
-//!   ([`ConnMsg::QPathJoin`]). Five rounds for the whole wave.
-//!
-//! Answers are stashed at the rendezvous and drained by the driver after
-//! quiescence (result extraction, like `comp_of`). Handlers only read
-//! vertex/directory state, so a query wave is invisible to later updates;
-//! the driver chunks waves to `O(sqrt N)` queries so rendezvous fan-in
-//! respects the machine capacity `S`. All query traffic flows through the
-//! same `Outbox` counters as updates, so send/receive caps and flow maps
-//! meter reads exactly like writes.
+//! Reads run in their own read-only plane, [`crate::query`].
 //!
 //! # Batched updates
 //!
@@ -111,7 +85,7 @@
 //!    order, as one protocol *lane*; disjoint groups run concurrently, each
 //!    lane's waiting flow (an owner-set fetch, a cut's or an MST insert's
 //!    rendezvous) parked in one table under its lane id (the same
-//!    map-keyed idiom the query plane uses for `pending_queries`). Every
+//!    map-keyed idiom the query plane's `QueryPlane` uses). Every
 //!    terminal step of a lane's flow signals [`ConnMsg::BatchStructDone`]
 //!    (with the lane id) back to the controller, which dispatches that
 //!    lane's next item. Under a lane cap of one (the driver's
@@ -139,6 +113,7 @@
 use crate::messages::{
     BatchItem, ConnMsg, CutMode, CutReq, PathSpans, StructBroadcast, StructItem, VertexInfo,
 };
+use crate::query::{QueryPlane, Reader};
 use crate::shard::{ApplyOutcome, Shard};
 use dmpc_eulertour::indexed::{CompId, TourOp};
 use dmpc_eulertour::TourIx;
@@ -284,36 +259,6 @@ enum Parked {
     PathMax(PendingMst, Vec<Option<(Edge, Weight)>>),
 }
 
-/// Rendezvous-side partial fold of one in-flight query. Like the
-/// lane-keyed update state (`parked`), query folds are keyed by
-/// query id so a whole wave of queries aggregates concurrently; an entry is
-/// removed (and the answer stashed) the moment its last join arrives.
-#[derive(Debug)]
-enum QueryFold {
-    /// A `Connected`/`ComponentOf` fold over component-id joins.
-    Conn {
-        /// Joins expected.
-        expect: u8,
-        /// Joins folded so far.
-        got: u8,
-        /// The first join's component id.
-        first: CompId,
-        /// All joins so far agree with `first`.
-        all_eq: bool,
-    },
-    /// A `PathMax` fold over per-owner local maxima.
-    Path {
-        /// Joins expected.
-        expect: u16,
-        /// Joins folded so far.
-        got: u16,
-        /// Running maximum, folded by [`heaviest`] like the update path's.
-        best: Option<(Edge, Weight)>,
-        /// No join reported the endpoints disconnected.
-        connected: bool,
-    },
-}
-
 /// Source-side rest of an in-flight shard migration: the directory patches
 /// that follow its data, sent a budget at a time.
 #[derive(Debug)]
@@ -353,12 +298,8 @@ pub struct ConnMachine {
     /// Statistics of the last completed batch (controller only), harvested
     /// by the driver after the run.
     last_conflict: Option<ConflictStats>,
-    /// Rendezvous-side partial folds of in-flight queries, keyed by query id
-    /// (the whole wave aggregates concurrently).
-    pending_queries: BTreeMap<u32, QueryFold>,
-    /// Completed query answers stashed at this rendezvous, drained by the
-    /// driver after the wave quiesces.
-    answers: Vec<(u32, QueryAnswer)>,
+    /// The query plane's folds and answers at this rendezvous.
+    queries: QueryPlane,
     /// Outbound migration in flight (source side).
     migration: Option<Migration>,
     /// The snapshot handoff: a revive's state or a migration's vertices,
@@ -398,8 +339,7 @@ impl ConnMachine {
             batch: None,
             lane_cap: (capacity_words / 64).max(1),
             last_conflict: None,
-            pending_queries: BTreeMap::new(),
-            answers: Vec::new(),
+            queries: QueryPlane::default(),
             migration: None,
             handoff: Handoff::default(),
         }
@@ -447,15 +387,14 @@ impl ConnMachine {
     pub fn transient_is_empty(&self) -> bool {
         self.batch.is_none()
             && self.parked.is_empty()
-            && self.pending_queries.is_empty()
-            && self.answers.is_empty()
+            && self.queries.is_empty()
             && self.last_conflict.is_none()
     }
 
     /// Drains the query answers stashed at this rendezvous (driver-side
     /// result extraction after a wave quiesces — not part of the model).
     pub fn take_answers(&mut self) -> Vec<(u32, QueryAnswer)> {
-        std::mem::take(&mut self.answers)
+        self.queries.take_answers()
     }
 
     fn owner(&self, v: V) -> MachineId {
@@ -488,8 +427,9 @@ impl ConnMachine {
         self.verts.load_vertex(v, st);
     }
 
-    /// Direct directory injection for bulk loading during preprocessing.
-    /// Sets of size < 2 are dropped (implicit fallback).
+    /// Installs `comp`'s owner set at its root owner: a
+    /// [`ConnMsg::DirStore`], or bulk loading during preprocessing. Sets of
+    /// size < 2 are dropped (implicit fallback).
     pub fn load_dir_entry(&mut self, comp: CompId, owners: Vec<MachineId>) {
         debug_assert_eq!(self.root_owner(comp), self.id, "entry at non-root owner");
         if owners.len() >= 2 {
@@ -1359,219 +1299,6 @@ impl ConnMachine {
         self.cut_tree_edge(d, (lo, hi), Some((e, w)), None, Some(owners), out);
     }
 
-    // ----- query plane ----------------------------------------------------
-    //
-    // Read-only by contract: every handler below reads vertex/directory
-    // state, folds at a rendezvous keyed by query id, and stashes the
-    // answer — no handler writes `verts` or `dir`, so interleaving query
-    // waves anywhere in an update stream is invisible to later updates
-    // (pinned by the query-plane property tests).
-
-    /// Reports `probe`'s component id to the query's rendezvous.
-    fn handle_q_conn_probe(
-        &mut self,
-        qid: u32,
-        probe: V,
-        expect: u8,
-        rendezvous: MachineId,
-        out: &mut Outbox<ConnMsg>,
-    ) {
-        let comp = self.verts.comp_of(probe);
-        self.route(rendezvous, ConnMsg::QConnJoin { qid, comp, expect }, out);
-    }
-
-    /// Rendezvous: folds one component-id join; completes the query once
-    /// `expect` joins arrived (they can span rounds when one endpoint's
-    /// owner is the rendezvous itself and answers in-round).
-    fn handle_q_conn_join(&mut self, qid: u32, comp: CompId, expect: u8) {
-        let fold = self.pending_queries.entry(qid).or_insert(QueryFold::Conn {
-            expect,
-            got: 0,
-            first: comp,
-            all_eq: true,
-        });
-        let QueryFold::Conn {
-            expect,
-            got,
-            first,
-            all_eq,
-        } = fold
-        else {
-            panic!("query id {qid} folded as both Conn and Path");
-        };
-        *got += 1;
-        *all_eq &= *first == comp;
-        if *got == *expect {
-            let answer = if *expect == 1 {
-                QueryAnswer::Component(*first)
-            } else {
-                QueryAnswer::Bool(*all_eq)
-            };
-            self.pending_queries.remove(&qid);
-            self.answers.push((qid, answer));
-        }
-    }
-
-    /// Starts a `PathMax(u, v)` query at `u`'s owner: ship u's span to v's
-    /// owner for the component comparison.
-    fn handle_q_path_start(
-        &mut self,
-        qid: u32,
-        u: V,
-        v: V,
-        rendezvous: MachineId,
-        out: &mut Outbox<ConnMsg>,
-    ) {
-        let ui = self.verts.info(u);
-        let (comp, fx, lx) = (ui.comp, ui.f, ui.l);
-        self.route(
-            self.owner(v),
-            ConnMsg::QPathProbe {
-                qid,
-                v,
-                comp,
-                fx,
-                lx,
-                rendezvous,
-            },
-            out,
-        );
-    }
-
-    /// v's owner: either the endpoints are disconnected (answer now) or the
-    /// component's root owner must fan the evaluation out to the owner set.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_q_path_probe(
-        &mut self,
-        qid: u32,
-        v: V,
-        comp: CompId,
-        fx: TourIx,
-        lx: TourIx,
-        rendezvous: MachineId,
-        out: &mut Outbox<ConnMsg>,
-    ) {
-        let vi = self.verts.info(v);
-        if vi.comp != comp {
-            self.route(
-                rendezvous,
-                ConnMsg::QPathJoin {
-                    qid,
-                    best: None,
-                    expect: 1,
-                    connected: false,
-                },
-                out,
-            );
-            return;
-        }
-        let path = PathSpans {
-            comp,
-            fx,
-            lx,
-            fy: vi.f,
-            ly: vi.l,
-        };
-        self.route(
-            self.root_owner(comp),
-            ConnMsg::QPathResolve {
-                qid,
-                path,
-                rendezvous,
-            },
-            out,
-        );
-    }
-
-    /// Root owner: resolve the owner set from the local directory shard and
-    /// multicast the evaluation (the root owner is always a member of the
-    /// set — it owns the component's root vertex — so its own evaluation
-    /// routes locally in the same round).
-    fn handle_q_path_resolve(
-        &mut self,
-        qid: u32,
-        path: PathSpans,
-        rendezvous: MachineId,
-        out: &mut Outbox<ConnMsg>,
-    ) {
-        debug_assert_eq!(self.root_owner(path.comp), self.id);
-        let owners = self.dir_owners(path.comp);
-        let expect = owners.len() as u16;
-        for m in owners {
-            self.route(
-                m,
-                ConnMsg::QPathEval {
-                    qid,
-                    path,
-                    rendezvous,
-                    expect,
-                },
-                out,
-            );
-        }
-    }
-
-    /// One owner's evaluation: the local on-path maximum, joined at the
-    /// rendezvous (the same `Shard::path_max` as the update-path MST swap).
-    fn handle_q_path_eval(
-        &mut self,
-        qid: u32,
-        path: &PathSpans,
-        rendezvous: MachineId,
-        expect: u16,
-        out: &mut Outbox<ConnMsg>,
-    ) {
-        let best = self.verts.path_max(path);
-        self.route(
-            rendezvous,
-            ConnMsg::QPathJoin {
-                qid,
-                best,
-                expect,
-                connected: true,
-            },
-            out,
-        );
-    }
-
-    /// Rendezvous: folds one path-max join with the update path's
-    /// [`heaviest`].
-    fn handle_q_path_join(
-        &mut self,
-        qid: u32,
-        best: Option<(Edge, Weight)>,
-        expect: u16,
-        connected: bool,
-    ) {
-        let fold = self.pending_queries.entry(qid).or_insert(QueryFold::Path {
-            expect,
-            got: 0,
-            best: None,
-            connected: true,
-        });
-        let QueryFold::Path {
-            expect,
-            got,
-            best: acc,
-            connected: conn,
-        } = fold
-        else {
-            panic!("query id {qid} folded as both Conn and Path");
-        };
-        *got += 1;
-        *conn &= connected;
-        *acc = heaviest([*acc, best]);
-        if *got == *expect {
-            let answer = if *conn {
-                QueryAnswer::PathMax(*acc)
-            } else {
-                QueryAnswer::PathMax(None)
-            };
-            self.pending_queries.remove(&qid);
-            self.answers.push((qid, answer));
-        }
-    }
-
     // ----- batch protocol -------------------------------------------------
 
     /// Controller: fan the batch out to the owners for classification.
@@ -1837,55 +1564,28 @@ impl ConnMachine {
             | ConnMsg::Apply(_) => {
                 unreachable!("handled before dispatch")
             }
-            ConnMsg::DirStore { comp, owners } => {
-                debug_assert_eq!(self.root_owner(comp), self.id);
-                if owners.len() >= 2 {
-                    self.dir.insert(comp, owners);
-                } else {
-                    self.dir.remove(&comp);
-                }
-            }
+            ConnMsg::DirStore { comp, owners } => self.load_dir_entry(comp, owners),
             ConnMsg::DirDrop { comp } => {
                 self.dir.remove(&comp);
             }
-            ConnMsg::QConnProbe {
-                qid,
-                probe,
-                expect,
-                rendezvous,
-            } => self.handle_q_conn_probe(qid, probe, expect, rendezvous, out),
-            ConnMsg::QConnJoin { qid, comp, expect } => self.handle_q_conn_join(qid, comp, expect),
-            ConnMsg::QPathStart {
-                qid,
-                u,
-                v,
-                rendezvous,
-            } => self.handle_q_path_start(qid, u, v, rendezvous, out),
-            ConnMsg::QPathProbe {
-                qid,
-                v,
-                comp,
-                fx,
-                lx,
-                rendezvous,
-            } => self.handle_q_path_probe(qid, v, comp, fx, lx, rendezvous, out),
-            ConnMsg::QPathResolve {
-                qid,
-                path,
-                rendezvous,
-            } => self.handle_q_path_resolve(qid, path, rendezvous, out),
-            ConnMsg::QPathEval {
-                qid,
-                path,
-                rendezvous,
-                expect,
-            } => self.handle_q_path_eval(qid, &path, rendezvous, expect, out),
-            ConnMsg::QPathJoin {
-                qid,
-                best,
-                expect,
-                connected,
-            } => self.handle_q_path_join(qid, best, expect, connected),
+            ConnMsg::Query(q) => {
+                // A split borrow: the step reads the shard, the directory
+                // and the partition table, and writes only the plane.
+                let at = Reader {
+                    id: self.id,
+                    bounds: &self.bounds,
+                    verts: &self.verts,
+                    dir: &self.dir,
+                };
+                let local = &mut self.local;
+                self.queries.handle(q, &at, |to, q| {
+                    if to == at.id {
+                        local.push_back(ConnMsg::Query(q));
+                    } else {
+                        out.send(to, ConnMsg::Query(q));
+                    }
+                });
+            }
             ConnMsg::BatchStart { items } => self.handle_batch_start(items, out),
             ConnMsg::BatchClassify { items } => self.handle_batch_classify(items, report, out),
             ConnMsg::BatchInsClassify { e, w, x, seq } => {
@@ -1933,7 +1633,9 @@ fn absorb(acc: &mut Vec<MachineId>, set: Vec<MachineId>) {
 
 /// The path maximum of some candidates, the one order the update path and
 /// the query plane share: the heavier edge wins, ties go to the smaller.
-fn heaviest(cands: impl IntoIterator<Item = Option<(Edge, Weight)>>) -> Option<(Edge, Weight)> {
+pub(crate) fn heaviest(
+    cands: impl IntoIterator<Item = Option<(Edge, Weight)>>,
+) -> Option<(Edge, Weight)> {
     cands
         .into_iter()
         .flatten()
@@ -2064,9 +1766,7 @@ impl Machine for ConnMachine {
                 Parked::PathMax(pm, _) => 6 + pm.owners.len(),
             };
         }
-        // Transient query-plane state at this rendezvous: folds and stashed
-        // answers, both bounded by the driver's wave chunking.
-        words += 6 * self.pending_queries.len() + 4 * self.answers.len();
+        words += self.queries.memory_words();
         // Recovery plane: the handoff's words, then a migration's queued
         // directory patches. A migration's destination and budget are the
         // shipment's 2-word header while its data ships, and its own after.
@@ -2088,8 +1788,7 @@ impl Machine for ConnMachine {
     fn abandon_run(&mut self) {
         self.batch = None;
         self.parked.clear();
-        self.pending_queries.clear();
-        self.answers.clear();
+        self.queries.clear();
         self.last_conflict = None;
     }
 }

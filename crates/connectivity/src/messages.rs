@@ -1,5 +1,6 @@
 //! Message vocabulary of the distributed connectivity/MST protocol.
 
+use crate::query::QueryMsg;
 use dmpc_eulertour::indexed::{CompId, TourOp};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, Update, Weight, V};
@@ -48,7 +49,7 @@ pub struct VertexInfo {
 
 /// A tree path, as the owners evaluate its maximum: the component and the
 /// two endpoints' tour spans. The value that [`ConnMsg::PathMaxQuery`],
-/// [`ConnMsg::QPathResolve`] and [`ConnMsg::QPathEval`] carry and
+/// [`QueryMsg::PathResolve`] and [`QueryMsg::PathEval`] carry and
 /// `Shard::path_max` reads (5 words).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PathSpans {
@@ -342,89 +343,9 @@ pub enum ConnMsg {
         remove: Option<MachineId>,
     },
 
-    // ---- query plane (see `machine.rs` "The query plane") ----------------
-    /// Injected at `probe`'s owner: report `probe`'s component id to the
-    /// query's rendezvous. `expect = 1` resolves a `ComponentOf` query,
-    /// `expect = 2` one endpoint of a `Connected` query.
-    QConnProbe {
-        /// Query id within the wave (the rendezvous' fold key).
-        qid: u32,
-        /// The probed vertex (owned by the receiver).
-        probe: V,
-        /// Joins the rendezvous must fold for this query (1 or 2).
-        expect: u8,
-        /// The per-query rendezvous machine.
-        rendezvous: MachineId,
-    },
-    /// owner -> rendezvous: one endpoint's component id.
-    QConnJoin {
-        /// Query id.
-        qid: u32,
-        /// The probed endpoint's component id.
-        comp: CompId,
-        /// Joins expected for this query (echoed from the probe).
-        expect: u8,
-    },
-    /// Injected at `u`'s owner: start a `PathMax(u, v)` query.
-    QPathStart {
-        /// Query id.
-        qid: u32,
-        /// One endpoint (owned by the receiver).
-        u: V,
-        /// The other endpoint.
-        v: V,
-        /// The per-query rendezvous machine.
-        rendezvous: MachineId,
-    },
-    /// owner(u) -> owner(v): u's tour span and component.
-    QPathProbe {
-        /// Query id.
-        qid: u32,
-        /// The far endpoint (owned by the receiver).
-        v: V,
-        /// u's component id.
-        comp: CompId,
-        /// u's first tour appearance.
-        fx: TourIx,
-        /// u's last tour appearance.
-        lx: TourIx,
-        /// The per-query rendezvous machine.
-        rendezvous: MachineId,
-    },
-    /// owner(v) -> root owner of `comp`: resolve the component's owner set
-    /// from the directory shard and fan the evaluation out.
-    QPathResolve {
-        /// Query id.
-        qid: u32,
-        /// The shared component, u's span and v's span.
-        path: PathSpans,
-        /// The per-query rendezvous machine.
-        rendezvous: MachineId,
-    },
-    /// root owner -> every owner of `comp`: evaluate the local on-path
-    /// maximum and join at the rendezvous.
-    QPathEval {
-        /// Query id.
-        qid: u32,
-        /// The component, u's span and v's span.
-        path: PathSpans,
-        /// The per-query rendezvous machine.
-        rendezvous: MachineId,
-        /// Joins the rendezvous must fold (= the owner-set size).
-        expect: u16,
-    },
-    /// owner -> rendezvous: local on-path maximum, or the disconnected
-    /// verdict (`expect = 1`, `connected = false`).
-    QPathJoin {
-        /// Query id.
-        qid: u32,
-        /// Local maximum-weight on-path tree edge, if any.
-        best: Option<(Edge, Weight)>,
-        /// Joins expected for this query.
-        expect: u16,
-        /// False iff the endpoints turned out disconnected.
-        connected: bool,
-    },
+    // ---- query plane (see `query.rs`) ------------------------------------
+    /// A read-only query step: the query plane's whole vocabulary.
+    Query(QueryMsg),
 
     // ---- batch protocol (see `machine.rs` "Batched updates") -------------
     /// Injected at the batch controller (machine 0): process these updates
@@ -492,13 +413,7 @@ impl Payload for ConnMsg {
             ConnMsg::DirPatch { .. } => 4,
             ConnMsg::DirFetch { .. } | ConnMsg::DirDrop { .. } => 2,
             ConnMsg::DirReply { owners, .. } | ConnMsg::DirStore { owners, .. } => 2 + owners.len(),
-            ConnMsg::QConnProbe { .. } => 4,
-            ConnMsg::QConnJoin { .. } => 4,
-            ConnMsg::QPathStart { .. } => 5,
-            ConnMsg::QPathProbe { .. } => 7,
-            ConnMsg::QPathResolve { .. } => 8,
-            ConnMsg::QPathEval { .. } => 9,
-            ConnMsg::QPathJoin { .. } => 6,
+            ConnMsg::Query(q) => q.size_words(),
             ConnMsg::BatchStart { items } | ConnMsg::BatchClassify { items } => 1 + 3 * items.len(),
             ConnMsg::BatchInsClassify { .. } => 9,
             // 3 per item + the two touched component ids.
@@ -519,6 +434,13 @@ mod tests {
         lx: 3,
         fy: 4,
         ly: 5,
+    };
+    const X: VertexInfo = VertexInfo {
+        v: 0,
+        comp: 0,
+        size: 1,
+        f: 0,
+        l: 0,
     };
 
     #[test]
@@ -596,13 +518,7 @@ mod tests {
             ConnMsg::InsQuery {
                 e: Edge::new(0, 1),
                 w: 1,
-                x: VertexInfo {
-                    v: 0,
-                    comp: 0,
-                    size: 1,
-                    f: 0,
-                    l: 0
-                },
+                x: X,
                 lane: None,
                 known_owners: None,
             }
@@ -644,43 +560,40 @@ mod tests {
     fn query_messages_are_constant_words() {
         // Query-plane payloads carry no owner sets or item lists: every
         // message is O(1) words, so a q-query wave totals O(q).
+        let q = |m| ConnMsg::Query(m).size_words();
         assert_eq!(
-            ConnMsg::QConnProbe {
+            q(QueryMsg::ConnProbe {
                 qid: 0,
                 probe: 1,
                 expect: 2,
                 rendezvous: 3
-            }
-            .size_words(),
+            }),
             4
         );
         assert_eq!(
-            ConnMsg::QConnJoin {
+            q(QueryMsg::ConnJoin {
                 qid: 0,
                 comp: 5,
                 expect: 2
-            }
-            .size_words(),
+            }),
             4
         );
         assert_eq!(
-            ConnMsg::QPathJoin {
+            q(QueryMsg::PathJoin {
                 qid: 0,
                 best: Some((Edge::new(0, 1), 9)),
                 expect: 4,
                 connected: true
-            }
-            .size_words(),
+            }),
             6
         );
         assert_eq!(
-            ConnMsg::QPathEval {
+            q(QueryMsg::PathEval {
                 qid: 0,
                 path: PATH,
                 rendezvous: 6,
                 expect: 7
-            }
-            .size_words(),
+            }),
             9
         );
     }
@@ -703,35 +616,33 @@ mod tests {
         );
         assert_eq!(ConnMsg::PathMaxReply { best }.size_words(), 3);
         assert_eq!(ConnMsg::PathMaxReply { best: None }.size_words(), 3);
+        let q = |m| ConnMsg::Query(m).size_words();
         assert_eq!(
-            ConnMsg::QPathStart {
+            q(QueryMsg::PathStart {
                 qid: 0,
                 u: 1,
                 v: 2,
                 rendezvous: 3
-            }
-            .size_words(),
+            }),
             5
         );
         assert_eq!(
-            ConnMsg::QPathProbe {
+            q(QueryMsg::PathProbe {
                 qid: 0,
                 v: 1,
                 comp: 2,
                 fx: 3,
                 lx: 4,
                 rendezvous: 5
-            }
-            .size_words(),
+            }),
             7
         );
         assert_eq!(
-            ConnMsg::QPathResolve {
+            q(QueryMsg::PathResolve {
                 qid: 0,
                 path: PATH,
                 rendezvous: 6
-            }
-            .size_words(),
+            }),
             8
         );
     }
@@ -763,13 +674,7 @@ mod tests {
             ConnMsg::BatchInsClassify {
                 e: Edge::new(0, 1),
                 w: 1,
-                x: VertexInfo {
-                    v: 0,
-                    comp: 0,
-                    size: 1,
-                    f: 0,
-                    l: 0
-                },
+                x: X,
                 seq: 2
             }
             .size_words(),
