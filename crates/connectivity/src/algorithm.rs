@@ -1,8 +1,9 @@
 //! Drivers binding the connectivity/MST machine programs to the simulator,
 //! plus audits used by the test suite.
 
-use crate::machine::{ConnMachine, EntryKind, VertexState, BATCH_CTRL};
-use crate::messages::{BatchItem, ConnMsg};
+use crate::batch::{BatchItem, BatchMsg, BATCH_CTRL};
+use crate::machine::{ConnMachine, EntryKind, VertexState};
+use crate::messages::ConnMsg;
 use crate::preprocess;
 use crate::query::QueryMsg;
 use crate::shard::MAX_VERTICES;
@@ -80,7 +81,7 @@ impl ConnDriver {
     fn run_batch_chunk(&mut self, items: Vec<BatchItem>) -> BatchMetrics {
         let k = items.len();
         let mut bm = self.cluster.run_batch(
-            std::iter::once((BATCH_CTRL, ConnMsg::BatchStart { items })),
+            std::iter::once((BATCH_CTRL, ConnMsg::Batch(BatchMsg::Start { items }))),
             k,
         );
         if let Some(st) = self.cluster.machine_mut(BATCH_CTRL).take_conflict_stats() {

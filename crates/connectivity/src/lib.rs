@@ -41,6 +41,7 @@
 //! ```
 
 pub mod algorithm;
+pub mod batch;
 pub mod machine;
 pub mod messages;
 pub mod preprocess;
@@ -49,5 +50,5 @@ mod shard;
 pub mod static_cc;
 
 pub use algorithm::{DmpcConnectivity, DmpcMst};
-pub use machine::ConflictStats;
+pub use batch::ConflictStats;
 pub use static_cc::StaticCc;

@@ -63,61 +63,15 @@
 //!
 //! # Batched updates
 //!
-//! A batch of `k` pre-coalesced updates (at most one op per edge; see
-//! `dmpc_graph::streams::coalesce`) is injected as [`ConnMsg::BatchStart`]
-//! at the *batch controller* — machine 0, which plays this role in addition
-//! to owning its vertex block. The batch runs in two phases:
-//!
-//! 1. **Classification fan-out (concurrent).** The controller ships each
-//!    owner its share of the batch. Owners classify deletes locally (tree /
-//!    non-tree) and forward inserts to the far endpoint's owner for a
-//!    component comparison. Every *non-structural* update — a non-tree
-//!    delete, or an intra-component insert — executes immediately; these
-//!    commute because they never touch tour indexes, component ids, or
-//!    sizes, and coalescing guarantees edge-disjointness. Classifiers
-//!    report counts (and the leftover structural items) to the controller.
-//! 2. **Conflict-group scheduling.** Links and tree cuts change tour
-//!    indexes, component ids and sizes — but only of the components they
-//!    touch. The classifiers report each structural leftover with the
-//!    pre-batch component pair it touches, and the controller partitions
-//!    the items into *conflict groups* (union-find over those pairs, see
-//!    `dmpc_graph::conflict`). Items of one group run serialized, in batch
-//!    order, as one protocol *lane*; disjoint groups run concurrently, each
-//!    lane's waiting flow (an owner-set fetch, a cut's or an MST insert's
-//!    rendezvous) parked in one table under its lane id (the same
-//!    map-keyed idiom the query plane's `QueryPlane` uses). Every
-//!    terminal step of a lane's flow signals [`ConnMsg::BatchStructDone`]
-//!    (with the lane id) back to the controller, which dispatches that
-//!    lane's next item. Under a lane cap of one (the driver's
-//!    `serialize_lanes` test hook) the groups run one after another — the
-//!    differential-testing baseline, bit-identical in outcomes.
-//!
-//! Classifications stay valid across phase 1 because only structural ops
-//! (phase 2, strictly later) can change components; phase 2 re-classifies
-//! each item on dispatch, so items demoted to non-structural by an earlier
-//! structural op (e.g. a cross-component insert whose components were
-//! merged by a previous link) still execute correctly.
-//!
-//! Concurrent lanes are sound because conflict groups are component-
-//! disjoint over a consistent pre-batch snapshot (phase 1 never changes
-//! components): flows in different lanes touch disjoint vertex sets, owner
-//! sets and directory entries, so their Applies commute and their
-//! DirFetch/DirStore traffic never races — a component id created mid-lane
-//! (a cut's detached child) is a vertex of that lane's own group, so even
-//! new directory entries stay inside the lane. True conflicts (items whose
-//! component pairs connect) share a lane and serialize exactly as before,
-//! which keeps fetched owner sets coherent: within a lane at most one
-//! structural op is in flight, so a fetched set cannot go stale before its
-//! flow finishes.
+//! Batches run through their own controller, [`crate::batch`].
 
-use crate::messages::{
-    BatchItem, ConnMsg, CutMode, CutReq, PathSpans, StructBroadcast, StructItem, VertexInfo,
-};
+use crate::batch::{BatchCtl, BatchItem, BatchMsg, ConflictStats, StructItem, BATCH_CTRL};
+use crate::messages::{ConnMsg, CutMode, CutReq, PathSpans, StructBroadcast, VertexInfo};
 use crate::query::{QueryPlane, Reader};
 use crate::shard::{ApplyOutcome, Shard};
 use dmpc_eulertour::indexed::{CompId, TourOp};
 use dmpc_eulertour::TourIx;
-use dmpc_graph::{partition_conflicts, Edge, QueryAnswer, Update, Weight, V};
+use dmpc_graph::{Edge, QueryAnswer, Update, Weight, V};
 use dmpc_mpc::handoff::Outcome;
 use dmpc_mpc::text::{self, put_field, Fields, Sink};
 use dmpc_mpc::{Envelope, Handoff, HandoffMsg, Machine, MachineId, Outbox, RoundCtx};
@@ -125,47 +79,11 @@ use std::collections::{BTreeMap, VecDeque};
 
 pub use crate::shard::{EntryKind, VertexState};
 
-/// The machine doubling as batch controller (id 0).
-pub const BATCH_CTRL: MachineId = 0;
-
 /// Parked-table key for flows outside any batch lane (single updates, MST
 /// inserts and swaps) — exactly one such flow is ever in flight
 /// cluster-wide, so one reserved key suffices. Lane ids are dense
 /// batch-group indexes and never reach this value.
 const SOLO_LANE: u32 = u32::MAX;
-
-/// Controller-side statistics of one batch's structural phase, harvested by
-/// the driver after the run and folded into
-/// [`dmpc_mpc::BatchMetrics`]' conflict fields.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ConflictStats {
-    /// Conflict groups in the partition.
-    pub groups: usize,
-    /// Items in the largest group (the serialization floor).
-    pub depth: usize,
-    /// Maximum lanes concurrently in flight (at most the lane cap).
-    pub max_lanes: usize,
-}
-
-/// Controller-side state of one in-flight batch.
-#[derive(Debug, Default)]
-struct BatchCtl {
-    /// Updates whose classification report is still outstanding.
-    expect: usize,
-    /// Classified-as-structural items, collected during phase 1.
-    structural: Vec<StructItem>,
-    /// Phase 2 per-lane queues (each sorted by batch position); index =
-    /// lane id.
-    lanes: Vec<VecDeque<BatchItem>>,
-    /// First lane not yet started (lanes start in id order as slots free).
-    next_lane: usize,
-    /// Lanes currently in flight.
-    live: usize,
-    /// Phase 2 has begun (the lanes are authoritative).
-    serving: bool,
-    /// Partition statistics of this batch, published on completion.
-    stats: ConflictStats,
-}
 
 /// Rendezvous-side state of an in-flight searching cut: the local apply
 /// outcome stashed until the remote [`ConnMsg::CutReport`]s arrive (they all
@@ -289,15 +207,9 @@ pub struct ConnMachine {
     /// Flows waiting here on owner sets, cut reports or path-max replies,
     /// keyed by lane ([`SOLO_LANE`] for unbatched flows).
     parked: BTreeMap<u32, Parked>,
-    /// Controller state of the in-flight batch (machine 0 only).
-    batch: Option<BatchCtl>,
-    /// Maximum lanes the controller keeps in flight at once (bounds the
-    /// transient per-lane state and concurrent multicast fan-in; derived
-    /// from the machine capacity).
-    lane_cap: usize,
-    /// Statistics of the last completed batch (controller only), harvested
-    /// by the driver after the run.
-    last_conflict: Option<ConflictStats>,
+    /// The batch controller (machine 0 only) and the classifier's round
+    /// tally.
+    batch: BatchCtl,
     /// The query plane's folds and answers at this rendezvous.
     queries: QueryPlane,
     /// Outbound migration in flight (source side).
@@ -336,9 +248,7 @@ impl ConnMachine {
             dir: BTreeMap::new(),
             local: VecDeque::new(),
             parked: BTreeMap::new(),
-            batch: None,
-            lane_cap: (capacity_words / 64).max(1),
-            last_conflict: None,
+            batch: BatchCtl::new((capacity_words / 64).max(1)),
             queries: QueryPlane::default(),
             migration: None,
             handoff: Handoff::default(),
@@ -348,13 +258,13 @@ impl ConnMachine {
     /// Test hook behind `ConnDriver::serialize_lanes`: one lane at a time.
     #[doc(hidden)]
     pub fn serialize_lanes(&mut self) {
-        self.lane_cap = 1;
+        self.batch.serialize_lanes();
     }
 
     /// Takes the statistics of the last completed batch (controller only;
     /// driver-side harvesting after a run, not part of the model).
     pub fn take_conflict_stats(&mut self) -> Option<ConflictStats> {
-        self.last_conflict.take()
+        self.batch.take_stats()
     }
 
     /// The initial (uniform `block`-sized) partition table: machine `i`
@@ -385,10 +295,7 @@ impl ConnMachine {
     /// (test hook for the executor's abort contract).
     #[doc(hidden)]
     pub fn transient_is_empty(&self) -> bool {
-        self.batch.is_none()
-            && self.parked.is_empty()
-            && self.queries.is_empty()
-            && self.last_conflict.is_none()
+        self.batch.is_clear() && self.parked.is_empty() && self.queries.is_empty()
     }
 
     /// Drains the query answers stashed at this rendezvous (driver-side
@@ -694,11 +601,7 @@ impl ConnMachine {
     /// Sends `msg` to `to`, executing locally (same round, free in the MPC
     /// model) when `to` is this machine — no machine ever messages itself.
     fn route(&mut self, to: MachineId, msg: ConnMsg, out: &mut Outbox<ConnMsg>) {
-        if to == self.id {
-            self.local.push_back(msg);
-        } else {
-            out.send(to, msg);
-        }
+        deliver(self.id, &mut self.local, out, to, msg);
     }
 
     /// Remote multicast audience for an owner set: the set minus this
@@ -736,7 +639,8 @@ impl ConnMachine {
     /// (no-op for unbatched flows).
     fn signal_struct_done(&mut self, lane: Option<u32>, out: &mut Outbox<ConnMsg>) {
         if let Some(l) = lane {
-            self.route(BATCH_CTRL, ConnMsg::BatchStructDone { lane: l }, out);
+            let done = BatchMsg::StructDone { lane: l };
+            self.route(BATCH_CTRL, ConnMsg::Batch(done), out);
         }
     }
 
@@ -1299,41 +1203,13 @@ impl ConnMachine {
         self.cut_tree_edge(d, (lo, hi), Some((e, w)), None, Some(owners), out);
     }
 
-    // ----- batch protocol -------------------------------------------------
-
-    /// Controller: fan the batch out to the owners for classification.
-    fn handle_batch_start(&mut self, items: Vec<BatchItem>, out: &mut Outbox<ConnMsg>) {
-        assert_eq!(self.id, BATCH_CTRL, "batches start at the controller");
-        if items.is_empty() {
-            return;
-        }
-        let mut by_owner: BTreeMap<MachineId, Vec<BatchItem>> = BTreeMap::new();
-        let expect = items.len();
-        for item in items {
-            by_owner
-                .entry(self.owner(item.upd.edge().u))
-                .or_default()
-                .push(item);
-        }
-        for (m, items) in by_owner {
-            self.route(m, ConnMsg::BatchClassify { items }, out);
-        }
-        self.batch = Some(BatchCtl {
-            expect,
-            ..Default::default()
-        });
-    }
+    // ----- batch classifier (the controller is `crate::batch`) ----------
 
     /// Owner: classify this machine's share of the batch. Non-tree deletes
     /// execute on the spot; inserts are forwarded to the far endpoint's
     /// owner for the component comparison; tree deletes are reported
     /// structural.
-    fn handle_batch_classify(
-        &mut self,
-        items: Vec<BatchItem>,
-        report: &mut BatchReportAcc,
-        out: &mut Outbox<ConnMsg>,
-    ) {
+    fn handle_batch_classify(&mut self, items: Vec<BatchItem>, out: &mut Outbox<ConnMsg>) {
         for item in items {
             match item.upd {
                 Update::Insert(e) => {
@@ -1344,12 +1220,12 @@ impl ConnMachine {
                     let x = self.verts.info(e.u);
                     self.route(
                         self.owner(e.v),
-                        ConnMsg::BatchInsClassify {
+                        ConnMsg::Batch(BatchMsg::InsClassify {
                             e,
                             w: 1,
                             x,
                             seq: item.seq,
-                        },
+                        }),
                         out,
                     );
                 }
@@ -1361,12 +1237,13 @@ impl ConnMachine {
                     match kind {
                         EntryKind::NonTree { .. } => {
                             self.delete_non_tree(e, out);
-                            report.done += 1;
+                            self.batch.tally.done += 1;
                         }
                         EntryKind::Tree { .. } => {
                             // A cut touches one component (twice).
                             let c = self.verts.comp_of(e.u);
-                            report.structural.push(StructItem { item, ca: c, cb: c });
+                            let s = StructItem { item, ca: c, cb: c };
+                            self.batch.tally.structural.push(s);
                         }
                     }
                 }
@@ -1383,16 +1260,15 @@ impl ConnMachine {
         w: Weight,
         x: VertexInfo,
         seq: u32,
-        report: &mut BatchReportAcc,
         out: &mut Outbox<ConnMsg>,
     ) {
         let y = e.other(x.v);
         let cb = self.verts.comp_of(y);
         if cb == x.comp {
             self.add_non_tree_pair(e, w, &x, out);
-            report.done += 1;
+            self.batch.tally.done += 1;
         } else {
-            report.structural.push(StructItem {
+            self.batch.tally.structural.push(StructItem {
                 item: BatchItem {
                     upd: Update::Insert(e),
                     seq,
@@ -1403,116 +1279,8 @@ impl ConnMachine {
         }
     }
 
-    /// Controller: fold one classification report; start phase 2 once every
-    /// update is accounted for.
-    fn handle_batch_report(
-        &mut self,
-        done: u32,
-        structural: Vec<StructItem>,
-        out: &mut Outbox<ConnMsg>,
-    ) {
-        let ctl = self.batch.as_mut().expect("report without a batch");
-        ctl.expect -= done as usize + structural.len();
-        ctl.structural.extend(structural);
-        if ctl.expect == 0 {
-            self.batch_begin_structural(out);
-        }
-    }
-
-    /// Controller: partition the structural leftovers into conflict groups,
-    /// one lane each, and start phase 2.
-    fn batch_begin_structural(&mut self, out: &mut Outbox<ConnMsg>) {
-        let ctl = self.batch.as_mut().expect("phase 2 without a batch");
-        let mut items = std::mem::take(&mut ctl.structural);
-        items.sort_unstable_by_key(|s| s.item.seq);
-        let touches: Vec<(u64, u64)> = items
-            .iter()
-            .map(|s| (u64::from(s.ca), u64::from(s.cb)))
-            .collect();
-        let part = partition_conflicts(&touches);
-        let mut lanes: Vec<VecDeque<BatchItem>> = vec![VecDeque::new(); part.groups];
-        for (i, s) in items.into_iter().enumerate() {
-            lanes[part.group_of[i] as usize].push_back(s.item);
-        }
-        ctl.stats = ConflictStats {
-            groups: part.groups,
-            depth: part.depth,
-            max_lanes: 0,
-        };
-        ctl.lanes = lanes;
-        ctl.serving = true;
-        self.batch_fill_lanes(out);
-    }
-
-    /// Controller: start lanes (in id order) until the concurrency cap is
-    /// reached or all lanes have started; finish the batch once every lane
-    /// has drained.
-    fn batch_fill_lanes(&mut self, out: &mut Outbox<ConnMsg>) {
-        let cap = self.lane_cap;
-        let ctl = self.batch.as_mut().expect("lane fill without a batch");
-        debug_assert!(ctl.serving);
-        let mut to_start = Vec::new();
-        while ctl.next_lane < ctl.lanes.len() && ctl.live < cap {
-            to_start.push(ctl.next_lane as u32);
-            ctl.next_lane += 1;
-            ctl.live += 1;
-            ctl.stats.max_lanes = ctl.stats.max_lanes.max(ctl.live);
-        }
-        let finished = ctl.live == 0 && ctl.next_lane >= ctl.lanes.len();
-        let stats = ctl.stats;
-        for lane in to_start {
-            self.batch_dispatch(lane, out);
-        }
-        if finished {
-            self.last_conflict = Some(stats);
-            self.batch = None;
-        }
-    }
-
-    /// Controller: dispatch `lane`'s next structural item through the
-    /// normal (re-classifying) update flow, tagged with the lane id.
-    fn batch_dispatch(&mut self, lane: u32, out: &mut Outbox<ConnMsg>) {
-        let ctl = self.batch.as_mut().expect("dispatch without a batch");
-        let item = ctl.lanes[lane as usize]
-            .pop_front()
-            .expect("dispatch on a drained lane");
-        let e = item.upd.edge();
-        let to = self.owner(e.u);
-        let msg = match item.upd {
-            Update::Insert(_) => ConnMsg::Insert {
-                e,
-                w: 1,
-                lane: Some(lane),
-            },
-            Update::Delete(_) => ConnMsg::Delete {
-                e,
-                lane: Some(lane),
-            },
-        };
-        self.route(to, msg, out);
-    }
-
-    /// Controller: one lane's in-flight structural op completed — advance
-    /// that lane, or retire it and pull the next waiting lane in.
-    fn batch_lane_done(&mut self, lane: u32, out: &mut Outbox<ConnMsg>) {
-        let ctl = self.batch.as_mut().expect("lane done without a batch");
-        debug_assert!(ctl.serving);
-        if !ctl.lanes[lane as usize].is_empty() {
-            self.batch_dispatch(lane, out);
-        } else {
-            ctl.live -= 1;
-            self.batch_fill_lanes(out);
-        }
-    }
-
     /// Dispatches one protocol message (from the inbox or the local queue).
-    fn dispatch(
-        &mut self,
-        msg: ConnMsg,
-        ctx: &RoundCtx,
-        report: &mut BatchReportAcc,
-        out: &mut Outbox<ConnMsg>,
-    ) {
+    fn dispatch(&mut self, msg: ConnMsg, ctx: &RoundCtx, out: &mut Outbox<ConnMsg>) {
         match msg {
             ConnMsg::Insert { e, w, lane } => self.handle_insert(e, w, lane, None, out),
             ConnMsg::Delete { e, lane } => self.handle_delete(e, lane, out),
@@ -1579,22 +1347,21 @@ impl ConnMachine {
                 };
                 let local = &mut self.local;
                 self.queries.handle(q, &at, |to, q| {
-                    if to == at.id {
-                        local.push_back(ConnMsg::Query(q));
-                    } else {
-                        out.send(to, ConnMsg::Query(q));
-                    }
+                    deliver(at.id, local, out, to, ConnMsg::Query(q))
                 });
             }
-            ConnMsg::BatchStart { items } => self.handle_batch_start(items, out),
-            ConnMsg::BatchClassify { items } => self.handle_batch_classify(items, report, out),
-            ConnMsg::BatchInsClassify { e, w, x, seq } => {
-                self.handle_batch_ins_classify(e, w, x, seq, report, out)
+            ConnMsg::Batch(BatchMsg::Classify { items }) => self.handle_batch_classify(items, out),
+            ConnMsg::Batch(BatchMsg::InsClassify { e, w, x, seq }) => {
+                self.handle_batch_ins_classify(e, w, x, seq, out)
             }
-            ConnMsg::BatchReport { done, structural } => {
-                self.handle_batch_report(done, structural, out)
+            ConnMsg::Batch(b) => {
+                assert_eq!(self.id, BATCH_CTRL, "batches run at the controller");
+                // A split borrow: the controller reads the partition table
+                // and writes only its own state.
+                let (id, local) = (self.id, &mut self.local);
+                self.batch
+                    .handle(b, &self.bounds, |to, m| deliver(id, local, out, to, m));
             }
-            ConnMsg::BatchStructDone { lane } => self.batch_lane_done(lane, out),
             ConnMsg::MigrateBegin { to, lo, hi, budget } => {
                 self.handle_migrate_begin(to, lo, hi, budget, ctx, out)
             }
@@ -1615,6 +1382,23 @@ impl ConnMachine {
                 unreachable!("handled before dispatch")
             }
         }
+    }
+}
+
+/// Sends `msg` from machine `id` to `to`, queueing it on `local` (same
+/// round, free in the MPC model) when `to` is `id` itself: no machine ever
+/// messages itself.
+fn deliver(
+    id: MachineId,
+    local: &mut VecDeque<ConnMsg>,
+    out: &mut Outbox<ConnMsg>,
+    to: MachineId,
+    msg: ConnMsg,
+) {
+    if to == id {
+        local.push_back(msg);
+    } else {
+        out.send(to, msg);
     }
 }
 
@@ -1642,20 +1426,6 @@ pub(crate) fn heaviest(
         .max_by_key(|&(e, w)| (w, std::cmp::Reverse(e)))
 }
 
-/// Per-round accumulator for one classifier's report to the controller
-/// (aggregating all of this round's classifications into one message).
-#[derive(Default)]
-struct BatchReportAcc {
-    done: u32,
-    structural: Vec<StructItem>,
-}
-
-impl BatchReportAcc {
-    fn is_empty(&self) -> bool {
-        self.done == 0 && self.structural.is_empty()
-    }
-}
-
 impl Machine for ConnMachine {
     type Msg = ConnMsg;
 
@@ -1666,7 +1436,6 @@ impl Machine for ConnMachine {
         out: &mut Outbox<ConnMsg>,
     ) {
         debug_assert!(self.local.is_empty(), "local queue drains every round");
-        let mut report = BatchReportAcc::default();
         // Structural Applies first, so follow-up protocol steps delivered in
         // the same round see post-op state; then directory fetches (served
         // from pre-dispatch state), then everything else. The inbox is
@@ -1717,7 +1486,7 @@ impl Machine for ConnMachine {
                 msg @ (ConnMsg::DirReply { .. }
                 | ConnMsg::CutReport { .. }
                 | ConnMsg::PathMaxReply { .. }) => self.fold_reply(env.from, msg, out),
-                msg => self.dispatch(msg, ctx, &mut report, out),
+                msg => self.dispatch(msg, ctx, out),
             }
         }
         // Fixpoint: locally-routed steps, rendezvous finalizations (lanes in
@@ -1726,7 +1495,7 @@ impl Machine for ConnMachine {
         // (free in the MPC model).
         loop {
             if let Some(msg) = self.local.pop_front() {
-                self.dispatch(msg, ctx, &mut report, out);
+                self.dispatch(msg, ctx, out);
                 continue;
             }
             if let Some(flow) = self.take_ready() {
@@ -1737,9 +1506,8 @@ impl Machine for ConnMachine {
                 }
                 continue;
             }
-            if !report.is_empty() {
-                let BatchReportAcc { done, structural } = std::mem::take(&mut report);
-                self.route(BATCH_CTRL, ConnMsg::BatchReport { done, structural }, out);
+            if let Some(report) = self.batch.take_report() {
+                self.route(BATCH_CTRL, ConnMsg::Batch(report), out);
                 continue;
             }
             break;
@@ -1751,12 +1519,7 @@ impl Machine for ConnMachine {
         for owners in self.dir.values() {
             words += 2 + owners.len();
         }
-        if let Some(ctl) = &self.batch {
-            words += 2 + 5 * ctl.structural.len();
-            for lane in &ctl.lanes {
-                words += 2 + 3 * lane.len();
-            }
-        }
+        words += self.batch.memory_words();
         // Parked flows (replies are round-local: a rendezvous finalizes in
         // the round they arrive).
         for p in self.parked.values() {
@@ -1786,9 +1549,8 @@ impl Machine for ConnMachine {
     /// run strands, so later runs are neither charged phantom memory for
     /// it nor sent spurious completion signals.
     fn abandon_run(&mut self) {
-        self.batch = None;
+        self.batch.clear();
         self.parked.clear();
         self.queries.clear();
-        self.last_conflict = None;
     }
 }

@@ -1,35 +1,11 @@
 //! Message vocabulary of the distributed connectivity/MST protocol.
 
+use crate::batch::BatchMsg;
 use crate::query::QueryMsg;
 use dmpc_eulertour::indexed::{CompId, TourOp};
 use dmpc_eulertour::TourIx;
-use dmpc_graph::{Edge, Update, Weight, V};
+use dmpc_graph::{Edge, Weight, V};
 use dmpc_mpc::{HandoffMsg, MachineId, Payload};
-
-/// One update inside a batch, tagged with its position in the batch so the
-/// structural phase replays each conflict group's items in original order.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchItem {
-    /// The update.
-    pub upd: Update,
-    /// Position within the batch.
-    pub seq: u32,
-}
-
-/// A structural leftover reported back to the batch controller: the item
-/// plus the pre-batch component ids it touches, the input of the conflict
-/// partitioner. Classifiers read the components during phase 1, which never
-/// changes them (non-structural work touches no tree), so the snapshot is
-/// consistent across the whole batch.
-#[derive(Clone, Copy, Debug)]
-pub struct StructItem {
-    /// The structural update.
-    pub item: BatchItem,
-    /// Component of one endpoint (for cuts: the edge's component, twice).
-    pub ca: CompId,
-    /// Component of the other endpoint.
-    pub cb: CompId,
-}
 
 /// O(1)-word summary of one endpoint's tour state, shipped between the two
 /// endpoint owners during an update.
@@ -130,7 +106,7 @@ pub struct StructBroadcast {
 /// structural phase of a batch: the controller partitions leftover
 /// structural items into conflict groups and runs each group as its own
 /// protocol *lane*, so every in-flight message carries its lane id and
-/// every terminal step of a lane's flow signals [`ConnMsg::BatchStructDone`]
+/// every terminal step of a lane's flow signals [`BatchMsg::StructDone`]
 /// (with the lane) to the controller, which then dispatches that lane's next
 /// item. `lane: None` marks a flow outside any batch (single updates, MST
 /// swaps), of which at most one is ever in flight. Lane ids pack into the
@@ -347,47 +323,10 @@ pub enum ConnMsg {
     /// A read-only query step: the query plane's whole vocabulary.
     Query(QueryMsg),
 
-    // ---- batch protocol (see `machine.rs` "Batched updates") -------------
-    /// Injected at the batch controller (machine 0): process these updates
-    /// as one batch.
-    BatchStart {
-        /// The batch, pre-coalesced (at most one op per edge).
-        items: Vec<BatchItem>,
-    },
-    /// controller -> owner(e.u): classify (and, where non-structural,
-    /// immediately execute) these updates. The preprocessing fan-out.
-    BatchClassify {
-        /// The owner's share of the batch.
-        items: Vec<BatchItem>,
-    },
-    /// owner(e.u) -> owner(e.v): classify an insert against the far
-    /// endpoint's component; same-component inserts execute on the spot.
-    BatchInsClassify {
-        /// The new edge.
-        e: Edge,
-        /// Its weight.
-        w: Weight,
-        /// State of the endpoint owned by the sender.
-        x: VertexInfo,
-        /// Position within the batch.
-        seq: u32,
-    },
-    /// classifier -> controller: how many updates completed non-structurally
-    /// this round, and which turned out structural (links / tree cuts) —
-    /// each tagged with the pre-batch components it touches, the conflict
-    /// partitioner's input.
-    BatchReport {
-        /// Updates executed in the concurrent (non-structural) phase.
-        done: u32,
-        /// Updates requiring structural processing, with touched components.
-        structural: Vec<StructItem>,
-    },
-    /// terminal step -> controller: the lane's in-flight structural item
-    /// finished; dispatch the lane's next item (or retire the lane).
-    BatchStructDone {
-        /// The lane that finished its item.
-        lane: u32,
-    },
+    // ---- batch protocol (see `batch.rs`) ----------------------------------
+    /// A batch-protocol step: the controller's and the classifiers'
+    /// vocabulary.
+    Batch(BatchMsg),
 }
 
 impl Payload for ConnMsg {
@@ -414,12 +353,7 @@ impl Payload for ConnMsg {
             ConnMsg::DirFetch { .. } | ConnMsg::DirDrop { .. } => 2,
             ConnMsg::DirReply { owners, .. } | ConnMsg::DirStore { owners, .. } => 2 + owners.len(),
             ConnMsg::Query(q) => q.size_words(),
-            ConnMsg::BatchStart { items } | ConnMsg::BatchClassify { items } => 1 + 3 * items.len(),
-            ConnMsg::BatchInsClassify { .. } => 9,
-            // 3 per item + the two touched component ids.
-            ConnMsg::BatchReport { structural, .. } => 2 + 5 * structural.len(),
-            // The lane id packs into the op word.
-            ConnMsg::BatchStructDone { .. } => 1,
+            ConnMsg::Batch(b) => b.size_words(),
         }
     }
 }
@@ -427,6 +361,7 @@ impl Payload for ConnMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{BatchItem, StructItem};
 
     const PATH: PathSpans = PathSpans {
         comp: 1,
@@ -649,48 +584,45 @@ mod tests {
 
     #[test]
     fn batch_message_sizes_scale_with_items() {
+        let b = |m| ConnMsg::Batch(m).size_words();
         let item = BatchItem {
-            upd: Update::Insert(Edge::new(0, 1)),
+            upd: dmpc_graph::Update::Insert(Edge::new(0, 1)),
             seq: 0,
         };
         assert_eq!(
-            ConnMsg::BatchStart {
+            b(BatchMsg::Start {
                 items: vec![item; 5]
-            }
-            .size_words(),
+            }),
             16
         );
         // The controller's per-owner share costs what the batch does.
         for k in [0, 1, 4] {
             assert_eq!(
-                ConnMsg::BatchClassify {
+                b(BatchMsg::Classify {
                     items: vec![item; k]
-                }
-                .size_words(),
+                }),
                 1 + 3 * k
             );
         }
         assert_eq!(
-            ConnMsg::BatchInsClassify {
+            b(BatchMsg::InsClassify {
                 e: Edge::new(0, 1),
                 w: 1,
                 x: X,
                 seq: 2
-            }
-            .size_words(),
+            }),
             9
         );
         // Each structural leftover ships its item plus the two touched
         // component ids (the conflict partitioner's input): 5 words.
         let s = StructItem { item, ca: 0, cb: 1 };
         assert_eq!(
-            ConnMsg::BatchReport {
+            b(BatchMsg::Report {
                 done: 3,
                 structural: vec![s; 2]
-            }
-            .size_words(),
+            }),
             12
         );
-        assert_eq!(ConnMsg::BatchStructDone { lane: 3 }.size_words(), 1);
+        assert_eq!(b(BatchMsg::StructDone { lane: 3 }), 1);
     }
 }
