@@ -439,6 +439,20 @@ mod tests {
             .size_words(),
             9
         );
+        // A store costs its set; a drop costs what the empty store does.
+        for (k, words) in [(0, 2), (1, 3), (7, 9)] {
+            let owners = owners[..k].to_vec();
+            assert_eq!(ConnMsg::DirStore { comp: 3, owners }.size_words(), words);
+        }
+        assert_eq!(ConnMsg::DirDrop { comp: 3 }.size_words(), 2);
+        for remove in [Some(1), None] {
+            let patch = ConnMsg::DirPatch {
+                comp: 3,
+                add: 2,
+                remove,
+            };
+            assert_eq!(patch.size_words(), 4);
+        }
         assert_eq!(
             ConnMsg::StartLink {
                 e: Edge::new(0, 1),
