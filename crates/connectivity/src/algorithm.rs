@@ -544,8 +544,8 @@ impl ConnDriver {
             }
         }
         for (mid, m) in self.cluster.machines().enumerate() {
-            for (comp, owners) in m.directory() {
-                let root = self.owner(*comp as V);
+            for (comp, owners) in m.directory().entries() {
+                let root = self.owner(comp as V);
                 if root != mid as MachineId {
                     return Err(format!(
                         "directory entry for comp {comp} stored at machine {mid}, \
@@ -558,29 +558,21 @@ impl ConnDriver {
                          threshold (singletons use the implicit fallback)"
                     ));
                 }
-                let Some(expect) = truth.get(comp) else {
+                if !truth.contains_key(&comp) {
                     return Err(format!("directory entry for dead comp {comp}"));
-                };
-                let expect: Vec<MachineId> = expect.iter().copied().collect();
-                if *owners != expect {
-                    return Err(format!(
-                        "comp {comp}: stored owner set {owners:?} != true set {expect:?}"
-                    ));
                 }
             }
         }
+        // Every live component's set, as its root owner answers it (the
+        // stored set, or the implicit fallback), is exact.
         for (comp, set) in &truth {
             let root = self.owner(*comp as V);
-            if set.len() >= 2 {
-                if !self.cluster.machine(root).directory().contains_key(comp) {
-                    return Err(format!(
-                        "comp {comp} spans machines {set:?} but its root owner {root} \
-                         has no directory entry"
-                    ));
-                }
-            } else if !set.contains(&root) {
+            let expect: Vec<MachineId> = set.iter().copied().collect();
+            let owners = self.cluster.machine(root).directory().owners(*comp, &root);
+            if owners != expect {
                 return Err(format!(
-                    "comp {comp} lives only on {set:?} but the fallback names {root}"
+                    "comp {comp}: root owner {root} answers owner set {owners:?}, \
+                     true set {expect:?}"
                 ));
             }
         }

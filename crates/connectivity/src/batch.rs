@@ -39,7 +39,7 @@
 //! disjoint over a consistent pre-batch snapshot (phase 1 never changes
 //! components): flows in different lanes touch disjoint vertex sets, owner
 //! sets and directory entries, so their Applies commute and their
-//! DirFetch/DirStore traffic never races — a component id created mid-lane
+//! directory fetches and stores never race — a component id created mid-lane
 //! (a cut's detached child) is a vertex of that lane's own group, so even
 //! new directory entries stay inside the lane. True conflicts (items whose
 //! component pairs connect) share a lane and serialize exactly as before,

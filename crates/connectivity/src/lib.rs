@@ -12,7 +12,7 @@
 //!   index of the far endpoint used for O(1) side classification under cuts).
 //! * Every structural change is an O(1)-word [`dmpc_eulertour::indexed::TourOp`]
 //!   payload **multicast to the affected components' owner machines** (the
-//!   component-owner directory; see `machine`), which each recipient applies
+//!   component-owner directory; see `directory`), which each recipient applies
 //!   locally — O(1) rounds, O(sqrt N) active machines, O(sqrt N) total
 //!   communication per update, exactly the paper's Table 1 rows 4 and 5.
 //! * Tree-edge deletions trigger the paper's one-round replacement search:
@@ -42,6 +42,7 @@
 
 pub mod algorithm;
 pub mod batch;
+pub mod directory;
 pub mod machine;
 pub mod messages;
 pub mod preprocess;

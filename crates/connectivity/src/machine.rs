@@ -8,54 +8,14 @@
 //! far endpoint, kept valid under every structural op, so that cut-side
 //! classification is local.
 //!
-//! # The owner directory
-//!
-//! Structural ops (links, tree cuts) and replacement-edge searches only
-//! concern machines owning at least one vertex of the affected components,
-//! so the paper's Table 1 charges them O(sqrt N) *active* machines — not
-//! all P. To address them, the cluster maintains a **component-owner
-//! directory**: for every component, the machine owning its *root vertex*
-//! (derivable locally, because a component id is its root vertex id) holds
-//! the sorted set of machines owning >= 1 of its vertices. Components whose
-//! owner set is a single machine store nothing — the implicit fallback
-//! `{owner_of(comp)}` is exact, because a component confined to one machine
-//! is confined to its root's owner.
-//!
-//! Every flow that needs a set gets it one way, `ConnMachine::resolve`: a
-//! set the flow already carries wins; otherwise each component's set is
-//! answered locally (singletons and self-rooted components) or fetched with
-//! one O(1)-round [`ConnMsg::DirFetch`] round-trip to its root owner. The
-//! flow's continuation (a link, a cut, or an MST path-max query) runs at
-//! once, or parks under its lane until the last [`ConnMsg::DirReply`].
-//!
-//! Maintenance mirrors the structural flow that is already running:
-//!
-//! * **Links** merge: the initiator resolves both sides' sets, multicasts
-//!   the O(1)-word [`ConnMsg::Apply`] to the union, and installs the union at
-//!   the merged root owner ([`ConnMsg::DirStore`]) while dropping the
-//!   absorbed id ([`ConnMsg::DirDrop`]).
-//! * **Deleting cuts** refine: every owner's [`ConnMsg::CutReport`] to the
-//!   rendezvous carries which sides of the tour-interval split it still
-//!   owns, so when no replacement exists the rendezvous installs the two
-//!   refined sets. When a replacement *is* found, the re-link restores the
-//!   pre-cut component exactly, so the rendezvous hands the old set to the
-//!   link flow instead ([`ConnMsg::StartLink`] carries it) and no
-//!   refinement round is needed.
-//! * **MST swap cuts** (demote + immediate re-link) leave the owner set
-//!   unchanged, so the set resolved once for the path-max query rides along
-//!   the whole swap ([`ConnMsg::StartSwap`] / [`ConnMsg::NeedParentCut`]).
-//!   A deleting cut and a swap's demote enter through the same tree-cut
-//!   step, which hands a [`CutReq`] to the parent endpoint's owner.
-//!
-//! Owner sets are O(sqrt N) words but only ever travel point-to-point; the
-//! multicast payloads stay O(1) words, keeping per-update communication at
-//! O(sqrt N) total. (The all-machine broadcast this replaced ran the
-//! identical protocol and merely over-addressed the multicasts; its totals
-//! are frozen beside multicast's in `tests/golden_digests.rs`.)
-//!
 //! Machines never send messages to themselves: self-addressed protocol
 //! steps execute locally in the same round (local computation is free in
 //! the MPC model), which the metering test pins via the flow map.
+//!
+//! # The owner directory
+//!
+//! Flows find the machines owning a component through its own module,
+//! [`crate::directory`].
 //!
 //! # The query plane
 //!
@@ -66,6 +26,7 @@
 //! Batches run through their own controller, [`crate::batch`].
 
 use crate::batch::{BatchCtl, BatchItem, BatchMsg, ConflictStats, StructItem, BATCH_CTRL};
+use crate::directory::{DirMsg, Directory};
 use crate::messages::{ConnMsg, CutMode, CutReq, PathSpans, StructBroadcast, VertexInfo};
 use crate::query::{QueryPlane, Reader};
 use crate::shard::{ApplyOutcome, Shard};
@@ -161,12 +122,12 @@ type CutReportIn = (MachineId, Option<(Edge, Weight)>, bool, bool);
 #[derive(Debug)]
 enum Parked {
     /// A structural flow waiting on its owner sets; it resumes at the last
-    /// [`ConnMsg::DirReply`].
+    /// [`DirMsg::Reply`].
     Owners {
         then: Then,
         /// Union of the sets resolved so far.
         acc: Vec<MachineId>,
-        /// Outstanding DirReply count (1 or 2).
+        /// Outstanding reply count (1 or 2).
         waiting: usize,
     },
     /// A searching cut's rendezvous and the [`ConnMsg::CutReport`]s
@@ -186,7 +147,7 @@ struct Migration {
     /// Per-round payload budget (words).
     budget: usize,
     /// Directory repair messages still to send.
-    patches: VecDeque<(MachineId, ConnMsg)>,
+    patches: VecDeque<(MachineId, DirMsg)>,
 }
 
 /// The connectivity/MST owner machine.
@@ -199,9 +160,8 @@ pub struct ConnMachine {
     mst_mode: bool,
     verts: Shard,
     /// Owner directory shard: authoritative sets for components rooted in
-    /// this machine's block (entries only for sets of size >= 2; the
-    /// implicit fallback is `{owner_of(comp)}`).
-    dir: BTreeMap<CompId, Vec<MachineId>>,
+    /// this machine's block.
+    dir: Directory,
     /// Self-addressed messages executed locally within the same round.
     local: VecDeque<ConnMsg>,
     /// Flows waiting here on owner sets, cut reports or path-max replies,
@@ -245,7 +205,7 @@ impl ConnMachine {
             bounds,
             mst_mode,
             verts,
-            dir: BTreeMap::new(),
+            dir: Directory::default(),
             local: VecDeque::new(),
             parked: BTreeMap::new(),
             batch: BatchCtl::new((capacity_words / 64).max(1)),
@@ -324,8 +284,8 @@ impl ConnMachine {
         self.verts.vertices()
     }
 
-    /// This machine's directory shard (audits/tests; not part of the model).
-    pub fn directory(&self) -> &BTreeMap<CompId, Vec<MachineId>> {
+    /// This machine's directory shard (audits; not part of the model).
+    pub(crate) fn directory(&self) -> &Directory {
         &self.dir
     }
 
@@ -335,15 +295,11 @@ impl ConnMachine {
     }
 
     /// Installs `comp`'s owner set at its root owner: a
-    /// [`ConnMsg::DirStore`], or bulk loading during preprocessing. Sets of
+    /// [`DirMsg::Store`], or bulk loading during preprocessing. Sets of
     /// size < 2 are dropped (implicit fallback).
     pub fn load_dir_entry(&mut self, comp: CompId, owners: Vec<MachineId>) {
         debug_assert_eq!(self.root_owner(comp), self.id, "entry at non-root owner");
-        if owners.len() >= 2 {
-            self.dir.insert(comp, owners);
-        } else {
-            self.dir.remove(&comp);
-        }
+        self.dir.store(comp, owners);
     }
 
     // ----- elasticity & recovery ------------------------------------------
@@ -359,10 +315,10 @@ impl ConnMachine {
     // budgeted chunks, each acked before the next). After the data phase
     // the source drains the *patch phase*:
     // directory repair messages, O(1) words per affected component —
-    // complete [`ConnMsg::DirStore`]/[`ConnMsg::DirDrop`] replacements for
-    // components rooted in the source's old range (it held their exact
-    // sets), incremental [`ConnMsg::DirPatch`]es to remote root owners for
-    // the rest. No global re-broadcast of data ever happens.
+    // complete [`DirMsg::Store`] replacements for components rooted in the
+    // source's old range (it held their exact sets), incremental
+    // [`DirMsg::Patch`]es to remote root owners for the rest. No global
+    // re-broadcast of data ever happens.
     //
     // # Recovery handoff
     //
@@ -378,7 +334,7 @@ impl ConnMachine {
     pub fn wipe(&mut self) {
         self.abandon_run();
         self.verts.clear();
-        self.dir.clear();
+        self.dir = Directory::default();
         self.local.clear();
         self.migration = None;
         self.handoff = Handoff::default();
@@ -400,14 +356,7 @@ impl ConnMachine {
             }
             s.put(b"\n");
             self.verts.write_all(s);
-            for (&comp, owners) in &self.dir {
-                s.put(b"dir");
-                put_field(s, comp as u64);
-                for &m in owners {
-                    put_field(s, m as u64);
-                }
-                s.put(b"\n");
-            }
+            self.dir.write_lines(s);
         })
     }
 
@@ -445,11 +394,7 @@ impl ConnMachine {
                 }
                 b"routing" => {}
                 b"bounds" => self.bounds = std::iter::from_fn(|| f.next_dec()).collect(),
-                b"dir" => {
-                    let comp: CompId = f.dec();
-                    let owners: Vec<MachineId> = std::iter::from_fn(|| f.next_dec()).collect();
-                    self.dir.insert(comp, owners);
-                }
+                b"dir" => self.dir.parse_line(&mut f),
                 _ => self.verts.parse_line(line),
             }
         }
@@ -488,44 +433,24 @@ impl ConnMachine {
         );
         self.bounds[idx as usize] = val;
         out.broadcast(ctx.n_machines, ConnMsg::Boundary { idx, val });
-        // Extract the moving vertices and serialize them.
+        // Extract the moving vertices and serialize them, noting their
+        // components for the directory repair first.
+        let moved_comps = self.verts.comps_in(lo, hi);
         let text = self.verts.extract_range(lo, hi);
         // Directory repair, one O(1)-word patch per affected component.
-        let moved_comps: std::collections::BTreeSet<CompId> = text
-            .lines()
-            .filter(|l| l.starts_with("vert "))
-            .map(|l| {
-                // "vert", the vertex, then its component.
-                let mut f = Fields::new(l);
-                f.word();
-                f.dec::<V>();
-                f.dec()
-            })
-            .collect();
-        let mut patches: VecDeque<(MachineId, ConnMsg)> = VecDeque::new();
+        let mut patches = VecDeque::new();
         for comp in moved_comps {
-            let src_retains = self.verts.any_in_comp(comp);
+            let remove = (!self.verts.any_in_comp(comp)).then_some(self.id);
             let root = comp as V;
             if old_lo <= root && root < old_hi {
                 // Rooted in our old range: we held the exact owner set, so
                 // we emit a complete replacement.
-                let mut set = self.dir.remove(&comp).unwrap_or_else(|| vec![self.id]);
-                if !src_retains {
-                    set.retain(|&m| m != self.id);
-                }
-                set.push(to);
-                set.sort_unstable();
-                set.dedup();
+                let owners = self.dir.patched(comp, self.id, to, remove);
                 if lo <= root && root < hi {
                     // The root vertex moved too: the entry follows it.
-                    let msg = if set.len() >= 2 {
-                        ConnMsg::DirStore { comp, owners: set }
-                    } else {
-                        ConnMsg::DirDrop { comp }
-                    };
-                    patches.push_back((to, msg));
-                } else if set.len() >= 2 {
-                    self.dir.insert(comp, set);
+                    patches.push_back((to, DirMsg::Store { comp, owners }));
+                } else {
+                    self.dir.store(comp, owners);
                 }
             } else {
                 // Rooted remotely: the entry provably exists there (root
@@ -533,14 +458,12 @@ impl ConnMachine {
                 // incremental add/remove patch suffices.
                 let r = self.root_owner(comp);
                 debug_assert_ne!(r, self.id);
-                patches.push_back((
-                    r,
-                    ConnMsg::DirPatch {
-                        comp,
-                        add: to,
-                        remove: (!src_retains).then_some(self.id),
-                    },
-                ));
+                let patch = DirMsg::Patch {
+                    comp,
+                    add: to,
+                    remove,
+                };
+                patches.push_back((r, patch));
             }
         }
         self.migration = Some(Migration {
@@ -564,8 +487,8 @@ impl ConnMachine {
         let mut sent = 0usize;
         while let Some((to, msg)) = mig.patches.pop_front() {
             debug_assert_ne!(to, self.id, "patches never target the source");
-            sent += dmpc_mpc::Payload::size_words(&msg);
-            out.send(to, msg);
+            sent += msg.size_words();
+            out.send(to, ConnMsg::Dir(msg));
             if sent >= mig.budget {
                 break;
             }
@@ -610,16 +533,6 @@ impl ConnMachine {
         owners.iter().copied().filter(|&m| m != self.id).collect()
     }
 
-    /// The directory's answer for `comp` at its root owner: the stored set,
-    /// or the implicit singleton-machine fallback.
-    fn dir_owners(&self, comp: CompId) -> Vec<MachineId> {
-        debug_assert_eq!(self.root_owner(comp), self.id, "lookup at non-root owner");
-        self.dir
-            .get(&comp)
-            .cloned()
-            .unwrap_or_else(|| vec![self.root_owner(comp)])
-    }
-
     /// Resolves a component's owner set without communication when
     /// possible: singleton components own exactly their root's owner, and
     /// self-rooted components are answered from the local directory shard.
@@ -627,7 +540,7 @@ impl ConnMachine {
         if size == 1 {
             Some(vec![self.root_owner(comp)])
         } else if self.root_owner(comp) == self.id {
-            Some(self.dir_owners(comp))
+            Some(self.dir.owners(comp, &self.id).to_vec())
         } else {
             None
         }
@@ -733,7 +646,7 @@ impl ConnMachine {
     /// travelled with the flow) wins; otherwise each `(comp, size)` set is
     /// answered locally when [`Self::set_if_local`] can, and fetched from
     /// its root owner when not (x's fetch before y's). `then` runs with the
-    /// union at once, or parks until the last [`ConnMsg::DirReply`].
+    /// union at once, or parks until the last [`DirMsg::Reply`].
     fn resolve(
         &mut self,
         known: Option<Vec<MachineId>>,
@@ -751,7 +664,8 @@ impl ConnMachine {
             match self.set_if_local(comp, size) {
                 Some(set) => absorb(&mut acc, set),
                 None => {
-                    out.send(self.root_owner(comp), ConnMsg::DirFetch { comp, lane });
+                    let fetch = ConnMsg::Dir(DirMsg::Fetch { comp, lane });
+                    out.send(self.root_owner(comp), fetch);
                     waiting += 1;
                 }
             }
@@ -774,13 +688,16 @@ impl ConnMachine {
     /// waits for [`Self::take_ready`] at the end of the round.
     fn fold_reply(&mut self, from: MachineId, msg: ConnMsg, out: &mut Outbox<ConnMsg>) {
         let lane = match msg {
-            ConnMsg::DirReply { lane, .. } | ConnMsg::CutReport { lane, .. } => lane,
+            ConnMsg::Dir(DirMsg::Reply { lane, .. }) | ConnMsg::CutReport { lane, .. } => lane,
             // MST path-max flows are never batched.
             _ => None,
         };
         let key = lane.unwrap_or(SOLO_LANE);
         match (self.parked.get_mut(&key), msg) {
-            (Some(Parked::Owners { acc, waiting, .. }), ConnMsg::DirReply { owners, .. }) => {
+            (
+                Some(Parked::Owners { acc, waiting, .. }),
+                ConnMsg::Dir(DirMsg::Reply { owners, .. }),
+            ) => {
                 absorb(acc, owners);
                 *waiting -= 1;
                 if *waiting == 0 {
@@ -877,20 +794,12 @@ impl ConnMachine {
             out.send(m, ConnMsg::Apply(b));
         }
         self.verts.apply_struct(&b);
-        // Directory: the merged component keeps x's id; y's id is absorbed.
-        self.route(
-            self.root_owner(x.comp),
-            ConnMsg::DirStore {
-                comp: x.comp,
-                owners: union,
-            },
-            out,
-        );
-        self.route(
-            self.root_owner(y_comp),
-            ConnMsg::DirDrop { comp: y_comp },
-            out,
-        );
+        // Directory: the merged component keeps x's id; y's id is absorbed
+        // (a store of the empty set drops it).
+        for (comp, owners) in [(x.comp, union), (y_comp, Vec::new())] {
+            let store = DirMsg::Store { comp, owners };
+            self.route(self.root_owner(comp), ConnMsg::Dir(store), out);
+        }
         self.signal_struct_done(lane, out);
     }
 
@@ -1106,11 +1015,8 @@ impl ConnMachine {
                 }
                 for (comp, mut owners) in [(pc.comp, parent), (pc.new_comp, child)] {
                     owners.sort_unstable();
-                    self.route(
-                        self.root_owner(comp),
-                        ConnMsg::DirStore { comp, owners },
-                        out,
-                    );
+                    let store = DirMsg::Store { comp, owners };
+                    self.route(self.root_owner(comp), ConnMsg::Dir(store), out);
                 }
                 self.signal_struct_done(pc.lane, out);
             }
@@ -1325,16 +1231,17 @@ impl ConnMachine {
                 out.send(rendezvous, ConnMsg::PathMaxReply { best });
             }
             ConnMsg::StartSwap { d, e, w, owners } => self.handle_start_swap(d, e, w, owners, out),
-            ConnMsg::DirFetch { .. }
-            | ConnMsg::DirReply { .. }
+            ConnMsg::Dir(DirMsg::Fetch { .. } | DirMsg::Reply { .. })
             | ConnMsg::CutReport { .. }
             | ConnMsg::PathMaxReply { .. }
             | ConnMsg::Apply(_) => {
                 unreachable!("handled before dispatch")
             }
-            ConnMsg::DirStore { comp, owners } => self.load_dir_entry(comp, owners),
-            ConnMsg::DirDrop { comp } => {
-                self.dir.remove(&comp);
+            ConnMsg::Dir(DirMsg::Store { comp, owners }) => self.load_dir_entry(comp, owners),
+            ConnMsg::Dir(DirMsg::Patch { comp, add, remove }) => {
+                debug_assert_eq!(self.root_owner(comp), self.id);
+                let owners = self.dir.patched(comp, self.id, add, remove);
+                self.dir.store(comp, owners);
             }
             ConnMsg::Query(q) => {
                 // A split borrow: the step reads the shard, the directory
@@ -1364,19 +1271,6 @@ impl ConnMachine {
             }
             ConnMsg::MigrateBegin { to, lo, hi, budget } => {
                 self.handle_migrate_begin(to, lo, hi, budget, ctx, out)
-            }
-            ConnMsg::DirPatch { comp, add, remove } => {
-                debug_assert_eq!(self.root_owner(comp), self.id);
-                let mut set = self.dir.remove(&comp).unwrap_or_else(|| vec![self.id]);
-                if let Some(r) = remove {
-                    set.retain(|&m| m != r);
-                }
-                set.push(add);
-                set.sort_unstable();
-                set.dedup();
-                if set.len() >= 2 {
-                    self.dir.insert(comp, set);
-                }
             }
             ConnMsg::Boundary { .. } | ConnMsg::Handoff(_) | ConnMsg::MigrateKick => {
                 unreachable!("handled before dispatch")
@@ -1472,18 +1366,13 @@ impl Machine for ConnMachine {
                 // Patch-phase pacing bounce: ack so the source's next
                 // budgeted patch round fires (see `patch_step`).
                 ConnMsg::MigrateKick => out.send(env.from, ConnMsg::Handoff(HandoffMsg::Ack)),
-                ConnMsg::DirFetch { comp, lane } => {
-                    debug_assert_eq!(self.root_owner(comp), self.id);
-                    out.send(
-                        env.from,
-                        ConnMsg::DirReply {
-                            comp,
-                            owners: self.dir_owners(comp),
-                            lane,
-                        },
-                    );
+                ConnMsg::Dir(DirMsg::Fetch { comp, lane }) => {
+                    debug_assert_eq!(self.root_owner(comp), self.id, "fetch at non-root owner");
+                    let owners = self.dir.owners(comp, &self.id).to_vec();
+                    let reply = DirMsg::Reply { comp, owners, lane };
+                    out.send(env.from, ConnMsg::Dir(reply));
                 }
-                msg @ (ConnMsg::DirReply { .. }
+                msg @ (ConnMsg::Dir(DirMsg::Reply { .. })
                 | ConnMsg::CutReport { .. }
                 | ConnMsg::PathMaxReply { .. }) => self.fold_reply(env.from, msg, out),
                 msg => self.dispatch(msg, ctx, out),
@@ -1515,10 +1404,7 @@ impl Machine for ConnMachine {
     }
 
     fn memory_words(&self) -> usize {
-        let mut words = 4 + self.verts.memory_words();
-        for owners in self.dir.values() {
-            words += 2 + owners.len();
-        }
+        let mut words = 4 + self.verts.memory_words() + self.dir.memory_words();
         words += self.batch.memory_words();
         // Parked flows (replies are round-local: a rendezvous finalizes in
         // the round they arrive).
@@ -1539,7 +1425,7 @@ impl Machine for ConnMachine {
                 words += 2;
             }
             for (_, msg) in &mig.patches {
-                words += 1 + dmpc_mpc::Payload::size_words(msg);
+                words += 1 + msg.size_words();
             }
         }
         words

@@ -1,6 +1,7 @@
 //! Message vocabulary of the distributed connectivity/MST protocol.
 
 use crate::batch::BatchMsg;
+use crate::directory::DirMsg;
 use crate::query::QueryMsg;
 use dmpc_eulertour::indexed::{CompId, TourOp};
 use dmpc_eulertour::TourIx;
@@ -75,7 +76,7 @@ pub struct CutReq {
 
 /// The O(1)-word structural-change payload, multicast to the affected
 /// components' owner machines only (found through the root-owner
-/// directory, see `machine.rs`).
+/// directory, see `directory.rs`).
 #[derive(Clone, Copy, Debug)]
 pub struct StructBroadcast {
     /// Optional reroot of the absorbed side (links only).
@@ -242,41 +243,10 @@ pub enum ConnMsg {
         owners: Vec<MachineId>,
     },
 
-    // ---- owner directory (see `machine.rs` "The owner directory") --------
-    /// any machine -> root owner of `comp`: request the component's owner
-    /// set. The root owner (= `owner_of(comp)`, derivable locally because a
-    /// component id is its root vertex) replies with [`ConnMsg::DirReply`].
-    DirFetch {
-        /// Component whose owner set is requested.
-        comp: CompId,
-        /// Batch lane of the fetching flow, echoed in the reply so the
-        /// requester resumes the right lane's pending continuation.
-        lane: Option<u32>,
-    },
-    /// root owner -> requester: the component's owner set.
-    DirReply {
-        /// The component.
-        comp: CompId,
-        /// Machines owning >= 1 vertex of it (sorted, deduplicated).
-        owners: Vec<MachineId>,
-        /// Batch lane of the fetching flow (echoed from the fetch).
-        lane: Option<u32>,
-    },
-    /// any machine -> root owner of `comp`: install the component's owner
-    /// set (sets of size < 2 are erased — the implicit singleton fallback
-    /// `{owner_of(comp)}` covers them).
-    DirStore {
-        /// The component.
-        comp: CompId,
-        /// Its new owner set.
-        owners: Vec<MachineId>,
-    },
-    /// any machine -> root owner of `comp`: the component id was absorbed
-    /// by a link; drop its directory entry.
-    DirDrop {
-        /// The absorbed component.
-        comp: CompId,
-    },
+    // ---- owner directory (see `directory.rs`) -----------------------------
+    /// An owner-directory step: fetches, replies, stores and migration
+    /// patches of component owner sets.
+    Dir(DirMsg),
 
     // ---- elasticity & recovery (see `machine.rs` "Shard migration") ------
     /// Driver-injected at a migration source: move the vertex range
@@ -307,17 +277,6 @@ pub enum ConnMsg {
     /// [`HandoffMsg::Ack`], which releases the source's next budget of
     /// directory patches one round later (no machine messages itself).
     MigrateKick,
-    /// migration source -> remote root owner: incrementally repair `comp`'s
-    /// stored owner set after a shard migration (the component itself was
-    /// untouched, only ownership of some members moved).
-    DirPatch {
-        /// The component whose owner set changed.
-        comp: CompId,
-        /// Machine that now owns >= 1 of its vertices.
-        add: MachineId,
-        /// Machine that no longer owns any (the source, when drained).
-        remove: Option<MachineId>,
-    },
 
     // ---- query plane (see `query.rs`) ------------------------------------
     /// A read-only query step: the query plane's whole vocabulary.
@@ -349,9 +308,7 @@ impl Payload for ConnMsg {
             ConnMsg::Boundary { .. } => 3,
             ConnMsg::Handoff(h) => h.size_words(),
             ConnMsg::MigrateKick => 1,
-            ConnMsg::DirPatch { .. } => 4,
-            ConnMsg::DirFetch { .. } | ConnMsg::DirDrop { .. } => 2,
-            ConnMsg::DirReply { owners, .. } | ConnMsg::DirStore { owners, .. } => 2 + owners.len(),
+            ConnMsg::Dir(d) => d.size_words(),
             ConnMsg::Query(q) => q.size_words(),
             ConnMsg::Batch(b) => b.size_words(),
         }
@@ -422,36 +379,39 @@ mod tests {
     #[test]
     fn owner_set_messages_scale_with_set_size() {
         let owners: Vec<MachineId> = (0..7).collect();
+        let d = |m| ConnMsg::Dir(m).size_words();
         assert_eq!(
-            ConnMsg::DirFetch {
+            d(DirMsg::Fetch {
                 comp: 3,
                 lane: None
-            }
-            .size_words(),
+            }),
             2
         );
         assert_eq!(
-            ConnMsg::DirReply {
+            d(DirMsg::Reply {
                 comp: 3,
                 owners: owners.clone(),
                 lane: Some(2)
-            }
-            .size_words(),
+            }),
             9
         );
-        // A store costs its set; a drop costs what the empty store does.
+        // A store costs its set; a drop is the store of the empty set.
         for (k, words) in [(0, 2), (1, 3), (7, 9)] {
             let owners = owners[..k].to_vec();
-            assert_eq!(ConnMsg::DirStore { comp: 3, owners }.size_words(), words);
+            assert_eq!(d(DirMsg::Store { comp: 3, owners }), words);
         }
-        assert_eq!(ConnMsg::DirDrop { comp: 3 }.size_words(), 2);
+        let absorbed = DirMsg::Store {
+            comp: 3,
+            owners: vec![],
+        };
+        assert_eq!(d(absorbed), 2);
         for remove in [Some(1), None] {
-            let patch = ConnMsg::DirPatch {
+            let patch = DirMsg::Patch {
                 comp: 3,
                 add: 2,
                 remove,
             };
-            assert_eq!(patch.size_words(), 4);
+            assert_eq!(d(patch), 4);
         }
         assert_eq!(
             ConnMsg::StartLink {

@@ -32,6 +32,7 @@
 //! them and a wave is invisible to later updates; it writes only its own
 //! `QueryPlane`. The query-plane property tests check this from outside.
 
+use crate::directory::Directory;
 use crate::machine::{heaviest, ConnMachine};
 use crate::messages::PathSpans;
 use crate::shard::Shard;
@@ -149,21 +150,12 @@ pub(crate) struct Reader<'a> {
     pub(crate) id: MachineId,
     pub(crate) bounds: &'a [V],
     pub(crate) verts: &'a Shard,
-    pub(crate) dir: &'a BTreeMap<CompId, Vec<MachineId>>,
+    pub(crate) dir: &'a Directory,
 }
 
 impl Reader<'_> {
     fn owner(&self, v: V) -> MachineId {
         ConnMachine::owner_in(self.bounds, v)
-    }
-
-    /// The directory's owner set for `comp`, rooted here: the stored set,
-    /// or the implicit singleton `{self}`.
-    fn dir_owners(&self, comp: CompId) -> &[MachineId] {
-        debug_assert_eq!(self.owner(comp as V), self.id, "lookup at non-root owner");
-        self.dir
-            .get(&comp)
-            .map_or(std::slice::from_ref(&self.id), Vec::as_slice)
     }
 }
 
@@ -314,7 +306,8 @@ impl QueryPlane {
                 path,
                 rendezvous,
             } => {
-                let owners = at.dir_owners(path.comp);
+                debug_assert_eq!(at.owner(path.comp as V), at.id, "resolve at non-root owner");
+                let owners = at.dir.owners(path.comp, &at.id);
                 let expect = u32::try_from(owners.len()).expect("at most P owners");
                 for &m in owners {
                     let eval = QueryMsg::PathEval {
@@ -407,7 +400,8 @@ mod tests {
     fn path_max_joins_count_past_u16() {
         const OWNERS: u32 = 70_000;
         let verts = Shard::new_range(0, 1);
-        let dir = BTreeMap::from([(0, (0..OWNERS).collect::<Vec<MachineId>>())]);
+        let mut dir = Directory::default();
+        dir.store(0, (0..OWNERS).collect());
         let at = Reader {
             id: 0,
             bounds: &[0, 1],

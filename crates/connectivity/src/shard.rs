@@ -42,7 +42,7 @@ use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, Weight, V};
 use dmpc_mpc::text::{put_field, Fields, Sink};
 use std::cell::{RefCell, RefMut};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 /// An adjacency entry at one endpoint.
@@ -1063,6 +1063,14 @@ impl Shard {
     /// repair).
     pub fn any_in_comp(&self, comp: CompId) -> bool {
         self.comp.contains(&comp)
+    }
+
+    /// The components of the owned vertices in `lo..hi` (migration
+    /// directory repair).
+    pub fn comps_in(&self, lo: V, hi: V) -> BTreeSet<CompId> {
+        (lo..hi)
+            .filter_map(|v| self.slot_of(v).map(|slot| self.comp[slot]))
+            .collect()
     }
 
     /// Number of owned vertices.
