@@ -354,3 +354,57 @@ fn singleton_link_touches_only_the_two_owners() {
         assert!(alg.connected(0, block as V));
     }
 }
+
+/// The exact cost of one MST insert that swaps, at P = 11 (block 3). The
+/// tree is the path 0 - 3 - 9 - 6 - 7, rooted at 0 and spread over machines
+/// 0 to 3, whose heaviest edge (6, 9) has its child endpoint 6 on machine 2
+/// and its parent 9 on machine 3: inserting (0, 7) at weight 1 demotes
+/// (6, 9), and since the swap starts at the owner of `d.u` = 6, the cut
+/// travels to the parent's owner first (`NeedParentCut`). The linked edge
+/// reroots the detached side {6, 7} at 7.
+#[test]
+fn one_mst_swap_costs_exactly() {
+    let params = DmpcParams::new(32, 160);
+    let mut alg = DmpcMst::new(params, 0.1);
+    assert_eq!(alg.driver().n_machines(), 11);
+    for (u, v, w) in [(6, 7, 2), (6, 9, 9), (3, 9, 5), (0, 3, 5)] {
+        assert!(alg.insert(Edge::new(u, v), w).clean());
+    }
+    assert_eq!(alg.forest_weight(), 21);
+    let m = alg.insert(Edge::new(0, 7), 1);
+    assert!(m.clean(), "{:?}", m.violations);
+    alg.driver().audit().unwrap();
+    alg.driver().audit_directory().unwrap();
+    let tree: Vec<Edge> = alg.driver().tree_edges().iter().map(|&(e, _)| e).collect();
+    let want = [(0, 3), (0, 7), (3, 9), (6, 7)].map(|(u, v)| Edge::new(u, v));
+    assert_eq!(tree, want);
+    assert_eq!(alg.forest_weight(), 13);
+    // The insert's `InsQuery` 0 -> 2, where 7's owner fetches the owner set
+    // from the root's and multicasts the path-max query to machines 0, 1
+    // and 3, which reply; `NeedParentCut` 2 -> 3; the demote's `Apply` from
+    // 3 to 0, 1 and 2 and its `StartLink` 3 -> 0; the link's `InsQuery`
+    // 0 -> 2; the link's `Apply` from 2 to 0, 1 and 3 and its directory
+    // store 2 -> 0.
+    assert_eq!(
+        (
+            m.rounds,
+            m.total_messages,
+            m.total_words,
+            m.machines_touched
+        ),
+        (10, 19, 189, 4)
+    );
+    let mut flows: Vec<((u32, u32), u64)> = m.flows.into_iter().collect();
+    flows.sort_unstable();
+    let want = [
+        ((0, 2), 29),
+        ((1, 2), 3),
+        ((2, 0), 34),
+        ((2, 1), 26),
+        ((2, 3), 39),
+        ((3, 0), 23),
+        ((3, 1), 16),
+        ((3, 2), 19),
+    ];
+    assert_eq!(flows, want);
+}
