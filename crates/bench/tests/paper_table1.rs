@@ -125,14 +125,15 @@ fn words_are_flat_in_the_memory_multiplier() {
 }
 
 /// FINDING (ROADMAP item 14): in the giant-component regime (1+eps)-MST
-/// breaks the send cap — one `SendCap` at n = 2048 (update 3947: machine 59
-/// sends 2,942 words > S = 2,912 in round 7), another at n = 4096; n = 256,
-/// 1024 and 8192 are clean. Attributed: 178 of machine 59's messages that
-/// round are `Apply`s from one MST swap, whose demote and link each
-/// multicast the same 16-word `Apply` to an 89-machine audience. The fix
-/// changes rounds, so it waits for item 14.
+/// broke the send cap — one `SendCap` at n = 2048 (update 3947: machine 59
+/// sent 2,942 words > S = 2,912 in round 7), another at n = 4096 (machine
+/// 74, 4,194 words > S = 4,096); n = 256, 1024 and 8192 were clean.
+/// Attributed: 178 of machine 59's messages that round were `Apply`s from
+/// one MST swap, whose demote and link each multicast the same 16-word
+/// `Apply` to an 89-machine audience. A swap has been one 15-word multicast
+/// since the two were fused, and the largest send of this run is 1,518
+/// words (machine 34, round 4); n = 4096's is 2,164.
 #[test]
-#[ignore = "ROADMAP item 14"]
 fn mst_respects_the_send_cap_at_n_2048() {
     assert_eq!(ROWS[4].measure((2048, STEPS, SEED)).agg.violations, 0);
 }

@@ -31,11 +31,12 @@
 //!   pre-cut component exactly, so the rendezvous hands the old set to the
 //!   link flow instead ([`ConnMsg::StartLink`] carries it) and no
 //!   refinement round is needed.
-//! * **MST swap cuts** (demote + immediate re-link) leave the owner set
-//!   unchanged, so the set resolved once for the path-max query rides along
-//!   the whole swap ([`ConnMsg::StartSwap`] / [`ConnMsg::NeedParentCut`]).
-//!   A deleting cut and a swap's demote enter through the same tree-cut
-//!   step, which hands a [`CutReq`] to the parent endpoint's owner.
+//! * **MST swaps** (demote + re-link, one [`ConnMsg::Swap`]) leave the
+//!   owner set unchanged, so the set resolved once for the path-max query
+//!   rides along the whole swap ([`ConnMsg::StartSwap`] /
+//!   [`ConnMsg::NeedParentCut`]), and the swap stores it as a link does.
+//!   A deleting cut and a swap enter through the same tree-cut step, which
+//!   hands a [`CutReq`] to the parent endpoint's owner.
 //!
 //! Owner sets are O(sqrt N) words but only ever travel point-to-point; the
 //! multicast payloads stay O(1) words, keeping per-update communication at
@@ -45,6 +46,7 @@
 //! [`ConnMsg::CutReport`]: crate::messages::ConnMsg::CutReport
 //! [`ConnMsg::StartLink`]: crate::messages::ConnMsg::StartLink
 //! [`ConnMsg::StartSwap`]: crate::messages::ConnMsg::StartSwap
+//! [`ConnMsg::Swap`]: crate::messages::ConnMsg::Swap
 //! [`ConnMsg::NeedParentCut`]: crate::messages::ConnMsg::NeedParentCut
 //! [`CutReq`]: crate::messages::CutReq
 

@@ -27,7 +27,9 @@
 
 use crate::batch::{BatchCtl, BatchItem, BatchMsg, ConflictStats, StructItem, BATCH_CTRL};
 use crate::directory::{DirMsg, Directory};
-use crate::messages::{ConnMsg, CutMode, CutReq, PathSpans, StructBroadcast, VertexInfo};
+use crate::messages::{
+    ConnMsg, CutMode, CutReq, PathSpans, Relink, StructBroadcast, SwapBroadcast, VertexInfo,
+};
 use crate::query::{QueryPlane, Reader};
 use crate::shard::{ApplyOutcome, Shard};
 use dmpc_eulertour::indexed::{CompId, TourOp};
@@ -73,8 +75,8 @@ struct PendingMst {
     e: Edge,
     /// Its weight.
     w: Weight,
-    /// The initiating endpoint (its `f` is the non-tree cached index if
-    /// the tree is kept).
+    /// The initiating endpoint, `e.u` (its `f` is the non-tree cached
+    /// index if the tree is kept; its span rides a swap's re-link).
     x: VertexInfo,
     /// The component's owner set, resolved once and reused by the swap.
     owners: Vec<MachineId>,
@@ -557,10 +559,10 @@ impl ConnMachine {
         }
     }
 
-    /// Starts an insertion at `e.u`'s owner. A replacement or swap link
+    /// Starts an insertion at `e.u`'s owner. A replacement link
     /// ([`ConnMsg::StartLink`]) arrives with the merged component's owner
-    /// set known; a replacement edge already exists as a non-tree entry at
-    /// both owners (the Apply handler converts the entries to tree entries).
+    /// set known; its edge already exists as a non-tree entry at both
+    /// owners (the Apply handler converts the entries to tree entries).
     fn handle_insert(
         &mut self,
         e: Edge,
@@ -628,7 +630,7 @@ impl ConnMachine {
         let (y_comp, y_size) = (self.verts.comp_of(y), self.verts.size_of(y));
         if y_comp != x.comp {
             // Cross-component: link over the union of both owner sets.
-            // Replacement/swap links arrive with the union attached.
+            // Replacement links arrive with the union attached.
             let sides = [(x.comp, x.size), (y_comp, y_size)];
             self.resolve(known_owners, &sides, Then::Link { e, w, x, lane }, out);
         } else if self.mst_mode {
@@ -755,34 +757,12 @@ impl ConnMachine {
         lane: Option<u32>,
         out: &mut Outbox<ConnMsg>,
     ) {
-        let y = e.other(x.v);
-        let yi = self.verts.info(y);
-        let (y_comp, y_size, y_f, y_l) = (yi.comp, yi.size, yi.f, yi.l);
-        // Reroot y's tree at y, then link after f(x).
-        let reroot = if y_size > 1 && y_f != 1 {
-            Some(TourOp::Reroot {
-                comp: y_comp,
-                elen: 4 * (y_size - 1),
-                l_y: y_l,
-                y,
-            })
-        } else {
-            None
-        };
-        // Erratum fix: splice position 0 when x is the root of its tree.
-        let fx = if x.f <= 1 { 0 } else { x.f };
-        let main = TourOp::Link {
-            a: x.comp,
-            b: y_comp,
-            x: x.v,
-            y,
-            fx,
-            elen_b: 4 * (y_size - 1),
-        };
+        let y = self.verts.info(e.other(x.v));
+        let (reroot, main) = link_ops(x, &y);
         let b = StructBroadcast {
             reroot,
             main,
-            merged_size: x.size + y_size,
+            merged_size: x.size + y.size,
             x_after: 0,
             edge: e,
             weight: w,
@@ -794,13 +774,24 @@ impl ConnMachine {
             out.send(m, ConnMsg::Apply(b));
         }
         self.verts.apply_struct(&b);
-        // Directory: the merged component keeps x's id; y's id is absorbed
-        // (a store of the empty set drops it).
-        for (comp, owners) in [(x.comp, union), (y_comp, Vec::new())] {
+        self.store_merged(x.comp, y.comp, union, out);
+        self.signal_struct_done(lane, out);
+    }
+
+    /// A link's directory update: the merged component keeps `a`'s id and
+    /// takes the set `union`; `b`'s id is absorbed (a store of the empty
+    /// set drops it).
+    fn store_merged(
+        &mut self,
+        a: CompId,
+        b: CompId,
+        union: Vec<MachineId>,
+        out: &mut Outbox<ConnMsg>,
+    ) {
+        for (comp, owners) in [(a, union), (b, Vec::new())] {
             let store = DirMsg::Store { comp, owners };
             self.route(self.root_owner(comp), ConnMsg::Dir(store), out);
         }
-        self.signal_struct_done(lane, out);
     }
 
     fn handle_delete(&mut self, e: Edge, lane: Option<u32>, out: &mut Outbox<ConnMsg>) {
@@ -825,16 +816,16 @@ impl ConnMachine {
     }
 
     /// The one tree-cut entry, at the owner of `e.u`, whose entry for tree
-    /// edge `e` spans `lo..=hi`: a deleting cut (`then_link: None`) removes
-    /// the edge and searches for a replacement, an MST swap's demote keeps
-    /// it as a non-tree edge and links `then_link` right after. An even
+    /// edge `e` spans `lo..=hi`: a deleting cut (`relink: None`) removes
+    /// the edge and searches for a replacement, an MST swap keeps it as a
+    /// non-tree edge and links the new edge in the same multicast. An even
     /// `lo` makes `e.u` the child, so the parent's owner must compute the
     /// surviving parent index: the request travels there.
     fn cut_tree_edge(
         &mut self,
         e: Edge,
         (lo, hi): (TourIx, TourIx),
-        then_link: Option<(Edge, Weight)>,
+        relink: Option<Relink>,
         lane: Option<u32>,
         owners: Option<Vec<MachineId>>,
         out: &mut Outbox<ConnMsg>,
@@ -844,19 +835,12 @@ impl ConnMachine {
         } else {
             (e.u, lo + 1, hi - 1)
         };
-        let swap = then_link.is_some();
         let req = CutReq {
             e,
             parent,
             fy,
             ly,
-            mode: if swap {
-                CutMode::Demote
-            } else {
-                CutMode::Remove
-            },
-            search: !swap,
-            then_link,
+            relink,
             lane,
         };
         if parent == e.u {
@@ -886,30 +870,30 @@ impl ConnMachine {
         self.resolve(owners, &[(comp, size)], Then::Cut(req), out);
     }
 
-    /// Executes a cut with the owner set resolved: multicasts the Apply,
-    /// applies locally, and arms the rendezvous aggregation (searching
-    /// cuts) or the follow-up link (MST swaps).
+    /// Executes a cut with the owner set resolved. A deleting cut
+    /// multicasts its Apply, applies locally, and arms the rendezvous
+    /// aggregation; an MST swap's cut travels with its link
+    /// ([`Self::swap`]).
     fn cut(&mut self, req: CutReq, owners: Vec<MachineId>, out: &mut Outbox<ConnMsg>) {
         let CutReq {
             e,
             parent,
             fy,
             ly,
-            mode,
-            search,
-            then_link,
+            relink,
             lane,
         } = req;
         let child = e.other(parent);
         let comp = self.verts.comp_of(parent);
         let span = (ly - fy + 1) + 2;
-        let x_after = self
+        // The parent's surviving indexes after the cut, ascending: the list
+        // is, and the map keeps the order of the indexes outside fy-1..=ly+1.
+        let mut kept = self
             .verts
             .idx_of(parent)
             .filter(|&s| s != fy - 1 && s != ly + 1)
-            .map(|s| if s > ly { s - span } else { s })
-            .min()
-            .unwrap_or(0);
+            .map(|s| if s > ly { s - span } else { s });
+        let x_after = kept.next().unwrap_or(0);
         let main = TourOp::Cut {
             comp,
             x: parent,
@@ -918,6 +902,11 @@ impl ConnMachine {
             ly,
             new_comp: child,
         };
+        if let Some(r) = relink {
+            debug_assert!(lane.is_none(), "MST mode has no batched path");
+            let x_last = kept.last().unwrap_or(x_after);
+            return self.swap(main, (x_after, x_last), r, owners, out);
+        }
         let b = StructBroadcast {
             reroot: None,
             main,
@@ -925,46 +914,95 @@ impl ConnMachine {
             x_after,
             edge: e,
             weight: 0,
-            cut_mode: mode,
-            rendezvous: if search { Some(self.id) } else { None },
+            cut_mode: CutMode::Remove,
+            rendezvous: Some(self.id),
             lane,
         };
         let remote = self.audience(&owners);
         for &m in &remote {
             out.send(m, ConnMsg::Apply(b));
         }
-        if let Some((le, lw)) = then_link {
-            // An MST swap's re-link restores the pre-cut component, so the
-            // owner set rides along unchanged. The link's InsQuery is
-            // processed after the Apply in the same round at its owner
-            // (Apply messages are handled first).
-            self.route(
-                self.owner(le.u),
-                ConnMsg::StartLink {
-                    e: le,
-                    w: lw,
-                    lane,
-                    owners: owners.clone(),
-                },
-                out,
-            );
+        let pc = PendingCut {
+            comp,
+            new_comp: child,
+            old_owners: owners,
+            remote: remote.len(),
+            local: self.verts.apply_struct(&b),
+            lane,
+        };
+        if remote.is_empty() {
+            self.finalize_cut(pc, Vec::new(), out);
+        } else {
+            self.park(lane, Parked::Cut(pc, Vec::new()));
         }
-        let outcome = self.verts.apply_struct(&b);
-        if search {
-            let pc = PendingCut {
-                comp,
-                new_comp: child,
-                old_owners: owners,
-                remote: remote.len(),
-                local: outcome,
-                lane,
-            };
-            if remote.is_empty() {
-                self.finalize_cut(pc, Vec::new(), out);
+    }
+
+    /// Executes an MST swap at its cut's executor, which owns the parent
+    /// endpoint and knows its span `(x_after, x_last)` after the cut. It
+    /// places both endpoints of the new edge after the cut from their
+    /// pre-cut spans, builds the link [`Self::link`] would build there,
+    /// multicasts cut and link as one [`ConnMsg::Swap`], applies it, and
+    /// sends the directory stores the link would send.
+    fn swap(
+        &mut self,
+        cut: TourOp,
+        (x_after, x_last): (TourIx, TourIx),
+        r: Relink,
+        owners: Vec<MachineId>,
+        out: &mut Outbox<ConnMsg>,
+    ) {
+        let TourOp::Cut {
+            comp,
+            x: parent,
+            y: child,
+            fy,
+            ly,
+            ..
+        } = cut
+        else {
+            unreachable!("a swap cuts with a cut")
+        };
+        let size = self.verts.size_of(parent);
+        // The detached side: the child's subtree, of k vertices.
+        let k = (ly - fy).div_ceil(4);
+        let span = (ly - fy + 1) + 2;
+        let after = |v: V, (f, l): (TourIx, TourIx)| {
+            let (side, side_size, f, l) = if v == parent {
+                (comp, size - k, x_after, x_last)
+            } else if v == child {
+                // The detached side's root: its tour is 1..=4(k-1).
+                let (f, l) = if k == 1 { (0, 0) } else { (1, 4 * (k - 1)) };
+                (child, k, f, l)
+            } else if fy < f && l < ly {
+                (child, k, f - fy, l - fy)
             } else {
-                self.park(lane, Parked::Cut(pc, Vec::new()));
+                let map = |s| if s > ly { s - span } else { s };
+                (comp, size - k, map(f), map(l))
+            };
+            VertexInfo {
+                v,
+                comp: side,
+                size: side_size,
+                f,
+                l,
             }
+        };
+        let x = after(r.e.u, r.spans[0]);
+        let y = after(r.e.v, r.spans[1]);
+        let (reroot, link) = link_ops(&x, &y);
+        let s = SwapBroadcast {
+            cut,
+            x_after,
+            link,
+            // A link reroots y's side at y.
+            reroot_l_y: reroot.map(|_| y.l),
+            weight: r.w,
+        };
+        for m in self.audience(&owners) {
+            out.send(m, ConnMsg::Swap(s));
         }
+        self.verts.apply_swap(&s);
+        self.store_merged(x.comp, y.comp, owners, out);
     }
 
     /// Rendezvous: folds one lane's remote [`ConnMsg::CutReport`]s with the
@@ -1044,8 +1082,6 @@ impl ConnMachine {
         };
         let q = ConnMsg::PathMaxQuery {
             path,
-            e,
-            w,
             rendezvous: self.id,
         };
         let remote = self.audience(&owners);
@@ -1075,14 +1111,22 @@ impl ConnMachine {
         let best = heaviest(replies.into_iter().chain([p.local_best]));
         match best {
             Some((d, dw)) if dw > p.w => {
-                // Swap: demote d, then link e. The demote must be initiated
-                // at d's parent endpoint owner; the owner set rides along.
+                // Swap: demote d and link e in one multicast, executed at
+                // d's parent endpoint owner. The owner set and the spans of
+                // e's endpoints ride along (this machine owns e.v, and x is
+                // e.u: MST flows run one at a time, so both are current).
+                debug_assert_eq!(p.x.v, p.e.u, "the insert starts at e.u");
+                let y = self.verts.info(p.e.v);
+                let relink = Relink {
+                    e: p.e,
+                    w: p.w,
+                    spans: [(p.x.f, p.x.l), (y.f, y.l)],
+                };
                 self.route(
                     self.owner(d.u),
                     ConnMsg::StartSwap {
                         d,
-                        e: p.e,
-                        w: p.w,
+                        relink,
                         owners: p.owners,
                     },
                     out,
@@ -1097,8 +1141,7 @@ impl ConnMachine {
     fn handle_start_swap(
         &mut self,
         d: Edge,
-        e: Edge,
-        w: Weight,
+        relink: Relink,
         owners: Vec<MachineId>,
         out: &mut Outbox<ConnMsg>,
     ) {
@@ -1106,7 +1149,7 @@ impl ConnMachine {
         let EntryKind::Tree { lo, hi } = kind else {
             panic!("swap target {d} is not a tree edge");
         };
-        self.cut_tree_edge(d, (lo, hi), Some((e, w)), None, Some(owners), out);
+        self.cut_tree_edge(d, (lo, hi), Some(relink), None, Some(owners), out);
     }
 
     // ----- batch classifier (the controller is `crate::batch`) ----------
@@ -1223,18 +1266,19 @@ impl ConnMachine {
             ConnMsg::StartLink { e, w, lane, owners } => {
                 self.handle_insert(e, w, lane, Some(owners), out)
             }
-            ConnMsg::PathMaxQuery {
-                path, rendezvous, ..
-            } => {
+            ConnMsg::PathMaxQuery { path, rendezvous } => {
                 debug_assert_ne!(rendezvous, self.id, "the rendezvous answers locally");
                 let best = self.verts.path_max(&path);
                 out.send(rendezvous, ConnMsg::PathMaxReply { best });
             }
-            ConnMsg::StartSwap { d, e, w, owners } => self.handle_start_swap(d, e, w, owners, out),
+            ConnMsg::StartSwap { d, relink, owners } => {
+                self.handle_start_swap(d, relink, owners, out)
+            }
             ConnMsg::Dir(DirMsg::Fetch { .. } | DirMsg::Reply { .. })
             | ConnMsg::CutReport { .. }
             | ConnMsg::PathMaxReply { .. }
-            | ConnMsg::Apply(_) => {
+            | ConnMsg::Apply(_)
+            | ConnMsg::Swap(_) => {
                 unreachable!("handled before dispatch")
             }
             ConnMsg::Dir(DirMsg::Store { comp, owners }) => self.load_dir_entry(comp, owners),
@@ -1309,6 +1353,29 @@ fn absorb(acc: &mut Vec<MachineId>, set: Vec<MachineId>) {
     }
 }
 
+/// The link of `x`'s and `y`'s components, `y`'s absorbed, as a link
+/// multicasts it: `y`'s tree rerooted at `y` unless `y` is its root, then
+/// spliced in after `f(x)`.
+fn link_ops(x: &VertexInfo, y: &VertexInfo) -> (Option<TourOp>, TourOp) {
+    let reroot = (y.size > 1 && y.f != 1).then_some(TourOp::Reroot {
+        comp: y.comp,
+        elen: 4 * (y.size - 1),
+        l_y: y.l,
+        y: y.v,
+    });
+    // Erratum fix: splice position 0 when x is the root of its tree.
+    let fx = if x.f <= 1 { 0 } else { x.f };
+    let main = TourOp::Link {
+        a: x.comp,
+        b: y.comp,
+        x: x.v,
+        y: y.v,
+        fx,
+        elen_b: 4 * (y.size - 1),
+    };
+    (reroot, main)
+}
+
 /// The path maximum of some candidates, the one order the update path and
 /// the query plane share: the heavier edge wins, ties go to the smaller.
 pub(crate) fn heaviest(
@@ -1349,6 +1416,10 @@ impl Machine for ConnMachine {
                         },
                     );
                 }
+                false
+            }
+            ConnMsg::Swap(s) => {
+                self.verts.apply_swap(&s);
                 false
             }
             // Partition-table shifts apply before anything else this

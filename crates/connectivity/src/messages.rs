@@ -47,8 +47,25 @@ pub struct PathSpans {
 pub enum CutMode {
     /// The edge is being deleted from the graph.
     Remove,
-    /// The edge stays in the graph as a non-tree edge (MST swaps).
+    /// The edge stays in the graph as a non-tree edge: the first half of
+    /// an MST swap. The machine program sends it only fused with its link
+    /// ([`SwapBroadcast`]); alone, it is half of the reference the fused
+    /// sweep is checked against.
     Demote,
+}
+
+/// The re-link of an MST swap, as it travels with the cut of the heaviest
+/// path edge: the inserted edge, its weight, and the tour spans `(f, l)` of
+/// its two endpoints (`e.u`'s first) before the cut. With them and its own
+/// index list, the cut's executor knows both endpoints after the cut.
+#[derive(Clone, Copy, Debug)]
+pub struct Relink {
+    /// The inserted edge, which rejoins the two sides of the cut.
+    pub e: Edge,
+    /// Its weight.
+    pub w: Weight,
+    /// Pre-cut `(f, l)` of `e.u`, then of `e.v`.
+    pub spans: [(TourIx, TourIx); 2],
 }
 
 /// One tree-edge cut, as the parent endpoint's owner executes it: the value
@@ -64,12 +81,10 @@ pub struct CutReq {
     pub fy: TourIx,
     /// Child endpoint's last appearance.
     pub ly: TourIx,
-    /// Remove (deletion) or demote (MST swap).
-    pub mode: CutMode,
-    /// Run the replacement search after the cut.
-    pub search: bool,
-    /// Link this edge right after the cut (MST swaps).
-    pub then_link: Option<(Edge, Weight)>,
+    /// `None`: a deleting cut, which searches for a replacement. `Some`: an
+    /// MST swap, which keeps `e` as a non-tree edge and links the new edge
+    /// in the same multicast ([`ConnMsg::Swap`]).
+    pub relink: Option<Relink>,
     /// Batch lane of this flow: signal completion with it.
     pub lane: Option<u32>,
 }
@@ -95,12 +110,33 @@ pub struct StructBroadcast {
     /// For cuts: what to do with the edge's adjacency entries.
     pub cut_mode: CutMode,
     /// For cuts in delete mode: the rendezvous machine for the replacement
-    /// search; `None` disables the search (MST swap cuts reconnect
-    /// immediately via the new edge).
+    /// search; `None` disables the search.
     pub rendezvous: Option<MachineId>,
     /// Batch lane of the originating flow, echoed in the [`ConnMsg::CutReport`]s
     /// so replies from concurrently running conflict groups never cross-talk.
     pub lane: Option<u32>,
+}
+
+/// An MST swap as one O(1)-word multicast: the cut of a tree edge that
+/// keeps it as a non-tree edge (a demote), and the link of the inserted edge
+/// that rejoins the two sides, in post-cut indexes. Every owner applies the
+/// pair in one sweep (`Shard::apply_swap`), to the state the two
+/// broadcasts would leave one after the other.
+#[derive(Clone, Copy, Debug)]
+pub struct SwapBroadcast {
+    /// The demote: a [`TourOp::Cut`].
+    pub cut: TourOp,
+    /// The cut's parent endpoint's least tour index after the cut, as in
+    /// [`StructBroadcast::x_after`].
+    pub x_after: TourIx,
+    /// The re-link: a [`TourOp::Link`] of the two sides the cut makes.
+    pub link: TourOp,
+    /// `l(y)` of the link's `y` after the cut, when `y`'s side is first
+    /// rerooted at `y` (the reroot's component and tour length are the
+    /// link's `b` and `elen_b`).
+    pub reroot_l_y: Option<TourIx>,
+    /// Weight of the linked edge.
+    pub weight: Weight,
 }
 
 /// Protocol messages. The `lane` tags mark messages belonging to the
@@ -117,8 +153,8 @@ pub struct StructBroadcast {
 /// Owner-set payloads (`Vec<MachineId>`) are O(active machines) = O(sqrt N)
 /// words and only ever travel in point-to-point messages (directory fetches
 /// and stores, replacement hand-offs), never inside a multicast — the
-/// multicast [`ConnMsg::Apply`] stays O(1) words, keeping the per-update
-/// communication at O(sqrt N) total.
+/// multicasts [`ConnMsg::Apply`] and [`ConnMsg::Swap`] stay O(1) words,
+/// keeping the per-update communication at O(sqrt N) total.
 #[derive(Clone, Debug)]
 pub enum ConnMsg {
     /// Injected: insert edge `e` with weight `w`.
@@ -148,7 +184,7 @@ pub enum ConnMsg {
         /// Batch lane of this flow: signal completion with it.
         lane: Option<u32>,
         /// Pre-resolved owner set of the merged component, when the sender
-        /// already knows it (replacement links after a cut, MST swap links).
+        /// already knows it (replacement links after a cut).
         /// `None` makes the receiver resolve the union via the directory.
         known_owners: Option<Vec<MachineId>>,
     },
@@ -184,6 +220,8 @@ pub enum ConnMsg {
     },
     /// Multicast to the affected owner set: apply a structural change.
     Apply(StructBroadcast),
+    /// Multicast to the component's owner set: apply an MST swap.
+    Swap(SwapBroadcast),
     /// machine -> rendezvous: reply to a searching cut — the local best
     /// replacement candidate plus which sides of the split this machine
     /// still owns vertices of (the directory refinement input).
@@ -198,8 +236,8 @@ pub enum ConnMsg {
         /// folds each lane's reports separately.
         lane: Option<u32>,
     },
-    /// rendezvous -> owner(e.u): link edge `e` (already present as a
-    /// non-tree entry at both owners, or about to be created by a swap).
+    /// rendezvous -> owner(e.u): link replacement edge `e` (already
+    /// present as a non-tree entry at both owners).
     StartLink {
         /// The edge to link.
         e: Edge,
@@ -207,8 +245,8 @@ pub enum ConnMsg {
         w: Weight,
         /// Batch lane of this flow: signal completion with it.
         lane: Option<u32>,
-        /// Owner set of the component the link will re-merge (the sender —
-        /// a cut rendezvous or swap initiator — always knows it).
+        /// Owner set of the component the link will re-merge (the cut
+        /// rendezvous always knows it).
         owners: Vec<MachineId>,
     },
     /// Multicast to the component's owner set: find the max-weight tree
@@ -217,10 +255,6 @@ pub enum ConnMsg {
     PathMaxQuery {
         /// The path between the candidate's endpoints.
         path: PathSpans,
-        /// Candidate new edge.
-        e: Edge,
-        /// Candidate weight.
-        w: Weight,
         /// Who aggregates the replies.
         rendezvous: MachineId,
     },
@@ -229,16 +263,14 @@ pub enum ConnMsg {
         /// Local maximum (edge, weight) among owned on-path tree edges.
         best: Option<(Edge, Weight)>,
     },
-    /// rendezvous -> owner(d.u): demote tree edge `d`, then link `e`
-    /// (an MST swap). Carries the component's owner set so the whole swap
-    /// resolves the directory once.
+    /// rendezvous -> owner(d.u): demote tree edge `d` and link the new
+    /// edge (an MST swap). Carries the component's owner set so the whole
+    /// swap resolves the directory once.
     StartSwap {
         /// Tree edge to demote.
         d: Edge,
-        /// New edge to link.
-        e: Edge,
-        /// New edge's weight.
-        w: Weight,
+        /// The new edge and its endpoints' spans.
+        relink: Relink,
         /// Owner set of the component being swapped inside.
         owners: Vec<MachineId>,
     },
@@ -296,14 +328,22 @@ impl Payload for ConnMsg {
             ConnMsg::InsQuery { known_owners, .. } => 8 + known_owners.as_ref().map_or(0, Vec::len),
             ConnMsg::AddNonTree { .. } => 5,
             ConnMsg::DelNonTree { .. } => 3,
-            ConnMsg::NeedParentCut { owners, .. } => 9 + owners.as_ref().map_or(0, Vec::len),
+            // A swap's re-link adds its endpoints' four span words.
+            ConnMsg::NeedParentCut { req, owners } => {
+                9 + req.relink.map_or(0, |_| 4) + owners.as_ref().map_or(0, Vec::len)
+            }
             // reroot (4) + main (6) + size/x_after/edge/weight/mode/rdv.
             ConnMsg::Apply(_) => 16,
+            // cut (6) + link (6) + x_after/reroot l_y/weight: no size, as
+            // every member keeps its own.
+            ConnMsg::Swap(_) => 15,
             ConnMsg::CutReport { .. } => 5,
             ConnMsg::StartLink { owners, .. } => 3 + owners.len(),
-            ConnMsg::PathMaxQuery { .. } => 10,
+            // path (5) + rendezvous + op word.
+            ConnMsg::PathMaxQuery { .. } => 7,
             ConnMsg::PathMaxReply { .. } => 3,
-            ConnMsg::StartSwap { owners, .. } => 5 + owners.len(),
+            // d, e, w + the four span words.
+            ConnMsg::StartSwap { owners, .. } => 9 + owners.len(),
             ConnMsg::MigrateBegin { .. } => 5,
             ConnMsg::Boundary { .. } => 3,
             ConnMsg::Handoff(h) => h.size_words(),
@@ -374,6 +414,32 @@ mod tests {
             lane: None,
         };
         assert_eq!(ConnMsg::Apply(b).size_words(), 16);
+        // An MST swap's cut and link travel as one multicast, with the
+        // reroot folded into one word and no size.
+        let s = SwapBroadcast {
+            cut: TourOp::Cut {
+                comp: 0,
+                x: 0,
+                y: 1,
+                fy: 2,
+                ly: 5,
+                new_comp: 1,
+            },
+            x_after: 1,
+            link: TourOp::Link {
+                a: 0,
+                b: 1,
+                x: 0,
+                y: 3,
+                fx: 0,
+                elen_b: 4,
+            },
+            reroot_l_y: Some(3),
+            weight: 1,
+        };
+        assert_eq!(ConnMsg::Swap(s).size_words(), 15);
+        // Neither grows the message the router copies.
+        assert!(std::mem::size_of::<ConnMsg>() <= 136);
     }
 
     #[test]
@@ -434,34 +500,43 @@ mod tests {
             .size_words(),
             8
         );
-        let req = CutReq {
-            e: Edge::new(0, 1),
-            parent: 0,
-            fy: 2,
-            ly: 5,
-            mode: CutMode::Demote,
-            search: false,
-            then_link: Some((Edge::new(2, 3), 4)),
-            lane: None,
+        // A deleting cut's request, then an MST swap's, which carries the
+        // new edge's endpoints' four pre-cut span words besides.
+        let relink = Relink {
+            e: Edge::new(2, 3),
+            w: 4,
+            spans: [(6, 7), (8, 9)],
         };
-        assert_eq!(ConnMsg::NeedParentCut { req, owners: None }.size_words(), 9);
-        assert_eq!(
-            ConnMsg::NeedParentCut {
-                req,
-                owners: Some(owners.clone())
-            }
-            .size_words(),
-            16
-        );
+        for (relink, words) in [(None, 9), (Some(relink), 13)] {
+            let req = CutReq {
+                e: Edge::new(0, 1),
+                parent: 0,
+                fy: 2,
+                ly: 5,
+                relink,
+                lane: None,
+            };
+            assert_eq!(
+                ConnMsg::NeedParentCut { req, owners: None }.size_words(),
+                words
+            );
+            assert_eq!(
+                ConnMsg::NeedParentCut {
+                    req,
+                    owners: Some(owners.clone())
+                }
+                .size_words(),
+                words + 7
+            );
+        }
         assert_eq!(
             ConnMsg::StartSwap {
                 d: Edge::new(0, 1),
-                e: Edge::new(2, 3),
-                w: 4,
+                relink,
                 owners
             }
             .size_words(),
-            12
+            16
         );
     }
 
@@ -516,12 +591,10 @@ mod tests {
         assert_eq!(
             ConnMsg::PathMaxQuery {
                 path: PATH,
-                e: Edge::new(6, 7),
-                w: 8,
                 rendezvous: 9
             }
             .size_words(),
-            10
+            7
         );
         assert_eq!(ConnMsg::PathMaxReply { best }.size_words(), 3);
         assert_eq!(ConnMsg::PathMaxReply { best: None }.size_words(), 3);

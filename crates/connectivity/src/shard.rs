@@ -21,10 +21,11 @@
 //! widened to [`TourIx`] at the shard boundary and narrowed by `ix32`.
 //!
 //! A structural op is applied by two in-place kernels (one per op kind,
-//! [`Shard::apply_struct`]); what an op does to one vertex is defined, as
-//! pure functions over its core fields and one adjacency entry, in the
-//! `oracle` test module, which the kernels are differentially tested
-//! against. Every fold over entries (replacement candidates, path maxima)
+//! [`Shard::apply_struct`]), and an MST swap's demote and link by a third
+//! in one pass ([`Shard::apply_swap`]); what an op does to one vertex is
+//! defined, as pure functions over its core fields and one adjacency
+//! entry, in the `oracle` test module, which the kernels are
+//! differentially tested against. Every fold over entries (replacement candidates, path maxima)
 //! uses an explicit total-order tie-break, so results never depend on arena
 //! order. Snapshot emission sorts by vertex and far endpoint, so
 //! `snapshot_text` (and therefore every `state_digest`) is a function of the
@@ -36,7 +37,7 @@
 //! Migrations shift the range; the interner rebases (rare, O(block) work)
 //! rather than paying a hash per access on the hot path.
 
-use crate::messages::{CutMode, PathSpans, StructBroadcast, VertexInfo};
+use crate::messages::{CutMode, PathSpans, StructBroadcast, SwapBroadcast, VertexInfo};
 use dmpc_eulertour::indexed::{map_reroot, CompId, TourOp};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, Weight, V};
@@ -148,6 +149,70 @@ fn ix32(i: TourIx) -> u32 {
         "tour index {i} exceeds the 32-bit columns"
     );
     i as u32
+}
+
+/// A piecewise shift of tour indexes, the form of each side's map under a
+/// swap: `i + base`, plus `step[k]` for each breakpoint `at[k] < i`, in
+/// wrapping `u32` arithmetic (a step may be negative; every result is a
+/// live index, so no true value wraps).
+#[derive(Clone, Copy, Debug)]
+struct Shift {
+    base: u32,
+    at: [u32; 2],
+    step: [u32; 2],
+}
+
+impl Shift {
+    /// A breakpoint no index passes.
+    const NEVER: u32 = u32::MAX;
+
+    /// `i + base`, plus `step` past `at`.
+    fn past(base: u32, at: u32, step: u32) -> Shift {
+        Shift {
+            base,
+            at: [at, Shift::NEVER],
+            step: [step, 0],
+        }
+    }
+
+    #[inline]
+    fn apply(self, i: u32) -> u32 {
+        let mut j = i.wrapping_add(self.base);
+        for k in 0..2 {
+            if i > self.at[k] {
+                j = j.wrapping_add(self.step[k]);
+            }
+        }
+        j
+    }
+
+    /// This one-breakpoint map after a cut's map of its detached side,
+    /// whose indexes lie strictly inside `(fy, ly)` and drop by `fy`.
+    fn after_child_cut(self, fy: u32) -> Shift {
+        let at = match self.at[0] {
+            Shift::NEVER => Shift::NEVER,
+            t => t + fy,
+        };
+        Shift::past(self.base.wrapping_sub(fy), at, self.step[0])
+    }
+
+    /// This one-breakpoint map after a cut's map of its surviving side,
+    /// whose indexes lie below `fy - 1` and stay, or above `ly + 1` and drop
+    /// by the span (to `fy - 1` and up): a breakpoint at `t` stays put below
+    /// `fy - 1` and moves up by the span otherwise.
+    fn after_parent_cut(self, fy: u32, ly: u32) -> Shift {
+        let span = (ly - fy + 1) + 2;
+        let at = match self.at[0] {
+            Shift::NEVER => Shift::NEVER,
+            t if t < fy - 1 => t,
+            t => t + span,
+        };
+        Shift {
+            base: self.base,
+            at: [ly, at],
+            step: [span.wrapping_neg(), self.step[0]],
+        }
+    }
 }
 
 /// A machine's owned vertex shard: property arrays indexed by
@@ -746,6 +811,119 @@ impl Shard {
         outcome
     }
 
+    /// Swap kernel: the cut kernel's map of each slot and entry it touches,
+    /// then the link's map of that slot's or entry's side, in one pass and
+    /// as one [`Shift`] per side. The link rejoins exactly the two sides the
+    /// cut makes, so every member of `comp` takes the link's id `a` and
+    /// keeps its size, and every non-tree entry into `comp` points into `a`
+    /// afterwards. Called with the demoted edge's own entries already
+    /// non-tree entries into `comp`: their far endpoints are the cut's `x`
+    /// and `y`, whose indexes the entry pass repairs, so they come out
+    /// final too.
+    fn sweep_swap(&mut self, s: &SwapBroadcast) {
+        let TourOp::Cut {
+            comp,
+            x,
+            y,
+            fy,
+            ly,
+            new_comp,
+        } = s.cut
+        else {
+            unreachable!("a swap cuts with a cut")
+        };
+        let TourOp::Link { a, fx, elen_b, .. } = s.link else {
+            unreachable!("a swap re-links with a link")
+        };
+        let (fy, ly, fx32) = (ix32(fy), ix32(ly), ix32(fx));
+        // The link's maps: the kept side `a` opens a gap after `fx`; the
+        // absorbed side, rerooted at `y` (`map_reroot` as a rotation of
+        // `1..=elen` at `l_y`) or not, moves in after `fx + 1`.
+        let shift_b = fx + 2;
+        let link_a = Shift::past(0, fx32, ix32(elen_b + 4));
+        let link_b = match s.reroot_l_y {
+            Some(l_y) => Shift::past(
+                ix32(elen_b - l_y + 1 + shift_b),
+                ix32(l_y - 1),
+                ix32(elen_b).wrapping_neg(),
+            ),
+            None => Shift::past(ix32(shift_b), Shift::NEVER, 0),
+        };
+        // Which side the link keeps; each side's link map after its cut map.
+        let child_is_a = a == new_comp;
+        let (link_child, link_parent) = if child_is_a {
+            (link_a, link_b)
+        } else {
+            (link_b, link_a)
+        };
+        let child = link_child.after_child_cut(fy);
+        let parent = link_parent.after_parent_cut(fy, ly);
+        let reroot_child = s.reroot_l_y.is_some() && !child_is_a;
+        let reroot_parent = s.reroot_l_y.is_some() && child_is_a;
+        // The cut's endpoints' repaired indexes, as the cut kernel's (some
+        // live index of y, 0 for a singleton; x_after), are post-cut
+        // already: the link map alone, where a singleton's 0 on the kept
+        // side is the link's x, at `fx + 1`.
+        let relink = |m: Shift, kept: bool, i: u32| {
+            if kept && i == 0 {
+                fx32 + 1
+            } else {
+                m.apply(i)
+            }
+        };
+        let y_cached = relink(link_child, child_is_a, u32::from(ly != fy + 1));
+        let x_cached = relink(link_parent, !child_is_a, ix32(s.x_after));
+        for slot in 0..self.comp.len() {
+            let c = self.comp[slot];
+            if c == COMP_NONE {
+                continue;
+            }
+            let (tree, rest) = self.apos[slot].parts();
+            if c == comp {
+                // But for x and y, a member's entries lie on one side.
+                let v = self.base + slot as V;
+                let inside = |i: usize| self.aa[i] > fy && self.aa[i] < ly;
+                let on_child = v == y || (v != x && tree.clone().next().is_some_and(inside));
+                let (m, rerooted) = if on_child {
+                    (child, reroot_child)
+                } else {
+                    (parent, reroot_parent)
+                };
+                self.comp[slot] = a;
+                let (aa, ab) = (&mut self.aa[tree.clone()], &mut self.ab[tree]);
+                for (ea, eb) in aa.iter_mut().zip(ab) {
+                    let (p, q) = (m.apply(*ea), m.apply(*eb));
+                    (*ea, *eb) = (p.min(q), p.max(q));
+                }
+                if rerooted {
+                    self.lift_parent_edge(slot);
+                }
+            }
+            let (fars, aa, ab) = (
+                &self.afar[rest.clone()],
+                &mut self.aa[rest.clone()],
+                &mut self.ab[rest],
+            );
+            for ((&far, ea), eb) in fars.iter().zip(aa).zip(ab) {
+                if *eb != comp {
+                    continue;
+                }
+                // The far side as the cut kernel classifies it, repairing
+                // the dying indexes of the cut edge's endpoints.
+                *ea = if far == y {
+                    y_cached
+                } else if far == x {
+                    x_cached
+                } else if *ea > fy && *ea < ly {
+                    child.apply(*ea)
+                } else {
+                    parent.apply(*ea)
+                };
+                *eb = a;
+            }
+        }
+    }
+
     /// Layout audit: every segment lies inside the arena and within its
     /// capacity, the live-entry total balances, absent slots hold nothing,
     /// and no child-side tree entry (even `lo`) sits anywhere but first in
@@ -935,35 +1113,60 @@ impl Shard {
         outcome
     }
 
+    /// Applies an MST swap to all owned state, to what the demote's and
+    /// then the link's [`Self::apply_struct`] would leave: the demoted
+    /// edge's entries turn non-tree, one sweep maps every slot and entry,
+    /// and the linked edge's entries go in.
+    pub fn apply_swap(&mut self, s: &SwapBroadcast) {
+        let TourOp::Cut { comp, x, y, .. } = s.cut else {
+            unreachable!("a swap cuts with a cut")
+        };
+        for (v, far) in [(x, y), (y, x)] {
+            if self.contains(v) {
+                let (_, w) = self
+                    .adj_get(v, far)
+                    .expect("demoted edge has a tree entry at its owner");
+                // The sweep writes the final index and component.
+                let kind = EntryKind::NonTree {
+                    cached: 0,
+                    far_comp: comp,
+                };
+                self.adj_set(v, far, kind, w);
+            }
+        }
+        self.sweep_swap(s);
+        self.materialize_link(s.link, s.weight);
+        self.enforce_soft_cap();
+    }
+
+    /// Materializes a link's tree entries at its owned endpoints.
+    fn materialize_link(&mut self, link: TourOp, w: Weight) {
+        let TourOp::Link {
+            x, y, fx, elen_b, ..
+        } = link
+        else {
+            unreachable!("materializing a link")
+        };
+        if self.contains(x) {
+            let kind = EntryKind::Tree {
+                lo: fx + 1,
+                hi: fx + elen_b + 4,
+            };
+            self.adj_set(x, y, kind, w);
+        }
+        if self.contains(y) {
+            let kind = EntryKind::Tree {
+                lo: fx + 2,
+                hi: fx + elen_b + 3,
+            };
+            self.adj_set(y, x, kind, w);
+        }
+    }
+
     /// Materializes the new/updated edge entries at owned endpoints.
     fn materialize_edge(&mut self, b: &StructBroadcast) {
         match b.main {
-            TourOp::Link {
-                x, y, fx, elen_b, ..
-            } => {
-                if self.contains(x) {
-                    self.adj_set(
-                        x,
-                        y,
-                        EntryKind::Tree {
-                            lo: fx + 1,
-                            hi: fx + elen_b + 4,
-                        },
-                        b.weight,
-                    );
-                }
-                if self.contains(y) {
-                    self.adj_set(
-                        y,
-                        x,
-                        EntryKind::Tree {
-                            lo: fx + 2,
-                            hi: fx + elen_b + 3,
-                        },
-                        b.weight,
-                    );
-                }
-            }
+            TourOp::Link { .. } => self.materialize_link(b.main, b.weight),
             TourOp::Cut {
                 comp,
                 x,

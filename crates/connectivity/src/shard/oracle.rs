@@ -1,8 +1,10 @@
 //! The per-vertex definition of a structural op, kept as the differential
 //! oracle of the in-place kernels ([`Shard::apply_struct`],
-//! [`Shard::path_max`]): the index arithmetic as pure functions over one
-//! vertex's core fields and one adjacency entry, the two scans written as
-//! plain folds of them, and the tests that hold the kernels to them.
+//! [`Shard::apply_swap`], [`Shard::path_max`]): the index arithmetic as
+//! pure functions over one vertex's core fields and one adjacency entry,
+//! the two scans written as plain folds of them, and the tests that hold
+//! the kernels to them. An MST swap has no definition of its own: it is
+//! the fold of its demote followed by the fold of its link.
 
 use super::*;
 use dmpc_eulertour::indexed::apply_op_to_vertex;
@@ -514,6 +516,70 @@ mod tests {
             }
         }
 
+        /// An MST swap: demotes a random tree edge `d`, then links an absent
+        /// edge `e` across the two sides, `e.u` as the link's `x` (as the
+        /// protocol links). Returns the fused broadcast and the two it
+        /// stands for, or `None` when no such `e` exists.
+        fn swap(&mut self) -> Option<(SwapBroadcast, [StructBroadcast; 2])> {
+            let k = self.rng.gen_range(0..self.tree.len().max(1));
+            let d = *self.tree.keys().nth(k)?;
+            let f = &self.forest;
+            let (_, c) = f.orient_tree_edge(d);
+            let (comp, fc, lc) = (f.comp_of(c), f.f(c), f.l(c));
+            let members = (0..f.n() as V).filter(|&v| f.comp_of(v) == comp);
+            let (child, parent): (Vec<V>, Vec<V>) =
+                members.partition(|&v| fc <= f.f(v) && f.l(v) <= lc);
+            let across: Vec<Edge> = (parent.iter())
+                .flat_map(|&p| child.iter().map(move |&c| Edge::new(p, c)))
+                .filter(|e| *e != d && !self.non_tree.contains_key(e))
+                .collect();
+            let e = *across.get(self.rng.gen_range(0..across.len().max(1)))?;
+            let w = self.rng.gen_range(1..6);
+            let cut = self.cut(d, CutMode::Demote, false);
+            let link = self.link(e.u, e.v, w);
+            if child.contains(&e.u) {
+                self.shapes.insert("swap e.u on the child side");
+            }
+            if link.reroot.is_some() {
+                self.shapes.insert(if child.contains(&e.v) {
+                    "swap reroot of the child side"
+                } else {
+                    "swap reroot of the parent side"
+                });
+            }
+            if child.len() == 1 {
+                self.shapes.insert("swap child singleton");
+            }
+            if e.touches(d.u) || e.touches(d.v) {
+                self.shapes.insert("swap shares an endpoint with d");
+            }
+            let (TourOp::Link { b, y, elen_b, .. }, reroot) = (link.main, link.reroot) else {
+                unreachable!("a link links")
+            };
+            // The swap carries the reroot as `l(y)` alone.
+            let reroot_l_y = reroot.map(|r| {
+                let TourOp::Reroot {
+                    comp,
+                    elen,
+                    l_y,
+                    y: root,
+                } = r
+                else {
+                    unreachable!("a link reroots with a reroot")
+                };
+                assert_eq!((comp, elen, root), (b, elen_b, y));
+                l_y
+            });
+            let s = SwapBroadcast {
+                cut: cut.main,
+                x_after: cut.x_after,
+                link: link.main,
+                reroot_l_y,
+                weight: w,
+            };
+            Some((s, [cut, link]))
+        }
+
         /// Adds a non-tree edge, or removes it if it is there; mirrors the
         /// change into the owned endpoints' entries of every shard.
         fn toggle_non_tree(&mut self, shards: &mut [&mut Shard]) {
@@ -603,7 +669,8 @@ mod tests {
     /// Seeded worlds × shard geometries × every op shape: the in-place
     /// kernels and the per-vertex fold, fed the same broadcasts, agree on
     /// the outcome, on every vertex and on the snapshot text — and both
-    /// agree with the world.
+    /// agree with the world. An MST swap runs as the fused kernel on one
+    /// side and as the fold of its demote and then its link on the other.
     #[test]
     fn kernels_match_the_per_vertex_definition() {
         const N: usize = 40;
@@ -644,17 +711,26 @@ mod tests {
                     check_layout(&new, &old, &ctx);
                     continue;
                 }
-                let b = w.struct_op();
-                let got = new.apply_struct(&b);
-                let want = old.apply_struct_oracle(&b);
-                assert_eq!(
-                    (got.best, got.owns_parent, got.owns_child),
-                    (want.best, want.owns_parent, want.owns_child),
-                    "{ctx}: outcome of {b:?}"
-                );
-                candidates += usize::from(got.best.is_some());
-                assert_eq!(new.vertices(), old.vertices(), "{ctx}: after {b:?}");
-                assert_eq!(text_of(&new), text_of(&old), "{ctx}: after {b:?}");
+                let swap = w.rng.gen_bool(0.25).then(|| w.swap()).flatten();
+                let op = if let Some((s, [cut, link])) = swap {
+                    new.apply_swap(&s);
+                    old.apply_struct_oracle(&cut);
+                    old.apply_struct_oracle(&link);
+                    format!("{s:?}")
+                } else {
+                    let b = w.struct_op();
+                    let got = new.apply_struct(&b);
+                    let want = old.apply_struct_oracle(&b);
+                    assert_eq!(
+                        (got.best, got.owns_parent, got.owns_child),
+                        (want.best, want.owns_parent, want.owns_child),
+                        "{ctx}: outcome of {b:?}"
+                    );
+                    candidates += usize::from(got.best.is_some());
+                    format!("{b:?}")
+                };
+                assert_eq!(new.vertices(), old.vertices(), "{ctx}: after {op}");
+                assert_eq!(text_of(&new), text_of(&old), "{ctx}: after {op}");
                 w.check(&new, &ctx);
                 check_layout(&new, &old, &ctx);
                 // Path maxima on the post-op forest: span scan, entry scan
@@ -691,6 +767,11 @@ mod tests {
             "link root x",
             "link singleton x",
             "link singleton y",
+            "swap child singleton",
+            "swap e.u on the child side",
+            "swap reroot of the child side",
+            "swap reroot of the parent side",
+            "swap shares an endpoint with d",
         ];
         assert_eq!(shapes.into_iter().collect::<Vec<_>>(), want);
         assert!(candidates > 100, "only {candidates} replacement candidates");

@@ -379,12 +379,12 @@ fn one_mst_swap_costs_exactly() {
     let want = [(0, 3), (0, 7), (3, 9), (6, 7)].map(|(u, v)| Edge::new(u, v));
     assert_eq!(tree, want);
     assert_eq!(alg.forest_weight(), 13);
-    // The insert's `InsQuery` 0 -> 2, where 7's owner fetches the owner set
-    // from the root's and multicasts the path-max query to machines 0, 1
-    // and 3, which reply; `NeedParentCut` 2 -> 3; the demote's `Apply` from
-    // 3 to 0, 1 and 2 and its `StartLink` 3 -> 0; the link's `InsQuery`
-    // 0 -> 2; the link's `Apply` from 2 to 0, 1 and 3 and its directory
-    // store 2 -> 0.
+    // The insert's `InsQuery` 0 -> 2 (8 words), where 7's owner fetches
+    // the owner set from the root's (2 + 6) and multicasts the 7-word
+    // path-max query to machines 0, 1 and 3, which reply (3 each);
+    // `NeedParentCut` 2 -> 3 (9, the 4 span words and the 4 owners); the
+    // 15-word swap from 3 to 0, 1 and 2, and its directory stores 3 -> 0
+    // (the merged set, 6) and 3 -> 2 (the absorbed id's drop, 2).
     assert_eq!(
         (
             m.rounds,
@@ -392,19 +392,19 @@ fn one_mst_swap_costs_exactly() {
             m.total_words,
             m.machines_touched
         ),
-        (10, 19, 189, 4)
+        (8, 15, 116, 4)
     );
     let mut flows: Vec<((u32, u32), u64)> = m.flows.into_iter().collect();
     flows.sort_unstable();
     let want = [
-        ((0, 2), 29),
+        ((0, 2), 17),
         ((1, 2), 3),
-        ((2, 0), 34),
-        ((2, 1), 26),
-        ((2, 3), 39),
-        ((3, 0), 23),
-        ((3, 1), 16),
-        ((3, 2), 19),
+        ((2, 0), 9),
+        ((2, 1), 7),
+        ((2, 3), 24),
+        ((3, 0), 21),
+        ((3, 1), 15),
+        ((3, 2), 20),
     ];
     assert_eq!(flows, want);
 }
