@@ -469,23 +469,26 @@ impl ConnDriver {
     /// paper's O(log n)-round distributed construction.
     pub fn bulk_load(&mut self, edges: &[(Edge, Weight)]) {
         let states = preprocess::build_states(self.params.n, edges);
-        let mut owner_sets: HashMap<CompId, BTreeSet<MachineId>> = HashMap::new();
-        for (v, st) in &states {
-            owner_sets
-                .entry(st.comp)
-                .or_default()
-                .insert(self.owner(*v));
-        }
+        // Owner sets, indexed by component id, in the same sweep: states
+        // come in vertex order and owners hold ascending vertex ranges, so
+        // each set grows ascending and a repeat owner is always its last.
+        let mut owner_sets: Vec<Vec<MachineId>> = vec![Vec::new(); self.params.n];
         for (v, st) in states {
             let owner = self.owner(v);
+            let set = &mut owner_sets[st.comp as usize];
+            if set.last() != Some(&owner) {
+                set.push(owner);
+            }
             self.cluster.machine_mut(owner).load_vertex(v, st);
         }
         // Install the owner directory at each component's root owner.
-        for (comp, set) in owner_sets {
-            let root = self.owner(comp as V);
-            self.cluster
-                .machine_mut(root)
-                .load_dir_entry(comp, set.into_iter().collect());
+        for (comp, set) in owner_sets.into_iter().enumerate() {
+            if !set.is_empty() {
+                let root = self.owner(comp as V);
+                self.cluster
+                    .machine_mut(root)
+                    .load_dir_entry(comp as CompId, set);
+            }
         }
     }
 

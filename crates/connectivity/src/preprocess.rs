@@ -8,6 +8,11 @@
 //! costs, and the static O(log n)-round behaviour is exhibited separately by
 //! the [`crate::static_cc`] baseline running on the same simulator.
 //!
+//! The central construction is O(m log m + n) work: Kruskal's sort, then
+//! one DFS per tree that hands each tour position to the vertex it names as
+//! it is emitted. That one pass is the sequential stand-in for Section 5's
+//! prefix sums, which give every vertex its tour indexes in linear work.
+//!
 //! For the (1+eps)-MST (Section 5.1), [`bucketize`] rounds every weight down
 //! to a power of (1+eps) before the forest is built, so the constructed
 //! forest is a (1+eps)-approximate MSF; updates then preserve the invariant
@@ -15,9 +20,9 @@
 //! preprocessing").
 
 use crate::machine::{EntryKind, VertexState};
-use dmpc_eulertour::ExplicitTour;
+use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, UnionFind, Weight, V};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Rounds each weight down to the nearest power of `(1+eps)` (keeping 0/1
 /// weights intact). The resulting MSF weight is within `(1+eps)` of optimal.
@@ -41,71 +46,124 @@ pub fn bucketize(edges: &[(Edge, Weight)], eps: f64) -> Vec<(Edge, Weight)> {
 /// a minimum spanning forest (Kruskal), canonical tours per tree rooted at
 /// each tree's minimum vertex, tree entries with their index pairs, and
 /// non-tree entries with cached far indexes.
+///
+/// O(m log m + n): Kruskal's sort, then one pass over each tour. Panics,
+/// naming the edge, on an endpoint `>= n` or an edge listed twice.
 pub fn build_states(n: usize, edges: &[(Edge, Weight)]) -> Vec<(V, VertexState)> {
+    for &(e, _) in edges {
+        assert!(
+            (e.v as usize) < n,
+            "edge ({}, {}) has an endpoint outside 0..{n}",
+            e.u,
+            e.v
+        );
+    }
     // Kruskal for the forest (weight 1 everywhere = arbitrary forest).
-    let mut sorted: Vec<(Weight, Edge)> = edges.iter().map(|&(e, w)| (w, e)).collect();
+    let mut sorted: Vec<(Weight, Edge, usize)> = edges
+        .iter()
+        .enumerate()
+        .map(|(i, &(e, w))| (w, e, i))
+        .collect();
     sorted.sort_unstable();
     let mut uf = UnionFind::new(n);
-    let mut tree_edges: Vec<Edge> = Vec::new();
-    for &(_, e) in &sorted {
-        if uf.union(e.u, e.v) {
-            tree_edges.push(e);
+    let mut tree = vec![false; edges.len()];
+    for &(_, e, i) in &sorted {
+        tree[i] = uf.union(e.u, e.v);
+    }
+    drop(sorted);
+    // The forest as a CSR adjacency: `v`'s neighbours are
+    // `nbr[start[v]..start[v + 1]]`, ascending.
+    let mut start = vec![0usize; n + 1];
+    let tree_edges = || {
+        edges
+            .iter()
+            .zip(&tree)
+            .filter(|&(_, &t)| t)
+            .map(|(&(e, _), _)| e)
+    };
+    for e in tree_edges() {
+        start[e.u as usize + 1] += 1;
+        start[e.v as usize + 1] += 1;
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut nbr: Vec<V> = vec![0; start[n]];
+    let mut fill = start.clone();
+    for e in tree_edges() {
+        for (a, b) in [(e.u, e.v), (e.v, e.u)] {
+            nbr[fill[a as usize]] = b;
+            fill[a as usize] += 1;
         }
     }
-    // Group tree edges per component; root = min vertex of the component.
-    let mut comp_edges: HashMap<V, Vec<Edge>> = HashMap::new();
-    let mut comp_root: HashMap<V, V> = HashMap::new();
-    for v in 0..n as V {
-        let r = uf.find(v);
-        let e = comp_root.entry(r).or_insert(v);
-        *e = (*e).min(v);
+    for v in 0..n {
+        nbr[start[v]..start[v + 1]].sort_unstable();
     }
-    for &e in &tree_edges {
-        let r = uf.find(e.u);
-        comp_edges.entry(r).or_default().push(e);
-    }
-    // Canonical tours.
-    let mut idx: Vec<Vec<u64>> = vec![Vec::new(); n];
-    let mut fvals: Vec<u64> = vec![0; n];
-    let mut lvals: Vec<u64> = vec![0; n];
-    let mut size: Vec<u64> = vec![1; n];
+    // One DFS per tree, from its minimum vertex (the first of its vertices
+    // met in ascending order), children ascending: the canonical tour of
+    // `ExplicitTour::from_tree`. A vertex appears twice per incident tree
+    // edge, so each emitted position goes straight into the vertex's range
+    // `pos[2 start[v]..2 start[v + 1]]`, in increasing order.
+    let mut pos: Vec<TourIx> = vec![0; 2 * start[n]];
+    let mut next: Vec<usize> = start.iter().map(|&s| 2 * s).collect();
     let mut comp: Vec<V> = (0..n as V).collect();
-    let mut tours: HashMap<V, ExplicitTour> = HashMap::new();
-    for (&r, es) in &comp_edges {
-        let root = comp_root[&r];
-        let tour = ExplicitTour::from_tree(es, root);
-        let members: Vec<V> = {
-            let mut m: Vec<V> = es.iter().flat_map(|e| [e.u, e.v]).collect();
-            m.push(root);
-            m.sort_unstable();
-            m.dedup();
-            m
-        };
-        for &v in &members {
-            idx[v as usize] = tour.indexes(v);
-            fvals[v as usize] = tour.f(v);
-            lvals[v as usize] = tour.l(v);
-            size[v as usize] = members.len() as u64;
-            comp[v as usize] = root;
+    let mut parent: Vec<V> = (0..n as V).collect();
+    let mut size: Vec<u64> = vec![1; n];
+    let mut stack: Vec<(V, usize)> = Vec::new();
+    for root in 0..n {
+        if comp[root] != root as V || start[root] == start[root + 1] {
+            continue; // met by an earlier tree's DFS, or a singleton
         }
-        tours.insert(root, tour);
+        let mut t: TourIx = 0;
+        let mut emit = |v: V| {
+            t += 1;
+            pos[next[v as usize]] = t;
+            next[v as usize] += 1;
+        };
+        stack.push((root as V, start[root]));
+        while let Some(top) = stack.last_mut() {
+            let v = top.0;
+            if top.1 == start[v as usize + 1] {
+                stack.pop();
+                if parent[v as usize] != v {
+                    emit(v);
+                    emit(parent[v as usize]);
+                }
+                continue;
+            }
+            let c = nbr[top.1];
+            top.1 += 1;
+            if c == parent[v as usize] {
+                continue;
+            }
+            emit(v);
+            emit(c);
+            parent[c as usize] = v;
+            comp[c as usize] = root as V;
+            size[root] += 1;
+            stack.push((c, start[c as usize]));
+        }
     }
+    let span = |v: V| 2 * start[v as usize]..2 * start[v as usize + 1];
+    let f = |v: V| pos[span(v)].first().copied().unwrap_or(0);
+    let l = |v: V| pos[span(v)].last().copied().unwrap_or(0);
     // Adjacency entries.
-    let tree_set: std::collections::HashSet<Edge> = tree_edges.iter().copied().collect();
     let mut adj: Vec<BTreeMap<V, (EntryKind, Weight)>> = vec![BTreeMap::new(); n];
-    for &(e, w) in edges {
-        if tree_set.contains(&e) {
-            // Child = endpoint whose span nests inside the other's.
-            let (p, c) = if fvals[e.u as usize] <= fvals[e.v as usize]
-                && lvals[e.u as usize] >= lvals[e.v as usize]
-            {
+    let mut put = |a: V, b: V, entry: (EntryKind, Weight)| {
+        let dup = adj[a as usize].insert(b, entry).is_some();
+        assert!(!dup, "edge ({}, {}) is listed twice", a.min(b), a.max(b));
+    };
+    for (&(e, w), &is_tree) in edges.iter().zip(&tree) {
+        if is_tree {
+            let (p, c) = if parent[e.v as usize] == e.u {
                 (e.u, e.v)
             } else {
                 (e.v, e.u)
             };
-            let (fc, lc) = (fvals[c as usize], lvals[c as usize]);
-            adj[c as usize].insert(p, (EntryKind::Tree { lo: fc, hi: lc }, w));
-            adj[p as usize].insert(
+            let (fc, lc) = (f(c), l(c));
+            put(c, p, (EntryKind::Tree { lo: fc, hi: lc }, w));
+            put(
+                p,
                 c,
                 (
                     EntryKind::Tree {
@@ -116,39 +174,33 @@ pub fn build_states(n: usize, edges: &[(Edge, Weight)]) -> Vec<(V, VertexState)>
                 ),
             );
         } else {
-            adj[e.u as usize].insert(
-                e.v,
-                (
-                    EntryKind::NonTree {
-                        cached: fvals[e.v as usize],
-                        far_comp: comp[e.v as usize],
-                    },
-                    w,
-                ),
-            );
-            adj[e.v as usize].insert(
-                e.u,
-                (
-                    EntryKind::NonTree {
-                        cached: fvals[e.u as usize],
-                        far_comp: comp[e.u as usize],
-                    },
-                    w,
-                ),
-            );
+            for (a, b) in [(e.u, e.v), (e.v, e.u)] {
+                let cached = f(b);
+                put(
+                    a,
+                    b,
+                    (
+                        EntryKind::NonTree {
+                            cached,
+                            far_comp: comp[b as usize],
+                        },
+                        w,
+                    ),
+                );
+            }
         }
     }
-    (0..n as V)
-        .map(|v| {
-            (
-                v,
-                VertexState {
-                    comp: comp[v as usize],
-                    size: size[v as usize],
-                    idx: std::mem::take(&mut idx[v as usize]),
-                    adj: std::mem::take(&mut adj[v as usize]),
-                },
-            )
+    adj.into_iter()
+        .enumerate()
+        .map(|(v, adj)| {
+            let c = comp[v];
+            let st = VertexState {
+                comp: c,
+                size: size[c as usize],
+                idx: pos[span(v as V)].to_vec(),
+                adj,
+            };
+            (v as V, st)
         })
         .collect()
 }
@@ -191,6 +243,25 @@ mod tests {
                 assert!(far_st.adj.contains_key(v));
             }
         }
+    }
+
+    /// A duplicate edge is refused: its copies could differ in weight, and
+    /// a vertex holds one entry per neighbour.
+    #[test]
+    #[should_panic(expected = "edge (1, 2) is listed twice")]
+    fn build_states_refuses_a_duplicate_edge() {
+        let edges = [
+            (Edge::new(0, 1), 1),
+            (Edge::new(1, 2), 5),
+            (Edge::new(2, 1), 2),
+        ];
+        build_states(3, &edges);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge (1, 3) has an endpoint outside 0..3")]
+    fn build_states_refuses_an_endpoint_beyond_n() {
+        build_states(3, &[(Edge::new(0, 1), 1), (Edge::new(1, 3), 1)]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::TourIx;
 use dmpc_graph::{Edge, V};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// An explicit E-tour of one tree: the sequence of endpoints of traversed
 /// edges (each tree edge contributes four entries: two per direction).
@@ -117,6 +117,17 @@ impl ExplicitTour {
             .filter(|&(_, &x)| x == v)
             .map(|(i, _)| i as TourIx + 1)
             .collect()
+    }
+
+    /// Every vertex's appearances (1-based, increasing), in one pass over
+    /// the tour: O(len), where calling [`Self::indexes`] per vertex is
+    /// O(len) each.
+    pub fn appearances(&self) -> HashMap<V, Vec<TourIx>> {
+        let mut lists: HashMap<V, Vec<TourIx>> = HashMap::new();
+        for (i, &v) in self.seq.iter().enumerate() {
+            lists.entry(v).or_default().push(i as TourIx + 1);
+        }
+        lists
     }
 
     /// The root (first element), if the tree is not a singleton.
@@ -242,6 +253,20 @@ mod tests {
         assert_eq!((t.f(2), t.l(2)), (2, 7));
         assert_eq!((t.f(3), t.l(3)), (4, 5));
         assert_eq!((t.f(4), t.l(4)), (10, 11));
+    }
+
+    #[test]
+    fn appearances_match_per_vertex_indexes() {
+        let (_, mut t) = fig1_tree1();
+        for _ in 0..2 {
+            let lists = t.appearances();
+            assert_eq!(lists.len(), t.tree_size());
+            for (&v, list) in &lists {
+                assert_eq!(*list, t.indexes(v), "vertex {v}");
+            }
+            t.reroot(4);
+        }
+        assert!(ExplicitTour::singleton().appearances().is_empty());
     }
 
     #[test]

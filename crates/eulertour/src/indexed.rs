@@ -240,13 +240,14 @@ impl IndexedForest {
         vs.sort_unstable();
         vs.dedup();
         assert_eq!(vs.len(), edges.len() + 1, "edges must form a tree");
+        let mut lists = tour.appearances();
         for &v in &vs {
             let old = self.comp[v as usize];
             if old != comp {
                 self.members.remove(&old);
             }
             self.comp[v as usize] = comp;
-            self.idx[v as usize] = tour.indexes(v);
+            self.idx[v as usize] = lists.remove(&v).expect("every tree vertex is on its tour");
         }
         self.members.insert(comp, vs);
         for &e in edges {
