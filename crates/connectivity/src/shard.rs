@@ -10,7 +10,7 @@
 //!
 //! Every adjacency segment stores its tree entries first: an entry is a tree
 //! entry exactly when it lies in its segment's prefix of `tree` entries, so
-//! no entry carries a kind tag and the kernels run one loop over the tree
+//! no entry carries a kind tag and the sweep runs one loop over the tree
 //! prefix and one over the non-tree suffix without testing a kind per entry.
 //! Each mutation keeps the split with at most two entry moves (see
 //! [`Shard::adj_set`] and [`Shard::adj_remove`]); bulk stores write the tree
@@ -20,17 +20,18 @@
 //! are `u32` columns (indexes stay below `4n`, see [`MAX_VERTICES`]),
 //! widened to [`TourIx`] at the shard boundary and narrowed by `ix32`.
 //!
-//! A structural op is applied by two in-place kernels (one per op kind,
-//! [`Shard::apply_struct`]), and an MST swap's demote and link by a third
-//! in one pass ([`Shard::apply_swap`]); what an op does to one vertex is
-//! defined, as pure functions over its core fields and one adjacency
-//! entry, in the `oracle` test module, which the kernels are
-//! differentially tested against. Every fold over entries (replacement candidates, path maxima)
-//! uses an explicit total-order tie-break, so results never depend on arena
-//! order. Snapshot emission sorts by vertex and far endpoint, so
-//! `snapshot_text` (and therefore every `state_digest`) is a function of the
-//! logical state only — relocations, compactions and migrations never move
-//! it (`tests/golden_digests.rs` pins the digests).
+//! A structural op (a link, a cut, an MST swap's demote and link) is one
+//! `Relabel`, the arithmetic map the paper's §5 makes of it: a side rule,
+//! then per side an id, a size rule and one piecewise `Shift` of indexes.
+//! One sweep applies it in place ([`Shard::apply_struct`],
+//! [`Shard::apply_swap`]); the `oracle` test module defines what an op does
+//! to one vertex, which the sweep is differentially tested against. Every
+//! fold over entries (replacement candidates, path maxima) uses an explicit
+//! total-order tie-break, so results never depend on arena order. Snapshot
+//! emission sorts by vertex and far endpoint, so `snapshot_text` (and
+//! therefore every `state_digest`) is a function of the logical state only —
+//! relocations, compactions and migrations never move it
+//! (`tests/golden_digests.rs` pins the digests).
 //!
 //! The global-id ↔ slot interner is direct-mapped: a shard owns a
 //! contiguous vertex range, so `slot = v - base` with an absence sentinel.
@@ -38,7 +39,7 @@
 //! rather than paying a hash per access on the hot path.
 
 use crate::messages::{CutMode, PathSpans, StructBroadcast, SwapBroadcast, VertexInfo};
-use dmpc_eulertour::indexed::{map_reroot, CompId, TourOp};
+use dmpc_eulertour::indexed::{CompId, TourOp};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, Weight, V};
 use dmpc_mpc::text::{put_field, Fields, Sink};
@@ -151,10 +152,10 @@ fn ix32(i: TourIx) -> u32 {
     i as u32
 }
 
-/// A piecewise shift of tour indexes, the form of each side's map under a
-/// swap: `i + base`, plus `step[k]` for each breakpoint `at[k] < i`, in
-/// wrapping `u32` arithmetic (a step may be negative; every result is a
-/// live index, so no true value wraps).
+/// A piecewise shift of tour indexes, the form of each side's map under
+/// every structural op: `i + base`, plus `step[k]` for each breakpoint
+/// `at[k] < i`, in wrapping `u32` arithmetic (a step may be negative; every
+/// result is a live index, so no true value wraps).
 #[derive(Clone, Copy, Debug)]
 struct Shift {
     base: u32,
@@ -212,6 +213,162 @@ impl Shift {
             at: [ly, at],
             step: [span.wrapping_neg(), self.step[0]],
         }
+    }
+}
+
+/// What a relabel does to a member's component size.
+#[derive(Clone, Copy, Debug)]
+enum Size {
+    /// The side's size: a link's merged one, a cut's detached one.
+    Set(u32),
+    /// Less `k`: a cut's surviving side; a swap's sides keep theirs (`0`).
+    Sub(u32),
+}
+
+/// A structural op as the arithmetic map the paper's §5 makes of it, which
+/// [`Shard::sweep`] applies to every owned vertex and entry: a side rule,
+/// then what each side becomes. Side 0 is a link's `a` or a cut's surviving
+/// side, side 1 a link's absorbed `b` or a cut's detached side.
+///
+/// The side rule: a vertex of component `ids[0]` or `ids[1]` is on side 1
+/// iff it is of `ids[1]`, or is `ends[1].0`, or is not `ends[0].0` and its
+/// indexes lie strictly inside `(fy, ly)`. A link sides by id alone (its
+/// `a` and `b`, no ends, an empty span); a cut or a swap of `comp` by the
+/// span (`ids` is `comp` and none), with its `x` on side 0 and its `y` on
+/// side 1.
+#[derive(Clone, Copy, Debug)]
+struct Relabel {
+    ids: [CompId; 2],
+    fy: u32,
+    ly: u32,
+    /// The cut's `x` and `y` (`V::MAX`, no vertex, for none), each with the
+    /// index an entry into it takes: the cut drops the cut edge's indexes,
+    /// which the entry may cache.
+    ends: [(V, u32); 2],
+    /// Each side's component id afterwards.
+    comp: [CompId; 2],
+    /// Each side's members' new size.
+    size: [Size; 2],
+    /// Each side's map of its tour indexes.
+    shift: [Shift; 2],
+    /// What a cached 0 (a singleton far endpoint, in no tour) becomes on
+    /// each side: a link's `x` at `fx + 1`, its `y` at `fx + 2`.
+    zero: [u32; 2],
+    /// Which sides were rerooted: their members' parent edges move.
+    rerooted: [bool; 2],
+    /// Fold the crossing non-tree entries into a replacement candidate (a
+    /// searching cut).
+    searching: bool,
+}
+
+impl Relabel {
+    /// A link or a cut.
+    fn of_struct(b: &StructBroadcast) -> Relabel {
+        match b.main {
+            TourOp::Link { b: bc, .. } => {
+                let l_y = b.reroot.map(|r| match r {
+                    TourOp::Reroot { comp, l_y, .. } if comp == bc => l_y,
+                    _ => unreachable!("a link reroots the side it absorbs"),
+                });
+                Relabel::link(b.main, l_y, Size::Set(b.merged_size as u32))
+            }
+            TourOp::Cut { .. } => Relabel::cut(b.main, b.x_after, None, b.rendezvous.is_some()),
+            TourOp::Reroot { .. } => unreachable!("reroot is never a main op"),
+        }
+    }
+
+    /// A link of `a` and `b` into `a`, every member's size set by `size`:
+    /// `a` opens a gap of `elen_b + 4` after `fx`; `b` moves in after
+    /// `fx + 1`, first rerooted at `l_y` when given. The reroot is
+    /// `map_reroot`'s rotation of `1..=elen_b`: the indexes from `l_y` on
+    /// come first.
+    fn link(link: TourOp, reroot_l_y: Option<TourIx>, size: Size) -> Relabel {
+        let TourOp::Link {
+            a, b, fx, elen_b, ..
+        } = link
+        else {
+            unreachable!("linking with a link")
+        };
+        let (fx, elen_b) = (ix32(fx), ix32(elen_b));
+        let shift_b = match reroot_l_y.map(ix32) {
+            Some(l_y) => Shift::past(elen_b - l_y + fx + 3, l_y - 1, elen_b.wrapping_neg()),
+            None => Shift::past(fx + 2, Shift::NEVER, 0),
+        };
+        Relabel {
+            ids: [a, b],
+            fy: 0,
+            ly: 0,
+            ends: [(V::MAX, 0); 2],
+            comp: [a; 2],
+            size: [size; 2],
+            shift: [Shift::past(0, fx, elen_b + 4), shift_b],
+            zero: [fx + 1, fx + 2],
+            rerooted: [false, reroot_l_y.is_some()],
+            searching: false,
+        }
+    }
+
+    /// An MST swap: its demote, then the link that rejoins the two sides.
+    /// Every member takes the link's id and keeps its size.
+    fn of_swap(s: &SwapBroadcast) -> Relabel {
+        let (TourOp::Cut { new_comp, .. }, TourOp::Link { a, .. }) = (s.cut, s.link) else {
+            unreachable!("a swap is a cut and a link")
+        };
+        let mut r = Relabel::link(s.link, s.reroot_l_y, Size::Sub(0));
+        // The link keeps the side holding its `x`: the detached one iff it
+        // takes the child's id.
+        if a == new_comp {
+            r.shift.reverse();
+            r.zero.reverse();
+            r.rerooted.reverse();
+        }
+        Relabel::cut(s.cut, s.x_after, Some(r), false)
+    }
+
+    /// `cut`, then `then`, a relabel of its two sides in post-cut indexes:
+    /// by default the identity, with the cut's ids and sizes.
+    fn cut(cut: TourOp, x_after: TourIx, then: Option<Relabel>, searching: bool) -> Relabel {
+        let TourOp::Cut {
+            comp,
+            x,
+            y,
+            fy,
+            ly,
+            new_comp,
+        } = cut
+        else {
+            unreachable!("cutting with a cut")
+        };
+        let (fy, ly) = (ix32(fy), ix32(ly));
+        let k = (ly - fy).div_ceil(4);
+        let mut r = then.unwrap_or(Relabel {
+            ids: [comp, COMP_NONE],
+            fy,
+            ly,
+            ends: [(V::MAX, 0); 2],
+            comp: [comp, new_comp],
+            size: [Size::Sub(k), Size::Set(k)],
+            shift: [Shift::past(0, Shift::NEVER, 0); 2],
+            zero: [0; 2],
+            rerooted: [false; 2],
+            searching: false,
+        });
+        // The endpoints' repaired indexes are post-cut ones (y's 1, or 0
+        // once a singleton), so only `then` maps them.
+        let at = |s: usize, i: u32| match i {
+            0 => r.zero[s],
+            i => r.shift[s].apply(i),
+        };
+        r.ends = [
+            (x, at(0, ix32(x_after))),
+            (y, at(1, u32::from(ly != fy + 1))),
+        ];
+        (r.ids, r.fy, r.ly, r.searching) = ([comp, COMP_NONE], fy, ly, searching);
+        r.shift = [
+            r.shift[0].after_parent_cut(fy, ly),
+            r.shift[1].after_child_cut(fy),
+        ];
+        r
     }
 }
 
@@ -611,317 +768,91 @@ impl Shard {
         }
     }
 
-    /// The structural sweep: applies the broadcast's reroot + main op to
-    /// every owned vertex's core (component id, size) and to every
-    /// adjacency entry's annotations, in place in the arena; mapping a
-    /// vertex's tree entries maps its tour. The `oracle` test module holds
-    /// the per-vertex definition these kernels are checked against.
-    fn apply_sweep(&mut self, b: &StructBroadcast) -> ApplyOutcome {
-        match b.main {
-            TourOp::Link { .. } => {
-                self.sweep_link(b);
-                ApplyOutcome::default()
-            }
-            TourOp::Cut { .. } => self.sweep_cut(b),
-            TourOp::Reroot { .. } => unreachable!("reroot is never a main op"),
-        }
-    }
-
-    /// Link kernel: members of `a` shift their indexes above `fx` by
-    /// `elen_b + 4`; members of the absorbed `b` are rerooted (when the
-    /// broadcast says so) and shifted by `fx + 2`. Tree entries live in
-    /// their owner's index space, so only members' tree prefixes move;
-    /// non-tree entries follow the same maps keyed by their `far_comp`,
-    /// whoever holds them. Even shifts keep every entry's side; a reroot
-    /// flips the path to the new root, so it lifts each parent edge again.
-    fn sweep_link(&mut self, b: &StructBroadcast) {
-        let TourOp::Link {
-            a,
-            b: bc,
-            fx,
-            elen_b,
-            ..
-        } = b.main
-        else {
-            unreachable!("dispatched on a link")
-        };
-        let (fx32, shift_a) = (ix32(fx), ix32(elen_b + 4));
-        let shift_b = fx + 2;
-        let rot = match b.reroot {
-            Some(TourOp::Reroot {
-                comp, elen, l_y, ..
-            }) => {
-                assert_eq!(comp, bc, "a link reroots the component it absorbs");
-                Some((elen, l_y))
-            }
-            _ => None,
-        };
-        let map_a = |i: u32| if i > fx32 { i + shift_a } else { i };
-        // The reroot runs at full width (`i + elen` can pass `u32::MAX`).
-        let map_b = |i: u32| {
-            let i = TourIx::from(i);
-            ix32(rot.map_or(i, |(elen, l_y)| map_reroot(i, elen, l_y)) + shift_b)
-        };
-        for slot in 0..self.comp.len() {
-            let c = self.comp[slot];
-            if c == COMP_NONE {
-                continue;
-            }
-            let from_b = c == bc;
-            let member = from_b || c == a;
-            let (tree, rest) = self.apos[slot].parts();
-            if member {
-                self.comp[slot] = a;
-                self.size[slot] = b.merged_size as u32;
-                let (aa, ab) = (&mut self.aa[tree.clone()], &mut self.ab[tree]);
-                if from_b {
-                    for (ea, eb) in aa.iter_mut().zip(ab) {
-                        let (p, q) = (map_b(*ea), map_b(*eb));
-                        (*ea, *eb) = (p.min(q), p.max(q));
-                    }
-                    if rot.is_some() {
-                        self.lift_parent_edge(slot);
-                    }
-                } else {
-                    for (ea, eb) in aa.iter_mut().zip(ab) {
-                        (*ea, *eb) = (map_a(*ea), map_a(*eb));
-                    }
-                }
-            }
-            let (aa, ab) = (&mut self.aa[rest.clone()], &mut self.ab[rest]);
-            for (ea, eb) in aa.iter_mut().zip(ab) {
-                if *eb == bc {
-                    // cached == 0: the far endpoint was a singleton, i.e.
-                    // the link's y, whose first new index is 0 + shift_b.
-                    *ea = map_b(*ea);
-                    *eb = a;
-                } else if *eb == a {
-                    // cached == 0: the far endpoint was the singleton x,
-                    // whose first new index is fx + 1 (fx = 0).
-                    *ea = if *ea == 0 { fx32 + 1 } else { map_a(*ea) };
-                }
-            }
-        }
-    }
-
-    /// Cut kernel: members of `comp` strictly inside `(fy, ly)` detach into
-    /// `new_comp` (indexes `- fy`), the rest close the gap (indexes above
-    /// `ly` drop by the span, both even), and so do their tree entries; the
-    /// cut edge's own go in the materialization step. Non-tree entries into
-    /// `comp` are re-classified by the far side, and a searching cut folds
-    /// the crossing ones into the replacement candidate.
-    fn sweep_cut(&mut self, b: &StructBroadcast) -> ApplyOutcome {
-        let TourOp::Cut {
-            comp,
-            x,
-            y,
-            fy,
-            ly,
-            new_comp,
-        } = b.main
-        else {
-            unreachable!("dispatched on a cut")
-        };
-        let (fy, ly) = (ix32(fy), ix32(ly));
-        let span = (ly - fy + 1) + 2;
-        let k_sub = (ly - fy).div_ceil(4);
-        // Some live index of y after the cut (0: it became a singleton).
-        let y_cached = if ly == fy + 1 { 0 } else { 1 };
-        let x_after = ix32(b.x_after);
-        let searching = b.rendezvous.is_some();
-        let map = |i: u32| {
-            if i > fy && i < ly {
-                i - fy
-            } else if i > ly {
-                i - span
-            } else {
-                i
-            }
-        };
-        let mut best: Option<(Weight, Edge)> = None;
-        let mut outcome = ApplyOutcome::default();
+    /// The structural sweep: applies `r` to every owned vertex's core
+    /// (component id, size) and tree prefix, which is its tour, and to every
+    /// non-tree entry into a side, whoever holds it, in place in the arena.
+    /// The `oracle` test module holds the per-vertex definition the sweep is
+    /// checked against.
+    fn sweep(&mut self, r: &Relabel) -> ApplyOutcome {
+        // Each side's values as locals, selected by side, not indexed by it:
+        // an indexed load waits on the side test (see docs/ARCHITECTURE.md).
+        let ([a, b], [(x, x_at), (y, y_at)], (fy, ly)) = (r.ids, r.ends, (r.fy, r.ly));
+        let ([c0, c1], [m0, m1], [z0, z1]) = (r.comp, r.shift, r.zero);
         for slot in 0..self.comp.len() {
             let c = self.comp[slot];
             if c == COMP_NONE {
                 continue;
             }
             let v = self.base + slot as V;
-            let member = c == comp;
-            let mut detached = false;
             let (tree, rest) = self.apos[slot].parts();
-            if member {
-                // But for x and y, a member's entries lie on one side.
-                let inside = |i: usize| self.aa[i] > fy && self.aa[i] < ly;
-                detached = v == y || (v != x && tree.clone().next().is_some_and(inside));
-                if detached {
-                    self.comp[slot] = new_comp;
-                    self.size[slot] = k_sub;
-                    outcome.owns_child = true;
-                } else {
-                    self.size[slot] -= k_sub;
-                    outcome.owns_parent = true;
-                }
-                // A surviving tree edge lies on one side. The cut edge's own
-                // entry (at x and y) is mapped too — to `(fy - 1, fy - 2)`
-                // and `(fy, ly)`, no underflow — and rewritten or removed by
-                // the materialization step right after.
-                let (aa, ab) = (&mut self.aa[tree.clone()], &mut self.ab[tree]);
-                for (ea, eb) in aa.iter_mut().zip(ab) {
-                    (*ea, *eb) = (map(*ea), map(*eb));
-                }
-            } else if c == new_comp {
-                outcome.owns_child = true;
-            }
-            // The cut edge is a tree edge, so no non-tree entry names it.
-            let (fars, aa, ab) = (
-                &self.afar[rest.clone()],
-                &mut self.aa[rest.clone()],
-                &mut self.ab[rest.clone()],
-            );
-            for (k, ((&far, ea), eb)) in fars.iter().zip(aa).zip(ab).enumerate() {
-                if *eb != comp {
-                    continue;
-                }
-                // Classify the far side, repairing the dying indexes of the
-                // cut edge's endpoints.
-                let far_detached = if far == y {
-                    *ea = y_cached;
-                    true
-                } else if far == x {
-                    *ea = x_after;
-                    false
-                } else {
-                    let inside = *ea > fy && *ea < ly;
-                    *ea = map(*ea);
-                    inside
+            // But for a cut's x and y, a member's entries lie on one side
+            // (a link's span is empty: it reads no entry to tell).
+            let inside = |i: usize| self.aa[i] > fy && self.aa[i] < ly;
+            if c == a || c == b {
+                let one = c == b
+                    || v == y
+                    || (v != x && fy < ly && tree.clone().next().is_some_and(inside));
+                let s = usize::from(one);
+                self.comp[slot] = r.comp[s];
+                self.size[slot] = match r.size[s] {
+                    Size::Set(k) => k,
+                    Size::Sub(k) => self.size[slot] - k,
                 };
-                if far_detached {
-                    *eb = new_comp;
-                }
-                if searching && member && far_detached != detached {
-                    // Crossing edge: replacement candidate.
-                    let cand = (self.aw[rest.start + k], Edge::new(v, far));
-                    if best.is_none_or(|cur| cand < cur) {
-                        best = Some(cand);
-                    }
-                }
-            }
-        }
-        outcome.best = best.map(|(w, e)| (e, w));
-        outcome
-    }
-
-    /// Swap kernel: the cut kernel's map of each slot and entry it touches,
-    /// then the link's map of that slot's or entry's side, in one pass and
-    /// as one [`Shift`] per side. The link rejoins exactly the two sides the
-    /// cut makes, so every member of `comp` takes the link's id `a` and
-    /// keeps its size, and every non-tree entry into `comp` points into `a`
-    /// afterwards. Called with the demoted edge's own entries already
-    /// non-tree entries into `comp`: their far endpoints are the cut's `x`
-    /// and `y`, whose indexes the entry pass repairs, so they come out
-    /// final too.
-    fn sweep_swap(&mut self, s: &SwapBroadcast) {
-        let TourOp::Cut {
-            comp,
-            x,
-            y,
-            fy,
-            ly,
-            new_comp,
-        } = s.cut
-        else {
-            unreachable!("a swap cuts with a cut")
-        };
-        let TourOp::Link { a, fx, elen_b, .. } = s.link else {
-            unreachable!("a swap re-links with a link")
-        };
-        let (fy, ly, fx32) = (ix32(fy), ix32(ly), ix32(fx));
-        // The link's maps: the kept side `a` opens a gap after `fx`; the
-        // absorbed side, rerooted at `y` (`map_reroot` as a rotation of
-        // `1..=elen` at `l_y`) or not, moves in after `fx + 1`.
-        let shift_b = fx + 2;
-        let link_a = Shift::past(0, fx32, ix32(elen_b + 4));
-        let link_b = match s.reroot_l_y {
-            Some(l_y) => Shift::past(
-                ix32(elen_b - l_y + 1 + shift_b),
-                ix32(l_y - 1),
-                ix32(elen_b).wrapping_neg(),
-            ),
-            None => Shift::past(ix32(shift_b), Shift::NEVER, 0),
-        };
-        // Which side the link keeps; each side's link map after its cut map.
-        let child_is_a = a == new_comp;
-        let (link_child, link_parent) = if child_is_a {
-            (link_a, link_b)
-        } else {
-            (link_b, link_a)
-        };
-        let child = link_child.after_child_cut(fy);
-        let parent = link_parent.after_parent_cut(fy, ly);
-        let reroot_child = s.reroot_l_y.is_some() && !child_is_a;
-        let reroot_parent = s.reroot_l_y.is_some() && child_is_a;
-        // The cut's endpoints' repaired indexes, as the cut kernel's (some
-        // live index of y, 0 for a singleton; x_after), are post-cut
-        // already: the link map alone, where a singleton's 0 on the kept
-        // side is the link's x, at `fx + 1`.
-        let relink = |m: Shift, kept: bool, i: u32| {
-            if kept && i == 0 {
-                fx32 + 1
-            } else {
-                m.apply(i)
-            }
-        };
-        let y_cached = relink(link_child, child_is_a, u32::from(ly != fy + 1));
-        let x_cached = relink(link_parent, !child_is_a, ix32(s.x_after));
-        for slot in 0..self.comp.len() {
-            let c = self.comp[slot];
-            if c == COMP_NONE {
-                continue;
-            }
-            let (tree, rest) = self.apos[slot].parts();
-            if c == comp {
-                // But for x and y, a member's entries lie on one side.
-                let v = self.base + slot as V;
-                let inside = |i: usize| self.aa[i] > fy && self.aa[i] < ly;
-                let on_child = v == y || (v != x && tree.clone().next().is_some_and(inside));
-                let (m, rerooted) = if on_child {
-                    (child, reroot_child)
-                } else {
-                    (parent, reroot_parent)
-                };
-                self.comp[slot] = a;
+                // A cut maps its edge's own entries too; the
+                // materialization step right after rewrites or removes them.
                 let (aa, ab) = (&mut self.aa[tree.clone()], &mut self.ab[tree]);
+                let m = r.shift[s];
                 for (ea, eb) in aa.iter_mut().zip(ab) {
                     let (p, q) = (m.apply(*ea), m.apply(*eb));
                     (*ea, *eb) = (p.min(q), p.max(q));
                 }
-                if rerooted {
+                if r.rerooted[s] {
                     self.lift_parent_edge(slot);
                 }
             }
-            let (fars, aa, ab) = (
-                &self.afar[rest.clone()],
-                &mut self.aa[rest.clone()],
-                &mut self.ab[rest],
-            );
+            let fars = &self.afar[rest.clone()];
+            let (aa, ab) = (&mut self.aa[rest.clone()], &mut self.ab[rest]);
+            // The same rule for the far endpoint, fused with its side's map.
             for ((&far, ea), eb) in fars.iter().zip(aa).zip(ab) {
-                if *eb != comp {
+                let (e, i) = (*eb, *ea);
+                if e != a && e != b {
                     continue;
                 }
-                // The far side as the cut kernel classifies it, repairing
-                // the dying indexes of the cut edge's endpoints.
-                *ea = if far == y {
-                    y_cached
+                (*ea, *eb) = if far == y {
+                    (y_at, c1)
                 } else if far == x {
-                    x_cached
-                } else if *ea > fy && *ea < ly {
-                    child.apply(*ea)
+                    (x_at, c0)
+                } else if e == b || (i > fy && i < ly) {
+                    (if i == 0 { z1 } else { m1.apply(i) }, c1)
                 } else {
-                    parent.apply(*ea)
+                    (if i == 0 { z0 } else { m0.apply(i) }, c0)
                 };
-                *eb = a;
             }
         }
+        // Only a cut leaves two components. It reports which it owns and,
+        // searching, the lightest entry that now crosses them (a replacement
+        // candidate), in a pass of its own: folded into the one above, it
+        // slowed the swap's sweep.
+        let mut out = ApplyOutcome::default();
+        let mut best: Option<(Weight, Edge)> = None;
+        for slot in (0..self.comp.len()).filter(|_| c0 != c1) {
+            let one = self.comp[slot] == c1;
+            if !one && self.comp[slot] != c0 {
+                continue;
+            }
+            out.owns_child |= one;
+            out.owns_parent |= !one;
+            let (_, rest) = self.apos[slot].parts();
+            let other = if one { c0 } else { c1 };
+            for i in rest.filter(|&i| r.searching && self.ab[i] == other) {
+                let cand = (self.aw[i], Edge::new(self.base + slot as V, self.afar[i]));
+                if best.is_none_or(|cur| cand < cur) {
+                    best = Some(cand);
+                }
+            }
+        }
+        out.best = best.map(|(w, e)| (e, w));
+        out
     }
 
     /// Layout audit: every segment lies inside the arena and within its
@@ -1108,7 +1039,7 @@ impl Shard {
     /// over every slot, then the cut/link entry materialization at owned
     /// endpoints.
     pub fn apply_struct(&mut self, b: &StructBroadcast) -> ApplyOutcome {
-        let outcome = self.apply_sweep(b);
+        let outcome = self.sweep(&Relabel::of_struct(b));
         self.materialize_edge(b);
         outcome
     }
@@ -1118,25 +1049,27 @@ impl Shard {
     /// edge's entries turn non-tree, one sweep maps every slot and entry,
     /// and the linked edge's entries go in.
     pub fn apply_swap(&mut self, s: &SwapBroadcast) {
-        let TourOp::Cut { comp, x, y, .. } = s.cut else {
-            unreachable!("a swap cuts with a cut")
-        };
-        for (v, far) in [(x, y), (y, x)] {
+        let r = Relabel::of_swap(s);
+        let [(x, _), (y, _)] = r.ends;
+        // The sweep writes the final index and component.
+        self.demote(x, y, [(0, r.ids[0]); 2]);
+        self.sweep(&r);
+        self.materialize_link(s.link, s.weight);
+        self.enforce_soft_cap();
+    }
+
+    /// Turns tree edge `(x, y)`'s entries at its owned endpoints into
+    /// non-tree entries, `x`'s with the `(cached, far_comp)` of `at[0]`,
+    /// `y`'s with `at[1]`.
+    fn demote(&mut self, x: V, y: V, at: [(TourIx, CompId); 2]) {
+        for ((v, far), (cached, far_comp)) in [(x, y), (y, x)].into_iter().zip(at) {
             if self.contains(v) {
                 let (_, w) = self
                     .adj_get(v, far)
                     .expect("demoted edge has a tree entry at its owner");
-                // The sweep writes the final index and component.
-                let kind = EntryKind::NonTree {
-                    cached: 0,
-                    far_comp: comp,
-                };
-                self.adj_set(v, far, kind, w);
+                self.adj_set(v, far, EntryKind::NonTree { cached, far_comp }, w);
             }
         }
-        self.sweep_swap(s);
-        self.materialize_link(s.link, s.weight);
-        self.enforce_soft_cap();
     }
 
     /// Materializes a link's tree entries at its owned endpoints.
@@ -1147,19 +1080,13 @@ impl Shard {
         else {
             unreachable!("materializing a link")
         };
-        if self.contains(x) {
-            let kind = EntryKind::Tree {
-                lo: fx + 1,
-                hi: fx + elen_b + 4,
-            };
-            self.adj_set(x, y, kind, w);
-        }
-        if self.contains(y) {
-            let kind = EntryKind::Tree {
-                lo: fx + 2,
-                hi: fx + elen_b + 3,
-            };
-            self.adj_set(y, x, kind, w);
+        for (v, far, lo, hi) in [
+            (x, y, fx + 1, fx + elen_b + 4),
+            (y, x, fx + 2, fx + elen_b + 3),
+        ] {
+            if self.contains(v) {
+                self.adj_set(v, far, EntryKind::Tree { lo, hi }, w);
+            }
         }
     }
 
@@ -1176,45 +1103,17 @@ impl Shard {
                 new_comp,
             } => match b.cut_mode {
                 CutMode::Remove => {
-                    if self.contains(x) {
-                        self.adj_remove(x, y);
-                    }
-                    if self.contains(y) {
-                        self.adj_remove(y, x);
+                    for (v, far) in [(x, y), (y, x)] {
+                        if self.contains(v) {
+                            self.adj_remove(v, far);
+                        }
                     }
                 }
+                // The edge stays in the graph as a (crossing, until the
+                // follow-up link) non-tree edge.
                 CutMode::Demote => {
-                    // The edge stays in the graph as a (crossing, until the
-                    // follow-up link) non-tree edge.
-                    let child_singleton = ly == fy + 1;
-                    if self.contains(x) {
-                        let (_, w) = self
-                            .adj_get(x, y)
-                            .expect("demoted edge has a tree entry at its owner");
-                        self.adj_set(
-                            x,
-                            y,
-                            EntryKind::NonTree {
-                                cached: if child_singleton { 0 } else { 1 },
-                                far_comp: new_comp,
-                            },
-                            w,
-                        );
-                    }
-                    if self.contains(y) {
-                        let (_, w) = self
-                            .adj_get(y, x)
-                            .expect("demoted edge has a tree entry at its owner");
-                        self.adj_set(
-                            y,
-                            x,
-                            EntryKind::NonTree {
-                                cached: b.x_after,
-                                far_comp: comp,
-                            },
-                            w,
-                        );
-                    }
+                    let y_cached = TourIx::from(ly != fy + 1);
+                    self.demote(x, y, [(y_cached, new_comp), (b.x_after, comp)]);
                 }
             },
             TourOp::Reroot { .. } => unreachable!("reroot is never a main op"),
@@ -1897,5 +1796,96 @@ mod tests {
         m.remove(1, 12);
         m.set(1, 11, tree(30, 31), 2); // promoted into the parent edge
         assert_eq!(m.first_tree(1), Some(11));
+    }
+
+    /// The map algebra the sweep rests on, for every tour of up to 64
+    /// indexes: a link's `Shift`s are the link (its reroot `map_reroot`),
+    /// and a link map after a cut, as `after_child_cut` or
+    /// `after_parent_cut` makes it, is the cut's map of that side and then
+    /// the link map, for every link map of that side, the identity included.
+    #[test]
+    fn shifts_are_the_tour_maps_they_compose() {
+        // The maps of a link of a side `a` at `fx` and a side `b` of
+        // `elen_b` indexes, `b` first rerooted at `l_y` when given.
+        let link = |fx: u32, elen_b: u32, l_y: Option<u32>| {
+            let op = TourOp::Link {
+                a: 0,
+                b: 1,
+                x: 0,
+                y: 1,
+                fx: fx.into(),
+                elen_b: elen_b.into(),
+            };
+            Relabel::link(op, l_y.map(TourIx::from), Size::Sub(0)).shift
+        };
+        // In a tour of `len` indexes (a multiple of 4): the splice points,
+        // 0 (at the root) or some `f(x)` (even); a non-root's `l(y)` (odd).
+        let fxs = |len: u32| std::iter::once(0).chain((2..len).step_by(2));
+        let lys = |len: u32| (3..len).step_by(2);
+        for elen in (0..=64).step_by(4) {
+            for (fx, other) in fxs(elen).flat_map(|fx| (0..=64).step_by(4).map(move |o| (fx, o))) {
+                let a = link(fx, other, None)[0];
+                for i in 1..=elen {
+                    let want = if i > fx { i + other + 4 } else { i };
+                    assert_eq!(a.apply(i), want, "side a of {elen}: {fx} {other} {i}");
+                }
+            }
+            let reroots = lys(elen).map(Some).chain([None]);
+            for (fx, l_y) in reroots.flat_map(|l_y| fxs(64).map(move |fx| (fx, l_y))) {
+                let b = link(fx, elen, l_y)[1];
+                for i in 1..=elen {
+                    let rerooted = l_y.map_or(i, |l_y| {
+                        let i =
+                            dmpc_eulertour::indexed::map_reroot(i.into(), elen.into(), l_y.into());
+                        i as u32
+                    });
+                    assert_eq!(
+                        b.apply(i),
+                        rerooted + fx + 2,
+                        "side b of {elen}: {fx} {l_y:?} {i}"
+                    );
+                }
+            }
+        }
+        // Every link map of a side of `len` indexes whose other side has
+        // `other`: as `a` at each `fx`, as `b` at each `fx` and reroot.
+        let maps = |len: u32, other: u32| {
+            let mut maps = vec![Shift::past(0, Shift::NEVER, 0)];
+            maps.extend(fxs(len).map(|fx| link(fx, other, None)[0]));
+            for fx in fxs(other) {
+                let reroots = lys(len).map(Some).chain([None]);
+                maps.extend(reroots.map(|l_y| link(fx, len, l_y)[1]));
+            }
+            maps
+        };
+        let mut checked = 0u64;
+        for elen in (4..=64).step_by(4) {
+            // `y`'s subtree spans `fy..=ly`: `fy` even, `ly - fy + 3` a
+            // multiple of 4, `x` at `fy - 1` and `ly + 1`.
+            let cuts = (2..elen).step_by(2).flat_map(|fy| {
+                let lys = (fy + 1..elen).step_by(4);
+                lys.map(move |ly| (fy, ly))
+            });
+            for (fy, ly) in cuts {
+                let span = ly - fy + 3;
+                let (child, parent) = (ly - fy - 1, elen - span);
+                for m in maps(child, parent) {
+                    let composed = m.after_child_cut(fy);
+                    for i in fy + 1..ly {
+                        assert_eq!(composed.apply(i), m.apply(i - fy), "{elen} {fy} {ly} {m:?}");
+                        checked += 1;
+                    }
+                }
+                for m in maps(parent, child) {
+                    let composed = m.after_parent_cut(fy, ly);
+                    for i in (1..fy - 1).chain(ly + 2..=elen) {
+                        let cut = if i > ly { i - span } else { i };
+                        assert_eq!(composed.apply(i), m.apply(cut), "{elen} {fy} {ly} {m:?}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 1_000_000, "only {checked} composed indexes");
     }
 }

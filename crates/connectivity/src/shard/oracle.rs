@@ -7,7 +7,7 @@
 //! the fold of its demote followed by the fold of its link.
 
 use super::*;
-use dmpc_eulertour::indexed::apply_op_to_vertex;
+use dmpc_eulertour::indexed::{apply_op_to_vertex, map_reroot};
 
 /// Per-vertex membership flags computed by [`update_core`], consumed by
 /// [`rewrite_entry`] for every adjacency entry of that vertex.
