@@ -408,3 +408,92 @@ fn one_mst_swap_costs_exactly() {
     ];
     assert_eq!(flows, want);
 }
+
+/// The tree 0 - 3 - 9 - 6, rooted at 0 and spread over machines 0 to 3 at
+/// P = 11 (block 3), loaded edge by edge, then `extra` on top.
+fn spread_path(extra: &[(V, V)]) -> DmpcConnectivity {
+    let params = DmpcParams::new(32, 160);
+    let mut alg = DmpcConnectivity::new(params);
+    assert_eq!(alg.driver().n_machines(), 11);
+    for &(u, v) in [(0, 3), (3, 9), (9, 6)].iter().chain(extra) {
+        assert!(alg.insert(Edge::new(u, v)).clean());
+    }
+    alg
+}
+
+/// An update's exact cost: (rounds, messages, words, machines touched)
+/// and its per-pair flows, sorted.
+type Cost = ((usize, usize, usize, usize), Vec<((u32, u32), u64)>);
+
+/// `m`'s exact cost.
+fn cost_of(m: UpdateMetrics) -> Cost {
+    assert!(m.clean(), "{:?}", m.violations);
+    let totals = (
+        m.rounds,
+        m.total_messages,
+        m.total_words,
+        m.machines_touched,
+    );
+    let mut flows: Vec<((u32, u32), u64)> = m.flows.into_iter().collect();
+    flows.sort_unstable();
+    (totals, flows)
+}
+
+/// The exact cost of a searching cut that finds a replacement. The path
+/// `spread_path` loads is rooted at 6 (each link keeps its `x`'s id, and
+/// (6, 9) links at 6), over machines 2, 3, 1 and 0 in path order; (0, 6)
+/// is non-tree. Deleting (6, 9) cuts at 6's owner, machine 2, which holds
+/// the component's directory entry itself: it multicasts the 16-word
+/// Apply to machines 0, 1 and 3, which report (5 each). The best crossing
+/// edge is (0, 6): the rendezvous hands its link to 0's owner (3 words and
+/// the 4 owners), which sends the `InsQuery` back with the set (8 + 4).
+/// Machine 2 multicasts the link's Apply to 0, 1 and 3 and stores the
+/// merged set at the root owner of the kept id 9, machine 3 (2 + 4); the
+/// absorbed id 6 is its own to drop.
+#[test]
+fn one_searching_cut_that_relinks_costs_exactly() {
+    let mut alg = spread_path(&[(0, 6)]);
+    let m = alg.delete(Edge::new(6, 9));
+    alg.driver().audit().unwrap();
+    alg.driver().audit_directory().unwrap();
+    assert!(alg.connected(0, 9) && alg.connected(6, 9));
+    let (totals, flows) = cost_of(m);
+    assert_eq!(totals, (6, 12, 136, 4));
+    let want = [
+        ((0, 2), 17),
+        ((1, 2), 5),
+        ((2, 0), 39),
+        ((2, 1), 32),
+        ((2, 3), 38),
+        ((3, 2), 5),
+    ];
+    assert_eq!(flows, want);
+}
+
+/// The exact cost of a searching cut that finds no replacement, on the
+/// same path without a non-tree edge. Deleting (3, 9) starts at 3's owner,
+/// machine 1; 3 is the child, so the cut travels to the parent 9's owner,
+/// machine 3 (`NeedParentCut`, 9 words). Machine 3 fetches the owner set
+/// from the root 6's owner, machine 2 (2 + 4), multicasts the Apply to
+/// machines 0, 1 and 2, which report (5 each), and, with no candidate,
+/// stores the two refined sets of two owners each (4 words each): the
+/// parent side's at machine 2, the child side's (id 3) at machine 1.
+#[test]
+fn one_searching_cut_that_splits_costs_exactly() {
+    let mut alg = spread_path(&[]);
+    let m = alg.delete(Edge::new(3, 9));
+    alg.driver().audit().unwrap();
+    alg.driver().audit_directory().unwrap();
+    assert!(!alg.connected(3, 9));
+    let (totals, flows) = cost_of(m);
+    assert_eq!(totals, (7, 11, 88, 4));
+    let want = [
+        ((0, 3), 5),
+        ((1, 3), 14),
+        ((2, 3), 11),
+        ((3, 0), 16),
+        ((3, 1), 20),
+        ((3, 2), 22),
+    ];
+    assert_eq!(flows, want);
+}
