@@ -69,7 +69,12 @@ impl ConnDriver {
     /// Runs one update as its own metered quiescence run.
     fn update(&mut self, u: WeightedUpdate) -> UpdateMetrics {
         let msg = match u {
-            WeightedUpdate::Insert(e, w) => ConnMsg::Insert { e, w, lane: None },
+            WeightedUpdate::Insert(e, w) => ConnMsg::Insert {
+                e,
+                w,
+                lane: None,
+                known_owners: None,
+            },
             WeightedUpdate::Delete(e) => ConnMsg::Delete { e, lane: None },
         };
         self.run(self.owner(u.edge().u), msg)

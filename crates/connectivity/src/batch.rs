@@ -364,7 +364,12 @@ impl Run {
         let e = item.upd.edge();
         let lane = Some(lane);
         let msg = match item.upd {
-            Update::Insert(_) => ConnMsg::Insert { e, w: 1, lane },
+            Update::Insert(_) => ConnMsg::Insert {
+                e,
+                w: 1,
+                lane,
+                known_owners: None,
+            },
             Update::Delete(_) => ConnMsg::Delete { e, lane },
         };
         send(ConnMachine::owner_in(bounds, e.u), msg);
@@ -417,7 +422,7 @@ mod tests {
         // for odd, each sent to its edge's owner.
         let lane_of = |(to, m): &(MachineId, ConnMsg)| {
             let (e, lane, insert) = match *m {
-                ConnMsg::Insert { e, w: 1, lane } => (e, lane, true),
+                ConnMsg::Insert { e, w: 1, lane, .. } => (e, lane, true),
                 ConnMsg::Delete { e, lane } => (e, lane, false),
                 ref m => panic!("lane step sent {m:?}"),
             };

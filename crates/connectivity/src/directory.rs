@@ -24,12 +24,12 @@
 //!   the O(1)-word [`ConnMsg::Apply`] to the union, and installs the union at
 //!   the merged root owner ([`DirMsg::Store`]) while dropping the absorbed
 //!   id (a `Store` of the empty set).
-//! * **Deleting cuts** refine: every owner's [`ConnMsg::CutReport`] to the
+//! * **Deleting cuts** refine: every owner's [`ConnMsg::Report`] to the
 //!   rendezvous carries which sides of the tour-interval split it still
 //!   owns, so when no replacement exists the rendezvous installs the two
 //!   refined sets. When a replacement *is* found, the re-link restores the
 //!   pre-cut component exactly, so the rendezvous hands the old set to the
-//!   link flow instead ([`ConnMsg::StartLink`] carries it) and no
+//!   link flow instead (its [`ConnMsg::Insert`] carries it) and no
 //!   refinement round is needed.
 //! * **MST swaps** (demote + re-link, one [`ConnMsg::Swap`]) leave the
 //!   owner set unchanged, so the set resolved once for the path-max query
@@ -43,8 +43,8 @@
 //! O(sqrt N) total.
 //!
 //! [`ConnMsg::Apply`]: crate::messages::ConnMsg::Apply
-//! [`ConnMsg::CutReport`]: crate::messages::ConnMsg::CutReport
-//! [`ConnMsg::StartLink`]: crate::messages::ConnMsg::StartLink
+//! [`ConnMsg::Report`]: crate::messages::ConnMsg::Report
+//! [`ConnMsg::Insert`]: crate::messages::ConnMsg::Insert
 //! [`ConnMsg::StartSwap`]: crate::messages::ConnMsg::StartSwap
 //! [`ConnMsg::Swap`]: crate::messages::ConnMsg::Swap
 //! [`ConnMsg::NeedParentCut`]: crate::messages::ConnMsg::NeedParentCut

@@ -28,10 +28,10 @@
 use crate::batch::{BatchCtl, BatchItem, BatchMsg, ConflictStats, StructItem, BATCH_CTRL};
 use crate::directory::{DirMsg, Directory};
 use crate::messages::{
-    ConnMsg, CutMode, CutReq, PathSpans, Relink, StructBroadcast, SwapBroadcast, VertexInfo,
+    ConnMsg, CutReq, PathSpans, Relink, StructBroadcast, SwapBroadcast, VertexInfo,
 };
 use crate::query::{QueryPlane, Reader};
-use crate::shard::{ApplyOutcome, Shard};
+use crate::shard::Shard;
 use dmpc_eulertour::indexed::{CompId, TourOp};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, QueryAnswer, Update, Weight, V};
@@ -48,9 +48,7 @@ pub use crate::shard::{EntryKind, VertexState};
 /// batch-group indexes and never reach this value.
 const SOLO_LANE: u32 = u32::MAX;
 
-/// Rendezvous-side state of an in-flight searching cut: the local apply
-/// outcome stashed until the remote [`ConnMsg::CutReport`]s arrive (they all
-/// arrive in the round after the multicast).
+/// Rendezvous-side state of an in-flight searching cut.
 #[derive(Debug)]
 struct PendingCut {
     /// Surviving (parent) side component id.
@@ -60,10 +58,6 @@ struct PendingCut {
     /// Pre-cut owner set (the multicast audience; also the merged set a
     /// replacement link restores).
     old_owners: Vec<MachineId>,
-    /// Remote Apply recipients; 0 finalizes immediately.
-    remote: usize,
-    /// The rendezvous' own apply outcome.
-    local: ApplyOutcome,
     /// Batch lane of this cut's flow (`None` outside a batch).
     lane: Option<u32>,
 }
@@ -80,8 +74,25 @@ struct PendingMst {
     x: VertexInfo,
     /// The component's owner set, resolved once and reused by the swap.
     owners: Vec<MachineId>,
-    /// The rendezvous' own on-path maximum.
-    local_best: Option<(Edge, Weight)>,
+}
+
+/// How a rendezvous finishes once its owners' [`ConnMsg::Report`]s are in:
+/// [`ConnMachine::finalize_cut`] or [`ConnMachine::finish_path_max`].
+#[derive(Debug)]
+enum Wait {
+    Cut(PendingCut),
+    PathMax(PendingMst),
+}
+
+impl Wait {
+    /// The component's owner set (the multicast audience and this machine)
+    /// and the flow's lane (MST path-max flows are never batched).
+    fn owners_and_lane(&self) -> (&[MachineId], Option<u32>) {
+        match self {
+            Wait::Cut(pc) => (&pc.old_owners, pc.lane),
+            Wait::PathMax(p) => (&p.owners, None),
+        }
+    }
 }
 
 /// What a structural flow does once its owner set is resolved (see
@@ -112,9 +123,9 @@ impl Then {
     }
 }
 
-/// One received [`ConnMsg::CutReport`]: (sender, best candidate,
-/// owns_parent, owns_child).
-type CutReportIn = (MachineId, Option<(Edge, Weight)>, bool, bool);
+/// One owner's [`ConnMsg::Report`] as its rendezvous keeps it: (sender,
+/// best candidate, a cut's sides).
+type Report = (MachineId, Option<(Edge, Weight)>, Option<[bool; 2]>);
 
 /// A flow parked at this machine until its replies arrive, keyed by lane in
 /// `ConnMachine::parked` ([`SOLO_LANE`] for unbatched flows): within one
@@ -132,12 +143,13 @@ enum Parked {
         /// Outstanding reply count (1 or 2).
         waiting: usize,
     },
-    /// A searching cut's rendezvous and the [`ConnMsg::CutReport`]s
-    /// received so far.
-    Cut(PendingCut, Vec<CutReportIn>),
-    /// An MST insert's path-max rendezvous and the
-    /// [`ConnMsg::PathMaxReply`]s received so far.
-    PathMax(PendingMst, Vec<Option<(Edge, Weight)>>),
+    /// A searching cut's or an MST insert's rendezvous: its own report
+    /// and the remote [`ConnMsg::Report`]s received so far.
+    Rendezvous {
+        wait: Wait,
+        local: Report,
+        reports: Vec<Report>,
+    },
 }
 
 /// Source-side rest of an in-flight shard migration: the directory patches
@@ -166,8 +178,8 @@ pub struct ConnMachine {
     dir: Directory,
     /// Self-addressed messages executed locally within the same round.
     local: VecDeque<ConnMsg>,
-    /// Flows waiting here on owner sets, cut reports or path-max replies,
-    /// keyed by lane ([`SOLO_LANE`] for unbatched flows).
+    /// Flows waiting here on owner sets or rendezvous reports, keyed by
+    /// lane ([`SOLO_LANE`] for unbatched flows).
     parked: BTreeMap<u32, Parked>,
     /// The batch controller (machine 0 only) and the classifier's round
     /// tally.
@@ -559,10 +571,10 @@ impl ConnMachine {
         }
     }
 
-    /// Starts an insertion at `e.u`'s owner. A replacement link
-    /// ([`ConnMsg::StartLink`]) arrives with the merged component's owner
-    /// set known; its edge already exists as a non-tree entry at both
-    /// owners (the Apply handler converts the entries to tree entries).
+    /// Starts an insertion at `e.u`'s owner. A replacement link arrives
+    /// with the merged component's owner set known; its edge already exists
+    /// as a non-tree entry at both owners (the Apply handler converts the
+    /// entries to tree entries).
     fn handle_insert(
         &mut self,
         e: Edge,
@@ -685,15 +697,16 @@ impl ConnMachine {
         debug_assert!(prev.is_none(), "lane {lane:?} is already parked here");
     }
 
-    /// Folds one reply into its lane's parked flow: an owner set resumes
-    /// the flow once none is outstanding; a cut report or path-max reply
-    /// waits for [`Self::take_ready`] at the end of the round.
-    fn fold_reply(&mut self, from: MachineId, msg: ConnMsg, out: &mut Outbox<ConnMsg>) {
-        let lane = match msg {
-            ConnMsg::Dir(DirMsg::Reply { lane, .. }) | ConnMsg::CutReport { lane, .. } => lane,
-            // MST path-max flows are never batched.
-            _ => None,
-        };
+    /// Folds one reply, tagged `lane`, into that lane's parked flow: an
+    /// owner set resumes the flow once none is outstanding; a report waits
+    /// for [`Self::take_ready`] at the end of the round.
+    fn fold_reply(
+        &mut self,
+        from: MachineId,
+        lane: Option<u32>,
+        msg: ConnMsg,
+        out: &mut Outbox<ConnMsg>,
+    ) {
         let key = lane.unwrap_or(SOLO_LANE);
         match (self.parked.get_mut(&key), msg) {
             (
@@ -708,17 +721,8 @@ impl ConnMachine {
                     }
                 }
             }
-            (
-                Some(Parked::Cut(_, reports)),
-                ConnMsg::CutReport {
-                    best,
-                    owns_parent,
-                    owns_child,
-                    ..
-                },
-            ) => reports.push((from, best, owns_parent, owns_child)),
-            (Some(Parked::PathMax(_, replies)), ConnMsg::PathMaxReply { best }) => {
-                replies.push(best)
+            (Some(Parked::Rendezvous { reports, .. }), ConnMsg::Report { best, sides, .. }) => {
+                reports.push((from, best, sides))
             }
             (_, msg) => panic!("{msg:?} for lane {lane:?}, which is not waiting on it here"),
         }
@@ -730,8 +734,7 @@ impl ConnMachine {
     fn take_ready(&mut self) -> Option<Parked> {
         let (&key, _) = self.parked.iter().find(|(_, p)| match p {
             Parked::Owners { .. } => false,
-            Parked::Cut(_, reports) => !reports.is_empty(),
-            Parked::PathMax(_, replies) => !replies.is_empty(),
+            Parked::Rendezvous { reports, .. } => !reports.is_empty(),
         })?;
         self.parked.remove(&key)
     }
@@ -766,7 +769,6 @@ impl ConnMachine {
             x_after: 0,
             edge: e,
             weight: w,
-            cut_mode: CutMode::Remove,
             rendezvous: None,
             lane,
         };
@@ -871,8 +873,8 @@ impl ConnMachine {
     }
 
     /// Executes a cut with the owner set resolved. A deleting cut
-    /// multicasts its Apply, applies locally, and arms the rendezvous
-    /// aggregation; an MST swap's cut travels with its link
+    /// multicasts its Apply, applies locally, and gathers the reports as
+    /// its rendezvous; an MST swap's cut travels with its link
     /// ([`Self::swap`]).
     fn cut(&mut self, req: CutReq, owners: Vec<MachineId>, out: &mut Outbox<ConnMsg>) {
         let CutReq {
@@ -914,26 +916,64 @@ impl ConnMachine {
             x_after,
             edge: e,
             weight: 0,
-            cut_mode: CutMode::Remove,
             rendezvous: Some(self.id),
             lane,
         };
-        let remote = self.audience(&owners);
-        for &m in &remote {
-            out.send(m, ConnMsg::Apply(b));
-        }
-        let pc = PendingCut {
+        let wait = Wait::Cut(PendingCut {
             comp,
             new_comp: child,
             old_owners: owners,
-            remote: remote.len(),
-            local: self.verts.apply_struct(&b),
             lane,
-        };
+        });
+        let o = self.verts.apply_struct(&b);
+        let local = (self.id, o.best, Some([o.owns_parent, o.owns_child]));
+        self.rendezvous(ConnMsg::Apply(b), wait, local, out);
+    }
+
+    /// The one rendezvous step: multicasts `query` to the wait's remote
+    /// owners, each of which answers with a [`ConnMsg::Report`], and
+    /// finishes at once on its `local` report when there are none; else it
+    /// parks until the reports arrive (all in the round after the
+    /// multicast).
+    fn rendezvous(&mut self, query: ConnMsg, wait: Wait, local: Report, out: &mut Outbox<ConnMsg>) {
+        let (owners, lane) = wait.owners_and_lane();
+        let remote = self.audience(owners);
+        for &m in &remote {
+            out.send(m, query.clone());
+        }
+        let reports = Vec::new();
         if remote.is_empty() {
-            self.finalize_cut(pc, Vec::new(), out);
+            self.finish(wait, local, reports, out);
         } else {
-            self.park(lane, Parked::Cut(pc, Vec::new()));
+            let flow = Parked::Rendezvous {
+                wait,
+                local,
+                reports,
+            };
+            self.park(lane, flow);
+        }
+    }
+
+    /// Finishes a rendezvous on its own and the remote reports.
+    fn finish(
+        &mut self,
+        wait: Wait,
+        local: Report,
+        mut reports: Vec<Report>,
+        out: &mut Outbox<ConnMsg>,
+    ) {
+        // Fewer reports than audience members means a reporter was killed
+        // in this run: the executor ends such a run with `abandon_run`, and
+        // the epoch fence rolls it back, so whatever this finish starts is
+        // discarded.
+        debug_assert!(
+            reports.len() < wait.owners_and_lane().0.len(),
+            "more reports than audience"
+        );
+        reports.push(local);
+        match wait {
+            Wait::Cut(pc) => self.finalize_cut(pc, reports, out),
+            Wait::PathMax(p) => self.finish_path_max(p, reports, out),
         }
     }
 
@@ -1005,65 +1045,49 @@ impl ConnMachine {
         self.store_merged(x.comp, y.comp, owners, out);
     }
 
-    /// Rendezvous: folds one lane's remote [`ConnMsg::CutReport`]s with the
-    /// stashed local outcome — either launching the replacement link (which
-    /// restores the old owner set) or installing the refined split sets.
-    fn finalize_cut(
-        &mut self,
-        pc: PendingCut,
-        reports: Vec<CutReportIn>,
-        out: &mut Outbox<ConnMsg>,
-    ) {
-        // Fewer reports than audience members means a reporter was killed
-        // in this run: the executor ends such a run with `abandon_run`, and
-        // the epoch fence rolls it back, so whatever this finalization
-        // starts is discarded.
-        debug_assert!(reports.len() <= pc.remote, "more cut reports than audience");
+    /// A searching cut's finish on every owner's report, the rendezvous'
+    /// own included: it links the lightest crossing edge as an insert that
+    /// restores the old owner set, or, with none, installs the refined
+    /// sets of the two sides.
+    fn finalize_cut(&mut self, pc: PendingCut, reports: Vec<Report>, out: &mut Outbox<ConnMsg>) {
         let best = reports
             .iter()
-            .filter_map(|&(_, b, _, _)| b)
-            .chain(pc.local.best)
+            .filter_map(|&(_, b, _)| b)
             .map(|(e, w)| (w, e))
             .min();
-        match best {
-            Some((w, e)) => {
-                self.route(
-                    self.owner(e.u),
-                    ConnMsg::StartLink {
-                        e,
-                        w,
-                        lane: pc.lane,
-                        owners: pc.old_owners,
-                    },
-                    out,
-                );
+        let lane = pc.lane;
+        if let Some((w, e)) = best {
+            let known_owners = Some(pc.old_owners);
+            let link = ConnMsg::Insert {
+                e,
+                w,
+                lane,
+                known_owners,
+            };
+            return self.route(self.owner(e.u), link, out);
+        }
+        // No replacement: the component stays split. Refine the directory
+        // from the membership the reports carried.
+        let (mut parent, mut child) = (Vec::new(), Vec::new());
+        for (m, _, sides) in reports {
+            let [op, oc] = sides.expect("a cut report carries its sides");
+            if op {
+                parent.push(m);
             }
-            None => {
-                // No replacement: the component stays split. Refine the
-                // directory from the membership the reports carried.
-                let local = (self.id, None, pc.local.owns_parent, pc.local.owns_child);
-                let (mut parent, mut child) = (Vec::new(), Vec::new());
-                for (m, _, op, oc) in reports.into_iter().chain([local]) {
-                    if op {
-                        parent.push(m);
-                    }
-                    if oc {
-                        child.push(m);
-                    }
-                }
-                for (comp, mut owners) in [(pc.comp, parent), (pc.new_comp, child)] {
-                    owners.sort_unstable();
-                    let store = DirMsg::Store { comp, owners };
-                    self.route(self.root_owner(comp), ConnMsg::Dir(store), out);
-                }
-                self.signal_struct_done(pc.lane, out);
+            if oc {
+                child.push(m);
             }
         }
+        for (comp, mut owners) in [(pc.comp, parent), (pc.new_comp, child)] {
+            owners.sort_unstable();
+            let store = DirMsg::Store { comp, owners };
+            self.route(self.root_owner(comp), ConnMsg::Dir(store), out);
+        }
+        self.signal_struct_done(lane, out);
     }
 
-    /// Multicasts the path-max query to the component's owner set, stashes
-    /// the local on-path maximum, and finishes immediately when this machine
-    /// is the only owner.
+    /// Multicasts the path-max query to the component's owner set and
+    /// gathers the on-path maxima as its rendezvous.
     fn launch_path_max(
         &mut self,
         e: Edge,
@@ -1080,61 +1104,38 @@ impl ConnMachine {
             fy: y.f,
             ly: y.l,
         };
-        let q = ConnMsg::PathMaxQuery {
+        let query = ConnMsg::PathMaxQuery {
             path,
             rendezvous: self.id,
         };
-        let remote = self.audience(&owners);
-        for &m in &remote {
-            out.send(m, q.clone());
-        }
-        let p = PendingMst {
-            e,
-            w,
-            x,
-            owners,
-            local_best: self.verts.path_max(&path),
-        };
-        if remote.is_empty() {
-            self.finish_path_max(p, Vec::new(), out);
-        } else {
-            self.park(None, Parked::PathMax(p, Vec::new()));
-        }
+        let local = (self.id, self.verts.path_max(&path), None);
+        let wait = Wait::PathMax(PendingMst { e, w, x, owners });
+        self.rendezvous(query, wait, local, out);
     }
 
-    fn finish_path_max(
-        &mut self,
-        p: PendingMst,
-        replies: Vec<Option<(Edge, Weight)>>,
-        out: &mut Outbox<ConnMsg>,
-    ) {
-        let best = heaviest(replies.into_iter().chain([p.local_best]));
-        match best {
-            Some((d, dw)) if dw > p.w => {
+    /// An MST insert's finish on every owner's on-path maximum: it swaps
+    /// out the heaviest path edge if `e` is lighter, or keeps the tree.
+    fn finish_path_max(&mut self, p: PendingMst, reports: Vec<Report>, out: &mut Outbox<ConnMsg>) {
+        let PendingMst { e, w, x, owners } = p;
+        match heaviest(reports.into_iter().map(|(_, best, _)| best)) {
+            Some((d, dw)) if dw > w => {
                 // Swap: demote d and link e in one multicast, executed at
                 // d's parent endpoint owner. The owner set and the spans of
                 // e's endpoints ride along (this machine owns e.v, and x is
                 // e.u: MST flows run one at a time, so both are current).
-                debug_assert_eq!(p.x.v, p.e.u, "the insert starts at e.u");
-                let y = self.verts.info(p.e.v);
+                debug_assert_eq!(x.v, e.u, "the insert starts at e.u");
+                let y = self.verts.info(e.v);
                 let relink = Relink {
-                    e: p.e,
-                    w: p.w,
-                    spans: [(p.x.f, p.x.l), (y.f, y.l)],
+                    e,
+                    w,
+                    spans: [(x.f, x.l), (y.f, y.l)],
                 };
-                self.route(
-                    self.owner(d.u),
-                    ConnMsg::StartSwap {
-                        d,
-                        relink,
-                        owners: p.owners,
-                    },
-                    out,
-                );
+                let swap = ConnMsg::StartSwap { d, relink, owners };
+                self.route(self.owner(d.u), swap, out);
             }
             // Keep the tree; e becomes a non-tree edge. `x.comp` is still
             // y's component: MST flows run one at a time.
-            _ => self.add_non_tree_pair(p.e, p.w, &p.x, out),
+            _ => self.add_non_tree_pair(e, w, &x, out),
         }
     }
 
@@ -1231,7 +1232,12 @@ impl ConnMachine {
     /// Dispatches one protocol message (from the inbox or the local queue).
     fn dispatch(&mut self, msg: ConnMsg, ctx: &RoundCtx, out: &mut Outbox<ConnMsg>) {
         match msg {
-            ConnMsg::Insert { e, w, lane } => self.handle_insert(e, w, lane, None, out),
+            ConnMsg::Insert {
+                e,
+                w,
+                lane,
+                known_owners,
+            } => self.handle_insert(e, w, lane, known_owners, out),
             ConnMsg::Delete { e, lane } => self.handle_delete(e, lane, out),
             ConnMsg::InsQuery {
                 e,
@@ -1263,20 +1269,18 @@ impl ConnMachine {
                 self.verts.adj_remove(at, far);
             }
             ConnMsg::NeedParentCut { req, owners } => self.resolve_cut(req, owners, out),
-            ConnMsg::StartLink { e, w, lane, owners } => {
-                self.handle_insert(e, w, lane, Some(owners), out)
-            }
             ConnMsg::PathMaxQuery { path, rendezvous } => {
                 debug_assert_ne!(rendezvous, self.id, "the rendezvous answers locally");
                 let best = self.verts.path_max(&path);
-                out.send(rendezvous, ConnMsg::PathMaxReply { best });
+                // A path max splits nothing, and MST flows are never batched.
+                let (sides, lane) = (None, None);
+                out.send(rendezvous, ConnMsg::Report { best, sides, lane });
             }
             ConnMsg::StartSwap { d, relink, owners } => {
                 self.handle_start_swap(d, relink, owners, out)
             }
             ConnMsg::Dir(DirMsg::Fetch { .. } | DirMsg::Reply { .. })
-            | ConnMsg::CutReport { .. }
-            | ConnMsg::PathMaxReply { .. }
+            | ConnMsg::Report { .. }
             | ConnMsg::Apply(_)
             | ConnMsg::Swap(_) => {
                 unreachable!("handled before dispatch")
@@ -1403,18 +1407,12 @@ impl Machine for ConnMachine {
         // partitioned in place: the first pass consumes what it handles.
         inbox.retain(|env| match env.msg {
             ConnMsg::Apply(b) => {
-                let outcome = self.verts.apply_struct(&b);
+                let o = self.verts.apply_struct(&b);
                 if let Some(r) = b.rendezvous {
                     debug_assert_ne!(r, self.id, "the rendezvous applies locally");
-                    out.send(
-                        r,
-                        ConnMsg::CutReport {
-                            best: outcome.best,
-                            owns_parent: outcome.owns_parent,
-                            owns_child: outcome.owns_child,
-                            lane: b.lane,
-                        },
-                    );
+                    let sides = Some([o.owns_parent, o.owns_child]);
+                    let (best, lane) = (o.best, b.lane);
+                    out.send(r, ConnMsg::Report { best, sides, lane });
                 }
                 false
             }
@@ -1443,9 +1441,9 @@ impl Machine for ConnMachine {
                     let reply = DirMsg::Reply { comp, owners, lane };
                     out.send(env.from, ConnMsg::Dir(reply));
                 }
-                msg @ (ConnMsg::Dir(DirMsg::Reply { .. })
-                | ConnMsg::CutReport { .. }
-                | ConnMsg::PathMaxReply { .. }) => self.fold_reply(env.from, msg, out),
+                msg @ (ConnMsg::Dir(DirMsg::Reply { lane, .. }) | ConnMsg::Report { lane, .. }) => {
+                    self.fold_reply(env.from, lane, msg, out)
+                }
                 msg => self.dispatch(msg, ctx, out),
             }
         }
@@ -1459,11 +1457,15 @@ impl Machine for ConnMachine {
                 continue;
             }
             if let Some(flow) = self.take_ready() {
-                match flow {
-                    Parked::Cut(pc, reports) => self.finalize_cut(pc, reports, out),
-                    Parked::PathMax(p, replies) => self.finish_path_max(p, replies, out),
-                    Parked::Owners { .. } => unreachable!("a fetch resumes at its last reply"),
-                }
+                let Parked::Rendezvous {
+                    wait,
+                    local,
+                    reports,
+                } = flow
+                else {
+                    unreachable!("a fetch resumes at its last reply")
+                };
+                self.finish(wait, local, reports, out);
                 continue;
             }
             if let Some(report) = self.batch.take_report() {
@@ -1482,8 +1484,10 @@ impl Machine for ConnMachine {
         for p in self.parked.values() {
             words += match p {
                 Parked::Owners { acc, .. } => 4 + acc.len(),
-                Parked::Cut(pc, _) => 4 + pc.old_owners.len(),
-                Parked::PathMax(pm, _) => 6 + pm.owners.len(),
+                Parked::Rendezvous { wait, .. } => match wait {
+                    Wait::Cut(pc) => 4 + pc.old_owners.len(),
+                    Wait::PathMax(p) => 6 + p.owners.len(),
+                },
             };
         }
         words += self.queries.memory_words();

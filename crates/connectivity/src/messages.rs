@@ -42,18 +42,6 @@ pub struct PathSpans {
     pub ly: TourIx,
 }
 
-/// What happens to the cut edge's adjacency entries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CutMode {
-    /// The edge is being deleted from the graph.
-    Remove,
-    /// The edge stays in the graph as a non-tree edge: the first half of
-    /// an MST swap. The machine program sends it only fused with its link
-    /// ([`SwapBroadcast`]); alone, it is half of the reference the fused
-    /// sweep is checked against.
-    Demote,
-}
-
 /// The re-link of an MST swap, as it travels with the cut of the heaviest
 /// path edge: the inserted edge, its weight, and the tour spans `(f, l)` of
 /// its two endpoints (`e.u`'s first) before the cut. With them and its own
@@ -107,12 +95,11 @@ pub struct StructBroadcast {
     pub edge: Edge,
     /// Weight of a linked edge (1 in plain connectivity).
     pub weight: Weight,
-    /// For cuts: what to do with the edge's adjacency entries.
-    pub cut_mode: CutMode,
-    /// For cuts in delete mode: the rendezvous machine for the replacement
-    /// search; `None` disables the search.
+    /// For cuts: the rendezvous machine for the replacement search; `None`
+    /// disables the search. A cut always deletes its edge (an MST swap's
+    /// demote travels as a [`SwapBroadcast`]).
     pub rendezvous: Option<MachineId>,
-    /// Batch lane of the originating flow, echoed in the [`ConnMsg::CutReport`]s
+    /// Batch lane of the originating flow, echoed in the [`ConnMsg::Report`]s
     /// so replies from concurrently running conflict groups never cross-talk.
     pub lane: Option<u32>,
 }
@@ -157,7 +144,9 @@ pub struct SwapBroadcast {
 /// keeping the per-update communication at O(sqrt N) total.
 #[derive(Clone, Debug)]
 pub enum ConnMsg {
-    /// Injected: insert edge `e` with weight `w`.
+    /// Injected: insert edge `e` with weight `w`. A cut's rendezvous sends
+    /// it too, to link the replacement edge it found (already present as a
+    /// non-tree entry at both owners).
     Insert {
         /// The new edge.
         e: Edge,
@@ -165,6 +154,9 @@ pub enum ConnMsg {
         w: Weight,
         /// Batch lane when dispatched by the controller's structural phase.
         lane: Option<u32>,
+        /// Owner set of the component a replacement link re-merges (the
+        /// cut rendezvous always knows it); `None` for an injected insert.
+        known_owners: Option<Vec<MachineId>>,
     },
     /// Injected: delete edge `e`.
     Delete {
@@ -184,7 +176,8 @@ pub enum ConnMsg {
         /// Batch lane of this flow: signal completion with it.
         lane: Option<u32>,
         /// Pre-resolved owner set of the merged component, when the sender
-        /// already knows it (replacement links after a cut).
+        /// already knows it (replacement links after a cut, see
+        /// [`ConnMsg::Insert`]).
         /// `None` makes the receiver resolve the union via the directory.
         known_owners: Option<Vec<MachineId>>,
     },
@@ -222,32 +215,19 @@ pub enum ConnMsg {
     Apply(StructBroadcast),
     /// Multicast to the component's owner set: apply an MST swap.
     Swap(SwapBroadcast),
-    /// machine -> rendezvous: reply to a searching cut — the local best
-    /// replacement candidate plus which sides of the split this machine
-    /// still owns vertices of (the directory refinement input).
-    CutReport {
-        /// Minimum-weight locally stored crossing edge, if any.
+    /// machine -> rendezvous: one owner's reply to a searching cut's
+    /// [`ConnMsg::Apply`] or to a [`ConnMsg::PathMaxQuery`].
+    Report {
+        /// The local candidate: the minimum-weight crossing edge a cut may
+        /// relink, or the max-weight on-path tree edge.
         best: Option<(Edge, Weight)>,
-        /// This machine owns >= 1 vertex of the surviving (parent) side.
-        owns_parent: bool,
-        /// This machine owns >= 1 vertex of the detached (child) side.
-        owns_child: bool,
-        /// Batch lane of the cut (echoed from the Apply), so the rendezvous
-        /// folds each lane's reports separately.
+        /// A cut's only: whether this machine owns >= 1 vertex of the
+        /// surviving (parent) and of the detached (child) side (the
+        /// directory refinement input).
+        sides: Option<[bool; 2]>,
+        /// Batch lane of the flow (echoed from the Apply), so the
+        /// rendezvous folds each lane's reports separately.
         lane: Option<u32>,
-    },
-    /// rendezvous -> owner(e.u): link replacement edge `e` (already
-    /// present as a non-tree entry at both owners).
-    StartLink {
-        /// The edge to link.
-        e: Edge,
-        /// Its weight.
-        w: Weight,
-        /// Batch lane of this flow: signal completion with it.
-        lane: Option<u32>,
-        /// Owner set of the component the link will re-merge (the cut
-        /// rendezvous always knows it).
-        owners: Vec<MachineId>,
     },
     /// Multicast to the component's owner set: find the max-weight tree
     /// edge on the path between the two spans; every recipient replies to
@@ -257,11 +237,6 @@ pub enum ConnMsg {
         path: PathSpans,
         /// Who aggregates the replies.
         rendezvous: MachineId,
-    },
-    /// machine -> rendezvous: local max-weight on-path tree edge.
-    PathMaxReply {
-        /// Local maximum (edge, weight) among owned on-path tree edges.
-        best: Option<(Edge, Weight)>,
     },
     /// rendezvous -> owner(d.u): demote tree edge `d` and link the new
     /// edge (an MST swap). Carries the component's owner set so the whole
@@ -323,7 +298,7 @@ pub enum ConnMsg {
 impl Payload for ConnMsg {
     fn size_words(&self) -> usize {
         match self {
-            ConnMsg::Insert { .. } => 3,
+            ConnMsg::Insert { known_owners, .. } => 3 + known_owners.as_ref().map_or(0, Vec::len),
             ConnMsg::Delete { .. } => 2,
             ConnMsg::InsQuery { known_owners, .. } => 8 + known_owners.as_ref().map_or(0, Vec::len),
             ConnMsg::AddNonTree { .. } => 5,
@@ -332,16 +307,16 @@ impl Payload for ConnMsg {
             ConnMsg::NeedParentCut { req, owners } => {
                 9 + req.relink.map_or(0, |_| 4) + owners.as_ref().map_or(0, Vec::len)
             }
-            // reroot (4) + main (6) + size/x_after/edge/weight/mode/rdv.
+            // reroot (4) + main (6) + size/x_after/edge/weight/rdv, and the
+            // word that tags `main` a link or a cut.
             ConnMsg::Apply(_) => 16,
             // cut (6) + link (6) + x_after/reroot l_y/weight: no size, as
             // every member keeps its own.
             ConnMsg::Swap(_) => 15,
-            ConnMsg::CutReport { .. } => 5,
-            ConnMsg::StartLink { owners, .. } => 3 + owners.len(),
+            // A cut's report adds its two side flags.
+            ConnMsg::Report { sides, .. } => 3 + sides.map_or(0, |_| 2),
             // path (5) + rendezvous + op word.
             ConnMsg::PathMaxQuery { .. } => 7,
-            ConnMsg::PathMaxReply { .. } => 3,
             // d, e, w + the four span words.
             ConnMsg::StartSwap { owners, .. } => 9 + owners.len(),
             ConnMsg::MigrateBegin { .. } => 5,
@@ -382,7 +357,8 @@ mod tests {
             ConnMsg::Insert {
                 e,
                 w: 1,
-                lane: None
+                lane: None,
+                known_owners: None
             }
             .size_words()
                 <= 16
@@ -409,11 +385,16 @@ mod tests {
             x_after: 0,
             edge: e,
             weight: 1,
-            cut_mode: CutMode::Remove,
             rendezvous: None,
             lane: None,
         };
         assert_eq!(ConnMsg::Apply(b).size_words(), 16);
+        // A searching cut's report: its candidate and its two side flags.
+        let best = Some((e, 9));
+        for lane in [None, Some(7)] {
+            let sides = Some([true, false]);
+            assert_eq!(ConnMsg::Report { best, sides, lane }.size_words(), 5);
+        }
         // An MST swap's cut and link travel as one multicast, with the
         // reroot folded into one word and no size.
         let s = SwapBroadcast {
@@ -479,12 +460,13 @@ mod tests {
             };
             assert_eq!(d(patch), 4);
         }
+        // A replacement link's insert carries the set it re-merges.
         assert_eq!(
-            ConnMsg::StartLink {
+            ConnMsg::Insert {
                 e: Edge::new(0, 1),
                 w: 1,
                 lane: None,
-                owners: owners.clone()
+                known_owners: Some(owners.clone())
             }
             .size_words(),
             10
@@ -584,7 +566,7 @@ mod tests {
 
     #[test]
     fn path_max_messages_are_exact_words() {
-        // The update path's path-max multicast and reply and the query
+        // The update path's path-max multicast and report and the query
         // plane's start, probe and resolve, each at its exact charge (the
         // evaluation and the join are pinned above).
         let best = Some((Edge::new(0, 1), 9));
@@ -596,8 +578,14 @@ mod tests {
             .size_words(),
             7
         );
-        assert_eq!(ConnMsg::PathMaxReply { best }.size_words(), 3);
-        assert_eq!(ConnMsg::PathMaxReply { best: None }.size_words(), 3);
+        for best in [best, None] {
+            let report = ConnMsg::Report {
+                best,
+                sides: None,
+                lane: None,
+            };
+            assert_eq!(report.size_words(), 3);
+        }
         let q = |m| ConnMsg::Query(m).size_words();
         assert_eq!(
             q(QueryMsg::PathStart {

@@ -38,7 +38,7 @@
 //! Migrations shift the range; the interner rebases (rare, O(block) work)
 //! rather than paying a hash per access on the hot path.
 
-use crate::messages::{CutMode, PathSpans, StructBroadcast, SwapBroadcast, VertexInfo};
+use crate::messages::{PathSpans, StructBroadcast, SwapBroadcast, VertexInfo};
 use dmpc_eulertour::indexed::{CompId, TourOp};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, Weight, V};
@@ -1044,10 +1044,10 @@ impl Shard {
         outcome
     }
 
-    /// Applies an MST swap to all owned state, to what the demote's and
-    /// then the link's [`Self::apply_struct`] would leave: the demoted
-    /// edge's entries turn non-tree, one sweep maps every slot and entry,
-    /// and the linked edge's entries go in.
+    /// Applies an MST swap to all owned state: a cut that keeps its edge as
+    /// a non-tree edge (a demote), then the link of the inserted edge. The
+    /// demoted edge's entries turn non-tree, one sweep maps every slot and
+    /// entry, and the linked edge's entries go in.
     pub fn apply_swap(&mut self, s: &SwapBroadcast) {
         let r = Relabel::of_swap(s);
         let [(x, _), (y, _)] = r.ends;
@@ -1090,32 +1090,18 @@ impl Shard {
         }
     }
 
-    /// Materializes the new/updated edge entries at owned endpoints.
+    /// Materializes a link's tree entries, or removes a cut's, at owned
+    /// endpoints.
     fn materialize_edge(&mut self, b: &StructBroadcast) {
         match b.main {
             TourOp::Link { .. } => self.materialize_link(b.main, b.weight),
-            TourOp::Cut {
-                comp,
-                x,
-                y,
-                fy,
-                ly,
-                new_comp,
-            } => match b.cut_mode {
-                CutMode::Remove => {
-                    for (v, far) in [(x, y), (y, x)] {
-                        if self.contains(v) {
-                            self.adj_remove(v, far);
-                        }
+            TourOp::Cut { x, y, .. } => {
+                for (v, far) in [(x, y), (y, x)] {
+                    if self.contains(v) {
+                        self.adj_remove(v, far);
                     }
                 }
-                // The edge stays in the graph as a (crossing, until the
-                // follow-up link) non-tree edge.
-                CutMode::Demote => {
-                    let y_cached = TourIx::from(ly != fy + 1);
-                    self.demote(x, y, [(y_cached, new_comp), (b.x_after, comp)]);
-                }
-            },
+            }
             TourOp::Reroot { .. } => unreachable!("reroot is never a main op"),
         }
         self.enforce_soft_cap();

@@ -4,7 +4,8 @@
 //! pure functions over one vertex's core fields and one adjacency entry,
 //! the two scans written as plain folds of them, and the tests that hold
 //! the kernels to them. An MST swap has no definition of its own: it is
-//! the fold of its demote followed by the fold of its link.
+//! the fold of its cut with the edge demoted instead of removed, followed
+//! by the fold of its link.
 
 use super::*;
 use dmpc_eulertour::indexed::{apply_op_to_vertex, map_reroot};
@@ -235,6 +236,37 @@ impl Shard {
     /// [`rewrite_entry`] on every decoded entry. Once the edge's entries are
     /// in, each prefix must name the list `update_core` computed.
     pub(super) fn apply_struct_oracle(&mut self, b: &StructBroadcast) -> ApplyOutcome {
+        self.fold_oracle(b, Self::materialize_edge)
+    }
+
+    /// [`Shard::apply_swap`] as three steps: the fold of its cut, the
+    /// demote of the cut edge (it stays in the graph as a non-tree edge,
+    /// crossing until the link), then the fold of its link.
+    pub(super) fn apply_swap_oracle(&mut self, cut: &StructBroadcast, link: &StructBroadcast) {
+        self.fold_oracle(cut, |sh, b| {
+            let TourOp::Cut {
+                comp,
+                x,
+                y,
+                fy,
+                ly,
+                new_comp,
+            } = b.main
+            else {
+                unreachable!("a swap cuts with a cut")
+            };
+            let y_cached = TourIx::from(ly != fy + 1);
+            sh.demote(x, y, [(y_cached, new_comp), (b.x_after, comp)]);
+        });
+        self.apply_struct_oracle(link);
+    }
+
+    /// The fold behind both: `materialize` puts the edge's entries in.
+    fn fold_oracle(
+        &mut self,
+        b: &StructBroadcast,
+        materialize: impl FnOnce(&mut Self, &StructBroadcast),
+    ) -> ApplyOutcome {
         let mut best: Option<(Weight, Edge)> = None;
         let mut outcome = ApplyOutcome::default();
         let (cut_comp, cut_new) = match b.main {
@@ -269,7 +301,7 @@ impl Shard {
             cores.push((slot, idx));
         }
         outcome.best = best.map(|(w, e)| (e, w));
-        self.materialize_edge(b);
+        materialize(self, b);
         for (slot, idx) in cores {
             assert_eq!(self.index_list(slot), idx, "slot {slot} after {b:?}");
         }
@@ -407,29 +439,19 @@ mod tests {
             }
         }
 
-        /// Cuts tree edge `e` in the world and returns the broadcast that
-        /// tells a shard about it.
-        fn cut(&mut self, e: Edge, mode: CutMode, searching: bool) -> StructBroadcast {
-            let w = self.tree.remove(&e).expect("cutting a tree edge");
-            if mode == CutMode::Demote {
-                self.non_tree.insert(e, w);
-            }
+        /// Cuts tree edge `e` out of the world and returns the broadcast
+        /// that tells a shard about it.
+        fn cut(&mut self, e: Edge, searching: bool) -> StructBroadcast {
+            self.tree.remove(&e).expect("cutting a tree edge");
             let main = self.forest.cut(e.u, e.v);
             let TourOp::Cut { x, fy, ly, .. } = main else {
                 unreachable!("a cut returns a cut op")
             };
-            self.shapes.extend([
-                if searching {
-                    "cut searching"
-                } else {
-                    "cut quiet"
-                },
-                if mode == CutMode::Demote {
-                    "cut demote"
-                } else {
-                    "cut remove"
-                },
-            ]);
+            self.shapes.insert(if searching {
+                "cut searching"
+            } else {
+                "cut quiet"
+            });
             if ly == fy + 1 {
                 self.shapes.insert("cut child singleton");
             }
@@ -443,7 +465,6 @@ mod tests {
                 x_after: self.forest.f(x),
                 edge: e,
                 weight: 0,
-                cut_mode: mode,
                 rendezvous: searching.then_some(0),
                 lane: None,
             }
@@ -484,7 +505,6 @@ mod tests {
                 x_after: 0,
                 edge: e,
                 weight: w,
-                cut_mode: CutMode::Remove,
                 rendezvous: None,
                 lane: None,
             }
@@ -497,13 +517,9 @@ mod tests {
             if self.rng.gen_range(0..n - 1) < self.tree.len() {
                 let k = self.rng.gen_range(0..self.tree.len());
                 let e = *self.tree.keys().nth(k).expect("k < len");
-                let mode = if self.rng.gen_bool(0.5) {
-                    CutMode::Demote
-                } else {
-                    CutMode::Remove
-                };
                 let searching = self.rng.gen_bool(0.5);
-                self.cut(e, mode, searching)
+                self.shapes.insert("cut remove");
+                self.cut(e, searching)
             } else {
                 let (x, y) = loop {
                     let (x, y) = self.pair();
@@ -535,7 +551,11 @@ mod tests {
                 .collect();
             let e = *across.get(self.rng.gen_range(0..across.len().max(1)))?;
             let w = self.rng.gen_range(1..6);
-            let cut = self.cut(d, CutMode::Demote, false);
+            // The cut takes `d` out of the tree; the swap keeps it as a
+            // non-tree edge.
+            let w_d = self.tree[&d];
+            let cut = self.cut(d, false);
+            self.non_tree.insert(d, w_d);
             let link = self.link(e.u, e.v, w);
             if child.contains(&e.u) {
                 self.shapes.insert("swap e.u on the child side");
@@ -670,7 +690,8 @@ mod tests {
     /// kernels and the per-vertex fold, fed the same broadcasts, agree on
     /// the outcome, on every vertex and on the snapshot text — and both
     /// agree with the world. An MST swap runs as the fused kernel on one
-    /// side and as the fold of its demote and then its link on the other.
+    /// side and as the fold of its cut, its demote and the fold of its link
+    /// on the other.
     #[test]
     fn kernels_match_the_per_vertex_definition() {
         const N: usize = 40;
@@ -714,8 +735,7 @@ mod tests {
                 let swap = w.rng.gen_bool(0.25).then(|| w.swap()).flatten();
                 let op = if let Some((s, [cut, link])) = swap {
                     new.apply_swap(&s);
-                    old.apply_struct_oracle(&cut);
-                    old.apply_struct_oracle(&link);
+                    old.apply_swap_oracle(&cut, &link);
                     format!("{s:?}")
                 } else {
                     let b = w.struct_op();
@@ -757,7 +777,6 @@ mod tests {
         }
         let want = [
             "cut child singleton",
-            "cut demote",
             "cut quiet",
             "cut remove",
             "cut root's first child",

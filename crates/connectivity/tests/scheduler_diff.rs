@@ -265,7 +265,7 @@ fn conflict_batches_overlap_and_win() {
 /// Two lanes parked at one machine in one round. Two three-vertex paths
 /// span machines 0, 1 and 2 (block 32), rooted at machine 0, and the batch
 /// cuts the lower edge of each, whose parent endpoint (32, 33) lives on
-/// machine 1. Both searching cuts rendezvous there, and their `CutReport`s
+/// machine 1. Both searching cuts rendezvous there, and their `Report`s
 /// (from machines 0 and 2) arrive in the same round. Only the first path
 /// has a replacement (the non-tree edge 0-64), so a report folded into the
 /// wrong lane would re-link the wrong path or refine the wrong directory
