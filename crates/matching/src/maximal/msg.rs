@@ -515,4 +515,74 @@ mod tests {
         }
         assert_eq!(MatchMsg::ReleaseOverflow { v: 1 }.size_words(), 2);
     }
+
+    /// Every other message's charge, exact: updates and queries, the stats
+    /// protocol at k = 0 and k = 2 vertices, and the store replies.
+    #[test]
+    fn every_other_message_is_exact_words() {
+        let (e, rec, entry) = (Edge::new(0, 1), StatRec::new(), (7, Ann::free()));
+        let mut cases = vec![
+            (MatchMsg::Insert(e), 2),
+            (MatchMsg::Delete(e), 2),
+            (MatchMsg::Batch(vec![]), 1),
+            (MatchMsg::Batch(vec![Update::Insert(e); 3]), 7),
+            (MatchMsg::BatchResume, 1),
+            (MatchMsg::QIsMatched { qid: 0, v: 1 }, 3),
+            (MatchMsg::QMatchingSize { qid: 0 }, 2),
+            (
+                MatchMsg::DelReply {
+                    at: 1,
+                    found: true,
+                    alive: false,
+                },
+                3,
+            ),
+            (MatchMsg::ScanFreeReply { z: 1, q: Some(2) }, 2),
+            (
+                MatchMsg::ScanHeavyReply {
+                    z: 1,
+                    free: None,
+                    steal: Some((2, 3)),
+                },
+                4,
+            ),
+            (MatchMsg::FetchReply { v: 1, entry: None }, 5),
+            (
+                MatchMsg::FetchReply {
+                    v: 1,
+                    entry: Some(entry),
+                },
+                5,
+            ),
+        ];
+        for k in [0, 2] {
+            let (vs, recs) = (vec![1; k], vec![(1, rec); k]);
+            cases.extend([
+                (MatchMsg::StatQuery(vs.clone()), 1 + k),
+                (MatchMsg::StatReply(recs.clone()), 1 + 4 * k),
+                (MatchMsg::StatSet(recs), 1 + 4 * k),
+                (MatchMsg::CounterDelta(vs.clone(), -1), 2 + k),
+                (MatchMsg::CounterQuery(vs), 1 + k),
+                (MatchMsg::CounterReply(vec![(1, 2); k]), 1 + 2 * k),
+                (
+                    MatchMsg::ScanAdjReply {
+                        z: 1,
+                        entries: vec![entry; k],
+                    },
+                    1 + 4 * k,
+                ),
+                (
+                    MatchMsg::MovedOut {
+                        v: 1,
+                        entries: vec![entry; k],
+                    },
+                    1 + 4 * k,
+                ),
+            ]);
+        }
+        for (msg, words) in cases {
+            assert_eq!(msg.size_words(), words, "{msg:?}");
+        }
+        assert!(std::mem::size_of::<MatchMsg>() <= 56);
+    }
 }
