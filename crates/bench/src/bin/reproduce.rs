@@ -22,9 +22,11 @@ fn table1(n: usize, steps: usize) {
         "Empirical Table 1: n = {n}, m_max = {}, {steps} churn updates\n",
         3 * n
     );
-    let title = "Table 1 (worst case per update; measured on the simulator)";
+    let title = "Table 1 (worst case per update; 'meter' rows run on the simulator)";
     let measured = ROWS.iter().map(|row| (row, row.measure((n, steps, 42))));
     println!("{}", render_table(title, &measured.collect::<Vec<_>>()));
+    println!("'meter': counted by the cluster's meter. 'model': the row's cost formula");
+    println!("(4 rounds per update in §6, 2 per probe in §7); no cluster runs it, so 'viol' is 0.");
     println!("'viol' counts model violations (must be 0); 'batch rnds/up' and 'query rnds/q'");
     println!("are amortized rounds under k=16 batches and q=16 waves ('-': no such program).\n");
 }

@@ -129,10 +129,16 @@ const O1: Bound = ("O(1)", Some(0.0));
 const SQRT: Bound = ("O(sqrt N)", Some(0.5));
 
 /// One row of the paper's Table 1: its label, its claimed rounds per
-/// update, active machines and words per round, and how to measure it.
+/// update, active machines and words per round, whether its counts come
+/// from a cluster's meter, and how to measure it.
 pub struct Row {
     pub name: &'static str,
     pub claimed: [Bound; 3],
+    /// True when the row runs on a `dmpc_mpc::Cluster`, so its counts are
+    /// metered and a violation can show; false when they come from a
+    /// formula over the algorithm's own operations (the §6 row's four
+    /// rounds per update, the §7 rows' two rounds per probe).
+    pub metered: bool,
     run: fn(Cell) -> Measured,
 }
 
@@ -248,6 +254,7 @@ pub static ROWS: [Row; 8] = [
     Row {
         name: "Maximal matching",
         claimed: [O1, O1, SQRT],
+        metered: true,
         run: |c @ (n, ..)| {
             let make = || DmpcMaximalMatching::new(canonical_params(n));
             measure(
@@ -263,6 +270,7 @@ pub static ROWS: [Row; 8] = [
     Row {
         name: "3/2-app. matching",
         claimed: [O1, ("O(n/sqrt N)", Some(0.5)), SQRT],
+        metered: true,
         run: |c @ (n, ..)| {
             let make = || DmpcThreeHalves::new(canonical_params(n));
             measure(
@@ -278,6 +286,7 @@ pub static ROWS: [Row; 8] = [
     Row {
         name: "(2+eps)-app. matching",
         claimed: [O1, ("~O(1)", Some(0.0)), ("~O(1)", Some(0.0))],
+        metered: false,
         run: |c @ (n, ..)| {
             let make = || CsMatching::new(n, CsParams::defaults(n, 0.3));
             let audit = |a: &mut CsMatching, g: &DynamicGraph| {
@@ -290,6 +299,7 @@ pub static ROWS: [Row; 8] = [
     Row {
         name: "Connected comps",
         claimed: [O1, SQRT, SQRT],
+        metered: true,
         run: |c @ (n, ..)| {
             let make = || DmpcConnectivity::new(canonical_params(n));
             measure(
@@ -305,6 +315,7 @@ pub static ROWS: [Row; 8] = [
     Row {
         name: "(1+eps)-MST",
         claimed: [O1, SQRT, SQRT],
+        metered: true,
         run: |c @ (n, _, seed)| {
             let make = || DmpcMst::new(canonical_params(n), 0.1);
             let audit = |a: &mut DmpcMst, g: &DynamicGraph| {
@@ -324,6 +335,7 @@ pub static ROWS: [Row; 8] = [
     Row {
         name: "Reduction: maximal matching",
         claimed: [("O(sqrt m)", None), O1, O1],
+        metered: false,
         run: |c @ (n, ..)| {
             let make = || ReducedMatching::new(n, canonical_params(n).m_max);
             let maximal = |a: &mut ReducedMatching, g: &DynamicGraph| {
@@ -335,6 +347,7 @@ pub static ROWS: [Row; 8] = [
     Row {
         name: "Reduction: connected comps",
         claimed: [("~O(1) am.", None), O1, O1],
+        metered: false,
         run: |c @ (n, ..)| {
             let make = || ReducedConnectivity::new(n);
             measure(c, make, &tree(c), audit_reduced_conn, false, None)
@@ -343,6 +356,7 @@ pub static ROWS: [Row; 8] = [
     Row {
         name: "Reduction: MST",
         claimed: [("O(m) (subst.)", None), O1, O1],
+        metered: false,
         run: |c @ (n, _, seed)| {
             let msf = |a: &mut ReducedMst, g: &DynamicGraph| audit_msf(a.forest_weight(), g, seed);
             measure(c, || ReducedMst::new(n), &weighted(c), msf, false, None)

@@ -9,13 +9,13 @@ use dmpc_mpc::{AggregateMetrics, BatchMetrics, QueryMetrics};
 /// execution and per query under batched waves (`-` where the algorithm
 /// has no such program).
 pub fn render_table(title: &str, rows: &[(&Row, Measured)]) -> String {
-    let header = "problem                    | claimed rounds |    rounds | claimed machines |   machines |     claimed comm | comm (words) |  viol | batch rnds/up | query rnds/q\n";
+    let header = "problem                    | claimed rounds |    rounds | claimed machines |   machines |     claimed comm | comm (words) | meter |  viol | batch rnds/up | query rnds/q\n";
     let rule = "-".repeat(header.len() - 1) + "\n";
     let mut out = format!("{title}\n{rule}{header}{rule}");
     let amortized = |x: Option<f64>| x.map_or("-".into(), |x| format!("{x:.2}"));
     for (row, r) in rows {
         out += &format!(
-            "{:<26} | {:>14} | {:>9} | {:>16} | {:>10} | {:>16} | {:>12} | {:>5} | {:>13} | {:>12}\n",
+            "{:<26} | {:>14} | {:>9} | {:>16} | {:>10} | {:>16} | {:>12} | {:>5} | {:>5} | {:>13} | {:>12}\n",
             row.name,
             row.claimed[0].0,
             r.agg.max_rounds,
@@ -23,6 +23,7 @@ pub fn render_table(title: &str, rows: &[(&Row, Measured)]) -> String {
             r.agg.max_active_machines,
             row.claimed[2].0,
             r.agg.max_words_per_round,
+            if row.metered { "meter" } else { "model" },
             r.agg.violations,
             amortized(r.batch.as_ref().map(BatchMetrics::amortized_rounds)),
             amortized(r.query.as_ref().map(QueryMetrics::amortized_rounds)),
@@ -77,7 +78,14 @@ mod tests {
             rounds,
             ..Default::default()
         });
-        (Row { name, claimed, run }, Measured { agg, batch, query })
+        let metered = true;
+        let row = Row {
+            name,
+            claimed,
+            metered,
+            run,
+        };
+        (row, Measured { agg, batch, query })
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! the far end of a length-3 augmenting path. The plain Section 3 algorithm
 //! only needs the alive set (maximality is restored either way).
 
-use super::msg::{Ann, HistEntry, HistSlice, MatchMsg, StatRec, StoreReq, NO_MATE};
+use super::msg::{
+    Ann, HistEntry, HistSlice, MatchMsg, MatchQuery, StatMsg, StatRec, StoreAns, StoreReq, NO_MATE,
+};
 use super::Layout;
 use dmpc_graph::{Edge, Update, V};
 use dmpc_mpc::chaos::Fnv1a;
@@ -102,13 +104,14 @@ pub(crate) enum ScanPurpose {
 pub(crate) enum Phase {
     /// No update in flight.
     Idle,
-    /// `StatReply` batches, cached into the per-update records.
+    /// [`StatMsg::Reply`] batches, cached into the per-update records.
     Stats(StatsThen),
-    /// `MovedOut` replies from heavy transitions.
+    /// [`StoreAns::MovedOut`] replies from heavy transitions.
     MovedOut,
-    /// `DelReply` probes: whether each endpoint's alive-set copy was removed.
+    /// [`StoreAns::Del`] probes: whether each endpoint's alive-set copy was
+    /// removed.
     DelProbes(FnvMap<V, bool>),
-    /// `FetchReply` refills.
+    /// [`StoreAns::Fetch`] refills.
     Fetch,
     /// The scans of free heavy vertex `z` (alive set, plus the suspended
     /// stack in 3/2 mode): the least free neighbor and a steal candidate.
@@ -124,18 +127,19 @@ pub(crate) enum Phase {
         purpose: ScanPurpose,
         found: Option<V>,
     },
-    /// `ScanAdjReply` batches for an augmentation search at `z`, cached
-    /// into the per-update adjacency.
+    /// [`StoreAns::ScanAdj`] batches for an augmentation search at `z`,
+    /// cached into the per-update adjacency.
     AugAdj(V),
-    /// `CounterReply` batches for the augmentation search at `z`, over its
-    /// candidate `(w, mate(w), mate-is-light)` triples in scan order.
+    /// [`StatMsg::CounterReply`] batches for the augmentation search at
+    /// `z`, over its candidate `(w, mate(w), mate-is-light)` triples in scan
+    /// order.
     AugCounters {
         z: V,
         cands: Vec<(V, V, bool)>,
         got: Vec<(V, u32)>,
     },
-    /// `ScanAdjReply` batches for the end-of-update counter commit, merged
-    /// per vertex.
+    /// [`StoreAns::ScanAdj`] batches for the end-of-update counter commit,
+    /// merged per vertex.
     CommitAdj(FnvMap<V, Vec<V>>),
     /// Batch drain paused at a send-budget boundary; resumes on
     /// [`MatchMsg::BatchResume`].
@@ -458,12 +462,6 @@ impl Coordinator {
         self.matched_pairs
     }
 
-    /// Answers a `MatchingSize` query from the local counter (stashes the
-    /// answer for driver-side extraction; zero outbound traffic).
-    pub fn answer_matching_size(&mut self, qid: u32) {
-        self.answers.push((qid, self.matched_pairs));
-    }
-
     /// Drains the query answers stashed here.
     pub fn take_answers(&mut self) -> Vec<(u32, usize)> {
         std::mem::take(&mut self.answers)
@@ -629,7 +627,7 @@ impl Coordinator {
     fn push_stat(&mut self, v: V) {
         let rec = self.ctx.stat[&v];
         let m = self.layout.stats_of(v);
-        self.send(m, MatchMsg::StatSet(vec![(v, rec)]));
+        self.send(m, MatchMsg::Stats(StatMsg::Set(vec![(v, rec)])));
     }
 
     fn fetch_stats(&mut self, vs: Vec<V>, then: StatsThen) {
@@ -649,7 +647,7 @@ impl Coordinator {
         }
         let replies = by_machine.len();
         for (m, vs) in by_machine {
-            self.send(m, MatchMsg::StatQuery(vs));
+            self.send(m, MatchMsg::Stats(StatMsg::Query(vs)));
         }
         self.wait(replies, Phase::Stats(then));
     }
@@ -716,16 +714,23 @@ impl Coordinator {
 
     // ---- entry points ------------------------------------------------------
 
-    /// Starts processing an injected update; returns outbound messages.
-    pub fn start(&mut self, upd: Update) -> Vec<(MachineId, MatchMsg)> {
-        self.ctx = Ctx {
-            upd: Some(upd),
-            ..Default::default()
-        };
-        let e = upd.edge();
-        match upd {
-            Update::Insert(_) => self.fetch_stats(vec![e.u, e.v], StatsThen::InsPrimary),
-            Update::Delete(_) => self.fetch_stats(vec![e.u, e.v], StatsThen::DelPrimary),
+    /// Handles one message; returns the outbound messages. An injected
+    /// update starts as a batch of one with nothing cached, and an injected
+    /// batch with its prefetch waves. A `MatchingSize` query is answered from
+    /// the local counter (stashed for driver-side extraction, with zero
+    /// outbound traffic). Anything else replies to the wave in flight.
+    pub fn handle(&mut self, msg: MatchMsg) -> Vec<(MachineId, MatchMsg)> {
+        match msg {
+            MatchMsg::Update(upd) => {
+                self.ctx = Ctx::default();
+                self.queue.push_back(upd);
+                self.next_queued();
+            }
+            MatchMsg::Batch(ups) => self.start_batch(ups),
+            MatchMsg::Query(MatchQuery::MatchingSize { qid }) => {
+                self.answers.push((qid, self.matched_pairs))
+            }
+            reply => self.reply(reply),
         }
         self.take_out()
     }
@@ -736,13 +741,13 @@ impl Coordinator {
     /// in the same round with zero extra fetch round-trips. Section 3 mode
     /// only: the 3/2 algorithm's counter commit reads pre-update snapshots
     /// that assume one update per run.
-    pub fn start_batch(&mut self, updates: Vec<Update>) -> Vec<(MachineId, MatchMsg)> {
+    fn start_batch(&mut self, updates: Vec<Update>) {
         assert!(
             !self.three_halves,
             "batched execution covers the Section 3 algorithm only"
         );
         if updates.is_empty() {
-            return Vec::new();
+            return;
         }
         self.queue = updates.into();
         self.ctx = Ctx::default();
@@ -757,10 +762,9 @@ impl Coordinator {
         endpoints.sort_unstable();
         endpoints.dedup();
         self.fetch_stats(endpoints, StatsThen::BatchEndpoints);
-        self.take_out()
     }
 
-    /// Pops the next queued batch update, carrying the stat cache over.
+    /// Pops the next queued update, carrying the stat cache over.
     fn next_queued(&mut self) {
         let Some(upd) = self.queue.pop_front() else {
             self.phase = Phase::Idle;
@@ -779,8 +783,8 @@ impl Coordinator {
         }
     }
 
-    /// Feeds one reply message; returns outbound messages.
-    pub fn reply(&mut self, msg: MatchMsg) -> Vec<(MachineId, MatchMsg)> {
+    /// Feeds one reply message.
+    fn reply(&mut self, msg: MatchMsg) {
         // Fold the reply into the phase. The side effects a reply carries
         // (moving suspended edges, the suspended counts) happen here, in the
         // call that received it, so they leave in this call's outbox: the
@@ -788,19 +792,37 @@ impl Coordinator {
         // resets, and a deferred send would move yields, and so rounds.
         let mut phase = std::mem::replace(&mut self.phase, Phase::Idle);
         match (&mut phase, msg) {
-            (Phase::Stats(_), MatchMsg::StatReply(recs)) => {
+            (Phase::Stats(_), MatchMsg::Stats(StatMsg::Reply(recs))) => {
                 for (v, r) in recs {
                     self.ctx.stat.insert(v, r);
                     self.ctx.pre.entry(v).or_insert(r);
                 }
             }
-            (Phase::MovedOut, MatchMsg::MovedOut { v, entries }) => {
+            (Phase::AugCounters { got, .. }, MatchMsg::Stats(StatMsg::CounterReply(rs))) => {
+                got.extend(rs)
+            }
+            (phase, MatchMsg::StoreReply { at, ans }) => self.fold_store(phase, at, ans),
+            (Phase::Yield, MatchMsg::BatchResume) => {}
+            (phase, msg) => panic!("coordinator in {phase:?} got unexpected {msg:?}"),
+        }
+        self.expect -= 1;
+        if self.expect == 0 {
+            self.resume(phase);
+        } else {
+            self.phase = phase;
+        }
+    }
+
+    /// Folds a storage or overflow machine's answer about `at` into `phase`.
+    fn fold_store(&mut self, phase: &mut Phase, at: V, ans: StoreAns) {
+        match (phase, ans) {
+            (Phase::MovedOut, StoreAns::MovedOut(entries)) => {
                 if !entries.is_empty() {
-                    *self.suspended.entry(v).or_default() += entries.len();
-                    self.send_overflow(v, StoreReq::AddSuspended { v, entries });
+                    *self.suspended.entry(at).or_default() += entries.len();
+                    self.send_overflow(at, StoreReq::AddSuspended { v: at, entries });
                 }
             }
-            (Phase::DelProbes(found_alive), MatchMsg::DelReply { at, found, alive }) => {
+            (Phase::DelProbes(found_alive), StoreAns::Del { found, alive }) => {
                 // Only an alive-set removal can trigger a suspended-stack
                 // refill; a suspended removal leaves the alive set intact
                 // and is accounted for here.
@@ -811,46 +833,30 @@ impl Coordinator {
                     }
                 }
             }
-            (Phase::Fetch, MatchMsg::FetchReply { v, entry }) => {
+            (Phase::Fetch, StoreAns::Fetch(entry)) => {
                 if let Some(entry) = entry {
-                    *self.suspended.get_mut(&v).unwrap() -= 1;
-                    self.send_storage(v, StoreReq::AddAlive { at: v, entry });
+                    *self.suspended.get_mut(&at).unwrap() -= 1;
+                    self.send_storage(at, StoreReq::AddAlive { at, entry });
                 }
             }
-            (
-                Phase::ScanHeavy { free, steal, .. },
-                MatchMsg::ScanHeavyReply {
-                    free: f, steal: s, ..
-                },
-            ) => {
+            (Phase::ScanHeavy { free, steal, .. }, StoreAns::ScanHeavy { free: f, steal: s }) => {
                 *free = least(*free, f);
                 *steal = s.or(*steal);
             }
             (
                 Phase::ScanHeavy { free, .. } | Phase::ScanFree { found: free, .. },
-                MatchMsg::ScanFreeReply { q, .. },
-            ) => {
-                *free = least(*free, q);
+                StoreAns::ScanFree(q),
+            ) => *free = least(*free, q),
+            (Phase::AugAdj(_), StoreAns::ScanAdj(entries)) => {
+                self.ctx.adj.insert(at, entries);
             }
-            (Phase::AugAdj(_), MatchMsg::ScanAdjReply { z, entries }) => {
-                self.ctx.adj.insert(z, entries);
-            }
-            (Phase::AugCounters { got, .. }, MatchMsg::CounterReply(rs)) => got.extend(rs),
-            (Phase::CommitAdj(got), MatchMsg::ScanAdjReply { z, entries }) => {
-                got.entry(z)
+            (Phase::CommitAdj(got), StoreAns::ScanAdj(entries)) => {
+                got.entry(at)
                     .or_default()
                     .extend(entries.iter().map(|&(n, _)| n));
             }
-            (Phase::Yield, MatchMsg::BatchResume) => {}
-            (phase, msg) => panic!("coordinator in {phase:?} got unexpected {msg:?}"),
+            (phase, ans) => panic!("coordinator in {phase:?} got unexpected {ans:?} on {at}"),
         }
-        self.expect -= 1;
-        if self.expect == 0 {
-            self.resume(phase);
-        } else {
-            self.phase = phase;
-        }
-        self.take_out()
     }
 
     /// Continues the update once the last reply of a wave is in.
@@ -1285,7 +1291,7 @@ impl Coordinator {
         }
         let replies = by_machine.len();
         for (m, vs) in by_machine {
-            self.send(m, MatchMsg::CounterQuery(vs));
+            self.send(m, MatchMsg::Stats(StatMsg::CounterQuery(vs)));
         }
         let got = Vec::new();
         self.wait(replies, Phase::AugCounters { z, cands, got });
@@ -1402,7 +1408,7 @@ impl Coordinator {
             }
         }
         for ((m, d), vs) in by_machine {
-            self.send(m, MatchMsg::CounterDelta(vs, d as i32));
+            self.send(m, MatchMsg::Stats(StatMsg::CounterDelta(vs, d as i32)));
         }
         self.refresh_and_idle();
     }

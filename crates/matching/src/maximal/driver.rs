@@ -2,7 +2,7 @@
 //! extraction and deep structural audits.
 
 use super::coordinator::Coordinator;
-use super::msg::{Ann, MatchMsg, StatRec, NO_MATE};
+use super::msg::{Ann, MatchMsg, MatchQuery, StatRec, NO_MATE};
 use super::stats::StatsMachine;
 use super::storage::{OverflowMachine, StorageMachine, StoreVertex};
 use super::Layout;
@@ -58,7 +58,7 @@ impl Machine for MatchMachine {
                         self.role.restore_text(&text);
                     }
                 }
-                msg => self.role.handle(env.from, msg, out),
+                msg => self.role.handle(msg, out),
             }
         }
     }
@@ -290,10 +290,12 @@ impl DmpcMaximalMatching {
                     got.push((qid, QueryAnswer::Degraded));
                 }
                 Query::IsMatched(v) => {
-                    wave.push((self.layout.stats_of(v), MatchMsg::QIsMatched { qid, v }));
+                    let q = MatchQuery::IsMatched { qid, v };
+                    wave.push((self.layout.stats_of(v), MatchMsg::Query(q)));
                 }
                 Query::MatchingSize => {
-                    wave.push((COORDINATOR, MatchMsg::QMatchingSize { qid }));
+                    let q = MatchQuery::MatchingSize { qid };
+                    wave.push((COORDINATOR, MatchMsg::Query(q)));
                 }
                 Query::Connected(_, _) | Query::ComponentOf(_) | Query::PathMax(_, _) => {
                     got.push((qid, QueryAnswer::Unsupported));
@@ -432,11 +434,7 @@ impl DynamicGraphAlgorithm for DmpcMaximalMatching {
     }
 
     fn apply(&mut self, u: Update) -> UpdateMetrics {
-        let msg = match u {
-            Update::Insert(e) => MatchMsg::Insert(e),
-            Update::Delete(e) => MatchMsg::Delete(e),
-        };
-        self.cluster.inject(COORDINATOR, msg);
+        self.cluster.inject(COORDINATOR, MatchMsg::Update(u));
         self.cluster.run_update()
     }
 
@@ -503,33 +501,35 @@ impl DynamicGraphAlgorithm for DmpcMaximalMatching {
 }
 
 impl Role {
-    /// Handles one message of the role's own protocol: the coordinator
-    /// sends what its reply calls for, the other roles answer it.
-    fn handle(&mut self, from: MachineId, msg: MatchMsg, out: &mut Outbox<MatchMsg>) {
-        let reply = match self {
-            Role::Coord(c) => {
-                let msgs = if from == Envelope::<MatchMsg>::EXTERNAL {
-                    match msg {
-                        MatchMsg::Insert(e) => c.start(Update::Insert(e)),
-                        MatchMsg::Delete(e) => c.start(Update::Delete(e)),
-                        MatchMsg::Batch(ups) => c.start_batch(ups),
-                        MatchMsg::QMatchingSize { qid } => {
-                            c.answer_matching_size(qid);
-                            Vec::new()
-                        }
-                        other => panic!("unexpected injected message {other:?}"),
-                    }
-                } else {
-                    c.reply(msg)
-                };
-                for (to, m) in msgs {
+    /// Routes one message to the role that serves it: the coordinator
+    /// takes every message it is sent and may send several, a stats machine
+    /// answers its stats messages and `IsMatched` queries, and a storage or
+    /// overflow machine its store requests (an overflow machine also frees
+    /// its assignment). Any other pairing is a protocol bug.
+    fn handle(&mut self, msg: MatchMsg, out: &mut Outbox<MatchMsg>) {
+        let reply = match (self, msg) {
+            (Role::Coord(c), msg) => {
+                for (to, m) in c.handle(msg) {
                     out.send(to, m);
                 }
                 return;
             }
-            Role::Stats(s) => s.handle(msg),
-            Role::Storage(s) => s.handle(msg),
-            Role::Overflow(o) => o.handle(msg),
+            (Role::Stats(s), MatchMsg::Stats(m)) => s.handle(m).map(MatchMsg::Stats),
+            (Role::Stats(s), MatchMsg::Query(MatchQuery::IsMatched { qid, v })) => {
+                s.is_matched(qid, v);
+                None
+            }
+            (Role::Storage(s), MatchMsg::Store { hist, req }) => {
+                s.handle(&hist, req).map(MatchMsg::from)
+            }
+            (Role::Overflow(o), MatchMsg::Store { hist, req }) => {
+                o.handle(&hist, req).map(MatchMsg::from)
+            }
+            (Role::Overflow(o), MatchMsg::ReleaseOverflow { v }) => {
+                o.release(v);
+                None
+            }
+            (_, msg) => panic!("unexpected message {msg:?} for a non-coordinator role"),
         };
         if let Some(r) = reply {
             out.send(COORDINATOR, r);

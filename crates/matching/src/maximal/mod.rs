@@ -6,9 +6,12 @@
 //! and — in 3/2 mode — the free-neighbor counter of Section 4); **storage
 //! machines** holding adjacency lists annotated with each neighbor's
 //! matching status (stale by up to one refresh cycle, repaired by replaying
-//! the history suffix each coordinator `MatchMsg::Store` request carries); and an
-//! **overflow pool** holding the *suspended* edges of heavy vertices (the
-//! paper's `getSuspended` stack).
+//! the history suffix each coordinator [`msg::MatchMsg::Store`] request
+//! carries); and an **overflow pool** holding the *suspended* edges of heavy
+//! vertices (the paper's `getSuspended` stack). Each role speaks its own
+//! typed protocol ([`msg::StatMsg`], [`msg::StoreReq`] and
+//! [`msg::StoreAns`], [`msg::MatchQuery`]), and the driver's router hands
+//! every message to the role that serves it.
 //!
 //! A vertex is *heavy* iff its degree exceeds `tau = ceil(sqrt(2 m_max))`;
 //! heavy vertices keep exactly `min(tau, deg)` *alive* edges on their owner

@@ -84,16 +84,18 @@ pub enum HistEntry {
 /// A numbered history suffix, shipped in [`MatchMsg::Store`].
 pub type HistSlice = Vec<(u64, HistEntry)>;
 
-/// Requests/replies of the matching protocol. Every request to a storage or
-/// overflow machine but [`MatchMsg::ReleaseOverflow`] is one
+/// The matching protocol, one variant per sub-protocol: injected work for
+/// the coordinator (`Update`, `Batch`, its own `BatchResume`), the query
+/// plane (`Query`), the coordinator's exchange with the stats machines
+/// (`Stats`), and its exchange with the storage and overflow machines. Every
+/// request to one of those but [`MatchMsg::ReleaseOverflow`] is one
 /// [`MatchMsg::Store`], which carries the history suffix the target has not
-/// yet seen; no other variant carries history.
+/// yet seen (no other variant carries history), and every reply is one
+/// [`MatchMsg::StoreReply`].
 #[derive(Clone, Debug)]
 pub enum MatchMsg {
-    /// Injected edge insertion.
-    Insert(Edge),
-    /// Injected edge deletion.
-    Delete(Edge),
+    /// Injected edge update.
+    Update(Update),
     /// Injected batch: the coordinator prefetches every endpoint's record
     /// in one shared wave, then drains the updates back-to-back against the
     /// warm cache (Section 3 mode only).
@@ -101,39 +103,10 @@ pub enum MatchMsg {
     /// Coordinator self-message: continue draining the batch queue next
     /// round (sent when this round's outbound volume nears the send cap).
     BatchResume,
-
-    // --- query plane (never touches the update path) ---
-    /// Injected at `v`'s stats machine: stash whether `v` is matched.
-    /// Stats records are exact at all times, so the answer needs no history
-    /// sync, no repair, and no coordinator round-trip.
-    QIsMatched {
-        /// Query id within the wave.
-        qid: u32,
-        /// The queried vertex.
-        v: V,
-    },
-    /// Injected at the coordinator: stash the matching size from its
-    /// locally maintained matched-pair counter.
-    QMatchingSize {
-        /// Query id within the wave.
-        qid: u32,
-    },
-
-    // --- coordinator <-> stats ---
-    /// Ask for the records of up to two vertices.
-    StatQuery(Vec<V>),
-    /// Stats reply.
-    StatReply(Vec<(V, StatRec)>),
-    /// Overwrite fields: (vertex, new record).
-    StatSet(Vec<(V, StatRec)>),
-    /// Add `delta` to the free-neighbor counters of the listed vertices.
-    CounterDelta(Vec<V>, i32),
-    /// Ask for free-neighbor counters.
-    CounterQuery(Vec<V>),
-    /// Counter reply.
-    CounterReply(Vec<(V, u32)>),
-
-    // --- coordinator <-> storage/overflow ---
+    /// The query plane (never touches the update path).
+    Query(MatchQuery),
+    /// Coordinator <-> stats.
+    Stats(StatMsg),
     /// A request to a storage or overflow machine behind the history suffix
     /// it has not seen: the target replays `hist` once, then serves `req`.
     Store {
@@ -142,62 +115,87 @@ pub enum MatchMsg {
         /// The request.
         req: StoreReq,
     },
-    /// Reply to [`StoreReq::DelEdge`]: whether the edge copy was removed.
-    DelReply {
-        /// Echo of the owning vertex.
+    /// A storage or overflow machine's answer to a [`MatchMsg::Store`].
+    StoreReply {
+        /// Echo of the vertex the request named.
         at: V,
-        /// Found and removed here.
-        found: bool,
-        /// True when the reporting store is the alive set (storage
-        /// machine); false for the suspended stack (overflow machine).
-        alive: bool,
-    },
-    /// Reply to [`StoreReq::ScanFree`].
-    ScanFreeReply {
-        /// Echo.
-        z: V,
-        /// A free neighbor, if any.
-        q: Option<V>,
-    },
-    /// Reply to [`StoreReq::ScanAdj`].
-    ScanAdjReply {
-        /// Echo.
-        z: V,
-        /// The (neighbor, annotation) list.
-        entries: Vec<(V, Ann)>,
-    },
-    /// Reply to [`StoreReq::ScanHeavy`].
-    ScanHeavyReply {
-        /// Echo.
-        z: V,
-        /// A free alive neighbor, if any.
-        free: Option<V>,
-        /// A matched alive neighbor with a light mate: `(w, mate(w))`.
-        steal: Option<(V, V)>,
-    },
-    /// Surplus edges evicted by [`StoreReq::MakeHeavy`].
-    MovedOut {
-        /// The heavy vertex.
-        v: V,
-        /// Evicted entries.
-        entries: Vec<(V, Ann)>,
-    },
-    /// Reply to [`StoreReq::FetchSuspended`].
-    FetchReply {
-        /// Echo.
-        v: V,
-        /// The popped entry (None if the stack is empty).
-        entry: Option<(V, Ann)>,
+        /// The answer.
+        ans: StoreAns,
     },
     /// Release the overflow assignment of `v` (carries no history).
     ReleaseOverflow {
         /// The vertex whose stack is freed.
         v: V,
     },
-
     /// The snapshot handoff of a revive (see `dmpc_mpc::handoff`): the
     /// coordinator ships, the revived machine receives.
     Handoff(HandoffMsg),
+}
+
+/// A query of the query plane, answered where the state is exact, with no
+/// history sync, no repair and no coordinator round-trip.
+#[derive(Clone, Copy, Debug)]
+pub enum MatchQuery {
+    /// Injected at `v`'s stats machine: stash whether `v` is matched.
+    IsMatched {
+        /// Query id within the wave.
+        qid: u32,
+        /// The queried vertex.
+        v: V,
+    },
+    /// Injected at the coordinator: stash the matching size from its
+    /// locally maintained matched-pair counter.
+    MatchingSize {
+        /// Query id within the wave.
+        qid: u32,
+    },
+}
+
+/// The coordinator's exchange with a stats machine.
+#[derive(Clone, Debug)]
+pub enum StatMsg {
+    /// Ask for the records of the listed vertices.
+    Query(Vec<V>),
+    /// The asked records.
+    Reply(Vec<(V, StatRec)>),
+    /// Overwrite records: (vertex, new record).
+    Set(Vec<(V, StatRec)>),
+    /// Add `delta` to the free-neighbor counters of the listed vertices.
+    CounterDelta(Vec<V>, i32),
+    /// Ask for free-neighbor counters.
+    CounterQuery(Vec<V>),
+    /// The asked counters.
+    CounterReply(Vec<(V, u32)>),
+}
+
+/// What a storage or overflow machine answers, in a
+/// [`MatchMsg::StoreReply`] that echoes the vertex the request named.
+#[derive(Clone, Debug)]
+pub enum StoreAns {
+    /// To [`StoreReq::DelEdge`]: whether the edge copy was removed.
+    Del {
+        /// Found and removed here.
+        found: bool,
+        /// True when the reporting store is the alive set (storage
+        /// machine); false for the suspended stack (overflow machine).
+        alive: bool,
+    },
+    /// To [`StoreReq::ScanFree`]: a free neighbor, if any.
+    ScanFree(Option<V>),
+    /// To [`StoreReq::ScanAdj`]: the (neighbor, annotation) list.
+    ScanAdj(Vec<(V, Ann)>),
+    /// To [`StoreReq::ScanHeavy`].
+    ScanHeavy {
+        /// A free alive neighbor, if any.
+        free: Option<V>,
+        /// A matched alive neighbor with a light mate: `(w, mate(w))`.
+        steal: Option<(V, V)>,
+    },
+    /// To [`StoreReq::MakeHeavy`]: the evicted surplus entries.
+    MovedOut(Vec<(V, Ann)>),
+    /// To [`StoreReq::FetchSuspended`]: the popped entry (None if the stack
+    /// is empty).
+    Fetch(Option<(V, Ann)>),
 }
 
 /// A request to a storage or overflow machine, carried by [`MatchMsg::Store`]
@@ -215,7 +213,7 @@ pub enum StoreReq {
         /// Fresh annotation for `nbr`.
         ann: Ann,
     },
-    /// Remove the copy at `at` pointing to `nbr`; reply [`MatchMsg::DelReply`].
+    /// Remove the copy at `at` pointing to `nbr`; reply [`StoreAns::Del`].
     DelEdge {
         /// Owning vertex.
         at: V,
@@ -241,7 +239,7 @@ pub enum StoreReq {
         z: V,
     },
     /// Flip `v` to heavy; keep `tau` alive edges (the mate edge among them)
-    /// and return the surplus via [`MatchMsg::MovedOut`].
+    /// and return the surplus as [`StoreAns::MovedOut`].
     MakeHeavy {
         /// The transitioning vertex.
         v: V,
@@ -260,7 +258,7 @@ pub enum StoreReq {
         /// Entries to store.
         entries: Vec<(V, Ann)>,
     },
-    /// Pop one suspended edge of `v` (refill); reply [`MatchMsg::FetchReply`].
+    /// Pop one suspended edge of `v` (refill); reply [`StoreAns::Fetch`].
     FetchSuspended {
         /// The heavy vertex.
         v: V,
@@ -292,27 +290,33 @@ impl StoreReq {
 impl Payload for MatchMsg {
     fn size_words(&self) -> usize {
         match self {
-            MatchMsg::Insert(_) | MatchMsg::Delete(_) => 2,
+            MatchMsg::Update(_) => 2,
             MatchMsg::Batch(ups) => 1 + 2 * ups.len(),
             MatchMsg::BatchResume => 1,
-            MatchMsg::QIsMatched { .. } => 3,
-            MatchMsg::QMatchingSize { .. } => 2,
-            MatchMsg::StatQuery(vs) => 1 + vs.len(),
-            MatchMsg::StatReply(rs) => 1 + 4 * rs.len(),
-            MatchMsg::StatSet(rs) => 1 + 4 * rs.len(),
-            MatchMsg::CounterDelta(vs, _) => 2 + vs.len(),
-            MatchMsg::CounterQuery(vs) => 1 + vs.len(),
-            MatchMsg::CounterReply(rs) => 1 + 2 * rs.len(),
+            MatchMsg::Query(MatchQuery::IsMatched { .. }) => 3,
+            MatchMsg::Query(MatchQuery::MatchingSize { .. }) => 2,
+            MatchMsg::Stats(StatMsg::Query(vs) | StatMsg::CounterQuery(vs)) => 1 + vs.len(),
+            MatchMsg::Stats(StatMsg::Reply(rs) | StatMsg::Set(rs)) => 1 + 4 * rs.len(),
+            MatchMsg::Stats(StatMsg::CounterDelta(vs, _)) => 2 + vs.len(),
+            MatchMsg::Stats(StatMsg::CounterReply(rs)) => 1 + 2 * rs.len(),
             MatchMsg::Store { hist, req } => 4 * hist.len() + req.size_words(),
-            MatchMsg::DelReply { .. } => 3,
-            MatchMsg::ScanFreeReply { .. } => 2,
-            MatchMsg::ScanAdjReply { entries, .. } => 1 + 4 * entries.len(),
-            MatchMsg::ScanHeavyReply { .. } => 4,
-            MatchMsg::MovedOut { entries, .. } => 1 + 4 * entries.len(),
-            MatchMsg::FetchReply { .. } => 5,
+            MatchMsg::StoreReply { ans, .. } => match ans {
+                StoreAns::Del { .. } => 3,
+                StoreAns::ScanFree(_) => 2,
+                StoreAns::ScanAdj(es) | StoreAns::MovedOut(es) => 1 + 4 * es.len(),
+                StoreAns::ScanHeavy { .. } => 4,
+                StoreAns::Fetch(_) => 5,
+            },
             MatchMsg::ReleaseOverflow { .. } => 2,
             MatchMsg::Handoff(h) => h.size_words(),
         }
+    }
+}
+
+/// A storage or overflow machine's answer about `at`, as it travels.
+impl From<(V, StoreAns)> for MatchMsg {
+    fn from((at, ans): (V, StoreAns)) -> Self {
+        MatchMsg::StoreReply { at, ans }
     }
 }
 
@@ -484,7 +488,7 @@ mod tests {
         let hist: HistSlice = vec![(1, HistEntry::MatchDel(Edge::new(0, 1))); 10];
         let req = StoreReq::Refresh;
         assert_eq!(MatchMsg::Store { hist, req }.size_words(), 41);
-        assert!(MatchMsg::Insert(Edge::new(0, 1)).size_words() <= 2);
+        assert!(MatchMsg::Update(Update::Insert(Edge::new(0, 1))).size_words() <= 2);
     }
 
     /// Every store-bound request costs its own words plus 4 per history
@@ -521,63 +525,50 @@ mod tests {
     #[test]
     fn every_other_message_is_exact_words() {
         let (e, rec, entry) = (Edge::new(0, 1), StatRec::new(), (7, Ann::free()));
+        let reply = |ans| MatchMsg::StoreReply { at: 1, ans };
         let mut cases = vec![
-            (MatchMsg::Insert(e), 2),
-            (MatchMsg::Delete(e), 2),
+            (MatchMsg::Update(Update::Insert(e)), 2),
+            (MatchMsg::Update(Update::Delete(e)), 2),
             (MatchMsg::Batch(vec![]), 1),
             (MatchMsg::Batch(vec![Update::Insert(e); 3]), 7),
             (MatchMsg::BatchResume, 1),
-            (MatchMsg::QIsMatched { qid: 0, v: 1 }, 3),
-            (MatchMsg::QMatchingSize { qid: 0 }, 2),
+            (MatchMsg::Query(MatchQuery::IsMatched { qid: 0, v: 1 }), 3),
+            (MatchMsg::Query(MatchQuery::MatchingSize { qid: 0 }), 2),
             (
-                MatchMsg::DelReply {
-                    at: 1,
+                reply(StoreAns::Del {
                     found: true,
                     alive: false,
-                },
+                }),
                 3,
             ),
-            (MatchMsg::ScanFreeReply { z: 1, q: Some(2) }, 2),
+            (reply(StoreAns::ScanFree(Some(2))), 2),
             (
-                MatchMsg::ScanHeavyReply {
-                    z: 1,
+                reply(StoreAns::ScanHeavy {
                     free: None,
                     steal: Some((2, 3)),
-                },
+                }),
                 4,
             ),
-            (MatchMsg::FetchReply { v: 1, entry: None }, 5),
-            (
-                MatchMsg::FetchReply {
-                    v: 1,
-                    entry: Some(entry),
-                },
-                5,
-            ),
+            (reply(StoreAns::Fetch(None)), 5),
+            (reply(StoreAns::Fetch(Some(entry))), 5),
         ];
         for k in [0, 2] {
             let (vs, recs) = (vec![1; k], vec![(1, rec); k]);
             cases.extend([
-                (MatchMsg::StatQuery(vs.clone()), 1 + k),
-                (MatchMsg::StatReply(recs.clone()), 1 + 4 * k),
-                (MatchMsg::StatSet(recs), 1 + 4 * k),
-                (MatchMsg::CounterDelta(vs.clone(), -1), 2 + k),
-                (MatchMsg::CounterQuery(vs), 1 + k),
-                (MatchMsg::CounterReply(vec![(1, 2); k]), 1 + 2 * k),
+                (MatchMsg::Stats(StatMsg::Query(vs.clone())), 1 + k),
+                (MatchMsg::Stats(StatMsg::Reply(recs.clone())), 1 + 4 * k),
+                (MatchMsg::Stats(StatMsg::Set(recs)), 1 + 4 * k),
                 (
-                    MatchMsg::ScanAdjReply {
-                        z: 1,
-                        entries: vec![entry; k],
-                    },
-                    1 + 4 * k,
+                    MatchMsg::Stats(StatMsg::CounterDelta(vs.clone(), -1)),
+                    2 + k,
                 ),
+                (MatchMsg::Stats(StatMsg::CounterQuery(vs)), 1 + k),
                 (
-                    MatchMsg::MovedOut {
-                        v: 1,
-                        entries: vec![entry; k],
-                    },
-                    1 + 4 * k,
+                    MatchMsg::Stats(StatMsg::CounterReply(vec![(1, 2); k])),
+                    1 + 2 * k,
                 ),
+                (reply(StoreAns::ScanAdj(vec![entry; k])), 1 + 4 * k),
+                (reply(StoreAns::MovedOut(vec![entry; k])), 1 + 4 * k),
             ]);
         }
         for (msg, words) in cases {

@@ -1,13 +1,15 @@
 //! Stats machines: exact per-vertex records.
 
-use super::msg::{MatchMsg, StatRec};
+use super::msg::{StatMsg, StatRec};
 use dmpc_graph::V;
 use dmpc_mpc::text::{self, put_field, Fields, Sink};
 
 /// A stats machine owning a contiguous block of vertex records. Records are
 /// exact at all times: the coordinator pushes every change as part of the
-/// update that causes it — which is what lets [`MatchMsg::QIsMatched`]
-/// queries be answered here in one round, bypassing the coordinator.
+/// update that causes it — which is what lets
+/// [`MatchQuery::IsMatched`](super::msg::MatchQuery::IsMatched) queries be
+/// answered here in one round ([`StatsMachine::is_matched`]), bypassing the
+/// coordinator.
 #[derive(Debug)]
 pub struct StatsMachine {
     /// The owned block is `lo..hi`; vertex `v`'s record is `recs[v - lo]`.
@@ -110,40 +112,41 @@ impl StatsMachine {
         self.recs[i] = rec;
     }
 
-    /// Handles one request, possibly producing a reply for the coordinator.
-    pub fn handle(&mut self, msg: MatchMsg) -> Option<MatchMsg> {
+    /// Handles one request of the coordinator, possibly producing a reply.
+    pub fn handle(&mut self, msg: StatMsg) -> Option<StatMsg> {
         match msg {
-            MatchMsg::StatQuery(vs) => Some(MatchMsg::StatReply(
+            StatMsg::Query(vs) => Some(StatMsg::Reply(
                 vs.iter().map(|&v| (v, self.recs[self.slot(v)])).collect(),
             )),
-            MatchMsg::StatSet(rs) => {
+            StatMsg::Set(rs) => {
                 for (v, r) in rs {
                     let i = self.slot(v);
                     self.recs[i] = r;
                 }
                 None
             }
-            MatchMsg::CounterDelta(vs, delta) => {
+            StatMsg::CounterDelta(vs, delta) => {
                 for v in vs {
                     let i = self.slot(v);
                     let r = &mut self.recs[i];
                     let nv = r.free_nbrs as i64 + delta as i64;
-                    debug_assert!(nv >= 0, "counter of {v} went negative");
-                    r.free_nbrs = nv.max(0) as u32;
+                    r.free_nbrs = u32::try_from(nv)
+                        .unwrap_or_else(|_| panic!("counter of {v} went negative"));
                 }
                 None
             }
-            MatchMsg::CounterQuery(vs) => Some(MatchMsg::CounterReply(
+            StatMsg::CounterQuery(vs) => Some(StatMsg::CounterReply(
                 vs.iter()
                     .map(|&v| (v, self.recs[self.slot(v)].free_nbrs))
                     .collect(),
             )),
-            MatchMsg::QIsMatched { qid, v } => {
-                self.answers.push((qid, self.recs[self.slot(v)].matched()));
-                None
-            }
-            other => panic!("stats machine got unexpected message {other:?}"),
+            reply => panic!("a stats machine is sent no reply, got {reply:?}"),
         }
+    }
+
+    /// Stashes whether `v` is matched as the answer to query `qid`.
+    pub fn is_matched(&mut self, qid: u32, v: V) {
+        self.answers.push((qid, self.recs[self.slot(v)].matched()));
     }
 
     /// Memory footprint in words.
@@ -162,10 +165,10 @@ mod tests {
         let mut r = StatRec::new();
         r.degree = 3;
         r.mate = 7;
-        m.handle(MatchMsg::StatSet(vec![(2, r)]));
-        let reply = m.handle(MatchMsg::StatQuery(vec![2, 3])).unwrap();
+        m.handle(StatMsg::Set(vec![(2, r)]));
+        let reply = m.handle(StatMsg::Query(vec![2, 3])).unwrap();
         match reply {
-            MatchMsg::StatReply(rs) => {
+            StatMsg::Reply(rs) => {
                 assert_eq!(rs[0].0, 2);
                 assert_eq!(rs[0].1.degree, 3);
                 assert!(rs[0].1.matched());
@@ -180,9 +183,9 @@ mod tests {
         let mut m = StatsMachine::new(0, 10);
         let mut r = StatRec::new();
         r.mate = 7;
-        m.handle(MatchMsg::StatSet(vec![(2, r)]));
-        assert!(m.handle(MatchMsg::QIsMatched { qid: 0, v: 2 }).is_none());
-        assert!(m.handle(MatchMsg::QIsMatched { qid: 1, v: 3 }).is_none());
+        m.handle(StatMsg::Set(vec![(2, r)]));
+        m.is_matched(0, 2);
+        m.is_matched(1, 3);
         assert_eq!(m.take_answers(), vec![(0, true), (1, false)]);
         // Drained: a second take is empty.
         assert!(m.take_answers().is_empty());
@@ -191,14 +194,24 @@ mod tests {
     #[test]
     fn counters() {
         let mut m = StatsMachine::new(0, 5);
-        m.handle(MatchMsg::CounterDelta(vec![1, 2], 2));
-        m.handle(MatchMsg::CounterDelta(vec![1], -1));
-        match m.handle(MatchMsg::CounterQuery(vec![1, 2])).unwrap() {
-            MatchMsg::CounterReply(rs) => {
+        m.handle(StatMsg::CounterDelta(vec![1, 2], 2));
+        m.handle(StatMsg::CounterDelta(vec![1], -1));
+        match m.handle(StatMsg::CounterQuery(vec![1, 2])).unwrap() {
+            StatMsg::CounterReply(rs) => {
                 assert_eq!(rs, vec![(1, 1), (2, 2)]);
             }
             _ => panic!(),
         }
+    }
+
+    /// A counter driven below zero is a bug upstream, refused in every
+    /// build rather than clamped to zero.
+    #[test]
+    #[should_panic(expected = "counter of 1 went negative")]
+    fn a_negative_counter_is_refused() {
+        let mut m = StatsMachine::new(0, 5);
+        m.handle(StatMsg::CounterDelta(vec![1, 2], 1));
+        m.handle(StatMsg::CounterDelta(vec![1], -2));
     }
 
     /// Two neighbouring machines with distinct records in every slot.
@@ -211,7 +224,7 @@ mod tests {
             r.heavy = v % 3 == 0;
             r.free_nbrs = v / 2;
             let m = if v < 10 { &mut a } else { &mut b };
-            m.handle(MatchMsg::StatSet(vec![(v, r)]));
+            m.handle(StatMsg::Set(vec![(v, r)]));
         }
         (a, b)
     }

@@ -8,9 +8,7 @@
 //! at `tau`, scans take the first hit), so all mutations preserve segment
 //! order — removals shift the tail down instead of swapping.
 
-use super::msg::{
-    fresh_suffix, repair_entry, Ann, HistEntry, HistSlice, MatchMsg, Repair, StoreReq,
-};
+use super::msg::{fresh_suffix, repair_entry, Ann, HistEntry, Repair, StoreAns, StoreReq};
 use dmpc_graph::V;
 use dmpc_mpc::text::{self, put_field, Fields, Sink};
 
@@ -615,7 +613,7 @@ impl StorageMachine {
     /// overwrites the whole annotation. `Heavy`/`Light` act through the
     /// current `mate`, which has no index, so a slice carrying one takes the
     /// one pass over every entry.
-    fn repair(&mut self, hist: &HistSlice) {
+    fn repair(&mut self, hist: &[(u64, HistEntry)]) {
         let fresh = fresh_suffix(hist, self.last_seen);
         let Some(&(last_seq, _)) = fresh.last() else {
             return;
@@ -642,12 +640,10 @@ impl StorageMachine {
         self.last_seen = last_seq;
     }
 
-    /// Handles one request; may produce a reply for the coordinator.
-    pub fn handle(&mut self, msg: MatchMsg) -> Option<MatchMsg> {
-        let MatchMsg::Store { hist, req } = msg else {
-            panic!("storage machine got unexpected message {msg:?}");
-        };
-        self.repair(&hist);
+    /// Serves one request behind the history suffix `hist`; may answer the
+    /// coordinator, echoing the vertex the request named.
+    pub fn handle(&mut self, hist: &[(u64, HistEntry)], req: StoreReq) -> Option<(V, StoreAns)> {
+        self.repair(hist);
         match req {
             StoreReq::Refresh => None,
             StoreReq::AddEdge { at, nbr, ann } => {
@@ -657,29 +653,23 @@ impl StorageMachine {
             }
             StoreReq::DelEdge { at, nbr } => {
                 let found = self.verts.remove_entry(at, nbr);
-                Some(MatchMsg::DelReply {
-                    at,
-                    found,
-                    alive: true,
-                })
+                Some((at, StoreAns::Del { found, alive: true }))
             }
             StoreReq::ScanFree { z, exclude } => {
-                let q = self.verts.scan_free(z, &exclude);
-                Some(MatchMsg::ScanFreeReply { z, q })
+                Some((z, StoreAns::ScanFree(self.verts.scan_free(z, &exclude))))
             }
-            StoreReq::ScanAdj { z } => Some(MatchMsg::ScanAdjReply {
-                z,
-                entries: self.verts.entries(self.verts.slot(z)),
-            }),
+            StoreReq::ScanAdj { z } => {
+                Some((z, StoreAns::ScanAdj(self.verts.entries(self.verts.slot(z)))))
+            }
             StoreReq::ScanHeavy { z } => {
                 debug_assert!(self.verts.heavy(z));
                 let (free, steal) = self.verts.scan_heavy(z);
-                Some(MatchMsg::ScanHeavyReply { z, free, steal })
+                Some((z, StoreAns::ScanHeavy { free, steal }))
             }
-            StoreReq::MakeHeavy { v, mate } => {
-                let entries = self.verts.make_heavy(v, mate, self.tau);
-                Some(MatchMsg::MovedOut { v, entries })
-            }
+            StoreReq::MakeHeavy { v, mate } => Some((
+                v,
+                StoreAns::MovedOut(self.verts.make_heavy(v, mate, self.tau)),
+            )),
             StoreReq::AddAlive { at, entry } => {
                 self.verts.push_entry(at, entry.0, entry.1);
                 None
@@ -801,7 +791,7 @@ impl OverflowMachine {
         }
     }
 
-    fn repair(&mut self, hist: &HistSlice) {
+    fn repair(&mut self, hist: &[(u64, HistEntry)]) {
         let Some(repair) = Repair::new(hist, self.last_seen) else {
             return;
         };
@@ -813,19 +803,17 @@ impl OverflowMachine {
         self.last_seen = repair.last_seq();
     }
 
-    /// Handles one request; may produce a reply.
-    pub fn handle(&mut self, msg: MatchMsg) -> Option<MatchMsg> {
-        let (hist, req) = match msg {
-            MatchMsg::Store { hist, req } => (hist, req),
-            MatchMsg::ReleaseOverflow { v } => {
-                debug_assert_eq!(self.assigned, Some(v));
-                debug_assert!(self.edges.is_empty());
-                self.assigned = None;
-                return None;
-            }
-            other => panic!("overflow machine got unexpected message {other:?}"),
-        };
-        self.repair(&hist);
+    /// Frees the machine's assignment to `v`, whose stack is empty.
+    pub fn release(&mut self, v: V) {
+        debug_assert_eq!(self.assigned, Some(v));
+        debug_assert!(self.edges.is_empty());
+        self.assigned = None;
+    }
+
+    /// Serves one request behind the history suffix `hist`; may answer the
+    /// coordinator, echoing the vertex the request named.
+    pub fn handle(&mut self, hist: &[(u64, HistEntry)], req: StoreReq) -> Option<(V, StoreAns)> {
+        self.repair(hist);
         match req {
             StoreReq::Refresh => None,
             StoreReq::AddSuspended { v, entries } => {
@@ -840,11 +828,14 @@ impl OverflowMachine {
                 debug_assert_eq!(self.assigned, Some(at));
                 let before = self.edges.len();
                 self.edges.retain(|&(x, _)| x != nbr);
-                Some(MatchMsg::DelReply {
+                let found = self.edges.len() < before;
+                Some((
                     at,
-                    found: self.edges.len() < before,
-                    alive: false,
-                })
+                    StoreAns::Del {
+                        found,
+                        alive: false,
+                    },
+                ))
             }
             StoreReq::ScanFree { z, exclude } => {
                 debug_assert_eq!(self.assigned, Some(z));
@@ -853,19 +844,13 @@ impl OverflowMachine {
                     .iter()
                     .find(|&&(nbr, ann)| !ann.matched && !exclude.contains(&nbr))
                     .map(|&(nbr, _)| nbr);
-                Some(MatchMsg::ScanFreeReply { z, q })
+                Some((z, StoreAns::ScanFree(q)))
             }
             StoreReq::FetchSuspended { v } => {
                 debug_assert_eq!(self.assigned, Some(v));
-                Some(MatchMsg::FetchReply {
-                    v,
-                    entry: self.edges.pop(),
-                })
+                Some((v, StoreAns::Fetch(self.edges.pop())))
             }
-            StoreReq::ScanAdj { z } => Some(MatchMsg::ScanAdjReply {
-                z,
-                entries: self.edges.clone(),
-            }),
+            StoreReq::ScanAdj { z } => Some((z, StoreAns::ScanAdj(self.edges.clone()))),
             other => panic!("overflow machine got unexpected request {other:?}"),
         }
     }
@@ -882,57 +867,34 @@ mod tests {
     use super::*;
     use dmpc_graph::Edge;
 
-    /// A request behind an empty history slice.
-    fn store(req: StoreReq) -> MatchMsg {
-        MatchMsg::Store { hist: vec![], req }
-    }
-
-    /// Adds the edge copy `at -> nbr`, annotated free, behind no history.
-    fn add(at: V, nbr: V) -> MatchMsg {
+    /// Adds the edge copy `at -> nbr`, annotated free.
+    fn add(at: V, nbr: V) -> StoreReq {
         let ann = Ann::free();
-        store(StoreReq::AddEdge { at, nbr, ann })
-    }
-
-    /// A refresh: nothing but the repair `hist` asks for.
-    fn refresh(hist: HistSlice) -> MatchMsg {
-        let req = StoreReq::Refresh;
-        MatchMsg::Store { hist, req }
+        StoreReq::AddEdge { at, nbr, ann }
     }
 
     #[test]
     fn add_del_scan() {
         let mut m = StorageMachine::new(0, 4, 8);
-        m.handle(add(1, 9));
-        m.handle(store(StoreReq::AddEdge {
-            at: 1,
-            nbr: 8,
-            ann: Ann {
-                matched: true,
-                mate: 3,
-                mate_light: true,
-            },
-        }));
+        m.handle(&[], add(1, 9));
+        let ann = Ann {
+            matched: true,
+            mate: 3,
+            mate_light: true,
+        };
+        m.handle(&[], StoreReq::AddEdge { at: 1, nbr: 8, ann });
         let exclude = vec![];
-        match m
-            .handle(store(StoreReq::ScanFree { z: 1, exclude }))
-            .unwrap()
-        {
-            MatchMsg::ScanFreeReply { q, .. } => assert_eq!(q, Some(9)),
+        match m.handle(&[], StoreReq::ScanFree { z: 1, exclude }) {
+            Some((_, StoreAns::ScanFree(q))) => assert_eq!(q, Some(9)),
             _ => panic!(),
         }
         let exclude = vec![9];
-        match m
-            .handle(store(StoreReq::ScanFree { z: 1, exclude }))
-            .unwrap()
-        {
-            MatchMsg::ScanFreeReply { q, .. } => assert_eq!(q, None),
+        match m.handle(&[], StoreReq::ScanFree { z: 1, exclude }) {
+            Some((_, StoreAns::ScanFree(q))) => assert_eq!(q, None),
             _ => panic!(),
         }
-        match m
-            .handle(store(StoreReq::DelEdge { at: 1, nbr: 9 }))
-            .unwrap()
-        {
-            MatchMsg::DelReply { found, alive, .. } => {
+        match m.handle(&[], StoreReq::DelEdge { at: 1, nbr: 9 }) {
+            Some((_, StoreAns::Del { found, alive })) => {
                 assert!(found);
                 assert!(alive);
             }
@@ -943,16 +905,16 @@ mod tests {
     #[test]
     fn history_repair_applies_once() {
         let mut m = StorageMachine::new(0, 2, 8);
-        m.handle(add(0, 5));
+        m.handle(&[], add(0, 5));
         let h1 = vec![(1, HistEntry::MatchAdd(Edge::new(5, 6), true, true))];
-        m.handle(refresh(h1.clone()));
+        m.handle(&h1, StoreReq::Refresh);
         assert!(m.vertex(0).unwrap().entries[0].1.matched);
         // Replaying the same suffix is a no-op (idempotent by seq).
         let h2 = vec![
             (1, HistEntry::MatchAdd(Edge::new(5, 6), true, true)),
             (2, HistEntry::MatchDel(Edge::new(5, 6))),
         ];
-        m.handle(refresh(h2));
+        m.handle(&h2, StoreReq::Refresh);
         assert!(!m.vertex(0).unwrap().entries[0].1.matched);
         assert_eq!(m.last_seen(), 2);
     }
@@ -960,28 +922,23 @@ mod tests {
     #[test]
     fn overflow_stack() {
         let mut o = OverflowMachine::default();
-        o.handle(store(StoreReq::AddSuspended {
-            v: 3,
-            entries: vec![(7, Ann::free()), (8, Ann::free())],
-        }));
+        let entries = vec![(7, Ann::free()), (8, Ann::free())];
+        o.handle(&[], StoreReq::AddSuspended { v: 3, entries });
         assert_eq!(o.assigned(), Some(3));
         assert_eq!(o.len(), 2);
-        match o.handle(store(StoreReq::FetchSuspended { v: 3 })).unwrap() {
-            MatchMsg::FetchReply { entry, .. } => assert_eq!(entry.unwrap().0, 8),
+        match o.handle(&[], StoreReq::FetchSuspended { v: 3 }) {
+            Some((_, StoreAns::Fetch(entry))) => assert_eq!(entry.unwrap().0, 8),
             _ => panic!(),
         }
-        match o
-            .handle(store(StoreReq::DelEdge { at: 3, nbr: 7 }))
-            .unwrap()
-        {
-            MatchMsg::DelReply { found, alive, .. } => {
+        match o.handle(&[], StoreReq::DelEdge { at: 3, nbr: 7 }) {
+            Some((_, StoreAns::Del { found, alive })) => {
                 assert!(found);
                 assert!(!alive);
             }
             _ => panic!(),
         }
         assert!(o.is_empty());
-        o.handle(MatchMsg::ReleaseOverflow { v: 3 });
+        o.release(3);
         assert_eq!(o.assigned(), None);
     }
 
@@ -992,7 +949,7 @@ mod tests {
         let mut m = StorageMachine::new(0, 4, 8);
         assert_eq!(m.verts.memory_words(), (4usize * 13).div_ceil(8));
         for (at, nbr) in [(0, 5), (0, 6), (1, 5)] {
-            m.handle(add(at, nbr));
+            m.handle(&[], add(at, nbr));
         }
         // Vertex 0 grew in place at the tail (2 cells); vertex 1 opened a
         // segment behind it with `ENTRY_HEADROOM` spare cells (3 cells).
@@ -1004,7 +961,7 @@ mod tests {
         assert_eq!(m.memory_words(), 2 + 14);
         // A delete leaves its cell behind as a hole and drops its key.
         for nbr in [5, 6] {
-            m.handle(store(StoreReq::DelEdge { at: 0, nbr }));
+            m.handle(&[], StoreReq::DelEdge { at: 0, nbr });
         }
         assert_eq!((m.verts.nbr.len(), m.verts.live), (5, 1));
         assert_eq!(
@@ -1039,7 +996,7 @@ mod tests {
     #[should_panic(expected = "snapshot vertex 0 restored on the storage machine of 4..8")]
     fn restore_refuses_a_neighbours_snapshot() {
         let mut a = StorageMachine::new(0, 4, 8);
-        a.handle(add(0, 5));
+        a.handle(&[], add(0, 5));
         let mut b = StorageMachine::new(4, 8, 8);
         b.restore_text(&a.snapshot_text());
     }
@@ -1049,7 +1006,7 @@ mod tests {
     fn snapshot_text_follows_the_storage_protocol() {
         let mut m = StorageMachine::new(0, 4, 2);
         for (at, nbr) in [(0, 5), (0, 6), (1, 5), (2, 7), (0, 7)] {
-            m.handle(add(at, nbr));
+            m.handle(&[], add(at, nbr));
         }
         let free = NO_MATE;
         assert_eq!(
@@ -1066,10 +1023,10 @@ mod tests {
         // MakeHeavy moves the mate edge to the front and splits
         // positionally at tau = 2.
         let hist = vec![(1, HistEntry::MatchAdd(Edge::new(6, 0), true, true))];
-        m.handle(refresh(hist));
+        m.handle(&hist, StoreReq::Refresh);
         let mate = Some(6);
-        match m.handle(store(StoreReq::MakeHeavy { v: 0, mate })) {
-            Some(MatchMsg::MovedOut { entries, .. }) => assert_eq!(entries, [(7, Ann::free())]),
+        match m.handle(&[], StoreReq::MakeHeavy { v: 0, mate }) {
+            Some((_, StoreAns::MovedOut(entries))) => assert_eq!(entries, [(7, Ann::free())]),
             _ => panic!(),
         }
         let rest = format!(
@@ -1086,7 +1043,7 @@ mod tests {
         );
 
         // Order-preserving delete at the front of a segment.
-        m.handle(store(StoreReq::DelEdge { at: 0, nbr: 6 }));
+        m.handle(&[], StoreReq::DelEdge { at: 0, nbr: 6 });
         let text = m.snapshot_text();
         assert_eq!(
             text,

@@ -19,7 +19,7 @@ use dmpc_graph::streams::{self, Update};
 use dmpc_graph::{Edge, V};
 use dmpc_matching::maximal::coordinator::Coordinator;
 use dmpc_matching::maximal::msg::{
-    repair_entry, Ann, HistEntry, HistSlice, MatchMsg, StoreReq, NO_MATE,
+    repair_entry, Ann, HistEntry, HistSlice, StoreAns, StoreReq, NO_MATE,
 };
 use dmpc_matching::maximal::storage::{OverflowMachine, StorageMachine, StoreVertex};
 use dmpc_matching::maximal::Layout;
@@ -99,17 +99,6 @@ fn fold_kernel(entries: &mut [(V, Ann)], hist: &HistSlice, last_seen: u64) {
     }
 }
 
-/// A request behind an empty history slice.
-fn store(req: StoreReq) -> MatchMsg {
-    MatchMsg::Store { hist: vec![], req }
-}
-
-/// A refresh: nothing but the repair `hist` asks for.
-fn refresh(hist: HistSlice) -> MatchMsg {
-    let req = StoreReq::Refresh;
-    MatchMsg::Store { hist, req }
-}
-
 fn seen_after(hist: &HistSlice, last_seen: u64) -> u64 {
     hist.last()
         .map_or(last_seen, |&(seq, _)| seq.max(last_seen))
@@ -157,7 +146,7 @@ proptest! {
         }
         want.set_last_seen(seen_after(&hist, last_seen));
         got.set_last_seen(last_seen);
-        prop_assert!(got.handle(refresh(hist)).is_none());
+        prop_assert!(got.handle(&hist, StoreReq::Refresh).is_none());
         prop_assert_eq!(got.last_seen(), want.last_seen());
         prop_assert_eq!(got.snapshot_text(), want.snapshot_text());
         got.settle_index();
@@ -183,7 +172,7 @@ proptest! {
         fold_kernel(&mut repaired, &hist, last_seen);
         let mut want = OverflowMachine::default();
         want.load(3, repaired, seen_after(&hist, last_seen));
-        prop_assert!(got.handle(refresh(hist)).is_none());
+        prop_assert!(got.handle(&hist, StoreReq::Refresh).is_none());
         prop_assert_eq!(got.snapshot_text(), want.snapshot_text());
     }
 }
@@ -206,13 +195,14 @@ fn repair_handles_far_vertices_and_no_mate() {
             entries: vec![(far, matched_far), (5, Ann::free())],
         },
     );
-    m.handle(refresh(vec![
+    let hist = [
         (1, HistEntry::Heavy(far + 1)),
         (
             2,
             HistEntry::MatchAdd(Edge::new(5, NO_MATE - 1), true, false),
         ),
-    ]));
+    ];
+    m.handle(&hist, StoreReq::Refresh);
     let sv = m.vertex(0).unwrap();
     assert!(!sv.entries[0].1.mate_light);
     assert_eq!(
@@ -246,7 +236,7 @@ fn indexed_repair_tells_aliasing_neighbours_apart() {
         (3, HistEntry::MatchDel(Edge::new(twin, 4))),
         (4, HistEntry::MatchAdd(Edge::new(3, twin), true, true)),
     ];
-    m.handle(refresh(hist.clone()));
+    m.handle(&hist, StoreReq::Refresh);
     assert_eq!(m.audit_index(), Ok(()));
     for (v, nbrs) in start {
         let mut want: Vec<(V, Ann)> = nbrs.iter().map(|&n| (n, Ann::free())).collect();
@@ -263,9 +253,13 @@ fn indexed_repair_tells_aliasing_neighbours_apart() {
 /// `MatchAdd`/`MatchDel` slice served through it lands on the kernel fold.
 #[test]
 fn index_follows_the_storage_protocol() {
-    fn step(m: &mut StorageMachine, msg: MatchMsg) -> Option<MatchMsg> {
-        let what = format!("{msg:?}");
-        let reply = m.handle(msg);
+    fn step(
+        m: &mut StorageMachine,
+        hist: &[(u64, HistEntry)],
+        req: StoreReq,
+    ) -> Option<(V, StoreAns)> {
+        let what = format!("{hist:?} {req:?}");
+        let reply = m.handle(hist, req);
         assert_eq!(m.audit_index(), Ok(()), "after {what}");
         reply
     }
@@ -288,14 +282,14 @@ fn index_follows_the_storage_protocol() {
                 entries
             })
             .collect();
-        step(m, refresh(hist));
+        step(m, &hist, StoreReq::Refresh);
         for (v, want) in (0..4).zip(want) {
             assert_eq!(entries(m, v), want, "vertex {v}");
         }
     }
     let ann = Ann::free();
-    let add = |at, nbr| store(StoreReq::AddEdge { at, nbr, ann });
-    let del = |at, nbr| store(StoreReq::DelEdge { at, nbr });
+    let add = |at, nbr| StoreReq::AddEdge { at, nbr, ann };
+    let del = |at, nbr| StoreReq::DelEdge { at, nbr };
     let mut m = StorageMachine::new(0, 4, 2);
     for (at, nbr) in [
         (0, 5),
@@ -305,33 +299,33 @@ fn index_follows_the_storage_protocol() {
         (0, 5 + ALIAS),
         (3, 6),
     ] {
-        step(&mut m, add(at, nbr));
+        step(&mut m, &[], add(at, nbr));
     }
     refresh_matches_fold(&mut m);
-    let found = |reply| matches!(reply, Some(MatchMsg::DelReply { found: true, .. }));
-    assert!(found(step(&mut m, del(1, 5))));
-    assert!(!found(step(&mut m, del(1, 5 + ALIAS))));
+    let found = |reply| matches!(reply, Some((_, StoreAns::Del { found: true, .. })));
+    assert!(found(step(&mut m, &[], del(1, 5))));
+    assert!(!found(step(&mut m, &[], del(1, 5 + ALIAS))));
     // tau = 2: the mate edge moves to the front and `5` leaves the alive set.
     let mate = Some(5 + ALIAS);
-    match step(&mut m, store(StoreReq::MakeHeavy { v: 0, mate })) {
-        Some(MatchMsg::MovedOut { entries, .. }) => {
+    match step(&mut m, &[], StoreReq::MakeHeavy { v: 0, mate }) {
+        Some((_, StoreAns::MovedOut(entries))) => {
             assert_eq!((entries.len(), entries[0].0), (1, 5))
         }
         other => panic!("{other:?}"),
     }
-    step(&mut m, del(0, 6));
+    step(&mut m, &[], del(0, 6));
     let entry = (5, ann);
-    step(&mut m, store(StoreReq::AddAlive { at: 0, entry }));
+    step(&mut m, &[], StoreReq::AddAlive { at: 0, entry });
     refresh_matches_fold(&mut m);
 
     // A delete burst: 60 entries in, 56 out, so the arena compacts on the
     // way (a machine that never compacted would hold 60 cells or more).
     let words_before = m.memory_words();
     for nbr in 100..160 {
-        step(&mut m, add(3, nbr));
+        step(&mut m, &[], add(3, nbr));
     }
     for nbr in 104..160 {
-        step(&mut m, del(3, nbr));
+        step(&mut m, &[], del(3, nbr));
     }
     assert!(m.memory_words() < words_before + 60 * 9 / 8);
     refresh_matches_fold(&mut m);
