@@ -719,7 +719,7 @@ impl Coordinator {
     /// batch with its prefetch waves. A `MatchingSize` query is answered from
     /// the local counter (stashed for driver-side extraction, with zero
     /// outbound traffic). Anything else replies to the wave in flight.
-    pub fn handle(&mut self, msg: MatchMsg) -> Vec<(MachineId, MatchMsg)> {
+    pub(crate) fn handle(&mut self, msg: MatchMsg) -> Vec<(MachineId, MatchMsg)> {
         match msg {
             MatchMsg::Update(upd) => {
                 self.ctx = Ctx::default();

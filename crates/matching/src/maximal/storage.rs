@@ -666,10 +666,10 @@ impl StorageMachine {
                 let (free, steal) = self.verts.scan_heavy(z);
                 Some((z, StoreAns::ScanHeavy { free, steal }))
             }
-            StoreReq::MakeHeavy { v, mate } => Some((
-                v,
-                StoreAns::MovedOut(self.verts.make_heavy(v, mate, self.tau)),
-            )),
+            StoreReq::MakeHeavy { v, mate } => {
+                let entries = self.verts.make_heavy(v, mate, self.tau);
+                Some((v, StoreAns::MovedOut(entries)))
+            }
             StoreReq::AddAlive { at, entry } => {
                 self.verts.push_entry(at, entry.0, entry.1);
                 None
@@ -828,14 +828,8 @@ impl OverflowMachine {
                 debug_assert_eq!(self.assigned, Some(at));
                 let before = self.edges.len();
                 self.edges.retain(|&(x, _)| x != nbr);
-                let found = self.edges.len() < before;
-                Some((
-                    at,
-                    StoreAns::Del {
-                        found,
-                        alive: false,
-                    },
-                ))
+                let (found, alive) = (self.edges.len() < before, false);
+                Some((at, StoreAns::Del { found, alive }))
             }
             StoreReq::ScanFree { z, exclude } => {
                 debug_assert_eq!(self.assigned, Some(z));
