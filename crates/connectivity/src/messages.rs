@@ -353,16 +353,18 @@ mod tests {
     #[test]
     fn sizes_are_constant_words() {
         let e = Edge::new(0, 1);
-        assert!(
-            ConnMsg::Insert {
+        // An injected insert, then a replacement link's, which carries the
+        // k owners of the set it re-merges.
+        for k in [0, 1, 4] {
+            let insert = |known_owners| ConnMsg::Insert {
                 e,
                 w: 1,
                 lane: None,
-                known_owners: None
-            }
-            .size_words()
-                <= 16
-        );
+                known_owners,
+            };
+            assert_eq!(insert(None).size_words(), 3);
+            assert_eq!(insert(Some((0..k).collect())).size_words(), 3 + k as usize);
+        }
         assert_eq!(ConnMsg::Delete { e, lane: None }.size_words(), 2);
         // Lane ids pack into the op word: a laned message costs the same.
         assert_eq!(
@@ -389,6 +391,44 @@ mod tests {
             lane: None,
         };
         assert_eq!(ConnMsg::Apply(b).size_words(), 16);
+        // A searching cut's Apply costs what a link's does.
+        let cut = StructBroadcast {
+            reroot: None,
+            main: TourOp::Cut {
+                comp: 0,
+                x: 0,
+                y: 1,
+                fy: 2,
+                ly: 3,
+                new_comp: 1,
+            },
+            merged_size: 0,
+            x_after: 1,
+            edge: e,
+            weight: 0,
+            rendezvous: Some(3),
+            lane: Some(7),
+        };
+        assert_eq!(ConnMsg::Apply(cut).size_words(), 16);
+        // The non-tree entry's add and drop.
+        let add = ConnMsg::AddNonTree {
+            e,
+            w: 1,
+            at: 0,
+            cached_far: 2,
+        };
+        assert_eq!(add.size_words(), 5);
+        assert_eq!(ConnMsg::DelNonTree { e, at: 0 }.size_words(), 3);
+        // A migration's start, its boundary broadcast and its pacing kick.
+        let begin = ConnMsg::MigrateBegin {
+            to: 1,
+            lo: 0,
+            hi: 4,
+            budget: 64,
+        };
+        assert_eq!(begin.size_words(), 5);
+        assert_eq!(ConnMsg::Boundary { idx: 1, val: 4 }.size_words(), 3);
+        assert_eq!(ConnMsg::MigrateKick.size_words(), 1);
         // A searching cut's report: its candidate and its two side flags.
         let best = Some((e, 9));
         for lane in [None, Some(7)] {
@@ -420,7 +460,7 @@ mod tests {
         };
         assert_eq!(ConnMsg::Swap(s).size_words(), 15);
         // Neither grows the message the router copies.
-        assert!(std::mem::size_of::<ConnMsg>() <= 136);
+        assert!(std::mem::size_of::<ConnMsg>() <= 128);
     }
 
     #[test]

@@ -497,3 +497,38 @@ fn one_searching_cut_that_splits_costs_exactly() {
     ];
     assert_eq!(flows, want);
 }
+
+/// The exact cost of one link that reroots a multi-vertex absorbed side,
+/// at P = 11 (block 3). The path 6 - 9 - 12, rooted at 6, lies on machines
+/// 2, 3 and 4; the edge (0, 3), rooted at 0, on machines 0 and 1.
+/// Inserting (0, 12) starts at 0's owner, machine 0, which sends the
+/// `InsQuery` to 12's owner, machine 4 (8 words). Machine 4 fetches the
+/// two owner sets from the root owners, machines 0 and 2 (2 words each),
+/// which reply with the two sets (2 + 2 and 2 + 3). The absorbed side is
+/// rerooted at 12, so the link's 16-word Apply goes to machines 0 to 3;
+/// machine 4 then stores the merged set of five owners at machine 0 (2 +
+/// 5) and drops the absorbed id 6 at machine 2 (2).
+#[test]
+fn one_rerooting_link_costs_exactly() {
+    let params = DmpcParams::new(32, 160);
+    let mut alg = DmpcConnectivity::new(params);
+    assert_eq!(alg.driver().n_machines(), 11);
+    for (u, v) in [(6, 9), (9, 12), (0, 3)] {
+        assert!(alg.insert(Edge::new(u, v)).clean());
+    }
+    let m = alg.insert(Edge::new(0, 12));
+    alg.driver().audit().unwrap();
+    alg.driver().audit_directory().unwrap();
+    assert!(alg.connected(3, 6));
+    let (totals, flows) = cost_of(m);
+    assert_eq!(totals, (5, 11, 94, 5));
+    let want = [
+        ((0, 4), 12),
+        ((2, 4), 5),
+        ((4, 0), 25),
+        ((4, 1), 16),
+        ((4, 2), 20),
+        ((4, 3), 16),
+    ];
+    assert_eq!(flows, want);
+}

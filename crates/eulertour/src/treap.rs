@@ -402,7 +402,7 @@ mod tests {
             let rv = values(&t, r);
             assert_eq!(lv, (0..pos as u32).collect::<Vec<_>>());
             assert_eq!(rv, (pos as u32..20).collect::<Vec<_>>());
-            t.check_invariants(l).ok();
+            t.check_invariants(l).unwrap();
             t.check_invariants(r).unwrap();
         }
     }
@@ -417,6 +417,8 @@ mod tests {
             let rv = if r == NIL { vec![] } else { values(&t, r) };
             assert_eq!(lv, (0..=pos as u32).collect::<Vec<_>>());
             assert_eq!(rv, (pos as u32 + 1..20).collect::<Vec<_>>());
+            t.check_invariants(l).unwrap();
+            t.check_invariants(r).unwrap();
         }
     }
 
