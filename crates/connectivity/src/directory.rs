@@ -31,7 +31,7 @@
 //!   pre-cut component exactly, so the rendezvous hands the old set to the
 //!   link flow instead (its [`ConnMsg::Insert`] carries it) and no
 //!   refinement round is needed.
-//! * **MST swaps** (demote + re-link, one [`ConnMsg::Swap`]) leave the
+//! * **MST swaps** (demote + re-link, one [`Struct::Swap`]) leave the
 //!   owner set unchanged, so the set resolved once for the path-max query
 //!   rides along the whole swap ([`ConnMsg::StartSwap`] /
 //!   [`ConnMsg::NeedParentCut`]), and the swap stores it as a link does.
@@ -46,7 +46,7 @@
 //! [`ConnMsg::Report`]: crate::messages::ConnMsg::Report
 //! [`ConnMsg::Insert`]: crate::messages::ConnMsg::Insert
 //! [`ConnMsg::StartSwap`]: crate::messages::ConnMsg::StartSwap
-//! [`ConnMsg::Swap`]: crate::messages::ConnMsg::Swap
+//! [`Struct::Swap`]: crate::messages::Struct::Swap
 //! [`ConnMsg::NeedParentCut`]: crate::messages::ConnMsg::NeedParentCut
 //! [`CutReq`]: crate::messages::CutReq
 

@@ -10,8 +10,10 @@
 //!   and adjacency entries (tree entries carry their two tour indexes, the
 //!   paper's per-edge index annotation; non-tree entries carry a cached tour
 //!   index of the far endpoint used for O(1) side classification under cuts).
-//! * Every structural change is an O(1)-word [`dmpc_eulertour::indexed::TourOp`]
-//!   payload **multicast to the affected components' owner machines** (the
+//! * Every structural change is one O(1)-word [`messages::Struct`] — a typed
+//!   [`Link`](dmpc_eulertour::indexed::Link) or
+//!   [`Cut`](dmpc_eulertour::indexed::Cut), or an MST swap's fused pair —
+//!   **multicast to the affected components' owner machines** (the
 //!   component-owner directory; see `directory`), which each recipient applies
 //!   locally — O(1) rounds, O(sqrt N) active machines, O(sqrt N) total
 //!   communication per update, exactly the paper's Table 1 rows 4 and 5.

@@ -27,12 +27,10 @@
 
 use crate::batch::{BatchCtl, BatchItem, BatchMsg, ConflictStats, StructItem, BATCH_CTRL};
 use crate::directory::{DirMsg, Directory};
-use crate::messages::{
-    ConnMsg, CutReq, PathSpans, Relink, StructBroadcast, SwapBroadcast, VertexInfo,
-};
+use crate::messages::{ConnMsg, CutReq, PathSpans, Relink, Struct, VertexInfo};
 use crate::query::{QueryPlane, Reader};
 use crate::shard::Shard;
-use dmpc_eulertour::indexed::{CompId, TourOp};
+use dmpc_eulertour::indexed::{CompId, Cut, Link};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, QueryAnswer, Update, Weight, V};
 use dmpc_mpc::handoff::Outcome;
@@ -761,21 +759,17 @@ impl ConnMachine {
         out: &mut Outbox<ConnMsg>,
     ) {
         let y = self.verts.info(e.other(x.v));
-        let (reroot, main) = link_ops(x, &y);
-        let b = StructBroadcast {
-            reroot,
-            main,
+        let (reroot_l_y, link) = link_of(x, &y);
+        let s = Struct::Link {
+            link,
+            reroot_l_y,
             merged_size: x.size + y.size,
-            x_after: 0,
-            edge: e,
             weight: w,
-            rendezvous: None,
-            lane,
         };
         for m in self.audience(&union) {
-            out.send(m, ConnMsg::Apply(b));
+            out.send(m, ConnMsg::Apply(s));
         }
-        self.verts.apply_struct(&b);
+        self.verts.apply(&s);
         self.store_merged(x.comp, y.comp, union, out);
         self.signal_struct_done(lane, out);
     }
@@ -896,7 +890,7 @@ impl ConnMachine {
             .filter(|&s| s != fy - 1 && s != ly + 1)
             .map(|s| if s > ly { s - span } else { s });
         let x_after = kept.next().unwrap_or(0);
-        let main = TourOp::Cut {
+        let cut = Cut {
             comp,
             x: parent,
             y: child,
@@ -907,16 +901,12 @@ impl ConnMachine {
         if let Some(r) = relink {
             debug_assert!(lane.is_none(), "MST mode has no batched path");
             let x_last = kept.last().unwrap_or(x_after);
-            return self.swap(main, (x_after, x_last), r, owners, out);
+            return self.swap(cut, (x_after, x_last), r, owners, out);
         }
-        let b = StructBroadcast {
-            reroot: None,
-            main,
-            merged_size: 0,
+        let s = Struct::Cut {
+            cut,
             x_after,
-            edge: e,
-            weight: 0,
-            rendezvous: Some(self.id),
+            rendezvous: self.id,
             lane,
         };
         let wait = Wait::Cut(PendingCut {
@@ -925,9 +915,9 @@ impl ConnMachine {
             old_owners: owners,
             lane,
         });
-        let o = self.verts.apply_struct(&b);
+        let o = self.verts.apply(&s);
         let local = (self.id, o.best, Some([o.owns_parent, o.owns_child]));
-        self.rendezvous(ConnMsg::Apply(b), wait, local, out);
+        self.rendezvous(ConnMsg::Apply(s), wait, local, out);
     }
 
     /// The one rendezvous step: multicasts `query` to the wait's remote
@@ -981,27 +971,24 @@ impl ConnMachine {
     /// endpoint and knows its span `(x_after, x_last)` after the cut. It
     /// places both endpoints of the new edge after the cut from their
     /// pre-cut spans, builds the link [`Self::link`] would build there,
-    /// multicasts cut and link as one [`ConnMsg::Swap`], applies it, and
+    /// multicasts cut and link as one [`Struct::Swap`], applies it, and
     /// sends the directory stores the link would send.
     fn swap(
         &mut self,
-        cut: TourOp,
+        cut: Cut,
         (x_after, x_last): (TourIx, TourIx),
         r: Relink,
         owners: Vec<MachineId>,
         out: &mut Outbox<ConnMsg>,
     ) {
-        let TourOp::Cut {
+        let Cut {
             comp,
             x: parent,
             y: child,
             fy,
             ly,
             ..
-        } = cut
-        else {
-            unreachable!("a swap cuts with a cut")
-        };
+        } = cut;
         let size = self.verts.size_of(parent);
         // The detached side: the child's subtree, of k vertices.
         let k = (ly - fy).div_ceil(4);
@@ -1029,19 +1016,18 @@ impl ConnMachine {
         };
         let x = after(r.e.u, r.spans[0]);
         let y = after(r.e.v, r.spans[1]);
-        let (reroot, link) = link_ops(&x, &y);
-        let s = SwapBroadcast {
+        let (reroot_l_y, link) = link_of(&x, &y);
+        let s = Struct::Swap {
             cut,
             x_after,
             link,
-            // A link reroots y's side at y.
-            reroot_l_y: reroot.map(|_| y.l),
+            reroot_l_y,
             weight: r.w,
         };
         for m in self.audience(&owners) {
-            out.send(m, ConnMsg::Swap(s));
+            out.send(m, ConnMsg::Apply(s));
         }
-        self.verts.apply_swap(&s);
+        self.verts.apply(&s);
         self.store_merged(x.comp, y.comp, owners, out);
     }
 
@@ -1281,8 +1267,7 @@ impl ConnMachine {
             }
             ConnMsg::Dir(DirMsg::Fetch { .. } | DirMsg::Reply { .. })
             | ConnMsg::Report { .. }
-            | ConnMsg::Apply(_)
-            | ConnMsg::Swap(_) => {
+            | ConnMsg::Apply(_) => {
                 unreachable!("handled before dispatch")
             }
             ConnMsg::Dir(DirMsg::Store { comp, owners }) => self.load_dir_entry(comp, owners),
@@ -1357,27 +1342,12 @@ fn absorb(acc: &mut Vec<MachineId>, set: Vec<MachineId>) {
     }
 }
 
-/// The link of `x`'s and `y`'s components, `y`'s absorbed, as a link
-/// multicasts it: `y`'s tree rerooted at `y` unless `y` is its root, then
-/// spliced in after `f(x)`.
-fn link_ops(x: &VertexInfo, y: &VertexInfo) -> (Option<TourOp>, TourOp) {
-    let reroot = (y.size > 1 && y.f != 1).then_some(TourOp::Reroot {
-        comp: y.comp,
-        elen: 4 * (y.size - 1),
-        l_y: y.l,
-        y: y.v,
-    });
-    // Erratum fix: splice position 0 when x is the root of its tree.
-    let fx = if x.f <= 1 { 0 } else { x.f };
-    let main = TourOp::Link {
-        a: x.comp,
-        b: y.comp,
-        x: x.v,
-        y: y.v,
-        fx,
-        elen_b: 4 * (y.size - 1),
-    };
-    (reroot, main)
+/// The link of `x`'s and `y`'s components, `y`'s absorbed ([`Link::new`]),
+/// as it travels: the reroot of `y`'s side as its `l(y)`, then the link.
+fn link_of(x: &VertexInfo, y: &VertexInfo) -> (Option<TourIx>, Link) {
+    let elen_b = 4 * (y.size - 1);
+    let (reroot, link) = Link::new(x.comp, x.v, x.f, y.comp, y.v, elen_b, (y.f, y.l));
+    (reroot.map(|r| r.l_y), link)
 }
 
 /// The path maximum of some candidates, the one order the update path and
@@ -1406,18 +1376,17 @@ impl Machine for ConnMachine {
         // from pre-dispatch state), then everything else. The inbox is
         // partitioned in place: the first pass consumes what it handles.
         inbox.retain(|env| match env.msg {
-            ConnMsg::Apply(b) => {
-                let o = self.verts.apply_struct(&b);
-                if let Some(r) = b.rendezvous {
-                    debug_assert_ne!(r, self.id, "the rendezvous applies locally");
+            ConnMsg::Apply(s) => {
+                let o = self.verts.apply(&s);
+                if let Struct::Cut {
+                    rendezvous, lane, ..
+                } = s
+                {
+                    debug_assert_ne!(rendezvous, self.id, "the rendezvous applies locally");
                     let sides = Some([o.owns_parent, o.owns_child]);
-                    let (best, lane) = (o.best, b.lane);
-                    out.send(r, ConnMsg::Report { best, sides, lane });
+                    let best = o.best;
+                    out.send(rendezvous, ConnMsg::Report { best, sides, lane });
                 }
-                false
-            }
-            ConnMsg::Swap(s) => {
-                self.verts.apply_swap(&s);
                 false
             }
             // Partition-table shifts apply before anything else this

@@ -3,7 +3,7 @@
 use crate::batch::BatchMsg;
 use crate::directory::DirMsg;
 use crate::query::QueryMsg;
-use dmpc_eulertour::indexed::{CompId, TourOp};
+use dmpc_eulertour::indexed::{CompId, Cut, Link};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, Weight, V};
 use dmpc_mpc::{HandoffMsg, MachineId, Payload};
@@ -71,59 +71,64 @@ pub struct CutReq {
     pub ly: TourIx,
     /// `None`: a deleting cut, which searches for a replacement. `Some`: an
     /// MST swap, which keeps `e` as a non-tree edge and links the new edge
-    /// in the same multicast ([`ConnMsg::Swap`]).
+    /// in the same multicast ([`Struct::Swap`]).
     pub relink: Option<Relink>,
     /// Batch lane of this flow: signal completion with it.
     pub lane: Option<u32>,
 }
 
-/// The O(1)-word structural-change payload, multicast to the affected
-/// components' owner machines only (found through the root-owner
-/// directory, see `directory.rs`).
+/// One structural change as an O(1)-word multicast: the payload of
+/// [`ConnMsg::Apply`], sent to the affected components' owner machines only
+/// (found through the root-owner directory, see `directory.rs`), each of
+/// which applies it to its own tour indexes (`Shard::apply`). Each variant
+/// carries only what its receivers read.
 #[derive(Clone, Copy, Debug)]
-pub struct StructBroadcast {
-    /// Optional reroot of the absorbed side (links only).
-    pub reroot: Option<TourOp>,
-    /// The main op: a link or a cut.
-    pub main: TourOp,
-    /// Merged component size (links) — the absorbed side cannot derive it.
-    pub merged_size: u64,
-    /// Valid tour index of the cut's parent endpoint after the cut
-    /// (0 if it becomes a singleton); repairs cached far-endpoint indexes.
-    pub x_after: TourIx,
-    /// The graph edge being linked or cut.
-    pub edge: Edge,
-    /// Weight of a linked edge (1 in plain connectivity).
-    pub weight: Weight,
-    /// For cuts: the rendezvous machine for the replacement search; `None`
-    /// disables the search. A cut always deletes its edge (an MST swap's
-    /// demote travels as a [`SwapBroadcast`]).
-    pub rendezvous: Option<MachineId>,
-    /// Batch lane of the originating flow, echoed in the [`ConnMsg::Report`]s
-    /// so replies from concurrently running conflict groups never cross-talk.
-    pub lane: Option<u32>,
-}
-
-/// An MST swap as one O(1)-word multicast: the cut of a tree edge that
-/// keeps it as a non-tree edge (a demote), and the link of the inserted edge
-/// that rejoins the two sides, in post-cut indexes. Every owner applies the
-/// pair in one sweep (`Shard::apply_swap`), to the state the two
-/// broadcasts would leave one after the other.
-#[derive(Clone, Copy, Debug)]
-pub struct SwapBroadcast {
-    /// The demote: a [`TourOp::Cut`].
-    pub cut: TourOp,
-    /// The cut's parent endpoint's least tour index after the cut, as in
-    /// [`StructBroadcast::x_after`].
-    pub x_after: TourIx,
-    /// The re-link: a [`TourOp::Link`] of the two sides the cut makes.
-    pub link: TourOp,
-    /// `l(y)` of the link's `y` after the cut, when `y`'s side is first
-    /// rerooted at `y` (the reroot's component and tour length are the
-    /// link's `b` and `elen_b`).
-    pub reroot_l_y: Option<TourIx>,
-    /// Weight of the linked edge.
-    pub weight: Weight,
+pub enum Struct {
+    /// A link of two components.
+    Link {
+        /// The splice of the absorbed side `link.b` into `link.a`.
+        link: Link,
+        /// `l(y)` of the link's `y` when `y`'s side is first rerooted at `y`
+        /// (the reroot's component and tour length are the link's `b` and
+        /// `elen_b`).
+        reroot_l_y: Option<TourIx>,
+        /// Merged component size: the absorbed side cannot derive it.
+        merged_size: u64,
+        /// Weight of the linked edge (1 in plain connectivity).
+        weight: Weight,
+    },
+    /// A deleting cut, which searches for a replacement: every owner
+    /// reports its candidate and its sides to `rendezvous`.
+    Cut {
+        /// The cut.
+        cut: Cut,
+        /// Least tour index of the cut's parent endpoint after the cut (0 if
+        /// it becomes a singleton); repairs cached far-endpoint indexes.
+        x_after: TourIx,
+        /// The machine that gathers the replacement search's reports.
+        rendezvous: MachineId,
+        /// Batch lane of the originating flow, echoed in the
+        /// [`ConnMsg::Report`]s so replies from concurrently running
+        /// conflict groups never cross-talk.
+        lane: Option<u32>,
+    },
+    /// An MST swap: the cut of a tree edge that keeps it as a non-tree edge
+    /// (a demote), and the link of the inserted edge that rejoins the two
+    /// sides, in post-cut indexes. Every owner applies the pair in one
+    /// sweep, to the state the cut and the link would leave one after the
+    /// other.
+    Swap {
+        /// The demote.
+        cut: Cut,
+        /// As a cut's `x_after`.
+        x_after: TourIx,
+        /// The re-link of the two sides the cut makes.
+        link: Link,
+        /// As a link's `reroot_l_y`, after the cut.
+        reroot_l_y: Option<TourIx>,
+        /// Weight of the linked edge.
+        weight: Weight,
+    },
 }
 
 /// Protocol messages. The `lane` tags mark messages belonging to the
@@ -140,8 +145,8 @@ pub struct SwapBroadcast {
 /// Owner-set payloads (`Vec<MachineId>`) are O(active machines) = O(sqrt N)
 /// words and only ever travel in point-to-point messages (directory fetches
 /// and stores, replacement hand-offs), never inside a multicast — the
-/// multicasts [`ConnMsg::Apply`] and [`ConnMsg::Swap`] stay O(1) words,
-/// keeping the per-update communication at O(sqrt N) total.
+/// multicast [`ConnMsg::Apply`] stays O(1) words, keeping the per-update
+/// communication at O(sqrt N) total.
 #[derive(Clone, Debug)]
 pub enum ConnMsg {
     /// Injected: insert edge `e` with weight `w`. A cut's rendezvous sends
@@ -212,9 +217,7 @@ pub enum ConnMsg {
         owners: Option<Vec<MachineId>>,
     },
     /// Multicast to the affected owner set: apply a structural change.
-    Apply(StructBroadcast),
-    /// Multicast to the component's owner set: apply an MST swap.
-    Swap(SwapBroadcast),
+    Apply(Struct),
     /// machine -> rendezvous: one owner's reply to a searching cut's
     /// [`ConnMsg::Apply`] or to a [`ConnMsg::PathMaxQuery`].
     Report {
@@ -307,12 +310,13 @@ impl Payload for ConnMsg {
             ConnMsg::NeedParentCut { req, owners } => {
                 9 + req.relink.map_or(0, |_| 4) + owners.as_ref().map_or(0, Vec::len)
             }
-            // reroot (4) + main (6) + size/x_after/edge/weight/rdv, and the
-            // word that tags `main` a link or a cut.
-            ConnMsg::Apply(_) => 16,
             // cut (6) + link (6) + x_after/reroot l_y/weight: no size, as
             // every member keeps its own.
-            ConnMsg::Swap(_) => 15,
+            ConnMsg::Apply(Struct::Swap { .. }) => 15,
+            // A link or a cut at the fixed width the two once shared: a
+            // reroot (4) + the op (6) + size/x_after/edge/weight/rendezvous,
+            // and the word that tags the op a link or a cut.
+            ConnMsg::Apply(_) => 16,
             // A cut's report adds its two side flags.
             ConnMsg::Report { sides, .. } => 3 + sides.map_or(0, |_| 2),
             // path (5) + rendezvous + op word.
@@ -372,44 +376,41 @@ mod tests {
             ConnMsg::Delete { e, lane: None }.size_words()
         );
         // The multicast payload itself stays O(1) words: owner sets never
-        // travel inside an Apply.
-        let b = StructBroadcast {
-            reroot: None,
-            main: dmpc_eulertour::indexed::TourOp::Link {
-                a: 0,
-                b: 1,
-                x: 0,
-                y: 1,
-                fx: 0,
-                elen_b: 0,
-            },
-            merged_size: 2,
-            x_after: 0,
-            edge: e,
-            weight: 1,
-            rendezvous: None,
-            lane: None,
+        // travel inside an Apply. A link costs the same with or without
+        // the reroot of its absorbed side.
+        let link = Link {
+            a: 0,
+            b: 1,
+            x: 0,
+            y: 3,
+            fx: 0,
+            elen_b: 4,
         };
-        assert_eq!(ConnMsg::Apply(b).size_words(), 16);
+        for reroot_l_y in [None, Some(3)] {
+            let b = Struct::Link {
+                link,
+                reroot_l_y,
+                merged_size: 3,
+                weight: 1,
+            };
+            assert_eq!(ConnMsg::Apply(b).size_words(), 16);
+        }
         // A searching cut's Apply costs what a link's does.
-        let cut = StructBroadcast {
-            reroot: None,
-            main: TourOp::Cut {
-                comp: 0,
-                x: 0,
-                y: 1,
-                fy: 2,
-                ly: 3,
-                new_comp: 1,
-            },
-            merged_size: 0,
+        let cut = Cut {
+            comp: 0,
+            x: 0,
+            y: 1,
+            fy: 2,
+            ly: 5,
+            new_comp: 1,
+        };
+        let b = Struct::Cut {
+            cut,
             x_after: 1,
-            edge: e,
-            weight: 0,
-            rendezvous: Some(3),
+            rendezvous: 3,
             lane: Some(7),
         };
-        assert_eq!(ConnMsg::Apply(cut).size_words(), 16);
+        assert_eq!(ConnMsg::Apply(b).size_words(), 16);
         // The non-tree entry's add and drop.
         let add = ConnMsg::AddNonTree {
             e,
@@ -437,29 +438,15 @@ mod tests {
         }
         // An MST swap's cut and link travel as one multicast, with the
         // reroot folded into one word and no size.
-        let s = SwapBroadcast {
-            cut: TourOp::Cut {
-                comp: 0,
-                x: 0,
-                y: 1,
-                fy: 2,
-                ly: 5,
-                new_comp: 1,
-            },
+        let s = Struct::Swap {
+            cut,
             x_after: 1,
-            link: TourOp::Link {
-                a: 0,
-                b: 1,
-                x: 0,
-                y: 3,
-                fx: 0,
-                elen_b: 4,
-            },
+            link,
             reroot_l_y: Some(3),
             weight: 1,
         };
-        assert_eq!(ConnMsg::Swap(s).size_words(), 15);
-        // Neither grows the message the router copies.
+        assert_eq!(ConnMsg::Apply(s).size_words(), 15);
+        // No variant grows the message the router copies.
         assert!(std::mem::size_of::<ConnMsg>() <= 128);
     }
 

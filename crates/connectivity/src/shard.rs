@@ -23,13 +23,13 @@
 //! A structural op (a link, a cut, an MST swap's demote and link) is one
 //! `Relabel`, the arithmetic map the paper's §5 makes of it: a side rule,
 //! then per side an id, a size rule and one piecewise `Shift` of indexes.
-//! One sweep applies it in place ([`Shard::apply_struct`],
-//! [`Shard::apply_swap`]); the `oracle` test module defines what an op does
-//! to one vertex, which the sweep is differentially tested against. Every
-//! fold over entries (replacement candidates, path maxima) uses an explicit
-//! total-order tie-break, so results never depend on arena order. Snapshot
-//! emission sorts by vertex and far endpoint, so `snapshot_text` (and
-//! therefore every `state_digest`) is a function of the logical state only —
+//! One sweep applies it in place ([`Shard::apply`]); the `oracle` test
+//! module defines what an op does to one vertex, which the sweep is
+//! differentially tested against. Every fold over entries (replacement
+//! candidates, path maxima) uses an explicit total-order tie-break, so
+//! results never depend on arena order. Snapshot emission sorts by vertex
+//! and far endpoint, so `snapshot_text` (and therefore every
+//! `state_digest`) is a function of the logical state only —
 //! relocations, compactions and migrations never move it
 //! (`tests/golden_digests.rs` pins the digests).
 //!
@@ -38,8 +38,8 @@
 //! Migrations shift the range; the interner rebases (rare, O(block) work)
 //! rather than paying a hash per access on the hot path.
 
-use crate::messages::{PathSpans, StructBroadcast, SwapBroadcast, VertexInfo};
-use dmpc_eulertour::indexed::{CompId, TourOp};
+use crate::messages::{PathSpans, Struct, VertexInfo};
+use dmpc_eulertour::indexed::{CompId, Cut, Link};
 use dmpc_eulertour::TourIx;
 use dmpc_graph::{Edge, Weight, V};
 use dmpc_mpc::text::{put_field, Fields, Sink};
@@ -262,18 +262,35 @@ struct Relabel {
 }
 
 impl Relabel {
-    /// A link or a cut.
-    fn of_struct(b: &StructBroadcast) -> Relabel {
-        match b.main {
-            TourOp::Link { b: bc, .. } => {
-                let l_y = b.reroot.map(|r| match r {
-                    TourOp::Reroot { comp, l_y, .. } if comp == bc => l_y,
-                    _ => unreachable!("a link reroots the side it absorbs"),
-                });
-                Relabel::link(b.main, l_y, Size::Set(b.merged_size as u32))
+    /// A link, a cut, or an MST swap: its demote, then the link that
+    /// rejoins the two sides.
+    fn of(s: &Struct) -> Relabel {
+        match *s {
+            Struct::Link {
+                link,
+                reroot_l_y,
+                merged_size,
+                ..
+            } => Relabel::link(link, reroot_l_y, Size::Set(merged_size as u32)),
+            Struct::Cut { cut, x_after, .. } => Relabel::cut(cut, x_after, None, true),
+            Struct::Swap {
+                cut,
+                x_after,
+                link,
+                reroot_l_y,
+                ..
+            } => {
+                // Every member takes the link's id and keeps its size.
+                let mut r = Relabel::link(link, reroot_l_y, Size::Sub(0));
+                // The link keeps the side holding its `x`: the detached one
+                // iff it takes the child's id.
+                if link.a == cut.new_comp {
+                    r.shift.reverse();
+                    r.zero.reverse();
+                    r.rerooted.reverse();
+                }
+                Relabel::cut(cut, x_after, Some(r), false)
             }
-            TourOp::Cut { .. } => Relabel::cut(b.main, b.x_after, None, b.rendezvous.is_some()),
-            TourOp::Reroot { .. } => unreachable!("reroot is never a main op"),
         }
     }
 
@@ -282,13 +299,10 @@ impl Relabel {
     /// `fx + 1`, first rerooted at `l_y` when given. The reroot is
     /// `map_reroot`'s rotation of `1..=elen_b`: the indexes from `l_y` on
     /// come first.
-    fn link(link: TourOp, reroot_l_y: Option<TourIx>, size: Size) -> Relabel {
-        let TourOp::Link {
+    fn link(link: Link, reroot_l_y: Option<TourIx>, size: Size) -> Relabel {
+        let Link {
             a, b, fx, elen_b, ..
-        } = link
-        else {
-            unreachable!("linking with a link")
-        };
+        } = link;
         let (fx, elen_b) = (ix32(fx), ix32(elen_b));
         let shift_b = match reroot_l_y.map(ix32) {
             Some(l_y) => Shift::past(elen_b - l_y + fx + 3, l_y - 1, elen_b.wrapping_neg()),
@@ -308,37 +322,17 @@ impl Relabel {
         }
     }
 
-    /// An MST swap: its demote, then the link that rejoins the two sides.
-    /// Every member takes the link's id and keeps its size.
-    fn of_swap(s: &SwapBroadcast) -> Relabel {
-        let (TourOp::Cut { new_comp, .. }, TourOp::Link { a, .. }) = (s.cut, s.link) else {
-            unreachable!("a swap is a cut and a link")
-        };
-        let mut r = Relabel::link(s.link, s.reroot_l_y, Size::Sub(0));
-        // The link keeps the side holding its `x`: the detached one iff it
-        // takes the child's id.
-        if a == new_comp {
-            r.shift.reverse();
-            r.zero.reverse();
-            r.rerooted.reverse();
-        }
-        Relabel::cut(s.cut, s.x_after, Some(r), false)
-    }
-
     /// `cut`, then `then`, a relabel of its two sides in post-cut indexes:
     /// by default the identity, with the cut's ids and sizes.
-    fn cut(cut: TourOp, x_after: TourIx, then: Option<Relabel>, searching: bool) -> Relabel {
-        let TourOp::Cut {
+    fn cut(cut: Cut, x_after: TourIx, then: Option<Relabel>, searching: bool) -> Relabel {
+        let Cut {
             comp,
             x,
             y,
             fy,
             ly,
             new_comp,
-        } = cut
-        else {
-            unreachable!("cutting with a cut")
-        };
+        } = cut;
         let (fy, ly) = (ix32(fy), ix32(ly));
         let k = (ly - fy).div_ceil(4);
         let mut r = then.unwrap_or(Relabel {
@@ -1034,28 +1028,20 @@ impl Shard {
         self.enforce_soft_cap();
     }
 
-    /// Applies a structural op to all owned state; returns the local
-    /// replacement candidate and split-side membership (cuts): the sweep
-    /// over every slot, then the cut/link entry materialization at owned
-    /// endpoints.
-    pub fn apply_struct(&mut self, b: &StructBroadcast) -> ApplyOutcome {
-        let outcome = self.sweep(&Relabel::of_struct(b));
-        self.materialize_edge(b);
+    /// Applies a structural change to all owned state; returns the local
+    /// replacement candidate and split-side membership (cuts). An MST
+    /// swap's demoted edge first turns non-tree at its owned endpoints; then
+    /// the sweep maps every slot and entry, and the edge materialization
+    /// puts a link's entries in or takes a cut's out.
+    pub fn apply(&mut self, s: &Struct) -> ApplyOutcome {
+        let r = Relabel::of(s);
+        if let Struct::Swap { cut, .. } = *s {
+            // The sweep writes the final index and component.
+            self.demote(cut.x, cut.y, [(0, cut.comp); 2]);
+        }
+        let outcome = self.sweep(&r);
+        self.materialize_edge(s);
         outcome
-    }
-
-    /// Applies an MST swap to all owned state: a cut that keeps its edge as
-    /// a non-tree edge (a demote), then the link of the inserted edge. The
-    /// demoted edge's entries turn non-tree, one sweep maps every slot and
-    /// entry, and the linked edge's entries go in.
-    pub fn apply_swap(&mut self, s: &SwapBroadcast) {
-        let r = Relabel::of_swap(s);
-        let [(x, _), (y, _)] = r.ends;
-        // The sweep writes the final index and component.
-        self.demote(x, y, [(0, r.ids[0]); 2]);
-        self.sweep(&r);
-        self.materialize_link(s.link, s.weight);
-        self.enforce_soft_cap();
     }
 
     /// Turns tree edge `(x, y)`'s entries at its owned endpoints into
@@ -1072,37 +1058,33 @@ impl Shard {
         }
     }
 
-    /// Materializes a link's tree entries at its owned endpoints.
-    fn materialize_link(&mut self, link: TourOp, w: Weight) {
-        let TourOp::Link {
-            x, y, fx, elen_b, ..
-        } = link
-        else {
-            unreachable!("materializing a link")
-        };
-        for (v, far, lo, hi) in [
-            (x, y, fx + 1, fx + elen_b + 4),
-            (y, x, fx + 2, fx + elen_b + 3),
-        ] {
-            if self.contains(v) {
-                self.adj_set(v, far, EntryKind::Tree { lo, hi }, w);
+    /// Materializes a link's (or a swap's re-link's) tree entries, or
+    /// removes a cut's, at owned endpoints.
+    fn materialize_edge(&mut self, s: &Struct) {
+        match *s {
+            Struct::Link { link, weight, .. } | Struct::Swap { link, weight, .. } => {
+                let Link {
+                    x, y, fx, elen_b, ..
+                } = link;
+                for (v, far, lo, hi) in [
+                    (x, y, fx + 1, fx + elen_b + 4),
+                    (y, x, fx + 2, fx + elen_b + 3),
+                ] {
+                    if self.contains(v) {
+                        self.adj_set(v, far, EntryKind::Tree { lo, hi }, weight);
+                    }
+                }
             }
-        }
-    }
-
-    /// Materializes a link's tree entries, or removes a cut's, at owned
-    /// endpoints.
-    fn materialize_edge(&mut self, b: &StructBroadcast) {
-        match b.main {
-            TourOp::Link { .. } => self.materialize_link(b.main, b.weight),
-            TourOp::Cut { x, y, .. } => {
+            Struct::Cut {
+                cut: Cut { x, y, .. },
+                ..
+            } => {
                 for (v, far) in [(x, y), (y, x)] {
                     if self.contains(v) {
                         self.adj_remove(v, far);
                     }
                 }
             }
-            TourOp::Reroot { .. } => unreachable!("reroot is never a main op"),
         }
         self.enforce_soft_cap();
     }
@@ -1794,7 +1776,7 @@ mod tests {
         // The maps of a link of a side `a` at `fx` and a side `b` of
         // `elen_b` indexes, `b` first rerooted at `l_y` when given.
         let link = |fx: u32, elen_b: u32, l_y: Option<u32>| {
-            let op = TourOp::Link {
+            let op = Link {
                 a: 0,
                 b: 1,
                 x: 0,

@@ -1,14 +1,13 @@
 //! The per-vertex definition of a structural op, kept as the differential
-//! oracle of the in-place kernels ([`Shard::apply_struct`],
-//! [`Shard::apply_swap`], [`Shard::path_max`]): the index arithmetic as
-//! pure functions over one vertex's core fields and one adjacency entry,
-//! the two scans written as plain folds of them, and the tests that hold
-//! the kernels to them. An MST swap has no definition of its own: it is
-//! the fold of its cut with the edge demoted instead of removed, followed
-//! by the fold of its link.
+//! oracle of the in-place kernels ([`Shard::apply`], [`Shard::path_max`]):
+//! the index arithmetic as pure functions over one vertex's core fields and
+//! one adjacency entry, the two scans written as plain folds of them, and
+//! the tests that hold the kernels to them. An MST swap has no definition
+//! of its own: it is the fold of its cut with the edge demoted instead of
+//! removed, followed by the fold of its link.
 
 use super::*;
-use dmpc_eulertour::indexed::{apply_op_to_vertex, map_reroot};
+use dmpc_eulertour::indexed::{apply_op_to_vertex, map_reroot, Reroot, TourOp};
 
 /// Per-vertex membership flags computed by [`update_core`], consumed by
 /// [`rewrite_entry`] for every adjacency entry of that vertex.
@@ -26,11 +25,28 @@ pub(super) struct VertFlags {
     my_detached: bool,
 }
 
-/// Applies the broadcast's reroot + main op to one vertex's component id,
-/// size and tour-index list (the per-vertex "core"). Returns the membership
-/// flags the per-entry rewrite needs.
+/// The reroot a link's absorbed side takes first, if any.
+fn reroot_of(s: &Struct) -> Option<Reroot> {
+    match *s {
+        Struct::Link {
+            link,
+            reroot_l_y: Some(l_y),
+            ..
+        } => Some(Reroot {
+            comp: link.b,
+            elen: link.elen_b,
+            l_y,
+            y: link.y,
+        }),
+        _ => None,
+    }
+}
+
+/// Applies a link (its reroot first) or a cut to one vertex's component
+/// id, size and tour-index list (the per-vertex "core"). Returns the
+/// membership flags the per-entry rewrite needs.
 pub(super) fn update_core(
-    b: &StructBroadcast,
+    s: &Struct,
     v: V,
     comp: &mut CompId,
     size: &mut u64,
@@ -39,36 +55,32 @@ pub(super) fn update_core(
     let mut fl = VertFlags::default();
     // 1. Reroot (links only): a bijection on the absorbed component's
     // index space. Never changes the component id.
-    if let Some(r @ TourOp::Reroot { comp: rc, .. }) = b.reroot {
-        if *comp == rc {
+    if let Some(r) = reroot_of(s) {
+        if *comp == r.comp {
             fl.reroot_member = true;
-            apply_op_to_vertex(&r, v, *comp, idx);
+            apply_op_to_vertex(&TourOp::Reroot(r), v, *comp, idx);
         }
     }
-    // 2. Main op.
-    match b.main {
-        TourOp::Link { a, b: bc, .. } => {
+    // 2. The link or the cut.
+    match *s {
+        Struct::Link {
+            link, merged_size, ..
+        } => {
             let old = *comp;
-            if old == a || old == bc {
+            if old == link.a || old == link.b {
                 fl.link_member = true;
-                fl.link_from_b = old == bc;
-                *comp = apply_op_to_vertex(&b.main, v, old, idx);
-                *size = b.merged_size;
+                fl.link_from_b = old == link.b;
+                *comp = apply_op_to_vertex(&TourOp::Link(link), v, old, idx);
+                *size = merged_size;
             }
         }
-        TourOp::Cut {
-            comp: c,
-            fy,
-            ly,
-            new_comp,
-            ..
-        } => {
-            if *comp == c {
+        Struct::Cut { cut, .. } => {
+            if *comp == cut.comp {
                 fl.was_member = true;
-                let k_sub = (ly - fy).div_ceil(4);
+                let k_sub = (cut.ly - cut.fy).div_ceil(4);
                 let old_size = *size;
-                *comp = apply_op_to_vertex(&b.main, v, *comp, idx);
-                fl.my_detached = *comp == new_comp;
+                *comp = apply_op_to_vertex(&TourOp::Cut(cut), v, *comp, idx);
+                fl.my_detached = *comp == cut.new_comp;
                 *size = if fl.my_detached {
                     k_sub
                 } else {
@@ -76,13 +88,13 @@ pub(super) fn update_core(
                 };
             }
         }
-        TourOp::Reroot { .. } => unreachable!("reroot is never a main op"),
+        Struct::Swap { .. } => unreachable!("a swap folds as its cut and its link"),
     }
     fl
 }
 
-/// Rewrites one adjacency entry's annotations under the broadcast ops and
-/// folds crossing-edge replacement candidates (searching cuts).
+/// Rewrites one adjacency entry's annotations under a link or a cut and
+/// folds crossing-edge replacement candidates (every cut searches).
 ///
 /// Tree entries always live in the owner's component's index space;
 /// non-tree cached indexes live in `far_comp`'s index space (the two can
@@ -90,7 +102,7 @@ pub(super) fn update_core(
 /// called after [`update_core`] updated the vertex's core.
 #[inline]
 pub(super) fn rewrite_entry(
-    b: &StructBroadcast,
+    s: &Struct,
     fl: &VertFlags,
     v: V,
     far: V,
@@ -99,12 +111,12 @@ pub(super) fn rewrite_entry(
     best: &mut Option<(Weight, Edge)>,
 ) {
     // 1. Reroot phase.
-    if let Some(TourOp::Reroot {
+    if let Some(Reroot {
         comp: rc,
         elen,
         l_y,
         ..
-    }) = b.reroot
+    }) = reroot_of(s)
     {
         match kind {
             EntryKind::Tree { lo, hi } if fl.reroot_member => {
@@ -118,13 +130,17 @@ pub(super) fn rewrite_entry(
             _ => {}
         }
     }
-    // 2. Main op.
-    match b.main {
-        TourOp::Link {
-            a,
-            b: bc,
-            fx,
-            elen_b,
+    // 2. The link or the cut.
+    match *s {
+        Struct::Link {
+            link:
+                Link {
+                    a,
+                    b: bc,
+                    fx,
+                    elen_b,
+                    ..
+                },
             ..
         } => {
             let shift_b = fx + 2;
@@ -163,13 +179,18 @@ pub(super) fn rewrite_entry(
                 _ => {}
             }
         }
-        TourOp::Cut {
-            comp,
-            x,
-            y,
-            fy,
-            ly,
-            new_comp,
+        Struct::Cut {
+            cut:
+                Cut {
+                    comp,
+                    x,
+                    y,
+                    fy,
+                    ly,
+                    new_comp,
+                },
+            x_after,
+            ..
         } => {
             // The cut edge's own entries are rewritten afterwards (by the
             // materialization step).
@@ -206,17 +227,14 @@ pub(super) fn rewrite_entry(
                         *far_comp = new_comp;
                         *cached = if child_singleton { 0 } else { 1 };
                     } else if far == x {
-                        *cached = b.x_after;
+                        *cached = x_after;
                     } else if *cached > fy && *cached < ly {
                         *far_comp = new_comp;
                         *cached -= fy;
                     } else if *cached > ly {
                         *cached -= span;
                     }
-                    if b.rendezvous.is_some()
-                        && fl.was_member
-                        && (*far_comp == new_comp) != fl.my_detached
-                    {
+                    if fl.was_member && (*far_comp == new_comp) != fl.my_detached {
                         // Crossing edge: replacement candidate.
                         let cand = (w, Edge::new(v, far));
                         if best.is_none_or(|cur| cand < cur) {
@@ -226,51 +244,70 @@ pub(super) fn rewrite_entry(
                 }
             }
         }
-        TourOp::Reroot { .. } => unreachable!(),
+        Struct::Swap { .. } => unreachable!("a swap folds as its cut and its link"),
     }
 }
 
 impl Shard {
-    /// [`Shard::apply_struct`] as a fold of the per-vertex definition: copy
-    /// each vertex's tour out of its tree prefix, [`update_core`], then
+    /// [`Shard::apply`] as a fold of the per-vertex definition: copy each
+    /// vertex's tour out of its tree prefix, [`update_core`], then
     /// [`rewrite_entry`] on every decoded entry. Once the edge's entries are
-    /// in, each prefix must name the list `update_core` computed.
-    pub(super) fn apply_struct_oracle(&mut self, b: &StructBroadcast) -> ApplyOutcome {
-        self.fold_oracle(b, Self::materialize_edge)
-    }
-
-    /// [`Shard::apply_swap`] as three steps: the fold of its cut, the
-    /// demote of the cut edge (it stays in the graph as a non-tree edge,
-    /// crossing until the link), then the fold of its link.
-    pub(super) fn apply_swap_oracle(&mut self, cut: &StructBroadcast, link: &StructBroadcast) {
-        self.fold_oracle(cut, |sh, b| {
-            let TourOp::Cut {
-                comp,
-                x,
-                y,
-                fy,
-                ly,
-                new_comp,
-            } = b.main
-            else {
-                unreachable!("a swap cuts with a cut")
-            };
-            let y_cached = TourIx::from(ly != fy + 1);
-            sh.demote(x, y, [(y_cached, new_comp), (b.x_after, comp)]);
+    /// in, each prefix must name the list `update_core` computed. A swap is
+    /// three steps: the fold of its cut, the demote of the cut edge (it
+    /// stays in the graph as a non-tree edge, crossing until the link),
+    /// then the fold of its link, after which every member has its pre-cut
+    /// size again.
+    pub(super) fn apply_oracle(&mut self, s: &Struct) -> ApplyOutcome {
+        let Struct::Swap {
+            cut,
+            x_after,
+            link,
+            reroot_l_y,
+            weight,
+        } = *s
+        else {
+            return self.fold_oracle(s, Self::materialize_edge);
+        };
+        // Members on no side of this shard read no size.
+        let merged_size = (0..self.comp.len())
+            .find(|&slot| self.comp[slot] == cut.comp)
+            .map_or(0, |slot| self.size[slot].into());
+        // The cut searches; the swap drops what it finds.
+        let rendezvous = 0;
+        let c = Struct::Cut {
+            cut,
+            x_after,
+            rendezvous,
+            lane: None,
+        };
+        self.fold_oracle(&c, |sh, _| {
+            let y_cached = TourIx::from(cut.ly != cut.fy + 1);
+            sh.demote(
+                cut.x,
+                cut.y,
+                [(y_cached, cut.new_comp), (x_after, cut.comp)],
+            );
         });
-        self.apply_struct_oracle(link);
+        let l = Struct::Link {
+            link,
+            reroot_l_y,
+            merged_size,
+            weight,
+        };
+        self.fold_oracle(&l, Self::materialize_edge)
     }
 
-    /// The fold behind both: `materialize` puts the edge's entries in.
+    /// The fold of a link or a cut: `materialize` puts the edge's entries
+    /// in.
     fn fold_oracle(
         &mut self,
-        b: &StructBroadcast,
-        materialize: impl FnOnce(&mut Self, &StructBroadcast),
+        s: &Struct,
+        materialize: impl FnOnce(&mut Self, &Struct),
     ) -> ApplyOutcome {
         let mut best: Option<(Weight, Edge)> = None;
         let mut outcome = ApplyOutcome::default();
-        let (cut_comp, cut_new) = match b.main {
-            TourOp::Cut { comp, new_comp, .. } => (comp, new_comp),
+        let (cut_comp, cut_new) = match *s {
+            Struct::Cut { cut, .. } => (cut.comp, cut.new_comp),
             _ => (COMP_NONE, COMP_NONE),
         };
         let mut cores = Vec::new();
@@ -282,7 +319,7 @@ impl Shard {
             let mut idx = self.index_list(slot);
             let mut comp = self.comp[slot];
             let mut size = self.size[slot] as u64;
-            let fl = update_core(b, v, &mut comp, &mut size, &mut idx);
+            let fl = update_core(s, v, &mut comp, &mut size, &mut idx);
             self.comp[slot] = comp;
             self.size[slot] = size as u32;
             if comp == cut_comp {
@@ -292,7 +329,7 @@ impl Shard {
             }
             for i in self.apos[slot].range() {
                 let (mut kind, w) = self.entry(slot, i);
-                rewrite_entry(b, &fl, v, self.afar[i], &mut kind, w, &mut best);
+                rewrite_entry(s, &fl, v, self.afar[i], &mut kind, w, &mut best);
                 let (_, a, bb) = encode_kind(&kind);
                 self.aa[i] = a;
                 self.ab[i] = bb;
@@ -301,9 +338,9 @@ impl Shard {
             cores.push((slot, idx));
         }
         outcome.best = best.map(|(w, e)| (e, w));
-        materialize(self, b);
+        materialize(self, s);
         for (slot, idx) in cores {
-            assert_eq!(self.index_list(slot), idx, "slot {slot} after {b:?}");
+            assert_eq!(self.index_list(slot), idx, "slot {slot} after {s:?}");
         }
         outcome
     }
@@ -439,48 +476,36 @@ mod tests {
             }
         }
 
-        /// Cuts tree edge `e` out of the world and returns the broadcast
+        /// Cuts tree edge `e` out of the world and returns the multicast
         /// that tells a shard about it.
-        fn cut(&mut self, e: Edge, searching: bool) -> StructBroadcast {
+        fn cut(&mut self, e: Edge) -> Struct {
             self.tree.remove(&e).expect("cutting a tree edge");
-            let main = self.forest.cut(e.u, e.v);
-            let TourOp::Cut { x, fy, ly, .. } = main else {
-                unreachable!("a cut returns a cut op")
-            };
-            self.shapes.insert(if searching {
-                "cut searching"
-            } else {
-                "cut quiet"
-            });
-            if ly == fy + 1 {
+            let cut = self.forest.cut(e.u, e.v);
+            self.shapes.insert("cut searching");
+            if cut.ly == cut.fy + 1 {
                 self.shapes.insert("cut child singleton");
             }
-            if fy == 2 {
+            if cut.fy == 2 {
                 self.shapes.insert("cut root's first child");
             }
-            StructBroadcast {
-                reroot: None,
-                main,
-                merged_size: 0,
-                x_after: self.forest.f(x),
-                edge: e,
-                weight: 0,
-                rendezvous: searching.then_some(0),
+            Struct::Cut {
+                cut,
+                x_after: self.forest.f(cut.x),
+                rendezvous: 0,
                 lane: None,
             }
         }
 
         /// Links `x` and `y` (in different trees) by a tree edge of weight
         /// `w`, promoting a non-tree edge between them if there is one.
-        fn link(&mut self, x: V, y: V, w: Weight) -> StructBroadcast {
+        fn link(&mut self, x: V, y: V, w: Weight) -> Struct {
             let (size_x, size_y) = (self.forest.tree_size(x), self.forest.tree_size(y));
             let x_is_root = self.forest.f(x) == 1;
-            let ops = self.forest.link(x, y);
-            let (reroot, main) = match ops[..] {
-                [main] => (None, main),
-                [reroot, main] => (Some(reroot), main),
-                _ => unreachable!("a link is at most a reroot and a link op"),
-            };
+            let (reroot, link) = self.forest.link(x, y);
+            // The multicast carries the reroot as `l(y)` alone.
+            if let Some(r) = reroot {
+                assert_eq!((r.comp, r.elen, r.y), (link.b, link.elen_b, link.y));
+            }
             self.shapes.insert(if reroot.is_some() {
                 "link reroot"
             } else {
@@ -498,28 +523,23 @@ mod tests {
             let e = Edge::new(x, y);
             self.non_tree.remove(&e);
             self.tree.insert(e, w);
-            StructBroadcast {
-                reroot,
-                main,
+            Struct::Link {
+                link,
+                reroot_l_y: reroot.map(|r| r.l_y),
                 merged_size: (size_x + size_y) as u64,
-                x_after: 0,
-                edge: e,
                 weight: w,
-                rendezvous: None,
-                lane: None,
             }
         }
 
         /// The next structural op: cuts and links balance around a half-full
         /// forest, so singletons, small trees and roots all stay common.
-        fn struct_op(&mut self) -> StructBroadcast {
+        fn struct_op(&mut self) -> Struct {
             let n = self.forest.n();
             if self.rng.gen_range(0..n - 1) < self.tree.len() {
                 let k = self.rng.gen_range(0..self.tree.len());
                 let e = *self.tree.keys().nth(k).expect("k < len");
-                let searching = self.rng.gen_bool(0.5);
                 self.shapes.insert("cut remove");
-                self.cut(e, searching)
+                self.cut(e)
             } else {
                 let (x, y) = loop {
                     let (x, y) = self.pair();
@@ -534,9 +554,9 @@ mod tests {
 
         /// An MST swap: demotes a random tree edge `d`, then links an absent
         /// edge `e` across the two sides, `e.u` as the link's `x` (as the
-        /// protocol links). Returns the fused broadcast and the two it
-        /// stands for, or `None` when no such `e` exists.
-        fn swap(&mut self) -> Option<(SwapBroadcast, [StructBroadcast; 2])> {
+        /// protocol links). Returns the fused multicast, or `None` when no
+        /// such `e` exists.
+        fn swap(&mut self) -> Option<Struct> {
             let k = self.rng.gen_range(0..self.tree.len().max(1));
             let d = *self.tree.keys().nth(k)?;
             let f = &self.forest;
@@ -554,13 +574,22 @@ mod tests {
             // The cut takes `d` out of the tree; the swap keeps it as a
             // non-tree edge.
             let w_d = self.tree[&d];
-            let cut = self.cut(d, false);
+            let cut = self.cut(d);
             self.non_tree.insert(d, w_d);
             let link = self.link(e.u, e.v, w);
+            let (
+                Struct::Cut { cut, x_after, .. },
+                Struct::Link {
+                    link, reroot_l_y, ..
+                },
+            ) = (cut, link)
+            else {
+                unreachable!("a swap is a cut and a link")
+            };
             if child.contains(&e.u) {
                 self.shapes.insert("swap e.u on the child side");
             }
-            if link.reroot.is_some() {
+            if reroot_l_y.is_some() {
                 self.shapes.insert(if child.contains(&e.v) {
                     "swap reroot of the child side"
                 } else {
@@ -573,31 +602,13 @@ mod tests {
             if e.touches(d.u) || e.touches(d.v) {
                 self.shapes.insert("swap shares an endpoint with d");
             }
-            let (TourOp::Link { b, y, elen_b, .. }, reroot) = (link.main, link.reroot) else {
-                unreachable!("a link links")
-            };
-            // The swap carries the reroot as `l(y)` alone.
-            let reroot_l_y = reroot.map(|r| {
-                let TourOp::Reroot {
-                    comp,
-                    elen,
-                    l_y,
-                    y: root,
-                } = r
-                else {
-                    unreachable!("a link reroots with a reroot")
-                };
-                assert_eq!((comp, elen, root), (b, elen_b, y));
-                l_y
-            });
-            let s = SwapBroadcast {
-                cut: cut.main,
-                x_after: cut.x_after,
-                link: link.main,
+            Some(Struct::Swap {
+                cut,
+                x_after,
+                link,
                 reroot_l_y,
                 weight: w,
-            };
-            Some((s, [cut, link]))
+            })
         }
 
         /// Adds a non-tree edge, or removes it if it is there; mirrors the
@@ -687,7 +698,7 @@ mod tests {
     }
 
     /// Seeded worlds × shard geometries × every op shape: the in-place
-    /// kernels and the per-vertex fold, fed the same broadcasts, agree on
+    /// kernels and the per-vertex fold, fed the same multicasts, agree on
     /// the outcome, on every vertex and on the snapshot text — and both
     /// agree with the world. An MST swap runs as the fused kernel on one
     /// side and as the fold of its cut, its demote and the fold of its link
@@ -733,14 +744,14 @@ mod tests {
                     continue;
                 }
                 let swap = w.rng.gen_bool(0.25).then(|| w.swap()).flatten();
-                let op = if let Some((s, [cut, link])) = swap {
-                    new.apply_swap(&s);
-                    old.apply_swap_oracle(&cut, &link);
+                let op = if let Some(s) = swap {
+                    new.apply(&s);
+                    old.apply_oracle(&s);
                     format!("{s:?}")
                 } else {
                     let b = w.struct_op();
-                    let got = new.apply_struct(&b);
-                    let want = old.apply_struct_oracle(&b);
+                    let got = new.apply(&b);
+                    let want = old.apply_oracle(&b);
                     assert_eq!(
                         (got.best, got.owns_parent, got.owns_child),
                         (want.best, want.owns_parent, want.owns_child),
@@ -777,7 +788,6 @@ mod tests {
         }
         let want = [
             "cut child singleton",
-            "cut quiet",
             "cut remove",
             "cut root's first child",
             "cut searching",

@@ -2,9 +2,10 @@
 //!
 //! Every vertex stores the set of tour positions at which it appears; all
 //! structural updates are O(1)-word-describable arithmetic maps over those
-//! positions. [`TourOp`] is exactly the message a machine receives in the
-//! distributed algorithm; [`IndexedForest`] applies the ops over a whole
-//! graph and is used both sequentially and as the per-machine kernel.
+//! positions. A [`Reroot`], a [`Link`] and a [`Cut`] are exactly what a
+//! machine receives in the distributed algorithm ([`TourOp`] is any one of
+//! them); [`IndexedForest`] applies the ops over a whole graph and is used
+//! both sequentially and as the per-machine kernel.
 //!
 //! **Paper erratum.** The paper's insert splices the absorbed tour right
 //! after `f(x)`. When `x` is the root of its tree (`f(x) = 1`) that splice
@@ -36,56 +37,102 @@ pub fn map_reroot(i: TourIx, elen: TourIx, l_y: TourIx) -> TourIx {
     j - if j > elen { elen } else { 0 }
 }
 
-/// An O(1)-word description of a tour update, broadcast to all machines;
-/// each machine applies it to its locally stored vertices via
-/// [`apply_op_to_vertex`].
+/// Reroot component `comp` (tour length `elen`) at the vertex `y` whose last
+/// appearance is `l_y`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Reroot {
+    /// Component being rerooted.
+    pub comp: CompId,
+    /// Tour length of the component.
+    pub elen: TourIx,
+    /// `l(y)` before the reroot.
+    pub l_y: TourIx,
+    /// The new root (for assertions/debugging only).
+    pub y: V,
+}
+
+/// Splice component `b` — already rerooted at `y` — into component `a`
+/// just after `f(x)`; the merged component keeps id `a`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Link {
+    /// Surviving component (contains `x`).
+    pub a: CompId,
+    /// Absorbed component (contains `y`).
+    pub b: CompId,
+    /// Endpoint in `a`.
+    pub x: V,
+    /// Endpoint in `b` (root of `b`).
+    pub y: V,
+    /// Splice position in `a`'s tour: `f(x)`, or 0 when `x` is the root
+    /// of `a` (including the singleton case) — see the module docs.
+    pub fx: TourIx,
+    /// Tour length of `b` (0 when `b` is a singleton).
+    pub elen_b: TourIx,
+}
+
+impl Link {
+    /// The link of `x`'s tree `a` and `y`'s tree `b` (tour length
+    /// `elen_b`), `b` absorbed, from the endpoints' pre-link appearances:
+    /// `f(x)`, and `y`'s `(f, l)` (0 for a singleton). `b` is first rerooted
+    /// at `y` unless it is a singleton or already rooted there, as the paper
+    /// does; the splice position is `f(x)`, or 0 when `x` is its tree's root
+    /// (the erratum, see the module docs). The one place of both rules.
+    pub fn new(
+        a: CompId,
+        x: V,
+        f_x: TourIx,
+        b: CompId,
+        y: V,
+        elen_b: TourIx,
+        (f_y, l_y): (TourIx, TourIx),
+    ) -> (Option<Reroot>, Link) {
+        let reroot = (elen_b > 0 && f_y != 1).then_some(Reroot {
+            comp: b,
+            elen: elen_b,
+            l_y,
+            y,
+        });
+        let fx = if f_x <= 1 { 0 } else { f_x };
+        let link = Link {
+            a,
+            b,
+            x,
+            y,
+            fx,
+            elen_b,
+        };
+        (reroot, link)
+    }
+}
+
+/// Remove tree edge `(x, y)` where `x` is the parent; the subtree of `y`
+/// (positions `fy..=ly`) becomes component `new_comp`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Cut {
+    /// Component being split.
+    pub comp: CompId,
+    /// Parent endpoint.
+    pub x: V,
+    /// Child endpoint.
+    pub y: V,
+    /// `f(y)` before the cut.
+    pub fy: TourIx,
+    /// `l(y)` before the cut.
+    pub ly: TourIx,
+    /// Fresh id for the detached component.
+    pub new_comp: CompId,
+}
+
+/// An O(1)-word description of one tour update, as every machine applies
+/// it to its locally stored vertices via [`apply_op_to_vertex`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TourOp {
-    /// Reroot component `comp` (tour length `elen`) at the vertex `y` whose
-    /// last appearance is `l_y`.
-    Reroot {
-        /// Component being rerooted.
-        comp: CompId,
-        /// Tour length of the component.
-        elen: TourIx,
-        /// `l(y)` before the reroot.
-        l_y: TourIx,
-        /// The new root (for assertions/debugging only).
-        y: V,
-    },
-    /// Splice component `b` — already rerooted at `y` — into component `a`
-    /// just after `f(x)`; the merged component keeps id `a`.
-    Link {
-        /// Surviving component (contains `x`).
-        a: CompId,
-        /// Absorbed component (contains `y`).
-        b: CompId,
-        /// Endpoint in `a`.
-        x: V,
-        /// Endpoint in `b` (root of `b`).
-        y: V,
-        /// Splice position in `a`'s tour: `f(x)`, or 0 when `x` is the root
-        /// of `a` (including the singleton case) — see the module docs.
-        fx: TourIx,
-        /// Tour length of `b` (0 when `b` is a singleton).
-        elen_b: TourIx,
-    },
-    /// Remove tree edge `(x, y)` where `x` is the parent; the subtree of `y`
-    /// (positions `fy..=ly`) becomes component `new_comp`.
-    Cut {
-        /// Component being split.
-        comp: CompId,
-        /// Parent endpoint.
-        x: V,
-        /// Child endpoint.
-        y: V,
-        /// `f(y)` before the cut.
-        fy: TourIx,
-        /// `l(y)` before the cut.
-        ly: TourIx,
-        /// Fresh id for the detached component.
-        new_comp: CompId,
-    },
+    /// A reroot.
+    Reroot(Reroot),
+    /// A link of two trees.
+    Link(Link),
+    /// A cut of a tree edge.
+    Cut(Cut),
 }
 
 /// Applies `op` to one vertex's state: its component id and sorted index
@@ -96,9 +143,9 @@ pub enum TourOp {
 /// number of locally stored indexes.
 pub fn apply_op_to_vertex(op: &TourOp, w: V, comp_w: CompId, idx: &mut Vec<TourIx>) -> CompId {
     match *op {
-        TourOp::Reroot {
+        TourOp::Reroot(Reroot {
             comp, elen, l_y, ..
-        } => {
+        }) => {
             if comp_w == comp {
                 for i in idx.iter_mut() {
                     *i = map_reroot(*i, elen, l_y);
@@ -107,14 +154,14 @@ pub fn apply_op_to_vertex(op: &TourOp, w: V, comp_w: CompId, idx: &mut Vec<TourI
             }
             comp_w
         }
-        TourOp::Link {
+        TourOp::Link(Link {
             a,
             b,
             x,
             y,
             fx,
             elen_b,
-        } => {
+        }) => {
             if comp_w == b {
                 for i in idx.iter_mut() {
                     *i += fx + 2;
@@ -141,14 +188,14 @@ pub fn apply_op_to_vertex(op: &TourOp, w: V, comp_w: CompId, idx: &mut Vec<TourI
                 comp_w
             }
         }
-        TourOp::Cut {
+        TourOp::Cut(Cut {
             comp,
             x,
             y,
             fy,
             ly,
             new_comp,
-        } => {
+        }) => {
             if comp_w != comp {
                 return comp_w;
             }
@@ -358,56 +405,31 @@ impl IndexedForest {
         }
     }
 
-    /// The reroot op for rerooting `y`'s tree at `y`, or `None` when `y` is
-    /// already the root or a singleton.
-    pub fn reroot_op(&self, y: V) -> Option<TourOp> {
-        let elen = self.elen(y);
-        if elen == 0 || self.f(y) == 1 {
-            return None;
-        }
-        Some(TourOp::Reroot {
-            comp: self.comp_of(y),
-            elen,
-            l_y: self.l(y),
-            y,
-        })
-    }
-
-    /// Links two trees with new tree edge `(x,y)`. Returns the ops that were
-    /// applied (reroot of `y`'s side, if any, then the link) so callers can
-    /// mirror them onto distributed state. Panics if already connected.
-    pub fn link(&mut self, x: V, y: V) -> Vec<TourOp> {
+    /// Links two trees with new tree edge `(x,y)`. Returns the applied
+    /// reroot of `y`'s side, if any, and the link, so callers can mirror them
+    /// onto distributed state. Panics if already connected.
+    pub fn link(&mut self, x: V, y: V) -> (Option<Reroot>, Link) {
         assert!(!self.connected(x, y), "link would create a cycle");
-        let mut ops = Vec::new();
-        if let Some(op) = self.reroot_op(y) {
-            self.apply_all(&op, &[self.comp_of(y)]);
-            ops.push(op);
+        let (a, b) = (self.comp_of(x), self.comp_of(y));
+        let span_y = (self.f(y), self.l(y));
+        let (reroot, link) = Link::new(a, x, self.f(x), b, y, self.elen(y), span_y);
+        if let Some(r) = reroot {
+            self.apply_all(&TourOp::Reroot(r), &[b]);
         }
-        // Erratum fix (see module docs): splice at 0 when x is the root.
-        let fx = if self.f(x) <= 1 { 0 } else { self.f(x) };
-        let op = TourOp::Link {
-            a: self.comp_of(x),
-            b: self.comp_of(y),
-            x,
-            y,
-            fx,
-            elen_b: self.elen(y),
-        };
-        self.apply_all(&op, &[self.comp_of(x), self.comp_of(y)]);
-        ops.push(op);
+        self.apply_all(&TourOp::Link(link), &[a, b]);
         self.tree_edges.insert(Edge::new(x, y));
-        ops
+        (reroot, link)
     }
 
     /// Cuts tree edge `(x,y)`; the child side gets a fresh component id.
-    /// Returns the applied op. Panics if `(x,y)` is not a tree edge.
-    pub fn cut(&mut self, x: V, y: V) -> TourOp {
+    /// Returns the applied cut. Panics if `(x,y)` is not a tree edge.
+    pub fn cut(&mut self, x: V, y: V) -> Cut {
         let e = Edge::new(x, y);
         let (p, c) = self.orient_tree_edge(e);
         assert!(self.tree_edges.remove(&e), "({x},{y}) is not a tree edge");
         let new_comp = self.next_comp;
         self.next_comp += 1;
-        let op = TourOp::Cut {
+        let cut = Cut {
             comp: self.comp_of(p),
             x: p,
             y: c,
@@ -415,8 +437,8 @@ impl IndexedForest {
             ly: self.l(c),
             new_comp,
         };
-        self.apply_all(&op, &[self.comp_of(p)]);
-        op
+        self.apply_all(&TourOp::Cut(cut), &[cut.comp]);
+        cut
     }
 
     /// Full structural audit: each component's index lists partition
@@ -504,8 +526,8 @@ mod tests {
         let mut fo = fig1_forest();
         // insert (e,g): x=g (tree 2), y=e (tree 1). The reroot of tree 1 at e
         // reproduces Figure 1(ii); the link reproduces Figure 1(iii).
-        let ops = fo.link(6, 4);
-        assert_eq!(ops.len(), 2, "reroot then link");
+        let (reroot, _) = fo.link(6, 4);
+        assert!(reroot.is_some(), "reroot then link");
         assert_eq!((fo.f(0), fo.l(0)), (1, 24));
         assert_eq!((fo.f(5), fo.l(5)), (2, 23));
         assert_eq!((fo.f(6), fo.l(6)), (4, 21));

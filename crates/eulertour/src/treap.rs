@@ -151,18 +151,35 @@ impl<T> SeqTreap<T> {
     /// Splits the sequence containing `x` into (everything before `x`,
     /// `x` and everything after). Returns the two roots (left may be NIL).
     pub fn split_before(&mut self, x: NodeId) -> (NodeId, NodeId) {
-        // Detach x's left subtree: it is the innermost piece of the left part.
-        let l = self.nodes[x as usize].left;
-        if l != NIL {
-            self.nodes[l as usize].parent = NIL;
-        }
-        self.nodes[x as usize].left = NIL;
+        // x's left subtree is the innermost piece of the left part.
+        let l = std::mem::replace(&mut self.nodes[x as usize].left, NIL);
+        self.split_up(x, l, x)
+    }
+
+    /// Splits into (`x` and everything before, everything after `x`).
+    pub fn split_after(&mut self, x: NodeId) -> (NodeId, NodeId) {
+        // x's right subtree is the innermost piece of the right part.
+        let r = std::mem::replace(&mut self.nodes[x as usize].right, NIL);
+        self.split_up(x, x, r)
+    }
+
+    /// Finishes a split at `x`, which has just lost the child subtree that
+    /// starts one part: `left_root` and `right_root` are the innermost
+    /// pieces of the two parts, one of them `x` itself.
+    fn split_up(
+        &mut self,
+        x: NodeId,
+        mut left_root: NodeId,
+        mut right_root: NodeId,
+    ) -> (NodeId, NodeId) {
         self.pull(x);
-        let mut left_root = l;
-        let mut right_root = x;
-        let mut cur = x;
         let mut p = self.nodes[x as usize].parent;
-        self.nodes[x as usize].parent = NIL;
+        for root in [left_root, right_root] {
+            if root != NIL {
+                self.nodes[root as usize].parent = NIL;
+            }
+        }
+        let mut cur = x;
         // Walk the original ancestor chain. Each ancestor has higher priority
         // than everything accumulated so far (all its descendants), so
         // re-rooting the accumulated part under it preserves the heap shape.
@@ -180,45 +197,6 @@ impl<T> SeqTreap<T> {
                 left_root = p;
             } else {
                 // p and its right subtree follow the right part.
-                self.nodes[p as usize].left = right_root;
-                if right_root != NIL {
-                    self.nodes[right_root as usize].parent = p;
-                }
-                self.nodes[p as usize].parent = NIL;
-                self.pull(p);
-                right_root = p;
-            }
-            cur = p;
-            p = pp;
-        }
-        (left_root, right_root)
-    }
-
-    /// Splits into (`x` and everything before, everything after `x`).
-    pub fn split_after(&mut self, x: NodeId) -> (NodeId, NodeId) {
-        let r = self.nodes[x as usize].right;
-        if r != NIL {
-            self.nodes[r as usize].parent = NIL;
-        }
-        self.nodes[x as usize].right = NIL;
-        self.pull(x);
-        let mut right_root = r;
-        let mut left_root = x;
-        let mut cur = x;
-        let mut p = self.nodes[x as usize].parent;
-        self.nodes[x as usize].parent = NIL;
-        while p != NIL {
-            let pp = self.nodes[p as usize].parent;
-            let was_right = self.nodes[p as usize].right == cur;
-            if was_right {
-                self.nodes[p as usize].right = left_root;
-                if left_root != NIL {
-                    self.nodes[left_root as usize].parent = p;
-                }
-                self.nodes[p as usize].parent = NIL;
-                self.pull(p);
-                left_root = p;
-            } else {
                 self.nodes[p as usize].left = right_root;
                 if right_root != NIL {
                     self.nodes[right_root as usize].parent = p;
