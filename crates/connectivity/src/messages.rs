@@ -447,7 +447,7 @@ mod tests {
         };
         assert_eq!(ConnMsg::Apply(s).size_words(), 15);
         // No variant grows the message the router copies.
-        assert!(std::mem::size_of::<ConnMsg>() <= 128);
+        assert!(std::mem::size_of::<ConnMsg>() <= 120);
     }
 
     #[test]

@@ -766,7 +766,10 @@ impl Shard {
     /// (component id, size) and tree prefix, which is its tour, and to every
     /// non-tree entry into a side, whoever holds it, in place in the arena.
     /// The `oracle` test module holds the per-vertex definition the sweep is
-    /// checked against.
+    /// checked against. Kept out of line: inlined into its one caller,
+    /// [`Shard::apply`], it cost the swap-heavy `mst-mixed` workload 3–10%
+    /// of its throughput.
+    #[inline(never)]
     fn sweep(&mut self, r: &Relabel) -> ApplyOutcome {
         // Each side's values as locals, selected by side, not indexed by it:
         // an indexed load waits on the side test (see docs/ARCHITECTURE.md).
