@@ -313,9 +313,9 @@ impl Payload for ConnMsg {
             // cut (6) + link (6) + x_after/reroot l_y/weight: no size, as
             // every member keeps its own.
             ConnMsg::Apply(Struct::Swap { .. }) => 15,
-            // A link or a cut at the fixed width the two once shared: a
-            // reroot (4) + the op (6) + size/x_after/edge/weight/rendezvous,
-            // and the word that tags the op a link or a cut.
+            // A link or a cut: one fixed 16-word format for both, a reroot
+            // (4) + the op (6) + size/x_after/edge/weight/rendezvous and
+            // the word that tags the op, wider than either variant's fields.
             ConnMsg::Apply(_) => 16,
             // A cut's report adds its two side flags.
             ConnMsg::Report { sides, .. } => 3 + sides.map_or(0, |_| 2),

@@ -268,7 +268,8 @@ impl Shard {
         else {
             return self.fold_oracle(s, Self::materialize_edge);
         };
-        // Members on no side of this shard read no size.
+        // The link gives every member its pre-cut size back (a shard that
+        // owns no member reads none).
         let merged_size = (0..self.comp.len())
             .find(|&slot| self.comp[slot] == cut.comp)
             .map_or(0, |slot| self.size[slot].into());
