@@ -1560,4 +1560,38 @@ mod tests {
         // The never-synced machines were reached, so the history did drain.
         assert!(oracle.front > 5 && c.lag_base == c.scan_min_seen());
     }
+
+    /// The suffix after any sync point a storage or overflow machine can
+    /// hold is every seq from `seen + 1` to the last one, with no gap —
+    /// before and after a trim, and after more history is pushed.
+    #[test]
+    fn hist_suffix_is_contiguous_from_seen() {
+        let layout = Layout::new(&DmpcParams::new(64, 192));
+        let first_store = 1 + layout.n_stats;
+        let mut c = Coordinator::new(layout, false, 1 << 20);
+        let seqs = |c: &Coordinator, seen| -> Vec<u64> {
+            c.hist_suffix(seen).iter().map(|&(s, _)| s).collect()
+        };
+        for v in 0..12 {
+            c.push_hist(HistEntry::Light(v));
+        }
+        for seen in 0..=12 {
+            assert_eq!(seqs(&c, seen), (seen + 1..c.next_seq).collect::<Vec<_>>());
+        }
+        // Sync every storage/overflow machine to 7, then trim: seqs 1..=7
+        // leave the buffer, and every sync point from 7 on still reads a
+        // gapless suffix.
+        for m in first_store..layout.total_machines() {
+            c.last_seen[m] = Some(7);
+        }
+        c.rebuild_lag();
+        c.trim_hist();
+        assert_eq!((c.front_seq(), c.hist_len()), (8, 5));
+        for v in 0..3 {
+            c.push_hist(HistEntry::Heavy(v));
+        }
+        for seen in 7..=15 {
+            assert_eq!(seqs(&c, seen), (seen + 1..c.next_seq).collect::<Vec<_>>());
+        }
+    }
 }

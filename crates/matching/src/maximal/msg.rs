@@ -492,7 +492,8 @@ mod tests {
     }
 
     /// Every store-bound request costs its own words plus 4 per history
-    /// entry, checked at h = 0 and h = 3 (`ReleaseOverflow` carries none).
+    /// entry, checked at h = 0, 1, 2, 3 and 64 (`ReleaseOverflow` carries
+    /// none).
     #[test]
     fn store_requests_are_exact_words() {
         let (ann, entry) = (Ann::free(), (7, Ann::free()));
@@ -510,11 +511,11 @@ mod tests {
             (StoreReq::FetchSuspended { v: 1 }, 2),
             (StoreReq::AddSuspended { v: 1, entries }, 9),
         ];
-        for h in [0, 3] {
+        for (h, hist_words) in [(0, 0), (1, 4), (2, 8), (3, 12), (64, 256)] {
             for (req, words) in cases.clone() {
                 let hist = vec![(1, HistEntry::Heavy(2)); h];
                 let msg = MatchMsg::Store { hist, req };
-                assert_eq!(msg.size_words(), words + 4 * h, "{msg:?}");
+                assert_eq!(msg.size_words(), words + hist_words, "{msg:?}");
             }
         }
         assert_eq!(MatchMsg::ReleaseOverflow { v: 1 }.size_words(), 2);
