@@ -15,9 +15,10 @@ const SIZES: [usize; 5] = [64, 128, 256, 512, 1024];
 /// Fitted exponents are asserted as *upper* bounds: 0.1 where the paper
 /// says O(1), 0.65 where it says O(sqrt N) (or O(n / sqrt N)). A row that
 /// misses its bound is a finding to record, not a band to widen. The
-/// closest today is §3 maximal matching's words per round: N^0.60 on this
-/// sweep, but N^0.68 on the `scaling` section's shorter one (seed 1, 120
-/// steps, N <= 2048) — see README, section → module map.
+/// closest today is §3 maximal matching's words per round: N^0.57 on this
+/// sweep, but N^0.645 on the `scaling` section's shorter one (seed 1, 120
+/// steps, N <= 2048). They were N^0.60 and N^0.68 while every history
+/// entry carried its own seq — see README, section → module map.
 fn allowed(exponent: f64) -> f64 {
     if exponent == 0.0 {
         0.1

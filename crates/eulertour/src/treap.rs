@@ -433,14 +433,13 @@ mod tests {
     #[test]
     fn split_merge_roundtrip_preserves_everything() {
         let mut t = SeqTreap::new(11);
-        let (root, ids) = build_seq(&mut t, &(0..64).collect::<Vec<_>>());
+        let (_, ids) = build_seq(&mut t, &(0..64).collect::<Vec<_>>());
         t.set_flags(ids[30], 2, true);
         let (a, b) = t.split_before(ids[32]);
         let joined = t.merge(a, b);
         assert_eq!(values(&t, joined), (0..64).collect::<Vec<_>>());
         assert_eq!(*t.val(t.find_flag(joined, 2).unwrap()), 30);
         assert_eq!(joined, t.root_of(ids[0]));
-        assert_eq!(root, root); // silence unused
     }
 
     #[test]

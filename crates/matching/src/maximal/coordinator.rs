@@ -563,12 +563,13 @@ impl Coordinator {
         self.hist.len()
     }
 
-    /// The history entries with sequence number greater than `seen`
-    /// (read-only; used by audits to replicate a machine's repair).
+    /// The history entries with sequence number greater than `seen`, as one
+    /// base seq and the entries after it (read-only; also used by audits to
+    /// replicate a machine's repair).
     pub fn hist_suffix(&self, seen: u64) -> HistSlice {
         let first = self.first_after(seen);
-        let seqs = self.front_seq() + first as u64..;
-        seqs.zip(self.hist.range(first..).copied()).collect()
+        let entries: Box<[HistEntry]> = self.hist.range(first..).copied().collect();
+        HistSlice::new(self.front_seq() + first as u64, entries)
     }
 
     // ---- small senders ---------------------------------------------------
@@ -1530,8 +1531,7 @@ mod tests {
                     let from = oracle.seen[m].unwrap_or(0).max(oracle.front - 1);
                     let got = c.hist_for(m as MachineId);
                     oracle.mark(m, c.next_seq - 1);
-                    let seqs: Vec<u64> = got.iter().map(|&(s, _)| s).collect();
-                    assert_eq!(seqs, (from + 1..c.next_seq).collect::<Vec<_>>());
+                    assert_eq!(got.seqs(), from + 1..c.next_seq);
                 }
                 5 | 6 => {
                     let m = first_store + c.rr_cursor % (total - first_store);
@@ -1569,14 +1569,11 @@ mod tests {
         let layout = Layout::new(&DmpcParams::new(64, 192));
         let first_store = 1 + layout.n_stats;
         let mut c = Coordinator::new(layout, false, 1 << 20);
-        let seqs = |c: &Coordinator, seen| -> Vec<u64> {
-            c.hist_suffix(seen).iter().map(|&(s, _)| s).collect()
-        };
         for v in 0..12 {
             c.push_hist(HistEntry::Light(v));
         }
         for seen in 0..=12 {
-            assert_eq!(seqs(&c, seen), (seen + 1..c.next_seq).collect::<Vec<_>>());
+            assert_eq!(c.hist_suffix(seen).seqs(), seen + 1..c.next_seq);
         }
         // Sync every storage/overflow machine to 7, then trim: seqs 1..=7
         // leave the buffer, and every sync point from 7 on still reads a
@@ -1591,7 +1588,7 @@ mod tests {
             c.push_hist(HistEntry::Heavy(v));
         }
         for seen in 7..=15 {
-            assert_eq!(seqs(&c, seen), (seen + 1..c.next_seq).collect::<Vec<_>>());
+            assert_eq!(c.hist_suffix(seen).seqs(), seen + 1..c.next_seq);
         }
     }
 }

@@ -397,7 +397,7 @@ impl DmpcMaximalMatching {
                 if !g.has_edge(Edge::new(v, nbr)) {
                     return Err(format!("storage {v}: stale edge to {nbr}"));
                 }
-                for (_, h) in &suffix {
+                for h in suffix.entries() {
                     super::msg::repair_entry(h, nbr, &mut ann);
                 }
                 let truth_m = m.is_matched(nbr);
@@ -541,7 +541,9 @@ impl Role {
     /// updates and the carried stat cache (both bounded by the chunking in
     /// `apply_batch`), stashed answers, and the sync state, one word per
     /// machine plus its count table (also O(sqrt N)). A history entry is 3
-    /// words: its seq is implied by its place in the deque.
+    /// words: its seq is implied by its place in the deque. The wire format
+    /// matches: a `Store` charges the same 3 per entry, behind one base seq
+    /// for the whole suffix.
     fn memory_words(&self) -> usize {
         match self {
             Role::Coord(c) => {

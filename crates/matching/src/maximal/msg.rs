@@ -67,7 +67,8 @@ impl Ann {
     }
 }
 
-/// One update-history entry (sequence number assigned by the coordinator).
+/// One update-history entry. Its sequence number is not stored with it: it is
+/// the entry's place in the coordinator's buffer, or in a [`HistSlice`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HistEntry {
     /// `(a,b)` joined the matching; flags say whether each endpoint is light
@@ -81,8 +82,70 @@ pub enum HistEntry {
     Light(V),
 }
 
-/// A numbered history suffix, shipped in [`MatchMsg::Store`].
-pub type HistSlice = Vec<(u64, HistEntry)>;
+/// A history suffix as it travels in [`MatchMsg::Store`]: one base sequence
+/// number, then the entries, the seq of `entries[i]` being `base + i` (the
+/// coordinator only ever ships a contiguous suffix of its buffer). `Default`
+/// is the empty suffix.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct HistSlice {
+    base: u64,
+    entries: Box<[HistEntry]>,
+}
+
+impl HistSlice {
+    /// The suffix whose first entry has seq `base`.
+    pub fn new(base: u64, entries: impl Into<Box<[HistEntry]>>) -> Self {
+        HistSlice {
+            base,
+            entries: entries.into(),
+        }
+    }
+
+    /// The entries, in seq order.
+    pub fn entries(&self) -> &[HistEntry] {
+        &self.entries
+    }
+
+    /// Whether the suffix carries no entry.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The seqs of the entries, in order.
+    pub fn seqs(&self) -> std::ops::Range<u64> {
+        self.base..self.base + self.entries.len() as u64
+    }
+
+    /// Words on the wire: none for the empty suffix, else the base seq and
+    /// 3 per entry (an entry's seq is implied, as in the coordinator's
+    /// buffer).
+    pub fn words(&self) -> usize {
+        match self.entries.len() {
+            0 => 0,
+            h => 1 + 3 * h,
+        }
+    }
+
+    /// The entries a machine synced up to `last_seen` has not replayed. The
+    /// seen part is a prefix, cut at a fixed offset from the base; a base
+    /// beyond `last_seen + 1` would mean the machine missed history.
+    pub fn fresh(&self, last_seen: u64) -> &[HistEntry] {
+        debug_assert!(
+            self.base <= last_seen + 1,
+            "history gap: suffix starts at seq {} after seq {last_seen}",
+            self.base
+        );
+        let seen = (last_seen + 1).saturating_sub(self.base) as usize;
+        &self.entries[seen.min(self.entries.len())..]
+    }
+
+    /// The seq of the last entry, where a replay of a non-empty suffix
+    /// leaves the machine synced.
+    pub fn last_seq(&self) -> u64 {
+        debug_assert!(!self.entries.is_empty(), "the empty suffix has no last seq");
+        self.base + self.entries.len() as u64 - 1
+    }
+}
 
 /// The matching protocol, one variant per sub-protocol: injected work for
 /// the coordinator (`Update`, `Batch`, its own `BatchResume`), the query
@@ -110,7 +173,7 @@ pub enum MatchMsg {
     /// A request to a storage or overflow machine behind the history suffix
     /// it has not seen: the target replays `hist` once, then serves `req`.
     Store {
-        /// History suffix for repair.
+        /// History suffix for repair: one base seq, then the entries.
         hist: HistSlice,
         /// The request.
         req: StoreReq,
@@ -273,7 +336,8 @@ pub enum StoreReq {
 }
 
 impl StoreReq {
-    /// Words of the request; [`MatchMsg::Store`] adds 4 per history entry.
+    /// Words of the request; [`MatchMsg::Store`] adds [`HistSlice::words`]:
+    /// one base seq and 3 per history entry, none without history.
     pub fn size_words(&self) -> usize {
         match self {
             StoreReq::Refresh => 1,
@@ -299,7 +363,7 @@ impl Payload for MatchMsg {
             MatchMsg::Stats(StatMsg::Reply(rs) | StatMsg::Set(rs)) => 1 + 4 * rs.len(),
             MatchMsg::Stats(StatMsg::CounterDelta(vs, _)) => 2 + vs.len(),
             MatchMsg::Stats(StatMsg::CounterReply(rs)) => 1 + 2 * rs.len(),
-            MatchMsg::Store { hist, req } => 4 * hist.len() + req.size_words(),
+            MatchMsg::Store { hist, req } => hist.words() + req.size_words(),
             MatchMsg::StoreReply { ans, .. } => match ans {
                 StoreAns::Del { .. } => 3,
                 StoreAns::ScanFree(_) => 2,
@@ -358,16 +422,9 @@ pub fn repair_entry(entry: &HistEntry, nbr: V, ann: &mut Ann) {
     }
 }
 
-/// The part of `hist` a machine synced up to `last_seen` has not replayed.
-/// Slices are seq-ascending (the coordinator ships a contiguous suffix of its
-/// buffer), so the seen part is a prefix.
-pub(super) fn fresh_suffix(hist: &[(u64, HistEntry)], last_seen: u64) -> &[(u64, HistEntry)] {
-    &hist[hist.partition_point(|&(seq, _)| seq <= last_seen)..]
-}
-
 /// One message's history repair, applied to a machine's entries in a
-/// single pass: the not-yet-seen part of the shipped slice, plus the set of
-/// vertices it names.
+/// single pass: the not-yet-seen part of the shipped slice
+/// ([`HistSlice::fresh`]), plus the set of vertices it names.
 ///
 /// [`repair_entry`] can only change an entry whose neighbor or current
 /// annotation mate the slice names (`MatchAdd`/`MatchDel` match on the
@@ -379,17 +436,15 @@ pub(super) fn fresh_suffix(hist: &[(u64, HistEntry)], last_seen: u64) -> &[(u64,
 /// slice: an open-addressing table at most a quarter full, built in time
 /// linear in the slice.
 pub(super) struct Repair<'a> {
-    fresh: &'a [(u64, HistEntry)],
+    fresh: &'a [HistEntry],
     /// [`NO_MATE`] marks an empty slot (it is never a vertex).
     slots: Vec<V>,
     shift: u32,
 }
 
 impl<'a> Repair<'a> {
-    /// The repair `hist` asks of a machine synced up to `last_seen`, or
-    /// `None` if the machine has seen all of it.
-    pub(super) fn new(hist: &'a [(u64, HistEntry)], last_seen: u64) -> Option<Self> {
-        let fresh = fresh_suffix(hist, last_seen);
+    /// The repair of the `fresh` entries, or `None` if there are none.
+    pub(super) fn new(fresh: &'a [HistEntry]) -> Option<Self> {
         if fresh.is_empty() {
             return None;
         }
@@ -399,7 +454,7 @@ impl<'a> Repair<'a> {
             slots: vec![NO_MATE; len],
             shift: 32 - len.trailing_zeros(),
         };
-        for &(_, entry) in fresh {
+        for &entry in fresh {
             match entry {
                 HistEntry::MatchAdd(e, _, _) | HistEntry::MatchDel(e) => {
                     r.name(e.u);
@@ -409,11 +464,6 @@ impl<'a> Repair<'a> {
             }
         }
         Some(r)
-    }
-
-    /// The sync point this repair brings the machine to.
-    pub(super) fn last_seq(&self) -> u64 {
-        self.fresh[self.fresh.len() - 1].0
     }
 
     /// The slot holding `v`, or the empty slot where its probe ends.
@@ -448,7 +498,7 @@ impl<'a> Repair<'a> {
     /// Replays the slice over one adjacency entry.
     #[inline]
     pub(super) fn replay(&self, nbr: V, ann: &mut Ann) {
-        for (_, entry) in self.fresh {
+        for entry in self.fresh {
             repair_entry(entry, nbr, ann);
         }
     }
@@ -485,15 +535,16 @@ mod tests {
 
     #[test]
     fn message_sizes_scale_with_payload() {
-        let hist: HistSlice = vec![(1, HistEntry::MatchDel(Edge::new(0, 1))); 10];
+        let hist = HistSlice::new(1, vec![HistEntry::MatchDel(Edge::new(0, 1)); 10]);
         let req = StoreReq::Refresh;
-        assert_eq!(MatchMsg::Store { hist, req }.size_words(), 41);
+        assert_eq!(MatchMsg::Store { hist, req }.size_words(), 32);
         assert!(MatchMsg::Update(Update::Insert(Edge::new(0, 1))).size_words() <= 2);
     }
 
-    /// Every store-bound request costs its own words plus 4 per history
-    /// entry, checked at h = 0, 1, 2, 3 and 64 (`ReleaseOverflow` carries
-    /// none).
+    /// Every store-bound request costs its own words plus, behind history,
+    /// one base seq and 3 per entry, checked at h = 0, 1, 2, 3 and 64
+    /// (`ReleaseOverflow` carries none). With one seq per entry it was 4 per
+    /// entry: 0, 4, 8, 12 and 256.
     #[test]
     fn store_requests_are_exact_words() {
         let (ann, entry) = (Ann::free(), (7, Ann::free()));
@@ -511,14 +562,38 @@ mod tests {
             (StoreReq::FetchSuspended { v: 1 }, 2),
             (StoreReq::AddSuspended { v: 1, entries }, 9),
         ];
-        for (h, hist_words) in [(0, 0), (1, 4), (2, 8), (3, 12), (64, 256)] {
+        for (h, hist_words) in [(0, 0), (1, 4), (2, 7), (3, 10), (64, 193)] {
             for (req, words) in cases.clone() {
-                let hist = vec![(1, HistEntry::Heavy(2)); h];
+                let hist = HistSlice::new(1, vec![HistEntry::Heavy(2); h]);
                 let msg = MatchMsg::Store { hist, req };
                 assert_eq!(msg.size_words(), words + hist_words, "{msg:?}");
             }
         }
         assert_eq!(MatchMsg::ReleaseOverflow { v: 1 }.size_words(), 2);
+    }
+
+    /// A machine synced up to `last_seen` replays what follows it: all of a
+    /// suffix that starts right after, a tail of one it saw in part, none of
+    /// one it saw whole.
+    #[test]
+    fn fresh_cuts_the_seen_prefix() {
+        let entries: Vec<HistEntry> = (0..4).map(HistEntry::Heavy).collect();
+        let hist = HistSlice::new(5, entries.clone());
+        assert_eq!((hist.seqs(), hist.last_seq()), (5..9, 8));
+        assert_eq!(hist.fresh(4), &entries[..]);
+        assert_eq!(hist.fresh(6), &entries[2..]);
+        assert!(hist.fresh(8).is_empty() && hist.fresh(20).is_empty());
+        assert!(HistSlice::default().fresh(0).is_empty());
+        assert_eq!(HistSlice::default().words(), 0);
+    }
+
+    /// A suffix that starts past `last_seen + 1` skips history the machine
+    /// never saw.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "history gap")]
+    fn fresh_refuses_a_gap() {
+        HistSlice::new(6, [HistEntry::Light(1)]).fresh(4);
     }
 
     /// Every other message's charge, exact: updates and queries, the stats

@@ -8,7 +8,7 @@
 //! at `tau`, scans take the first hit), so all mutations preserve segment
 //! order — removals shift the tail down instead of swapping.
 
-use super::msg::{fresh_suffix, repair_entry, Ann, HistEntry, Repair, StoreAns, StoreReq};
+use super::msg::{repair_entry, Ann, HistEntry, HistSlice, Repair, StoreAns, StoreReq};
 use dmpc_graph::V;
 use dmpc_mpc::text::{self, put_field, Fields, Sink};
 
@@ -410,7 +410,7 @@ impl Store {
     /// History repair through the index: replays `fresh` over exactly the
     /// entries pointing at `x` (every slot filed under `x`'s low 16 bits is
     /// looked at; only a full-id match is replayed).
-    fn repair_nbr(&mut self, x: V, fresh: &[(u64, HistEntry)]) {
+    fn repair_nbr(&mut self, x: V, fresh: &[HistEntry]) {
         debug_assert!(!self.idx_stale);
         let lo = idx_key(x, 0);
         let from = self.idx.partition_point(|&k| k < lo);
@@ -421,7 +421,7 @@ impl Store {
             for i in self.range((key & 0xFFFF) as usize) {
                 if self.nbr[i] == x {
                     let mut ann = unpack_ann(self.mate[i], self.flags[i]);
-                    for (_, entry) in fresh {
+                    for entry in fresh {
                         repair_entry(entry, x, &mut ann);
                     }
                     (self.mate[i], self.flags[i]) = pack_ann(ann);
@@ -613,12 +613,12 @@ impl StorageMachine {
     /// overwrites the whole annotation. `Heavy`/`Light` act through the
     /// current `mate`, which has no index, so a slice carrying one takes the
     /// one pass over every entry.
-    fn repair(&mut self, hist: &[(u64, HistEntry)]) {
-        let fresh = fresh_suffix(hist, self.last_seen);
-        let Some(&(last_seq, _)) = fresh.last() else {
+    fn repair(&mut self, hist: &HistSlice) {
+        let fresh = hist.fresh(self.last_seen);
+        if fresh.is_empty() {
             return;
-        };
-        let endpoints = |&(_, entry): &(u64, HistEntry)| match entry {
+        }
+        let endpoints = |&entry: &HistEntry| match entry {
             HistEntry::MatchAdd(e, _, _) | HistEntry::MatchDel(e) => Some([e.u, e.v]),
             HistEntry::Heavy(_) | HistEntry::Light(_) => None,
         };
@@ -627,9 +627,9 @@ impl StorageMachine {
             for x in fresh.iter().filter_map(endpoints).flatten() {
                 self.verts.repair_nbr(x, fresh);
             }
-        } else if let Some(repair) = Repair::new(fresh, self.last_seen) {
+        } else if let Some(repair) = Repair::new(fresh) {
             self.verts.repair_anns(&repair);
-            for &(_, entry) in fresh {
+            for &entry in fresh {
                 match entry {
                     HistEntry::Heavy(c) => self.verts.set_heavy_if_present(c, true),
                     HistEntry::Light(c) => self.verts.set_heavy_if_present(c, false),
@@ -637,12 +637,12 @@ impl StorageMachine {
                 }
             }
         }
-        self.last_seen = last_seq;
+        self.last_seen = hist.last_seq();
     }
 
     /// Serves one request behind the history suffix `hist`; may answer the
     /// coordinator, echoing the vertex the request named.
-    pub fn handle(&mut self, hist: &[(u64, HistEntry)], req: StoreReq) -> Option<(V, StoreAns)> {
+    pub fn handle(&mut self, hist: &HistSlice, req: StoreReq) -> Option<(V, StoreAns)> {
         self.repair(hist);
         match req {
             StoreReq::Refresh => None,
@@ -791,8 +791,8 @@ impl OverflowMachine {
         }
     }
 
-    fn repair(&mut self, hist: &[(u64, HistEntry)]) {
-        let Some(repair) = Repair::new(hist, self.last_seen) else {
+    fn repair(&mut self, hist: &HistSlice) {
+        let Some(repair) = Repair::new(hist.fresh(self.last_seen)) else {
             return;
         };
         for (nbr, ann) in &mut self.edges {
@@ -800,7 +800,7 @@ impl OverflowMachine {
                 repair.replay(*nbr, ann);
             }
         }
-        self.last_seen = repair.last_seq();
+        self.last_seen = hist.last_seq();
     }
 
     /// Frees the machine's assignment to `v`, whose stack is empty.
@@ -812,7 +812,7 @@ impl OverflowMachine {
 
     /// Serves one request behind the history suffix `hist`; may answer the
     /// coordinator, echoing the vertex the request named.
-    pub fn handle(&mut self, hist: &[(u64, HistEntry)], req: StoreReq) -> Option<(V, StoreAns)> {
+    pub fn handle(&mut self, hist: &HistSlice, req: StoreReq) -> Option<(V, StoreAns)> {
         self.repair(hist);
         match req {
             StoreReq::Refresh => None,
@@ -867,27 +867,32 @@ mod tests {
         StoreReq::AddEdge { at, nbr, ann }
     }
 
+    /// No history: the request alone.
+    fn none() -> HistSlice {
+        HistSlice::default()
+    }
+
     #[test]
     fn add_del_scan() {
         let mut m = StorageMachine::new(0, 4, 8);
-        m.handle(&[], add(1, 9));
+        m.handle(&none(), add(1, 9));
         let ann = Ann {
             matched: true,
             mate: 3,
             mate_light: true,
         };
-        m.handle(&[], StoreReq::AddEdge { at: 1, nbr: 8, ann });
+        m.handle(&none(), StoreReq::AddEdge { at: 1, nbr: 8, ann });
         let exclude = vec![];
-        match m.handle(&[], StoreReq::ScanFree { z: 1, exclude }) {
+        match m.handle(&none(), StoreReq::ScanFree { z: 1, exclude }) {
             Some((_, StoreAns::ScanFree(q))) => assert_eq!(q, Some(9)),
             _ => panic!(),
         }
         let exclude = vec![9];
-        match m.handle(&[], StoreReq::ScanFree { z: 1, exclude }) {
+        match m.handle(&none(), StoreReq::ScanFree { z: 1, exclude }) {
             Some((_, StoreAns::ScanFree(q))) => assert_eq!(q, None),
             _ => panic!(),
         }
-        match m.handle(&[], StoreReq::DelEdge { at: 1, nbr: 9 }) {
+        match m.handle(&none(), StoreReq::DelEdge { at: 1, nbr: 9 }) {
             Some((_, StoreAns::Del { found, alive })) => {
                 assert!(found);
                 assert!(alive);
@@ -899,15 +904,18 @@ mod tests {
     #[test]
     fn history_repair_applies_once() {
         let mut m = StorageMachine::new(0, 2, 8);
-        m.handle(&[], add(0, 5));
-        let h1 = vec![(1, HistEntry::MatchAdd(Edge::new(5, 6), true, true))];
+        m.handle(&none(), add(0, 5));
+        let h1 = HistSlice::new(1, [HistEntry::MatchAdd(Edge::new(5, 6), true, true)]);
         m.handle(&h1, StoreReq::Refresh);
         assert!(m.vertex(0).unwrap().entries[0].1.matched);
         // Replaying the same suffix is a no-op (idempotent by seq).
-        let h2 = vec![
-            (1, HistEntry::MatchAdd(Edge::new(5, 6), true, true)),
-            (2, HistEntry::MatchDel(Edge::new(5, 6))),
-        ];
+        let h2 = HistSlice::new(
+            1,
+            [
+                HistEntry::MatchAdd(Edge::new(5, 6), true, true),
+                HistEntry::MatchDel(Edge::new(5, 6)),
+            ],
+        );
         m.handle(&h2, StoreReq::Refresh);
         assert!(!m.vertex(0).unwrap().entries[0].1.matched);
         assert_eq!(m.last_seen(), 2);
@@ -917,14 +925,14 @@ mod tests {
     fn overflow_stack() {
         let mut o = OverflowMachine::default();
         let entries = vec![(7, Ann::free()), (8, Ann::free())];
-        o.handle(&[], StoreReq::AddSuspended { v: 3, entries });
+        o.handle(&none(), StoreReq::AddSuspended { v: 3, entries });
         assert_eq!(o.assigned(), Some(3));
         assert_eq!(o.len(), 2);
-        match o.handle(&[], StoreReq::FetchSuspended { v: 3 }) {
+        match o.handle(&none(), StoreReq::FetchSuspended { v: 3 }) {
             Some((_, StoreAns::Fetch(entry))) => assert_eq!(entry.unwrap().0, 8),
             _ => panic!(),
         }
-        match o.handle(&[], StoreReq::DelEdge { at: 3, nbr: 7 }) {
+        match o.handle(&none(), StoreReq::DelEdge { at: 3, nbr: 7 }) {
             Some((_, StoreAns::Del { found, alive })) => {
                 assert!(found);
                 assert!(!alive);
@@ -943,7 +951,7 @@ mod tests {
         let mut m = StorageMachine::new(0, 4, 8);
         assert_eq!(m.verts.memory_words(), (4usize * 13).div_ceil(8));
         for (at, nbr) in [(0, 5), (0, 6), (1, 5)] {
-            m.handle(&[], add(at, nbr));
+            m.handle(&none(), add(at, nbr));
         }
         // Vertex 0 grew in place at the tail (2 cells); vertex 1 opened a
         // segment behind it with `ENTRY_HEADROOM` spare cells (3 cells).
@@ -955,7 +963,7 @@ mod tests {
         assert_eq!(m.memory_words(), 2 + 14);
         // A delete leaves its cell behind as a hole and drops its key.
         for nbr in [5, 6] {
-            m.handle(&[], StoreReq::DelEdge { at: 0, nbr });
+            m.handle(&none(), StoreReq::DelEdge { at: 0, nbr });
         }
         assert_eq!((m.verts.nbr.len(), m.verts.live), (5, 1));
         assert_eq!(
@@ -990,7 +998,7 @@ mod tests {
     #[should_panic(expected = "snapshot vertex 0 restored on the storage machine of 4..8")]
     fn restore_refuses_a_neighbours_snapshot() {
         let mut a = StorageMachine::new(0, 4, 8);
-        a.handle(&[], add(0, 5));
+        a.handle(&none(), add(0, 5));
         let mut b = StorageMachine::new(4, 8, 8);
         b.restore_text(&a.snapshot_text());
     }
@@ -1000,7 +1008,7 @@ mod tests {
     fn snapshot_text_follows_the_storage_protocol() {
         let mut m = StorageMachine::new(0, 4, 2);
         for (at, nbr) in [(0, 5), (0, 6), (1, 5), (2, 7), (0, 7)] {
-            m.handle(&[], add(at, nbr));
+            m.handle(&none(), add(at, nbr));
         }
         let free = NO_MATE;
         assert_eq!(
@@ -1016,10 +1024,10 @@ mod tests {
 
         // MakeHeavy moves the mate edge to the front and splits
         // positionally at tau = 2.
-        let hist = vec![(1, HistEntry::MatchAdd(Edge::new(6, 0), true, true))];
+        let hist = HistSlice::new(1, [HistEntry::MatchAdd(Edge::new(6, 0), true, true)]);
         m.handle(&hist, StoreReq::Refresh);
         let mate = Some(6);
-        match m.handle(&[], StoreReq::MakeHeavy { v: 0, mate }) {
+        match m.handle(&none(), StoreReq::MakeHeavy { v: 0, mate }) {
             Some((_, StoreAns::MovedOut(entries))) => assert_eq!(entries, [(7, Ann::free())]),
             _ => panic!(),
         }
@@ -1037,7 +1045,7 @@ mod tests {
         );
 
         // Order-preserving delete at the front of a segment.
-        m.handle(&[], StoreReq::DelEdge { at: 0, nbr: 6 });
+        m.handle(&none(), StoreReq::DelEdge { at: 0, nbr: 6 });
         let text = m.snapshot_text();
         assert_eq!(
             text,

@@ -208,6 +208,10 @@ fn three_halves_star_heavy_stress() {
 /// them), heavy scans with suspended edges, steals and the counter commit —
 /// which no §3-only golden does; a change to how the coordinator waits
 /// must move none of these numbers.
+///
+/// Words restated, all else unchanged, when a history suffix began to
+/// travel as one base seq and 3 words per entry instead of 4 per entry
+/// (one update per run, so no batch yield moves). They were 86,768.
 #[test]
 fn three_halves_golden_costs_n128() {
     let n = 128;
@@ -241,7 +245,7 @@ fn three_halves_golden_costs_n128() {
     }
     assert_eq!(
         (rounds, words, messages, active, h.finish()),
-        (5841, 86768, 11320, 7, 11137940058448441959)
+        (5841, 77830, 11320, 7, 11137940058448441959)
     );
 }
 
